@@ -6,6 +6,10 @@ a property fails or nonexistence is proven (the witness or violation is
 printed as JSON on stdout); 2 on input or resource errors.  Reports are
 deterministic: stable key order, no timestamps (timing goes to stderr).
 Agent numbers in files are 1-based.
+
+The environment variable ``CPV_THREADS`` is reserved: nothing runs in
+parallel yet, so its value changes nothing, but a value that is not a
+positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -207,23 +211,9 @@ def instance_from_json(doc) -> Instance:
             components.append(tuple(str(c) for c in row))
         components = tuple(components)
     rule = ChoiceRule(space, tuple(outcomes), tuple(table), components)
-    if components is not None:
-        _validate_component_bundling(rule)
     return Instance(
         space, rule, _model_from_json(doc), _universe_from_json(doc, space, "")
     )
-
-
-def _validate_component_bundling(rule: ChoiceRule) -> None:
-    seen: dict[tuple, int] = {}
-    for x, row in enumerate(rule.components):
-        if row in seen:
-            raise LoadError(
-                "/components",
-                f"outcomes {rule.outcomes[seen[row]]!r} and {rule.outcomes[x]!r}"
-                " carry identical components but distinct ids",
-            )
-        seen[row] = x
 
 
 def _type_index(space: TypeSpace, agent: int, label, pointer: str) -> int:
@@ -722,23 +712,25 @@ def _cmd_builtin(args) -> tuple[int, dict]:
 # entry point
 
 
-def _threads_from_env() -> int:
+def _check_threads_env() -> None:
+    """Validate the reserved ``CPV_THREADS``; nothing runs in parallel yet."""
     raw = os.environ.get("CPV_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
         value = int(raw)
     except ValueError:
         raise InputError(f"CPV_THREADS must be an integer, got {raw!r}") from None
     if value < 1:
         raise InputError("CPV_THREADS must be positive")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpv",
-        description="verify, synthesize, and search contextually private protocols",
+        description="verify, synthesize, and search contextually private "
+        "protocols.  The environment variable CPV_THREADS is reserved: nothing "
+        "runs in parallel yet, but a value that is not a positive integer exits 2.",
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -801,7 +793,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _threads_from_env()
+        _check_threads_env()
         code, doc = args.func(args)
     except (LoadError, ProtocolDefect) as exc:
         _report({"error": str(exc)}, args.pretty)

@@ -120,6 +120,49 @@ class TypeSpace:
         return itertools.product(*(range(s) for s in self.sizes))
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_flags(mask: int, total: int) -> bytes:
+    """Membership flags of a profile-set mask: byte ``k`` is 1 iff bit ``k`` is set."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES).ljust(total, b"\0")
+
+
+def mask_indices(mask: int, total: int) -> list[int]:
+    """Profile indices in a mask, ascending."""
+    return list(itertools.compress(range(total), mask_flags(mask, total)))
+
+
+def unilateral_pairs(space: TypeSpace, keys, inside: int, block=None, value=None):
+    """Unilateral deviations ``(k, agent, t2, k2)``: profile ``k2`` is ``k``
+    with the agent's type raised to ``t2``.
+
+    This is the one scan order of every unilateral check: base index ``k``
+    as ``keys`` gives it (ascending), then agent ascending, then ``t2``
+    ascending.  A pair is yielded only if ``k2`` lies in the mask ``inside``,
+    if ``block[k2] != block[k]`` when a per-profile ``block`` list is given,
+    and if ``value[agent][k2] == value[agent][k]`` when per-agent,
+    per-profile ``value`` lists are given.
+    """
+    member = mask_flags(inside, space.total)
+    axes = tuple(zip(range(space.n), space.strides, space.sizes))
+    for k in keys:
+        b = block[k] if block is not None else None
+        for agent, stride, size in axes:
+            vals = value[agent] if value is not None else None
+            v = vals[k] if vals is not None else None
+            k2 = k
+            for t2 in range(k // stride % size + 1, size):
+                k2 += stride
+                if not member[k2]:
+                    continue
+                if block is not None and block[k2] == b:
+                    continue
+                if vals is not None and vals[k2] != v:
+                    continue
+                yield k, agent, t2, k2
+
+
 def index_profile(space: TypeSpace, profile: Profile) -> int:
     """Mixed-radix profile index; agent 0 is the most significant digit."""
     return space.index(profile)
@@ -284,6 +327,20 @@ class ChoiceRule:
         if self.components is None:
             raise InputError("rule has no per-agent components")
         return self.components[self.table[profile_index]][agent]
+
+
+def constant_on(rule: ChoiceRule, mask: int) -> bool:
+    """True iff the rule takes at most one outcome on the profile-set mask."""
+    seen = -1
+    while mask:
+        low = mask & -mask
+        x = rule.table[low.bit_length() - 1]
+        if seen == -1:
+            seen = x
+        elif x != seen:
+            return False
+        mask ^= low
+    return True
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, constant_on
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -636,7 +636,7 @@ def multicount_stable_matching() -> ProtocolBundle:
 
             return query, child_state
         _, cut, agent = state
-        if agent >= 2 or _constant_on(rule, label_mask):
+        if agent >= 2 or constant_on(rule, label_mask):
             return None
         cells_by_school = {}
         for t in range(len(labels)):
@@ -713,20 +713,6 @@ def appC_sp_restriction():
 # protocol builders for auctions
 
 
-def _constant_on(rule: ChoiceRule, label: int) -> bool:
-    seen = -1
-    mask = label
-    while mask:
-        low = mask & -mask
-        x = rule.table[low.bit_length() - 1]
-        if seen == -1:
-            seen = x
-        elif x != seen:
-            return False
-        mask ^= low
-    return True
-
-
 def descending_first_price(n: int, values) -> ProtocolBundle:
     """Price clock falls through the type grid; at each price agents are
     asked in order whether their type equals it, and the first yes wins
@@ -739,7 +725,7 @@ def descending_first_price(n: int, values) -> ProtocolBundle:
 
     def step(label: int, state):
         level_pos, agent = state
-        if level_pos >= len(by_value_desc) or _constant_on(rule, label):
+        if level_pos >= len(by_value_desc) or constant_on(rule, label):
             return None
         level = by_value_desc[level_pos]
         rest = tuple(t for t in range(space.sizes[0]) if t != level)
@@ -766,7 +752,7 @@ def ascending_elicitation_sp(n: int, values) -> ProtocolBundle:
 
     def step(label: int, state):
         level_pos, agent = state
-        if level_pos >= len(by_value_asc) or _constant_on(rule, label):
+        if level_pos >= len(by_value_asc) or constant_on(rule, label):
             return None
         above = tuple(
             t
@@ -809,7 +795,22 @@ def count_ascending_price(k: int, n: int, values) -> ProtocolBundle:
     space is restricted so that the k-th and (k+1)-th highest differ."""
     if not 1 <= k < n:
         raise InputError(f"k={k} needs 1 <= k < n={n}")
-    inst0 = uniform_price(n, values, k)
+    return _count_clock(uniform_price(n, values, k), k)
+
+
+def double_auction_count(n: int, values) -> ProtocolBundle:
+    """Market-clearing counts find the price, then each agent reveals
+    whether she is above it, which pins down all trades.  Restricted so
+    the two median types differ."""
+    if n < 2 or n % 2:
+        raise InputError("double auction needs an even number of agents")
+    return _count_clock(double_auction_walrasian(n, values, "lower"), n // 2)
+
+
+def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
+    """Clock over ascending levels: "are exactly k types above the level?"
+    until yes, then each agent in order says whether she is above it.
+    Restricted so that the k-th and (k+1)-th highest types differ."""
     space = inst0.space
     universe = order_statistic_restriction(space, k)
     inst = Instance(space, inst0.rule, inst0.model, universe)
@@ -843,63 +844,7 @@ def count_ascending_price(k: int, n: int, values) -> ProtocolBundle:
 
             return query, child_state
         _, level, agent = state
-        if agent >= space.n or _constant_on(rule, label):
-            return None
-        above = above_set(level)
-        rest = tuple(t for t in range(space.sizes[0]) if t not in above)
-        query = ElicitQuery(agent, (above, rest))
-
-        def child_state(cell_index: int, _mask: int):
-            return "elicit", level, agent + 1
-
-        return query, child_state
-
-    protocol = build_protocol(space, step, ("count", 0), universe)
-    return ProtocolBundle(inst, protocol, suggested_count_phase(protocol))
-
-
-def double_auction_count(n: int, values) -> ProtocolBundle:
-    """Market-clearing counts find the price, then each agent reveals
-    whether she is above it, which pins down all trades.  Restricted so
-    the two median types differ."""
-    if n < 2 or n % 2:
-        raise InputError("double auction needs an even number of agents")
-    m = n // 2
-    inst0 = double_auction_walrasian(n, values, "lower")
-    space = inst0.space
-    universe = order_statistic_restriction(space, m)
-    inst = Instance(space, inst0.rule, inst0.model, universe)
-    rule = inst.rule
-    by_value_asc = sorted(
-        range(space.sizes[0]), key=lambda t: Fraction(space.alphabets[0][t])
-    )
-
-    def above_set(level: int):
-        lv = Fraction(space.alphabets[0][level])
-        return tuple(
-            t for t in range(space.sizes[0]) if Fraction(space.alphabets[0][t]) > lv
-        )
-
-    def step(label: int, state):
-        kind = state[0]
-        if kind == "count":
-            pos = state[1]
-            if pos >= len(by_value_asc):
-                return None
-            level = by_value_asc[pos]
-            above = above_set(level)
-            if not above:
-                return None
-            query = count_equals_query(space, above, m)
-
-            def child_state(cell_index: int, _mask: int):
-                if cell_index == 0:
-                    return "elicit", level, 0
-                return "count", pos + 1
-
-            return query, child_state
-        _, level, agent = state
-        if agent >= space.n or _constant_on(rule, label):
+        if agent >= space.n or constant_on(rule, label):
             return None
         above = above_set(level)
         rest = tuple(t for t in range(space.sizes[0]) if t not in above)
@@ -1126,10 +1071,7 @@ def outcome_rank_fn(rule: ChoiceRule, model: DomainModel) -> Callable[[int, int,
             raise InputError("auction ranks need per-agent components")
 
         def rank(agent: int, type_index: int, outcome_id: int):
-            comp = rule.components[outcome_id][agent]
-            field = comp.split(",")[0]
-            q = int(field.split("=")[1])
-            t = Fraction(comp.split(",")[1].split("=")[1])
+            q, t = _parse_auction_component(rule.components[outcome_id][agent])
             return -(q * model.values[agent][type_index] - t)
 
         return rank
@@ -1166,40 +1108,40 @@ def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel)
                 f"node {v.id}: obvious dominance needs elicitation queries"
             )
         agent = v.query.agent
-        stride, size = space.strides[agent], space.sizes[agent]
-        child_ranks: list[dict] = []
-        for c in v.children:
-            per_true: dict[int, list] = {}
-            child_ranks.append(per_true)
-        present = ProfileSet(space, v.label).projection(agent)
-        for true_t in present:
-            truthful_pos = None
-            for pos, c in enumerate(v.children):
-                cell = v.query.cells[v.cell_of_child[pos]]
-                if true_t in cell:
-                    truthful_pos = pos
-                    break
-            assert truthful_pos is not None
-            worst = None
-            child = protocol.nodes[v.children[truthful_pos]]
-            for k in ProfileSet(space, child.label).indices():
-                if (k // stride) % size != true_t:
-                    continue
-                r = rank(agent, true_t, rule.table[k])
-                if worst is None or r > worst:
-                    worst = r
-            assert worst is not None
-            for pos, c in enumerate(v.children):
-                if pos == truthful_pos:
-                    continue
-                best = None
-                for k in ProfileSet(space, protocol.nodes[c].label).indices():
-                    r = rank(agent, true_t, rule.table[k])
-                    if best is None or r < best:
-                        best = r
-                if best is not None and best < worst:
-                    return OspResult(False, v.id, agent, true_t, c)
+        masks = [protocol.nodes[c].label for c in v.children]
+        failure = _osp_node_failure(space, rule, rank, agent, masks)
+        if failure is not None:
+            true_t, pos = failure
+            return OspResult(False, v.id, agent, true_t, v.children[pos])
     return OspResult(True)
+
+
+def _osp_node_failure(space: TypeSpace, rule: ChoiceRule, rank, agent: int, masks):
+    """First (true type, deviating child position) at an elicitation node
+    of ``agent`` whose children carry ``masks``, or ``None``.
+
+    True types are tried in ascending order; for each, the worst outcome of
+    its own child must weakly beat the best outcome of every other child.
+    """
+    stride, size = space.strides[agent], space.sizes[agent]
+    members = [list(ProfileSet(space, m).indices()) for m in masks]
+    home: dict[int, int] = {}  # true type -> position of the child holding it
+    for pos, ks in enumerate(members):
+        for k in ks:
+            home.setdefault(k // stride % size, pos)
+    for true_t in sorted(home):
+        own = home[true_t]
+        worst = max(
+            rank(agent, true_t, rule.table[k])
+            for k in members[own]
+            if k // stride % size == true_t
+        )
+        for pos, ks in enumerate(members):
+            if pos == own:
+                continue
+            if min(rank(agent, true_t, rule.table[k]) for k in ks) < worst:
+                return true_t, pos
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ transitive closure partitions the agent's types into inseparability
 classes.  A product set on which the rule is non-constant while every
 agent's types fall in a single class is a machine-checkable witness that
 no contextually private sequential-elicitation protocol exists.
+
+Every unilateral check here (CP, ICP, the outer loop of the corners scan,
+non-bossiness) enumerates its pairs with :func:`cpv.core.unilateral_pairs`,
+so scan order, and with it the first violation reported, is defined once.
 """
 
 from __future__ import annotations
@@ -25,15 +29,18 @@ from cpv.core import (
     Profile,
     ProfileSet,
     ResourceError,
-    TypeSpace,
     Witness,
+    mask_flags,
+    mask_indices,
     product_factorization,
+    unilateral_pairs,
 )
 from cpv.protocol import (
     ElicitQuery,
     Protocol,
     build_protocol,
     implements,
+    outcome_reach,
     validate_protocol,
 )
 
@@ -148,41 +155,52 @@ def _require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
         )
 
 
-def _unilateral_scan(protocol: Protocol, rule: ChoiceRule, value_of) -> Optional[CpViolation]:
-    """First unilateral pair reaching distinct leaves with equal value.
+def _leaf_list(protocol: Protocol) -> list[int]:
+    """Leaf node id per profile index; -1 outside the universe."""
+    leaf = [-1] * protocol.space.total
+    for k, v in protocol.leaf_map().items():
+        leaf[k] = v
+    return leaf
 
-    Scan order: base profile index ascending, agent ascending, partner
-    type ascending.  The first hit is the reported violation, which makes
-    reports deterministic and independent of parallel evaluation order.
+
+def _unilateral_scan(
+    protocol: Protocol, value, label: int | None = None, leaf: list[int] | None = None
+) -> Optional[CpViolation]:
+    """First unilateral pair inside ``label`` (the universe by default) that
+    reaches distinct leaves with equal ``value[agent]``.
+
+    The first hit in :func:`cpv.core.unilateral_pairs` order is the
+    reported violation, which makes reports deterministic.  ``leaf`` is
+    the protocol's :func:`_leaf_list`, passed in by callers that scan
+    several labels.
     """
     space = protocol.space
-    leaf_of = protocol.leaf_map()
-    for k in sorted(leaf_of):
+    if label is None:
+        label = protocol.universe
+    if leaf is None:
+        leaf = _leaf_list(protocol)
+    keys = mask_indices(label, space.total)
+    for k, agent, t2, k2 in unilateral_pairs(space, keys, label, leaf, value):
         profile = space.profile(k)
-        for agent in range(space.n):
-            t = profile[agent]
-            stride = space.strides[agent]
-            for t2 in range(t + 1, space.sizes[agent]):
-                k2 = k + (t2 - t) * stride
-                leaf2 = leaf_of.get(k2)
-                if leaf2 is None or leaf2 == leaf_of[k]:
-                    continue
-                va, vb = value_of(k, agent), value_of(k2, agent)
-                if va == vb:
-                    other = list(profile)
-                    other[agent] = t2
-                    return CpViolation(
-                        agent, t, t2, profile, tuple(other), leaf_of[k], leaf2, va
-                    )
+        other = list(profile)
+        other[agent] = t2
+        return CpViolation(
+            agent, profile[agent], t2, profile, tuple(other), leaf[k], leaf[k2],
+            value[agent][k],
+        )
     return None
+
+
+def _outcome_values(rule: ChoiceRule) -> list[list[str]]:
+    """Per-agent, per-profile outcome labels: what CP compares."""
+    labels = [rule.outcomes[x] for x in rule.table]
+    return [labels] * rule.space.n
 
 
 def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
     """Separated unilateral pairs must change the outcome."""
     _require_implements(protocol, rule)
-    violation = _unilateral_scan(
-        protocol, rule, lambda k, agent: rule.outcomes[rule.table[k]]
-    )
+    violation = _unilateral_scan(protocol, _outcome_values(rule))
     return CpVerdict(violation is None, violation)
 
 
@@ -191,10 +209,14 @@ def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
     if not rule.has_components:
         raise InputError("individual check needs per-agent outcome components")
     _require_implements(protocol, rule)
-    violation = _unilateral_scan(
-        protocol, rule, lambda k, agent: rule.components[rule.table[k]][agent]
-    )
+    violation = _unilateral_scan(protocol, _own_components(rule))
     return CpVerdict(violation is None, violation)
+
+
+def _own_components(rule: ChoiceRule) -> list[list[str]]:
+    return [
+        [rule.components[x][agent] for x in rule.table] for agent in range(rule.space.n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -216,39 +238,26 @@ def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> GcpVerdict:
     """
     _require_implements(protocol, rule)
     space = protocol.space
+    reach = outcome_reach(protocol, rule)
 
     by_definition = None  # first leaf pair sharing an outcome
-    leaf_outcome: dict[int, int] = {}
-    leaf_rep: dict[int, int] = {}
-    for v in protocol.nodes:
-        if v.is_leaf:
-            k = next(ProfileSet(space, v.label).indices())
-            leaf_outcome[v.id] = rule.table[k]
-            leaf_rep[v.id] = k
     seen: dict[int, int] = {}
-    for leaf_id in sorted(leaf_outcome):
-        x = leaf_outcome[leaf_id]
-        if x in seen and by_definition is None:
-            by_definition = (
-                space.profile(leaf_rep[seen[x]]),
-                space.profile(leaf_rep[leaf_id]),
+    for v in protocol.nodes:
+        if not v.is_leaf:
+            continue
+        (x,) = reach[v.id]
+        if x in seen:
+            by_definition = tuple(
+                space.profile((m & -m).bit_length() - 1) for m in (seen[x], v.label)
             )
-        seen.setdefault(x, leaf_id)
+            break
+        seen[x] = v.label
 
-    reach: dict[int, frozenset[int]] = {}
-    for v in reversed(protocol.nodes):  # children have larger preorder ids
-        if v.is_leaf:
-            reach[v.id] = frozenset({leaf_outcome[v.id]})
-        else:
-            reach[v.id] = frozenset().union(*(reach[c] for c in v.children))
     by_characterization = None
     for v in protocol.nodes:
         if v.is_leaf:
             continue
-        total = 0
-        for c in v.children:
-            total += len(reach[c])
-        if total != len(reach[v.id]):
+        if sum(len(reach[c]) for c in v.children) != len(reach[v.id]):
             by_characterization = v.id
             break
 
@@ -293,41 +302,33 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
     if space.n < 2:
         return CornersResult(True)
     universe = region.mask if region is not None else (1 << space.total) - 1
-    for k in range(space.total):
-        if not (universe >> k) & 1:
-            continue
-        profile = space.profile(k)
-        for i in range(space.n):
-            si = space.strides[i]
-            for ti2 in range(profile[i] + 1, space.sizes[i]):
-                ki = k + (ti2 - profile[i]) * si
-                if not (universe >> ki) & 1:
+    member = mask_flags(universe, space.total)
+    table = rule.table
+    keys = mask_indices(universe, space.total)
+    for k, i, ti2, ki in unilateral_pairs(space, keys, universe):
+        for j in range(i + 1, space.n):
+            sj, size_j = space.strides[j], space.sizes[j]
+            tj = k // sj % size_j
+            for tj2 in range(tj + 1, size_j):
+                d = (tj2 - tj) * sj
+                if not member[k + d] or not member[ki + d]:
                     continue
-                for j in range(i + 1, space.n):
-                    sj = space.strides[j]
-                    for tj2 in range(profile[j] + 1, space.sizes[j]):
-                        d = (tj2 - profile[j]) * sj
-                        if not (universe >> (k + d)) & 1 or not (universe >> (ki + d)) & 1:
-                            continue
-                        o00 = rule.table[k]
-                        o10 = rule.table[ki]
-                        o01 = rule.table[k + d]
-                        o11 = rule.table[ki + d]
-                        bad = _corner_defect(o00, o10, o01, o11)
-                        if bad is not None:
-                            x, y = bad
-                            return CornersResult(
-                                False,
-                                CornersViolation(
-                                    i,
-                                    j,
-                                    (profile[i], ti2),
-                                    (profile[j], tj2),
-                                    profile,
-                                    rule.outcomes[x],
-                                    rule.outcomes[y],
-                                ),
-                            )
+                bad = _corner_defect(table[k], table[ki], table[k + d], table[ki + d])
+                if bad is not None:
+                    x, y = bad
+                    profile = space.profile(k)
+                    return CornersResult(
+                        False,
+                        CornersViolation(
+                            i,
+                            j,
+                            (profile[i], ti2),
+                            (tj, tj2),
+                            profile,
+                            rule.outcomes[x],
+                            rule.outcomes[y],
+                        ),
+                    )
     return CornersResult(True)
 
 
@@ -381,12 +382,7 @@ def synthesize_or_witness(
     universe = ProfileSet.from_factors(space, root_factors)
 
     def step(label: int, factors):
-        outcomes = set()
-        for combo in itertools.product(*factors):
-            outcomes.add(rule.table[space.index(combo)])
-            if len(outcomes) > 1:
-                break
-        if len(outcomes) <= 1:
+        if _constant_on_factors(rule, factors):
             return None
         for agent in range(space.n):
             part = inseparability_classes(rule, factors, agent)
@@ -420,6 +416,17 @@ def synthesize_or_witness(
     return SynthesisResult(protocol=protocol)
 
 
+def _constant_on_factors(rule: ChoiceRule, factors) -> bool:
+    """True iff the rule takes at most one outcome on the product set."""
+    space = rule.space
+    outcomes = set()
+    for combo in itertools.product(*factors):
+        outcomes.add(rule.table[space.index(combo)])
+        if len(outcomes) > 1:
+            return False
+    return True
+
+
 def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
     """Re-derivation of the certificate: non-constant on the product set,
     and every agent's factor lies inside one inseparability class."""
@@ -432,12 +439,7 @@ def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
         for t in f:
             if not 0 <= t < space.sizes[i]:
                 raise InputError(f"agent {i}: witness type index {t} out of range")
-    outcomes = set()
-    for combo in itertools.product(*witness.factors):
-        outcomes.add(rule.table[space.index(combo)])
-        if len(outcomes) > 1:
-            break
-    if len(outcomes) <= 1:
+    if _constant_on_factors(rule, witness.factors):
         return False
     for agent in range(space.n):
         part = inseparability_classes(rule, witness.factors, agent)
@@ -530,19 +532,14 @@ def check_nonbossy(rule: ChoiceRule) -> NonbossyResult:
     if not rule.has_components:
         raise InputError("non-bossiness needs per-agent outcome components")
     space = rule.space
-    for k in range(space.total):
-        profile = space.profile(k)
-        for i in range(space.n):
-            stride = space.strides[i]
-            for t2 in range(profile[i] + 1, space.sizes[i]):
-                k2 = k + (t2 - profile[i]) * stride
-                ca = rule.components[rule.table[k]]
-                cb = rule.components[rule.table[k2]]
-                if ca[i] != cb[i]:
-                    continue
-                for j in range(space.n):
-                    if j != i and ca[j] != cb[j]:
-                        return NonbossyResult(
-                            False, (i, profile[i], t2, profile, j)
-                        )
+    comps, table = rule.components, rule.table
+    pairs = unilateral_pairs(
+        space, range(space.total), (1 << space.total) - 1, value=_own_components(rule)
+    )
+    for k, i, t2, k2 in pairs:
+        ca, cb = comps[table[k]], comps[table[k2]]
+        for j in range(space.n):
+            if j != i and ca[j] != cb[j]:
+                profile = space.profile(k)
+                return NonbossyResult(False, (i, profile[i], t2, profile, j))
     return NonbossyResult(True)

@@ -10,7 +10,7 @@ contracted away (they transmit nothing).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from cpv.core import (
@@ -211,20 +211,6 @@ class Protocol:
 
     def leaves(self) -> list[Node]:
         return [v for v in self.nodes if v.is_leaf]
-
-    def leaf_of_index(self, index: int) -> int:
-        """Leaf node id reached by profile ``index``; -1 outside the universe."""
-        if not (self.universe >> index) & 1:
-            return -1
-        v = self.nodes[0]
-        while not v.is_leaf:
-            for child in v.children:
-                if (self.nodes[child].label >> index) & 1:
-                    v = self.nodes[child]
-                    break
-            else:
-                raise AssertionError("children partition the label")
-        return v.id
 
     def leaf_map(self) -> dict[int, int]:
         """profile index -> leaf node id, for every profile in the universe."""
@@ -494,6 +480,21 @@ def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
     return ImplementsResult(True)
 
 
+def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[int]]:
+    """node id -> set of outcome ids reachable below it.
+
+    Each leaf contributes the outcome of its lowest-index profile, so the
+    protocol must implement the rule.
+    """
+    reach: dict[int, frozenset[int]] = {}
+    for v in reversed(protocol.nodes):  # children carry larger preorder ids
+        if v.is_leaf:
+            reach[v.id] = frozenset({rule.table[(v.label & -v.label).bit_length() - 1]})
+        else:
+            reach[v.id] = frozenset().union(*(reach[c] for c in v.children))
+    return reach
+
+
 def earliest_departure(protocol: Protocol, p: Profile, q: Profile) -> int:
     """The deepest common ancestor whose children separate ``p`` from ``q``."""
     space = protocol.space
@@ -527,16 +528,16 @@ class QueryClass:
     cap_reached: bool = False
 
 
-def _canonical_subsets(size: int) -> list[tuple[int, ...]]:
-    """Nonempty proper subsets of range(size), one per complement pair."""
-    out = []
-    for bits in range(1, 1 << size):
-        if bits == (1 << size) - 1:
-            continue
-        if not bits & 1:  # keep the representative containing element 0
-            continue
-        out.append(tuple(i for i in range(size) if bits >> i & 1))
-    return out
+def _canonical_subsets(values: tuple[int, ...]):
+    """Nonempty proper subsets of ``values``, one per complement pair: the
+    one holding ``values[0]``, by size, then lexicographically."""
+    rest = values[1:]
+    anchor = values[0]
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            subset = (anchor,) + combo
+            if len(subset) < len(values):
+                yield subset
 
 
 def classify_query(protocol: Protocol, node_id: int, multicount_cap: int = 2) -> QueryClass:
@@ -605,7 +606,7 @@ def _match_counts(space: TypeSpace, label: int, child_masks: list[int], arity: i
     for c, m in enumerate(child_masks):
         for k in ProfileSet(space, m).indices():
             child_of[k] = c
-    candidates = _canonical_subsets(space.sizes[0])
+    candidates = list(_canonical_subsets(tuple(range(space.sizes[0]))))
     for subs in itertools.combinations(candidates, arity):
         probe = (
             CountQuery(subs[0], ((0,), tuple(range(1, space.n + 1))))
@@ -639,15 +640,6 @@ def _trivial_vector_cells(space: TypeSpace, arity: int):
 
 
 # --- small constructors used across the package -------------------------------
-
-
-def elicit_cells_from_subset(space: TypeSpace, agent: int, subset) -> ElicitQuery:
-    """Binary elicitation query: is agent's type in ``subset``?"""
-    subset = tuple(sorted(set(subset)))
-    rest = tuple(t for t in range(space.sizes[agent]) if t not in subset)
-    if not subset or not rest:
-        raise InputError("binary elicitation needs a proper nonempty subset")
-    return ElicitQuery(agent, (subset, rest))
 
 
 def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:

@@ -12,17 +12,34 @@ Count queries here answer with the exact count: a query for a type subset
 splits a state into its count fibers.  Coarser groupings of counts are
 expressible at the protocol level but are deliberately not enumerated;
 the search result is labeled with the family it decided.
+
+The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
+defines the scan order once; a leaking query reports the first pair it
+separates in that order.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
-from cpv.mechanisms import DomainModel, outcome_rank_fn
+from cpv.core import (
+    ChoiceRule,
+    InputError,
+    ProfileSet,
+    TypeSpace,
+    constant_on,
+    mask_indices,
+    unilateral_pairs,
+)
+from cpv.mechanisms import (
+    DomainModel,
+    _osp_node_failure,
+    check_protocol_osp,
+    outcome_rank_fn,
+)
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     CountQuery,
@@ -30,8 +47,10 @@ from cpv.protocol import (
     MultiCountQuery,
     Protocol,
     Query,
+    _canonical_subsets,
     build_protocol,
     implements,
+    query_cell_masks,
 )
 
 
@@ -40,7 +59,6 @@ class QueryFamily:
     allow_elicit: bool = True
     allow_count: bool = False
     multicount_arity: int = 0  # 0 disables multi-count queries
-    max_cells: int | None = None  # cap on children per query
 
     def __post_init__(self) -> None:
         if not (self.allow_elicit or self.allow_count or self.multicount_arity):
@@ -103,17 +121,6 @@ class _Candidate:
     cell_masks: tuple[int, ...]  # nonempty cells on the state
 
 
-def _canonical_subsets(values: tuple[int, ...]):
-    """Nonempty proper subsets of ``values``, one per complement pair."""
-    rest = values[1:]
-    anchor = values[0]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            subset = (anchor,) + combo
-            if len(subset) < len(values):
-                yield subset
-
-
 def _elicit_candidates(space: TypeSpace, state: int):
     for agent in range(space.n):
         present = ProfileSet(space, state).projection(agent)
@@ -122,7 +129,7 @@ def _elicit_candidates(space: TypeSpace, state: int):
         for subset in _canonical_subsets(present):
             rest = tuple(t for t in range(space.sizes[agent]) if t not in subset)
             query = ElicitQuery(agent, (subset, rest))
-            masks = _split(space, state, lambda k, q=query: q.cell_of(space, k))
+            masks = _nonempty_cells(space, query, state)
             if len(masks) >= 2:
                 yield _Candidate(query, masks)
 
@@ -133,7 +140,7 @@ def _count_candidates(space: TypeSpace, state: int):
     singleton_cells = tuple((c,) for c in range(space.n + 1))
     for subset in _canonical_subsets(tuple(range(space.sizes[0]))):
         query = CountQuery(subset, singleton_cells)
-        masks = _split(space, state, lambda k, q=query: q.count(space, k))
+        masks = _nonempty_cells(space, query, state)
         if len(masks) >= 2:
             yield _Candidate(query, masks)
 
@@ -146,21 +153,13 @@ def _multicount_candidates(space: TypeSpace, state: int, arity: int):
     subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
     for combo in itertools.combinations(subsets, arity):
         query = MultiCountQuery(combo, cells)
-        masks = _split(space, state, lambda k, q=query: q.vector(space, k))
+        masks = _nonempty_cells(space, query, state)
         if len(masks) >= 2:
             yield _Candidate(query, masks)
 
 
-def _split(space: TypeSpace, state: int, key: Callable[[int], object]) -> tuple[int, ...]:
-    groups: dict = {}
-    mask = state
-    while mask:
-        low = mask & -mask
-        k = low.bit_length() - 1
-        groups.setdefault(key(k), 0)
-        groups[key(k)] |= low
-        mask ^= low
-    return tuple(groups[g] for g in sorted(groups))
+def _nonempty_cells(space: TypeSpace, query: Query, state: int) -> tuple[int, ...]:
+    return tuple(m for m in query_cell_masks(space, query, state) if m)
 
 
 def _candidates(
@@ -181,8 +180,6 @@ def _candidates(
     for arity in range(2, family.multicount_arity + 1):
         streams.append(_multicount_candidates(space, state, arity))
     for cand in itertools.chain(*streams):
-        if family.max_cells is not None and len(cand.cell_masks) > family.max_cells:
-            continue
         signature = frozenset(cand.cell_masks)
         if per_kind:
             signature = (type(cand.query).__name__, signature)
@@ -198,18 +195,9 @@ def _candidates(
 
 def _same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
     space = rule.space
-    pairs = []
-    for k in range(space.total):
-        if not (universe >> k) & 1:
-            continue
-        profile = space.profile(k)
-        for i in range(space.n):
-            stride = space.strides[i]
-            for t2 in range(profile[i] + 1, space.sizes[i]):
-                k2 = k + (t2 - profile[i]) * stride
-                if (universe >> k2) & 1 and rule.table[k] == rule.table[k2]:
-                    pairs.append((k, k2))
-    return pairs
+    keys = mask_indices(universe, space.total)
+    pairs = unilateral_pairs(space, keys, universe, value=[rule.table] * space.n)
+    return [(k, k2) for k, _, _, k2 in pairs]
 
 
 def _separates_protected_pair(cand: _Candidate, pairs: list[tuple[int, int]], state: int):
@@ -243,29 +231,16 @@ def exhaustive_cp_search(
     states_seen = 0
     deadline = budget.deadline()
 
-    def constant(state: int) -> bool:
-        seen = -1
-        mask = state
-        while mask:
-            low = mask & -mask
-            x = rule.table[low.bit_length() - 1]
-            if seen == -1:
-                seen = x
-            elif x != seen:
-                return False
-            mask ^= low
-        return True
-
     def winnable(state: int, depth: int) -> bool:
         nonlocal states_seen
         if memoize and state in memo:
-            return memo[state] is not None or constant(state)
+            return memo[state] is not None or constant_on(rule, state)
         states_seen += 1
         if states_seen > budget.max_states:
             raise _BudgetExhausted
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted
-        if constant(state):
+        if constant_on(rule, state):
             if memoize:
                 memo[state] = None
             return True
@@ -292,7 +267,7 @@ def exhaustive_cp_search(
     choices: dict[int, _Candidate] = {}
 
     def chosen(state: int) -> Optional[_Candidate]:
-        if constant(state):
+        if constant_on(rule, state):
             return None
         if memoize and memo.get(state) is not None:
             return memo[state]
@@ -352,36 +327,6 @@ def _all_partitions(items: tuple[int, ...]):
             )
 
 
-def _osp_node_ok(
-    space: TypeSpace,
-    rule: ChoiceRule,
-    rank: Callable,
-    state: int,
-    agent: int,
-    blocks: tuple[tuple[int, ...], ...],
-    cell_masks: tuple[int, ...],
-) -> bool:
-    stride, size = space.strides[agent], space.sizes[agent]
-    for pos, block in enumerate(blocks):
-        for true_t in block:
-            worst = None
-            for k in ProfileSet(space, cell_masks[pos]).indices():
-                if (k // stride) % size != true_t:
-                    continue
-                r = rank(agent, true_t, rule.table[k])
-                if worst is None or r > worst:
-                    worst = r
-            if worst is None:
-                continue
-            for other in range(len(blocks)):
-                if other == pos:
-                    continue
-                for k in ProfileSet(space, cell_masks[other]).indices():
-                    if rank(agent, true_t, rule.table[k]) < worst:
-                        return False
-    return True
-
-
 def exhaustive_osp_search(
     rule: ChoiceRule,
     model: DomainModel,
@@ -391,18 +336,12 @@ def exhaustive_osp_search(
     """Decide whether an obviously strategyproof elicitation protocol
     implements the rule.  The node criterion depends only on the current
     state, so memoization over states is exact."""
-    from cpv.mechanisms import check_protocol_osp  # cycle-free at runtime
-
     space = rule.space
     rank = outcome_rank_fn(rule, model)
     root = (1 << space.total) - 1 if universe is None else universe.mask
     memo: dict[int, Optional[_Candidate]] = {}
     states_seen = 0
     deadline = budget.deadline()
-
-    def constant(state: int) -> bool:
-        outs = {rule.table[k] for k in ProfileSet(space, state).indices()}
-        return len(outs) <= 1
 
     def node_candidates(state: int):
         seen: set[frozenset[int]] = set()
@@ -419,30 +358,24 @@ def exhaustive_osp_search(
                 for i, b in enumerate(blocks):
                     cells.append(b + leftovers if i == 0 else b)
                 query = ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
-                masks = tuple(
-                    m
-                    for m in (
-                        _types_mask(space, agent, set(c), state) for c in cells
-                    )
-                    if m
-                )
+                masks = _nonempty_cells(space, query, state)
                 signature = frozenset(masks)
                 if len(masks) < 2 or signature in seen:
                     continue
                 seen.add(signature)
-                if _osp_node_ok(space, rule, rank, state, agent, blocks, masks):
+                if _osp_node_failure(space, rule, rank, agent, masks) is None:
                     yield _Candidate(query, masks)
 
     def winnable(state: int, depth: int) -> bool:
         nonlocal states_seen
         if state in memo:
-            return memo[state] is not None or constant(state)
+            return memo[state] is not None or constant_on(rule, state)
         states_seen += 1
         if states_seen > budget.max_states:
             raise _BudgetExhausted
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted
-        if constant(state):
+        if constant_on(rule, state):
             memo[state] = None
             return True
         if budget.max_depth is not None and depth >= budget.max_depth:
@@ -462,7 +395,7 @@ def exhaustive_osp_search(
         return SearchResult("nonexistent", states=states_seen)
 
     def step(label: int, _state):
-        if constant(label):
+        if constant_on(rule, label):
             return None
         cand = memo[label]
         assert cand is not None
@@ -472,19 +405,6 @@ def exhaustive_osp_search(
     assert implements(protocol, rule)
     assert check_protocol_osp(protocol, rule, model).ok
     return SearchResult("found", protocol, states_seen)
-
-
-def _types_mask(space: TypeSpace, agent: int, types: set[int], label: int) -> int:
-    out = 0
-    mask = label
-    stride, size = space.strides[agent], space.sizes[agent]
-    while mask:
-        low = mask & -mask
-        k = low.bit_length() - 1
-        if (k // stride) % size in types:
-            out |= low
-        mask ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,5 +458,4 @@ def obstruction_scan(
         else:
             kind, detail = "multicount", f"l={len(cand.query.subsets)}"
         entries.append(ObstructionEntry(kind, detail, partition, violation))
-    outs = {rule.table[k] for k in region.indices()}
-    return ObstructionReport(tuple(entries), len(outs) > 1)
+    return ObstructionReport(tuple(entries), not constant_on(rule, state))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from cpv.core import ChoiceRule, InputError, ProfileSet
-from cpv.privacy import CpViolation, check_protocol_cp, _unilateral_scan
-from cpv.protocol import Protocol, implements
+from cpv.core import ChoiceRule, InputError
+from cpv.privacy import _leaf_list, _outcome_values, _unilateral_scan, check_protocol_cp
+from cpv.protocol import Protocol, implements, outcome_reach
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,6 @@ def validate_phase(protocol: Protocol, node_ids) -> PhaseReport:
             v = protocol.nodes[v].parent
     end = tuple(sorted(v for v in members if v not in has_member_below))
     return PhaseReport(True, None, Phase(frozenset(members), 0 in members, end))
-
-
-def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[int]]:
-    """node id -> set of outcome ids reachable below it."""
-    reach: dict[int, frozenset[int]] = {}
-    for v in reversed(protocol.nodes):  # children carry larger preorder ids
-        if v.is_leaf:
-            reach[v.id] = frozenset(
-                rule.table[k] for k in ProfileSet(protocol.space, v.label).indices()
-            )
-        else:
-            reach[v.id] = frozenset().union(*(reach[c] for c in v.children))
-    return reach
 
 
 @dataclass(frozen=True)
@@ -127,8 +114,10 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
     if uncovered:
         return TatonnementVerdict(False, "coverage", uncovered[0])
 
+    # each end node's subtree must be private for the rule on its label
+    leaf, value = _leaf_list(protocol), _outcome_values(rule)
     for v in end:
-        violation = _subtree_cp_violation(protocol, rule, v)
+        violation = _unilateral_scan(protocol, value, protocol.nodes[v].label, leaf)
         if violation is not None:
             return TatonnementVerdict(False, "subtree", (v, violation))
 
@@ -137,48 +126,6 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
         "private (bug)"
     )
     return TatonnementVerdict(True)
-
-
-def _subtree_cp_violation(
-    protocol: Protocol, rule: ChoiceRule, root_id: int
-) -> Optional[CpViolation]:
-    """Contextual privacy of the subtree at ``root_id`` for the rule
-    restricted to the subtree's label: unilateral pairs within the label
-    reaching distinct leaves below ``root_id`` must change the outcome."""
-    space = protocol.space
-    leaf_of: dict[int, int] = {}
-    stack = [root_id]
-    while stack:
-        v = protocol.nodes[stack.pop()]
-        if v.is_leaf:
-            for k in ProfileSet(space, v.label).indices():
-                leaf_of[k] = v.id
-        else:
-            stack.extend(v.children)
-    for k in sorted(leaf_of):
-        profile = space.profile(k)
-        for agent in range(space.n):
-            t = profile[agent]
-            stride = space.strides[agent]
-            for t2 in range(t + 1, space.sizes[agent]):
-                k2 = k + (t2 - t) * stride
-                leaf2 = leaf_of.get(k2)
-                if leaf2 is None or leaf2 == leaf_of[k]:
-                    continue
-                if rule.table[k] == rule.table[k2]:
-                    other = list(profile)
-                    other[agent] = t2
-                    return CpViolation(
-                        agent,
-                        t,
-                        t2,
-                        profile,
-                        tuple(other),
-                        leaf_of[k],
-                        leaf2,
-                        rule.outcomes[rule.table[k]],
-                    )
-    return None
 
 
 def phase_discovery(protocol: Protocol, rule: ChoiceRule):

@@ -9,6 +9,8 @@ import pytest
 
 import cpv
 from cpv.cli import main
+from cpv.mechanisms import BUILTIN_PROTOCOLS
+from cpv.privacy import check_protocol_cp
 
 # The directory holding the imported ``cpv`` package, so that a
 # ``python -m cpv.cli`` child runs the same copy, installed or not.
@@ -270,6 +272,40 @@ class TestDeterminism:
         # Exit 2 alone would also come from argparse misuse; check the cause.
         assert "CPV_THREADS" in json.loads(res.stdout)["error"]
         assert b"Traceback" not in res.stderr
+
+
+# Small parameters for every built-in protocol bundle.
+BUNDLE_PARAMS = {
+    "serial_dictatorship": {"n": 2, "objects": ["A", "B"]},
+    "descending_first_price": {"n": 2, "values": [1, 2, 3]},
+    "count_ascending_kplus1_price": {"k": 1, "n": 3, "values": [1, 2, 3]},
+    "double_auction_count": {"n": 4, "values": [1, 2, 3]},
+    "multicount_stable_matching": {},
+    "ascending_elicitation_sp": {"n": 3, "values": [1, 2, 3]},
+    "fair_two_query": {},
+}
+
+
+class TestBundleReload:
+    def test_every_builtin_protocol_has_params(self):
+        assert set(BUNDLE_PARAMS) == set(BUILTIN_PROTOCOLS)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLE_PARAMS))
+    def test_emitted_bundle_reloads_with_same_cp_verdict(self, name, tmp_path, capsys):
+        params = BUNDLE_PARAMS[name]
+        path = str(tmp_path / f"{name}.json")
+        code, _ = run_cli(
+            ["builtin", name, "--params", json.dumps(params), "--emit", path], capsys
+        )
+        assert code == 0
+        code, doc = run_cli(["validate", path], capsys)
+        assert code == 0, doc
+        assert doc["protocol"] == "ok"
+        bundle = BUILTIN_PROTOCOLS[name](params)
+        expected = check_protocol_cp(bundle.protocol, bundle.instance.rule).holds
+        code, doc = run_cli(["check", "--property", "cp", path], capsys)
+        assert doc["holds"] is expected
+        assert code == (0 if expected else 1)
 
 
 class TestFamilies:
