@@ -30,13 +30,13 @@ from cpv.core import (
     ResourceError,
     TypeSpace,
     Witness,
+    product_factorization,
 )
 from cpv.mechanisms import (
     BUILTIN_PROTOCOLS,
     BUILTIN_RULES,
     DomainModel,
     Instance,
-    ProtocolBundle,
     check_protocol_osp,
     check_rule_property,
 )
@@ -57,7 +57,6 @@ from cpv.protocol import (
     Node,
     NodeSpec,
     Protocol,
-    ProtocolDefect,
     build_from_spec,
     run_protocol,
     validate_protocol,
@@ -494,10 +493,10 @@ def _cmd_validate(args) -> tuple[int, dict]:
     return 0, doc
 
 
-def _protocol_checks(loaded: Loaded, prop: str):
+def _protocol_checks(loaded: Loaded, prop: str) -> Protocol:
     if loaded.protocol is None:
         raise InputError(f"property {prop!r} needs a protocol file")
-    return loaded.instance, loaded.protocol
+    return loaded.protocol
 
 
 def _cmd_check(args) -> tuple[int, dict]:
@@ -508,7 +507,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     doc: dict = {"command": "check", "property": prop}
 
     if prop in ("cp", "icp"):
-        _, protocol = _protocol_checks(loaded, prop)
+        protocol = _protocol_checks(loaded, prop)
         verdict = (
             check_protocol_cp(protocol, rule)
             if prop == "cp"
@@ -519,7 +518,7 @@ def _cmd_check(args) -> tuple[int, dict]:
             doc["violation"] = _violation_to_json(space, verdict.violation)
         return (0 if verdict.holds else 1), doc
     if prop == "gcp":
-        _, protocol = _protocol_checks(loaded, prop)
+        protocol = _protocol_checks(loaded, prop)
         verdict = check_protocol_gcp(protocol, rule)
         doc["holds"] = verdict.holds
         if not verdict.holds:
@@ -529,7 +528,7 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if verdict.holds else 1), doc
     if prop == "tatonnement":
-        _, protocol = _protocol_checks(loaded, prop)
+        protocol = _protocol_checks(loaded, prop)
         phase = loaded.phase
         if phase is None:
             phase = phase_discovery(protocol, rule)
@@ -544,7 +543,7 @@ def _cmd_check(args) -> tuple[int, dict]:
             doc["failure"] = verdict.failure
         return (0 if verdict.holds else 1), doc
     if prop == "osp":
-        _, protocol = _protocol_checks(loaded, prop)
+        protocol = _protocol_checks(loaded, prop)
         if instance.model is None:
             raise InputError("obvious dominance needs a model")
         res = check_protocol_osp(protocol, rule, instance.model)
@@ -597,8 +596,6 @@ def _cmd_synth(args) -> tuple[int, dict]:
     instance = loaded.instance
     factors = None
     if instance.universe is not None:
-        from cpv.core import product_factorization
-
         factors = product_factorization(instance.space, instance.universe)
         if factors is None:
             raise InputError("synthesis needs a product universe")
@@ -795,10 +792,6 @@ def main(argv=None) -> int:
     try:
         _check_threads_env()
         code, doc = args.func(args)
-    except (LoadError, ProtocolDefect) as exc:
-        _report({"error": str(exc)}, args.pretty)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceError as exc:
         _report({"error": str(exc), "kind": "resource"}, args.pretty)
         print(f"error: {exc}", file=sys.stderr)

@@ -233,9 +233,6 @@ class ProfileSet:
     def contains(self, profile: Profile) -> bool:
         return bool(self.mask >> self.space.index(profile) & 1)
 
-    def contains_index(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
     def indices(self):
         mask = self.mask
         while mask:
@@ -246,15 +243,6 @@ class ProfileSet:
     def profiles(self):
         for k in self.indices():
             yield self.space.profile(k)
-
-    def intersect(self, other: ProfileSet) -> ProfileSet:
-        return ProfileSet(self.space, self.mask & other.mask)
-
-    def union(self, other: ProfileSet) -> ProfileSet:
-        return ProfileSet(self.space, self.mask | other.mask)
-
-    def difference(self, other: ProfileSet) -> ProfileSet:
-        return ProfileSet(self.space, self.mask & ~other.mask)
 
     def projection(self, agent: int) -> tuple[int, ...]:
         """Sorted type indices agent ``agent`` takes within this set."""
@@ -319,14 +307,6 @@ class ChoiceRule:
 
     def outcome_of(self, profile: Profile) -> int:
         return self.table[self.space.index(profile)]
-
-    def outcome_label(self, outcome_id: int) -> str:
-        return self.outcomes[outcome_id]
-
-    def component_of(self, profile_index: int, agent: int) -> str:
-        if self.components is None:
-            raise InputError("rule has no per-agent components")
-        return self.components[self.table[profile_index]][agent]
 
 
 def constant_on(rule: ChoiceRule, mask: int) -> bool:

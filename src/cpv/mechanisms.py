@@ -18,7 +18,6 @@ from cpv.protocol import (
     ElicitQuery,
     MultiCountQuery,
     Protocol,
-    Query,
     build_protocol,
     count_equals_query,
 )
@@ -128,7 +127,7 @@ def kth_price(n: int, values, k: int) -> Instance:
         v = [vals[i][t] for i, t in enumerate(profile)]
         winner = min(range(n), key=lambda i: (-v[i], i))
         price = sorted(v, reverse=True)[k - 1]
-        price_label = str(price) if price.denominator != 1 else str(price.numerator)
+        price_label = str(price)
         label = f"winner={winner + 1},price={price_label}"
         table.append(out.add(label, _winner_components(space, {winner}, price_label)))
     return Instance(space, out.freeze(space, table, True), _auction_model(space))
@@ -155,7 +154,7 @@ def uniform_price(n: int, values, k: int) -> Instance:
         ranked = sorted(range(n), key=lambda i: (-v[i], i))
         winners = set(ranked[:k])
         price = v[ranked[k]]
-        price_label = str(price.numerator) if price.denominator == 1 else str(price)
+        price_label = str(price)
         label = (
             "winners=" + "+".join(str(i + 1) for i in sorted(winners))
             + f",price={price_label}"
@@ -210,7 +209,7 @@ def double_auction_walrasian(n: int, values, selection: str = "lower") -> Instan
             holders.append(i)
             leftover -= 1
         held = set(holders)
-        price_label = str(price.numerator) if price.denominator == 1 else str(price)
+        price_label = str(price)
         bits = "".join("1" if i in held else "0" for i in range(n))
         comps = []
         for i in range(n):

@@ -363,9 +363,7 @@ class _WitnessFound(Exception):
         self.factors = factors
 
 
-def synthesize_or_witness(
-    rule: ChoiceRule, root_factors=None, check: bool = True
-) -> SynthesisResult:
+def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResult:
     """Greedy construction of a contextually private protocol, or a witness.
 
     At each node (a product set), either the rule is constant (terminal),
@@ -409,10 +407,9 @@ def synthesize_or_witness(
         protocol = build_protocol(space, step, root_factors, universe)
     except _WitnessFound as found:
         return SynthesisResult(witness=Witness(tuple(found.factors)))
-    if check:
-        assert validate_protocol(protocol).ok
-        assert implements(protocol, rule)
-        assert check_protocol_cp(protocol, rule).holds
+    assert validate_protocol(protocol).ok
+    assert implements(protocol, rule)
+    assert check_protocol_cp(protocol, rule).holds
     return SynthesisResult(protocol=protocol)
 
 

@@ -48,12 +48,9 @@ class ElicitQuery:
             raise ProtocolDefect(path, f"unknown agent {self.agent}")
         _check_partition(self.cells, range(space.sizes[self.agent]), path, "type")
 
-    def cell_of(self, space: TypeSpace, index: int) -> int:
-        t = (index // space.strides[self.agent]) % space.sizes[self.agent]
-        for c, cell in enumerate(self.cells):
-            if t in cell:
-                return c
-        raise AssertionError("partition is exhaustive")
+    def answer(self, space: TypeSpace, index: int) -> int:
+        """The agent's type in the profile."""
+        return (index // space.strides[self.agent]) % space.sizes[self.agent]
 
 
 @dataclass(frozen=True)
@@ -72,20 +69,13 @@ class CountQuery:
                 raise ProtocolDefect(path, f"count subset type index {t} out of range")
         _check_partition(self.cells, range(space.n + 1), path, "count")
 
-    def count(self, space: TypeSpace, index: int) -> int:
-        sub = set(self.subset)
+    def answer(self, space: TypeSpace, index: int) -> int:
+        """The number of agents whose type lies in ``subset``."""
         c = 0
         for i in range(space.n):
-            if (index // space.strides[i]) % space.sizes[i] in sub:
+            if (index // space.strides[i]) % space.sizes[i] in self.subset:
                 c += 1
         return c
-
-    def cell_of(self, space: TypeSpace, index: int) -> int:
-        c = self.count(space, index)
-        for k, cell in enumerate(self.cells):
-            if c in cell:
-                return k
-        raise AssertionError("partition is exhaustive")
 
 
 @dataclass(frozen=True)
@@ -105,18 +95,10 @@ class MultiCountQuery:
         domain = itertools.product(range(space.n + 1), repeat=len(self.subsets))
         _check_partition(self.cells, domain, path, "count vector")
 
-    def vector(self, space: TypeSpace, index: int) -> tuple[int, ...]:
+    def answer(self, space: TypeSpace, index: int) -> tuple[int, ...]:
+        """The count vector: one count per subset."""
         types = [(index // space.strides[i]) % space.sizes[i] for i in range(space.n)]
-        return tuple(
-            sum(1 for t in types if t in set(sub)) for sub in self.subsets
-        )
-
-    def cell_of(self, space: TypeSpace, index: int) -> int:
-        v = self.vector(space, index)
-        for k, cell in enumerate(self.cells):
-            if v in cell:
-                return k
-        raise AssertionError("partition is exhaustive")
+        return tuple(sum(1 for t in types if t in sub) for sub in self.subsets)
 
 
 @dataclass(frozen=True)
@@ -166,12 +148,12 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int) -> list[int]:
                 "?", f"non-exhaustive: profile {space.labels(space.profile(k))} in no cell"
             )
         return out
+    cell_of = {v: c for c, cell in enumerate(query.cells) for v in cell}
     out = [0] * len(query.cells)
     mask = label
     while mask:
         low = mask & -mask
-        k = low.bit_length() - 1
-        out[query.cell_of(space, k)] |= low
+        out[cell_of[query.answer(space, low.bit_length() - 1)]] |= low
         mask ^= low
     return out
 
@@ -206,9 +188,6 @@ class Protocol:
     def root(self) -> Node:
         return self.nodes[0]
 
-    def label_set(self, node_id: int) -> ProfileSet:
-        return ProfileSet(self.space, self.nodes[node_id].label)
-
     def leaves(self) -> list[Node]:
         return [v for v in self.nodes if v.is_leaf]
 
@@ -222,14 +201,6 @@ class Protocol:
                     low = mask & -mask
                     out[low.bit_length() - 1] = v.id
                     mask ^= low
-        return out
-
-    def ancestors(self, node_id: int) -> list[int]:
-        out = []
-        v = node_id
-        while v != -1:
-            out.append(v)
-            v = self.nodes[v].parent
         return out
 
 
@@ -249,30 +220,37 @@ class _Builder:
         self.rows: list[list] = []  # [parent, depth, label, query, children, cells]
         self.notes: list[str] = []
 
-    def grow(self, label: int, state: object, step: StepFn, parent: int, depth: int, path: str) -> int:
-        while True:
-            decision = step(label, state)
-            if decision is None:
-                return self._emit(parent, depth, label, None, [], [])
-            query, child_state = decision
-            query.validate(self.space, path)
-            masks = query_cell_masks(self.space, query, label)
-            kept = [(c, m) for c, m in enumerate(masks) if m]
-            for c, m in enumerate(masks):
-                if not m:
-                    self.notes.append(f"pruned empty cell {c} at {path}")
-            if len(kept) == 1:
+    def grow(self, root: int, state: object, step: StepFn) -> None:
+        """Build the tree depth-first on an explicit stack.  Node ids come
+        out in preorder, and a child's ``child_state`` runs when the child
+        is reached, after its elder siblings' subtrees are built."""
+        # (label, child_state of the parent, parent id, cell index, depth, path)
+        stack = [(root, lambda _c, _m, s=state: s, -1, -1, 0, "/tree")]
+        while stack:
+            label, child_state, parent, cell, depth, path = stack.pop()
+            state = child_state(cell, label)
+            while True:
+                decision = step(label, state)
+                if decision is None:
+                    query, kept = None, []
+                    break
+                query, child_state = decision
+                query.validate(self.space, path)
+                masks = query_cell_masks(self.space, query, label)
+                kept = [(c, m) for c, m in enumerate(masks) if m]
+                for c, m in enumerate(masks):
+                    if not m:
+                        self.notes.append(f"pruned empty cell {c} at {path}")
+                if len(kept) > 1:
+                    break
                 self.notes.append(f"contracted degenerate query at {path}")
                 state = child_state(kept[0][0], kept[0][1])
-                continue
             node_id = self._emit(parent, depth, label, query, [], [])
-            for c, m in kept:
-                child = self.grow(
-                    m, child_state(c, m), step, node_id, depth + 1, f"{path}/{c}"
-                )
-                self.rows[node_id][4].append(child)
-                self.rows[node_id][5].append(c)
-            return node_id
+            if parent >= 0:
+                self.rows[parent][4].append(node_id)
+                self.rows[parent][5].append(cell)
+            for c, m in reversed(kept):
+                stack.append((m, child_state, node_id, c, depth + 1, f"{path}/{c}"))
 
     def _emit(self, parent, depth, label, query, children, cells) -> int:
         self.rows.append([parent, depth, label, query, children, cells])
@@ -296,7 +274,7 @@ def build_protocol(
     if not root:
         raise InputError("universe is empty")
     b = _Builder(space, root)
-    b.grow(root, state, step, -1, 0, "/tree")
+    b.grow(root, state, step)
     return b.freeze()
 
 
@@ -616,7 +594,7 @@ def _match_counts(space: TypeSpace, label: int, child_masks: list[int], arity: i
         cell_values: dict[int, set] = {}
         ok = True
         for k in indices:
-            v = probe.count(space, k) if arity == 1 else probe.vector(space, k)
+            v = probe.answer(space, k)
             c = child_of[k]
             cell_values.setdefault(c, set()).add(v)
         seen: set = set()

@@ -1,12 +1,16 @@
 """Exhaustive oracles over protocol space for tiny instances.
 
-The searches decide implementability exactly: a state (reachable profile
-set) is winnable iff the rule is constant on it or some admissible query
-splits it into winnable children.  Contextual privacy is enforced
-incrementally: a query is admissible only if it separates no equal-outcome
-unilateral pair inside the state, which is equivalent to privacy of the
-finished protocol (the earliest point of departure of any violating pair
-contains both profiles).
+Both searches run on one engine, :func:`_solve`, a memoized AND-OR search
+that decides implementability exactly: a state (reachable profile set) is
+won iff the rule is constant on it or some candidate query splits it into
+won states.  The searches differ only in their candidates.
+
+Contextual privacy is enforced incrementally: a query is a candidate only
+if it separates no equal-outcome unilateral pair inside the state, which
+is equivalent to privacy of the finished protocol (the earliest point of
+departure of any violating pair contains both profiles).  Obvious
+strategyproofness is a test of each node on its own state alone, so
+memoization over states is exact for it too.
 
 Count queries here answer with the exact count: a query for a type subset
 splits a state into its count fibers.  Coarser groupings of counts are
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from cpv.core import (
     ChoiceRule,
@@ -58,10 +62,10 @@ from cpv.protocol import (
 class QueryFamily:
     allow_elicit: bool = True
     allow_count: bool = False
-    multicount_arity: int = 0  # 0 disables multi-count queries
+    allow_multicount: bool = False  # joint counts of two type subsets
 
     def __post_init__(self) -> None:
-        if not (self.allow_elicit or self.allow_count or self.multicount_arity):
+        if not (self.allow_elicit or self.allow_count or self.allow_multicount):
             raise InputError("at least one query family must be enabled")
 
     @classmethod
@@ -74,7 +78,7 @@ class QueryFamily:
         return cls(
             allow_elicit="elicit" in names,
             allow_count="count" in names,
-            multicount_arity=2 if "multicount" in names else 0,
+            allow_multicount="multicount" in names,
         )
 
 
@@ -145,14 +149,14 @@ def _count_candidates(space: TypeSpace, state: int):
             yield _Candidate(query, masks)
 
 
-def _multicount_candidates(space: TypeSpace, state: int, arity: int):
+def _multicount_candidates(space: TypeSpace, state: int):
     if not space.common_alphabet:
         return
-    domain = tuple(itertools.product(range(space.n + 1), repeat=arity))
+    domain = tuple(itertools.product(range(space.n + 1), repeat=2))
     cells = tuple((v,) for v in domain)
     subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-    for combo in itertools.combinations(subsets, arity):
-        query = MultiCountQuery(combo, cells)
+    for pair in itertools.combinations(subsets, 2):
+        query = MultiCountQuery(pair, cells)
         masks = _nonempty_cells(space, query, state)
         if len(masks) >= 2:
             yield _Candidate(query, masks)
@@ -177,8 +181,8 @@ def _candidates(
         streams.append(_elicit_candidates(space, state))
     if family.allow_count:
         streams.append(_count_candidates(space, state))
-    for arity in range(2, family.multicount_arity + 1):
-        streams.append(_multicount_candidates(space, state, arity))
+    if family.allow_multicount:
+        streams.append(_multicount_candidates(space, state))
     for cand in itertools.chain(*streams):
         signature = frozenset(cand.cell_masks)
         if per_kind:
@@ -187,6 +191,73 @@ def _candidates(
             continue
         seen.add(signature)
         yield cand
+
+
+# ---------------------------------------------------------------------------
+# the search engine
+
+
+def _solve(
+    rule: ChoiceRule,
+    root: int,
+    candidates: Callable[[int], Iterable[_Candidate]],
+    budget: SearchBudget,
+) -> SearchResult:
+    """Memoized AND-OR search from the root state; three-valued, never
+    silently wrong.
+
+    A state is won when the rule is constant on it, or when some candidate
+    from ``candidates(state)`` splits it into won states.  The memo keeps
+    the winning candidate of each won state, and the protocol is built
+    from it.  Every split strictly shrinks the state, so the recursion is
+    no deeper than the root is large.
+    """
+    if not root:
+        raise InputError("universe is empty")
+    won: dict[int, Optional[_Candidate]] = {}  # None where the rule is constant
+    lost: set[int] = set()
+    states_seen = 0
+    deadline = budget.deadline()
+
+    def winnable(state: int, depth: int) -> bool:
+        nonlocal states_seen
+        if state in won or state in lost:
+            return state in won
+        states_seen += 1
+        if states_seen > budget.max_states:
+            raise _BudgetExhausted
+        if deadline is not None and time.monotonic() > deadline:
+            raise _BudgetExhausted
+        if constant_on(rule, state):
+            won[state] = None
+            return True
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            raise _BudgetExhausted
+        for cand in candidates(state):
+            if all(winnable(m, depth + 1) for m in cand.cell_masks):
+                won[state] = cand
+                return True
+        lost.add(state)
+        return False
+
+    try:
+        ok = winnable(root, 0)
+    except _BudgetExhausted:
+        return SearchResult("budget_exhausted", states=states_seen)
+    if not ok:
+        return SearchResult("nonexistent", states=states_seen)
+
+    def step(label: int, _state):
+        cand = won[label]
+        return None if cand is None else (cand.query, lambda c, m: None)
+
+    protocol = build_protocol(rule.space, step, None, ProfileSet(rule.space, root))
+    assert implements(protocol, rule)
+    return SearchResult("found", protocol, states_seen)
+
+
+def _root(space: TypeSpace, universe: ProfileSet | None) -> int:
+    return (1 << space.total) - 1 if universe is None else universe.mask
 
 
 # ---------------------------------------------------------------------------
@@ -218,99 +289,25 @@ def exhaustive_cp_search(
     family: QueryFamily,
     budget: SearchBudget = SearchBudget(),
     universe: ProfileSet | None = None,
-    memoize: bool = True,
 ) -> SearchResult:
     """Decide whether a contextually private protocol exists for the rule
-    over the given query family; three-valued, never silently wrong."""
+    over the given query family."""
     space = rule.space
-    root = (1 << space.total) - 1 if universe is None else universe.mask
-    if not root:
-        raise InputError("universe is empty")
+    root = _root(space, universe)
     pairs = _same_outcome_pairs(rule, root)
-    memo: dict[int, Optional[_Candidate]] = {}
-    states_seen = 0
-    deadline = budget.deadline()
 
-    def winnable(state: int, depth: int) -> bool:
-        nonlocal states_seen
-        if memoize and state in memo:
-            return memo[state] is not None or constant_on(rule, state)
-        states_seen += 1
-        if states_seen > budget.max_states:
-            raise _BudgetExhausted
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExhausted
-        if constant_on(rule, state):
-            if memoize:
-                memo[state] = None
-            return True
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            raise _BudgetExhausted
+    def candidates(state: int):
         for cand in _candidates(space, state, family):
-            if _separates_protected_pair(cand, pairs, state) is not None:
-                continue
-            if all(winnable(m, depth + 1) for m in cand.cell_masks):
-                if memoize:
-                    memo[state] = cand
-                return True
-        if memoize:
-            memo[state] = None
-        return False
+            if _separates_protected_pair(cand, pairs, state) is None:
+                yield cand
 
-    try:
-        ok = winnable(root, 0)
-    except _BudgetExhausted:
-        return SearchResult("budget_exhausted", states=states_seen)
-    if not ok:
-        return SearchResult("nonexistent", states=states_seen)
-
-    choices: dict[int, _Candidate] = {}
-
-    def chosen(state: int) -> Optional[_Candidate]:
-        if constant_on(rule, state):
-            return None
-        if memoize and memo.get(state) is not None:
-            return memo[state]
-        if state in choices:
-            return choices[state]
-        for cand in _candidates(space, state, family):
-            if _separates_protected_pair(cand, pairs, state) is not None:
-                continue
-            if all(winnable(m, 0) for m in cand.cell_masks):
-                choices[state] = cand
-                return cand
-        raise AssertionError("winnable state lost its winning query")
-
-    def step(label: int, _state):
-        cand = chosen(label)
-        if cand is None:
-            return None
-        return cand.query, lambda c, m: None
-
-    protocol = build_protocol(space, step, None, ProfileSet(space, root))
-    assert implements(protocol, rule)
-    assert check_protocol_cp(protocol, rule).holds
-    return SearchResult("found", protocol, states_seen)
+    result = _solve(rule, root, candidates, budget)
+    assert not result.found or check_protocol_cp(result.protocol, rule).holds
+    return result
 
 
 # ---------------------------------------------------------------------------
 # obviously strategyproof implementation search
-
-
-def _set_partitions(items: tuple[int, ...]):
-    """All partitions of ``items`` into at least two blocks."""
-    if len(items) < 2:
-        return
-    first, rest = items[0], items[1:]
-    for blocks in _all_partitions(rest):
-        yield ((first,),) + blocks
-        for i in range(len(blocks)):
-            grown = tuple(
-                ((first,) + blocks[j] if j == i else blocks[j])
-                for j in range(len(blocks))
-            )
-            if len(grown) >= 2:
-                yield grown
 
 
 def _all_partitions(items: tuple[int, ...]):
@@ -334,29 +331,21 @@ def exhaustive_osp_search(
     universe: ProfileSet | None = None,
 ) -> SearchResult:
     """Decide whether an obviously strategyproof elicitation protocol
-    implements the rule.  The node criterion depends only on the current
-    state, so memoization over states is exact."""
+    implements the rule.  Candidates split one agent's present types into
+    at least two blocks (absent types join the first) and pass the OSP
+    node test."""
     space = rule.space
     rank = outcome_rank_fn(rule, model)
-    root = (1 << space.total) - 1 if universe is None else universe.mask
-    memo: dict[int, Optional[_Candidate]] = {}
-    states_seen = 0
-    deadline = budget.deadline()
 
-    def node_candidates(state: int):
+    def candidates(state: int):
         seen: set[frozenset[int]] = set()
         for agent in range(space.n):
             present = ProfileSet(space, state).projection(agent)
-            if len(present) < 2:
-                continue
-            for blocks in _set_partitions(present):
-                blocks = tuple(tuple(sorted(b)) for b in blocks)
-                cells = []
-                leftovers = tuple(
-                    t for t in range(space.sizes[agent]) if t not in present
-                )
-                for i, b in enumerate(blocks):
-                    cells.append(b + leftovers if i == 0 else b)
+            absent = tuple(t for t in range(space.sizes[agent]) if t not in present)
+            for blocks in _all_partitions(present):
+                if len(blocks) < 2:
+                    continue
+                cells = (blocks[0] + absent,) + blocks[1:]
                 query = ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
                 masks = _nonempty_cells(space, query, state)
                 signature = frozenset(masks)
@@ -366,45 +355,9 @@ def exhaustive_osp_search(
                 if _osp_node_failure(space, rule, rank, agent, masks) is None:
                     yield _Candidate(query, masks)
 
-    def winnable(state: int, depth: int) -> bool:
-        nonlocal states_seen
-        if state in memo:
-            return memo[state] is not None or constant_on(rule, state)
-        states_seen += 1
-        if states_seen > budget.max_states:
-            raise _BudgetExhausted
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExhausted
-        if constant_on(rule, state):
-            memo[state] = None
-            return True
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            raise _BudgetExhausted
-        for cand in node_candidates(state):
-            if all(winnable(m, depth + 1) for m in cand.cell_masks):
-                memo[state] = cand
-                return True
-        memo[state] = None
-        return False
-
-    try:
-        ok = winnable(root, 0)
-    except _BudgetExhausted:
-        return SearchResult("budget_exhausted", states=states_seen)
-    if not ok:
-        return SearchResult("nonexistent", states=states_seen)
-
-    def step(label: int, _state):
-        if constant_on(rule, label):
-            return None
-        cand = memo[label]
-        assert cand is not None
-        return cand.query, lambda c, m: None
-
-    protocol = build_protocol(space, step, None, ProfileSet(space, root))
-    assert implements(protocol, rule)
-    assert check_protocol_osp(protocol, rule, model).ok
-    return SearchResult("found", protocol, states_seen)
+    result = _solve(rule, _root(space, universe), candidates, budget)
+    assert not result.found or check_protocol_osp(result.protocol, rule, model).ok
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -233,3 +233,15 @@ class TestQueryValidation:
         spec = NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), NodeSpec()))
         protocol = build_from_spec(space, spec)
         assert len(protocol.leaves()) == 2
+
+
+class TestDeepBuild:
+    def test_deep_chain_builds_in_preorder(self):
+        # a 3000-level chain: one type per level, far deeper than the
+        # interpreter's recursion limit
+        protocol = descending_first_price(1, list(range(3000))).protocol
+        assert len(protocol.nodes) == 5999
+        assert validate_protocol(protocol).ok
+        for v in protocol.nodes:
+            if not v.is_leaf:
+                assert v.children[0] == v.id + 1
