@@ -87,9 +87,13 @@ def _read_json(path: str):
         raise LoadError(
             "/", f"parse error in {path}: line {exc.lineno}, column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise LoadError("/", f"nesting too deep in {path}") from None
 
 
 def _expect(doc, key, kind, pointer):
+    if not isinstance(doc, dict):
+        raise LoadError(pointer or "/", "expected an object")
     if key not in doc:
         raise LoadError(f"{pointer}/{key}", "missing field")
     value = doc[key]
@@ -99,6 +103,8 @@ def _expect(doc, key, kind, pointer):
 
 
 def _check_schema(doc, pointer=""):
+    if not isinstance(doc, dict):
+        raise LoadError(pointer or "/", "expected an object")
     version = doc.get("schema")
     if version != SCHEMA:
         raise LoadError(f"{pointer}/schema", f"unsupported schema {version!r}")
@@ -107,7 +113,7 @@ def _check_schema(doc, pointer=""):
 def _space_from_json(doc, pointer) -> TypeSpace:
     n = _expect(doc, "agents", int, pointer)
     if "alphabet" in doc:
-        return TypeSpace.shared(n, tuple(doc["alphabet"]))
+        return TypeSpace.shared(n, tuple(_expect(doc, "alphabet", list, pointer)))
     alphabets = _expect(doc, "alphabets", list, pointer)
     if len(alphabets) != n:
         raise LoadError(f"{pointer}/alphabets", f"expected {n} alphabets")
@@ -119,9 +125,12 @@ def _universe_from_json(doc, space, pointer) -> Optional[ProfileSet]:
     if spec is None:
         return None
     if isinstance(spec, dict) and "factors" in spec:
+        factors = _expect(spec, "factors", list, f"{pointer}/universe")
+        if len(factors) != space.n:
+            raise LoadError(f"{pointer}/universe/factors", f"expected {space.n} factors")
         factors = tuple(
-            tuple(space.alphabets[i].index(lab) for lab in f)
-            for i, f in enumerate(spec["factors"])
+            tuple(_type_index(space, i, lab, f"{pointer}/universe/factors/{i}") for lab in f)
+            for i, f in enumerate(factors)
         )
         return ProfileSet.from_factors(space, factors)
     if isinstance(spec, list):
@@ -144,7 +153,10 @@ def _model_from_json(doc) -> Optional[DomainModel]:
 
     values = spec.get("values")
     if values is not None:
-        values = tuple(tuple(Fraction(str(v)) for v in row) for row in values)
+        try:
+            values = tuple(tuple(Fraction(str(v)) for v in row) for row in values)
+        except (TypeError, ValueError):
+            raise LoadError("/model/values", "expected rows of numbers") from None
     capacities = spec.get("capacities")
     if capacities is not None:
         capacities = tuple(sorted(capacities.items()))
@@ -306,7 +318,7 @@ def load(instance_path: str, protocol_path: str | None = None) -> Loaded:
     protocol, phase = None, None
     if "protocol" in doc:
         protocol, phase = protocol_from_json(
-            {"schema": doc["schema"], **doc["protocol"]}, instance.space
+            {"schema": doc["schema"], **_expect(doc, "protocol", dict, "")}, instance.space
         )
     if protocol_path is not None:
         pdoc = _read_json(protocol_path)
@@ -792,7 +804,7 @@ def main(argv=None) -> int:
     try:
         _check_threads_env()
         code, doc = args.func(args)
-    except ResourceError as exc:
+    except (ResourceError, RecursionError) as exc:
         _report({"error": str(exc), "kind": "resource"}, args.pretty)
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -379,7 +379,7 @@ def house_ir_efficient_family() -> list[Instance]:
         efficient = [
             a
             for a in feasible
-            if not _pareto_dominated(a, feasible, profile, prefs)
+            if _pareto_dominator(a, feasible, profile, model.pref_rank) is None
         ]
         ir = [
             a
@@ -393,15 +393,7 @@ def house_ir_efficient_family() -> list[Instance]:
         if not ir:
             raise AssertionError("IR+efficient admissible set is empty")
         admissible_per_profile.append(ir)
-    family = []
-    for choice in itertools.product(*admissible_per_profile):
-        out = _OutcomeTable()
-        table = [
-            out.add(_assignment_outcome(a, 2), tuple(a[i] for i in range(2)))
-            for a in choice
-        ]
-        family.append(Instance(space, out.freeze(space, table, True), model))
-    return family
+    return _completions(space, model, admissible_per_profile)
 
 
 def keep_endowments_rule() -> Instance:
@@ -425,16 +417,32 @@ def _complete_assignments(n: int, objects) -> list[dict[int, str]]:
     ]
 
 
-def _pareto_dominated(a, feasible, profile, prefs) -> bool:
+def _pareto_dominator(a, feasible, profile, rank):
+    """The first assignment in ``feasible`` that Pareto-dominates ``a`` at
+    the profile, or ``None``; ``rank(i, t, obj)`` is agent ``i``'s rank of
+    ``obj`` at type ``t``, 0 being best."""
     n = len(profile)
-    ranks = [prefs[i][profile[i]].index(a[i]) for i in range(n)]
+    ranks = [rank(i, profile[i], a[i]) for i in range(n)]
     for b in feasible:
-        alt = [prefs[i][profile[i]].index(b[i]) for i in range(n)]
-        if all(alt[i] <= ranks[i] for i in range(n)) and any(
-            alt[i] < ranks[i] for i in range(n)
+        alt = [rank(i, profile[i], b[i]) for i in range(n)]
+        if all(x <= r for x, r in zip(alt, ranks)) and any(
+            x < r for x, r in zip(alt, ranks)
         ):
-            return True
-    return False
+            return b
+    return None
+
+
+def _completions(space: TypeSpace, model: DomainModel, admissible) -> list[Instance]:
+    """One instance per choice of an admissible assignment at every profile."""
+    family = []
+    for choice in itertools.product(*admissible):
+        out = _OutcomeTable()
+        table = [
+            out.add(_assignment_outcome(a, space.n), tuple(a[i] for i in range(space.n)))
+            for a in choice
+        ]
+        family.append(Instance(space, out.freeze(space, table, True), model))
+    return family
 
 
 # --- school choice -----------------------------------------------------------
@@ -484,15 +492,7 @@ def school_stable_family() -> list[Instance]:
         if not stable:
             raise AssertionError("no stable assignment")
         admissible.append(stable)
-    family = []
-    for choice in itertools.product(*admissible):
-        out = _OutcomeTable()
-        table = [
-            out.add(_assignment_outcome(a, 2), tuple(a[i] for i in range(2)))
-            for a in choice
-        ]
-        family.append(Instance(space, out.freeze(space, table, True), model))
-    return family
+    return _completions(space, model, admissible)
 
 
 def school_count_instance() -> Instance:
@@ -919,21 +919,15 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
             current = {
                 i: _own_assignment(rule, k, i) for i in range(space.n)
             }
-            for b in feasible:
-                ranks = [
-                    model.pref_rank(i, profile[i], current[i]) for i in range(space.n)
-                ]
-                alt = [model.pref_rank(i, profile[i], b[i]) for i in range(space.n)]
-                if all(a <= r for a, r in zip(alt, ranks)) and any(
-                    a < r for a, r in zip(alt, ranks)
-                ):
-                    return PropertyResult(
-                        False,
-                        {
-                            "profile": space.labels(profile),
-                            "dominating": _assignment_outcome(b, space.n),
-                        },
-                    )
+            b = _pareto_dominator(current, feasible, profile, model.pref_rank)
+            if b is not None:
+                return PropertyResult(
+                    False,
+                    {
+                        "profile": space.labels(profile),
+                        "dominating": _assignment_outcome(b, space.n),
+                    },
+                )
         return PropertyResult(True)
     raise InputError(f"efficiency is not defined for kind {model.kind!r}")
 

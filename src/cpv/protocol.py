@@ -20,6 +20,7 @@ from cpv.core import (
     Profile,
     ProfileSet,
     TypeSpace,
+    constant_on,
 )
 
 
@@ -132,7 +133,7 @@ def _check_partition(cells, domain, path: str, what: str) -> None:
         raise ProtocolDefect(path, f"non-exhaustive: {what} {missing[0]} in no cell")
 
 
-def query_cell_masks(space: TypeSpace, query: Query, label: int) -> list[int]:
+def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?") -> list[int]:
     """Masks of ``label`` split by the query's cells, aligned to cell order."""
     if isinstance(query, ExtensionalQuery):
         out = [label & mask for mask in query.cells]
@@ -140,12 +141,12 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int) -> list[int]:
         for i, m in enumerate(out):
             if covered & m:
                 k = (covered & m).bit_length() - 1
-                raise ProtocolDefect("?", f"overlap: profile {space.labels(space.profile(k))}")
+                raise ProtocolDefect(path, f"overlap: profile {space.labels(space.profile(k))}")
             covered |= m
         if covered != label:
             k = (label & ~covered).bit_length() - 1
             raise ProtocolDefect(
-                "?", f"non-exhaustive: profile {space.labels(space.profile(k))} in no cell"
+                path, f"non-exhaustive: profile {space.labels(space.profile(k))} in no cell"
             )
         return out
     cell_of = {v: c for c, cell in enumerate(query.cells) for v in cell}
@@ -208,60 +209,12 @@ class Protocol:
 
 # A step function drives adaptive construction: given the current label mask
 # and an opaque state, return None to stop (leaf) or a (query, child_state)
-# pair, where child_state(cell_index, child_mask) produces the state passed
-# to that child.  Degenerate queries recurse in place with advanced state.
+# pair.  The builder then validates the query, splits the label once with
+# query_cell_masks, and calls child_state(cell_index, cell_mask) for every
+# cell in cell order, empty cells included; it drops the states of empty
+# cells.  A query left with one nonempty cell is contracted: the node is
+# stepped again with that cell's state.
 StepFn = Callable[[int, object], Optional[tuple[Query, Callable[[int, int], object]]]]
-
-
-class _Builder:
-    def __init__(self, space: TypeSpace, universe: int) -> None:
-        self.space = space
-        self.universe = universe
-        self.rows: list[list] = []  # [parent, depth, label, query, children, cells]
-        self.notes: list[str] = []
-
-    def grow(self, root: int, state: object, step: StepFn) -> None:
-        """Build the tree depth-first on an explicit stack.  Node ids come
-        out in preorder, and a child's ``child_state`` runs when the child
-        is reached, after its elder siblings' subtrees are built."""
-        # (label, child_state of the parent, parent id, cell index, depth, path)
-        stack = [(root, lambda _c, _m, s=state: s, -1, -1, 0, "/tree")]
-        while stack:
-            label, child_state, parent, cell, depth, path = stack.pop()
-            state = child_state(cell, label)
-            while True:
-                decision = step(label, state)
-                if decision is None:
-                    query, kept = None, []
-                    break
-                query, child_state = decision
-                query.validate(self.space, path)
-                masks = query_cell_masks(self.space, query, label)
-                kept = [(c, m) for c, m in enumerate(masks) if m]
-                for c, m in enumerate(masks):
-                    if not m:
-                        self.notes.append(f"pruned empty cell {c} at {path}")
-                if len(kept) > 1:
-                    break
-                self.notes.append(f"contracted degenerate query at {path}")
-                state = child_state(kept[0][0], kept[0][1])
-            node_id = self._emit(parent, depth, label, query, [], [])
-            if parent >= 0:
-                self.rows[parent][4].append(node_id)
-                self.rows[parent][5].append(cell)
-            for c, m in reversed(kept):
-                stack.append((m, child_state, node_id, c, depth + 1, f"{path}/{c}"))
-
-    def _emit(self, parent, depth, label, query, children, cells) -> int:
-        self.rows.append([parent, depth, label, query, children, cells])
-        return len(self.rows) - 1
-
-    def freeze(self) -> Protocol:
-        nodes = tuple(
-            Node(i, r[0], r[1], r[2], r[3], tuple(r[4]), tuple(r[5]))
-            for i, r in enumerate(self.rows)
-        )
-        return Protocol(self.space, self.universe, nodes, tuple(self.notes))
 
 
 def build_protocol(
@@ -270,12 +223,46 @@ def build_protocol(
     state: object = None,
     universe: ProfileSet | None = None,
 ) -> Protocol:
+    """Build the tree depth-first on an explicit stack; node ids come out
+    in preorder."""
     root = ProfileSet.full(space).mask if universe is None else universe.mask
     if not root:
         raise InputError("universe is empty")
-    b = _Builder(space, root)
-    b.grow(root, state, step)
-    return b.freeze()
+    rows: list[list] = []  # [parent, depth, label, query, children, cells]
+    notes: list[str] = []
+    # (label, state, parent id, cell index, depth, path)
+    stack = [(root, state, -1, -1, 0, "/tree")]
+    while stack:
+        label, state, parent, cell, depth, path = stack.pop()
+        while True:
+            decision = step(label, state)
+            if decision is None:
+                query, kept = None, []
+                break
+            query, child_state = decision
+            query.validate(space, path)
+            masks = query_cell_masks(space, query, label, path)
+            states = [child_state(c, m) for c, m in enumerate(masks)]
+            kept = [(c, m, states[c]) for c, m in enumerate(masks) if m]
+            for c, m in enumerate(masks):
+                if not m:
+                    notes.append(f"pruned empty cell {c} at {path}")
+            if len(kept) > 1:
+                break
+            notes.append(f"contracted degenerate query at {path}")
+            state = kept[0][2]
+        rows.append([parent, depth, label, query, [], []])
+        node_id = len(rows) - 1
+        if parent >= 0:
+            rows[parent][4].append(node_id)
+            rows[parent][5].append(cell)
+        for c, m, child in reversed(kept):
+            stack.append((m, child, node_id, c, depth + 1, f"{path}/{c}"))
+    nodes = tuple(
+        Node(i, r[0], r[1], r[2], r[3], tuple(r[4]), tuple(r[5]))
+        for i, r in enumerate(rows)
+    )
+    return Protocol(space, root, nodes, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -295,41 +282,25 @@ def build_from_spec(
 ) -> Protocol:
     def step(label: int, state: object):
         node, path = state
-        assert isinstance(node, NodeSpec)
         if node.query is None:
             if node.children:
                 raise ProtocolDefect(path, "children without a query")
             return None
-        node.query.validate(space, path)
-        masks = query_cell_masks(space, node.query, label)
-        if len(node.children) != len(masks):
-            raise ProtocolDefect(
-                path,
-                f"{len(node.children)} children for {len(masks)} cells",
-            )
-        for c, m in enumerate(masks):
-            child = node.children[c]
-            if m and child is None:
-                raise ProtocolDefect(f"{path}/{c}", "missing subtree for nonempty cell")
-            if not m and child is not None:
-                raise ProtocolDefect(f"{path}/{c}", "subtree attached to an empty cell")
 
-        def child_state(cell_index: int, _mask: int):
-            return (node.children[cell_index], f"{path}/{cell_index}")
+        def child_state(cell: int, mask: int):
+            cells = len(node.query.cells)
+            if len(node.children) != cells:
+                raise ProtocolDefect(path, f"{len(node.children)} children for {cells} cells")
+            child = node.children[cell]
+            if mask and child is None:
+                raise ProtocolDefect(f"{path}/{cell}", "missing subtree for nonempty cell")
+            if not mask and child is not None:
+                raise ProtocolDefect(f"{path}/{cell}", "subtree attached to an empty cell")
+            return child, f"{path}/{cell}"
 
         return node.query, child_state
 
-    def wrapped(label: int, state: object):
-        # re-raise extensional partition defects with the node's path
-        node, path = state
-        try:
-            return step(label, state)
-        except ProtocolDefect as exc:
-            if exc.path == "?":
-                raise ProtocolDefect(path, exc.message) from None
-            raise
-
-    return build_protocol(space, wrapped, (spec, "/tree"), universe)
+    return build_protocol(space, step, (spec, "/tree"), universe)
 
 
 # --- validation -------------------------------------------------------------
@@ -414,12 +385,11 @@ def run_protocol(
             raise AssertionError("children partition the label")
     outcome = None
     if rule is not None:
-        seen = {rule.table[k] for k in ProfileSet(space, v.label).indices()}
-        if len(seen) != 1:
+        if not constant_on(rule, v.label):
             raise PreconditionError(
                 f"protocol does not implement rule: leaf {v.id} is non-constant"
             )
-        outcome = rule.outcomes[next(iter(seen))]
+        outcome = rule.outcomes[rule.table[(v.label & -v.label).bit_length() - 1]]
     return Transcript(tuple(steps), v.id, ProfileSet(space, v.label), outcome)
 
 
@@ -518,13 +488,14 @@ def _canonical_subsets(values: tuple[int, ...]):
                 yield subset
 
 
-def classify_query(protocol: Protocol, node_id: int, multicount_cap: int = 2) -> QueryClass:
+def classify_query(protocol: Protocol, node_id: int) -> QueryClass:
     """Most specific query class the node's partition admits.
 
-    Tries individual elicitation first, then a single count, then
-    multi-counts of growing arity up to the cap; falls back to
-    extensional.  Classification is a diagnostic: the stored descriptor
-    may already be finer than what the partition reveals.
+    Tries individual elicitation first, then a single exact count, then a
+    joint exact count of two type subsets; falls back to extensional.  A
+    count class fits when every count fiber of the node's label lies in
+    one child.  Classification is a diagnostic: the stored descriptor may
+    already be finer than what the partition reveals.
     """
     space = protocol.space
     node = protocol.nodes[node_id]
@@ -533,91 +504,47 @@ def classify_query(protocol: Protocol, node_id: int, multicount_cap: int = 2) ->
     child_masks = [protocol.nodes[c].label for c in node.children]
 
     for agent in range(space.n):
-        projections = [ProfileSet(space, m).projection(agent) for m in child_masks]
+        projections = tuple(ProfileSet(space, m).projection(agent) for m in child_masks)
         flat = [t for pr in projections for t in pr]
         if len(flat) != len(set(flat)):
             continue
-        if all(
-            m == _types_mask(space, agent, pr, node.label)
-            for m, pr in zip(child_masks, projections)
-        ):
-            return QueryClass("elicit", agent=agent, cells=tuple(projections))
+        split = query_cell_masks(space, ElicitQuery(agent, projections), node.label)
+        if split == child_masks:
+            return QueryClass("elicit", agent=agent, cells=projections)
 
-    if space.common_alphabet:
-        found = _match_counts(space, node.label, child_masks, arity=1)
-        if found:
-            subsets, cells = found
-            return QueryClass("count", subsets=subsets, cells=cells, arity=1)
-        cap_hit = False
-        max_arity = min(multicount_cap, space.sizes[0])
-        if (1 << space.sizes[0]) > 4096:
-            cap_hit = True  # subset enumeration would be unreasonable
-        else:
-            for arity in range(2, max_arity + 1):
-                found = _match_counts(space, node.label, child_masks, arity)
-                if found:
-                    subsets, cells = found
-                    return QueryClass(
-                        "multicount", subsets=subsets, cells=cells, arity=arity
-                    )
-            cap_hit = multicount_cap < space.sizes[0]
-        return QueryClass("extensional", cap_reached=cap_hit)
-    return QueryClass("extensional")
-
-
-def _types_mask(space: TypeSpace, agent: int, types: tuple[int, ...], label: int) -> int:
-    tset = set(types)
-    out = 0
-    mask = label
-    while mask:
-        low = mask & -mask
-        k = low.bit_length() - 1
-        if (k // space.strides[agent]) % space.sizes[agent] in tset:
-            out |= low
-        mask ^= low
-    return out
-
-
-def _match_counts(space: TypeSpace, label: int, child_masks: list[int], arity: int):
-    indices = list(ProfileSet(space, label).indices())
-    child_of = {}
-    for c, m in enumerate(child_masks):
-        for k in ProfileSet(space, m).indices():
-            child_of[k] = c
-    candidates = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-    for subs in itertools.combinations(candidates, arity):
-        probe = (
-            CountQuery(subs[0], ((0,), tuple(range(1, space.n + 1))))
-            if arity == 1
-            else MultiCountQuery(subs, _trivial_vector_cells(space, arity))
-        )
-        cell_values: dict[int, set] = {}
-        ok = True
-        for k in indices:
-            v = probe.answer(space, k)
-            c = child_of[k]
-            cell_values.setdefault(c, set()).add(v)
-        seen: set = set()
-        for values in cell_values.values():
-            if values & seen:
-                ok = False
-                break
-            seen |= values
-        if ok:
-            cells = tuple(
-                tuple(sorted(cell_values.get(c, set())))
-                for c in range(len(child_masks))
-            )
-            return subs, cells
-    return None
-
-
-def _trivial_vector_cells(space: TypeSpace, arity: int):
-    domain = list(itertools.product(range(space.n + 1), repeat=arity))
-    return (tuple(domain[:1]), tuple(domain[1:]))
+    if not space.common_alphabet:
+        return QueryClass("extensional")
+    subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
+    # pairs of subsets only while the subset enumeration stays reasonable
+    arities = (1, 2) if (1 << space.sizes[0]) <= 4096 else (1,)
+    for arity in arities:
+        for subs in itertools.combinations(subsets, arity):
+            query = exact_count_query(space, subs)
+            cells: list[list] = [[] for _ in child_masks]
+            for (value,), fiber in zip(query.cells, query_cell_masks(space, query, node.label)):
+                owners = [c for c, m in enumerate(child_masks) if fiber & m]
+                if len(owners) > 1:
+                    break
+                if owners:
+                    cells[owners[0]].append(value)
+            else:
+                kind = "count" if arity == 1 else "multicount"
+                cells_out = tuple(tuple(c) for c in cells)
+                return QueryClass(kind, subsets=subs, cells=cells_out, arity=arity)
+    return QueryClass("extensional", cap_reached=space.sizes[0] > 2)
 
 
 # --- small constructors used across the package -------------------------------
+
+
+def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
+    """The query answering the exact count of agents per type subset: a
+    count query for one subset, a multi-count query for several, with one
+    cell per count value or count vector."""
+    if len(subsets) == 1:
+        return CountQuery(subsets[0], tuple((c,) for c in range(space.n + 1)))
+    domain = itertools.product(range(space.n + 1), repeat=len(subsets))
+    return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
 
 
 def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:

@@ -48,11 +48,11 @@ from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
-    MultiCountQuery,
     Protocol,
     Query,
     _canonical_subsets,
     build_protocol,
+    exact_count_query,
     implements,
     query_cell_masks,
 )
@@ -141,9 +141,8 @@ def _elicit_candidates(space: TypeSpace, state: int):
 def _count_candidates(space: TypeSpace, state: int):
     if not space.common_alphabet:
         return
-    singleton_cells = tuple((c,) for c in range(space.n + 1))
     for subset in _canonical_subsets(tuple(range(space.sizes[0]))):
-        query = CountQuery(subset, singleton_cells)
+        query = exact_count_query(space, (subset,))
         masks = _nonempty_cells(space, query, state)
         if len(masks) >= 2:
             yield _Candidate(query, masks)
@@ -152,11 +151,9 @@ def _count_candidates(space: TypeSpace, state: int):
 def _multicount_candidates(space: TypeSpace, state: int):
     if not space.common_alphabet:
         return
-    domain = tuple(itertools.product(range(space.n + 1), repeat=2))
-    cells = tuple((v,) for v in domain)
     subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
     for pair in itertools.combinations(subsets, 2):
-        query = MultiCountQuery(pair, cells)
+        query = exact_count_query(space, pair)
         masks = _nonempty_cells(space, query, state)
         if len(masks) >= 2:
             yield _Candidate(query, masks)

@@ -274,6 +274,61 @@ class TestDeterminism:
         assert b"Traceback" not in res.stderr
 
 
+def _fair_with(**fields) -> str:
+    return json.dumps({**FAIR_INSTANCE, **fields})
+
+
+# (file text or None, command, recursion limit, expected JSON pointer of the
+# error or "resource"); 1000 is the interpreter's default limit.
+MALFORMED = {
+    "alphabet not a list": (_fair_with(alphabet=5), ["validate"], 1000, "/alphabet"),
+    "unknown factor label": (
+        _fair_with(universe={"factors": [["Z"], ["A"]]}), ["validate"], 1000,
+        "/universe/factors/0",
+    ),
+    "table row not an object": (
+        _fair_with(rule={"table": [1, 2, 3, 4]}), ["validate"], 1000, "/rule/table/0"
+    ),
+    "top-level array": (json.dumps([FAIR_INSTANCE]), ["validate"], 1000, "/"),
+    "non-numeric values": (
+        _fair_with(model={"kind": "auction", "values": [["x", "y"], ["1", "2"]]}),
+        ["check", "--property", "efficient"], 1000, "/model/values",
+    ),
+    "deeply nested file": ("[" * 100_000 + "]" * 100_000, ["validate"], 1000, "/"),
+    "deep tree emitted under a low recursion limit": (
+        None,
+        ["builtin", "descending_first_price", "--params",
+         json.dumps({"n": 1, "values": list(range(300))}), "--emit"],
+        250, "resource",
+    ),
+}
+
+RUN_WITH_LIMIT = (
+    "import sys\n"
+    "sys.setrecursionlimit(int(sys.argv[1]))\n"
+    "from cpv.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_with_json_error_and_no_traceback(self, case, tmp_path):
+        text, command, limit, expected = MALFORMED[case]
+        target = tmp_path / "input.json"
+        if text is not None:
+            target.write_text(text)
+        cmd = [sys.executable, "-c", RUN_WITH_LIMIT, str(limit), *command, str(target)]
+        res = subprocess.run(cmd, capture_output=True, env=child_env())
+        assert b"Traceback" not in res.stderr, res.stderr.decode()[-2000:]
+        assert res.returncode == 2
+        doc = json.loads(res.stdout)
+        if expected == "resource":
+            assert doc["kind"] == "resource" and doc["error"]
+        else:
+            assert doc["error"].endswith(f"(at {expected})"), doc
+
+
 # Small parameters for every built-in protocol bundle.
 BUNDLE_PARAMS = {
     "serial_dictatorship": {"n": 2, "objects": ["A", "B"]},

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cpv.protocol as protocol_module
+from cpv import cli
 from cpv.core import InputError, ProfileSet, TypeSpace
 from cpv.mechanisms import (
     descending_first_price,
@@ -95,6 +98,91 @@ class TestValidation:
                 continue
             total = sum(protocol.nodes[c].label.bit_count() for c in node.children)
             assert total == node.label.bit_count()
+
+
+def _split_on_agent_1(second):
+    """A root asking agent 1 "A or B?", with ``second`` under answer B."""
+    return NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), second))
+
+
+def _extensional(*cells):
+    """Extensional cells over the 2x2 space, profiles given as index pairs."""
+    space = TypeSpace.shared(2, ("A", "B"))
+    return ExtensionalQuery(
+        tuple(ProfileSet.from_profiles(space, c).mask for c in cells)
+    )
+
+
+# (spec, universe profiles or None, path, message): each defect's first report.
+SPEC_DEFECTS = {
+    "children without a query": (
+        NodeSpec(None, (NodeSpec(), NodeSpec())), None, "/tree", "children without a query"
+    ),
+    "child count": (
+        NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(),)),
+        None, "/tree", "1 children for 2 cells",
+    ),
+    "missing subtree": (
+        _split_on_agent_1(None), None, "/tree/1", "missing subtree for nonempty cell"
+    ),
+    "subtree on empty cell": (  # the universe is row A
+        _split_on_agent_1(NodeSpec()), [(0, 0), (0, 1)],
+        "/tree/1", "subtree attached to an empty cell",
+    ),
+    "extensional overlap": (
+        _split_on_agent_1(
+            NodeSpec(_extensional([(1, 0), (1, 1)], [(1, 1)]), (NodeSpec(), NodeSpec()))
+        ),
+        None, "/tree/1", "overlap: profile ('B', 'B')",
+    ),
+    "extensional non-exhaustive": (
+        _split_on_agent_1(
+            NodeSpec(_extensional([(1, 0)], [(0, 1)]), (NodeSpec(), NodeSpec()))
+        ),
+        None, "/tree/1", "non-exhaustive: profile ('B', 'B') in no cell",
+    ),
+    "unknown agent": (
+        _split_on_agent_1(
+            NodeSpec(ElicitQuery(5, ((0,), (1,))), (NodeSpec(), NodeSpec()))
+        ),
+        None, "/tree/1", "unknown agent 5",
+    ),
+    # the query is checked before its children are counted
+    "one-cell query with two children": (
+        NodeSpec(ElicitQuery(0, ((0, 1),)), (NodeSpec(), NodeSpec())),
+        None, "/tree", "query needs at least 2 cells",
+    ),
+}
+
+
+class TestSpecDefects:
+    @pytest.mark.parametrize("case", sorted(SPEC_DEFECTS))
+    def test_defect_message_and_path(self, case):
+        spec, profiles, path, message = SPEC_DEFECTS[case]
+        space = TypeSpace.shared(2, ("A", "B"))
+        universe = None if profiles is None else ProfileSet.from_profiles(space, profiles)
+        with pytest.raises(ProtocolDefect) as info:
+            build_from_spec(space, spec, universe)
+        assert (info.value.path, info.value.message) == (path, message)
+
+    def test_loading_splits_each_interior_node_once(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "dfp.json")
+        params = json.dumps({"n": 2, "values": [1, 2, 3]})
+        assert cli.main(["builtin", "descending_first_price", "--params", params,
+                         "--emit", path]) == 0
+        capsys.readouterr()
+        calls = []
+        real = protocol_module.query_cell_masks
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol_module, "query_cell_masks", counting)
+        protocol = cli.load(path).protocol
+        interior = [v for v in protocol.nodes if not v.is_leaf]
+        assert len(interior) == 4
+        assert len(calls) == len(interior)
 
 
 class TestRun:
