@@ -110,14 +110,37 @@ def _check_schema(doc, pointer=""):
         raise LoadError(f"{pointer}/schema", f"unsupported schema {version!r}")
 
 
+def _alphabet_from_json(alphabet, pointer) -> tuple:
+    if not isinstance(alphabet, list):
+        raise LoadError(pointer, "expected list")
+    for j, lab in enumerate(alphabet):
+        if isinstance(lab, (list, dict)):
+            raise LoadError(f"{pointer}/{j}", "expected a type label, not an array or object")
+    return tuple(alphabet)
+
+
 def _space_from_json(doc, pointer) -> TypeSpace:
     n = _expect(doc, "agents", int, pointer)
     if "alphabet" in doc:
-        return TypeSpace.shared(n, tuple(_expect(doc, "alphabet", list, pointer)))
+        return TypeSpace.shared(n, _alphabet_from_json(doc["alphabet"], f"{pointer}/alphabet"))
     alphabets = _expect(doc, "alphabets", list, pointer)
     if len(alphabets) != n:
         raise LoadError(f"{pointer}/alphabets", f"expected {n} alphabets")
-    return TypeSpace(tuple(tuple(a) for a in alphabets))
+    return TypeSpace(
+        tuple(_alphabet_from_json(a, f"{pointer}/alphabets/{i}") for i, a in enumerate(alphabets))
+    )
+
+
+def _profiles_from_json(space: TypeSpace, profiles, pointer) -> ProfileSet:
+    """The profile set of a list of profiles, each a list of type labels."""
+    if not isinstance(profiles, list):
+        raise LoadError(pointer, "expected list")
+    indices = []
+    for j, labels in enumerate(profiles):
+        if not isinstance(labels, list):
+            raise LoadError(f"{pointer}/{j}", "expected a list of type labels")
+        indices.append(space.index_of_labels(labels))
+    return ProfileSet.from_indices(space, indices)
 
 
 def _universe_from_json(doc, space, pointer) -> Optional[ProfileSet]:
@@ -134,9 +157,7 @@ def _universe_from_json(doc, space, pointer) -> Optional[ProfileSet]:
         )
         return ProfileSet.from_factors(space, factors)
     if isinstance(spec, list):
-        return ProfileSet.from_profiles(
-            space, (space.profile_of_labels(p) for p in spec)
-        )
+        return _profiles_from_json(space, spec, f"{pointer}/universe")
     raise LoadError(f"{pointer}/universe", "expected a profile list or factors")
 
 
@@ -159,6 +180,8 @@ def _model_from_json(doc) -> Optional[DomainModel]:
             raise LoadError("/model/values", "expected rows of numbers") from None
     capacities = spec.get("capacities")
     if capacities is not None:
+        if not isinstance(capacities, dict):
+            raise LoadError("/model/capacities", "expected an object")
         capacities = tuple(sorted(capacities.items()))
     type_scores = spec.get("type_scores")
     if type_scores is not None:
@@ -196,12 +219,12 @@ def instance_from_json(doc) -> Instance:
     seen: dict[str, int] = {lab: i for i, lab in enumerate(outcomes)}
     table = [-1] * space.total
     for r, row in enumerate(rows):
-        profile = space.profile_of_labels(_expect(row, "profile", list, f"/rule/table/{r}"))
-        lab = _expect(row, "outcome", str, f"/rule/table/{r}")
+        at = f"/rule/table/{r}"
+        k = space.index_of_labels(_expect(row, "profile", list, at))
+        lab = _expect(row, "outcome", str, at)
         if lab not in seen:
             seen[lab] = len(seen)
             outcomes.append(lab)
-        k = space.index(profile)
         if table[k] != -1:
             raise LoadError(f"/rule/table/{r}", "duplicate profile row")
         table[k] = seen[lab]
@@ -229,8 +252,8 @@ def instance_from_json(doc) -> Instance:
 
 def _type_index(space: TypeSpace, agent: int, label, pointer: str) -> int:
     try:
-        return space.alphabets[agent].index(label)
-    except ValueError:
+        return space.label_index[agent][label]
+    except (KeyError, TypeError):  # an unhashable label names no type
         raise LoadError(pointer, f"unknown type label {label!r}") from None
 
 
@@ -263,10 +286,8 @@ def _query_from_json(space: TypeSpace, spec, pointer):
         return MultiCountQuery(subsets, cells)
     if kind == "extensional":
         cells = tuple(
-            ProfileSet.from_profiles(
-                space, (space.profile_of_labels(p) for p in cell)
-            ).mask
-            for cell in _expect(spec, "cells", list, pointer)
+            _profiles_from_json(space, cell, f"{pointer}/cells/{c}").mask
+            for c, cell in enumerate(_expect(spec, "cells", list, pointer))
         )
         return ExtensionalQuery(cells)
     raise LoadError(f"{pointer}/kind", f"unknown query kind {kind!r}")

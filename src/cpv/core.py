@@ -82,6 +82,36 @@ class TypeSpace:
     def common_alphabet(self) -> bool:
         return all(a == self.alphabets[0] for a in self.alphabets)
 
+    @cached_property
+    def label_index(self) -> tuple[dict, ...]:
+        """Per agent, the map from type label to type index."""
+        return tuple({lab: t for t, lab in enumerate(a)} for a in self.alphabets)
+
+    @cached_property
+    def digit_fills(self) -> tuple[int, ...]:
+        """Per agent, the mask of the profiles in which that agent has type 0.
+
+        The agent's digit repeats with period ``stride * size``; the mask is
+        a run of ``stride`` ones at the bottom of every period, built as one
+        product ``block * comb`` with ``comb`` holding one bit per period.
+        Shifted left by ``t * stride`` it is the mask of type ``t``: the runs
+        stay inside their periods.
+        """
+        out = []
+        for size, stride in zip(self.sizes, self.strides):
+            period = size * stride
+            comb = int("1".rjust(period, "0") * (self.total // period), 2)
+            out.append(((1 << stride) - 1) * comb)
+        return tuple(out)
+
+    def digit_mask(self, agent: int, types) -> int:
+        """Mask of the profiles in which ``agent``'s type lies in ``types``."""
+        fill, stride = self.digit_fills[agent], self.strides[agent]
+        mask = 0
+        for t in types:
+            mask |= fill << (t * stride)
+        return mask
+
     def check_profile(self, profile: Profile) -> None:
         if len(profile) != self.n:
             raise InputError(f"profile has {len(profile)} entries, expected {self.n}")
@@ -106,21 +136,26 @@ class TypeSpace:
         return tuple(self.alphabets[i][t] for i, t in enumerate(profile))
 
     def profile_of_labels(self, labels: list[str] | tuple[str, ...]) -> Profile:
+        return self.profile(self.index_of_labels(labels))
+
+    def index_of_labels(self, labels: list[str] | tuple[str, ...]) -> int:
+        """Profile index of one type label per agent, checked."""
         if len(labels) != self.n:
             raise InputError(f"profile has {len(labels)} labels, expected {self.n}")
-        out = []
-        for i, lab in enumerate(labels):
+        k = 0
+        for i, (lookup, size, lab) in enumerate(zip(self.label_index, self.sizes, labels)):
             try:
-                out.append(self.alphabets[i].index(lab))
-            except ValueError:
+                k = k * size + lookup[lab]
+            except (KeyError, TypeError):  # an unhashable label names no type
                 raise InputError(f"agent {i}: unknown type label {lab!r}") from None
-        return tuple(out)
+        return k
 
     def iter_profiles(self):
         return itertools.product(*(range(s) for s in self.sizes))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def mask_flags(mask: int, total: int) -> bytes:
@@ -128,9 +163,29 @@ def mask_flags(mask: int, total: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES).ljust(total, b"\0")
 
 
-def mask_indices(mask: int, total: int) -> list[int]:
+def mask_of_flags(flags: bytes | bytearray) -> int:
+    """Inverse of :func:`mask_flags`: bit ``k`` is set iff byte ``k`` is 1."""
+    return int(flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def iter_mask(mask: int):
+    """Profile indices in a mask, ascending, found by scanning its binary
+    digits once (linear in the mask's length, however many bits are set)."""
+    digits = bin(mask)[:1:-1]
+    find = digits.find
+    k = find("1")
+    while k >= 0:
+        yield k
+        k = find("1", k + 1)
+
+
+def mask_indices(mask: int) -> list[int]:
     """Profile indices in a mask, ascending."""
-    return list(itertools.compress(range(total), mask_flags(mask, total)))
+    # sparse masks jump from set bit to set bit; dense ones filter positions
+    if mask.bit_count() * 8 < mask.bit_length():
+        return list(iter_mask(mask))
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(itertools.compress(range(len(flags)), flags))
 
 
 def unilateral_pairs(space: TypeSpace, keys, inside: int, block=None, value=None):
@@ -194,12 +249,12 @@ class ProfileSet:
 
     @classmethod
     def from_indices(cls, space: TypeSpace, indices) -> ProfileSet:
-        mask = 0
+        flags = bytearray(space.total)
         for k in indices:
             if not 0 <= k < space.total:
                 raise InputError(f"profile index {k} out of range")
-            mask |= 1 << k
-        return cls(space, mask)
+            flags[k] = 1
+        return cls(space, mask_of_flags(flags))
 
     @classmethod
     def from_profiles(cls, space: TypeSpace, profiles) -> ProfileSet:
@@ -217,9 +272,9 @@ class ProfileSet:
             for t in f:
                 if not 0 <= t < space.sizes[i]:
                     raise InputError(f"agent {i}: type index {t} out of range")
-        mask = 0
-        for profile in itertools.product(*factors):
-            mask |= 1 << space.index(profile)
+        mask = (1 << space.total) - 1
+        for i, f in enumerate(factors):
+            mask &= space.digit_mask(i, f)
         return cls(space, mask)
 
     @property
@@ -234,11 +289,7 @@ class ProfileSet:
         return bool(self.mask >> self.space.index(profile) & 1)
 
     def indices(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_indices(self.mask))
 
     def profiles(self):
         for k in self.indices():
@@ -311,16 +362,10 @@ class ChoiceRule:
 
 def constant_on(rule: ChoiceRule, mask: int) -> bool:
     """True iff the rule takes at most one outcome on the profile-set mask."""
-    seen = -1
-    while mask:
-        low = mask & -mask
-        x = rule.table[low.bit_length() - 1]
-        if seen == -1:
-            seen = x
-        elif x != seen:
-            return False
-        mask ^= low
-    return True
+    table = rule.table
+    keys = iter_mask(mask)
+    first = table[next(keys, 0)]
+    return all(table[k] == first for k in keys)
 
 
 @dataclass(frozen=True)

@@ -727,7 +727,7 @@ def descending_first_price(n: int, values) -> ProtocolBundle:
         if level_pos >= len(by_value_desc) or constant_on(rule, label):
             return None
         level = by_value_desc[level_pos]
-        rest = tuple(t for t in range(space.sizes[0]) if t != level)
+        rest = (*range(level), *range(level + 1, space.sizes[0]))
         query = ElicitQuery(agent, ((level,), rest))
         nxt = (level_pos, agent + 1) if agent + 1 < space.n else (level_pos + 1, 0)
 

@@ -179,7 +179,7 @@ def _unilateral_scan(
         label = protocol.universe
     if leaf is None:
         leaf = _leaf_list(protocol)
-    keys = mask_indices(label, space.total)
+    keys = mask_indices(label)
     for k, agent, t2, k2 in unilateral_pairs(space, keys, label, leaf, value):
         profile = space.profile(k)
         other = list(profile)
@@ -304,7 +304,7 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
     universe = region.mask if region is not None else (1 << space.total) - 1
     member = mask_flags(universe, space.total)
     table = rule.table
-    keys = mask_indices(universe, space.total)
+    keys = mask_indices(universe)
     for k, i, ti2, ki in unilateral_pairs(space, keys, universe):
         for j in range(i + 1, space.n):
             sj, size_j = space.strides[j], space.sizes[j]

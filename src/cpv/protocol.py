@@ -21,6 +21,7 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     constant_on,
+    mask_indices,
 )
 
 
@@ -49,10 +50,6 @@ class ElicitQuery:
             raise ProtocolDefect(path, f"unknown agent {self.agent}")
         _check_partition(self.cells, range(space.sizes[self.agent]), path, "type")
 
-    def answer(self, space: TypeSpace, index: int) -> int:
-        """The agent's type in the profile."""
-        return (index // space.strides[self.agent]) % space.sizes[self.agent]
-
 
 @dataclass(frozen=True)
 class CountQuery:
@@ -69,14 +66,6 @@ class CountQuery:
             if not 0 <= t < space.sizes[0]:
                 raise ProtocolDefect(path, f"count subset type index {t} out of range")
         _check_partition(self.cells, range(space.n + 1), path, "count")
-
-    def answer(self, space: TypeSpace, index: int) -> int:
-        """The number of agents whose type lies in ``subset``."""
-        c = 0
-        for i in range(space.n):
-            if (index // space.strides[i]) % space.sizes[i] in self.subset:
-                c += 1
-        return c
 
 
 @dataclass(frozen=True)
@@ -95,11 +84,6 @@ class MultiCountQuery:
                     raise ProtocolDefect(path, f"count subset type index {t} out of range")
         domain = itertools.product(range(space.n + 1), repeat=len(self.subsets))
         _check_partition(self.cells, domain, path, "count vector")
-
-    def answer(self, space: TypeSpace, index: int) -> tuple[int, ...]:
-        """The count vector: one count per subset."""
-        types = [(index // space.strides[i]) % space.sizes[i] for i in range(space.n)]
-        return tuple(sum(1 for t in types if t in sub) for sub in self.subsets)
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,12 @@ Query = ElicitQuery | CountQuery | MultiCountQuery | ExtensionalQuery
 def _check_partition(cells, domain, path: str, what: str) -> None:
     if len(cells) < 2:
         raise ProtocolDefect(path, f"query needs at least 2 cells")
-    seen: set = set()
+    domain = list(domain)
+    seen: set = set().union(*cells)
+    if all(cells) and sum(map(len, cells)) == len(seen) and seen.issuperset(domain):
+        return
+    # a defect: walk the cells in order to name the first offending value
+    seen = set()
     for cell in cells:
         if not cell:
             raise ProtocolDefect(path, f"empty {what} cell")
@@ -134,7 +123,14 @@ def _check_partition(cells, domain, path: str, what: str) -> None:
 
 
 def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?") -> list[int]:
-    """Masks of ``label`` split by the query's cells, aligned to cell order."""
+    """Masks of ``label`` split by the query's cells, aligned to cell order.
+
+    An intensional query is split with whole-mask operations: each cell
+    takes ``label`` and the union of the fibres of its answers (the profiles
+    giving that answer), except the largest cell, which takes what the
+    other cells leave of ``label``.  The cells must therefore partition the
+    answers occurring on ``label``, as ``validate`` ensures for any label.
+    """
     if isinstance(query, ExtensionalQuery):
         out = [label & mask for mask in query.cells]
         covered = 0
@@ -149,14 +145,53 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
                 path, f"non-exhaustive: profile {space.labels(space.profile(k))} in no cell"
             )
         return out
-    cell_of = {v: c for c, cell in enumerate(query.cells) for v in cell}
-    out = [0] * len(query.cells)
-    mask = label
-    while mask:
-        low = mask & -mask
-        out[cell_of[query.answer(space, low.bit_length() - 1)]] |= low
-        mask ^= low
+    if isinstance(query, ElicitQuery):
+        def fibre_union(cell) -> int:
+            return space.digit_mask(query.agent, cell)
+    else:
+        if isinstance(query, CountQuery):
+            fibres = _count_fibres(space, (query.subset,), label)
+            fibres = {v[0]: m for v, m in fibres.items()}
+        else:
+            fibres = _count_fibres(space, query.subsets, label)
+
+        def fibre_union(cell) -> int:
+            mask = 0
+            for v in cell:
+                mask |= fibres.get(v, 0)
+            return mask
+
+    cells = query.cells
+    largest = max(range(len(cells)), key=lambda c: len(cells[c]))
+    out = [0 if c == largest else label & fibre_union(cell) for c, cell in enumerate(cells)]
+    rest = label
+    for m in out:
+        rest &= ~m
+    out[largest] = rest
     return out
+
+
+def _count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...], int]:
+    """Count vector -> mask of the profiles in ``label`` with that vector.
+
+    A dynamic programme over agents: each agent's types are grouped by the
+    subsets holding them, and every nonempty partial fibre is split by the
+    agent's groups, so the work is ``n`` times the number of vectors."""
+    fibres = {(0,) * len(subsets): label}
+    for agent in range(space.n):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t in range(space.sizes[agent]):
+            groups.setdefault(tuple(int(t in sub) for sub in subsets), []).append(t)
+        masks = [(step, space.digit_mask(agent, types)) for step, types in groups.items()]
+        grown: dict[tuple[int, ...], int] = {}
+        for vector, fibre in fibres.items():
+            for step, mask in masks:
+                part = fibre & mask
+                if part:
+                    key = tuple(map(sum, zip(vector, step)))
+                    grown[key] = grown.get(key, 0) | part
+        fibres = grown
+    return fibres
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +232,7 @@ class Protocol:
         out: dict[int, int] = {}
         for v in self.nodes:
             if v.is_leaf:
-                mask = v.label
-                while mask:
-                    low = mask & -mask
-                    out[low.bit_length() - 1] = v.id
-                    mask ^= low
+                out.update(dict.fromkeys(mask_indices(v.label), v.id))
         return out
 
 
@@ -412,19 +443,11 @@ def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
     if rule.space != protocol.space:
         raise InputError("protocol and rule live on different type spaces")
     for v in protocol.nodes:
-        if not v.is_leaf:
-            continue
-        first_idx = None
-        first_out = None
-        for k in ProfileSet(protocol.space, v.label).indices():
-            if first_idx is None:
-                first_idx, first_out = k, rule.table[k]
-            elif rule.table[k] != first_out:
-                return ImplementsResult(
-                    False,
-                    v.id,
-                    (protocol.space.profile(first_idx), protocol.space.profile(k)),
-                )
+        if v.is_leaf and not constant_on(rule, v.label):
+            first, *rest = mask_indices(v.label)
+            other = next(k for k in rest if rule.table[k] != rule.table[first])
+            space = protocol.space
+            return ImplementsResult(False, v.id, (space.profile(first), space.profile(other)))
     return ImplementsResult(True)
 
 

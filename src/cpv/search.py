@@ -263,7 +263,7 @@ def _root(space: TypeSpace, universe: ProfileSet | None) -> int:
 
 def _same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
     space = rule.space
-    keys = mask_indices(universe, space.total)
+    keys = mask_indices(universe)
     pairs = unilateral_pairs(space, keys, universe, value=[rule.table] * space.n)
     return [(k, k2) for k, _, _, k2 in pairs]
 

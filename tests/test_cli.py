@@ -295,6 +295,16 @@ MALFORMED = {
         ["check", "--property", "efficient"], 1000, "/model/values",
     ),
     "deeply nested file": ("[" * 100_000 + "]" * 100_000, ["validate"], 1000, "/"),
+    "capacities not an object": (
+        _fair_with(model={"kind": "house", "capacities": [1, 2]}), ["validate"], 1000,
+        "/model/capacities",
+    ),
+    "alphabet label is a list": (
+        _fair_with(alphabet=[["A"], ["B"]]), ["validate"], 1000, "/alphabet/0"
+    ),
+    "universe profile is a number": (
+        _fair_with(universe=[1, 2]), ["validate"], 1000, "/universe/0"
+    ),
     "deep tree emitted under a low recursion limit": (
         None,
         ["builtin", "descending_first_price", "--params",
