@@ -181,11 +181,8 @@ def iter_mask(mask: int):
 
 def mask_indices(mask: int) -> list[int]:
     """Profile indices in a mask, ascending."""
-    # sparse masks jump from set bit to set bit; dense ones filter positions
-    if mask.bit_count() * 8 < mask.bit_length():
-        return list(iter_mask(mask))
-    flags = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return list(itertools.compress(range(len(flags)), flags))
+    total = mask.bit_length()
+    return list(itertools.compress(range(total), mask_flags(mask, total)))
 
 
 def unilateral_pairs(space: TypeSpace, keys, inside: int, block=None, value=None):

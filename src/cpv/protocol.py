@@ -48,6 +48,11 @@ class ElicitQuery:
     def validate(self, space: TypeSpace, path: str = "?") -> None:
         if not 0 <= self.agent < space.n:
             raise ProtocolDefect(path, f"unknown agent {self.agent}")
+        size = space.sizes[self.agent]
+        for cell in self.cells:
+            if cell and not (0 <= min(cell) and max(cell) < size):
+                t = next(t for t in cell if not 0 <= t < size)
+                raise ProtocolDefect(path, f"elicit type index {t} out of range")
         _check_partition(self.cells, range(space.sizes[self.agent]), path, "type")
 
 
@@ -104,12 +109,7 @@ Query = ElicitQuery | CountQuery | MultiCountQuery | ExtensionalQuery
 def _check_partition(cells, domain, path: str, what: str) -> None:
     if len(cells) < 2:
         raise ProtocolDefect(path, f"query needs at least 2 cells")
-    domain = list(domain)
-    seen: set = set().union(*cells)
-    if all(cells) and sum(map(len, cells)) == len(seen) and seen.issuperset(domain):
-        return
-    # a defect: walk the cells in order to name the first offending value
-    seen = set()
+    seen: set = set()
     for cell in cells:
         if not cell:
             raise ProtocolDefect(path, f"empty {what} cell")
@@ -128,8 +128,10 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
     An intensional query is split with whole-mask operations: each cell
     takes ``label`` and the union of the fibres of its answers (the profiles
     giving that answer), except the largest cell, which takes what the
-    other cells leave of ``label``.  The cells must therefore partition the
-    answers occurring on ``label``, as ``validate`` ensures for any label.
+    other cells leave of ``label``.  This relies on the query's
+    ``validate``: every possible answer lies in exactly one cell, and an
+    elicit cell holds only types of the agent's alphabet (a count value
+    outside ``0..n`` has no fibre and adds nothing).
     """
     if isinstance(query, ExtensionalQuery):
         out = [label & mask for mask in query.cells]

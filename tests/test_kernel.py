@@ -31,6 +31,7 @@ from cpv.protocol import (
     ElicitQuery,
     ExtensionalQuery,
     MultiCountQuery,
+    ProtocolDefect,
     build_protocol,
     implements,
     query_cell_masks,
@@ -171,6 +172,16 @@ class TestQueryCellMasks:
                 assert query_cell_masks(space, query, label) == oracle_cell_masks(
                     space, query, label
                 )
+
+    @pytest.mark.parametrize("cells", [((0,), (1,), (2,)), ((0, 1), (-1,)), ((0,), (1, 5))])
+    def test_elicit_type_out_of_range_is_refused(self, cells):
+        # digit masks would shift such a type into another agent's digits
+        space = TypeSpace.shared(2, ("lo", "hi"))
+        query = ElicitQuery(1, cells)
+        with pytest.raises(ProtocolDefect, match="elicit type index -?[0-9]+ out of range"):
+            query.validate(space, "/tree")
+        with pytest.raises(ProtocolDefect, match="out of range at node /tree"):
+            build_protocol(space, lambda label, state: (query, lambda c, m: None))
 
 
 class TestDigitMasks:
