@@ -102,6 +102,16 @@ def _expect(doc, key, kind, pointer):
     return value
 
 
+def _list_of(value, kind, pointer, what):
+    """``value``, checked to be a list whose entries are ``kind``."""
+    if not isinstance(value, list):
+        raise LoadError(pointer, "expected list")
+    for j, item in enumerate(value):
+        if not isinstance(item, kind):
+            raise LoadError(f"{pointer}/{j}", f"expected {what}")
+    return value
+
+
 def _check_schema(doc, pointer=""):
     if not isinstance(doc, dict):
         raise LoadError(pointer or "/", "expected an object")
@@ -185,8 +195,13 @@ def _model_from_json(doc) -> Optional[DomainModel]:
         capacities = tuple(sorted(capacities.items()))
     type_scores = spec.get("type_scores")
     if type_scores is not None:
+        pointer = "/model/type_scores"
         type_scores = tuple(
-            tuple(tuple(sorted(d.items())) for d in agent) for agent in type_scores
+            tuple(
+                tuple(sorted(d.items()))
+                for d in _list_of(agent, dict, f"{pointer}/{i}", "an object of scores")
+            )
+            for i, agent in enumerate(_list_of(type_scores, list, pointer, "a list per agent"))
         )
     return DomainModel(
         kind=kind,
@@ -215,7 +230,7 @@ def instance_from_json(doc) -> Instance:
         return built
     space = _space_from_json(doc, "")
     rows = _expect(rule_spec, "table", list, "/rule")
-    outcomes = list(doc.get("outcomes", []))
+    outcomes = list(_list_of(doc.get("outcomes", []), str, "/outcomes", "an outcome label"))
     seen: dict[str, int] = {lab: i for i, lab in enumerate(outcomes)}
     table = [-1] * space.total
     for r, row in enumerate(rows):
@@ -240,7 +255,7 @@ def instance_from_json(doc) -> Instance:
             if lab not in comp_doc:
                 raise LoadError("/components", f"no components for outcome {lab!r}")
             row = comp_doc[lab]
-            if len(row) != space.n:
+            if not isinstance(row, list) or len(row) != space.n:
                 raise LoadError(f"/components/{lab}", f"expected {space.n} entries")
             components.append(tuple(str(c) for c in row))
         components = tuple(components)
@@ -265,7 +280,7 @@ def _query_from_json(space: TypeSpace, spec, pointer):
             raise LoadError(f"{pointer}/agent", "agent number out of range")
         cells = tuple(
             tuple(_type_index(space, agent, lab, f"{pointer}/cells") for lab in cell)
-            for cell in _expect(spec, "cells", list, pointer)
+            for cell in _cells_from_json(spec, pointer)
         )
         return ElicitQuery(agent, cells)
     if kind == "count":
@@ -273,15 +288,22 @@ def _query_from_json(space: TypeSpace, spec, pointer):
             _type_index(space, 0, lab, f"{pointer}/subset")
             for lab in _expect(spec, "subset", list, pointer)
         )
-        cells = tuple(tuple(c) for c in _expect(spec, "cells", list, pointer))
+        cells = tuple(tuple(c) for c in _cells_from_json(spec, pointer))
         return CountQuery(subset, cells)
     if kind == "multicount":
         subsets = tuple(
             tuple(_type_index(space, 0, lab, f"{pointer}/subsets") for lab in sub)
-            for sub in _expect(spec, "subsets", list, pointer)
+            for sub in _list_of(
+                _expect(spec, "subsets", list, pointer), list, f"{pointer}/subsets",
+                "a list of type labels",
+            )
         )
         cells = tuple(
-            tuple(tuple(v) for v in cell) for cell in _expect(spec, "cells", list, pointer)
+            tuple(
+                tuple(v)
+                for v in _list_of(cell, list, f"{pointer}/cells/{c}", "a count vector")
+            )
+            for c, cell in enumerate(_cells_from_json(spec, pointer))
         )
         return MultiCountQuery(subsets, cells)
     if kind == "extensional":
@@ -291,6 +313,10 @@ def _query_from_json(space: TypeSpace, spec, pointer):
         )
         return ExtensionalQuery(cells)
     raise LoadError(f"{pointer}/kind", f"unknown query kind {kind!r}")
+
+
+def _cells_from_json(spec, pointer) -> list:
+    return _list_of(_expect(spec, "cells", list, pointer), list, f"{pointer}/cells", "a cell list")
 
 
 def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
@@ -303,9 +329,12 @@ def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
             raise LoadError(pointer, "children without a query")
         return NodeSpec()
     query = _query_from_json(space, node["query"], f"{pointer}/query")
+    children = node.get("children", [])
+    if not isinstance(children, list):
+        raise LoadError(f"{pointer}/children", "expected list")
     children = tuple(
         _spec_from_json(space, child, f"{pointer}/children/{i}")
-        for i, child in enumerate(node.get("children", []))
+        for i, child in enumerate(children)
     )
     return NodeSpec(query, children)
 
@@ -322,7 +351,7 @@ def protocol_from_json(doc, space: TypeSpace | None) -> tuple[Protocol, Optional
     universe = _universe_from_json(doc, space, "")
     spec = _spec_from_json(space, _expect(doc, "tree", dict, ""), "/tree")
     protocol = build_from_spec(space, spec, universe)
-    phase = tuple(doc["phase"]) if "phase" in doc else None
+    phase = tuple(_list_of(doc["phase"], int, "/phase", "a node id")) if "phase" in doc else None
     return protocol, phase
 
 

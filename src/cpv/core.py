@@ -260,15 +260,7 @@ class ProfileSet:
     @classmethod
     def from_factors(cls, space: TypeSpace, factors) -> ProfileSet:
         """Product set with per-agent type-index factors."""
-        factors = tuple(tuple(sorted(set(f))) for f in factors)
-        if len(factors) != space.n:
-            raise InputError(f"{len(factors)} factors for {space.n} agents")
-        for i, f in enumerate(factors):
-            if not f:
-                raise InputError(f"agent {i}: empty factor")
-            for t in f:
-                if not 0 <= t < space.sizes[i]:
-                    raise InputError(f"agent {i}: type index {t} out of range")
+        factors = check_factors(space, factors)
         mask = (1 << space.total) - 1
         for i, f in enumerate(factors):
             mask &= space.digit_mask(i, f)
@@ -357,6 +349,35 @@ class ChoiceRule:
         return self.table[self.space.index(profile)]
 
 
+def check_factors(space: TypeSpace, factors, what: str = "") -> tuple[tuple[int, ...], ...]:
+    """Per-agent factors as sorted distinct type indices, checked once: one
+    nonempty factor per agent, every type inside its agent's alphabet.
+
+    The product-set scans index the rule table by arithmetic on these
+    types, so an unchecked type would read another profile's outcome (or,
+    if negative, wrap round the table).  ``what`` qualifies the messages.
+    """
+    factors = tuple(tuple(sorted(set(f))) for f in factors)
+    if len(factors) != space.n:
+        raise InputError(f"{what}factor count differs from agent count")
+    for i, f in enumerate(factors):
+        if not f:
+            raise InputError(f"agent {i}: empty {what}factor")
+        for t in f:
+            if not 0 <= t < space.sizes[i]:
+                raise InputError(f"agent {i}: {what}type index {t} out of range")
+    return factors
+
+
+def product_indices(space: TypeSpace, factors) -> list[int]:
+    """Profile indices of the product set ``factors``, in
+    ``itertools.product(*factors)`` order.  The factors are not checked."""
+    keys = [0]
+    for f, stride in zip(factors, space.strides):
+        keys = [k + t * stride for k in keys for t in f]
+    return keys
+
+
 def constant_on(rule: ChoiceRule, mask: int) -> bool:
     """True iff the rule takes at most one outcome on the profile-set mask."""
     table = rule.table
@@ -386,9 +407,7 @@ def restrict_rule(rule: ChoiceRule, pset: ProfileSet) -> RestrictedRule:
             for i in range(space.n)
         )
     )
-    table = []
-    for profile in itertools.product(*factors):
-        table.append(rule.table[space.index(profile)])
+    table = [rule.table[k] for k in product_indices(space, factors)]
     sub = ChoiceRule(sub_space, rule.outcomes, tuple(table), rule.components)
     constant = len(set(table)) <= 1
     return RestrictedRule(sub, factors, constant)

@@ -30,9 +30,11 @@ from cpv.core import (
     ProfileSet,
     ResourceError,
     Witness,
+    check_factors,
     mask_flags,
     mask_indices,
     product_factorization,
+    product_indices,
     unilateral_pairs,
 )
 from cpv.protocol import (
@@ -46,10 +48,11 @@ from cpv.protocol import (
 
 
 class UnionFind:
-    """Array union-find with path compression."""
+    """Array union-find with path compression and a count of its classes."""
 
     def __init__(self, size: int) -> None:
         self.parent = list(range(size))
+        self.classes = size
 
     def find(self, x: int) -> int:
         root = x
@@ -63,6 +66,7 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
+            self.classes -= 1
 
 
 def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
@@ -71,7 +75,7 @@ def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
         if factors is None:
             raise InputError("inseparability needs a product profile set")
         return factors
-    return tuple(tuple(sorted(set(f))) for f in region)
+    return check_factors(rule.space, region)
 
 
 @dataclass(frozen=True)
@@ -90,34 +94,33 @@ class InseparabilityPartition:
 def inseparability_classes(rule: ChoiceRule, region, agent: int) -> InseparabilityPartition:
     """Equivalence classes of agent's types on a product set.
 
-    Direct edges come from scanning outcome fibers per opponent profile:
-    types sharing an outcome against some fixed opponents are joined, and
-    the union-find closure yields the partition.
+    Direct edges come from the outcome fibers of each opponent row: the
+    outcomes of the agent's types against one fixed opponent profile.
+    Types sharing an outcome in some row are joined, and the union-find
+    closure yields the partition.  Opponent profiles with equal rows give
+    equal edges, so each distinct row is scanned once, and the scan stops
+    once all types are joined.
     """
     factors = _as_factors(rule, region)
     space = rule.space
     if not 0 <= agent < space.n:
         raise InputError(f"unknown agent {agent}")
     types = factors[agent]
-    pos = {t: k for k, t in enumerate(types)}
+    table, stride = rule.table, space.strides[agent]
+    bases = product_indices(space, factors[:agent] + ((0,),) + factors[agent + 1:])
+    columns = [[table[b + t * stride] for b in bases] for t in types]
     uf = UnionFind(len(types))
-    others = [factors[i] for i in range(space.n) if i != agent]
-    other_agents = [i for i in range(space.n) if i != agent]
-    base = [0] * space.n
-    for combo in itertools.product(*others):
-        for i, t in zip(other_agents, combo):
-            base[i] = t
+    for row in set(zip(*columns)):
+        if uf.classes <= 1:
+            break
         fiber: dict[int, int] = {}
-        for t in types:
-            base[agent] = t
-            x = rule.table[space.index(tuple(base))]
-            if x in fiber:
-                uf.union(fiber[x], pos[t])
-            else:
-                fiber[x] = pos[t]
+        for p, x in enumerate(row):
+            q = fiber.setdefault(x, p)
+            if q != p:
+                uf.union(q, p)
     groups: dict[int, list[int]] = {}
-    for t in types:
-        groups.setdefault(uf.find(pos[t]), []).append(t)
+    for p, t in enumerate(types):
+        groups.setdefault(uf.find(p), []).append(t)
     classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
     return InseparabilityPartition(agent, factors, classes)
 
@@ -296,7 +299,11 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
     """Two-agent square test: three equal corners force the fourth.
 
     A fast necessary condition for contextual privacy; the first failing
-    square in scan order is reported.
+    square in scan order is reported.  A square on the unilateral pair
+    ``(k, ki)`` and agent ``j`` lies in the pair's two rows along ``j``;
+    the squares of a row pair are tried only if :func:`_rows_may_fail`
+    says the rows can hold a failing square, which is decided once per
+    row pair, when the scan first reaches it.
     """
     space = rule.space
     if space.n < 2:
@@ -305,10 +312,23 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
     member = mask_flags(universe, space.total)
     table = rule.table
     keys = mask_indices(universe)
+    # per agent i, the later agents j with their strides, sizes and the
+    # row-pair flags, keyed by the row of k and the type ti2
+    later = [
+        [(j, space.strides[j], space.sizes[j], {}) for j in range(i + 1, space.n)]
+        for i in range(space.n)
+    ]
     for k, i, ti2, ki in unilateral_pairs(space, keys, universe):
-        for j in range(i + 1, space.n):
-            sj, size_j = space.strides[j], space.sizes[j]
+        for j, sj, size_j, may_fail in later[i]:
             tj = k // sj % size_j
+            a = k - tj * sj
+            flag = may_fail.get((a, ti2))
+            if flag is None:
+                flag = may_fail[a, ti2] = _rows_may_fail(
+                    table, member, a, ki - k, sj, size_j
+                )
+            if not flag:
+                continue
             for tj2 in range(tj + 1, size_j):
                 d = (tj2 - tj) * sj
                 if not member[k + d] or not member[ki + d]:
@@ -330,6 +350,30 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
                         ),
                     )
     return CornersResult(True)
+
+
+def _rows_may_fail(table, member, a: int, shift: int, stride: int, size: int) -> bool:
+    """Whether rows ``a`` and ``a + shift`` (profile ``a + c * stride`` for
+    each type ``c`` of one agent, and that profile shifted), on the columns
+    where both profiles are in the region, hold a square with exactly three
+    equal corners.
+
+    Such a square has one column whose two outcomes are equal, to ``v``
+    say, and one whose two outcomes differ, one of them being ``v``.  So
+    the rows hold one iff some value of an equal column is a value of an
+    unequal column.
+    """
+    b, end = a + shift, a + size * stride
+    cells = [
+        (x, y)
+        for x, y, p, q in zip(
+            table[a:end:stride], table[b:end + shift:stride],
+            member[a:end:stride], member[b:end + shift:stride],
+        )
+        if p and q
+    ]
+    equal = {x for x, y in cells if x == y}
+    return bool(equal) and any(x in equal or y in equal for x, y in cells if x != y)
 
 
 def _corner_defect(o00, o10, o01, o11):
@@ -414,32 +458,21 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
 
 
 def _constant_on_factors(rule: ChoiceRule, factors) -> bool:
-    """True iff the rule takes at most one outcome on the product set."""
-    space = rule.space
-    outcomes = set()
-    for combo in itertools.product(*factors):
-        outcomes.add(rule.table[space.index(combo)])
-        if len(outcomes) > 1:
-            return False
-    return True
+    """True iff the rule takes at most one outcome on the (checked) product set."""
+    table = rule.table
+    keys = product_indices(rule.space, factors)
+    first = table[keys[0]]
+    return all(table[k] == first for k in keys)
 
 
 def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
     """Re-derivation of the certificate: non-constant on the product set,
     and every agent's factor lies inside one inseparability class."""
-    space = rule.space
-    if len(witness.factors) != space.n:
-        raise InputError("witness factor count differs from agent count")
-    for i, f in enumerate(witness.factors):
-        if not f:
-            raise InputError(f"agent {i}: empty witness factor")
-        for t in f:
-            if not 0 <= t < space.sizes[i]:
-                raise InputError(f"agent {i}: witness type index {t} out of range")
-    if _constant_on_factors(rule, witness.factors):
+    factors = check_factors(rule.space, witness.factors, "witness ")
+    if _constant_on_factors(rule, factors):
         return False
-    for agent in range(space.n):
-        part = inseparability_classes(rule, witness.factors, agent)
+    for agent in range(rule.space.n):
+        part = inseparability_classes(rule, factors, agent)
         if len(part.classes) != 1:
             return False
     return True

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cpv
-from cpv.cli import main
+from cpv.cli import instance_to_json, main, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS
 from cpv.privacy import check_protocol_cp
 
@@ -278,6 +278,30 @@ def _fair_with(**fields) -> str:
     return json.dumps({**FAIR_INSTANCE, **fields})
 
 
+def _count_bundle_with(edit) -> str:
+    """The count clock bundle as ``builtin --emit`` writes it, after ``edit``."""
+    bundle = BUILTIN_PROTOCOLS["count_ascending_kplus1_price"](
+        {"k": 1, "n": 3, "values": [1, 2, 3]}
+    )
+    doc = instance_to_json(bundle.instance)
+    protocol = protocol_to_json(bundle.protocol, bundle.phase)
+    doc["protocol"] = {k: v for k, v in protocol.items() if k not in ("schema", "space")}
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path: str, value):
+    """An edit that sets the field at the slash-separated ``path``."""
+    *parents, last = path.split("/")
+
+    def edit(doc):
+        for key in parents:
+            doc = doc[int(key) if isinstance(doc, list) else key]
+        doc[int(last) if isinstance(doc, list) else last] = value
+
+    return edit
+
+
 # (file text or None, command, recursion limit, expected JSON pointer of the
 # error or "resource"); 1000 is the interpreter's default limit.
 MALFORMED = {
@@ -304,6 +328,28 @@ MALFORMED = {
     ),
     "universe profile is a number": (
         _fair_with(universe=[1, 2]), ["validate"], 1000, "/universe/0"
+    ),
+    "outcomes is a number": (
+        _count_bundle_with(_set("outcomes", 5)), ["validate"], 1000, "/outcomes"
+    ),
+    "phase is a number": (
+        _count_bundle_with(_set("protocol/phase", 5)), ["validate"], 1000, "/phase"
+    ),
+    "children is a number": (
+        _count_bundle_with(_set("protocol/tree/children", 5)), ["validate"], 1000,
+        "/tree/children",
+    ),
+    "query cell is a number": (
+        _count_bundle_with(_set("protocol/tree/query/cells/0", 5)), ["validate"], 1000,
+        "/tree/query/cells/0",
+    ),
+    "components row is a number": (
+        _count_bundle_with(_set("components/winners=1,price=1", 5)), ["validate"], 1000,
+        "/components/winners=1,price=1",
+    ),
+    "type_scores is a number": (
+        _count_bundle_with(_set("model/type_scores", 5)), ["validate"], 1000,
+        "/model/type_scores",
     ),
     "deep tree emitted under a low recursion limit": (
         None,

@@ -25,6 +25,8 @@ from cpv.core import (
     mask_flags,
     mask_indices,
     mask_of_flags,
+    product_indices,
+    restrict_rule,
 )
 from cpv.protocol import (
     CountQuery,
@@ -125,6 +127,13 @@ def random_query(rng: random.Random, space: TypeSpace, kind: str):
         return MultiCountQuery(subsets, random_partition(rng, vectors))
     cells = random_partition(rng, list(range(space.total)))
     return ExtensionalQuery(tuple(sum(1 << k for k in cell) for cell in cells))
+
+
+def random_factors(rng: random.Random, space: TypeSpace) -> list[list[int]]:
+    return [
+        sorted(set(rng.randrange(size) for _ in range(rng.randint(1, 3))))
+        for size in space.sizes
+    ]
 
 
 def random_rule(rng: random.Random, space: TypeSpace) -> ChoiceRule:
@@ -241,6 +250,25 @@ class TestMaskPrimitives:
             for profile in itertools.product(*factors):
                 naive |= 1 << space.index(profile)
             assert ProfileSet.from_factors(space, factors).mask == naive
+
+    def test_product_indices(self):
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            space = random_space(rng, False)
+            factors = random_factors(rng, space)
+            naive = [space.index(p) for p in itertools.product(*factors)]
+            assert product_indices(space, factors) == naive
+
+    def test_restrict_rule(self):
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            space = random_space(rng, False)
+            rule = random_rule(rng, space)
+            factors = random_factors(rng, space)
+            view = restrict_rule(rule, ProfileSet.from_factors(space, factors))
+            naive = tuple(rule.table[space.index(p)] for p in itertools.product(*factors))
+            assert view.rule.table == naive
+            assert view.constant is (len(set(naive)) == 1)
 
     def test_constant_on(self):
         for seed in SEEDS:

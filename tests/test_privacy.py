@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Witness
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Witness, mask_flags
 from cpv.mechanisms import (
     fair_tiebreak_2x2,
     fair_two_query_protocol,
     fig_shaded_3x3,
+    first_price,
     non_clinching,
     second_price,
     serial_dictatorship,
     serial_dictatorship_protocol,
 )
 from cpv.privacy import (
+    CornersResult,
+    CornersViolation,
+    _rows_may_fail,
     check_nonbossy,
     check_protocol_cp,
     check_protocol_gcp,
@@ -387,3 +392,276 @@ class TestEquivalenceProperties:
             assert icp
         if icp:
             assert nonbossy
+
+
+# --- slow oracles for the product-set kernel ------------------------------------------
+#
+# Both are the per-profile loops the kernel replaced: every profile goes
+# through the checked ``TypeSpace.index``, inseparability runs its fibers
+# once per opponent profile, and the corners scan tries every square in
+# the unilateral scan order (base profile, agent i, raised type, agent j,
+# raised type) with no row-pair filter.
+
+
+def slow_inseparability(rule: ChoiceRule, factors, agent: int):
+    space = rule.space
+    factors = tuple(tuple(sorted(set(f))) for f in factors)
+    types = factors[agent]
+    rep = {t: t for t in types}
+
+    def join(a, b):
+        ra, rb = rep[a], rep[b]
+        if ra != rb:
+            for t in types:
+                if rep[t] == rb:
+                    rep[t] = ra
+
+    others = [i for i in range(space.n) if i != agent]
+    base = [0] * space.n
+    for combo in itertools.product(*(factors[i] for i in others)):
+        for i, t in zip(others, combo):
+            base[i] = t
+        fiber = {}
+        for t in types:
+            base[agent] = t
+            x = rule.table[space.index(tuple(base))]
+            if x in fiber:
+                join(fiber[x], t)
+            else:
+                fiber[x] = t
+    groups = {}
+    for t in types:
+        groups.setdefault(rep[t], []).append(t)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def slow_corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersResult:
+    space, table = rule.space, rule.table
+    if space.n < 2:
+        return CornersResult(True)
+    inside = set(region.indices()) if region is not None else set(range(space.total))
+
+    def moved(profile, agent, t):
+        out = list(profile)
+        out[agent] = t
+        return tuple(out)
+
+    for k in sorted(inside):
+        p00 = space.profile(k)
+        for i in range(space.n):
+            for ti2 in range(p00[i] + 1, space.sizes[i]):
+                p10 = moved(p00, i, ti2)
+                if space.index(p10) not in inside:
+                    continue
+                for j in range(i + 1, space.n):
+                    for tj2 in range(p00[j] + 1, space.sizes[j]):
+                        p01, p11 = moved(p00, j, tj2), moved(p10, j, tj2)
+                        if space.index(p01) not in inside or space.index(p11) not in inside:
+                            continue
+                        o00, o10, o01, o11 = (
+                            table[space.index(p)] for p in (p00, p10, p01, p11)
+                        )
+                        for three, fourth in (
+                            ((o00, o10, o01), o11),
+                            ((o00, o10, o11), o01),
+                            ((o00, o01, o11), o10),
+                            ((o10, o01, o11), o00),
+                        ):
+                            if three[0] == three[1] == three[2] != fourth:
+                                return CornersResult(
+                                    False,
+                                    CornersViolation(
+                                        i, j, (p00[i], ti2), (p00[j], tj2), p00,
+                                        rule.outcomes[three[0]], rule.outcomes[fourth],
+                                    ),
+                                )
+    return CornersResult(True)
+
+
+def any_space(rng: random.Random) -> TypeSpace:
+    """One to four agents with one to four types each; alphabets common or not."""
+    n = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        return TypeSpace.shared(n, tuple(f"t{j}" for j in range(rng.randint(1, 4))))
+    return TypeSpace(
+        tuple(tuple(f"a{i}t{j}" for j in range(rng.randint(1, 4))) for i in range(n))
+    )
+
+
+def any_rule(seed: int) -> ChoiceRule:
+    rng = random.Random(seed)
+    space = any_space(rng)
+    outcomes = tuple(f"x{j}" for j in range(rng.randint(1, 4)))
+    table = tuple(rng.randrange(len(outcomes)) for _ in range(space.total))
+    return ChoiceRule(space, outcomes, table)
+
+
+def sub_factors(rng: random.Random, space: TypeSpace):
+    """Nonempty factors: the full alphabet, one type, or a random subset."""
+    out = []
+    for size in space.sizes:
+        shape = rng.choice(("full", "one", "some"))
+        if shape == "full":
+            out.append(tuple(range(size)))
+        elif shape == "one":
+            out.append((rng.randrange(size),))
+        else:
+            out.append(tuple(sorted(rng.sample(range(size), rng.randint(1, size)))))
+    return tuple(out)
+
+
+def holey_region(rng: random.Random, space: TypeSpace) -> ProfileSet:
+    keep = rng.choice((0.5, 0.8, 0.95))
+    return ProfileSet.from_indices(
+        space, [k for k in range(space.total) if rng.random() < keep]
+    )
+
+
+def row_pairs(space: TypeSpace):
+    """Every row pair ``(a, shift, stride, size)`` of every ordered agent pair
+    (i, j): the row of agent j's types through base profile ``a`` (agent j
+    at type 0) and that row with agent i's type raised, ``shift`` further."""
+    for i, j in itertools.permutations(range(space.n), 2):
+        si, sj, size_j = space.strides[i], space.strides[j], space.sizes[j]
+        for a in range(space.total):
+            if a // sj % size_j:
+                continue
+            ti = a // si % space.sizes[i]
+            for ti2 in range(ti + 1, space.sizes[i]):
+                yield a, (ti2 - ti) * si, sj, size_j
+
+
+KERNEL_SEEDS = range(150)
+
+
+class TestProductSetKernel:
+    def test_inseparability_matches_per_profile_loop(self):
+        for seed in KERNEL_SEEDS:
+            rule = any_rule(seed)
+            rng = random.Random(seed ^ 0x5EED)
+            full = tuple(tuple(range(s)) for s in rule.space.sizes)
+            for factors in (full, sub_factors(rng, rule.space), sub_factors(rng, rule.space)):
+                for agent in range(rule.space.n):
+                    part = inseparability_classes(rule, factors, agent)
+                    assert part.classes == slow_inseparability(rule, factors, agent), (
+                        seed, factors, agent,
+                    )
+
+    def test_inseparability_on_a_profile_set_region(self):
+        for seed in KERNEL_SEEDS:
+            rule = any_rule(seed)
+            factors = sub_factors(random.Random(seed), rule.space)
+            region = ProfileSet.from_factors(rule.space, factors)
+            for agent in range(rule.space.n):
+                part = inseparability_classes(rule, region, agent)
+                assert part.classes == slow_inseparability(rule, factors, agent)
+
+    def test_corners_matches_ordered_scan(self):
+        for seed in KERNEL_SEEDS:
+            rule = any_rule(seed)
+            assert corners_scan(rule) == slow_corners_scan(rule), seed
+
+    def test_corners_matches_ordered_scan_on_regions_with_holes(self):
+        for seed in KERNEL_SEEDS:
+            rule = any_rule(seed)
+            region = holey_region(random.Random(seed ^ 0xF00D), rule.space)
+            assert corners_scan(rule, region) == slow_corners_scan(rule, region), seed
+
+    def test_corners_matches_ordered_scan_on_corpus_rules(self):
+        for seed in corpus_seeds(60, offset=7):
+            rule = random_rule(seed, max_agents=4, max_types=4)
+            assert corners_scan(rule) == slow_corners_scan(rule), seed
+
+    def test_row_pair_filter_is_exact(self):
+        # a row pair is flagged iff one of its squares has exactly three equal corners
+        for seed in range(60):
+            rule = any_rule(seed)
+            space = rule.space
+            region = holey_region(random.Random(seed), space)
+            member = mask_flags(region.mask, space.total)
+            table = rule.table
+            for a, shift, stride, size in row_pairs(space):
+                cols = [
+                    (table[k], table[k + shift])
+                    for k in range(a, a + size * stride, stride)
+                    if member[k] and member[k + shift]
+                ]
+                defect = any(
+                    [x, y, u, v].count(w) == 3
+                    for (x, y), (u, v) in itertools.combinations(cols, 2)
+                    for w in (x, y, u, v)
+                )
+                assert _rows_may_fail(table, member, a, shift, stride, size) is defect
+
+    def test_no_row_pair_flagged(self):
+        # first price is privately implementable: no failing square, no flagged row pair
+        rule = first_price(3, [1, 2, 3, 4, 5]).rule
+        space = rule.space
+        member = mask_flags((1 << space.total) - 1, space.total)
+        for a, shift, stride, size in row_pairs(space):
+            assert not _rows_may_fail(rule.table, member, a, shift, stride, size)
+        assert corners_scan(rule) == slow_corners_scan(rule) == CornersResult(True)
+
+    def test_only_defect_late_in_scan_order(self):
+        # all outcomes distinct except three corners of the last square that
+        # agents 2 and 3 span, with agent 1 at its last type
+        space = TypeSpace.shared(3, ("a", "b", "c"))
+        table = list(range(space.total))
+        shared = space.index((2, 1, 1))
+        for profile in ((2, 1, 2), (2, 2, 1)):
+            table[space.index(profile)] = shared
+        rule = ChoiceRule(space, tuple(f"x{k}" for k in range(space.total)), tuple(table))
+        result = corners_scan(rule)
+        assert result == slow_corners_scan(rule)
+        assert result.violation == CornersViolation(
+            1, 2, (1, 2), (1, 2), (2, 1, 1), f"x{shared}", f"x{space.index((2, 2, 2))}"
+        )
+        region = ProfileSet.from_indices(space, set(range(space.total)) - {shared})
+        assert corners_scan(rule, region) == slow_corners_scan(rule, region) == CornersResult(True)
+
+    def test_flags_are_per_row_pair(self):
+        # rows 0 and 2 of agent 1 hold the only failing square; rows 0 and 1
+        # share the base row 0 but hold none
+        space = TypeSpace((("a", "b", "c"), ("a", "b")))
+        rule = ChoiceRule(space, ("A", "B", "C", "D"), (0, 0, 2, 3, 0, 1))
+        result = corners_scan(rule)
+        assert result == slow_corners_scan(rule)
+        assert result.violation == CornersViolation(0, 1, (0, 2), (0, 1), (0, 0), "A", "B")
+
+    def test_one_agent_has_no_squares(self):
+        rule = ChoiceRule(TypeSpace.shared(1, ("a", "b", "c")), ("x", "y"), (0, 0, 1))
+        assert corners_scan(rule) == slow_corners_scan(rule) == CornersResult(True)
+
+
+class TestFactorCheck:
+    """Factors are checked once per call; the scans then index the rule table
+    by arithmetic, where a negative type would wrap round the table."""
+
+    CASES = {
+        "out of range": (((0, 2), (0, 1)), "agent 0: {}type index 2 out of range"),
+        "negative": (((0, 1), (-1, 1)), "agent 1: {}type index -1 out of range"),
+        "too few factors": (((0, 1),), "{}factor count differs from agent count"),
+        "too many factors": (((0,), (0,), (0,)), "{}factor count differs from agent count"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inseparability_refuses(self, case):
+        factors, message = self.CASES[case]
+        rule = fair_tiebreak_2x2().rule
+        for agent in range(2):
+            with pytest.raises(InputError, match=message.format("")):
+                inseparability_classes(rule, factors, agent)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_witness_verify_refuses(self, case):
+        factors, message = self.CASES[case]
+        rule = fair_tiebreak_2x2().rule
+        with pytest.raises(InputError, match=message.format("witness ")):
+            witness_verify(rule, Witness(factors))
+
+    def test_empty_factor_refused(self):
+        rule = fair_tiebreak_2x2().rule
+        with pytest.raises(InputError, match="agent 1: empty factor"):
+            inseparability_classes(rule, ((0, 1), ()), 0)
+        with pytest.raises(InputError, match="agent 1: empty witness factor"):
+            witness_verify(rule, Witness(((0, 1), ())))
