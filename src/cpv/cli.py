@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +30,7 @@ from cpv.core import (
     TypeSpace,
     Witness,
     product_factorization,
+    record,
 )
 from cpv.mechanisms import (
     BUILTIN_PROTOCOLS,
@@ -339,23 +339,29 @@ def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
     return NodeSpec(query, children)
 
 
-def protocol_from_json(doc, space: TypeSpace | None) -> tuple[Protocol, Optional[tuple[int, ...]]]:
-    _check_schema(doc)
+def protocol_from_json(
+    doc, space: TypeSpace | None, pointer: str = ""
+) -> tuple[Protocol, Optional[tuple[int, ...]]]:
+    """Protocol and phase of a protocol document found at ``pointer``: ``""``
+    for a protocol file, ``"/protocol"`` for the object embedded in a bundle."""
+    _check_schema(doc, pointer)
     if "space" in doc:
-        own = _space_from_json(doc["space"], "/space")
+        own = _space_from_json(doc["space"], f"{pointer}/space")
         if space is not None and own.alphabets != space.alphabets:
-            raise LoadError("/space", "protocol and instance type spaces differ")
+            raise LoadError(f"{pointer}/space", "protocol and instance type spaces differ")
         space = own
     if space is None:
-        raise LoadError("/space", "protocol file needs a space or an instance")
-    universe = _universe_from_json(doc, space, "")
-    spec = _spec_from_json(space, _expect(doc, "tree", dict, ""), "/tree")
+        raise LoadError(f"{pointer}/space", "protocol file needs a space or an instance")
+    universe = _universe_from_json(doc, space, pointer)
+    spec = _spec_from_json(space, _expect(doc, "tree", dict, pointer), f"{pointer}/tree")
     protocol = build_from_spec(space, spec, universe)
-    phase = tuple(_list_of(doc["phase"], int, "/phase", "a node id")) if "phase" in doc else None
+    phase = None
+    if "phase" in doc:
+        phase = tuple(_list_of(doc["phase"], int, f"{pointer}/phase", "a node id"))
     return protocol, phase
 
 
-@dataclass
+@record
 class Loaded:
     instance: Instance
     protocol: Optional[Protocol] = None
@@ -368,7 +374,9 @@ def load(instance_path: str, protocol_path: str | None = None) -> Loaded:
     protocol, phase = None, None
     if "protocol" in doc:
         protocol, phase = protocol_from_json(
-            {"schema": doc["schema"], **_expect(doc, "protocol", dict, "")}, instance.space
+            {"schema": doc["schema"], **_expect(doc, "protocol", dict, "")},
+            instance.space,
+            "/protocol",
         )
     if protocol_path is not None:
         pdoc = _read_json(protocol_path)

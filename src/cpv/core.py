@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -26,12 +25,105 @@ class ResourceError(RuntimeError):
     """A configured cap (profiles, states, enumeration size) was exceeded."""
 
 
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a :func:`record`."""
+
+
+def record(cls):
+    """Class decorator: ``cls`` becomes an immutable record of its fields.
+
+    The fields are the names annotated in the class body, in order; a
+    class attribute of the same name is the field's default.  Both are read
+    once, here.  The installed methods are shared by every record and
+    compile nothing per class: ``__init__`` binds positional and keyword
+    arguments and defaults, then calls ``__post_init__`` if the class has
+    one (which may set fields through ``object.__setattr__``); ``__eq__``
+    and ``__hash__`` use the tuple of field values, and equality holds only
+    between instances of the same class; ``__repr__`` reads
+    ``Name(a=1, b=2)``; ``__setattr__`` and ``__delattr__`` raise
+    :class:`FrozenRecordError`.  This is what
+    ``dataclasses.dataclass(frozen=True)`` gives such a class, without the
+    cost of generating its methods at import.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    cls._record_fields = fields
+    cls._record_defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    cls._record_post_init = cls.__dict__.get("__post_init__")
+    cls.__init__ = _record_init
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _record_init(self, *args, **kwargs) -> None:
+    cls = type(self)
+    fields = cls._record_fields
+    if kwargs or len(args) != len(fields):
+        args = _record_bind(cls, args, kwargs)
+    self.__dict__.update(zip(fields, args))
+    if cls._record_post_init is not None:
+        cls._record_post_init(self)
+
+
+def _record_bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """All field values, in order, from arguments and defaults."""
+    fields, name = cls._record_fields, cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+        )
+    bound = dict(zip(fields, args))
+    for key, value in kwargs.items():
+        if key not in fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in bound:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        bound[key] = value
+    values = {**cls._record_defaults, **bound}
+    missing = [f for f in fields if f not in values]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+    return tuple([values[f] for f in fields])
+
+
+def _record_values(self) -> tuple:
+    values = self.__dict__
+    return tuple([values[f] for f in self._record_fields])
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    values = self.__dict__
+    inner = ", ".join(f"{f}={values[f]!r}" for f in self._record_fields)
+    return f"{type(self).__qualname__}({inner})"
+
+
+def _record_setattr(self, name: str, value) -> None:
+    raise FrozenRecordError(f"cannot assign to {name!r} of an immutable record")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise FrozenRecordError(f"cannot delete {name!r} of an immutable record")
+
+
 PROFILE_CAP_DEFAULT = 1 << 20
 
 Profile = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TypeSpace:
     """Per-agent finite type alphabets; the ambient product space."""
 
@@ -225,7 +317,7 @@ def profile_of_index(space: TypeSpace, index: int) -> Profile:
     return space.profile(index)
 
 
-@dataclass(frozen=True)
+@record
 class ProfileSet:
     """A subset of profiles as a dense bitmask over profile indices."""
 
@@ -307,7 +399,7 @@ def product_factorization(space: TypeSpace, pset: ProfileSet):
     return factors
 
 
-@dataclass(frozen=True)
+@record
 class ChoiceRule:
     """Total map from profile indices to outcome ids.
 
@@ -386,7 +478,7 @@ def constant_on(rule: ChoiceRule, mask: int) -> bool:
     return all(table[k] == first for k in keys)
 
 
-@dataclass(frozen=True)
+@record
 class RestrictedRule:
     """The rule evaluated on a product subset; outcome ids are unchanged."""
 
@@ -413,7 +505,7 @@ def restrict_rule(rule: ChoiceRule, pset: ProfileSet) -> RestrictedRule:
     return RestrictedRule(sub, factors, constant)
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """Product set on which the rule is non-constant yet, for every agent,
     all factor types are inseparable.  Certifies that no contextually

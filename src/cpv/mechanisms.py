@@ -8,11 +8,10 @@ lexicographically by agent index throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, constant_on
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, constant_on, record
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -27,7 +26,7 @@ class UnsupportedProtocolError(InputError):
     """The operation supports a narrower protocol class than it was given."""
 
 
-@dataclass(frozen=True)
+@record
 class DomainModel:
     """Economic side data; builders fill in what their domain defines."""
 
@@ -54,7 +53,7 @@ class DomainModel:
         raise InputError(f"no score for school {school!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     space: TypeSpace
     rule: ChoiceRule
@@ -62,7 +61,7 @@ class Instance:
     universe: ProfileSet | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolBundle:
     instance: Instance
     protocol: Protocol
@@ -862,7 +861,7 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
 # rule properties
 
 
-@dataclass(frozen=True)
+@record
 class PropertyResult:
     ok: bool
     counterexample: Optional[dict] = None
@@ -1075,7 +1074,7 @@ def outcome_rank_fn(rule: ChoiceRule, model: DomainModel) -> Callable[[int, int,
 # obvious dominance
 
 
-@dataclass(frozen=True)
+@record
 class OspResult:
     ok: bool
     node: Optional[int] = None

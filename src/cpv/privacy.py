@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from cpv.core import (
@@ -35,6 +34,7 @@ from cpv.core import (
     mask_indices,
     product_factorization,
     product_indices,
+    record,
     unilateral_pairs,
 )
 from cpv.protocol import (
@@ -78,7 +78,7 @@ def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
     return check_factors(rule.space, region)
 
 
-@dataclass(frozen=True)
+@record
 class InseparabilityPartition:
     agent: int
     factors: tuple[tuple[int, ...], ...]
@@ -129,7 +129,7 @@ def inseparability_classes(rule: ChoiceRule, region, agent: int) -> Inseparabili
 # protocol-level checks
 
 
-@dataclass(frozen=True)
+@record
 class CpViolation:
     agent: int
     type_a: int
@@ -141,7 +141,7 @@ class CpViolation:
     detail: str  # the shared outcome (or component) that should have differed
 
 
-@dataclass(frozen=True)
+@record
 class CpVerdict:
     holds: bool
     violation: Optional[CpViolation] = None
@@ -222,7 +222,7 @@ def _own_components(rule: ChoiceRule) -> list[list[str]]:
     ]
 
 
-@dataclass(frozen=True)
+@record
 class GcpVerdict:
     holds: bool
     node: Optional[int] = None  # query whose children reach overlapping outcomes
@@ -275,7 +275,7 @@ def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> GcpVerdict:
 # corners scan
 
 
-@dataclass(frozen=True)
+@record
 class CornersViolation:
     agent_i: int
     agent_j: int
@@ -286,7 +286,7 @@ class CornersViolation:
     fourth_outcome: str
 
 
-@dataclass(frozen=True)
+@record
 class CornersResult:
     ok: bool
     violation: Optional[CornersViolation] = None
@@ -392,7 +392,7 @@ def _corner_defect(o00, o10, o01, o11):
 # synthesis and witnesses
 
 
-@dataclass(frozen=True)
+@record
 class SynthesisResult:
     protocol: Optional[Protocol] = None
     witness: Optional[Witness] = None
@@ -451,9 +451,12 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
         protocol = build_protocol(space, step, root_factors, universe)
     except _WitnessFound as found:
         return SynthesisResult(witness=Witness(tuple(found.factors)))
-    assert validate_protocol(protocol).ok
-    assert implements(protocol, rule)
-    assert check_protocol_cp(protocol, rule).holds
+    if not validate_protocol(protocol).ok:
+        raise AssertionError("synthesized protocol fails validation (bug)")
+    if not implements(protocol, rule):
+        raise AssertionError("synthesized protocol does not implement the rule (bug)")
+    if not check_protocol_cp(protocol, rule).holds:
+        raise AssertionError("synthesized protocol is not contextually private (bug)")
     return SynthesisResult(protocol=protocol)
 
 
@@ -547,7 +550,7 @@ def witness_oracle(
 # non-bossiness
 
 
-@dataclass(frozen=True)
+@record
 class NonbossyResult:
     ok: bool
     violation: Optional[tuple[int, int, int, Profile, int]] = None

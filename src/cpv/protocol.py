@@ -10,7 +10,6 @@ contracted away (they transmit nothing).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from cpv.core import (
@@ -22,6 +21,7 @@ from cpv.core import (
     TypeSpace,
     constant_on,
     mask_indices,
+    record,
 )
 
 
@@ -38,7 +38,7 @@ class ProtocolDefect(InputError):
 # queries
 
 
-@dataclass(frozen=True)
+@record
 class ElicitQuery:
     """Individual elicitation: cells partition agent ``agent``'s alphabet."""
 
@@ -56,7 +56,7 @@ class ElicitQuery:
         _check_partition(self.cells, range(space.sizes[self.agent]), path, "type")
 
 
-@dataclass(frozen=True)
+@record
 class CountQuery:
     """Cells partition {0..n}; a profile falls in the cell holding the
     number of agents whose type lies in ``subset``."""
@@ -73,7 +73,7 @@ class CountQuery:
         _check_partition(self.cells, range(space.n + 1), path, "count")
 
 
-@dataclass(frozen=True)
+@record
 class MultiCountQuery:
     """Cells partition {0..n}^l over the joint counts of ``subsets``."""
 
@@ -91,7 +91,7 @@ class MultiCountQuery:
         _check_partition(self.cells, domain, path, "count vector")
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionalQuery:
     """Children given outright as profile-set masks over the full space."""
 
@@ -200,7 +200,7 @@ def _count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...]
 # protocol trees
 
 
-@dataclass(frozen=True)
+@record
 class Node:
     id: int
     parent: int  # -1 for the root
@@ -215,7 +215,7 @@ class Node:
         return not self.children
 
 
-@dataclass(frozen=True)
+@record
 class Protocol:
     space: TypeSpace
     universe: int  # root label mask; full space unless restricted
@@ -298,7 +298,7 @@ def build_protocol(
     return Protocol(space, root, nodes, tuple(notes))
 
 
-@dataclass(frozen=True)
+@record
 class NodeSpec:
     """Explicit nested description of a protocol (what files deserialize to).
 
@@ -339,7 +339,7 @@ def build_from_spec(
 # --- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     defects: tuple[str, ...]
@@ -374,14 +374,14 @@ def validate_protocol(protocol: Protocol) -> ValidationReport:
 # --- execution ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TranscriptStep:
     node: int
     query: str
     answer: int  # position among the node's children
 
 
-@dataclass(frozen=True)
+@record
 class Transcript:
     steps: tuple[TranscriptStep, ...]
     leaf: int
@@ -429,7 +429,7 @@ def run_protocol(
 # --- semantic relations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ImplementsResult:
     ok: bool
     leaf: Optional[int] = None
@@ -491,7 +491,7 @@ def earliest_departure(protocol: Protocol, p: Profile, q: Profile) -> int:
 # --- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class QueryClass:
     kind: str  # elicit | count | multicount | extensional
     agent: Optional[int] = None

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from cpv.core import (
@@ -36,6 +35,7 @@ from cpv.core import (
     TypeSpace,
     constant_on,
     mask_indices,
+    record,
     unilateral_pairs,
 )
 from cpv.mechanisms import (
@@ -58,7 +58,7 @@ from cpv.protocol import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class QueryFamily:
     allow_elicit: bool = True
     allow_count: bool = False
@@ -82,7 +82,7 @@ class QueryFamily:
         )
 
 
-@dataclass(frozen=True)
+@record
 class SearchBudget:
     max_states: int = 100_000
     max_depth: int | None = None
@@ -100,7 +100,7 @@ class SearchBudget:
         return time.monotonic() + self.max_seconds
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     status: str  # found | nonexistent | budget_exhausted
     protocol: Optional[Protocol] = None
@@ -119,7 +119,7 @@ class _BudgetExhausted(Exception):
 # candidate queries
 
 
-@dataclass(frozen=True)
+@record
 class _Candidate:
     query: Query
     cell_masks: tuple[int, ...]  # nonempty cells on the state
@@ -249,7 +249,8 @@ def _solve(
         return None if cand is None else (cand.query, lambda c, m: None)
 
     protocol = build_protocol(rule.space, step, None, ProfileSet(rule.space, root))
-    assert implements(protocol, rule)
+    if not implements(protocol, rule):
+        raise AssertionError("search result does not implement the rule (bug)")
     return SearchResult("found", protocol, states_seen)
 
 
@@ -299,7 +300,8 @@ def exhaustive_cp_search(
                 yield cand
 
     result = _solve(rule, root, candidates, budget)
-    assert not result.found or check_protocol_cp(result.protocol, rule).holds
+    if result.found and not check_protocol_cp(result.protocol, rule).holds:
+        raise AssertionError("search found a protocol that is not contextually private (bug)")
     return result
 
 
@@ -353,7 +355,8 @@ def exhaustive_osp_search(
                     yield _Candidate(query, masks)
 
     result = _solve(rule, _root(space, universe), candidates, budget)
-    assert not result.found or check_protocol_osp(result.protocol, rule, model).ok
+    if result.found and not check_protocol_osp(result.protocol, rule, model).ok:
+        raise AssertionError("search found a protocol that is not obviously strategyproof (bug)")
     return result
 
 
@@ -361,7 +364,7 @@ def exhaustive_osp_search(
 # obstruction scan
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionEntry:
     kind: str  # elicit | count | multicount
     detail: str
@@ -373,7 +376,7 @@ class ObstructionEntry:
         return self.violation is None
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionReport:
     entries: tuple[ObstructionEntry, ...]
     nonconstant: bool

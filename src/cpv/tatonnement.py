@@ -9,22 +9,21 @@ conditions and cross-checks the implication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from cpv.core import ChoiceRule, InputError
+from cpv.core import ChoiceRule, InputError, record
 from cpv.privacy import _leaf_list, _outcome_values, _unilateral_scan, check_protocol_cp
 from cpv.protocol import Protocol, implements, outcome_reach
 
 
-@dataclass(frozen=True)
+@record
 class Phase:
     nodes: frozenset[int]
     initial: bool
     end: tuple[int, ...]  # precedence-maximal members
 
 
-@dataclass(frozen=True)
+@record
 class PhaseReport:
     ok: bool
     defect: Optional[str] = None
@@ -61,7 +60,7 @@ def validate_phase(protocol: Protocol, node_ids) -> PhaseReport:
     return PhaseReport(True, None, Phase(frozenset(members), 0 in members, end))
 
 
-@dataclass(frozen=True)
+@record
 class TatonnementVerdict:
     holds: bool
     failure: Optional[str] = None  # disjointness | coverage | subtree
@@ -121,10 +120,11 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
         if violation is not None:
             return TatonnementVerdict(False, "subtree", (v, violation))
 
-    assert check_protocol_cp(protocol, rule).holds, (
-        "tatonnement conditions hold but the protocol is not contextually "
-        "private (bug)"
-    )
+    if not check_protocol_cp(protocol, rule).holds:
+        raise AssertionError(
+            "tatonnement conditions hold but the protocol is not contextually "
+            "private (bug)"
+        )
     return TatonnementVerdict(True)
 
 

@@ -333,15 +333,23 @@ MALFORMED = {
         _count_bundle_with(_set("outcomes", 5)), ["validate"], 1000, "/outcomes"
     ),
     "phase is a number": (
-        _count_bundle_with(_set("protocol/phase", 5)), ["validate"], 1000, "/phase"
+        _count_bundle_with(_set("protocol/phase", 5)), ["validate"], 1000, "/protocol/phase"
+    ),
+    "phase entry is not a node id": (
+        _count_bundle_with(_set("protocol/phase/0", "root")), ["validate"], 1000,
+        "/protocol/phase/0",
     ),
     "children is a number": (
         _count_bundle_with(_set("protocol/tree/children", 5)), ["validate"], 1000,
-        "/tree/children",
+        "/protocol/tree/children",
+    ),
+    "tree node is a number": (
+        _count_bundle_with(_set("protocol/tree/children/0", 5)), ["validate"], 1000,
+        "/protocol/tree/children/0",
     ),
     "query cell is a number": (
         _count_bundle_with(_set("protocol/tree/query/cells/0", 5)), ["validate"], 1000,
-        "/tree/query/cells/0",
+        "/protocol/tree/query/cells/0",
     ),
     "components row is a number": (
         _count_bundle_with(_set("components/winners=1,price=1", 5)), ["validate"], 1000,
@@ -383,6 +391,28 @@ class TestMalformedInput:
             assert doc["kind"] == "resource" and doc["error"]
         else:
             assert doc["error"].endswith(f"(at {expected})"), doc
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (_set("phase", 5), "/phase"),
+            (_set("tree/children/0", 5), "/tree/children/0"),
+            (_set("space", 5), "/space"),
+        ],
+        ids=["phase", "tree node", "space"],
+    )
+    def test_protocol_file_pointers_start_at_its_root(
+        self, edit, expected, tmp_path, fair_files, capsys
+    ):
+        # A separate protocol file is its own document; only a bundle's
+        # embedded protocol is read at /protocol.
+        proto = {**json.loads(json.dumps(FIG_PROTOCOL)), "phase": [0]}
+        edit(proto)
+        p = tmp_path / "protocol.json"
+        p.write_text(json.dumps(proto))
+        code, doc = run_cli(["validate", fair_files[0], str(p)], capsys)
+        assert code == 2
+        assert doc["error"].endswith(f"(at {expected})"), doc
 
 
 # Small parameters for every built-in protocol bundle.

@@ -1,4 +1,6 @@
-"""Import hygiene: every name a ``cpv`` module imports is used in it.
+"""Import hygiene: every name a ``cpv`` module imports is used in it, no
+module holds an ``assert`` statement, and importing ``cpv.cli`` loads no
+code generator.
 
 A name counts as used when it is read anywhere in the module (annotations
 included, also those written as strings) or listed in ``__all__``.
@@ -7,6 +9,8 @@ included, also those written as strings) or listed in ``__all__``.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,26 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_assert_statements(path):
+    # ``python -O`` drops assert statements; a self-check raises explicitly.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_cli_import_generates_no_code():
+    # Every command starts a fresh interpreter.  ``dataclasses`` generates and
+    # compiles methods per class at import and pulls in ``inspect``; neither
+    # may come back into the start-up path of ``cpv.cli``.
+    src = str(Path(cpv.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import cpv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert res.stdout.strip() == "[]", res.stdout
