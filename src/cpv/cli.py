@@ -1,11 +1,13 @@
 """File formats, command dispatch, and machine-readable reports.
 
-Interchange is JSON, schema version "cpv-1".  Exit codes: 0 when the
-checked property holds / synthesis succeeded / the run completed; 1 when
-a property fails or nonexistence is proven (the witness or violation is
-printed as JSON on stdout); 2 on input or resource errors.  Reports are
-deterministic: stable key order, no timestamps (timing goes to stderr).
-Agent numbers in files are 1-based.
+Interchange is JSON, schema version "cpv-1", whose reference is the table
+``CPV1`` below: every document is checked against it before anything is
+built from it.  Exit codes: 0 when the checked property holds / synthesis
+succeeded / the run completed; 1 when a property fails or nonexistence is
+proven (the witness or violation is printed as JSON on stdout); 2 on input
+errors, which name the JSON pointer (RFC 6901) of the field at fault, or
+on resource errors.  Reports are deterministic: stable key order, no
+timestamps (timing goes to stderr).  Agent numbers in files are 1-based.
 
 The environment variable ``CPV_THREADS`` is reserved: nothing runs in
 parallel yet, so its value changes nothing, but a value that is not a
@@ -19,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -74,291 +77,380 @@ class LoadError(InputError):
 
 
 # ---------------------------------------------------------------------------
+# the cpv-1 format
+
+# The cpv-1 format, whole.  A document is checked against this table before
+# anything is built from it, so the loaders below read fields known to be
+# valid.  A shape is one of:
+#   "str", "int", "label" (a type label or a component: any JSON value but an
+#   array or an object), "any", or "schema" (the string "cpv-1");
+#   [shape]: an array;
+#   {field: shape}: an object.  "field?" may be absent and "field*" may also be
+#   null, which reads as absent; "*" stands for every field; others are ignored;
+#   ("agents", shape): an array with one entry per agent;
+#   ("types", shape): per agent, an array with one entry per type;
+#   ("case", select, message): the entry that ``select(value)`` names;
+#   ("tree", shape): a protocol tree.  A node is an object without "query" (a
+#   leaf) or with a query of the shape and "children", a node or null per cell;
+#   the name of another entry.
+# "agents" and "types" count in the document's own type space, so the entry
+# "sized" is checked once that space is built.
+# A space names "alphabet", shared by every agent, or else "alphabets", one per
+# agent; _space_from_json counts the latter against "agents".
+_SPACE = {"agents": "int", "alphabet?": ["label"], "alphabets?": [["label"]]}
+_PROTOCOL = {
+    "space?": _SPACE, "universe*": "universe", "tree": ("tree", "query"), "phase?": ["int"]
+}
+CPV1 = {
+    "instance": ("case", lambda v: _rule_form(v) + " instance", None),
+    "builtin instance": {
+        "schema": "schema", "rule": {"builtin": "str", "params*": "params"}, "protocol?": "protocol"
+    },
+    "table instance": {
+        "schema": "schema", "rule": {"table": [{"profile": ["label"], "outcome": "str"}]},
+        **_SPACE, "outcomes?": ["str"], "universe*": "universe", "protocol?": "protocol",
+    },
+    "sized": {"components?": {"*": ("agents", "label")}, "model*": "model"},
+    "model": {  # values: numbers, or strings holding fractions
+        "kind": "str", "objects*": ["str"], "values*": ("types", "label"),
+        "endowments*": ("agents", "label"), "capacities*": {"*": "int"},
+        "type_prefs*": ("types", ["str"]), "type_scores*": ("types", {"*": "int"}),
+        "outcome_prefs*": ("types", [["str"]]),
+    },
+    "params": {
+        "n?": "int", "k?": "int", "values?": ["label"], "objects?": ["str"], "order?": ["int"],
+        "selection?": "str",
+    },
+    "universe": ("case", lambda v: {list: "profiles", dict: "factors"}.get(type(v)),
+                 "expected profiles or factors"),
+    "profiles": [["label"]],
+    "factors": {"factors": [["label"]]},
+    "protocol": _PROTOCOL,
+    "protocol file": {"schema": "schema", **_PROTOCOL},
+    "query": ("case", lambda v: type(v) is dict and f"{v.get('kind')} query",
+              "expected a query of kind elicit, count, multicount or extensional"),
+    "elicit query": {"agent": "int", "cells": [["label"]]},
+    "count query": {"subset": ["label"], "cells": [["int"]]},
+    "multicount query": {"subsets": [["label"]], "cells": [[["int"]]]},
+    "extensional query": {"cells": [[["label"]]]},
+}
+_LEAVES = {  # name: (the JSON types it admits, the message for any other)
+    "str": ({str}, "expected a string"),
+    "int": ({int, bool}, "expected an integer"),
+    "label": ({str, int, float, bool, type(None)}, "expected a label, not an array or object"),
+    "any": ({str, int, float, bool, type(None), list, dict}, ""),
+}
+
+
+def _rule_form(doc) -> str:
+    rule = doc.get("rule") if type(doc) is dict else None
+    return "builtin" if type(rule) is dict and "builtin" in rule else "table"
+
+
+class _Bad(Exception):
+    """A value off its shape; ``args``: a message, then pointer segments, innermost first."""
+
+
+def _compile(shape):
+    """The checker of ``shape``: ``check(value, type counts per agent)`` raises ``_Bad``."""
+    if isinstance(shape, tuple):
+        return _FORMS[shape[0]](*shape[1:])
+    if isinstance(shape, list):
+        return _array(shape[0])
+    if isinstance(shape, dict):
+        return _object(shape)
+    if shape in CPV1:
+        return _compile(CPV1[shape])
+    return _schema if shape == "schema" else _leaf(*_LEAVES[shape])
+
+
+def _schema(v, sizes) -> None:
+    if v != SCHEMA:
+        raise _Bad(f"unsupported schema, expected {SCHEMA!r}")
+
+
+def _leaf(admits: set, message: str):
+    def check(v, sizes):
+        if type(v) not in admits:
+            raise _Bad(message)
+
+    return check
+
+
+def _array(item, per_agent=False, per_type=False):
+    item = [item] if per_type else item
+    scalars = _LEAVES[item][0] if isinstance(item, str) and item in _LEAVES else ()
+    inner = _compile(item)
+
+    def check(v, sizes):
+        if type(v) is not list:
+            raise _Bad("expected an array")
+        if per_agent and len(v) != len(sizes):
+            raise _Bad(f"expected {len(sizes)} entries, one per agent")
+        if scalars and scalars.issuperset(map(type, v)):
+            return  # every entry checked in one pass
+        try:
+            for i, x in enumerate(v):
+                inner(x, sizes)
+                if per_type and len(x) != sizes[i]:
+                    raise _Bad(f"expected {sizes[i]} entries, one per type")
+        except _Bad as bad:
+            bad.args += (i,)
+            raise
+
+    return check
+
+
+def _object(fields: dict):
+    spec = [(key.rstrip("?*") or "*", key[-1], _compile(shape)) for key, shape in fields.items()]
+
+    def check(v, sizes):
+        if type(v) is not dict:
+            raise _Bad("expected an object")
+        try:
+            for key, mark, inner in spec:
+                if key == "*":
+                    for key, x in v.items():  # so that a failure names its own key
+                        inner(x, sizes)
+                elif (x := v.get(key, v)) is not v and (x is not None or mark != "*"):
+                    inner(x, sizes)  # v itself stands for an absent field
+                elif mark not in "?*":
+                    raise _Bad("missing field")
+        except _Bad as bad:
+            bad.args += (key,)
+            raise
+
+    return check
+
+
+def _case(select, message: str):
+    def check(v, sizes):
+        name = select(v)
+        if name not in _CHECKS:
+            raise _Bad(message)
+        _CHECKS[name](v, sizes)
+
+    return check
+
+
+def _tree(query):
+    queried = _object({"query": query, "children?": ["any"]})
+
+    def check(v, sizes):
+        stack = [(v, ())]  # an explicit stack, so that no depth exhausts Python's
+        while stack:
+            node, path = stack.pop()
+            try:
+                if type(node) is not dict:
+                    raise _Bad("expected a node object")
+                if "query" not in node:
+                    if node.get("children"):
+                        raise _Bad("children without a query")
+                    continue
+                queried(node, sizes)
+                children = node.get("children", [])
+                for i in reversed(range(len(children))):  # the first cell's subtree first
+                    if children[i] is not None:
+                        stack.append((children[i], (*path, "children", i)))
+            except _Bad as bad:
+                bad.args += tuple(reversed(path))
+                raise
+
+    return check
+
+
+_FORMS = {"case": _case, "tree": _tree, "agents": lambda item: _array(item, per_agent=True),
+          "types": lambda item: _array(item, per_agent=True, per_type=True)}
+_CHECKS = {name: _compile(name) for name in CPV1}
+_MODEL = {key.rstrip("*"): shape for key, shape in CPV1["model"].items()}  # by DomainModel field
+
+
+def _check(name: str, doc, sizes: tuple = ()) -> None:
+    """Raises a LoadError at the first place where ``doc`` is off ``CPV1[name]``."""
+    try:
+        _CHECKS[name](doc, sizes)
+    except _Bad as bad:
+        at = "".join("/" + str(s).replace("~", "~0").replace("/", "~1") for s in bad.args[:0:-1])
+        raise LoadError(at or "/", bad.args[0]) from None
+
+
+@contextmanager
+def _at(pointer):
+    """Re-raises an input error of the block as a LoadError at ``pointer`` (or ``pointer()``)."""
+    try:
+        yield
+    except LoadError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LoadError(pointer() if callable(pointer) else pointer, str(exc)) from None
+
+
+def _entries(shape):
+    """The shape of each entry of an array of ``shape``."""
+    return [shape[1]] if isinstance(shape, tuple) and shape[0] == "types" else shape[-1]
+
+
+def _freeze(shape, value):
+    """A model field as the model holds it: arrays as tuples, objects as sorted pairs."""
+    if isinstance(shape, str):
+        return value
+    if isinstance(shape, dict):
+        return tuple(sorted((k, _freeze(shape["*"], v)) for k, v in value.items()))
+    return tuple(_freeze(_entries(shape), v) for v in value)
+
+
+def _thaw(shape, value):
+    """A model field in the JSON form of its ``shape``: the inverse of ``_freeze``."""
+    if isinstance(shape, dict):
+        return {k: _thaw(shape["*"], v) for k, v in value}
+    if not isinstance(shape, str):
+        return [_thaw(_entries(shape), v) for v in value]
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # loading
+
+
+def _parse(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f"{where}: line {exc.lineno}, column {exc.colno}"
+        raise LoadError("/", f"parse error in {where}") from None
+    except RecursionError:
+        raise LoadError("/", f"nesting too deep in {where}") from None
 
 
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _parse(fh.read(), path)
     except OSError as exc:
         raise LoadError("/", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise LoadError(
-            "/", f"parse error in {path}: line {exc.lineno}, column {exc.colno}"
-        ) from None
-    except RecursionError:
-        raise LoadError("/", f"nesting too deep in {path}") from None
-
-
-def _expect(doc, key, kind, pointer):
-    if not isinstance(doc, dict):
-        raise LoadError(pointer or "/", "expected an object")
-    if key not in doc:
-        raise LoadError(f"{pointer}/{key}", "missing field")
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise LoadError(f"{pointer}/{key}", f"expected {kind.__name__}")
-    return value
-
-
-def _list_of(value, kind, pointer, what):
-    """``value``, checked to be a list whose entries are ``kind``."""
-    if not isinstance(value, list):
-        raise LoadError(pointer, "expected list")
-    for j, item in enumerate(value):
-        if not isinstance(item, kind):
-            raise LoadError(f"{pointer}/{j}", f"expected {what}")
-    return value
-
-
-def _check_schema(doc, pointer=""):
-    if not isinstance(doc, dict):
-        raise LoadError(pointer or "/", "expected an object")
-    version = doc.get("schema")
-    if version != SCHEMA:
-        raise LoadError(f"{pointer}/schema", f"unsupported schema {version!r}")
-
-
-def _alphabet_from_json(alphabet, pointer) -> tuple:
-    if not isinstance(alphabet, list):
-        raise LoadError(pointer, "expected list")
-    for j, lab in enumerate(alphabet):
-        if isinstance(lab, (list, dict)):
-            raise LoadError(f"{pointer}/{j}", "expected a type label, not an array or object")
-    return tuple(alphabet)
 
 
 def _space_from_json(doc, pointer) -> TypeSpace:
-    n = _expect(doc, "agents", int, pointer)
-    if "alphabet" in doc:
-        return TypeSpace.shared(n, _alphabet_from_json(doc["alphabet"], f"{pointer}/alphabet"))
-    alphabets = _expect(doc, "alphabets", list, pointer)
-    if len(alphabets) != n:
-        raise LoadError(f"{pointer}/alphabets", f"expected {n} alphabets")
-    return TypeSpace(
-        tuple(_alphabet_from_json(a, f"{pointer}/alphabets/{i}") for i, a in enumerate(alphabets))
-    )
+    n, key = doc["agents"], "alphabet" if "alphabet" in doc else "alphabets"
+    alphabets = (tuple(doc[key]),) * n if key == "alphabet" else tuple(map(tuple, doc.get(key, ())))
+    with _at(f"{pointer}/{key}"):
+        space = TypeSpace(alphabets)
+        if space.n != n:
+            raise InputError(f"expected {n} alphabets")
+        return space
 
 
 def _profiles_from_json(space: TypeSpace, profiles, pointer) -> ProfileSet:
-    """The profile set of a list of profiles, each a list of type labels."""
-    if not isinstance(profiles, list):
-        raise LoadError(pointer, "expected list")
-    indices = []
-    for j, labels in enumerate(profiles):
-        if not isinstance(labels, list):
-            raise LoadError(f"{pointer}/{j}", "expected a list of type labels")
-        indices.append(space.index_of_labels(labels))
+    indices: list[int] = []  # on an error, those of the profiles before it
+    with _at(lambda: f"{pointer}/{len(indices)}"):
+        indices.extend(map(space.index_of_labels, profiles))
     return ProfileSet.from_indices(space, indices)
 
 
-def _universe_from_json(doc, space, pointer) -> Optional[ProfileSet]:
-    spec = doc.get("universe")
+def _universe_from_json(spec, space, pointer) -> Optional[ProfileSet]:
     if spec is None:
         return None
-    if isinstance(spec, dict) and "factors" in spec:
-        factors = _expect(spec, "factors", list, f"{pointer}/universe")
-        if len(factors) != space.n:
-            raise LoadError(f"{pointer}/universe/factors", f"expected {space.n} factors")
-        factors = tuple(
-            tuple(_type_index(space, i, lab, f"{pointer}/universe/factors/{i}") for lab in f)
-            for i, f in enumerate(factors)
-        )
-        return ProfileSet.from_factors(space, factors)
     if isinstance(spec, list):
-        return _profiles_from_json(space, spec, f"{pointer}/universe")
-    raise LoadError(f"{pointer}/universe", "expected a profile list or factors")
+        return _profiles_from_json(space, spec, pointer)
+    if len(spec["factors"]) != space.n:
+        raise LoadError(f"{pointer}/factors", f"expected {space.n} factors")
+    factors: list[tuple] = []
+    with _at(lambda: f"{pointer}/factors/{len(factors)}"):
+        factors.extend(space.type_indices(i, labels) for i, labels in enumerate(spec["factors"]))
+    with _at(f"{pointer}/factors"):
+        return ProfileSet.from_factors(space, factors)
 
 
-def _model_from_json(doc) -> Optional[DomainModel]:
-    spec = doc.get("model")
+def _model_from_json(spec) -> Optional[DomainModel]:
     if spec is None:
         return None
-    kind = _expect(spec, "kind", str, "/model")
-
-    def tuplify(x):
-        if isinstance(x, list):
-            return tuple(tuplify(v) for v in x)
-        return x
-
-    values = spec.get("values")
-    if values is not None:
-        try:
-            values = tuple(tuple(Fraction(str(v)) for v in row) for row in values)
-        except (TypeError, ValueError):
-            raise LoadError("/model/values", "expected rows of numbers") from None
-    capacities = spec.get("capacities")
-    if capacities is not None:
-        if not isinstance(capacities, dict):
-            raise LoadError("/model/capacities", "expected an object")
-        capacities = tuple(sorted(capacities.items()))
-    type_scores = spec.get("type_scores")
-    if type_scores is not None:
-        pointer = "/model/type_scores"
-        type_scores = tuple(
-            tuple(
-                tuple(sorted(d.items()))
-                for d in _list_of(agent, dict, f"{pointer}/{i}", "an object of scores")
-            )
-            for i, agent in enumerate(_list_of(type_scores, list, pointer, "a list per agent"))
-        )
-    return DomainModel(
-        kind=kind,
-        objects=tuplify(spec.get("objects")),
-        values=values,
-        endowments=tuplify(spec.get("endowments")),
-        capacities=capacities,
-        type_prefs=tuplify(spec.get("type_prefs")),
-        type_scores=type_scores,
-        outcome_prefs=tuplify(spec.get("outcome_prefs")),
-    )
+    model = {k: _freeze(s, spec[k]) for k, s in _MODEL.items() if spec.get(k) is not None}
+    if "values" in model:
+        with _at("/model/values"):
+            model["values"] = tuple(tuple(map(Fraction, map(str, row))) for row in model["values"])
+    return DomainModel(**model)
 
 
 def instance_from_json(doc) -> Instance:
-    _check_schema(doc)
-    rule_spec = _expect(doc, "rule", dict, "")
+    _check("instance", doc)
+    rule_spec = doc["rule"]
     if "builtin" in rule_spec:
         name = rule_spec["builtin"]
         if name not in BUILTIN_RULES:
             raise LoadError("/rule/builtin", f"unknown builtin {name!r}")
-        built = BUILTIN_RULES[name](rule_spec.get("params", {}))
+        with _at("/rule/params"):
+            built = BUILTIN_RULES[name](rule_spec.get("params") or {})
         if isinstance(built, list):
-            raise LoadError(
-                "/rule/builtin", f"builtin {name!r} is a family; materialize it first"
-            )
+            raise LoadError("/rule/builtin", f"builtin {name!r} is a family; materialize it first")
         return built
     space = _space_from_json(doc, "")
-    rows = _expect(rule_spec, "table", list, "/rule")
-    outcomes = list(_list_of(doc.get("outcomes", []), str, "/outcomes", "an outcome label"))
-    seen: dict[str, int] = {lab: i for i, lab in enumerate(outcomes)}
+    _check("sized", doc, space.sizes)
+    ids = {lab: i for i, lab in enumerate(doc.get("outcomes", []))}
+    if len(ids) < len(doc.get("outcomes", [])):
+        raise LoadError("/outcomes", "duplicate outcome labels")
     table = [-1] * space.total
-    for r, row in enumerate(rows):
-        at = f"/rule/table/{r}"
-        k = space.index_of_labels(_expect(row, "profile", list, at))
-        lab = _expect(row, "outcome", str, at)
-        if lab not in seen:
-            seen[lab] = len(seen)
-            outcomes.append(lab)
-        if table[k] != -1:
-            raise LoadError(f"/rule/table/{r}", "duplicate profile row")
-        table[k] = seen[lab]
-    missing = [k for k, x in enumerate(table) if x == -1]
-    if missing:
-        labels = space.labels(space.profile(missing[0]))
+    r = 0
+    with _at(lambda: f"/rule/table/{r}/profile"):
+        for r, row in enumerate(rule_spec["table"]):
+            k = space.index_of_labels(row["profile"])
+            if table[k] != -1:
+                raise LoadError(f"/rule/table/{r}", "duplicate profile row")
+            table[k] = ids.setdefault(row["outcome"], len(ids))
+    if -1 in table:
+        labels = space.labels(space.profile(table.index(-1)))
         raise LoadError("/rule/table", f"rule table is not total: missing {list(labels)}")
-    components = None
-    if "components" in doc:
-        comp_doc = _expect(doc, "components", dict, "")
-        components = []
-        for lab in outcomes:
-            if lab not in comp_doc:
+    components = doc.get("components")
+    if components is not None:
+        for lab in ids:
+            if lab not in components:
                 raise LoadError("/components", f"no components for outcome {lab!r}")
-            row = comp_doc[lab]
-            if not isinstance(row, list) or len(row) != space.n:
-                raise LoadError(f"/components/{lab}", f"expected {space.n} entries")
-            components.append(tuple(str(c) for c in row))
-        components = tuple(components)
-    rule = ChoiceRule(space, tuple(outcomes), tuple(table), components)
-    return Instance(
-        space, rule, _model_from_json(doc), _universe_from_json(doc, space, "")
-    )
-
-
-def _type_index(space: TypeSpace, agent: int, label, pointer: str) -> int:
-    try:
-        return space.label_index[agent][label]
-    except (KeyError, TypeError):  # an unhashable label names no type
-        raise LoadError(pointer, f"unknown type label {label!r}") from None
+        components = tuple(tuple(map(str, components[lab])) for lab in ids)
+    rule = ChoiceRule(space, tuple(ids), tuple(table), components)
+    universe = _universe_from_json(doc.get("universe"), space, "/universe")
+    return Instance(space, rule, _model_from_json(doc.get("model")), universe)
 
 
 def _query_from_json(space: TypeSpace, spec, pointer):
-    kind = _expect(spec, "kind", str, pointer)
+    kind, cells = spec["kind"], spec["cells"]
     if kind == "elicit":
-        agent = _expect(spec, "agent", int, pointer) - 1
+        agent = spec["agent"] - 1
         if not 0 <= agent < space.n:
             raise LoadError(f"{pointer}/agent", "agent number out of range")
-        cells = tuple(
-            tuple(_type_index(space, agent, lab, f"{pointer}/cells") for lab in cell)
-            for cell in _cells_from_json(spec, pointer)
-        )
-        return ElicitQuery(agent, cells)
+        with _at(f"{pointer}/cells"):
+            return ElicitQuery(agent, tuple(space.type_indices(agent, c) for c in cells))
     if kind == "count":
-        subset = tuple(
-            _type_index(space, 0, lab, f"{pointer}/subset")
-            for lab in _expect(spec, "subset", list, pointer)
-        )
-        cells = tuple(tuple(c) for c in _cells_from_json(spec, pointer))
-        return CountQuery(subset, cells)
+        with _at(f"{pointer}/subset"):
+            return CountQuery(space.type_indices(0, spec["subset"]), tuple(map(tuple, cells)))
     if kind == "multicount":
-        subsets = tuple(
-            tuple(_type_index(space, 0, lab, f"{pointer}/subsets") for lab in sub)
-            for sub in _list_of(
-                _expect(spec, "subsets", list, pointer), list, f"{pointer}/subsets",
-                "a list of type labels",
-            )
-        )
-        cells = tuple(
-            tuple(
-                tuple(v)
-                for v in _list_of(cell, list, f"{pointer}/cells/{c}", "a count vector")
-            )
-            for c, cell in enumerate(_cells_from_json(spec, pointer))
-        )
-        return MultiCountQuery(subsets, cells)
-    if kind == "extensional":
-        cells = tuple(
-            _profiles_from_json(space, cell, f"{pointer}/cells/{c}").mask
-            for c, cell in enumerate(_expect(spec, "cells", list, pointer))
-        )
-        return ExtensionalQuery(cells)
-    raise LoadError(f"{pointer}/kind", f"unknown query kind {kind!r}")
-
-
-def _cells_from_json(spec, pointer) -> list:
-    return _list_of(_expect(spec, "cells", list, pointer), list, f"{pointer}/cells", "a cell list")
+        with _at(f"{pointer}/subsets"):
+            subsets = tuple(space.type_indices(0, sub) for sub in spec["subsets"])
+        return MultiCountQuery(subsets, tuple(tuple(map(tuple, c)) for c in cells))
+    sets = (_profiles_from_json(space, c, f"{pointer}/cells/{i}") for i, c in enumerate(cells))
+    return ExtensionalQuery(tuple(s.mask for s in sets))
 
 
 def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
-    if node is None:
-        return None
-    if not isinstance(node, dict):
-        raise LoadError(pointer, "expected a node object")
-    if "query" not in node:
-        if node.get("children"):
-            raise LoadError(pointer, "children without a query")
-        return NodeSpec()
-    query = _query_from_json(space, node["query"], f"{pointer}/query")
-    children = node.get("children", [])
-    if not isinstance(children, list):
-        raise LoadError(f"{pointer}/children", "expected list")
+    if node is None or "query" not in node:
+        return None if node is None else NodeSpec()
     children = tuple(
         _spec_from_json(space, child, f"{pointer}/children/{i}")
-        for i, child in enumerate(children)
+        for i, child in enumerate(node.get("children", []))
     )
-    return NodeSpec(query, children)
+    return NodeSpec(_query_from_json(space, node["query"], f"{pointer}/query"), children)
 
 
-def protocol_from_json(
-    doc, space: TypeSpace | None, pointer: str = ""
-) -> tuple[Protocol, Optional[tuple[int, ...]]]:
-    """Protocol and phase of a protocol document found at ``pointer``: ``""``
-    for a protocol file, ``"/protocol"`` for the object embedded in a bundle."""
-    _check_schema(doc, pointer)
-    if "space" in doc:
-        own = _space_from_json(doc["space"], f"{pointer}/space")
-        if space is not None and own.alphabets != space.alphabets:
-            raise LoadError(f"{pointer}/space", "protocol and instance type spaces differ")
-        space = own
-    if space is None:
-        raise LoadError(f"{pointer}/space", "protocol file needs a space or an instance")
-    universe = _universe_from_json(doc, space, pointer)
-    spec = _spec_from_json(space, _expect(doc, "tree", dict, pointer), f"{pointer}/tree")
-    protocol = build_from_spec(space, spec, universe)
-    phase = None
-    if "phase" in doc:
-        phase = tuple(_list_of(doc["phase"], int, f"{pointer}/phase", "a node id"))
-    return protocol, phase
+def _protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, Optional[tuple]]:
+    """Protocol and phase of the checked protocol object of a file or bundle at ``pointer``."""
+    if "space" in doc and _space_from_json(doc["space"], f"{pointer}/space") != space:
+        raise LoadError(f"{pointer}/space", "protocol and instance type spaces differ")
+    universe = _universe_from_json(doc.get("universe"), space, f"{pointer}/universe")
+    if universe is not None and universe.is_empty:
+        raise LoadError(f"{pointer}/universe", "universe is empty")
+    spec = _spec_from_json(space, doc["tree"], f"{pointer}/tree")
+    phase = tuple(doc["phase"]) if "phase" in doc else None
+    return build_from_spec(space, spec, universe), phase
 
 
 @record
@@ -373,17 +465,14 @@ def load(instance_path: str, protocol_path: str | None = None) -> Loaded:
     instance = instance_from_json(doc)
     protocol, phase = None, None
     if "protocol" in doc:
-        protocol, phase = protocol_from_json(
-            {"schema": doc["schema"], **_expect(doc, "protocol", dict, "")},
-            instance.space,
-            "/protocol",
-        )
+        protocol, phase = _protocol_from_json(doc["protocol"], instance.space, "/protocol")
     if protocol_path is not None:
         pdoc = _read_json(protocol_path)
-        protocol, phase = protocol_from_json(pdoc, instance.space)
-    if protocol is not None and instance.universe is not None:
-        if protocol.universe != instance.universe.mask:
-            raise LoadError("/universe", "instance and protocol universes differ")
+        _check("protocol file", pdoc)
+        protocol, phase = _protocol_from_json(pdoc, instance.space, "")
+    universe = instance.universe
+    if protocol is not None and universe is not None and protocol.universe != universe.mask:
+        raise LoadError("/universe", "instance and protocol universes differ")
     return Loaded(instance, protocol, phase)
 
 
@@ -412,13 +501,11 @@ def _query_to_json(space: TypeSpace, query) -> dict:
             "subsets": [[space.alphabets[0][t] for t in sub] for sub in query.subsets],
             "cells": [[list(v) for v in cell] for cell in query.cells],
         }
-    return {
-        "kind": "extensional",
-        "cells": [
-            [list(space.labels(p)) for p in ProfileSet(space, mask).profiles()]
-            for mask in query.cells
-        ],
-    }
+    return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
+
+
+def _profiles_to_json(space: TypeSpace, mask: int) -> list:
+    return [list(space.labels(p)) for p in ProfileSet(space, mask).profiles()]
 
 
 def _node_to_json(protocol: Protocol, node: Node) -> dict:
@@ -444,9 +531,7 @@ def protocol_to_json(protocol: Protocol, phase=None) -> dict:
         "tree": _node_to_json(protocol, protocol.root),
     }
     if protocol.universe != (1 << space.total) - 1:
-        doc["universe"] = [
-            list(space.labels(p)) for p in ProfileSet(space, protocol.universe).profiles()
-        ]
+        doc["universe"] = _profiles_to_json(space, protocol.universe)
     if phase is not None:
         doc["phase"] = list(phase)
     return doc
@@ -479,39 +564,13 @@ def instance_to_json(instance: Instance) -> dict:
     if instance.model is not None:
         doc["model"] = _model_to_json(instance.model)
     if instance.universe is not None:
-        doc["universe"] = [
-            list(space.labels(p)) for p in instance.universe.profiles()
-        ]
+        doc["universe"] = _profiles_to_json(space, instance.universe.mask)
     return doc
 
 
 def _model_to_json(model: DomainModel) -> dict:
-    def listify(x):
-        if isinstance(x, tuple):
-            return [listify(v) for v in x]
-        if isinstance(x, Fraction):
-            return str(x) if x.denominator != 1 else x.numerator
-        return x
-
-    out = {"kind": model.kind}
-    for field_name in (
-        "objects",
-        "values",
-        "endowments",
-        "type_prefs",
-        "outcome_prefs",
-    ):
-        value = getattr(model, field_name)
-        if value is not None:
-            out[field_name] = listify(value)
-    if model.capacities is not None:
-        out["capacities"] = {c: k for c, k in model.capacities}
-    if model.type_scores is not None:
-        out["type_scores"] = [
-            [{c: s for c, s in scores} for scores in agent]
-            for agent in model.type_scores
-        ]
-    return out
+    fields = {key: getattr(model, key) for key in _MODEL}
+    return {key: _thaw(_MODEL[key], v) for key, v in fields.items() if v is not None}
 
 
 def witness_to_json(space: TypeSpace, witness: Witness) -> dict:
@@ -563,32 +622,22 @@ def _cmd_validate(args) -> tuple[int, dict]:
     return 0, doc
 
 
-def _protocol_checks(loaded: Loaded, prop: str) -> Protocol:
-    if loaded.protocol is None:
-        raise InputError(f"property {prop!r} needs a protocol file")
-    return loaded.protocol
-
-
 def _cmd_check(args) -> tuple[int, dict]:
     loaded = load(args.instance, args.protocol)
-    instance = loaded.instance
+    instance, protocol = loaded.instance, loaded.protocol
     space, rule = instance.space, instance.rule
     prop = args.property
+    if protocol is None and prop in ("cp", "icp", "gcp", "tatonnement", "osp"):
+        raise InputError(f"property {prop!r} needs a protocol file")
     doc: dict = {"command": "check", "property": prop}
 
     if prop in ("cp", "icp"):
-        protocol = _protocol_checks(loaded, prop)
-        verdict = (
-            check_protocol_cp(protocol, rule)
-            if prop == "cp"
-            else check_protocol_icp(protocol, rule)
-        )
+        verdict = (check_protocol_cp if prop == "cp" else check_protocol_icp)(protocol, rule)
         doc["holds"] = verdict.holds
         if not verdict.holds:
             doc["violation"] = _violation_to_json(space, verdict.violation)
         return (0 if verdict.holds else 1), doc
     if prop == "gcp":
-        protocol = _protocol_checks(loaded, prop)
         verdict = check_protocol_gcp(protocol, rule)
         doc["holds"] = verdict.holds
         if not verdict.holds:
@@ -598,7 +647,6 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if verdict.holds else 1), doc
     if prop == "tatonnement":
-        protocol = _protocol_checks(loaded, prop)
         phase = loaded.phase
         if phase is None:
             phase = phase_discovery(protocol, rule)
@@ -613,9 +661,6 @@ def _cmd_check(args) -> tuple[int, dict]:
             doc["failure"] = verdict.failure
         return (0 if verdict.holds else 1), doc
     if prop == "osp":
-        protocol = _protocol_checks(loaded, prop)
-        if instance.model is None:
-            raise InputError("obvious dominance needs a model")
         res = check_protocol_osp(protocol, rule, instance.model)
         doc["holds"] = res.ok
         if not res.ok:
@@ -740,39 +785,31 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 
 def _cmd_builtin(args) -> tuple[int, dict]:
-    params = json.loads(args.params) if args.params else {}
+    params = _parse(args.params, "--params") if args.params else {}
+    _check("params", params)
     name = args.name
+    table = BUILTIN_PROTOCOLS if name in BUILTIN_PROTOCOLS else BUILTIN_RULES
+    if name not in table:
+        raise InputError(f"unknown builtin {name!r}")
+    with _at("/"):
+        built = table[name](params)
     doc: dict = {"command": "builtin", "name": name}
-    if name in BUILTIN_PROTOCOLS:
-        bundle = BUILTIN_PROTOCOLS[name](params)
-        out = instance_to_json(bundle.instance)
-        pdoc = protocol_to_json(bundle.protocol, bundle.phase)
-        pdoc.pop("schema")
-        pdoc.pop("space")
-        out["protocol"] = pdoc
-        doc["kind"] = "protocol"
-        doc["nodes"] = len(bundle.protocol.nodes)
-        doc["profiles"] = bundle.instance.space.total
-        if args.emit:
-            _emit(out, args.emit)
-            doc["emitted"] = args.emit
-        return 0, doc
-    if name in BUILTIN_RULES:
-        built = BUILTIN_RULES[name](params)
-        if isinstance(built, list):
-            out = {"schema": SCHEMA, "family": [instance_to_json(b) for b in built]}
-            doc["kind"] = "family"
-            doc["members"] = len(built)
-        else:
-            out = instance_to_json(built)
-            doc["kind"] = "rule"
-            doc["profiles"] = built.space.total
-            doc["rows"] = len(built.rule.table)
-        if args.emit:
-            _emit(out, args.emit)
-            doc["emitted"] = args.emit
-        return 0, doc
-    raise InputError(f"unknown builtin {name!r}")
+    if table is BUILTIN_PROTOCOLS:
+        out = instance_to_json(built.instance)
+        pdoc = protocol_to_json(built.protocol, built.phase)
+        out["protocol"] = {k: v for k, v in pdoc.items() if k not in ("schema", "space")}
+        doc.update(kind="protocol", nodes=len(built.protocol.nodes))
+        doc["profiles"] = built.instance.space.total
+    elif isinstance(built, list):
+        out = {"schema": SCHEMA, "family": [instance_to_json(b) for b in built]}
+        doc.update(kind="family", members=len(built))
+    else:
+        out = instance_to_json(built)
+        doc.update(kind="rule", profiles=built.space.total, rows=len(built.rule.table))
+    if args.emit:
+        _emit(out, args.emit)
+        doc["emitted"] = args.emit
+    return 0, doc
 
 
 # ---------------------------------------------------------------------------

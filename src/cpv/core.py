@@ -146,8 +146,6 @@ class TypeSpace:
     @classmethod
     def shared(cls, n: int, alphabet: tuple[str, ...] | list[str]) -> TypeSpace:
         """All ``n`` agents draw types from one common alphabet."""
-        if n < 1:
-            raise InputError("need at least one agent")
         return cls(tuple(tuple(alphabet) for _ in range(n)))
 
     @property
@@ -232,7 +230,7 @@ class TypeSpace:
 
     def index_of_labels(self, labels: list[str] | tuple[str, ...]) -> int:
         """Profile index of one type label per agent, checked."""
-        if len(labels) != self.n:
+        if len(labels) != len(self.alphabets):
             raise InputError(f"profile has {len(labels)} labels, expected {self.n}")
         k = 0
         for i, (lookup, size, lab) in enumerate(zip(self.label_index, self.sizes, labels)):
@@ -241,6 +239,13 @@ class TypeSpace:
             except (KeyError, TypeError):  # an unhashable label names no type
                 raise InputError(f"agent {i}: unknown type label {lab!r}") from None
         return k
+
+    def type_indices(self, agent: int, labels) -> tuple[int, ...]:
+        """Type indices of ``labels`` in ``agent``'s alphabet, checked."""
+        try:
+            return tuple(self.label_index[agent][lab] for lab in labels)
+        except KeyError as exc:
+            raise InputError(f"unknown type label {exc.args[0]!r}") from None
 
     def iter_profiles(self):
         return itertools.product(*(range(s) for s in self.sizes))

@@ -870,21 +870,31 @@ class PropertyResult:
         return self.ok
 
 
-def _own_assignment(rule: ChoiceRule, k: int, agent: int) -> str:
-    if not rule.has_components:
-        raise InputError("assignment checks need per-agent components")
-    return rule.components[rule.table[k]][agent]
+# The model fields that the checks of each kind read.
+_READS = {
+    "auction": ("values",), "double_auction": ("values",), "assignment": ("objects", "type_prefs"),
+    "house": ("objects", "type_prefs", "endowments"),
+    "school": ("objects", "capacities", "type_prefs", "type_scores"),
+}
+
+
+def _readable(rule: ChoiceRule, model: DomainModel) -> None:
+    """Refuses a model, or a rule, that lacks what the checks of its kind read."""
+    if model is None:
+        raise InputError("property checks need a domain model")
+    missing = [field for field in _READS.get(model.kind, ()) if getattr(model, field) is None]
+    if missing:
+        raise InputError(f"a {model.kind!r} model needs {', '.join(missing)} for its checks")
+    if model.kind in _READS and not rule.has_components:
+        raise InputError(f"checks of a {model.kind!r} model need per-agent outcome components")
 
 
 def check_rule_property(rule: ChoiceRule, model: DomainModel, prop: str) -> PropertyResult:
-    if model is None:
-        raise InputError("property checks need a domain model")
+    _readable(rule, model)
     checks = {
         "efficient": _check_efficient,
-        "individually_rational": _check_ir,
         "ir": _check_ir,
         "stable": _check_stable,
-        "strategyproof": _check_sp,
         "sp": _check_sp,
     }
     if prop not in checks:
@@ -916,7 +926,7 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
         for k in range(space.total):
             profile = space.profile(k)
             current = {
-                i: _own_assignment(rule, k, i) for i in range(space.n)
+                i: rule.components[rule.table[k]][i] for i in range(space.n)
             }
             b = _pareto_dominator(current, feasible, profile, model.pref_rank)
             if b is not None:
@@ -937,7 +947,7 @@ def _check_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
         for k in range(space.total):
             profile = space.profile(k)
             for i in range(space.n):
-                got = _own_assignment(rule, k, i)
+                got = rule.components[rule.table[k]][i]
                 if model.pref_rank(i, profile[i], got) > model.pref_rank(
                     i, profile[i], model.endowments[i]
                 ):
@@ -995,8 +1005,11 @@ def _check_stable(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
 
 
 def _parse_auction_component(comp: str) -> tuple[int, Fraction]:
-    q_part, t_part = comp.split(",", 1)
-    return int(q_part.split("=")[1]), Fraction(t_part.split("=")[1])
+    try:
+        q_part, t_part = comp.split(",", 1)
+        return int(q_part.split("=")[1]), Fraction(t_part.split("=")[1])
+    except (ValueError, IndexError, ZeroDivisionError):
+        raise InputError(f"malformed auction component {comp!r}") from None
 
 
 def _check_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
@@ -1028,6 +1041,7 @@ def outcome_rank_fn(rule: ChoiceRule, model: DomainModel) -> Callable[[int, int,
     better, ties allowed.  Built from explicit outcome preferences when
     present, from own-assignment preferences otherwise, and from
     quasilinear utilities in auction domains."""
+    _readable(rule, model)
     if model.outcome_prefs is not None:
         rank_tables = []
         for agent_prefs in model.outcome_prefs:
@@ -1051,17 +1065,11 @@ def outcome_rank_fn(rule: ChoiceRule, model: DomainModel) -> Callable[[int, int,
 
         return rank
     if model.kind in ("assignment", "house", "school"):
-        if not rule.has_components:
-            raise InputError("assignment ranks need per-agent components")
-
         def rank(agent: int, type_index: int, outcome_id: int):
             return model.pref_rank(agent, type_index, rule.components[outcome_id][agent])
 
         return rank
     if model.kind in ("auction", "double_auction"):
-        if not rule.has_components:
-            raise InputError("auction ranks need per-agent components")
-
         def rank(agent: int, type_index: int, outcome_id: int):
             q, t = _parse_auction_component(rule.components[outcome_id][agent])
             return -(q * model.values[agent][type_index] - t)

@@ -9,7 +9,7 @@ import pytest
 
 import cpv
 from cpv.cli import instance_to_json, main, protocol_to_json
-from cpv.mechanisms import BUILTIN_PROTOCOLS
+from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.privacy import check_protocol_cp
 
 # The directory holding the imported ``cpv`` package, so that a
@@ -365,6 +365,25 @@ MALFORMED = {
          json.dumps({"n": 1, "values": list(range(300))}), "--emit"],
         250, "resource",
     ),
+    # --params is its own document: its pointers start at its root
+    "params not JSON": (
+        None, ["builtin", "first_price", "--params", "{bad", "--emit"], 1000, "/"
+    ),
+    "params not an object": (
+        None, ["builtin", "first_price", "--params", "5", "--emit"], 1000, "/"
+    ),
+    "params values is a number": (
+        None, ["builtin", "first_price", "--params", '{"n":2,"values":5}', "--emit"],
+        1000, "/values",
+    ),
+    "no agents and no alphabets": (
+        json.dumps({k: v for k, v in {**FAIR_INSTANCE, "agents": 0}.items() if k != "alphabet"}),
+        ["validate"], 1000, "/alphabets",
+    ),
+    "rule params is a number": (
+        json.dumps({"schema": "cpv-1", "rule": {"builtin": "first_price", "params": 5}}),
+        ["validate"], 1000, "/rule/params",
+    ),
 }
 
 RUN_WITH_LIMIT = (
@@ -413,6 +432,45 @@ class TestMalformedInput:
         code, doc = run_cli(["validate", fair_files[0], str(p)], capsys)
         assert code == 2
         assert doc["error"].endswith(f"(at {expected})"), doc
+
+    def test_pointer_escapes_a_slash_in_a_key(self, tmp_path, capsys):
+        # RFC 6901: "/" in a member name reads "~1"; the price 1/2 puts one there
+        doc = instance_to_json(BUILTIN_RULES["first_price"]({"n": 2, "values": ["1/2", 1]}))
+        doc["components"]["winner=1,price=1/2"] = 5
+        p = tmp_path / "half.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", str(p)], capsys)
+        assert code == 2 and out["error"].endswith("(at /components/winner=1,price=1~12)"), out
+
+
+def _first_price_with(edit) -> str:
+    """The first price instance as ``builtin --emit`` writes it, after ``edit``."""
+    doc = instance_to_json(BUILTIN_RULES["first_price"]({"n": 2, "values": [1, 2]}))
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestPropertyChecksRefuseWhatTheyCannotRead:
+    @pytest.mark.parametrize(
+        "prop, edit, message",
+        [
+            ("efficient", lambda doc: doc.pop("components"), "components"),
+            ("ir", _set("components/winner=1,price=2/0", "won"), "'won'"),
+            ("sp", lambda doc: doc["model"].pop("values"), "values"),
+        ],
+        ids=["no components", "malformed component", "no values"],
+    )
+    def test_exit_2_naming_the_need(self, prop, edit, message, tmp_path, capsys):
+        p = tmp_path / "fp.json"
+        p.write_text(_first_price_with(edit))
+        code, doc = run_cli(["check", "--property", prop, str(p)], capsys)
+        assert code == 2 and message in doc["error"], doc
+
+    def test_values_short_of_the_agents_is_a_load_error(self, tmp_path, capsys):
+        p = tmp_path / "fp.json"
+        p.write_text(_first_price_with(_set("model/values", [])))
+        code, doc = run_cli(["check", "--property", "sp", str(p)], capsys)
+        assert code == 2 and doc["error"].endswith("(at /model/values)"), doc
 
 
 # Small parameters for every built-in protocol bundle.

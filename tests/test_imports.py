@@ -81,11 +81,13 @@ def test_no_assert_statements(path):
 def test_cli_import_generates_no_code():
     # Every command starts a fresh interpreter.  ``dataclasses`` generates and
     # compiles methods per class at import and pulls in ``inspect``; neither
-    # may come back into the start-up path of ``cpv.cli``.
+    # may come back into the start-up path of ``cpv.cli``.  Nor may
+    # ``jsonschema``: importing it costs more than all of ``cpv.cli``, whose
+    # own table checks the cpv-1 format.
     src = str(Path(cpv.__file__).resolve().parent.parent)
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import cpv.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'jsonschema'} & set(sys.modules)))"
     )
     res = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
