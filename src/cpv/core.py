@@ -118,7 +118,7 @@ def _record_delattr(self, name: str) -> None:
     raise FrozenRecordError(f"cannot delete {name!r} of an immutable record")
 
 
-PROFILE_CAP_DEFAULT = 1 << 20
+PROFILE_CAP = 1 << 20  # largest profile space a TypeSpace accepts
 
 Profile = tuple[int, ...]
 
@@ -128,7 +128,6 @@ class TypeSpace:
     """Per-agent finite type alphabets; the ambient product space."""
 
     alphabets: tuple[tuple[str, ...], ...]
-    profile_cap: int = PROFILE_CAP_DEFAULT
 
     def __post_init__(self) -> None:
         if not self.alphabets:
@@ -138,10 +137,8 @@ class TypeSpace:
                 raise InputError(f"agent {i}: empty alphabet")
             if len(set(alpha)) != len(alpha):
                 raise InputError(f"agent {i}: duplicate type labels")
-        if self.total > self.profile_cap:
-            raise ResourceError(
-                f"profile space size {self.total} exceeds cap {self.profile_cap}"
-            )
+        if self.total > PROFILE_CAP:
+            raise ResourceError(f"profile space size {self.total} exceeds cap {PROFILE_CAP}")
 
     @classmethod
     def shared(cls, n: int, alphabet: tuple[str, ...] | list[str]) -> TypeSpace:

@@ -1,6 +1,8 @@
 """Built-in rules and protocols, plus the economic property checks.
 
-Payments and scores are type labels or exact integers, never floats, so
+Auction payments are type values written as normalized fractions
+(``str(Fraction(label))``: a type labelled ``1.5`` pays ``3/2``); other
+payments and all scores are exact integers.  Nothing is a float, so
 outcome equality is plain label identity.  Ties are broken
 lexicographically by agent index throughout.
 """
@@ -9,9 +11,18 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Optional
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, constant_on, record
+from cpv.core import (
+    ChoiceRule,
+    InputError,
+    ProfileSet,
+    TypeSpace,
+    constant_on,
+    mask_of_flags,
+    record,
+)
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -68,23 +79,14 @@ class ProtocolBundle:
     phase: tuple[int, ...] | None = None  # suggested initial phase (node ids)
 
 
-class _OutcomeTable:
-    """Interns outcome labels and per-agent component rows in scan order."""
-
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.components: list[tuple[str, ...]] = []
-
-    def add(self, label: str, components: tuple[str, ...] | None = None) -> int:
-        if label not in self.ids:
-            self.ids[label] = len(self.ids)
-            self.components.append(components if components is not None else ())
-        return self.ids[label]
-
-    def freeze(self, space: TypeSpace, table: list[int], with_components: bool):
-        outcomes = tuple(self.ids)
-        comps = tuple(self.components) if with_components else None
-        return ChoiceRule(space, outcomes, tuple(table), comps)
+def _tabulate(space: TypeSpace, outcomes, model=None, universe=None) -> Instance:
+    """The instance whose rule gives the profiles, in index order, the
+    ``(label, components)`` pairs of ``outcomes``; outcome ids number the
+    distinct pairs in order of first appearance."""
+    ids: dict = {}
+    table = tuple([ids.setdefault(outcome, len(ids)) for outcome in outcomes])
+    labels, components = zip(*ids)
+    return Instance(space, ChoiceRule(space, labels, table, components), model, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -92,26 +94,47 @@ class _OutcomeTable:
 
 
 def auction_space(n: int, values) -> TypeSpace:
-    if len(set(values)) != len(values):
+    labels = tuple(str(v) for v in values)
+    if len(set(_numeric_values(labels))) != len(labels):
         raise InputError("auction type values must be distinct")
-    return TypeSpace.shared(n, tuple(str(v) for v in values))
+    return TypeSpace.shared(n, labels)
 
 
-def _numeric_values(space: TypeSpace) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(lab) for lab in alpha) for alpha in space.alphabets
-    )
+def _numeric_values(labels) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, labels))
 
 
-def _auction_model(space: TypeSpace) -> DomainModel:
-    return DomainModel(kind="auction", values=_numeric_values(space))
+def _ranks(space: TypeSpace) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Value rank of each type of an auction space (0 for the lowest value)
+    and the price label of each rank: the value as a normalized fraction,
+    so type ``1.5`` is priced ``3/2``.  The values are distinct, so the ranks
+    are a permutation of the types and order them as the values do;
+    ``itertools.product(rank, repeat=n)`` lists the profiles in index order,
+    each as its types' ranks."""
+    values = _numeric_values(space.alphabets[0])
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank = [0] * len(order)
+    for r, t in enumerate(order):
+        rank[t] = r
+    return tuple(rank), tuple(str(values[t]) for t in order)
 
 
-def _winner_components(space: TypeSpace, winners: set[int], price_label: str):
-    return tuple(
-        f"q=1,t={price_label}" if i in winners else "q=0,t=0"
-        for i in range(space.n)
-    )
+def _auction_model(space: TypeSpace, kind: str = "auction", endowments=None) -> DomainModel:
+    values = _numeric_values(space.alphabets[0])
+    return DomainModel(kind=kind, values=(values,) * space.n, endowments=endowments)
+
+
+def _sales(n: int, price, word: str):
+    """Outcome of selling one unit to each of ``winners`` at the price of
+    rank ``r``, memoized: a rule has few distinct outcomes."""
+
+    @cache
+    def sale(winners: tuple[int, ...], r: int):
+        who = "+".join(str(i + 1) for i in winners)
+        comps = tuple(f"q=1,t={price[r]}" if i in winners else "q=0,t=0" for i in range(n))
+        return f"{word}={who},price={price[r]}", comps
+
+    return sale
 
 
 def kth_price(n: int, values, k: int) -> Instance:
@@ -120,16 +143,11 @@ def kth_price(n: int, values, k: int) -> Instance:
     if not 1 <= k <= n:
         raise InputError(f"k={k} needs 1 <= k <= n={n}")
     space = auction_space(n, values)
-    vals = _numeric_values(space)
-    table, out = [], _OutcomeTable()
-    for profile in space.iter_profiles():
-        v = [vals[i][t] for i, t in enumerate(profile)]
-        winner = min(range(n), key=lambda i: (-v[i], i))
-        price = sorted(v, reverse=True)[k - 1]
-        price_label = str(price)
-        label = f"winner={winner + 1},price={price_label}"
-        table.append(out.add(label, _winner_components(space, {winner}, price_label)))
-    return Instance(space, out.freeze(space, table, True), _auction_model(space))
+    rank, price = _ranks(space)
+    sale = _sales(n, price, "winner")
+    profiles = itertools.product(rank, repeat=n)
+    outcomes = (sale((v.index(max(v)),), sorted(v)[-k]) for v in profiles)
+    return _tabulate(space, outcomes, _auction_model(space))
 
 
 def first_price(n: int, values) -> Instance:
@@ -146,34 +164,27 @@ def uniform_price(n: int, values, k: int) -> Instance:
     if not 1 <= k < n:
         raise InputError(f"k={k} needs 1 <= k < n={n}")
     space = auction_space(n, values)
-    vals = _numeric_values(space)
-    table, out = [], _OutcomeTable()
-    for profile in space.iter_profiles():
-        v = [vals[i][t] for i, t in enumerate(profile)]
-        ranked = sorted(range(n), key=lambda i: (-v[i], i))
-        winners = set(ranked[:k])
-        price = v[ranked[k]]
-        price_label = str(price)
-        label = (
-            "winners=" + "+".join(str(i + 1) for i in sorted(winners))
-            + f",price={price_label}"
-        )
-        table.append(out.add(label, _winner_components(space, winners, price_label)))
-    return Instance(space, out.freeze(space, table, True), _auction_model(space))
+    rank, price = _ranks(space)
+    sale = _sales(n, price, "winners")
+
+    def outcome(v):
+        ranked = sorted(range(n), key=lambda i: -v[i])
+        return sale(tuple(sorted(ranked[:k])), v[ranked[k]])
+
+    profiles = itertools.product(rank, repeat=n)
+    return _tabulate(space, map(outcome, profiles), _auction_model(space))
 
 
 def order_statistic_restriction(space: TypeSpace, k: int) -> ProfileSet:
-    """Profiles whose k-th and (k+1)-th highest types differ."""
-    vals = _numeric_values(space)
-    indices = []
-    for idx in range(space.total):
-        profile = space.profile(idx)
-        v = sorted((vals[i][t] for i, t in enumerate(profile)), reverse=True)
-        if v[k - 1] != v[k]:
-            indices.append(idx)
-    if not indices:
+    """Profiles of an auction space whose k-th and (k+1)-th highest types differ."""
+    rank, _ = _ranks(space)
+    keep = bytearray()
+    for v in itertools.product(rank, repeat=space.n):
+        ranked = sorted(v)
+        keep.append(ranked[-k] != ranked[-k - 1])
+    if not any(keep):
         raise InputError("order-statistic restriction leaves an empty space")
-    return ProfileSet.from_indices(space, indices)
+    return ProfileSet(space, mask_of_flags(keep))
 
 
 # --- double auction ---------------------------------------------------------
@@ -192,37 +203,30 @@ def double_auction_walrasian(n: int, values, selection: str = "lower") -> Instan
         raise InputError("price selection must be 'lower' or 'upper'")
     m = n // 2
     space = auction_space(n, values)
-    vals = _numeric_values(space)
+    rank, price = _ranks(space)
     endow = tuple([0] * m + [1] * m)
-    table, out = [], _OutcomeTable()
-    for profile in space.iter_profiles():
-        v = [vals[i][t] for i, t in enumerate(profile)]
-        ranked = sorted(v, reverse=True)
-        price = ranked[m] if selection == "lower" else ranked[m - 1]
-        holders = [i for i in range(n) if v[i] > price]
-        leftover = m - len(holders)
-        marginal = [i for i in range(n) if v[i] == price]
-        for i in sorted(marginal, key=lambda i: (endow[i] == 0, i)):
-            if leftover == 0:
-                break
-            holders.append(i)
-            leftover -= 1
-        held = set(holders)
-        price_label = str(price)
+    marginal_order = (*range(m, n), *range(m))  # sellers, then buyers
+
+    @cache
+    def trade(r: int, held: frozenset):
+        t = price[r]
+        comps = tuple(
+            f"h=1,t={t}" if i in held and not endow[i]
+            else f"h=0,t=-{t}" if i not in held and endow[i]
+            else f"h={int(i in held)},t=0"
+            for i in range(n)
+        )
         bits = "".join("1" if i in held else "0" for i in range(n))
-        comps = []
-        for i in range(n):
-            if endow[i] == 0 and i in held:
-                comps.append(f"h=1,t={price_label}")
-            elif endow[i] == 1 and i not in held:
-                comps.append(f"h=0,t=-{price_label}")
-            else:
-                comps.append(f"h={1 if i in held else 0},t=0")
-        table.append(out.add(f"p={price_label};h={bits}", tuple(comps)))
-    model = DomainModel(
-        kind="double_auction", values=vals, endowments=endow
-    )
-    return Instance(space, out.freeze(space, table, True), model)
+        return f"p={t};h={bits}", comps
+
+    def outcome(v):
+        r = sorted(v)[m - 1 if selection == "lower" else m]
+        above = [i for i in range(n) if v[i] > r]
+        marginal = [i for i in marginal_order if v[i] == r]
+        return trade(r, frozenset(above + marginal[: m - len(above)]))
+
+    model = _auction_model(space, "double_auction", endow)
+    return _tabulate(space, map(outcome, itertools.product(rank, repeat=n)), model)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +249,9 @@ def _prefs_from_labels(space: TypeSpace) -> tuple[tuple[tuple[str, ...], ...], .
     )
 
 
-def _assignment_outcome(assignment: dict[int, str], n: int) -> str:
-    return ",".join(f"{i + 1}:{assignment[i]}" for i in range(n))
+def _assignment_outcome(assignment) -> str:
+    """Label of the assignment giving agent ``i`` the object ``assignment[i]``."""
+    return ",".join(f"{i + 1}:{obj}" for i, obj in enumerate(assignment))
 
 
 def serial_dictatorship(n: int, objects, order) -> Instance:
@@ -259,19 +264,17 @@ def serial_dictatorship(n: int, objects, order) -> Instance:
         raise InputError("need at least as many objects as agents")
     space = assignment_space(n, objects)
     prefs = _prefs_from_labels(space)
-    table, out = [], _OutcomeTable()
-    for profile in space.iter_profiles():
+
+    def outcome(profile):
         remaining = list(objects)
-        assignment: dict[int, str] = {}
+        picks = [""] * n
         for agent in order:
-            pick = min(remaining, key=prefs[agent][profile[agent]].index)
-            assignment[agent] = pick
-            remaining.remove(pick)
-        label = _assignment_outcome(assignment, n)
-        comps = tuple(assignment[i] for i in range(n))
-        table.append(out.add(label, comps))
+            picks[agent] = min(remaining, key=prefs[agent][profile[agent]].index)
+            remaining.remove(picks[agent])
+        return _assignment_outcome(picks), tuple(picks)
+
     model = DomainModel(kind="assignment", objects=objects, type_prefs=prefs)
-    return Instance(space, out.freeze(space, table, True), model)
+    return _tabulate(space, map(outcome, space.iter_profiles()), model)
 
 
 def serial_dictatorship_protocol(instance: Instance, order) -> ProtocolBundle:
@@ -314,17 +317,14 @@ def fair_tiebreak_2x2() -> Instance:
     """Two agents, two objects; ties at (A,A) go to agent 1 and at (B,B)
     to agent 2, so three of the four profiles share an outcome."""
     space = TypeSpace.shared(2, ("A", "B"))
-    x, xp = "1:A,2:B", "1:B,2:A"
-    out = _OutcomeTable()
-    out.add(x, ("A", "B"))
-    out.add(xp, ("B", "A"))
-    table = [out.ids[x], out.ids[x], out.ids[xp], out.ids[x]]  # AA, AB, BA, BB
     prefs = tuple(
         tuple((lab, "B" if lab == "A" else "A") for lab in alpha)
         for alpha in space.alphabets
     )
     model = DomainModel(kind="assignment", objects=("A", "B"), type_prefs=prefs)
-    return Instance(space, out.freeze(space, table, True), model)
+    outcomes = ("1:A,2:B", "1:B,2:A")  # x, x'
+    rule = ChoiceRule(space, outcomes, (0, 0, 1, 0), (("A", "B"), ("B", "A")))  # AA AB BA BB
+    return Instance(space, rule, model)
 
 
 def fair_two_query_protocol(instance: Instance) -> ProtocolBundle:
@@ -344,18 +344,12 @@ def efficient_completions_2x2() -> list[Instance]:
     """All efficient rules on the 2-agent/2-object space: the off-diagonal
     profiles are forced, the two tie profiles are free."""
     base = fair_tiebreak_2x2()
-    space, model = base.space, base.model
-    x, xp = base.rule.outcomes
-    completions = []
-    for aa, bb in itertools.product((x, xp), repeat=2):
-        out = _OutcomeTable()
-        for lab in (x, xp):
-            out.add(lab, tuple(lab.split(",")[i].split(":")[1] for i in range(2)))
-        table = [out.ids[aa], out.ids[x], out.ids[xp], out.ids[bb]]
-        completions.append(
-            Instance(space, out.freeze(space, table, True), model)
-        )
-    return completions
+    space, rule = base.space, base.rule
+    return [  # profiles AA, AB, BA, BB
+        Instance(space, ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components),
+                 base.model)
+        for aa, bb in itertools.product((0, 1), repeat=2)
+    ]
 
 
 # --- house assignment --------------------------------------------------------
@@ -372,7 +366,7 @@ def house_ir_efficient_family() -> list[Instance]:
     model = DomainModel(
         kind="house", objects=objects, type_prefs=prefs, endowments=endowments
     )
-    feasible = _complete_assignments(2, objects)
+    feasible = list(itertools.permutations(objects, 2))
     admissible_per_profile = []
     for profile in space.iter_profiles():
         efficient = [
@@ -380,7 +374,7 @@ def house_ir_efficient_family() -> list[Instance]:
             for a in feasible
             if _pareto_dominator(a, feasible, profile, model.pref_rank) is None
         ]
-        ir = [
+        admissible_per_profile.append([
             a
             for a in efficient
             if all(
@@ -388,10 +382,7 @@ def house_ir_efficient_family() -> list[Instance]:
                 <= prefs[i][profile[i]].index(endowments[i])
                 for i in range(2)
             )
-        ]
-        if not ir:
-            raise AssertionError("IR+efficient admissible set is empty")
-        admissible_per_profile.append(ir)
+        ])
     return _completions(space, model, admissible_per_profile)
 
 
@@ -403,17 +394,8 @@ def keep_endowments_rule() -> Instance:
     model = DomainModel(
         kind="house", objects=objects, type_prefs=prefs, endowments=("h1", "h2")
     )
-    out = _OutcomeTable()
-    xid = out.add("1:h1,2:h2", ("h1", "h2"))
-    table = [xid] * space.total
-    return Instance(space, out.freeze(space, table, True), model)
-
-
-def _complete_assignments(n: int, objects) -> list[dict[int, str]]:
-    return [
-        dict(zip(range(n), combo))
-        for combo in itertools.permutations(objects, n)
-    ]
+    rule = ChoiceRule(space, ("1:h1,2:h2",), (0,) * space.total, (("h1", "h2"),))
+    return Instance(space, rule, model)
 
 
 def _pareto_dominator(a, feasible, profile, rank):
@@ -433,15 +415,10 @@ def _pareto_dominator(a, feasible, profile, rank):
 
 def _completions(space: TypeSpace, model: DomainModel, admissible) -> list[Instance]:
     """One instance per choice of an admissible assignment at every profile."""
-    family = []
-    for choice in itertools.product(*admissible):
-        out = _OutcomeTable()
-        table = [
-            out.add(_assignment_outcome(a, space.n), tuple(a[i] for i in range(space.n)))
-            for a in choice
-        ]
-        family.append(Instance(space, out.freeze(space, table, True), model))
-    return family
+    return [
+        _tabulate(space, ((_assignment_outcome(a), a) for a in choice), model)
+        for choice in itertools.product(*admissible)
+    ]
 
 
 # --- school choice -----------------------------------------------------------
@@ -449,20 +426,29 @@ def _completions(space: TypeSpace, model: DomainModel, admissible) -> list[Insta
 _SCHOOL_SCORES = {"s1": 4, "s2'": 3, "s1'": 2, "s2": 1}
 
 
-def _stable_assignments(profile_scores: tuple[int, int]) -> list[dict[int, str]]:
+def _school_model(space: TypeSpace, read) -> DomainModel:
+    """Schools a and b with one seat each; ``read(label)`` gives a type's
+    preference order over the schools and its scores ``((school, score), ...)``."""
+    types = [[read(lab) for lab in alpha] for alpha in space.alphabets]
+    return DomainModel(
+        kind="school",
+        objects=("a", "b"),
+        capacities=(("a", 1), ("b", 1)),
+        type_prefs=tuple(tuple(prefs for prefs, _ in row) for row in types),
+        type_scores=tuple(tuple(scores for _, scores in row) for row in types),
+    )
+
+
+def _scored_at_a(label: str):
+    """A type that ranks school a first and is its score at a."""
+    return ("a", "b"), (("a", _SCHOOL_SCORES[label]), ("b", 0))
+
+
+def _stable_assignments(scores: tuple[int, int]) -> list[tuple[str, str]]:
     """Stable complete assignments when both students rank school a first
-    and scores at a are as given; schools have one seat each."""
-    out = []
-    for a in ({0: "a", 1: "b"}, {0: "b", 1: "a"}):
-        blocked = False
-        for i in range(2):
-            if a[i] == "b":  # prefers a; justified envy iff beaten seat is weaker
-                j = 1 - i
-                if profile_scores[i] > profile_scores[j]:
-                    blocked = True
-        if not blocked:
-            out.append(a)
-    return out
+    and have the given distinct scores at a; schools have one seat each, so
+    the student placed at b envies justifiably iff she outscores the one at a."""
+    return [a for a in (("a", "b"), ("b", "a")) if scores[a.index("b")] <= scores[a.index("a")]]
 
 
 def school_stable_family() -> list[Instance]:
@@ -470,28 +456,11 @@ def school_stable_family() -> list[Instance]:
     order s1 > s2' > s1' > s2 (types are the students' scores at school a,
     both students rank a first)."""
     space = TypeSpace((("s1", "s1'"), ("s2", "s2'")))
-    prefs = tuple(tuple(("a", "b") for _ in alpha) for alpha in space.alphabets)
-    scores = tuple(
-        tuple((("a", _SCHOOL_SCORES[lab]), ("b", 0)) for lab in alpha)
-        for alpha in space.alphabets
-    )
-    model = DomainModel(
-        kind="school",
-        objects=("a", "b"),
-        capacities=(("a", 1), ("b", 1)),
-        type_prefs=prefs,
-        type_scores=scores,
-    )
-    admissible = []
-    for profile in space.iter_profiles():
-        s = tuple(
-            _SCHOOL_SCORES[space.alphabets[i][t]] for i, t in enumerate(profile)
-        )
-        stable = _stable_assignments(s)
-        if not stable:
-            raise AssertionError("no stable assignment")
-        admissible.append(stable)
-    return _completions(space, model, admissible)
+    admissible = [
+        _stable_assignments(tuple(_SCHOOL_SCORES[lab] for lab in space.labels(profile)))
+        for profile in space.iter_profiles()
+    ]
+    return _completions(space, _school_model(space, _scored_at_a), admissible)
 
 
 def school_count_instance() -> Instance:
@@ -500,30 +469,13 @@ def school_count_instance() -> Instance:
     {s2, s2'}; count queries over score subsets become available."""
     alphabet = ("s2", "s1'", "s2'", "s1")  # ascending score order
     space = TypeSpace.shared(2, alphabet)
-    prefs = tuple(tuple(("a", "b") for _ in alphabet) for _ in range(2))
-    scores = tuple(
-        tuple((("a", _SCHOOL_SCORES[lab]), ("b", 0)) for lab in alphabet)
-        for _ in range(2)
-    )
-    model = DomainModel(
-        kind="school",
-        objects=("a", "b"),
-        capacities=(("a", 1), ("b", 1)),
-        type_prefs=prefs,
-        type_scores=scores,
-    )
-    out = _OutcomeTable()
-    x = out.add("1:a,2:b", ("a", "b"))
-    y = out.add("1:b,2:a", ("b", "a"))
-    table = []
-    for profile in space.iter_profiles():
-        s = [_SCHOOL_SCORES[alphabet[t]] for t in profile]
-        table.append(x if s[0] > s[1] else y)
+    # student 1 gets a (outcome 0) iff she outscores student 2 there
+    table = tuple(0 if t1 > t2 else 1 for t1, t2 in space.iter_profiles())
+    rule = ChoiceRule(space, ("1:a,2:b", "1:b,2:a"), table, (("a", "b"), ("b", "a")))
     universe = ProfileSet.from_factors(
-        space, ((alphabet.index("s1"), alphabet.index("s1'")),
-                (alphabet.index("s2"), alphabet.index("s2'")))
+        space, (space.type_indices(0, ("s1", "s1'")), space.type_indices(1, ("s2", "s2'")))
     )
-    return Instance(space, out.freeze(space, table, True), model, universe)
+    return Instance(space, rule, _school_model(space, _scored_at_a), universe)
 
 
 # --- stable matching with multi-count queries --------------------------------
@@ -539,14 +491,16 @@ def _school_type_labels():
 
 
 def _parse_school_type(label: str):
+    """Preference order and scores ``(("a", score), ("b", score))`` of a type."""
     pref, sa, sb = label.split(",")
-    return tuple(pref.split(">")), {"a": int(sa[1:]), "b": int(sb[1:])}
+    return tuple(pref.split(">")), (("a", int(sa[1:])), ("b", int(sb[1:])))
 
 
-def _demand(label: str, cutoffs: dict[str, int]) -> Optional[str]:
-    prefs, scores = _parse_school_type(label)
-    admitted = [c for c in prefs if scores[c] >= cutoffs[c]]
-    return admitted[0] if admitted else None
+def _demand(school_type, cutoffs: dict[str, int]) -> Optional[str]:
+    """The school a type picks among those whose cutoff its score meets, or None."""
+    prefs, scores = school_type
+    scores = dict(scores)
+    return next((c for c in prefs if scores[c] >= cutoffs[c]), None)
 
 
 _CUTOFF_GRID = [
@@ -561,97 +515,52 @@ def multicount_stable_matching() -> ProtocolBundle:
     restricted so that scores differ at each school."""
     labels = _school_type_labels()
     space = TypeSpace.shared(2, labels)
-    prefs = tuple(
-        tuple(_parse_school_type(lab)[0] for lab in labels) for _ in range(2)
-    )
-    scores = tuple(
-        tuple(
-            tuple(sorted(_parse_school_type(lab)[1].items())) for lab in labels
-        )
-        for _ in range(2)
-    )
-    model = DomainModel(
-        kind="school",
-        objects=("a", "b"),
-        capacities=(("a", 1), ("b", 1)),
-        type_prefs=prefs,
-        type_scores=scores,
-    )
+    types = [_parse_school_type(lab) for lab in labels]
+    demands = [[_demand(school_type, cut) for school_type in types] for cut in _CUTOFF_GRID]
+    inside = [
+        all(x != y for x, y in zip(types[t1][1], types[t2][1]))
+        for t1, t2 in space.iter_profiles()
+    ]
+    universe = ProfileSet(space, mask_of_flags(bytes(inside)))
 
-    def distinct_scores(profile) -> bool:
-        t1, t2 = (_parse_school_type(labels[t])[1] for t in profile)
-        return t1["a"] != t2["a"] and t1["b"] != t2["b"]
-
-    universe = ProfileSet.from_profiles(
-        space, (p for p in space.iter_profiles() if distinct_scores(p))
-    )
-
-    def clearing_cutoff(profile) -> dict[str, int]:
-        for cut in _CUTOFF_GRID:
-            demands = [_demand(labels[t], cut) for t in profile]
-            loads = {c: demands.count(c) for c in ("a", "b")}
-            if all(loads[c] <= 1 for c in ("a", "b")) and all(demands):
-                return cut
+    def outcome(profile, modeled: bool):
+        if not modeled:
+            return "unused", ("-", "-")
+        for cut, demand in zip(_CUTOFF_GRID, demands):
+            picks = tuple(demand[t] for t in profile)
+            if None not in picks and picks[0] != picks[1]:  # the market clears
+                return _assignment_outcome(picks) + f"|cut:a{cut['a']}b{cut['b']}", picks
         raise AssertionError("no clearing cutoff on the restricted space")
 
-    out = _OutcomeTable()
-    table = []
-    for profile in space.iter_profiles():
-        if not ProfileSet(space, universe.mask).contains(profile):
-            table.append(out.add("unused", ("-", "-")))
-            continue
-        cut = clearing_cutoff(profile)
-        demands = [_demand(labels[t], cut) for t in profile]
-        label = (
-            _assignment_outcome(dict(enumerate(demands)), 2)
-            + f"|cut:a{cut['a']}b{cut['b']}"
-        )
-        table.append(out.add(label, tuple(demands)))
-    rule = out.freeze(space, table, True)
-    instance = Instance(space, rule, model, universe)
+    model = _school_model(space, _parse_school_type)
+    instance = _tabulate(space, map(outcome, space.iter_profiles(), inside), model, universe)
+    rule = instance.rule
 
-    def clearing_query(cut: dict[str, int]) -> MultiCountQuery:
-        t_a = tuple(i for i, lab in enumerate(labels) if _demand(lab, cut) == "a")
-        t_b = tuple(i for i, lab in enumerate(labels) if _demand(lab, cut) == "b")
-        domain = list(itertools.product(range(3), repeat=2))
-        clear = tuple(v for v in domain if v[0] <= 1 and v[1] <= 1)
-        rest = tuple(v for v in domain if v not in clear)
-        return MultiCountQuery((t_a, t_b), (clear, rest))
+    def cells(demand, schools):
+        return tuple(tuple(t for t, c in enumerate(demand) if c == school) for school in schools)
 
-    def step(label_mask: int, state):
-        kind = state[0]
-        if kind == "cut":
-            pos = state[1]
+    domain = list(itertools.product(range(3), repeat=2))
+    clear = tuple(v for v in domain if v[0] <= 1 and v[1] <= 1)
+    rest = tuple(v for v in domain if v not in clear)
+    clearing = [MultiCountQuery(cells(demand, "ab"), (clear, rest)) for demand in demands]
+    picking = [
+        [ElicitQuery(agent, tuple(filter(None, cells(demand, ("a", "b", None)))))
+         for agent in range(2)]
+        for demand in demands
+    ]
+
+    def step(label: int, state):
+        pos, agent = state  # agent None: the cutoff search is at _CUTOFF_GRID[pos]
+        if agent is None:
             if pos >= len(_CUTOFF_GRID):
                 return None
-            cut = _CUTOFF_GRID[pos]
-            query = clearing_query(cut)
-
-            def child_state(cell_index: int, _mask: int):
-                if cell_index == 0:
-                    return "pick", cut, 0
-                return "cut", pos + 1
-
-            return query, child_state
-        _, cut, agent = state
-        if agent >= 2 or constant_on(rule, label_mask):
+            return clearing[pos], lambda c, m: (pos, 0) if c == 0 else (pos + 1, None)
+        if agent >= 2 or constant_on(rule, label):
             return None
-        cells_by_school = {}
-        for t in range(len(labels)):
-            cells_by_school.setdefault(_demand(labels[t], cut), []).append(t)
-        cells = tuple(
-            tuple(cells_by_school[c]) for c in ("a", "b", None) if c in cells_by_school
-        )
-        query = ElicitQuery(agent, cells)
+        return picking[pos][agent], lambda c, m: (pos, agent + 1)
 
-        def child_state(cell_index: int, _mask: int):
-            return "pick", cut, agent + 1
-
-        return query, child_state
-
-    protocol = build_protocol(space, step, ("cut", 0), universe)
-    phase = suggested_count_phase(protocol)
-    return ProtocolBundle(instance, protocol, phase)
+    protocol = build_protocol(space, step, (0, None), universe)
+    return ProtocolBundle(instance, protocol, suggested_count_phase(protocol))
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +571,8 @@ def non_clinching() -> Instance:
     """Injective rule on a 2x2 space that is strategyproof, yet no move of
     a direct protocol can be obviously dominant."""
     space = TypeSpace.shared(2, ("lo", "hi"))
-    out = _OutcomeTable()
-    for x in ("x1", "x2", "x3", "x4"):
-        out.add(x, (x, x))
-    table = [0, 1, 2, 3]  # (lo,lo) (lo,hi) (hi,lo) (hi,hi)
+    outcomes = ("x1", "x2", "x3", "x4")
+    rule = ChoiceRule(space, outcomes, (0, 1, 2, 3), tuple((x, x) for x in outcomes))
     prefs1 = (
         (("x1",), ("x3",), ("x2",), ("x4",)),  # type lo
         (("x4",), ("x2",), ("x3",), ("x1",)),  # type hi
@@ -675,7 +582,7 @@ def non_clinching() -> Instance:
         (("x4",), ("x3",), ("x2",), ("x1",)),
     )
     model = DomainModel(kind="abstract", outcome_prefs=(prefs1, prefs2))
-    return Instance(space, out.freeze(space, table, True), model)
+    return Instance(space, rule, model)
 
 
 # ---------------------------------------------------------------------------
@@ -683,20 +590,12 @@ def non_clinching() -> Instance:
 
 
 def fig_shaded_3x3() -> Instance:
-    """3x3 rule with one outcome shared across four cells and fresh
-    outcomes elsewhere; the classic inseparability-chain picture."""
+    """3x3 rule with one outcome, x, shared across the four cells (t1,t2),
+    (t1,t3), (t3,t1), (t3,t2) and fresh outcomes elsewhere; the classic
+    inseparability-chain picture."""
     space = TypeSpace.shared(2, ("t1", "t2", "t3"))
-    shaded = {(0, 1), (0, 2), (2, 0), (2, 1)}
-    out = _OutcomeTable()
-    table = []
-    fresh = 0
-    for profile in space.iter_profiles():
-        if profile in shaded:
-            table.append(out.add("x"))
-        else:
-            fresh += 1
-            table.append(out.add(f"o{fresh}"))
-    return Instance(space, out.freeze(space, table, False))
+    outcomes = ("o1", "x", "o2", "o3", "o4", "o5")  # in order of first appearance
+    return Instance(space, ChoiceRule(space, outcomes, (0, 1, 1, 2, 3, 4, 1, 1, 5)))
 
 
 def appC_sp_restriction():
@@ -711,31 +610,48 @@ def appC_sp_restriction():
 # protocol builders for auctions
 
 
+def _clock(space: TypeSpace, rule: ChoiceRule, cells):
+    """Step function of a price clock.  At each level in turn, each agent in
+    order is asked which of the level's cells ``cells[pos]`` of her alphabet
+    holds her type.  State ``(pos, agent, last)`` asks ``agent`` at level
+    ``pos``; the clock stops after level ``last``, at a level whose cells
+    are ``None``, and once the rule is constant on the node's label."""
+    queries = [
+        None if split is None else [ElicitQuery(agent, split) for agent in range(space.n)]
+        for split in cells
+    ]
+
+    def step(label: int, state):
+        pos, agent, last = state
+        if pos > last or queries[pos] is None or constant_on(rule, label):
+            return None
+        nxt = (pos, agent + 1, last) if agent + 1 < space.n else (pos + 1, 0, last)
+        return queries[pos][agent], lambda c, m: nxt
+
+    return step
+
+
+def _ascending_cells(rank) -> list:
+    """Per value rank ``r``, ascending: the cells (types ranked above ``r``,
+    the rest), or ``None`` at the top rank, where no type is above."""
+    cells = []
+    for r in range(len(rank)):
+        above = tuple(t for t, s in enumerate(rank) if s > r)
+        rest = tuple(t for t, s in enumerate(rank) if s <= r)
+        cells.append((above, rest) if above else None)
+    return cells
+
+
 def descending_first_price(n: int, values) -> ProtocolBundle:
     """Price clock falls through the type grid; at each price agents are
     asked in order whether their type equals it, and the first yes wins
     at that price."""
     inst = first_price(n, values)
-    space, rule = inst.space, inst.rule
-    by_value_desc = sorted(
-        range(space.sizes[0]), key=lambda t: -Fraction(space.alphabets[0][t])
-    )
-
-    def step(label: int, state):
-        level_pos, agent = state
-        if level_pos >= len(by_value_desc) or constant_on(rule, label):
-            return None
-        level = by_value_desc[level_pos]
-        rest = (*range(level), *range(level + 1, space.sizes[0]))
-        query = ElicitQuery(agent, ((level,), rest))
-        nxt = (level_pos, agent + 1) if agent + 1 < space.n else (level_pos + 1, 0)
-
-        def child_state(cell_index: int, _mask: int):
-            return nxt
-
-        return query, child_state
-
-    return ProtocolBundle(inst, build_protocol(space, step, (0, 0)))
+    rank, _ = _ranks(inst.space)
+    m = len(rank)
+    levels = sorted(range(m), key=rank.__getitem__, reverse=True)
+    step = _clock(inst.space, inst.rule, [((t,), (*range(t), *range(t + 1, m))) for t in levels])
+    return ProtocolBundle(inst, build_protocol(inst.space, step, (0, 0, m - 1)))
 
 
 def ascending_elicitation_sp(n: int, values) -> ProtocolBundle:
@@ -743,33 +659,9 @@ def ascending_elicitation_sp(n: int, values) -> ProtocolBundle:
     agent in turn is asked whether her type exceeds the clock level.
     Implements the rule but leaks losers' types."""
     inst = second_price(n, values)
-    space, rule = inst.space, inst.rule
-    by_value_asc = sorted(
-        range(space.sizes[0]), key=lambda t: Fraction(space.alphabets[0][t])
-    )
-
-    def step(label: int, state):
-        level_pos, agent = state
-        if level_pos >= len(by_value_asc) or constant_on(rule, label):
-            return None
-        above = tuple(
-            t
-            for t in range(space.sizes[0])
-            if Fraction(space.alphabets[0][t])
-            > Fraction(space.alphabets[0][by_value_asc[level_pos]])
-        )
-        if not above:
-            return None
-        rest = tuple(t for t in range(space.sizes[0]) if t not in above)
-        query = ElicitQuery(agent, (above, rest))
-        nxt = (level_pos, agent + 1) if agent + 1 < space.n else (level_pos + 1, 0)
-
-        def child_state(cell_index: int, _mask: int):
-            return nxt
-
-        return query, child_state
-
-    return ProtocolBundle(inst, build_protocol(space, step, (0, 0)))
+    cells = _ascending_cells(_ranks(inst.space)[0])
+    step = _clock(inst.space, inst.rule, cells)
+    return ProtocolBundle(inst, build_protocol(inst.space, step, (0, 0, len(cells) - 1)))
 
 
 def suggested_count_phase(protocol: Protocol) -> tuple[int, ...]:
@@ -791,8 +683,6 @@ def count_ascending_price(k: int, n: int, values) -> ProtocolBundle:
     """Ascending market-clearing counts find the (k+1)-th highest type,
     then agents are asked in order whether they are above it. The type
     space is restricted so that the k-th and (k+1)-th highest differ."""
-    if not 1 <= k < n:
-        raise InputError(f"k={k} needs 1 <= k < n={n}")
     return _count_clock(uniform_price(n, values, k), k)
 
 
@@ -800,8 +690,6 @@ def double_auction_count(n: int, values) -> ProtocolBundle:
     """Market-clearing counts find the price, then each agent reveals
     whether she is above it, which pins down all trades.  Restricted so
     the two median types differ."""
-    if n < 2 or n % 2:
-        raise InputError("double auction needs an even number of agents")
     return _count_clock(double_auction_walrasian(n, values, "lower"), n // 2)
 
 
@@ -812,48 +700,19 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
     space = inst0.space
     universe = order_statistic_restriction(space, k)
     inst = Instance(space, inst0.rule, inst0.model, universe)
-    rule = inst.rule
-    by_value_asc = sorted(
-        range(space.sizes[0]), key=lambda t: Fraction(space.alphabets[0][t])
-    )
-
-    def above_set(level: int):
-        lv = Fraction(space.alphabets[0][level])
-        return tuple(
-            t for t in range(space.sizes[0]) if Fraction(space.alphabets[0][t]) > lv
-        )
+    cells = _ascending_cells(_ranks(space)[0])
+    clock = _clock(space, inst.rule, cells)
 
     def step(label: int, state):
-        kind = state[0]
-        if kind == "count":
-            pos = state[1]
-            if pos >= len(by_value_asc):
-                return None
-            level = by_value_asc[pos]
-            above = above_set(level)
-            if not above:
-                return None
-            query = count_equals_query(space, above, k)
-
-            def child_state(cell_index: int, _mask: int):
-                if cell_index == 0:
-                    return "elicit", level, 0
-                return "count", pos + 1
-
-            return query, child_state
-        _, level, agent = state
-        if agent >= space.n or constant_on(rule, label):
+        if len(state) == 3:  # the count said yes at this level: the clock asks
+            return clock(label, state)
+        pos = state[0]
+        if cells[pos] is None:  # the top level: no type is above it
             return None
-        above = above_set(level)
-        rest = tuple(t for t in range(space.sizes[0]) if t not in above)
-        query = ElicitQuery(agent, (above, rest))
+        query = count_equals_query(space, cells[pos][0], k)
+        return query, lambda c, m: (pos, 0, pos) if c == 0 else (pos + 1,)
 
-        def child_state(cell_index: int, _mask: int):
-            return "elicit", level, agent + 1
-
-        return query, child_state
-
-    protocol = build_protocol(space, step, ("count", 0), universe)
+    protocol = build_protocol(space, step, (0,), universe)
     return ProtocolBundle(inst, protocol, suggested_count_phase(protocol))
 
 
@@ -905,37 +764,32 @@ def check_rule_property(rule: ChoiceRule, model: DomainModel, prop: str) -> Prop
 def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
     space = rule.space
     if model.kind == "auction":
-        for k in range(space.total):
-            profile = space.profile(k)
-            comps = rule.components[rule.table[k]]
-            winners = [i for i, c in enumerate(comps) if c.startswith("q=1")]
-            won = sum(model.values[i][profile[i]] for i in winners)
-            best = sum(
-                sorted(
-                    (model.values[i][profile[i]] for i in range(space.n)),
-                    reverse=True,
-                )[: len(winners)]
-            )
-            if won != best:
+        # Winners per outcome id, read once.  The winners are efficient iff
+        # their values are the highest ones, which integer ranks of the
+        # values decide as well as the values do.
+        winners = [
+            [i for i, c in enumerate(comps) if _parse_auction_component(c)[0] == 1]
+            for comps in rule.components
+        ]
+        order = {v: r for r, v in enumerate(sorted({v for row in model.values for v in row}))}
+        ranks = [[order[v] for v in row] for row in model.values]
+        for k, profile in enumerate(space.iter_profiles()):
+            v = [ranks[i][t] for i, t in enumerate(profile)]
+            won = winners[rule.table[k]]
+            if sorted(v[i] for i in won) != sorted(v)[len(v) - len(won):]:
                 return PropertyResult(
-                    False, {"profile": space.labels(profile), "winners": winners}
+                    False, {"profile": space.labels(profile), "winners": won}
                 )
         return PropertyResult(True)
     if model.kind in ("assignment", "house"):
-        feasible = _complete_assignments(space.n, model.objects)
-        for k in range(space.total):
-            profile = space.profile(k)
-            current = {
-                i: rule.components[rule.table[k]][i] for i in range(space.n)
-            }
+        feasible = list(itertools.permutations(model.objects, space.n))
+        for k, profile in enumerate(space.iter_profiles()):
+            current = rule.components[rule.table[k]]
             b = _pareto_dominator(current, feasible, profile, model.pref_rank)
             if b is not None:
                 return PropertyResult(
                     False,
-                    {
-                        "profile": space.labels(profile),
-                        "dominating": _assignment_outcome(b, space.n),
-                    },
+                    {"profile": space.labels(profile), "dominating": _assignment_outcome(b)},
                 )
         return PropertyResult(True)
     raise InputError(f"efficiency is not defined for kind {model.kind!r}")
@@ -1154,54 +1008,52 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _order_param(params: dict, n: int):
-    order = params.get("order", list(range(1, n + 1)))
-    return tuple(i - 1 for i in order)
+def _serial(n: int, objects, order=None, protocol: bool = False):
+    """Serial dictatorship, or its bundle, with ``order`` numbered from 1."""
+    order = tuple(range(n) if order is None else (i - 1 for i in order))
+    instance = serial_dictatorship(n, objects, order)
+    return serial_dictatorship_protocol(instance, order) if protocol else instance
+
+
+# (name, builds a protocol bundle, builder, parameter names in argument
+# order; a trailing "?" marks an optional one, passed only when given)
+_BUILTINS = (
+    ("serial_dictatorship", False, _serial, "n objects order?"),
+    ("first_price", False, first_price, "n values"),
+    ("second_price", False, second_price, "n values"),
+    ("kth_price", False, kth_price, "n values k"),
+    ("uniform_price", False, uniform_price, "n values k"),
+    ("double_auction_walrasian", False, double_auction_walrasian, "n values selection?"),
+    ("fair_tiebreak_2x2", False, fair_tiebreak_2x2, ""),
+    ("fig2_instance", False, fig_shaded_3x3, ""),
+    ("appC_sp_restriction", False, lambda: appC_sp_restriction()[0], ""),
+    ("non_clinching", False, non_clinching, ""),
+    ("house_ir_efficient_family", False, house_ir_efficient_family, ""),
+    ("school_stable_family", False, school_stable_family, ""),
+    ("school_count_instance", False, school_count_instance, ""),
+    ("serial_dictatorship", True, partial(_serial, protocol=True), "n objects order?"),
+    ("descending_first_price", True, descending_first_price, "n values"),
+    ("count_ascending_kplus1_price", True, count_ascending_price, "k n values"),
+    ("double_auction_count", True, double_auction_count, "n values"),
+    ("multicount_stable_matching", True, multicount_stable_matching, ""),
+    ("ascending_elicitation_sp", True, ascending_elicitation_sp, "n values"),
+    ("fair_two_query", True, lambda: fair_two_query_protocol(fair_tiebreak_2x2()), ""),
+)
+
+
+def _entry(build, names: str) -> Callable[[dict], object]:
+    """Table entry: ``build`` called with the named parameters, each read once."""
+    required = [key for key in names.split() if not key.endswith("?")]
+    optional = [key[:-1] for key in names.split() if key.endswith("?")]
+    return lambda params: build(
+        *[_require(params, key) for key in required],
+        **{key: params[key] for key in optional if key in params},
+    )
 
 
 BUILTIN_RULES: dict[str, Callable[[dict], object]] = {
-    "serial_dictatorship": lambda p: serial_dictatorship(
-        _require(p, "n"), _require(p, "objects"), _order_param(p, _require(p, "n"))
-    ),
-    "first_price": lambda p: first_price(_require(p, "n"), _require(p, "values")),
-    "second_price": lambda p: second_price(_require(p, "n"), _require(p, "values")),
-    "kth_price": lambda p: kth_price(
-        _require(p, "n"), _require(p, "values"), _require(p, "k")
-    ),
-    "uniform_price": lambda p: uniform_price(
-        _require(p, "n"), _require(p, "values"), _require(p, "k")
-    ),
-    "double_auction_walrasian": lambda p: double_auction_walrasian(
-        _require(p, "n"), _require(p, "values"), p.get("selection", "lower")
-    ),
-    "fair_tiebreak_2x2": lambda p: fair_tiebreak_2x2(),
-    "fig2_instance": lambda p: fig_shaded_3x3(),
-    "appC_sp_restriction": lambda p: appC_sp_restriction()[0],
-    "non_clinching": lambda p: non_clinching(),
-    "house_ir_efficient_family": lambda p: house_ir_efficient_family(),
-    "school_stable_family": lambda p: school_stable_family(),
-    "school_count_instance": lambda p: school_count_instance(),
+    name: _entry(build, names) for name, bundle, build, names in _BUILTINS if not bundle
 }
-
 BUILTIN_PROTOCOLS: dict[str, Callable[[dict], ProtocolBundle]] = {
-    "serial_dictatorship": lambda p: serial_dictatorship_protocol(
-        serial_dictatorship(
-            _require(p, "n"), _require(p, "objects"), _order_param(p, _require(p, "n"))
-        ),
-        _order_param(p, _require(p, "n")),
-    ),
-    "descending_first_price": lambda p: descending_first_price(
-        _require(p, "n"), _require(p, "values")
-    ),
-    "count_ascending_kplus1_price": lambda p: count_ascending_price(
-        _require(p, "k"), _require(p, "n"), _require(p, "values")
-    ),
-    "double_auction_count": lambda p: double_auction_count(
-        _require(p, "n"), _require(p, "values")
-    ),
-    "multicount_stable_matching": lambda p: multicount_stable_matching(),
-    "ascending_elicitation_sp": lambda p: ascending_elicitation_sp(
-        _require(p, "n"), _require(p, "values")
-    ),
-    "fair_two_query": lambda p: fair_two_query_protocol(fair_tiebreak_2x2()),
+    name: _entry(build, names) for name, bundle, build, names in _BUILTINS if bundle
 }

@@ -457,8 +457,9 @@ class TestPropertyChecksRefuseWhatTheyCannotRead:
             ("efficient", lambda doc: doc.pop("components"), "components"),
             ("ir", _set("components/winner=1,price=2/0", "won"), "'won'"),
             ("sp", lambda doc: doc["model"].pop("values"), "values"),
+            ("efficient", _set("components/winner=1,price=2/0", "q=1x,t=2"), "'q=1x,t=2'"),
         ],
-        ids=["no components", "malformed component", "no values"],
+        ids=["no components", "malformed component", "no values", "malformed winner"],
     )
     def test_exit_2_naming_the_need(self, prop, edit, message, tmp_path, capsys):
         p = tmp_path / "fp.json"
@@ -471,6 +472,20 @@ class TestPropertyChecksRefuseWhatTheyCannotRead:
         p.write_text(_first_price_with(_set("model/values", [])))
         code, doc = run_cli(["check", "--property", "sp", str(p)], capsys)
         assert code == 2 and doc["error"].endswith("(at /model/values)"), doc
+
+
+class TestAuctionValues:
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 1.0], [1.5, "3/2"], ["1.5", "3/2"], [2, "2"], ["2", "4/2"], [100, "1e2"],
+         ["0", "-0"]],
+        ids=["int and float", "float and fraction", "decimal and fraction", "int and string",
+             "unreduced fraction", "exponent", "signed zero"],
+    )
+    def test_equal_values_spelled_differently_are_refused(self, values, capsys):
+        params = json.dumps({"n": 2, "values": [*values, 7]})
+        code, doc = run_cli(["builtin", "first_price", "--params", params], capsys)
+        assert code == 2 and "auction type values must be distinct" in doc["error"], doc
 
 
 # Small parameters for every built-in protocol bundle.

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from cpv.core import InputError, ProfileSet, Witness
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Witness
 from cpv.mechanisms import (
+    DomainModel,
     UnsupportedProtocolError,
     appC_sp_restriction,
     ascending_elicitation_sp,
@@ -79,6 +81,40 @@ class TestAuctionRules:
         for x in range(inst.rule.outcome_count):
             row = inst.rule.components[x]
             assert sum(1 for c in row if c.startswith("q=1")) == 1
+
+
+def efficient_by_value_sums(rule, model) -> bool:
+    """Reference: the winners' values sum to the sum of as many highest values."""
+    for k, profile in enumerate(rule.space.iter_profiles()):
+        values = [model.values[i][t] for i, t in enumerate(profile)]
+        winners = [i for i, c in enumerate(rule.components[rule.table[k]]) if c.startswith("q=1")]
+        best = sorted(values, reverse=True)[: len(winners)]
+        if sum(values[i] for i in winners) != sum(best):
+            return False
+    return True
+
+
+class TestAuctionEfficiency:
+    def test_agrees_with_value_sums_on_random_rules(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(400):
+            sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            space = TypeSpace(tuple(tuple(f"t{j}" for j in range(s)) for s in sizes))
+            pool = [Fraction(rng.randint(-2, 3), rng.randint(1, 2)) for _ in range(4)]
+            values = tuple(tuple(rng.choice(pool) for _ in range(s)) for s in sizes)
+            rows = {
+                tuple(rng.choice(["q=0,t=0", "q=1,t=1/2"]) for _ in sizes)
+                for _ in range(rng.randint(1, 4))
+            }
+            table = tuple(rng.randrange(len(rows)) for _ in range(space.total))
+            labels = tuple(f"o{x}" for x in range(len(rows)))
+            rule = ChoiceRule(space, labels, table, tuple(sorted(rows)))
+            model = DomainModel(kind="auction", values=values)
+            expected = efficient_by_value_sums(rule, model)
+            assert check_rule_property(rule, model, "efficient").ok == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestDescendingProtocol:
