@@ -20,7 +20,6 @@ from cpv.core import (
     index_profile,
     product_factorization,
     profile_of_index,
-    restrict_rule,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "index_profile",
     "product_factorization",
     "profile_of_index",
-    "restrict_rule",
 ]

@@ -884,7 +884,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("builtin", help="materialize a built-in rule or protocol")
+    p = sub.add_parser(
+        "builtin",
+        help="materialize a built-in rule or protocol",
+        description="materialize a built-in rule or protocol.  A protocol name "
+        "wins over a rule name: serial_dictatorship emits the protocol bundle, "
+        "and the rule alone is reachable through rule.builtin in an instance file.",
+    )
     p.add_argument("name")
     p.add_argument("--params", help="JSON object of parameters")
     p.add_argument("--emit", help="write the instance/bundle file here")

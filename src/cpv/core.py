@@ -481,33 +481,6 @@ def constant_on(rule: ChoiceRule, mask: int) -> bool:
 
 
 @record
-class RestrictedRule:
-    """The rule evaluated on a product subset; outcome ids are unchanged."""
-
-    rule: ChoiceRule
-    factors: tuple[tuple[int, ...], ...]
-    constant: bool
-
-
-def restrict_rule(rule: ChoiceRule, pset: ProfileSet) -> RestrictedRule:
-    """View of the rule on a product profile set, plus a constancy report."""
-    factors = product_factorization(rule.space, pset)
-    if factors is None:
-        raise InputError("restriction set is not a product set")
-    space = rule.space
-    sub_space = TypeSpace(
-        tuple(
-            tuple(space.alphabets[i][t] for t in factors[i])
-            for i in range(space.n)
-        )
-    )
-    table = [rule.table[k] for k in product_indices(space, factors)]
-    sub = ChoiceRule(sub_space, rule.outcomes, tuple(table), rule.components)
-    constant = len(set(table)) <= 1
-    return RestrictedRule(sub, factors, constant)
-
-
-@record
 class Witness:
     """Product set on which the rule is non-constant yet, for every agent,
     all factor types are inseparable.  Certifies that no contextually

@@ -20,6 +20,7 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     constant_on,
+    mask_indices,
     mask_of_flags,
     record,
 )
@@ -796,30 +797,24 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
 
 
 def _check_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+    """Every agent weakly prefers her outcome to her outside option: her
+    endowment in a house model, utility 0 in an auction."""
+    if model.kind not in ("house", "auction"):
+        raise InputError(f"individual rationality is not defined for kind {model.kind!r}")
     space = rule.space
-    if model.kind == "house":
-        for k in range(space.total):
-            profile = space.profile(k)
-            for i in range(space.n):
-                got = rule.components[rule.table[k]][i]
-                if model.pref_rank(i, profile[i], got) > model.pref_rank(
-                    i, profile[i], model.endowments[i]
-                ):
-                    return PropertyResult(
-                        False, {"profile": space.labels(profile), "agent": i + 1}
-                    )
-        return PropertyResult(True)
-    if model.kind == "auction":
-        for k in range(space.total):
-            profile = space.profile(k)
-            for i in range(space.n):
-                q, t = _parse_auction_component(rule.components[rule.table[k]][i])
-                if q * model.values[i][profile[i]] - t < 0:
-                    return PropertyResult(
-                        False, {"profile": space.labels(profile), "agent": i + 1}
-                    )
-        return PropertyResult(True)
-    raise InputError(f"individual rationality is not defined for kind {model.kind!r}")
+    ids = sorted(set(rule.table))
+    rational = []  # [agent][type]: the outcome ids at least as good as the outside option
+    for i, size in enumerate(space.sizes):
+        rows = []
+        for t in range(size):
+            outside = _utility(model, i, t, model.endowments[i]) if model.kind == "house" else 0
+            rows.append({o for o in ids if _utility(model, i, t, rule.components[o][i]) >= outside})
+        rational.append(rows)
+    for k, profile in enumerate(space.iter_profiles()):
+        for i, t in enumerate(profile):
+            if rule.table[k] not in rational[i][t]:
+                return PropertyResult(False, {"profile": space.labels(profile), "agent": i + 1})
+    return PropertyResult(True)
 
 
 def _check_stable(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
@@ -867,69 +862,68 @@ def _parse_auction_component(comp: str) -> tuple[int, Fraction]:
 
 
 def _check_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
-    space = rule.space
-    rank = outcome_rank_fn(rule, model)
-    for k in range(space.total):
-        profile = space.profile(k)
-        for i in range(space.n):
-            stride = space.strides[i]
-            truth = rank(i, profile[i], rule.table[k])
-            for t2 in range(space.sizes[i]):
-                if t2 == profile[i]:
-                    continue
-                k2 = k + (t2 - profile[i]) * stride
-                if rank(i, profile[i], rule.table[k2]) < truth:
-                    return PropertyResult(
-                        False,
-                        {
-                            "profile": space.labels(profile),
-                            "agent": i + 1,
-                            "report": space.alphabets[i][t2],
-                        },
-                    )
+    space, table = rule.space, rule.table
+    ranks = outcome_ranks(rule, model, set(table))
+    for k, profile in enumerate(space.iter_profiles()):
+        for i, t in enumerate(profile):
+            row, stride = ranks[i][t], space.strides[i]
+            start = k - t * stride  # the agent's reports run from here by stride
+            reports = [row[o] for o in table[start : start + space.sizes[i] * stride : stride]]
+            if min(reports) < reports[t]:
+                lie = next(s for s, r in enumerate(reports) if r < reports[t])
+                report = space.alphabets[i][lie]
+                example = {"profile": space.labels(profile), "agent": i + 1, "report": report}
+                return PropertyResult(False, example)
     return PropertyResult(True)
 
 
-def outcome_rank_fn(rule: ChoiceRule, model: DomainModel) -> Callable[[int, int, int], object]:
-    """Rank of an outcome for an agent with a given true type; smaller is
-    better, ties allowed.  Built from explicit outcome preferences when
-    present, from own-assignment preferences otherwise, and from
-    quasilinear utilities in auction domains."""
-    _readable(rule, model)
-    if model.outcome_prefs is not None:
-        rank_tables = []
-        for agent_prefs in model.outcome_prefs:
-            per_type = []
-            for groups in agent_prefs:
-                table = {}
-                for r, group in enumerate(groups):
-                    for label in group:
-                        table[label] = r
-                per_type.append(table)
-            rank_tables.append(per_type)
-
-        def rank(agent: int, type_index: int, outcome_id: int):
-            label = rule.outcomes[outcome_id]
-            try:
-                return rank_tables[agent][type_index][label]
-            except KeyError:
-                raise InputError(
-                    f"outcome {label!r} missing from agent {agent + 1}'s preferences"
-                ) from None
-
-        return rank
-    if model.kind in ("assignment", "house", "school"):
-        def rank(agent: int, type_index: int, outcome_id: int):
-            return model.pref_rank(agent, type_index, rule.components[outcome_id][agent])
-
-        return rank
+def _utility(model: DomainModel, agent: int, type_index: int, component: str):
+    """What the agent of the given true type gets from ``component``, her
+    part of an outcome: the quasilinear utility ``q*v - t`` in auction
+    domains, minus the position of her object in her preference order in
+    assignment, house and school domains."""
     if model.kind in ("auction", "double_auction"):
-        def rank(agent: int, type_index: int, outcome_id: int):
-            q, t = _parse_auction_component(rule.components[outcome_id][agent])
-            return -(q * model.values[agent][type_index] - t)
-
-        return rank
+        q, t = _parse_auction_component(component)
+        return q * model.values[agent][type_index] - t
+    if model.kind in ("assignment", "house", "school"):
+        return -model.pref_rank(agent, type_index, component)
     raise InputError(f"no outcome ranking available for kind {model.kind!r}")
+
+
+def outcome_ranks(rule: ChoiceRule, model: DomainModel, ids) -> list[list[list]]:
+    """``[agent][type][outcome id]``: the rank of each outcome id in ``ids``
+    for the agent with that true type, ``None`` for the other ids.  Ranks
+    are dense integers; smaller is better and ties share a rank.  They
+    follow the model's outcome preferences when it has them (the position
+    of the group holding the outcome's label), and :func:`_utility` of the
+    agent's component otherwise."""
+    _readable(rule, model)
+    ids = sorted(ids)
+    ranks = []
+    for i, size in enumerate(rule.space.sizes):
+        ranks.append([])
+        for t in range(size):
+            if model.outcome_prefs is None:
+                key = [-_utility(model, i, t, rule.components[o][i]) for o in ids]
+            else:
+                groups = model.outcome_prefs[i][t]
+                position = {label: r for r, group in enumerate(groups) for label in group}
+                try:
+                    key = [position[rule.outcomes[o]] for o in ids]
+                except KeyError as exc:
+                    missing = f"outcome {exc.args[0]!r} missing from agent {i + 1}'s preferences"
+                    raise InputError(missing) from None
+            dense = {v: r for r, v in enumerate(sorted(set(key)))}
+            row = [None] * rule.outcome_count
+            for o, v in zip(ids, key):
+                row[o] = dense[v]
+            ranks[i].append(row)
+    return ranks
+
+
+def outcome_ids(rule: ChoiceRule, mask: int) -> set[int]:
+    """The outcome ids the rule takes on the profile-set mask."""
+    return set(map(rule.table.__getitem__, mask_indices(mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +947,7 @@ def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel)
     beat every other cell's best continuation, under the mover's
     true-type ranking.  Elicitation protocols only."""
     space = protocol.space
-    rank = outcome_rank_fn(rule, model)
+    ranks = outcome_ranks(rule, model, outcome_ids(rule, protocol.universe))
     for v in protocol.nodes:
         if v.is_leaf:
             continue
@@ -963,37 +957,33 @@ def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel)
             )
         agent = v.query.agent
         masks = [protocol.nodes[c].label for c in v.children]
-        failure = _osp_node_failure(space, rule, rank, agent, masks)
+        failure = _osp_node_failure(space, rule, ranks, agent, masks)
         if failure is not None:
             true_t, pos = failure
             return OspResult(False, v.id, agent, true_t, v.children[pos])
     return OspResult(True)
 
 
-def _osp_node_failure(space: TypeSpace, rule: ChoiceRule, rank, agent: int, masks):
+def _osp_node_failure(space: TypeSpace, rule: ChoiceRule, ranks, agent: int, masks):
     """First (true type, deviating child position) at an elicitation node
-    of ``agent`` whose children carry ``masks``, or ``None``.
+    of ``agent`` whose children carry ``masks``, or ``None``; ``ranks`` is
+    an :func:`outcome_ranks` table holding every outcome under the masks.
 
     True types are tried in ascending order; for each, the worst outcome of
     its own child must weakly beat the best outcome of every other child.
     """
-    stride, size = space.strides[agent], space.sizes[agent]
+    stride, size, table = space.strides[agent], space.sizes[agent], rule.table
     members = [list(ProfileSet(space, m).indices()) for m in masks]
+    outcomes = [set(map(table.__getitem__, ks)) for ks in members]
     home: dict[int, int] = {}  # true type -> position of the child holding it
     for pos, ks in enumerate(members):
         for k in ks:
             home.setdefault(k // stride % size, pos)
     for true_t in sorted(home):
-        own = home[true_t]
-        worst = max(
-            rank(agent, true_t, rule.table[k])
-            for k in members[own]
-            if k // stride % size == true_t
-        )
-        for pos, ks in enumerate(members):
-            if pos == own:
-                continue
-            if min(rank(agent, true_t, rule.table[k]) for k in ks) < worst:
+        row, own = ranks[agent][true_t], home[true_t]
+        worst = max(row[table[k]] for k in members[own] if k // stride % size == true_t)
+        for pos, outs in enumerate(outcomes):
+            if pos != own and min(map(row.__getitem__, outs)) < worst:
                 return true_t, pos
     return None
 

@@ -488,77 +488,6 @@ def earliest_departure(protocol: Protocol, p: Profile, q: Profile) -> int:
     raise InputError("not separated: the profiles share a terminal node")
 
 
-# --- classification -----------------------------------------------------------
-
-
-@record
-class QueryClass:
-    kind: str  # elicit | count | multicount | extensional
-    agent: Optional[int] = None
-    subsets: Optional[tuple[tuple[int, ...], ...]] = None
-    cells: Optional[tuple] = None
-    arity: Optional[int] = None
-    cap_reached: bool = False
-
-
-def _canonical_subsets(values: tuple[int, ...]):
-    """Nonempty proper subsets of ``values``, one per complement pair: the
-    one holding ``values[0]``, by size, then lexicographically."""
-    rest = values[1:]
-    anchor = values[0]
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            subset = (anchor,) + combo
-            if len(subset) < len(values):
-                yield subset
-
-
-def classify_query(protocol: Protocol, node_id: int) -> QueryClass:
-    """Most specific query class the node's partition admits.
-
-    Tries individual elicitation first, then a single exact count, then a
-    joint exact count of two type subsets; falls back to extensional.  A
-    count class fits when every count fiber of the node's label lies in
-    one child.  Classification is a diagnostic: the stored descriptor may
-    already be finer than what the partition reveals.
-    """
-    space = protocol.space
-    node = protocol.nodes[node_id]
-    if node.is_leaf:
-        raise InputError(f"node {node_id} is a leaf")
-    child_masks = [protocol.nodes[c].label for c in node.children]
-
-    for agent in range(space.n):
-        projections = tuple(ProfileSet(space, m).projection(agent) for m in child_masks)
-        flat = [t for pr in projections for t in pr]
-        if len(flat) != len(set(flat)):
-            continue
-        split = query_cell_masks(space, ElicitQuery(agent, projections), node.label)
-        if split == child_masks:
-            return QueryClass("elicit", agent=agent, cells=projections)
-
-    if not space.common_alphabet:
-        return QueryClass("extensional")
-    subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-    # pairs of subsets only while the subset enumeration stays reasonable
-    arities = (1, 2) if (1 << space.sizes[0]) <= 4096 else (1,)
-    for arity in arities:
-        for subs in itertools.combinations(subsets, arity):
-            query = exact_count_query(space, subs)
-            cells: list[list] = [[] for _ in child_masks]
-            for (value,), fiber in zip(query.cells, query_cell_masks(space, query, node.label)):
-                owners = [c for c, m in enumerate(child_masks) if fiber & m]
-                if len(owners) > 1:
-                    break
-                if owners:
-                    cells[owners[0]].append(value)
-            else:
-                kind = "count" if arity == 1 else "multicount"
-                cells_out = tuple(tuple(c) for c in cells)
-                return QueryClass(kind, subsets=subs, cells=cells_out, arity=arity)
-    return QueryClass("extensional", cap_reached=space.sizes[0] > 2)
-
-
 # --- small constructors used across the package -------------------------------
 
 
@@ -576,3 +505,15 @@ def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:
     """Binary count query: is |{i : type_i in subset}| equal to ``value``?"""
     others = tuple(c for c in range(space.n + 1) if c != value)
     return CountQuery(tuple(sorted(set(subset))), ((value,), others))
+
+
+def _canonical_subsets(values: tuple[int, ...]):
+    """Nonempty proper subsets of ``values``, one per complement pair: the
+    one holding ``values[0]``, by size, then lexicographically."""
+    rest = values[1:]
+    anchor = values[0]
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            subset = (anchor,) + combo
+            if len(subset) < len(values):
+                yield subset

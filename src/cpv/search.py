@@ -42,7 +42,8 @@ from cpv.mechanisms import (
     DomainModel,
     _osp_node_failure,
     check_protocol_osp,
-    outcome_rank_fn,
+    outcome_ids,
+    outcome_ranks,
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
@@ -334,7 +335,8 @@ def exhaustive_osp_search(
     at least two blocks (absent types join the first) and pass the OSP
     node test."""
     space = rule.space
-    rank = outcome_rank_fn(rule, model)
+    root = _root(space, universe)
+    ranks = outcome_ranks(rule, model, outcome_ids(rule, root))
 
     def candidates(state: int):
         seen: set[frozenset[int]] = set()
@@ -351,10 +353,10 @@ def exhaustive_osp_search(
                 if len(masks) < 2 or signature in seen:
                     continue
                 seen.add(signature)
-                if _osp_node_failure(space, rule, rank, agent, masks) is None:
+                if _osp_node_failure(space, rule, ranks, agent, masks) is None:
                     yield _Candidate(query, masks)
 
-    result = _solve(rule, _root(space, universe), candidates, budget)
+    result = _solve(rule, root, candidates, budget)
     if result.found and not check_protocol_osp(result.protocol, rule, model).ok:
         raise AssertionError("search found a protocol that is not obviously strategyproof (bug)")
     return result

@@ -450,6 +450,32 @@ def _first_price_with(edit) -> str:
     return json.dumps(doc)
 
 
+def _instead(name: str, params: dict, *edits):
+    """An edit that swaps the document for built-in ``name`` as ``builtin
+    --emit`` writes it, then applies ``edits``."""
+
+    def edit(doc):
+        doc.clear()
+        doc.update(instance_to_json(BUILTIN_RULES[name](params)))
+        for change in edits:
+            change(doc)
+
+    return edit
+
+
+# First price with an unreadable last outcome; agent 1 pays 9 at the first
+# profile, a violation of ir and sp that a scan in profile order meets first.
+_OVERPAID = _instead(
+    "first_price", {"n": 3, "values": [1, 2, 3, 4, 5]},
+    _set("components/winner=1,price=1/0", "q=1,t=9"),
+    _set("components/winner=1,price=5/0", "q=1x,t=5"),
+)
+# non_clinching without x4 in agent 1's lo preferences; in the second file
+# agent 2's lo type prefers x2, a violation of sp at the first profile.
+_NO_X4 = _set("model/outcome_prefs/0/0", [["x1"], ["x3"], ["x2"]])
+_PREFERS_X2 = _set("model/outcome_prefs/1/0", [["x2"], ["x1"], ["x3"], ["x4"]])
+
+
 class TestPropertyChecksRefuseWhatTheyCannotRead:
     @pytest.mark.parametrize(
         "prop, edit, message",
@@ -458,8 +484,17 @@ class TestPropertyChecksRefuseWhatTheyCannotRead:
             ("ir", _set("components/winner=1,price=2/0", "won"), "'won'"),
             ("sp", lambda doc: doc["model"].pop("values"), "values"),
             ("efficient", _set("components/winner=1,price=2/0", "q=1x,t=2"), "'q=1x,t=2'"),
+            ("efficient", _OVERPAID, "'q=1x,t=5'"),
+            ("ir", _OVERPAID, "'q=1x,t=5'"),
+            ("sp", _OVERPAID, "'q=1x,t=5'"),
+            ("sp", _instead("non_clinching", {}, _NO_X4), "'x4' missing from agent 1's"),
+            ("sp", _instead("non_clinching", {}, _NO_X4, _PREFERS_X2),
+             "'x4' missing from agent 1's"),
         ],
-        ids=["no components", "malformed component", "no values", "malformed winner"],
+        ids=["no components", "malformed component", "no values", "malformed winner",
+             "malformed after a violation, efficient", "malformed after a violation, ir",
+             "malformed after a violation, sp", "outcome missing from preferences",
+             "outcome missing after a violation"],
     )
     def test_exit_2_naming_the_need(self, prop, edit, message, tmp_path, capsys):
         p = tmp_path / "fp.json"

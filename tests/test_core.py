@@ -14,9 +14,7 @@ from cpv.core import (
     index_profile,
     product_factorization,
     profile_of_index,
-    restrict_rule,
 )
-from cpv.mechanisms import fair_tiebreak_2x2
 
 
 def space_2x2() -> TypeSpace:
@@ -111,37 +109,6 @@ class TestProductFactorization:
             assert ps.size == math.prod(len(f) for f in factors)
         else:
             assert ps.size < math.prod(sizes)
-
-
-class TestRestrictRule:
-    def test_fair_rule_nonconstant_on_full_space(self):
-        inst = fair_tiebreak_2x2()
-        view = restrict_rule(inst.rule, ProfileSet.full(inst.space))
-        assert not view.constant
-
-    def test_fair_rule_constant_on_top_row(self):
-        inst = fair_tiebreak_2x2()
-        row = ProfileSet.from_profiles(inst.space, [(0, 0), (0, 1)])
-        view = restrict_rule(inst.rule, row)
-        assert view.constant
-        assert view.rule.outcomes[view.rule.table[0]] == "1:A,2:B"
-
-    def test_singleton_constant(self):
-        inst = fair_tiebreak_2x2()
-        single = ProfileSet.from_profiles(inst.space, [(1, 0)])
-        assert restrict_rule(inst.rule, single).constant
-
-    def test_nonproduct_rejected(self):
-        inst = fair_tiebreak_2x2()
-        diag = ProfileSet.from_profiles(inst.space, [(0, 0), (1, 1)])
-        with pytest.raises(InputError):
-            restrict_rule(inst.rule, diag)
-
-    def test_outcome_ids_unchanged(self):
-        inst = fair_tiebreak_2x2()
-        row = ProfileSet.from_profiles(inst.space, [(1, 0), (1, 1)])
-        view = restrict_rule(inst.rule, row)
-        assert view.rule.outcomes == inst.rule.outcomes
 
 
 class TestChoiceRuleValidation:

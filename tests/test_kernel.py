@@ -26,7 +26,6 @@ from cpv.core import (
     mask_indices,
     mask_of_flags,
     product_indices,
-    restrict_rule,
 )
 from cpv.protocol import (
     CountQuery,
@@ -258,17 +257,6 @@ class TestMaskPrimitives:
             factors = random_factors(rng, space)
             naive = [space.index(p) for p in itertools.product(*factors)]
             assert product_indices(space, factors) == naive
-
-    def test_restrict_rule(self):
-        for seed in SEEDS:
-            rng = random.Random(seed)
-            space = random_space(rng, False)
-            rule = random_rule(rng, space)
-            factors = random_factors(rng, space)
-            view = restrict_rule(rule, ProfileSet.from_factors(space, factors))
-            naive = tuple(rule.table[space.index(p)] for p in itertools.product(*factors))
-            assert view.rule.table == naive
-            assert view.constant is (len(set(naive)) == 1)
 
     def test_constant_on(self):
         for seed in SEEDS:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
@@ -18,12 +17,10 @@ from cpv.protocol import (
     CountQuery,
     ElicitQuery,
     ExtensionalQuery,
-    MultiCountQuery,
     NodeSpec,
     ProtocolDefect,
     build_from_spec,
     build_protocol,
-    classify_query,
     earliest_departure,
     implements,
     run_protocol,
@@ -255,58 +252,6 @@ class TestEarliestDeparture:
     def test_not_separated(self):
         with pytest.raises(InputError, match="not separated"):
             earliest_departure(one_query(), (0, 0), (0, 1))
-
-
-class TestClassify:
-    def test_elicit_round_trip(self):
-        protocol = two_query()
-        got = classify_query(protocol, 0)
-        assert got.kind == "elicit" and got.agent == 0
-
-    def test_count_from_extensional(self):
-        # independent oracle: brute-force all subsets and count partitions
-        space = TypeSpace.shared(2, ("A", "B"))
-        cells = (
-            ProfileSet.from_profiles(space, [(0, 0), (1, 1)]).mask,
-            ProfileSet.from_profiles(space, [(0, 1), (1, 0)]).mask,
-        )
-        spec = NodeSpec(ExtensionalQuery(cells), (NodeSpec(), NodeSpec()))
-        protocol = build_from_spec(space, spec)
-
-        def brute_force_count_match():
-            for bits in range(1, 1 << 2):
-                subset = {t for t in range(2) if bits >> t & 1}
-                groups = {}
-                for p in itertools.product(range(2), repeat=2):
-                    c = sum(1 for t in p if t in subset)
-                    groups.setdefault(c, set()).add(p)
-                fibers = set(frozenset(g) for g in groups.values())
-                want = {frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})}
-                union_ok = all(
-                    any(f <= w for w in want) for f in fibers
-                )
-                if union_ok:
-                    return sorted(subset)
-            return None
-
-        assert brute_force_count_match() == [0]  # subset {A} works
-        got = classify_query(protocol, 0)
-        assert got.kind == "count"
-        assert got.subsets == ((0,),)
-        assert set(got.cells) == {(0, 2), (1,)}
-
-    def test_multicount_classification(self):
-        space = TypeSpace.shared(2, ("A", "B", "C"))
-        vectors = list(itertools.product(range(3), repeat=2))
-        probe = MultiCountQuery(
-            ((0,), (1,)),
-            (tuple(v for v in vectors if v == (1, 1)), tuple(v for v in vectors if v != (1, 1))),
-        )
-        spec = NodeSpec(probe, (NodeSpec(), NodeSpec()))
-        protocol = build_from_spec(space, spec)
-        got = classify_query(protocol, 0)
-        # a single-subset count cannot express this split, two can
-        assert got.kind == "multicount" and got.arity == 2
 
 
 class TestQueryValidation:
