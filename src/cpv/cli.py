@@ -698,7 +698,7 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if result.ok else 1), doc
     if prop in ("efficient", "ir", "stable", "sp"):
-        result = check_rule_property(rule, instance.model, prop)
+        result = check_rule_property(rule, instance.model, prop, instance.universe)
         doc["holds"] = result.ok
         if not result.ok:
             doc["counterexample"] = result.counterexample

@@ -279,20 +279,19 @@ def mask_indices(mask: int) -> list[int]:
     return list(itertools.compress(range(total), mask_flags(mask, total)))
 
 
-def unilateral_pairs(space: TypeSpace, keys, inside: int, block=None, value=None):
-    """Unilateral deviations ``(k, agent, t2, k2)``: profile ``k2`` is ``k``
-    with the agent's type raised to ``t2``.
+def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
+    """Unilateral deviations ``(k, agent, t2, k2)`` inside the mask
+    ``inside``: profile ``k2`` is ``k`` with the agent's type raised to ``t2``.
 
     This is the one scan order of every unilateral check: base index ``k``
-    as ``keys`` gives it (ascending), then agent ascending, then ``t2``
-    ascending.  A pair is yielded only if ``k2`` lies in the mask ``inside``,
-    if ``block[k2] != block[k]`` when a per-profile ``block`` list is given,
-    and if ``value[agent][k2] == value[agent][k]`` when per-agent,
-    per-profile ``value`` lists are given.
+    ascending, then agent ascending, then ``t2`` ascending.  A pair is
+    yielded only if ``block[k2] != block[k]`` when a per-profile ``block``
+    list is given, and if ``value[agent][k2] == value[agent][k]`` when
+    per-agent, per-profile ``value`` lists are given.
     """
     member = mask_flags(inside, space.total)
     axes = tuple(zip(range(space.n), space.strides, space.sizes))
-    for k in keys:
+    for k in itertools.compress(range(space.total), member):
         b = block[k] if block is not None else None
         for agent, stride, size in axes:
             vals = value[agent] if value is not None else None

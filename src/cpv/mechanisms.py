@@ -20,6 +20,7 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     constant_on,
+    mask_flags,
     mask_indices,
     mask_of_flags,
     record,
@@ -749,7 +750,13 @@ def _readable(rule: ChoiceRule, model: DomainModel) -> None:
         raise InputError(f"checks of a {model.kind!r} model need per-agent outcome components")
 
 
-def check_rule_property(rule: ChoiceRule, model: DomainModel, prop: str) -> PropertyResult:
+def check_rule_property(
+    rule: ChoiceRule, model: DomainModel, prop: str, universe: ProfileSet | None = None
+) -> PropertyResult:
+    """Decides ``prop`` on the profiles of ``universe`` (the whole space by
+    default): only those profiles are scanned, a misreport counts only if
+    its profile lies there too, and only the outcomes the rule takes there
+    are ranked."""
     _readable(rule, model)
     checks = {
         "efficient": _check_efficient,
@@ -759,22 +766,28 @@ def check_rule_property(rule: ChoiceRule, model: DomainModel, prop: str) -> Prop
     }
     if prop not in checks:
         raise InputError(f"unknown property {prop!r}")
-    return checks[prop](rule, model)
+    mask = (1 << rule.space.total) - 1 if universe is None else universe.mask
+    return checks[prop](rule, model, mask)
 
 
-def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+def _scan(space: TypeSpace, mask: int):
+    """``(index, profile)`` of each profile in the mask, ascending."""
+    return itertools.compress(enumerate(space.iter_profiles()), mask_flags(mask, space.total))
+
+
+def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
     space = rule.space
     if model.kind == "auction":
         # Winners per outcome id, read once.  The winners are efficient iff
         # their values are the highest ones, which integer ranks of the
         # values decide as well as the values do.
-        winners = [
-            [i for i, c in enumerate(comps) if _parse_auction_component(c)[0] == 1]
-            for comps in rule.components
-        ]
+        winners = {
+            o: [i for i, c in enumerate(rule.components[o]) if _parse_auction_component(c)[0] == 1]
+            for o in sorted(outcome_ids(rule, mask))
+        }
         order = {v: r for r, v in enumerate(sorted({v for row in model.values for v in row}))}
         ranks = [[order[v] for v in row] for row in model.values]
-        for k, profile in enumerate(space.iter_profiles()):
+        for k, profile in _scan(space, mask):
             v = [ranks[i][t] for i, t in enumerate(profile)]
             won = winners[rule.table[k]]
             if sorted(v[i] for i in won) != sorted(v)[len(v) - len(won):]:
@@ -784,7 +797,7 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
         return PropertyResult(True)
     if model.kind in ("assignment", "house"):
         feasible = list(itertools.permutations(model.objects, space.n))
-        for k, profile in enumerate(space.iter_profiles()):
+        for k, profile in _scan(space, mask):
             current = rule.components[rule.table[k]]
             b = _pareto_dominator(current, feasible, profile, model.pref_rank)
             if b is not None:
@@ -796,13 +809,13 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
     raise InputError(f"efficiency is not defined for kind {model.kind!r}")
 
 
-def _check_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+def _check_ir(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
     """Every agent weakly prefers her outcome to her outside option: her
     endowment in a house model, utility 0 in an auction."""
     if model.kind not in ("house", "auction"):
         raise InputError(f"individual rationality is not defined for kind {model.kind!r}")
     space = rule.space
-    ids = sorted(set(rule.table))
+    ids = sorted(outcome_ids(rule, mask))
     rational = []  # [agent][type]: the outcome ids at least as good as the outside option
     for i, size in enumerate(space.sizes):
         rows = []
@@ -810,21 +823,19 @@ def _check_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
             outside = _utility(model, i, t, model.endowments[i]) if model.kind == "house" else 0
             rows.append({o for o in ids if _utility(model, i, t, rule.components[o][i]) >= outside})
         rational.append(rows)
-    for k, profile in enumerate(space.iter_profiles()):
+    for k, profile in _scan(space, mask):
         for i, t in enumerate(profile):
             if rule.table[k] not in rational[i][t]:
                 return PropertyResult(False, {"profile": space.labels(profile), "agent": i + 1})
     return PropertyResult(True)
 
 
-def _check_stable(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+def _check_stable(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
     if model.kind != "school":
         raise InputError(f"stability is not defined for kind {model.kind!r}")
     space = rule.space
     capacities = dict(model.capacities)
-    universe = range(space.total)
-    for k in universe:
-        profile = space.profile(k)
+    for k, profile in _scan(space, mask):
         comps = rule.components[rule.table[k]]
         placed: dict[str, list[int]] = {}
         for i in range(space.n):
@@ -861,10 +872,15 @@ def _parse_auction_component(comp: str) -> tuple[int, Fraction]:
         raise InputError(f"malformed auction component {comp!r}") from None
 
 
-def _check_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
-    space, table = rule.space, rule.table
-    ranks = outcome_ranks(rule, model, set(table))
-    for k, profile in enumerate(space.iter_profiles()):
+def _check_sp(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
+    space = rule.space
+    ranks = outcome_ranks(rule, model, outcome_ids(rule, mask))
+    # a profile outside the mask gets the extra outcome id ``last``, ranked last
+    last = rule.outcome_count
+    table = [o if m else last for o, m in zip(rule.table, mask_flags(mask, space.total))]
+    for row in itertools.chain.from_iterable(ranks):
+        row.append(last)
+    for k, profile in _scan(space, mask):
         for i, t in enumerate(profile):
             row, stride = ranks[i][t], space.strides[i]
             start = k - t * stride  # the agent's reports run from here by stride

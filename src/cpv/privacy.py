@@ -30,8 +30,8 @@ from cpv.core import (
     ResourceError,
     Witness,
     check_factors,
+    constant_on,
     mask_flags,
-    mask_indices,
     product_factorization,
     product_indices,
     record,
@@ -182,8 +182,7 @@ def _unilateral_scan(
         label = protocol.universe
     if leaf is None:
         leaf = _leaf_list(protocol)
-    keys = mask_indices(label)
-    for k, agent, t2, k2 in unilateral_pairs(space, keys, label, leaf, value):
+    for k, agent, t2, k2 in unilateral_pairs(space, label, leaf, value):
         profile = space.profile(k)
         other = list(profile)
         other[agent] = t2
@@ -311,14 +310,13 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
     universe = region.mask if region is not None else (1 << space.total) - 1
     member = mask_flags(universe, space.total)
     table = rule.table
-    keys = mask_indices(universe)
     # per agent i, the later agents j with their strides, sizes and the
     # row-pair flags, keyed by the row of k and the type ti2
     later = [
         [(j, space.strides[j], space.sizes[j], {}) for j in range(i + 1, space.n)]
         for i in range(space.n)
     ]
-    for k, i, ti2, ki in unilateral_pairs(space, keys, universe):
+    for k, i, ti2, ki in unilateral_pairs(space, universe):
         for j, sj, size_j, may_fail in later[i]:
             tj = k // sj % size_j
             a = k - tj * sj
@@ -424,7 +422,7 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
     universe = ProfileSet.from_factors(space, root_factors)
 
     def step(label: int, factors):
-        if _constant_on_factors(rule, factors):
+        if constant_on(rule, label):
             return None
         for agent in range(space.n):
             part = inseparability_classes(rule, factors, agent)
@@ -460,19 +458,11 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
     return SynthesisResult(protocol=protocol)
 
 
-def _constant_on_factors(rule: ChoiceRule, factors) -> bool:
-    """True iff the rule takes at most one outcome on the (checked) product set."""
-    table = rule.table
-    keys = product_indices(rule.space, factors)
-    first = table[keys[0]]
-    return all(table[k] == first for k in keys)
-
-
 def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
     """Re-derivation of the certificate: non-constant on the product set,
     and every agent's factor lies inside one inseparability class."""
     factors = check_factors(rule.space, witness.factors, "witness ")
-    if _constant_on_factors(rule, factors):
+    if constant_on(rule, ProfileSet.from_factors(rule.space, factors).mask):
         return False
     for agent in range(rule.space.n):
         part = inseparability_classes(rule, factors, agent)
@@ -566,9 +556,7 @@ def check_nonbossy(rule: ChoiceRule) -> NonbossyResult:
         raise InputError("non-bossiness needs per-agent outcome components")
     space = rule.space
     comps, table = rule.components, rule.table
-    pairs = unilateral_pairs(
-        space, range(space.total), (1 << space.total) - 1, value=_own_components(rule)
-    )
+    pairs = unilateral_pairs(space, (1 << space.total) - 1, value=_own_components(rule))
     for k, i, t2, k2 in pairs:
         ca, cb = comps[table[k]], comps[table[k2]]
         for j in range(space.n):

@@ -468,26 +468,6 @@ def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[i
     return reach
 
 
-def earliest_departure(protocol: Protocol, p: Profile, q: Profile) -> int:
-    """The deepest common ancestor whose children separate ``p`` from ``q``."""
-    space = protocol.space
-    pi, qi = space.index(p), space.index(q)
-    for k in (pi, qi):
-        if not (protocol.universe >> k) & 1:
-            raise InputError("profile lies outside the protocol's universe")
-    v = protocol.nodes[0]
-    while not v.is_leaf:
-        holding = [
-            c
-            for c in v.children
-            if (protocol.nodes[c].label >> pi) & 1 or (protocol.nodes[c].label >> qi) & 1
-        ]
-        if len(holding) == 2:
-            return v.id
-        v = protocol.nodes[holding[0]]
-    raise InputError("not separated: the profiles share a terminal node")
-
-
 # --- small constructors used across the package -------------------------------
 
 
@@ -509,11 +489,9 @@ def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:
 
 def _canonical_subsets(values: tuple[int, ...]):
     """Nonempty proper subsets of ``values``, one per complement pair: the
-    one holding ``values[0]``, by size, then lexicographically."""
-    rest = values[1:]
-    anchor = values[0]
-    for r in range(len(rest) + 1):
+    one holding ``values[0]``, by size, then lexicographically.  Fewer than
+    two values have none."""
+    anchor, rest = values[:1], values[1:]
+    for r in range(len(rest)):
         for combo in itertools.combinations(rest, r):
-            subset = (anchor,) + combo
-            if len(subset) < len(values):
-                yield subset
+            yield anchor + combo

@@ -12,10 +12,13 @@ departure of any violating pair contains both profiles).  Obvious
 strategyproofness is a test of each node on its own state alone, so
 memoization over states is exact for it too.
 
-Count queries here answer with the exact count: a query for a type subset
-splits a state into its count fibers.  Coarser groupings of counts are
-expressible at the protocol level but are deliberately not enumerated;
-the search result is labeled with the family it decided.
+Every search draws its candidates from one stream: :func:`_family_queries`
+(or the OSP search's own partitions) fed through :func:`_splits`, which
+keeps one query per induced partition.  Count queries here answer with the
+exact count: a query for a type subset splits a state into its count
+fibers.  Coarser groupings of counts are expressible at the protocol level
+but are not enumerated (ROADMAP item 1); the ``enumerate`` report echoes
+``--queries``, so its ``count`` means exact counts.
 
 The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
 defines the scan order once; a leaking query reports the first pair it
@@ -25,7 +28,6 @@ separates in that order.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Callable, Iterable, Optional
 
 from cpv.core import (
@@ -34,7 +36,6 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     constant_on,
-    mask_indices,
     record,
     unilateral_pairs,
 )
@@ -47,7 +48,6 @@ from cpv.mechanisms import (
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
-    CountQuery,
     ElicitQuery,
     Protocol,
     Query,
@@ -86,19 +86,10 @@ class QueryFamily:
 @record
 class SearchBudget:
     max_states: int = 100_000
-    max_depth: int | None = None
-    max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_states < 1 or (self.max_depth is not None and self.max_depth < 1):
+        if self.max_states < 1:
             raise InputError("budget bounds must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise InputError("budget bounds must be positive")
-
-    def deadline(self) -> float | None:
-        if self.max_seconds is None:
-            return None
-        return time.monotonic() + self.max_seconds
 
 
 @record
@@ -126,69 +117,42 @@ class _Candidate:
     cell_masks: tuple[int, ...]  # nonempty cells on the state
 
 
-def _elicit_candidates(space: TypeSpace, state: int):
-    for agent in range(space.n):
-        present = ProfileSet(space, state).projection(agent)
-        if len(present) < 2:
-            continue
-        for subset in _canonical_subsets(present):
-            rest = tuple(t for t in range(space.sizes[agent]) if t not in subset)
-            query = ElicitQuery(agent, (subset, rest))
-            masks = _nonempty_cells(space, query, state)
-            if len(masks) >= 2:
-                yield _Candidate(query, masks)
-
-
-def _count_candidates(space: TypeSpace, state: int):
-    if not space.common_alphabet:
-        return
-    for subset in _canonical_subsets(tuple(range(space.sizes[0]))):
-        query = exact_count_query(space, (subset,))
-        masks = _nonempty_cells(space, query, state)
-        if len(masks) >= 2:
-            yield _Candidate(query, masks)
-
-
-def _multicount_candidates(space: TypeSpace, state: int):
-    if not space.common_alphabet:
-        return
-    subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-    for pair in itertools.combinations(subsets, 2):
-        query = exact_count_query(space, pair)
-        masks = _nonempty_cells(space, query, state)
-        if len(masks) >= 2:
-            yield _Candidate(query, masks)
-
-
 def _nonempty_cells(space: TypeSpace, query: Query, state: int) -> tuple[int, ...]:
     return tuple(m for m in query_cell_masks(space, query, state) if m)
 
 
-def _candidates(
-    space: TypeSpace, state: int, family: QueryFamily, per_kind: bool = False
-):
-    """Deterministic, deduplicated stream of candidate splits of a state.
-
-    Search dedupes by the induced partition alone (identical children give
-    identical subtrees); scans that must report every query kind dedupe
-    per kind instead.
-    """
-    seen: set = set()
-    streams = []
+def _family_queries(space: TypeSpace, state: int, family: QueryFamily):
+    """``(kind, queries)`` for each enabled kind of the family, in the order
+    elicit, count, multicount.  The count subsets are built only when a
+    count kind is enabled."""
     if family.allow_elicit:
-        streams.append(_elicit_candidates(space, state))
-    if family.allow_count:
-        streams.append(_count_candidates(space, state))
-    if family.allow_multicount:
-        streams.append(_multicount_candidates(space, state))
-    for cand in itertools.chain(*streams):
-        signature = frozenset(cand.cell_masks)
-        if per_kind:
-            signature = (type(cand.query).__name__, signature)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        yield cand
+        yield "elicit", (
+            ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
+            for agent, size in enumerate(space.sizes)
+            for subset in _canonical_subsets(ProfileSet(space, state).projection(agent))
+        )
+    if space.common_alphabet and (family.allow_count or family.allow_multicount):
+        subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
+        if family.allow_count:
+            yield "count", (exact_count_query(space, (s,)) for s in subsets)
+        if family.allow_multicount:
+            pairs = itertools.combinations(subsets, 2)
+            yield "multicount", (exact_count_query(space, pair) for pair in pairs)
+
+
+def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
+    """The candidate splits of a state: each query that leaves at least two
+    nonempty cells on it, once per induced partition (the first query that
+    induces it).  Identical children give identical subtrees, so the
+    searches lose nothing by the dedupe; a scan that reports every kind
+    calls this once per kind."""
+    seen: set[frozenset[int]] = set()
+    for query in queries:
+        masks = _nonempty_cells(space, query, state)
+        signature = frozenset(masks)
+        if len(masks) >= 2 and signature not in seen:
+            seen.add(signature)
+            yield _Candidate(query, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -215,31 +179,26 @@ def _solve(
     won: dict[int, Optional[_Candidate]] = {}  # None where the rule is constant
     lost: set[int] = set()
     states_seen = 0
-    deadline = budget.deadline()
 
-    def winnable(state: int, depth: int) -> bool:
+    def winnable(state: int) -> bool:
         nonlocal states_seen
         if state in won or state in lost:
             return state in won
         states_seen += 1
         if states_seen > budget.max_states:
             raise _BudgetExhausted
-        if deadline is not None and time.monotonic() > deadline:
-            raise _BudgetExhausted
         if constant_on(rule, state):
             won[state] = None
             return True
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            raise _BudgetExhausted
         for cand in candidates(state):
-            if all(winnable(m, depth + 1) for m in cand.cell_masks):
+            if all(map(winnable, cand.cell_masks)):
                 won[state] = cand
                 return True
         lost.add(state)
         return False
 
     try:
-        ok = winnable(root, 0)
+        ok = winnable(root)
     except _BudgetExhausted:
         return SearchResult("budget_exhausted", states=states_seen)
     if not ok:
@@ -265,8 +224,7 @@ def _root(space: TypeSpace, universe: ProfileSet | None) -> int:
 
 def _same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
     space = rule.space
-    keys = mask_indices(universe)
-    pairs = unilateral_pairs(space, keys, universe, value=[rule.table] * space.n)
+    pairs = unilateral_pairs(space, universe, value=[rule.table] * space.n)
     return [(k, k2) for k, _, _, k2 in pairs]
 
 
@@ -296,7 +254,9 @@ def exhaustive_cp_search(
     pairs = _same_outcome_pairs(rule, root)
 
     def candidates(state: int):
-        for cand in _candidates(space, state, family):
+        kinds = _family_queries(space, state, family)
+        queries = itertools.chain.from_iterable(q for _, q in kinds)
+        for cand in _splits(space, state, queries):
             if _separates_protected_pair(cand, pairs, state) is None:
                 yield cand
 
@@ -338,23 +298,20 @@ def exhaustive_osp_search(
     root = _root(space, universe)
     ranks = outcome_ranks(rule, model, outcome_ids(rule, root))
 
-    def candidates(state: int):
-        seen: set[frozenset[int]] = set()
+    def queries(state: int):
         for agent in range(space.n):
             present = ProfileSet(space, state).projection(agent)
             absent = tuple(t for t in range(space.sizes[agent]) if t not in present)
             for blocks in _all_partitions(present):
-                if len(blocks) < 2:
-                    continue
-                cells = (blocks[0] + absent,) + blocks[1:]
-                query = ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
-                masks = _nonempty_cells(space, query, state)
-                signature = frozenset(masks)
-                if len(masks) < 2 or signature in seen:
-                    continue
-                seen.add(signature)
-                if _osp_node_failure(space, rule, ranks, agent, masks) is None:
-                    yield _Candidate(query, masks)
+                if len(blocks) > 1:  # one block never splits; cheaper to skip here
+                    cells = (blocks[0] + absent,) + blocks[1:]
+                    yield ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
+
+    def candidates(state: int):
+        for cand in _splits(space, state, queries(state)):
+            agent, masks = cand.query.agent, cand.cell_masks
+            if _osp_node_failure(space, rule, ranks, agent, masks) is None:
+                yield cand
 
     result = _solve(rule, root, candidates, budget)
     if result.found and not check_protocol_osp(result.protocol, rule, model).ok:
@@ -400,17 +357,16 @@ def obstruction_scan(
     state = region.mask
     pairs = _same_outcome_pairs(rule, state)
     entries = []
-    for cand in _candidates(space, state, family, per_kind=True):
-        violation = _separates_protected_pair(cand, pairs, state)
-        partition = tuple(
-            tuple(ProfileSet(space, m).indices()) for m in cand.cell_masks
-        )
-        if isinstance(cand.query, ElicitQuery):
-            kind, detail = "elicit", f"agent {cand.query.agent + 1}"
-        elif isinstance(cand.query, CountQuery):
-            labels = ",".join(space.alphabets[0][t] for t in cand.query.subset)
-            kind, detail = "count", "{" + labels + "}"
-        else:
-            kind, detail = "multicount", f"l={len(cand.query.subsets)}"
-        entries.append(ObstructionEntry(kind, detail, partition, violation))
+    for kind, queries in _family_queries(space, state, family):
+        for cand in _splits(space, state, queries):
+            query = cand.query
+            if kind == "elicit":
+                detail = f"agent {query.agent + 1}"
+            elif kind == "count":
+                detail = "{" + ",".join(space.alphabets[0][t] for t in query.subset) + "}"
+            else:
+                detail = f"l={len(query.subsets)}"
+            violation = _separates_protected_pair(cand, pairs, state)
+            partition = tuple(tuple(ProfileSet(space, m).indices()) for m in cand.cell_masks)
+            entries.append(ObstructionEntry(kind, detail, partition, violation))
     return ObstructionReport(tuple(entries), not constant_on(rule, state))

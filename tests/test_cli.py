@@ -566,3 +566,21 @@ class TestFamilies:
         assert code == 0 and doc["kind"] == "family" and doc["members"] == 1
         saved = json.loads(out.read_text())
         assert len(saved["family"]) == 1
+
+
+class TestPropertiesOnTheUniverse:
+    """``check`` decides a rule property on the instance's universe: the
+    profiles outside it, and the outcomes only they take, play no part."""
+
+    def test_school_count_sp_counterexample_lies_in_the_universe(self, tmp_path, capsys):
+        path = tmp_path / "school.json"
+        run_cli(["builtin", "school_count_instance", "--emit", str(path)], capsys)
+        code, doc = run_cli(["check", "--property", "sp", str(path)], capsys)
+        assert code == 1 and doc["holds"] is False
+        assert doc["counterexample"] == {"agent": 2, "profile": ["s1'", "s2"], "report": "s2'"}
+
+    def test_multicount_matching_sp_ignores_the_filler_outcome(self, tmp_path, capsys):
+        path = tmp_path / "msm.json"
+        run_cli(["builtin", "multicount_stable_matching", "--emit", str(path)], capsys)
+        code, doc = run_cli(["check", "--property", "sp", str(path)], capsys)
+        assert code == 0 and doc["holds"] is True

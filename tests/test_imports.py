@@ -1,6 +1,6 @@
-"""Import hygiene: every name a ``cpv`` module imports is used in it, no
-module holds an ``assert`` statement, and importing ``cpv.cli`` loads no
-code generator.
+"""Import hygiene: every name a ``cpv`` module imports is used in it, every
+private helper is read somewhere in ``cpv``, no module holds an ``assert``
+statement, and importing ``cpv.cli`` loads no code generator.
 
 A name counts as used when it is read anywhere in the module (annotations
 included, also those written as strings) or listed in ``__all__``.
@@ -93,3 +93,41 @@ def test_cli_import_generates_no_code():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     )
     assert res.stdout.strip() == "[]", res.stdout
+
+
+def private_definitions(tree: ast.Module):
+    """``(name, first line, last line)`` of each module-level name and each
+    method whose name starts with one underscore."""
+    scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+    for body, node in ((b, n) for b in scopes for n in b):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and body is tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_helper_is_read():
+    # A helper left behind by a refactor is read nowhere but in its own body.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    reads = []  # (name, path, line)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, path, node.lineno))
+    unread = sorted(
+        f"{path.name}: {name} (line {first})"
+        for path, tree in trees.items()
+        for name, first, last in private_definitions(tree)
+        if not any(
+            n == name and not (p == path and first <= line <= last) for n, p, line in reads
+        )
+    )
+    assert not unread, f"private names read nowhere in cpv: {unread}"

@@ -21,7 +21,6 @@ from cpv.protocol import (
     ProtocolDefect,
     build_from_spec,
     build_protocol,
-    earliest_departure,
     implements,
     run_protocol,
     validate_protocol,
@@ -238,20 +237,6 @@ class TestImplements:
         # every profile lands in a leaf where the rule is constant
         leaf_of = protocol.leaf_map()
         assert sorted(leaf_of) == list(range(rule.space.total))
-
-
-class TestEarliestDeparture:
-    def test_at_root(self):
-        assert earliest_departure(two_query(), (0, 0), (1, 0)) == 0
-
-    def test_at_second_query(self):
-        protocol = two_query()
-        v = earliest_departure(protocol, (1, 0), (1, 1))
-        assert protocol.nodes[v].depth == 1
-
-    def test_not_separated(self):
-        with pytest.raises(InputError, match="not separated"):
-            earliest_departure(one_query(), (0, 0), (0, 1))
 
 
 class TestQueryValidation:

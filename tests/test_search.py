@@ -157,3 +157,16 @@ class TestObstructionScan:
         assert not report.nonconstant
         assert not report.holds
         assert all(not e.safe for e in report.entries)
+
+    def test_kinds_inducing_one_partition_are_each_listed(self):
+        # On {(a,b), (b,b)}, eliciting agent 1 and counting the a's split the
+        # region alike; the scan reports every kind, so it lists both.
+        space = TypeSpace.shared(2, ("a", "b"))
+        rule = ChoiceRule(space, ("x", "y"), (0, 0, 0, 1))
+        region = ProfileSet(space, (1 << space.index((0, 1))) | (1 << space.index((1, 1))))
+        report = obstruction_scan(rule, region, ELICIT_COUNT)
+        kinds = [(e.kind, e.detail) for e in report.entries]
+        assert kinds == [("elicit", "agent 1"), ("count", "{a}")]
+        elicit, count = (set(e.partition) for e in report.entries)
+        assert elicit == count == {(space.index((0, 1)),), (space.index((1, 1)),)}
+        assert all(e.safe for e in report.entries) and not report.holds
