@@ -9,6 +9,13 @@ errors, which name the JSON pointer (RFC 6901) of the field at fault, or
 on resource errors.  Reports are deterministic: stable key order, no
 timestamps (timing goes to stderr).  Agent numbers in files are 1-based.
 
+``--emit`` rewrites its target in place: an existing file keeps its inode
+and mode, and only a tail beyond the new end is cut off.  A target that
+cannot be written exits 2 with ``cannot write <path>: <reason>``.
+
+Importing this module loads ``core`` and ``protocol`` only; each command
+imports the modules it runs when it runs.
+
 The environment variable ``CPV_THREADS`` is reserved: nothing runs in
 parallel yet, so its value changes nothing, but a value that is not a
 positive integer exits 2.
@@ -17,8 +24,10 @@ positive integer exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -27,30 +36,15 @@ from typing import Optional
 
 from cpv.core import (
     ChoiceRule,
+    DomainModel,
     InputError,
+    Instance,
     ProfileSet,
     ResourceError,
     TypeSpace,
     Witness,
     product_factorization,
     record,
-)
-from cpv.mechanisms import (
-    BUILTIN_PROTOCOLS,
-    BUILTIN_RULES,
-    DomainModel,
-    Instance,
-    check_protocol_osp,
-    check_rule_property,
-)
-from cpv.privacy import (
-    check_nonbossy,
-    check_protocol_cp,
-    check_protocol_gcp,
-    check_protocol_icp,
-    corners_scan,
-    synthesize_or_witness,
-    witness_minimize,
 )
 from cpv.protocol import (
     CountQuery,
@@ -64,8 +58,6 @@ from cpv.protocol import (
     run_protocol,
     validate_protocol,
 )
-from cpv.search import QueryFamily, SearchBudget, exhaustive_cp_search
-from cpv.tatonnement import check_tatonnement, phase_discovery
 
 SCHEMA = "cpv-1"
 
@@ -374,9 +366,15 @@ def _model_from_json(spec) -> Optional[DomainModel]:
 
 
 def instance_from_json(doc) -> Instance:
+    if type(doc) is dict and "rule" not in doc and type(doc.get("family")) is list:
+        n = len(doc["family"])
+        raise LoadError("/family", f"a family with {n} member{'s' * (n != 1)}, not an instance; "
+                        "check each member on its own")
     _check("instance", doc)
     rule_spec = doc["rule"]
     if "builtin" in rule_spec:
+        from cpv.mechanisms import BUILTIN_RULES
+
         name = rule_spec["builtin"]
         if name not in BUILTIN_RULES:
             raise LoadError("/rule/builtin", f"unknown builtin {name!r}")
@@ -547,14 +545,11 @@ def instance_to_json(instance: Instance) -> dict:
         doc["alphabet"] = list(space.alphabets[0])
     else:
         doc["alphabets"] = [list(a) for a in space.alphabets]
-    doc["outcomes"] = list(rule.outcomes)
+    outcomes = doc["outcomes"] = list(rule.outcomes)
     doc["rule"] = {
-        "table": [
-            {
-                "profile": list(space.labels(space.profile(k))),
-                "outcome": rule.outcomes[rule.table[k]],
-            }
-            for k in range(space.total)
+        "table": [  # itertools.product lists the profiles in index order
+            {"profile": list(labels), "outcome": outcomes[o]}
+            for labels, o in zip(itertools.product(*space.alphabets), rule.table)
         ]
     }
     if rule.components is not None:
@@ -598,9 +593,22 @@ def _violation_to_json(space: TypeSpace, violation) -> dict:
 
 
 def _emit(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Writes ``doc`` over ``path`` in place and cuts off any old tail.
+
+    Opening with truncation frees all of an old file's blocks, and where
+    the filesystem discards freed blocks (ext4 mounted with ``discard``)
+    the writer waits for that; a temporary file renamed over the target
+    waits as long.  Rewritten in place, an unchanged document frees nothing.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a terminal cannot seek
+                fh.truncate()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def _report(doc: dict, pretty: bool) -> None:
@@ -632,12 +640,16 @@ def _cmd_check(args) -> tuple[int, dict]:
     doc: dict = {"command": "check", "property": prop}
 
     if prop in ("cp", "icp"):
+        from cpv.privacy import check_protocol_cp, check_protocol_icp
+
         verdict = (check_protocol_cp if prop == "cp" else check_protocol_icp)(protocol, rule)
         doc["holds"] = verdict.holds
         if not verdict.holds:
             doc["violation"] = _violation_to_json(space, verdict.violation)
         return (0 if verdict.holds else 1), doc
     if prop == "gcp":
+        from cpv.privacy import check_protocol_gcp
+
         verdict = check_protocol_gcp(protocol, rule)
         doc["holds"] = verdict.holds
         if not verdict.holds:
@@ -647,6 +659,8 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if verdict.holds else 1), doc
     if prop == "tatonnement":
+        from cpv.tatonnement import check_tatonnement, phase_discovery
+
         phase = loaded.phase
         if phase is None:
             phase = phase_discovery(protocol, rule)
@@ -661,6 +675,8 @@ def _cmd_check(args) -> tuple[int, dict]:
             doc["failure"] = verdict.failure
         return (0 if verdict.holds else 1), doc
     if prop == "osp":
+        from cpv.mechanisms import check_protocol_osp
+
         res = check_protocol_osp(protocol, rule, instance.model)
         doc["holds"] = res.ok
         if not res.ok:
@@ -671,6 +687,8 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if res.ok else 1), doc
     if prop == "corners":
+        from cpv.privacy import corners_scan
+
         region = instance.universe
         result = corners_scan(rule, region)
         doc["holds"] = result.ok
@@ -686,6 +704,8 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if result.ok else 1), doc
     if prop == "nonbossy":
+        from cpv.privacy import check_nonbossy
+
         result = check_nonbossy(rule)
         doc["holds"] = result.ok
         if not result.ok:
@@ -698,6 +718,8 @@ def _cmd_check(args) -> tuple[int, dict]:
             }
         return (0 if result.ok else 1), doc
     if prop in ("efficient", "ir", "stable", "sp"):
+        from cpv.mechanisms import check_rule_property
+
         result = check_rule_property(rule, instance.model, prop, instance.universe)
         doc["holds"] = result.ok
         if not result.ok:
@@ -707,6 +729,8 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_synth(args) -> tuple[int, dict]:
+    from cpv.privacy import synthesize_or_witness, witness_minimize
+
     loaded = load(args.instance)
     instance = loaded.instance
     factors = None
@@ -760,6 +784,8 @@ def _cmd_run(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
+    from cpv.search import QueryFamily, SearchBudget, exhaustive_cp_search
+
     loaded = load(args.instance)
     family = QueryFamily.parse(args.queries)
     budget = SearchBudget(max_states=args.max_states)
@@ -785,6 +811,8 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
 
 
 def _cmd_builtin(args) -> tuple[int, dict]:
+    from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
+
     params = _parse(args.params, "--params") if args.params else {}
     _check("params", params)
     name = args.name

@@ -1,4 +1,5 @@
-"""Finite type spaces, profiles, profile sets, and choice rules.
+"""Finite type spaces, profiles, profile sets, choice rules, and the
+instance records that bundle a rule with its model and universe.
 
 Profiles are tuples of per-agent type indices.  A profile set is a dense
 bitmask over the mixed-radix index space of a :class:`TypeSpace`; agent 0
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property
 
 
@@ -500,3 +502,49 @@ class Witness:
 
     def profile_set(self, space: TypeSpace) -> ProfileSet:
         return ProfileSet.from_factors(space, self.factors)
+
+
+# ---------------------------------------------------------------------------
+# instances: what a file or a built-in gives the commands
+
+
+@record
+class DomainModel:
+    """Economic side data; builders fill in what their domain defines."""
+
+    kind: str  # auction | assignment | house | school | double_auction | abstract
+    objects: tuple[str, ...] | None = None
+    values: tuple[tuple[Fraction, ...], ...] | None = None  # [agent][type]
+    endowments: tuple | None = None  # house: object labels; double auction: 0/1
+    capacities: tuple[tuple[str, int], ...] | None = None
+    type_prefs: tuple[tuple[tuple[str, ...], ...], ...] | None = None  # [agent][type]
+    type_scores: tuple | None = None  # [agent][type] -> ((school, score), ...)
+    outcome_prefs: tuple | None = None  # [agent][type] -> groups of outcome labels
+
+    def pref_rank(self, agent: int, type_index: int, obj: str) -> int:
+        order = self.type_prefs[agent][type_index]
+        try:
+            return order.index(obj)
+        except ValueError:
+            raise InputError(f"object {obj!r} missing from a preference order") from None
+
+    def score(self, agent: int, type_index: int, school: str) -> int:
+        for c, s in self.type_scores[agent][type_index]:
+            if c == school:
+                return s
+        raise InputError(f"no score for school {school!r}")
+
+
+@record
+class Instance:
+    space: TypeSpace
+    rule: ChoiceRule
+    model: DomainModel | None = None
+    universe: ProfileSet | None = None
+
+
+@record
+class ProtocolBundle:
+    instance: Instance
+    protocol: Protocol  # cpv.protocol imports this module; annotations stay unevaluated
+    phase: tuple[int, ...] | None = None  # suggested initial phase (node ids)

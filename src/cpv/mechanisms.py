@@ -16,8 +16,11 @@ from typing import Callable, Optional
 
 from cpv.core import (
     ChoiceRule,
+    DomainModel,
     InputError,
+    Instance,
     ProfileSet,
+    ProtocolBundle,
     TypeSpace,
     constant_on,
     mask_flags,
@@ -37,48 +40,6 @@ from cpv.protocol import (
 
 class UnsupportedProtocolError(InputError):
     """The operation supports a narrower protocol class than it was given."""
-
-
-@record
-class DomainModel:
-    """Economic side data; builders fill in what their domain defines."""
-
-    kind: str  # auction | assignment | house | school | double_auction | abstract
-    objects: tuple[str, ...] | None = None
-    values: tuple[tuple[Fraction, ...], ...] | None = None  # [agent][type]
-    endowments: tuple | None = None  # house: object labels; double auction: 0/1
-    capacities: tuple[tuple[str, int], ...] | None = None
-    type_prefs: tuple[tuple[tuple[str, ...], ...], ...] | None = None  # [agent][type]
-    type_scores: tuple | None = None  # [agent][type] -> ((school, score), ...)
-    outcome_prefs: tuple | None = None  # [agent][type] -> groups of outcome labels
-
-    def pref_rank(self, agent: int, type_index: int, obj: str) -> int:
-        order = self.type_prefs[agent][type_index]
-        try:
-            return order.index(obj)
-        except ValueError:
-            raise InputError(f"object {obj!r} missing from a preference order") from None
-
-    def score(self, agent: int, type_index: int, school: str) -> int:
-        for c, s in self.type_scores[agent][type_index]:
-            if c == school:
-                return s
-        raise InputError(f"no score for school {school!r}")
-
-
-@record
-class Instance:
-    space: TypeSpace
-    rule: ChoiceRule
-    model: DomainModel | None = None
-    universe: ProfileSet | None = None
-
-
-@record
-class ProtocolBundle:
-    instance: Instance
-    protocol: Protocol
-    phase: tuple[int, ...] | None = None  # suggested initial phase (node ids)
 
 
 def _tabulate(space: TypeSpace, outcomes, model=None, universe=None) -> Instance:

@@ -32,19 +32,13 @@ from typing import Callable, Iterable, Optional
 
 from cpv.core import (
     ChoiceRule,
+    DomainModel,
     InputError,
     ProfileSet,
     TypeSpace,
     constant_on,
     record,
     unilateral_pairs,
-)
-from cpv.mechanisms import (
-    DomainModel,
-    _osp_node_failure,
-    check_protocol_osp,
-    outcome_ids,
-    outcome_ranks,
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
@@ -294,6 +288,8 @@ def exhaustive_osp_search(
     implements the rule.  Candidates split one agent's present types into
     at least two blocks (absent types join the first) and pass the OSP
     node test."""
+    from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ids, outcome_ranks
+
     space = rule.space
     root = _root(space, universe)
     ranks = outcome_ranks(rule, model, outcome_ids(rule, root))

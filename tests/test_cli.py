@@ -567,6 +567,77 @@ class TestFamilies:
         saved = json.loads(out.read_text())
         assert len(saved["family"]) == 1
 
+    @pytest.mark.parametrize("name", ["house_ir_efficient_family", "school_stable_family"])
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["check", "--property", "corners"], ["synth"], ["enumerate"]],
+        ids=["validate", "check", "synth", "enumerate"],
+    )
+    def test_family_file_is_refused_at_family(self, name, command, tmp_path, capsys):
+        # A family file holds no rule of its own; the refusal names the family
+        # and its size, not a missing /rule.
+        path = tmp_path / "family.json"
+        _, built = run_cli(["builtin", name, "--emit", str(path)], capsys)
+        members = built["members"]
+        code, doc = run_cli([*command, str(path)], capsys)
+        assert code == 2
+        assert doc["error"].endswith("(at /family)"), doc
+        assert f"a family with {members} member" in doc["error"], doc
+
+
+FIRST_PRICE = ["builtin", "first_price", "--params", '{"n":2,"values":[1,2]}']
+
+
+class TestEmit:
+    """``--emit`` rewrites its target in place: the bytes of a fresh file, on
+    the old inode and mode, with any longer old tail cut off."""
+
+    @pytest.fixture()
+    def fresh(self, tmp_path, capsys) -> bytes:
+        path = tmp_path / "fresh.json"
+        code, _ = run_cli([*FIRST_PRICE, "--emit", str(path)], capsys)
+        assert code == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old",
+        [lambda b: b + b"TAIL" * 500, lambda b: b"{}\n", lambda b: b],
+        ids=["longer", "shorter", "identical"],
+    )
+    def test_overwrite_gives_the_fresh_bytes_in_place(self, old, fresh, tmp_path, capsys):
+        target = tmp_path / "old.json"
+        target.write_bytes(old(fresh))
+        target.chmod(0o640)
+        before = target.stat()
+        code, doc = run_cli([*FIRST_PRICE, "--emit", str(target)], capsys)
+        assert code == 0 and doc["emitted"] == str(target)
+        after = target.stat()
+        assert target.read_bytes() == fresh
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_non_seekable_target(self, fresh):
+        # A pipe cannot be truncated; the document still goes through whole,
+        # followed by the report line.
+        if not Path("/dev/stdout").exists():
+            pytest.skip("no /dev/stdout")
+        cmd = [sys.executable, "-m", "cpv.cli", *FIRST_PRICE, "--emit", "/dev/stdout"]
+        res = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert res.returncode == 0, res.stderr.decode()
+        emitted, report = res.stdout[: len(fresh)], res.stdout[len(fresh):]
+        assert emitted == fresh
+        assert json.loads(report)["emitted"] == "/dev/stdout"
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_target_exits_2(self, where, tmp_path):
+        target = tmp_path / "missing" / "x.json" if where != "directory" else tmp_path
+        cmd = [sys.executable, "-m", "cpv.cli", *FIRST_PRICE, "--emit", str(target)]
+        res = subprocess.run(cmd, capture_output=True, env=child_env())
+        assert b"Traceback" not in res.stderr, res.stderr.decode()[-2000:]
+        assert res.returncode == 2
+        lines = res.stdout.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"cannot write {target}: "), lines
+
 
 class TestPropertiesOnTheUniverse:
     """``check`` decides a rule property on the instance's universe: the

@@ -1,6 +1,7 @@
 """Import hygiene: every name a ``cpv`` module imports is used in it, every
 private helper is read somewhere in ``cpv``, no module holds an ``assert``
-statement, and importing ``cpv.cli`` loads no code generator.
+statement, importing ``cpv.cli`` loads no code generator, and a command
+loads only the ``cpv`` modules it runs.
 
 A name counts as used when it is read anywhere in the module (annotations
 included, also those written as strings) or listed in ``__all__``.
@@ -9,6 +10,7 @@ included, also those written as strings) or listed in ``__all__``.
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +95,52 @@ def test_cli_import_generates_no_code():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     )
     assert res.stdout.strip() == "[]", res.stdout
+
+
+COMMAND_MODULES = {"cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.tatonnement"}
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """The ``cpv`` modules a fresh interpreter holds after ``statement``."""
+    src = str(Path(cpv.__file__).resolve().parent.parent)
+    probe = (
+        f"import json, sys; sys.path.insert(0, {src!r}); {statement}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cpv'))))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(res.stdout.strip().splitlines()[-1]))
+
+
+def test_cli_import_loads_no_command_module():
+    # Without a bytecode cache every loaded module is compiled at every start.
+    assert not modules_loaded_by("import cpv.cli") & COMMAND_MODULES
+
+
+def test_validate_on_a_table_instance_loads_no_command_module(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "schema": "cpv-1", "agents": 1, "alphabet": ["a", "b"],
+        "rule": {"table": [{"profile": ["a"], "outcome": "x"}, {"profile": ["b"], "outcome": "y"}]},
+    }))
+    loaded = modules_loaded_by(f"from cpv.cli import main; main(['validate', {str(path)!r}])")
+    assert "cpv.cli" in loaded and not loaded & COMMAND_MODULES, loaded
+
+
+def test_builtin_loads_mechanisms_alone():
+    argv = ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}']
+    loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")
+    assert loaded & COMMAND_MODULES == {"cpv.mechanisms"}, loaded
+
+
+def test_instance_records_are_still_read_from_mechanisms():
+    from cpv import core
+    from cpv.mechanisms import DomainModel, Instance, ProtocolBundle
+
+    assert (DomainModel, Instance, ProtocolBundle) == (
+        core.DomainModel, core.Instance, core.ProtocolBundle
+    )
 
 
 def private_definitions(tree: ast.Module):
