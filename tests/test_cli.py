@@ -152,6 +152,40 @@ class TestCheck:
         assert code == 2
 
 
+# The whole stdout of `check` on the ascending clock for the second price,
+# n=3 over 1..4: every protocol-level check fails on it, each at its own
+# first violation.
+ASCENDING_REPORTS = {
+    "icp": '"holds":false,"property":"icp","schema":"cpv-1","violation":{"agent":1,'
+    '"leaves":[94,75],"profiles":[["1","1","1"],["2","1","1"]],"shared":"q=1,t=1",'
+    '"types":["1","2"]}}',
+    "gcp": '"holds":false,"property":"gcp","schema":"cpv-1","violation":{"node":0,'
+    '"profiles":[["4","4","3"],["4","3","4"]]}}',
+    "tatonnement": '"discovered_phase":null,"failure":"no initial phase with disjoint '
+    'outcome reach","holds":false,"property":"tatonnement","schema":"cpv-1"}',
+    "nonbossy": '"holds":false,"property":"nonbossy","schema":"cpv-1","violation":'
+    '{"affected":3,"agent":1,"profile":["1","1","3"],"types":["1","2"]}}',
+    "osp": '"holds":false,"property":"osp","schema":"cpv-1","violation":{"agent":1,'
+    '"node":0,"true_type":"2"}}',
+}
+
+
+class TestCheckReports:
+    @pytest.fixture(scope="class")
+    def ascending(self, tmp_path_factory) -> str:
+        path = str(tmp_path_factory.mktemp("ascending") / "asc.json")
+        argv = ["builtin", "ascending_elicitation_sp", "--params", '{"n":3,"values":[1,2,3,4]}']
+        assert main([*argv, "--emit", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("prop", sorted(ASCENDING_REPORTS))
+    def test_ascending_clock_report(self, prop, ascending, capsys):
+        capsys.readouterr()
+        code = main(["check", "--property", prop, ascending])
+        expected = '{"command":"check",' + ASCENDING_REPORTS[prop] + "\n"
+        assert (code, capsys.readouterr().out) == (1, expected)
+
+
 class TestSynthRoundTrip:
     def test_sd_synth_emit_load_check(self, tmp_path, capsys):
         inst_path = tmp_path / "sd.json"
