@@ -40,11 +40,12 @@ from cpv.core import (
     InputError,
     Instance,
     ProfileSet,
+    ProtocolBundle,
     ResourceError,
     TypeSpace,
     Witness,
+    mask_flags,
     product_factorization,
-    record,
 )
 from cpv.protocol import (
     CountQuery,
@@ -407,7 +408,7 @@ def instance_from_json(doc) -> Instance:
         components = tuple(tuple(map(str, components[lab])) for lab in ids)
     rule = ChoiceRule(space, tuple(ids), tuple(table), components)
     universe = _universe_from_json(doc.get("universe"), space, "/universe")
-    return Instance(space, rule, _model_from_json(doc.get("model")), universe)
+    return Instance(rule, _model_from_json(doc.get("model")), universe)
 
 
 def _query_from_json(space: TypeSpace, spec, pointer):
@@ -451,14 +452,7 @@ def _protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, 
     return build_from_spec(space, spec, universe), phase
 
 
-@record
-class Loaded:
-    instance: Instance
-    protocol: Optional[Protocol] = None
-    phase: Optional[tuple[int, ...]] = None
-
-
-def load(instance_path: str, protocol_path: str | None = None) -> Loaded:
+def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle:
     doc = _read_json(instance_path)
     instance = instance_from_json(doc)
     protocol, phase = None, None
@@ -471,7 +465,7 @@ def load(instance_path: str, protocol_path: str | None = None) -> Loaded:
     universe = instance.universe
     if protocol is not None and universe is not None and protocol.universe != universe.mask:
         raise LoadError("/universe", "instance and protocol universes differ")
-    return Loaded(instance, protocol, phase)
+    return ProtocolBundle(instance, protocol, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +497,8 @@ def _query_to_json(space: TypeSpace, query) -> dict:
 
 
 def _profiles_to_json(space: TypeSpace, mask: int) -> list:
-    return [list(space.labels(p)) for p in ProfileSet(space, mask).profiles()]
+    labels = itertools.product(*space.alphabets)  # every profile, in index order
+    return list(map(list, itertools.compress(labels, mask_flags(mask, space.total))))
 
 
 def _node_to_json(protocol: Protocol, node: Node) -> dict:
@@ -917,7 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="materialize a built-in rule or protocol",
         description="materialize a built-in rule or protocol.  A protocol name "
         "wins over a rule name: serial_dictatorship emits the protocol bundle, "
-        "and the rule alone is reachable through rule.builtin in an instance file.",
+        "and the rule alone is reachable through rule.builtin in an instance file.  "
+        "A parameter the built-in does not take exits 2, here and in rule.params.",
     )
     p.add_argument("name")
     p.add_argument("--params", help="JSON object of parameters")

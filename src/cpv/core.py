@@ -376,15 +376,15 @@ class ProfileSet:
         return iter(mask_indices(self.mask))
 
     def profiles(self):
-        for k in self.indices():
-            yield self.space.profile(k)
+        """The member profiles, in index order."""
+        return itertools.compress(self.space.iter_profiles(), mask_flags(self.mask, self.space.total))
 
     def projection(self, agent: int) -> tuple[int, ...]:
         """Sorted type indices agent ``agent`` takes within this set."""
-        seen = set()
-        for k in self.indices():
-            seen.add((k // self.space.strides[agent]) % self.space.sizes[agent])
-        return tuple(sorted(seen))
+        space = self.space
+        return tuple(
+            t for t in range(space.sizes[agent]) if self.mask & space.digit_mask(agent, (t,))
+        )
 
 
 def product_factorization(space: TypeSpace, pset: ProfileSet):
@@ -500,9 +500,6 @@ class Witness:
             for i, f in enumerate(self.factors)
         )
 
-    def profile_set(self, space: TypeSpace) -> ProfileSet:
-        return ProfileSet.from_factors(space, self.factors)
-
 
 # ---------------------------------------------------------------------------
 # instances: what a file or a built-in gives the commands
@@ -537,14 +534,18 @@ class DomainModel:
 
 @record
 class Instance:
-    space: TypeSpace
     rule: ChoiceRule
     model: DomainModel | None = None
     universe: ProfileSet | None = None
 
+    @property
+    def space(self) -> TypeSpace:
+        return self.rule.space
+
 
 @record
 class ProtocolBundle:
+    # annotations stay unevaluated: cpv.protocol imports this module
     instance: Instance
-    protocol: Protocol  # cpv.protocol imports this module; annotations stay unevaluated
+    protocol: Protocol | None  # None where a loaded file holds no protocol
     phase: tuple[int, ...] | None = None  # suggested initial phase (node ids)

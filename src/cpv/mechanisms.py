@@ -49,7 +49,7 @@ def _tabulate(space: TypeSpace, outcomes, model=None, universe=None) -> Instance
     ids: dict = {}
     table = tuple([ids.setdefault(outcome, len(ids)) for outcome in outcomes])
     labels, components = zip(*ids)
-    return Instance(space, ChoiceRule(space, labels, table, components), model, universe)
+    return Instance(ChoiceRule(space, labels, table, components), model, universe)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def fair_tiebreak_2x2() -> Instance:
     model = DomainModel(kind="assignment", objects=("A", "B"), type_prefs=prefs)
     outcomes = ("1:A,2:B", "1:B,2:A")  # x, x'
     rule = ChoiceRule(space, outcomes, (0, 0, 1, 0), (("A", "B"), ("B", "A")))  # AA AB BA BB
-    return Instance(space, rule, model)
+    return Instance(rule, model)
 
 
 def fair_two_query_protocol(instance: Instance) -> ProtocolBundle:
@@ -309,8 +309,7 @@ def efficient_completions_2x2() -> list[Instance]:
     base = fair_tiebreak_2x2()
     space, rule = base.space, base.rule
     return [  # profiles AA, AB, BA, BB
-        Instance(space, ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components),
-                 base.model)
+        Instance(ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components), base.model)
         for aa, bb in itertools.product((0, 1), repeat=2)
     ]
 
@@ -358,7 +357,7 @@ def keep_endowments_rule() -> Instance:
         kind="house", objects=objects, type_prefs=prefs, endowments=("h1", "h2")
     )
     rule = ChoiceRule(space, ("1:h1,2:h2",), (0,) * space.total, (("h1", "h2"),))
-    return Instance(space, rule, model)
+    return Instance(rule, model)
 
 
 def _pareto_dominator(a, feasible, profile, rank):
@@ -438,7 +437,7 @@ def school_count_instance() -> Instance:
     universe = ProfileSet.from_factors(
         space, (space.type_indices(0, ("s1", "s1'")), space.type_indices(1, ("s2", "s2'")))
     )
-    return Instance(space, rule, _school_model(space, _scored_at_a), universe)
+    return Instance(rule, _school_model(space, _scored_at_a), universe)
 
 
 # --- stable matching with multi-count queries --------------------------------
@@ -545,7 +544,7 @@ def non_clinching() -> Instance:
         (("x4",), ("x3",), ("x2",), ("x1",)),
     )
     model = DomainModel(kind="abstract", outcome_prefs=(prefs1, prefs2))
-    return Instance(space, rule, model)
+    return Instance(rule, model)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +557,7 @@ def fig_shaded_3x3() -> Instance:
     inseparability-chain picture."""
     space = TypeSpace.shared(2, ("t1", "t2", "t3"))
     outcomes = ("o1", "x", "o2", "o3", "o4", "o5")  # in order of first appearance
-    return Instance(space, ChoiceRule(space, outcomes, (0, 1, 1, 2, 3, 4, 1, 1, 5)))
+    return Instance(ChoiceRule(space, outcomes, (0, 1, 1, 2, 3, 4, 1, 1, 5)))
 
 
 def appC_sp_restriction():
@@ -662,7 +661,7 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
     Restricted so that the k-th and (k+1)-th highest types differ."""
     space = inst0.space
     universe = order_statistic_restriction(space, k)
-    inst = Instance(space, inst0.rule, inst0.model, universe)
+    inst = Instance(inst0.rule, inst0.model, universe)
     cells = _ascending_cells(_ranks(space)[0])
     clock = _clock(space, inst.rule, cells)
 
@@ -1009,13 +1008,24 @@ _BUILTINS = (
 
 
 def _entry(build, names: str) -> Callable[[dict], object]:
-    """Table entry: ``build`` called with the named parameters, each read once."""
+    """Table entry: ``build`` called with the named parameters, each read
+    once; a parameter it does not name is refused."""
     required = [key for key in names.split() if not key.endswith("?")]
     optional = [key[:-1] for key in names.split() if key.endswith("?")]
-    return lambda params: build(
-        *[_require(params, key) for key in required],
-        **{key: params[key] for key in optional if key in params},
-    )
+    taken = ", ".join(required + optional) or "no parameters"
+
+    def entry(params: dict):
+        untaken = params.keys() - {*required, *optional}
+        if untaken:
+            raise InputError(
+                f"unknown builtin parameter {min(untaken)!r}; this builtin takes {taken}"
+            )
+        return build(
+            *[_require(params, key) for key in required],
+            **{key: params[key] for key in optional if key in params},
+        )
+
+    return entry
 
 
 BUILTIN_RULES: dict[str, Callable[[dict], object]] = {

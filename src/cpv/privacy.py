@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Optional
 
 from cpv.core import (
     ChoiceRule,
     InputError,
-    PreconditionError,
     Profile,
     ProfileSet,
     ResourceError,
@@ -43,6 +41,7 @@ from cpv.protocol import (
     build_protocol,
     implements,
     outcome_reach,
+    require_implements,
     validate_protocol,
 )
 
@@ -80,8 +79,6 @@ def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
 
 @record
 class InseparabilityPartition:
-    agent: int
-    factors: tuple[tuple[int, ...], ...]
     classes: tuple[tuple[int, ...], ...]
 
     def class_of(self, type_index: int) -> tuple[int, ...]:
@@ -122,7 +119,7 @@ def inseparability_classes(rule: ChoiceRule, region, agent: int) -> Inseparabili
     for p, t in enumerate(types):
         groups.setdefault(uf.find(p), []).append(t)
     classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    return InseparabilityPartition(agent, factors, classes)
+    return InseparabilityPartition(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +145,6 @@ class CpVerdict:
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-def _require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
-    res = implements(protocol, rule)
-    if not res:
-        raise PreconditionError(
-            f"protocol does not implement the rule (leaf {res.leaf} is non-constant)"
-        )
 
 
 def _leaf_list(protocol: Protocol) -> list[int]:
@@ -201,7 +190,7 @@ def _outcome_values(rule: ChoiceRule) -> list[list[str]]:
 
 def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
     """Separated unilateral pairs must change the outcome."""
-    _require_implements(protocol, rule)
+    require_implements(protocol, rule)
     violation = _unilateral_scan(protocol, _outcome_values(rule))
     return CpVerdict(violation is None, violation)
 
@@ -210,7 +199,7 @@ def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
     """Separated unilateral pairs must change the deviator's own component."""
     if not rule.has_components:
         raise InputError("individual check needs per-agent outcome components")
-    _require_implements(protocol, rule)
+    require_implements(protocol, rule)
     violation = _unilateral_scan(protocol, _own_components(rule))
     return CpVerdict(violation is None, violation)
 
@@ -238,7 +227,7 @@ def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> GcpVerdict:
     characterization that every query's children reach pairwise-disjoint
     outcome sets.  The two must agree; disagreement is an internal bug.
     """
-    _require_implements(protocol, rule)
+    require_implements(protocol, rule)
     space = protocol.space
     reach = outcome_reach(protocol, rule)
 
@@ -492,45 +481,24 @@ def witness_minimize(rule: ChoiceRule, witness: Witness) -> Witness:
     return Witness(tuple(tuple(f) for f in factors))
 
 
-def witness_oracle(
-    rule: ChoiceRule,
-    cap: int = 1 << 20,
-    samples: int | None = None,
-    seed: int = 0,
-) -> Optional[Witness]:
+def witness_oracle(rule: ChoiceRule, cap: int = 1 << 20) -> Optional[Witness]:
     """Brute-force witness search over all product sets.
 
     Independent of the synthesis path: enumerates nonempty per-agent
     factors in ascending bitmask order and returns the first product set
-    that verifies.  With ``samples`` set, draws seeded random product
-    sets instead of enumerating (for spaces beyond the cap).
+    that verifies.  More than ``cap`` product sets is a resource error.
     """
     space = rule.space
     total = math.prod((1 << s) - 1 for s in space.sizes)
-    if samples is None and total > cap:
-        raise ResourceError(
-            f"{total} product sets exceed the cap {cap}; enable sampling"
-        )
+    if total > cap:
+        raise ResourceError(f"{total} product sets exceed the cap {cap}")
 
     def bits_to_types(bits: int, size: int) -> tuple[int, ...]:
         return tuple(t for t in range(size) if bits >> t & 1)
 
-    if samples is None:
-        ranges = [range(1, 1 << s) for s in space.sizes]
-        for combo in itertools.product(*ranges):
-            factors = tuple(
-                bits_to_types(b, s) for b, s in zip(combo, space.sizes)
-            )
-            w = Witness(factors)
-            if witness_verify(rule, w):
-                return w
-        return None
-    rng = random.Random(seed)
-    for _ in range(samples):
-        factors = tuple(
-            bits_to_types(rng.randrange(1, 1 << s), s) for s in space.sizes
-        )
-        w = Witness(factors)
+    ranges = [range(1, 1 << s) for s in space.sizes]
+    for combo in itertools.product(*ranges):
+        w = Witness(tuple(bits_to_types(b, s) for b, s in zip(combo, space.sizes)))
         if witness_verify(rule, w):
             return w
     return None

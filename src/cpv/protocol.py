@@ -5,6 +5,11 @@ descriptors, never stored independently, so label/query inconsistencies
 cannot arise.  Cells that are empty on a node's label are pruned during
 construction and recorded; queries left with a single nonempty cell are
 contracted away (they transmit nothing).
+
+The privacy checks (CP, ICP, GCP, tatonnement and phase discovery) all
+start with :func:`require_implements`, so each refuses a protocol that
+does not implement the rule with the same error, naming a non-constant
+leaf.
 """
 
 from __future__ import annotations
@@ -204,7 +209,6 @@ def _count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...]
 class Node:
     id: int
     parent: int  # -1 for the root
-    depth: int
     label: int  # profile-set mask, derived
     query: Optional[Query]  # None at leaves
     children: tuple[int, ...]
@@ -261,12 +265,11 @@ def build_protocol(
     root = ProfileSet.full(space).mask if universe is None else universe.mask
     if not root:
         raise InputError("universe is empty")
-    rows: list[list] = []  # [parent, depth, label, query, children, cells]
+    rows: list[list] = []  # [parent, label, query, children, cells]
     notes: list[str] = []
-    # (label, state, parent id, cell index, depth, path)
-    stack = [(root, state, -1, -1, 0, "/tree")]
+    stack = [(root, state, -1, -1, "/tree")]  # (label, state, parent id, cell index, path)
     while stack:
-        label, state, parent, cell, depth, path = stack.pop()
+        label, state, parent, cell, path = stack.pop()
         while True:
             decision = step(label, state)
             if decision is None:
@@ -284,16 +287,15 @@ def build_protocol(
                 break
             notes.append(f"contracted degenerate query at {path}")
             state = kept[0][2]
-        rows.append([parent, depth, label, query, [], []])
+        rows.append([parent, label, query, [], []])
         node_id = len(rows) - 1
         if parent >= 0:
-            rows[parent][4].append(node_id)
-            rows[parent][5].append(cell)
+            rows[parent][3].append(node_id)
+            rows[parent][4].append(cell)
         for c, m, child in reversed(kept):
-            stack.append((m, child, node_id, c, depth + 1, f"{path}/{c}"))
+            stack.append((m, child, node_id, c, f"{path}/{c}"))
     nodes = tuple(
-        Node(i, r[0], r[1], r[2], r[3], tuple(r[4]), tuple(r[5]))
-        for i, r in enumerate(rows)
+        Node(i, r[0], r[1], r[2], tuple(r[3]), tuple(r[4])) for i, r in enumerate(rows)
     )
     return Protocol(space, root, nodes, tuple(notes))
 
@@ -451,6 +453,17 @@ def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
             space = protocol.space
             return ImplementsResult(False, v.id, (space.profile(first), space.profile(other)))
     return ImplementsResult(True)
+
+
+def require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
+    """The precondition of every protocol-level privacy check: raises a
+    :class:`PreconditionError` naming a non-constant leaf unless the
+    protocol implements the rule."""
+    res = implements(protocol, rule)
+    if not res:
+        raise PreconditionError(
+            f"protocol does not implement the rule (leaf {res.leaf} is non-constant)"
+        )
 
 
 def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[int]]:

@@ -4,21 +4,23 @@ A phase is a precedence-convex node set.  A protocol whose initial phase
 ends in nodes with pairwise-disjoint reachable outcome sets, and whose
 subtrees at those end nodes are contextually private on their labels, is
 contextually private overall; `check_tatonnement` verifies the two
-conditions and cross-checks the implication.
+conditions and cross-checks the implication.  Both it and
+`phase_discovery` need the protocol to implement the rule, and raise a
+`PreconditionError` naming a non-constant leaf otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from cpv.core import ChoiceRule, InputError, record
 from cpv.privacy import _leaf_list, _outcome_values, _unilateral_scan, check_protocol_cp
-from cpv.protocol import Protocol, implements, outcome_reach
+from cpv.protocol import Protocol, outcome_reach, require_implements
 
 
 @record
 class Phase:
-    nodes: frozenset[int]
     initial: bool
     end: tuple[int, ...]  # precedence-maximal members
 
@@ -50,14 +52,16 @@ def validate_phase(protocol: Protocol, node_ids) -> PhaseReport:
                     f"convexity broken: node {gap} between members {v} and {w}",
                 )
             v = protocol.nodes[v].parent
-    has_member_below: set[int] = set()
-    for w in members:
-        v = protocol.nodes[w].parent
-        while v != -1:
-            has_member_below.add(v)
-            v = protocol.nodes[v].parent
-    end = tuple(sorted(v for v in members if v not in has_member_below))
-    return PhaseReport(True, None, Phase(frozenset(members), 0 in members, end))
+    # in a convex set, a member with a member below it has a member child
+    end = tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
+    return PhaseReport(True, None, Phase(0 in members, end))
+
+
+def _overlapping(reach: dict[int, frozenset[int]], nodes):
+    """The pairs of ``nodes`` whose outcome reach overlaps, in pair order."""
+    for a, b in itertools.combinations(nodes, 2):
+        if reach[a] & reach[b]:
+            yield a, b
 
 
 @record
@@ -81,9 +85,7 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
     success the full contextual-privacy check is asserted as an internal
     cross-check.
     """
-    res = implements(protocol, rule)
-    if not res:
-        raise InputError("protocol does not implement the rule")
+    require_implements(protocol, rule)
     report = validate_phase(protocol, node_ids)
     if not report.ok:
         raise InputError(report.defect)
@@ -93,25 +95,20 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
 
     reach = outcome_reach(protocol, rule)
     end = phase.end
-    for a_pos in range(len(end)):
-        for b_pos in range(a_pos + 1, len(end)):
-            overlap = reach[end[a_pos]] & reach[end[b_pos]]
-            if overlap:
-                return TatonnementVerdict(
-                    False,
-                    "disjointness",
-                    (end[a_pos], end[b_pos], rule.outcomes[min(overlap)]),
-                )
+    pair = next(_overlapping(reach, end), None)
+    if pair is not None:
+        a, b = pair
+        return TatonnementVerdict(
+            False, "disjointness", (a, b, rule.outcomes[min(reach[a] & reach[b])])
+        )
 
-    below: set[int] = set()
-    stack = list(end)
-    while stack:
-        v = stack.pop()
-        below.add(v)
-        stack.extend(protocol.nodes[v].children)
-    uncovered = [v.id for v in protocol.nodes if v.is_leaf and v.id not in below]
-    if uncovered:
-        return TatonnementVerdict(False, "coverage", uncovered[0])
+    # a leaf lies below an end node iff its label lies inside the end node's
+    covered = 0
+    for v in end:
+        covered |= protocol.nodes[v].label
+    if covered != protocol.universe:
+        uncovered = next(v for v in protocol.nodes if v.is_leaf and v.label & ~covered)
+        return TatonnementVerdict(False, "coverage", uncovered.id)
 
     # each end node's subtree must be private for the rule on its label
     leaf, value = _leaf_list(protocol), _outcome_values(rule)
@@ -138,35 +135,13 @@ def phase_discovery(protocol: Protocol, rule: ChoiceRule):
     makes disjointness unattainable.  Subtree privacy is left to
     `check_tatonnement`.
     """
-    res = implements(protocol, rule)
-    if not res:
-        raise InputError("protocol does not implement the rule")
-    if protocol.root.is_leaf:
-        return (0,)
+    require_implements(protocol, rule)
     reach = outcome_reach(protocol, rule)
-    frontier = sorted(protocol.root.children)
-    while True:
-        overlapping: set[int] = set()
-        for i in range(len(frontier)):
-            for j in range(i + 1, len(frontier)):
-                if reach[frontier[i]] & reach[frontier[j]]:
-                    overlapping.add(frontier[i])
-                    overlapping.add(frontier[j])
-        if not overlapping:
-            phase: set[int] = set()
-            for v in frontier:
-                phase.add(v)
-                u = protocol.nodes[v].parent
-                while u != -1:
-                    phase.add(u)
-                    u = protocol.nodes[u].parent
-            return tuple(sorted(phase))
-        grown: list[int] = []
-        for v in frontier:
-            if v in overlapping:
-                if protocol.nodes[v].is_leaf:
-                    return None
-                grown.extend(protocol.nodes[v].children)
-            else:
-                grown.append(v)
-        frontier = sorted(grown)
+    nodes = protocol.nodes
+    phase, frontier = {0}, nodes[0].children  # nodes expanded; their other children
+    while overlapping := {v for pair in _overlapping(reach, frontier) for v in pair}:
+        if any(nodes[v].is_leaf for v in overlapping):
+            return None
+        phase |= overlapping
+        frontier = [c for v in frontier for c in (nodes[v].children if v in overlapping else (v,))]
+    return tuple(sorted(phase.union(frontier)))

@@ -185,6 +185,20 @@ class TestCheckReports:
         expected = '{"command":"check",' + ASCENDING_REPORTS[prop] + "\n"
         assert (code, capsys.readouterr().out) == (1, expected)
 
+    @pytest.mark.parametrize("phase", [None, [0]], ids=["discovered", "given"])
+    def test_tatonnement_names_the_non_constant_leaf(self, phase, tmp_path, capsys):
+        # one query to agent 1 leaves agent 2's answer, and the outcome, open
+        assert main(["builtin", "fair_tiebreak_2x2", "--emit", str(tmp_path / "fair.json")]) == 0
+        tree = {"query": {"kind": "elicit", "agent": 1, "cells": [["A"], ["B"]]},
+                "children": [{}, {}]}
+        protocol = {"schema": "cpv-1", "tree": tree, **({"phase": phase} if phase else {})}
+        (tmp_path / "one.json").write_text(json.dumps(protocol))
+        capsys.readouterr()
+        argv = ["check", "--property", "tatonnement", str(tmp_path / "fair.json")]
+        code = main([*argv, str(tmp_path / "one.json")])
+        expected = '{"error":"protocol does not implement the rule (leaf 2 is non-constant)"}\n'
+        assert (code, capsys.readouterr().out) == (2, expected)
+
 
 class TestSynthRoundTrip:
     def test_sd_synth_emit_load_check(self, tmp_path, capsys):
@@ -273,6 +287,35 @@ class TestRunAndTatonnement:
     def test_unknown_builtin(self, capsys):
         code, doc = run_cli(["builtin", "nope"], capsys)
         assert code == 2
+
+
+# (built-in, parameters holding one key the built-in does not take, that key)
+UNTAKEN = {
+    "misspelt optional": (
+        "double_auction_walrasian", {"n": 2, "values": [1, 2], "selectoin": "upper"}, "selectoin"
+    ),
+    "a parameter of another auction": ("first_price", {"n": 2, "values": [1, 2], "k": 2}, "k"),
+    "parameters for one that takes none": ("fair_tiebreak_2x2", {"n": 5}, "n"),
+}
+
+
+class TestUntakenBuiltinParameters:
+    @pytest.mark.parametrize("case", sorted(UNTAKEN))
+    def test_params_exit_2_naming_the_key(self, case, capsys):
+        name, params, key = UNTAKEN[case]
+        code, doc = run_cli(["builtin", name, "--params", json.dumps(params)], capsys)
+        assert code == 2
+        assert doc["error"].startswith(f"unknown builtin parameter {key!r}; ")
+
+    def test_instance_file_exits_2_at_rule_params(self, tmp_path, capsys):
+        name, params, key = UNTAKEN["a parameter of another auction"]
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"schema": "cpv-1", "rule": {"builtin": name, "params": params}}))
+        code, doc = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert doc["error"] == (
+            f"unknown builtin parameter {key!r}; this builtin takes n, values (at /rule/params)"
+        )
 
 
 class TestDeterminism:

@@ -72,6 +72,17 @@ class TestProfileSet:
         assert ps.projection(0) == (0, 1)
         assert ps.projection(1) == (0, 1)
 
+    @given(st.data())
+    def test_readers_agree_with_the_member_indices(self, data):
+        # independent oracle: each member index decoded on its own
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
+        s = TypeSpace(tuple(tuple(f"t{i}" for i in range(k)) for k in sizes))
+        ps = ProfileSet(s, data.draw(st.integers(0, (1 << s.total) - 1), label="mask"))
+        members = [profile_of_index(s, k) for k in range(s.total) if ps.mask >> k & 1]
+        assert list(ps.profiles()) == members
+        for agent in range(s.n):
+            assert ps.projection(agent) == tuple(sorted({p[agent] for p in members}))
+
 
 class TestProductFactorization:
     def test_full_space(self):

@@ -1,10 +1,12 @@
-"""Import hygiene: every name a ``cpv`` module imports is used in it, every
-private helper is read somewhere in ``cpv``, no module holds an ``assert``
-statement, importing ``cpv.cli`` loads no code generator, and a command
-loads only the ``cpv`` modules it runs.
+"""Import hygiene: every name a ``cpv`` module imports is used where it is
+imported, every private helper is read somewhere in ``cpv``, no module
+holds an ``assert`` statement, importing ``cpv.cli`` loads no code
+generator, and a command loads only the ``cpv`` modules it runs.
 
-A name counts as used when it is read anywhere in the module (annotations
-included, also those written as strings) or listed in ``__all__``.
+A name imported at module level counts as used when it is read anywhere in
+the module (annotations included, also those written as strings) or listed
+in ``__all__``; a name imported inside a function must be read in that
+function.
 """
 
 from __future__ import annotations
@@ -22,17 +24,24 @@ import cpv
 MODULES = sorted(Path(cpv.__file__).parent.glob("*.py"))
 
 
-def imported_names(tree: ast.Module) -> dict[str, int]:
-    """Bound name -> line, for the module's imports (``__future__`` aside)."""
-    out: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                out[alias.asname or alias.name] = node.lineno
-    return out
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def imports_by_scope(node: ast.AST, scope: ast.AST):
+    """``(scope, import)`` for each import below ``node`` (``__future__``
+    aside); its scope is the innermost function holding it, else ``scope``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import) or (
+            isinstance(child, ast.ImportFrom) and child.module != "__future__"
+        ):
+            yield scope, child
+        yield from imports_by_scope(child, child if isinstance(child, FUNCTIONS) else scope)
+
+
+def bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    return [alias.asname or alias.name for alias in node.names]
 
 
 def _annotations(tree: ast.Module):
@@ -45,7 +54,7 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
+def used_names(tree: ast.Module | ast.FunctionDef) -> set[str]:
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
@@ -60,16 +69,42 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """``name (line n)`` for each imported name its scope never reads."""
+    used: dict[ast.AST, set[str]] = {}
+    unused = []
+    for scope, node in imports_by_scope(tree, tree):
+        if scope not in used:
+            used[scope] = used_names(scope)
+        unused += [f"{n} (line {node.lineno})" for n in bound_names(node) if n not in used[scope]]
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    used = used_names(tree)
-    unused = sorted(
-        f"{name} (line {line})"
-        for name, line in imported_names(tree).items()
-        if name not in used
-    )
+    unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# (source, the names the guard reports)
+GUARD_CASES = {
+    "module level": ("import math\nimport random\nx = math.pi\n", ["random (line 2)"]),
+    "in a function": ("def f():\n    import random\n    return 1\n", ["random (line 2)"]),
+    "read only in another function": (
+        "def f():\n    from json import dumps\n\ndef g():\n    return dumps\n",
+        ["dumps (line 2)"],
+    ),
+    "listed in __all__": ("from math import pi\n__all__ = ['pi']\n", []),
+    "read where imported": (
+        "import math\ndef f():\n    from json import dumps\n    return dumps(math.pi)\n", []
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_unused_import_guard(case):
+    source, expected = GUARD_CASES[case]
+    assert unused_imports(ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
