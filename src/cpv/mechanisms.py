@@ -309,7 +309,8 @@ def efficient_completions_2x2() -> list[Instance]:
     base = fair_tiebreak_2x2()
     space, rule = base.space, base.rule
     return [  # profiles AA, AB, BA, BB
-        Instance(ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components), base.model)
+        Instance(ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components),
+                 base.model)
         for aa, bb in itertools.product((0, 1), repeat=2)
     ]
 

@@ -498,7 +498,10 @@ def witness_oracle(rule: ChoiceRule, cap: int = 1 << 20) -> Optional[Witness]:
 
     ranges = [range(1, 1 << s) for s in space.sizes]
     for combo in itertools.product(*ranges):
-        w = Witness(tuple(bits_to_types(b, s) for b, s in zip(combo, space.sizes)))
+        factors = tuple(
+            bits_to_types(b, s) for b, s in zip(combo, space.sizes)
+        )
+        w = Witness(factors)
         if witness_verify(rule, w):
             return w
     return None

@@ -6,10 +6,9 @@ cannot arise.  Cells that are empty on a node's label are pruned during
 construction and recorded; queries left with a single nonempty cell are
 contracted away (they transmit nothing).
 
-The privacy checks (CP, ICP, GCP, tatonnement and phase discovery) all
-start with :func:`require_implements`, so each refuses a protocol that
-does not implement the rule with the same error, naming a non-constant
-leaf.
+Every protocol-level privacy check starts with :func:`require_implements`,
+which refuses a protocol that does not implement the rule and names a
+non-constant leaf.
 """
 
 from __future__ import annotations
@@ -267,7 +266,8 @@ def build_protocol(
         raise InputError("universe is empty")
     rows: list[list] = []  # [parent, label, query, children, cells]
     notes: list[str] = []
-    stack = [(root, state, -1, -1, "/tree")]  # (label, state, parent id, cell index, path)
+    # (label, state, parent id, cell index, path)
+    stack = [(root, state, -1, -1, "/tree")]
     while stack:
         label, state, parent, cell, path = stack.pop()
         while True:
@@ -295,7 +295,8 @@ def build_protocol(
         for c, m, child in reversed(kept):
             stack.append((m, child, node_id, c, f"{path}/{c}"))
     nodes = tuple(
-        Node(i, r[0], r[1], r[2], tuple(r[3]), tuple(r[4])) for i, r in enumerate(rows)
+        Node(i, r[0], r[1], r[2], tuple(r[3]), tuple(r[4]))
+        for i, r in enumerate(rows)
     )
     return Protocol(space, root, nodes, tuple(notes))
 
