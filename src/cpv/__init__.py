@@ -17,9 +17,7 @@ from cpv.core import (
     ResourceError,
     TypeSpace,
     Witness,
-    index_profile,
     product_factorization,
-    profile_of_index,
 )
 
 __all__ = [
@@ -30,7 +28,5 @@ __all__ = [
     "ResourceError",
     "TypeSpace",
     "Witness",
-    "index_profile",
     "product_factorization",
-    "profile_of_index",
 ]

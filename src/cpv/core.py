@@ -276,9 +276,20 @@ def iter_mask(mask: int):
 
 
 def mask_indices(mask: int) -> list[int]:
-    """Profile indices in a mask, ascending."""
+    """Profile indices in a mask, ascending, read at C level.
+
+    A sparse mask (fewer than one bit in five set) is read from the runs of
+    zeros before its set bits, the pieces of its reversed binary digits
+    split at every 1: each index is the previous one plus its run plus one.
+    A denser mask is read by compressing the index range with its flags.
+    """
     total = mask.bit_length()
-    return list(itertools.compress(range(total), mask_flags(mask, total)))
+    if mask.bit_count() * 5 >= total:
+        return list(itertools.compress(range(total), mask_flags(mask, total)))
+    steps = map((1).__add__, map(len, bin(mask)[:1:-1].split("1")[:-1]))
+    out = list(itertools.accumulate(steps, initial=-1))
+    del out[0]
+    return out
 
 
 def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
@@ -290,6 +301,10 @@ def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
     yielded only if ``block[k2] != block[k]`` when a per-profile ``block``
     list is given, and if ``value[agent][k2] == value[agent][k]`` when
     per-agent, per-profile ``value`` lists are given.
+
+    The protocol-level CP and ICP checks decide on whole leaf masks and
+    call this only once a violation exists, so for them it fixes which
+    violation is named first, not the verdict.
     """
     member = mask_flags(inside, space.total)
     axes = tuple(zip(range(space.n), space.strides, space.sizes))
@@ -308,16 +323,6 @@ def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
                 if vals is not None and vals[k2] != v:
                     continue
                 yield k, agent, t2, k2
-
-
-def index_profile(space: TypeSpace, profile: Profile) -> int:
-    """Mixed-radix profile index; agent 0 is the most significant digit."""
-    return space.index(profile)
-
-
-def profile_of_index(space: TypeSpace, index: int) -> Profile:
-    """Inverse of :func:`index_profile`; round trip is the identity."""
-    return space.profile(index)
 
 
 @record
@@ -479,6 +484,12 @@ def constant_on(rule: ChoiceRule, mask: int) -> bool:
     keys = iter_mask(mask)
     first = table[next(keys, 0)]
     return all(table[k] == first for k in keys)
+
+
+def outcome_ids(rule: ChoiceRule, mask: int) -> set[int]:
+    """The outcome ids the rule takes on the profile-set mask, read in one
+    pass at C level."""
+    return set(map(rule.table.__getitem__, mask_indices(mask)))
 
 
 @record

@@ -24,8 +24,8 @@ from cpv.core import (
     TypeSpace,
     constant_on,
     mask_flags,
-    mask_indices,
     mask_of_flags,
+    outcome_ids,
     record,
 )
 from cpv.protocol import (
@@ -896,11 +896,6 @@ def outcome_ranks(rule: ChoiceRule, model: DomainModel, ids) -> list[list[list]]
                 row[o] = dense[v]
             ranks[i].append(row)
     return ranks
-
-
-def outcome_ids(rule: ChoiceRule, mask: int) -> set[int]:
-    """The outcome ids the rule takes on the profile-set mask."""
-    return set(map(rule.table.__getitem__, mask_indices(mask)))
 
 
 # ---------------------------------------------------------------------------

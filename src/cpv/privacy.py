@@ -9,9 +9,13 @@ classes.  A product set on which the rule is non-constant while every
 agent's types fall in a single class is a machine-checkable witness that
 no contextually private sequential-elicitation protocol exists.
 
-Every unilateral check here (CP, ICP, the outer loop of the corners scan,
-non-bossiness) enumerates its pairs with :func:`cpv.core.unilateral_pairs`,
-so scan order, and with it the first violation reported, is defined once.
+The protocol-level unilateral checks (CP, ICP, and the subtree checks of
+tatonnement) decide on whole leaf masks whether a violating pair exists,
+by counting the lines of each agent that the leaves meet, and scan pairs
+only to name the first violation.  Every pair scan here (that one, the
+outer loop of the corners scan, non-bossiness) enumerates its pairs with
+:func:`cpv.core.unilateral_pairs`, so scan order, and with it the first
+violation reported, is defined once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from cpv.core import (
     Profile,
     ProfileSet,
     ResourceError,
+    TypeSpace,
     Witness,
     check_factors,
     constant_on,
@@ -155,22 +160,23 @@ def _leaf_list(protocol: Protocol) -> list[int]:
     return leaf
 
 
-def _unilateral_scan(
-    protocol: Protocol, value, label: int | None = None, leaf: list[int] | None = None
-) -> Optional[CpViolation]:
+def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Optional[CpViolation]:
     """First unilateral pair inside ``label`` (the universe by default) that
     reaches distinct leaves with equal ``value[agent]``.
 
-    The first hit in :func:`cpv.core.unilateral_pairs` order is the
-    reported violation, which makes reports deterministic.  ``leaf`` is
-    the protocol's :func:`_leaf_list`, passed in by callers that scan
-    several labels.
+    ``value[agent]`` must be constant on every leaf, as it is once
+    :func:`require_implements` holds.  :func:`_leaves_share_a_line` decides
+    whether such a pair exists; only then is the first hit in
+    :func:`cpv.core.unilateral_pairs` order found and reported, which
+    makes reports deterministic.
     """
     space = protocol.space
     if label is None:
         label = protocol.universe
-    if leaf is None:
-        leaf = _leaf_list(protocol)
+    pieces = [m for v in protocol.nodes if v.is_leaf and (m := v.label & label)]
+    if not _leaves_share_a_line(space, pieces, value):
+        return None
+    leaf = _leaf_list(protocol)
     for k, agent, t2, k2 in unilateral_pairs(space, label, leaf, value):
         profile = space.profile(k)
         other = list(profile)
@@ -180,6 +186,39 @@ def _unilateral_scan(
             value[agent][k],
         )
     return None
+
+
+def _leaves_share_a_line(space: TypeSpace, pieces: list[int], value) -> bool:
+    """Whether two of the disjoint masks ``pieces`` with equal
+    ``value[agent]`` meet a common line of the agent: the profiles that
+    differ from one another in that agent's type only.
+
+    ``value[agent]`` is read at each piece's lowest profile, so it must be
+    constant on every piece.  The lines a piece meets are its projection
+    onto the profiles where the agent has type 0: the union of the piece
+    shifted down by ``t * stride`` for every type ``t``, cut to the digit
+    fill.  Two pieces meet a common line exactly when a unilateral pair
+    joins them, so no such pair exists iff, per agent and value, the
+    projections of the pieces are disjoint: the lines their union meets
+    number as many as the lines of each piece summed.
+    """
+    lows = [(m & -m).bit_length() - 1 for m in pieces]
+    for agent, (stride, size, fill) in enumerate(
+        zip(space.strides, space.sizes, space.digit_fills)
+    ):
+        vals, met = value[agent], {}
+        shifts = range(stride, size * stride, stride)
+        for m, low in zip(pieces, lows):
+            lines = m
+            for s in shifts:
+                lines |= m >> s
+            lines &= fill
+            key = vals[low]
+            seen = met.get(key, 0)
+            if seen & lines:
+                return True
+            met[key] = seen | lines
+    return False
 
 
 def _outcome_values(rule: ChoiceRule) -> list[list[str]]:

@@ -25,6 +25,7 @@ from cpv.core import (
     TypeSpace,
     constant_on,
     mask_indices,
+    outcome_ids,
     record,
 )
 
@@ -422,9 +423,7 @@ def run_protocol(
     outcome = None
     if rule is not None:
         if not constant_on(rule, v.label):
-            raise PreconditionError(
-                f"protocol does not implement rule: leaf {v.id} is non-constant"
-            )
+            raise _not_implemented(v.id)
         outcome = rule.outcomes[rule.table[(v.label & -v.label).bit_length() - 1]]
     return Transcript(tuple(steps), v.id, ProfileSet(space, v.label), outcome)
 
@@ -443,12 +442,17 @@ class ImplementsResult:
 
 
 def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
-    """True iff the rule is constant on every terminal label; otherwise a
-    leaf together with two member profiles mapped to different outcomes."""
+    """True iff the rule is constant on every terminal label; otherwise the
+    first leaf where it is not, with the leaf's lowest profile and its
+    lowest profile mapped to another outcome.
+
+    Each leaf is tested in one pass at C level: its :func:`outcome_ids`
+    hold a single element.
+    """
     if rule.space != protocol.space:
         raise InputError("protocol and rule live on different type spaces")
     for v in protocol.nodes:
-        if v.is_leaf and not constant_on(rule, v.label):
+        if v.is_leaf and len(outcome_ids(rule, v.label)) > 1:
             first, *rest = mask_indices(v.label)
             other = next(k for k in rest if rule.table[k] != rule.table[first])
             space = protocol.space
@@ -462,9 +466,14 @@ def require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
     protocol implements the rule."""
     res = implements(protocol, rule)
     if not res:
-        raise PreconditionError(
-            f"protocol does not implement the rule (leaf {res.leaf} is non-constant)"
-        )
+        raise _not_implemented(res.leaf)
+
+
+def _not_implemented(leaf: int) -> PreconditionError:
+    """The one wording of a failed implementation precondition."""
+    return PreconditionError(
+        f"protocol does not implement the rule (leaf {leaf} is non-constant)"
+    )
 
 
 def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[int]]:

@@ -15,7 +15,7 @@ import itertools
 from typing import Optional
 
 from cpv.core import ChoiceRule, InputError, record
-from cpv.privacy import _leaf_list, _outcome_values, _unilateral_scan, check_protocol_cp
+from cpv.privacy import _outcome_values, _unilateral_scan
 from cpv.protocol import Protocol, outcome_reach, require_implements
 
 
@@ -111,13 +111,13 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
         return TatonnementVerdict(False, "coverage", uncovered.id)
 
     # each end node's subtree must be private for the rule on its label
-    leaf, value = _leaf_list(protocol), _outcome_values(rule)
+    value = _outcome_values(rule)
     for v in end:
-        violation = _unilateral_scan(protocol, value, protocol.nodes[v].label, leaf)
+        violation = _unilateral_scan(protocol, value, protocol.nodes[v].label)
         if violation is not None:
             return TatonnementVerdict(False, "subtree", (v, violation))
 
-    if not check_protocol_cp(protocol, rule).holds:
+    if _unilateral_scan(protocol, value) is not None:
         raise AssertionError(
             "tatonnement conditions hold but the protocol is not contextually "
             "private (bug)"

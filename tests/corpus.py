@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cpv.core import ChoiceRule, TypeSpace
+from cpv.core import ChoiceRule, ProfileSet, TypeSpace
 from cpv.protocol import ElicitQuery, Protocol, build_protocol
 
 CORPUS_SEED = 20240
@@ -60,9 +60,12 @@ def random_component_rule(seed: int, max_agents: int = 3, max_types: int = 3) ->
     return ChoiceRule(base.space, base.outcomes, base.table, tuple(components))
 
 
-def random_implementing_protocol(rule: ChoiceRule, seed: int) -> Protocol:
+def random_implementing_protocol(
+    rule: ChoiceRule, seed: int, universe: ProfileSet | None = None
+) -> Protocol:
     """Random full-information-enough elicitation protocol: split states by
-    random binary type subsets until the rule is constant."""
+    random binary type subsets until the rule is constant.  The tree covers
+    ``universe``, the whole space by default."""
     rng = random.Random(seed)
     space = rule.space
 
@@ -100,7 +103,7 @@ def random_implementing_protocol(rule: ChoiceRule, seed: int) -> Protocol:
         rest = tuple(t for t in range(space.sizes[agent]) if t not in subset)
         return ElicitQuery(agent, (subset, rest)), lambda c, m: None
 
-    return build_protocol(space, step, None)
+    return build_protocol(space, step, None, universe)
 
 
 def corpus_seeds(count: int, offset: int = 0) -> list[int]:

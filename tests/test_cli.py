@@ -170,6 +170,9 @@ ASCENDING_REPORTS = {
 }
 
 
+NOT_IMPLEMENTED = '{"error":"protocol does not implement the rule (leaf 2 is non-constant)"}\n'
+
+
 class TestCheckReports:
     @pytest.fixture(scope="class")
     def ascending(self, tmp_path_factory) -> str:
@@ -185,19 +188,32 @@ class TestCheckReports:
         expected = '{"command":"check",' + ASCENDING_REPORTS[prop] + "\n"
         assert (code, capsys.readouterr().out) == (1, expected)
 
-    @pytest.mark.parametrize("phase", [None, [0]], ids=["discovered", "given"])
-    def test_tatonnement_names_the_non_constant_leaf(self, phase, tmp_path, capsys):
-        # one query to agent 1 leaves agent 2's answer, and the outcome, open
+    @staticmethod
+    def one_query_files(tmp_path, phase=None) -> tuple[str, str]:
+        """The fair tie-break rule and a protocol that asks agent 1 only,
+        which leaves agent 2's answer, and the outcome, open."""
         assert main(["builtin", "fair_tiebreak_2x2", "--emit", str(tmp_path / "fair.json")]) == 0
         tree = {"query": {"kind": "elicit", "agent": 1, "cells": [["A"], ["B"]]},
                 "children": [{}, {}]}
         protocol = {"schema": "cpv-1", "tree": tree, **({"phase": phase} if phase else {})}
         (tmp_path / "one.json").write_text(json.dumps(protocol))
+        return str(tmp_path / "fair.json"), str(tmp_path / "one.json")
+
+    @pytest.mark.parametrize("phase", [None, [0]], ids=["discovered", "given"])
+    def test_tatonnement_names_the_non_constant_leaf(self, phase, tmp_path, capsys):
+        files = self.one_query_files(tmp_path, phase)
         capsys.readouterr()
-        argv = ["check", "--property", "tatonnement", str(tmp_path / "fair.json")]
-        code = main([*argv, str(tmp_path / "one.json")])
-        expected = '{"error":"protocol does not implement the rule (leaf 2 is non-constant)"}\n'
-        assert (code, capsys.readouterr().out) == (2, expected)
+        code = main(["check", "--property", "tatonnement", *files])
+        assert (code, capsys.readouterr().out) == (2, NOT_IMPLEMENTED)
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--profile", "B,A"], ["check", "--property", "cp"]], ids=["run", "cp"]
+    )
+    def test_run_and_check_word_the_precondition_alike(self, argv, tmp_path, capsys):
+        files = self.one_query_files(tmp_path)
+        capsys.readouterr()
+        code = main([*argv, *files])
+        assert (code, capsys.readouterr().out) == (2, NOT_IMPLEMENTED)
 
 
 class TestSynthRoundTrip:

@@ -11,9 +11,7 @@ from cpv.core import (
     ProfileSet,
     ResourceError,
     TypeSpace,
-    index_profile,
     product_factorization,
-    profile_of_index,
 )
 
 
@@ -24,25 +22,25 @@ def space_2x2() -> TypeSpace:
 class TestIndexing:
     def test_identity_case(self):
         s = space_2x2()
-        assert index_profile(s, (0, 0)) == 0
-        assert profile_of_index(s, 0) == (0, 0)
+        assert s.index((0, 0)) == 0
+        assert s.profile(0) == (0, 0)
 
     def test_agent_one_most_significant(self):
         s = space_2x2()
-        assert index_profile(s, (1, 0)) == 2
+        assert s.index((1, 0)) == 2
 
     def test_positional_arithmetic(self):
         # independent oracle: plain base-9 positional arithmetic
         s = TypeSpace.shared(3, tuple(str(i) for i in range(9)))
         expected = 5 * 81 + 8 * 9 + 6
         assert expected == 483
-        assert index_profile(s, (5, 8, 6)) == expected
+        assert s.index((5, 8, 6)) == expected
 
     def test_out_of_range_entry(self):
         with pytest.raises(InputError):
-            index_profile(space_2x2(), (0, 2))
+            space_2x2().index((0, 2))
         with pytest.raises(InputError):
-            profile_of_index(space_2x2(), 4)
+            space_2x2().profile(4)
 
     @given(st.data())
     def test_round_trip_bijection(self, data):
@@ -51,7 +49,7 @@ class TestIndexing:
         )
         s = TypeSpace(tuple(tuple(f"t{i}" for i in range(k)) for k in sizes))
         k = data.draw(st.integers(0, s.total - 1), label="index")
-        assert index_profile(s, profile_of_index(s, k)) == k
+        assert s.index(s.profile(k)) == k
 
     def test_profile_cap(self):
         with pytest.raises(ResourceError):
@@ -78,7 +76,7 @@ class TestProfileSet:
         sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="sizes")
         s = TypeSpace(tuple(tuple(f"t{i}" for i in range(k)) for k in sizes))
         ps = ProfileSet(s, data.draw(st.integers(0, (1 << s.total) - 1), label="mask"))
-        members = [profile_of_index(s, k) for k in range(s.total) if ps.mask >> k & 1]
+        members = [s.profile(k) for k in range(s.total) if ps.mask >> k & 1]
         assert list(ps.profiles()) == members
         for agent in range(s.n):
             assert ps.projection(agent) == tuple(sorted({p[agent] for p in members}))

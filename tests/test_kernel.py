@@ -1,10 +1,11 @@
 """Slow oracles for the bit-parallel label kernel.
 
-Every whole-mask fast path in ``core`` and ``protocol`` is compared here
-with a plain per-profile loop: the oracle decodes each profile's types,
-computes its answer (type, count or count vector) and assigns it to the
-cell holding that answer.  Spaces, labels and queries are seeded random,
-and include one agent, alphabets of one type and alphabets that differ
+Every whole-mask fast path in ``core``, ``protocol`` and ``privacy`` is
+compared here with a plain per-profile loop: the oracle decodes each
+profile's types, computes its answer (type, count or count vector) and
+assigns it to the cell holding that answer, or walks each profile's
+unilateral neighbours.  Spaces, labels and queries are seeded random, and
+include one agent, alphabets of one type and alphabets that differ
 between agents.
 """
 
@@ -26,6 +27,17 @@ from cpv.core import (
     mask_indices,
     mask_of_flags,
     product_indices,
+    unilateral_pairs,
+)
+from cpv.mechanisms import count_ascending_price, descending_first_price
+from cpv.privacy import (
+    _leaf_list,
+    _leaves_share_a_line,
+    _outcome_values,
+    _own_components,
+    _unilateral_scan,
+    check_protocol_cp,
+    check_protocol_icp,
 )
 from cpv.protocol import (
     CountQuery,
@@ -37,6 +49,14 @@ from cpv.protocol import (
     implements,
     query_cell_masks,
 )
+from cpv.tatonnement import check_tatonnement, phase_discovery
+
+from corpus import (
+    corpus_seeds,
+    random_component_rule,
+    random_implementing_protocol,
+)
+from corpus import random_rule as corpus_rule
 
 SEEDS = range(120)
 
@@ -296,8 +316,9 @@ class TestLabelLookup:
 # --- protocols ------------------------------------------------------------------------
 
 
-def random_protocol(rng: random.Random, space: TypeSpace, rule: ChoiceRule):
-    """Random elicitation splits; stops at constant labels or at random."""
+def random_protocol(rng: random.Random, space: TypeSpace, rule: ChoiceRule, universe=None):
+    """Random elicitation splits of ``universe`` (the whole space by
+    default); stops at constant labels or at random."""
 
     def step(label: int, _state):
         if constant_on(rule, label) or rng.random() < 0.15:
@@ -308,7 +329,19 @@ def random_protocol(rng: random.Random, space: TypeSpace, rule: ChoiceRule):
             return None
         return ElicitQuery(agent, cells), lambda c, m: None
 
-    return build_protocol(space, step)
+    return build_protocol(space, step, None, universe)
+
+
+def oracle_implements(space: TypeSpace, protocol, rule: ChoiceRule):
+    """(leaf, (lowest profile, lowest one with another outcome)) of the first
+    non-constant leaf, by a loop over each leaf's members; None if none."""
+    for v in protocol.nodes:
+        if v.is_leaf:
+            keys = members(space, v.label)
+            other = [k for k in keys if rule.table[k] != rule.table[keys[0]]]
+            if other:
+                return v.id, (space.profile(keys[0]), space.profile(other[0]))
+    return None
 
 
 class TestProtocolLoops:
@@ -325,15 +358,128 @@ class TestProtocolLoops:
                         naive_map[k] = v.id
             got = protocol.leaf_map()
             assert got == naive_map and list(got) == list(naive_map)
-            failing = None
-            for v in protocol.nodes:
-                if v.is_leaf and failing is None:
-                    keys = members(space, v.label)
-                    other = [k for k in keys if rule.table[k] != rule.table[keys[0]]]
-                    if other:
-                        failing = (v.id, (space.profile(keys[0]), space.profile(other[0])))
+            failing = oracle_implements(space, protocol, rule)
             res = implements(protocol, rule)
             if failing is None:
                 assert res.ok
             else:
                 assert not res.ok and (res.leaf, res.profiles) == failing
+
+
+# --- the protocol-level privacy decision on leaf masks ----------------------------------
+
+
+def with_components(rng: random.Random, rule: ChoiceRule) -> ChoiceRule:
+    """``rule`` with per-agent components from a two-letter alphabet, so that
+    distinct outcomes often share an agent's component."""
+    rows = tuple(tuple(rng.choice("pq") for _ in range(rule.space.n)) for _ in rule.outcomes)
+    return ChoiceRule(rule.space, rule.outcomes, rule.table, rows)
+
+
+def scan_case(seed: int):
+    """A rule and a protocol implementing it, by seed: corpus rules with
+    outcomes only or with components (up to 4 agents and 4 types), and
+    rules on kernel spaces, which include one agent and one-type alphabets;
+    about a third of them on a random restricted universe."""
+    rng = random.Random(seed)
+    source = seed % 3
+    if source == 0:
+        rule = corpus_rule(seed, 4, 4)
+    elif source == 1:
+        rule = random_component_rule(seed, 4, 4)
+    else:
+        rule = with_components(rng, random_rule(rng, random_space(rng, rng.random() < 0.5)))
+    universe = None
+    if rng.random() < 0.5:
+        mask = random_label(rng, rule.space) or 1 << rng.randrange(rule.space.total)
+        universe = ProfileSet(rule.space, mask)
+    return rng, rule, random_implementing_protocol(rule, seed, universe)
+
+
+def oracle_separated_tie(space: TypeSpace, protocol, value, label: int) -> bool:
+    """Whether a profile of ``label`` and one of its unilateral neighbours in
+    ``label`` reach distinct leaves with equal ``value[agent]``, by decoding
+    each member and trying every other type of every agent."""
+    leaf = {k: v.id for v in protocol.nodes if v.is_leaf for k in members(space, v.label)}
+    for k in members(space, label):
+        types = types_of(space, k)
+        for agent in range(space.n):
+            for t in range(space.sizes[agent]):
+                other = space.index(tuple(types[:agent] + [t] + types[agent + 1:]))
+                if (
+                    (label >> other) & 1
+                    and leaf[other] != leaf[k]
+                    and value[agent][other] == value[agent][k]
+                ):
+                    return True
+    return False
+
+
+SCAN_SEEDS = corpus_seeds(300, offset=16)
+
+
+class TestUnilateralDecision:
+    def test_leaf_masks_decide_as_the_scans_do(self):
+        decided = {True: 0, False: 0}
+        for seed in SCAN_SEEDS:
+            rng, rule, protocol = scan_case(seed)
+            space, universe = rule.space, protocol.universe
+            labels = [universe]
+            labels += [v.label for v in rng.sample(protocol.nodes, min(4, len(protocol.nodes)))]
+            labels += [random_label(rng, space) & universe for _ in range(3)]
+            values = [_outcome_values(rule)]
+            if rule.has_components:
+                values.append(_own_components(rule))
+            leaf = _leaf_list(protocol)
+            for value in values:
+                for label in labels:
+                    pieces = [m for v in protocol.leaves() if (m := v.label & label)]
+                    got = _leaves_share_a_line(space, pieces, value)
+                    assert got is oracle_separated_tie(space, protocol, value, label), seed
+                    first = next(unilateral_pairs(space, label, leaf, value), None)
+                    assert got is (first is not None), seed
+                    violation = _unilateral_scan(protocol, value, label)
+                    if first is None:
+                        assert violation is None
+                    else:
+                        k, agent, t2, _ = first
+                        assert (violation.profile_a, violation.agent, violation.type_b) == (
+                            space.profile(k), agent, t2
+                        )
+                    decided[got] += 1
+        # the sweep meets both verdicts often
+        assert min(decided.values()) > 200, decided
+
+    def test_implements_on_restricted_universes(self):
+        for seed in SCAN_SEEDS:
+            rng, rule, protocol = scan_case(seed)
+            space = rule.space
+            # a tree that stops at random leaves non-constant leaves
+            early = random_protocol(rng, space, rule, ProfileSet(space, protocol.universe))
+            for tree in (protocol, early):
+                failing = oracle_implements(space, tree, rule)
+                res = implements(tree, rule)
+                expected = (True, None, None) if failing is None else (False, *failing)
+                assert (res.ok, res.leaf, res.profiles) == expected, seed
+
+
+class TestPairScanOnlyNamesAViolation:
+    """On a protocol that holds, no unilateral pair is enumerated."""
+
+    @pytest.fixture(autouse=True)
+    def no_pair_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair scan run on a protocol that holds")
+
+        monkeypatch.setattr("cpv.privacy.unilateral_pairs", refuse)
+
+    def test_descending_first_price(self):
+        bundle = descending_first_price(3, range(1, 7))
+        protocol, rule = bundle.protocol, bundle.instance.rule
+        assert check_protocol_cp(protocol, rule).holds
+        assert check_protocol_icp(protocol, rule).holds
+        assert check_tatonnement(protocol, rule, phase_discovery(protocol, rule)).holds
+
+    def test_count_clock(self):
+        bundle = count_ascending_price(2, 4, range(1, 6))
+        assert check_protocol_cp(bundle.protocol, bundle.instance.rule).holds
