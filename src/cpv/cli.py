@@ -13,6 +13,13 @@ timestamps (timing goes to stderr).  Agent numbers in files are 1-based.
 and mode, and only a tail beyond the new end is cut off.  A target that
 cannot be written exits 2 with ``cannot write <path>: <reason>``.
 
+The emitted format is a contract: indent 2, keys sorted, every character
+outside ASCII escaped, and a line break at the end, the bytes of
+``json.dump(doc, fh, indent=2, sort_keys=True)`` followed by ``"\\n"``.
+``tests/test_builtin_golden.py`` pins them.  One writer,
+``cpv.jsonwriter.write_json``, serves both ``--emit`` and ``--pretty``.
+The stderr line splits the elapsed time into load, compute and emit.
+
 Importing this module loads ``core`` and ``protocol`` only; each command
 imports the modules it runs when it runs.
 
@@ -306,6 +313,19 @@ def _thaw(shape, value):
 # ---------------------------------------------------------------------------
 # loading
 
+# Seconds spent in ``load`` and ``_emit`` since ``main`` began, for the
+# timing line on stderr; the rest of a command is its compute.
+_SPENT = {"load": 0.0, "emit": 0.0}
+
+
+@contextmanager
+def _timed(key: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        _SPENT[key] += time.perf_counter() - start
+
 
 def _parse(text: str, where: str):
     try:
@@ -452,6 +472,7 @@ def _protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, 
     return build_from_spec(space, spec, universe), phase
 
 
+@_timed("load")
 def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle:
     doc = _read_json(instance_path)
     instance = instance_from_json(doc)
@@ -587,6 +608,7 @@ def _violation_to_json(space: TypeSpace, violation) -> dict:
 # commands
 
 
+@_timed("emit")
 def _emit(doc: dict, path: str) -> None:
     """Writes ``doc`` over ``path`` in place and cuts off any old tail.
 
@@ -595,11 +617,12 @@ def _emit(doc: dict, path: str) -> None:
     the writer waits for that; a temporary file renamed over the target
     waits as long.  Rewritten in place, an unchanged document frees nothing.
     """
+    from cpv.jsonwriter import write_json
+
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(doc, fh)
             if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a terminal cannot seek
                 fh.truncate()
     except OSError as exc:
@@ -608,7 +631,9 @@ def _emit(doc: dict, path: str) -> None:
 
 def _report(doc: dict, pretty: bool) -> None:
     if pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        from cpv.jsonwriter import write_json
+
+        write_json(doc, sys.stdout)
     else:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
@@ -925,7 +950,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    start = time.monotonic()
+    _SPENT.update(load=0.0, emit=0.0)
+    start = time.perf_counter()
     try:
         _check_threads_env()
         code, doc = args.func(args)
@@ -939,7 +965,10 @@ def main(argv=None) -> int:
         return 2
     doc["schema"] = SCHEMA
     _report(doc, args.pretty)
-    print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
+    load, emit = _SPENT["load"], _SPENT["emit"]
+    total = time.perf_counter() - start
+    print(f"elapsed: {total:.3f}s (load {load:.3f}s, compute {total - load - emit:.3f}s, "
+          f"emit {emit:.3f}s)", file=sys.stderr)
     return code
 
 

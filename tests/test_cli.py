@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,8 +51,12 @@ FIG_PROTOCOL = {
 
 def child_env(**extra: str) -> dict[str, str]:
     """Environment for a CLI subprocess, built from scratch so that nothing
-    from the caller (an ambient ``CPV_THREADS``, say) leaks into it."""
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": CPV_ROOT, **extra}
+    from the caller (an ambient ``CPV_THREADS``, say) leaks into it.  The
+    child writes no bytecode cache: one left in the source tree would make
+    every later start of ``cpv`` skip compiling, and time differently."""
+    return {
+        "PATH": "/usr/bin:/bin", "PYTHONPATH": CPV_ROOT, "PYTHONDONTWRITEBYTECODE": "1", **extra
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -332,6 +337,40 @@ class TestUntakenBuiltinParameters:
         assert doc["error"] == (
             f"unknown builtin parameter {key!r}; this builtin takes n, values (at /rule/params)"
         )
+
+
+class TestPretty:
+    """``--pretty`` prints the compact report indented: the bytes of
+    ``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
+
+    @pytest.fixture()
+    def sd_bundle(self, tmp_path) -> str:
+        path = str(tmp_path / "sd.json")
+        argv = ["builtin", "serial_dictatorship", "--params", '{"n": 2, "objects": ["A", "B"]}']
+        assert main([*argv, "--emit", path]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, expected_code",
+        [
+            (["check", "--property", "cp", "sd"], 0),
+            (["check", "--property", "cp", "fair", "fig"], 1),
+            (["synth", "fair"], 1),
+            (["check", "--property", "cp", "fair"], 2),  # no protocol file
+        ],
+        ids=["check-holds", "check-violation", "synth-witness", "error"],
+    )
+    def test_pretty_is_the_compact_report_indented(
+        self, argv, expected_code, fair_files, sd_bundle, capsys
+    ):
+        files = {"fair": fair_files[0], "fig": fair_files[1], "sd": sd_bundle}
+        argv = [files.get(a, a) for a in argv]
+        capsys.readouterr()
+        assert main(argv) == expected_code
+        compact = capsys.readouterr().out
+        assert main(["--pretty", *argv]) == expected_code
+        pretty = capsys.readouterr().out
+        assert pretty == json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
 
 
 class TestDeterminism:
@@ -730,6 +769,24 @@ class TestEmit:
         lines = res.stdout.decode().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith(f"cannot write {target}: "), lines
+
+
+class TestTimings:
+    """Timings go to stderr alone, split into load, compute and emit."""
+
+    LINE = re.compile(r"elapsed: \d+\.\d{3}s \(load (\d+\.\d{3})s, "
+                      r"compute \d+\.\d{3}s, emit (\d+\.\d{3})s\)\n")
+
+    def test_stderr_splits_elapsed_and_stdout_carries_none(self, tmp_path, capsys):
+        path = str(tmp_path / "fp.json")
+        # builtin loads nothing, and check emits nothing: (argv, the idle group)
+        for argv, idle in [([*FIRST_PRICE, "--emit", path], 1),
+                           (["check", "--property", "corners", path], 2)]:
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            assert out.count("\n") == 1 and json.loads(out)["schema"] == "cpv-1"  # the report alone
+            match = self.LINE.fullmatch(err)
+            assert match and match.group(idle) == "0.000", err
 
 
 class TestPropertiesOnTheUniverse:

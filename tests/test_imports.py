@@ -132,7 +132,9 @@ def test_cli_import_generates_no_code():
     assert res.stdout.strip() == "[]", res.stdout
 
 
-COMMAND_MODULES = {"cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.tatonnement"}
+COMMAND_MODULES = {
+    "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.tatonnement"
+}
 
 
 def modules_loaded_by(statement: str) -> set[str]:
