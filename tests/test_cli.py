@@ -221,6 +221,107 @@ class TestCheckReports:
         assert (code, capsys.readouterr().out) == (2, NOT_IMPLEMENTED)
 
 
+# The files of the reports below, each written once: a built-in as ``builtin
+# --emit`` writes it (a protocol name gives its bundle), then edited.
+REPORT_FILES = {
+    "sd": ("serial_dictatorship", {"n": 2, "objects": ["a", "b"]}),
+    "cap": ("count_ascending_kplus1_price", {"k": 1, "n": 2, "values": [1, 2]}),
+    "fp": ("first_price", {"n": 2, "values": [1, 2]}),
+    "spa": ("second_price", {"n": 2, "values": [1, 2]}),
+    "school": ("school_count_instance", {}),
+    # a second seat at a: the student placed at b wants it
+    "unstable": ("school_count_instance", {}, ("model/capacities/a", 2)),
+    # agent 1 pays 9 for the item at the first profile
+    "overpaid": ("first_price", {"n": 2, "values": [1, 2]},
+                 ("components/winner=1,price=1/0", "q=1,t=9")),
+    # the item goes to agent 2 where agent 1 bids higher
+    "misallocated": ("first_price", {"n": 2, "values": [1, 2]},
+                     ("components/winner=1,price=2", ["q=0,t=0", "q=1,t=2"])),
+}
+
+def _checked(body: str) -> str:
+    return '{"command":"check",' + body + "\n"
+
+
+# The whole stdout and exit code of `check`: case -> (property, files, exit
+# code, stdout).  "fair" and "fig" are FAIR_INSTANCE and FIG_PROTOCOL;
+# "fig0" is FIG_PROTOCOL with the phase [0].
+CHECK_REPORTS = {
+    "cp fails": ("cp", ["fair", "fig"], 1, _checked(
+        '"holds":false,"property":"cp","schema":"cpv-1","violation":{"agent":2,'
+        '"leaves":[2,3],"profiles":[["A","A"],["A","B"]],"shared":"x","types":["A","B"]}}'
+    )),
+    "corners fails": ("corners", ["fair"], 1, _checked(
+        '"holds":false,"property":"corners","schema":"cpv-1","violation":{"agents":[1,2],'
+        '"at":["A","A"],"fourth":"x\'","shared":"x","types_i":["A","B"],"types_j":["A","B"]}}'
+    )),
+    "tatonnement fails, given phase": ("tatonnement", ["fair", "fig0"], 1, _checked(
+        '"failure":"subtree","holds":false,"property":"tatonnement","schema":"cpv-1"}'
+    )),
+    "efficient fails": ("efficient", ["misallocated"], 1, _checked(
+        '"counterexample":{"profile":["2","1"],"winners":[1]},"holds":false,'
+        '"property":"efficient","schema":"cpv-1"}'
+    )),
+    "ir fails": ("ir", ["overpaid"], 1, _checked(
+        '"counterexample":{"agent":1,"profile":["1","1"]},"holds":false,"property":"ir",'
+        '"schema":"cpv-1"}'
+    )),
+    "stable fails": ("stable", ["unstable"], 1, _checked(
+        '"counterexample":{"profile":["s1\'","s2"],"school":"a","student":2},"holds":false,'
+        '"property":"stable","schema":"cpv-1"}'
+    )),
+    "sp fails": ("sp", ["fp"], 1, _checked(
+        '"counterexample":{"agent":1,"profile":["2","1"],"report":"1"},"holds":false,'
+        '"property":"sp","schema":"cpv-1"}'
+    )),
+    "tatonnement holds, discovered phase": ("tatonnement", ["sd"], 0, _checked(
+        '"discovered_phase":[0,1,2],"holds":true,"property":"tatonnement","schema":"cpv-1"}'
+    )),
+    "tatonnement holds, given phase": ("tatonnement", ["cap"], 0, _checked(
+        '"holds":true,"property":"tatonnement","schema":"cpv-1"}'
+    )),
+    **{
+        f"{prop} holds": (
+            prop, [file], 0, _checked(f'"holds":true,"property":"{prop}","schema":"cpv-1"}}')
+        )
+        for prop, file in [
+            ("cp", "sd"), ("gcp", "sd"), ("icp", "sd"), ("osp", "sd"), ("corners", "fp"),
+            ("nonbossy", "fp"), ("efficient", "fp"), ("ir", "fp"), ("stable", "school"),
+            ("sp", "spa"),
+        ]
+    },
+    **{
+        f"{prop} without a protocol": (
+            prop, ["fp"], 2, f'{{"error":"property {prop!r} needs a protocol file"}}\n'
+        )
+        for prop in ("cp", "icp", "gcp", "tatonnement", "osp")
+    },
+}
+
+
+class TestWholeCheckReports:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory) -> dict[str, str]:
+        root = tmp_path_factory.mktemp("reports")
+        docs = {"fair": FAIR_INSTANCE, "fig": FIG_PROTOCOL, "fig0": {**FIG_PROTOCOL, "phase": [0]}}
+        for name, (builtin, params, *edits) in REPORT_FILES.items():
+            path = str(root / f"{name}.json")
+            assert main(["builtin", builtin, "--params", json.dumps(params), "--emit", path]) == 0
+            docs[name] = json.loads(Path(path).read_text())
+            for field, value in edits:
+                _set(field, value)(docs[name])
+        for name, doc in docs.items():
+            (root / f"{name}.json").write_text(json.dumps(doc))
+        return {name: str(root / f"{name}.json") for name in docs}
+
+    @pytest.mark.parametrize("case", sorted(CHECK_REPORTS))
+    def test_report(self, case, files, capsys):
+        prop, names, code, stdout = CHECK_REPORTS[case]
+        capsys.readouterr()
+        got = main(["check", "--property", prop, *(files[name] for name in names)])
+        assert (got, capsys.readouterr().out) == (code, stdout)
+
+
 class TestSynthRoundTrip:
     def test_sd_synth_emit_load_check(self, tmp_path, capsys):
         inst_path = tmp_path / "sd.json"

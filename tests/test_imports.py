@@ -171,6 +171,39 @@ def test_builtin_loads_mechanisms_alone():
     assert loaded & COMMAND_MODULES == {"cpv.mechanisms"}, loaded
 
 
+# The command modules that `check --property` loads, per property.
+CHECK_MODULES = {
+    **dict.fromkeys(["cp", "icp", "gcp", "corners", "nonbossy"], {"cpv.privacy"}),
+    "tatonnement": {"cpv.privacy", "cpv.tatonnement"},
+    **dict.fromkeys(["osp", "efficient", "ir", "stable", "sp"], {"cpv.mechanisms"}),
+}
+
+
+@pytest.fixture(scope="module")
+def checked_files(tmp_path_factory) -> dict[str, str]:
+    """A count clock bundle, on which every property but stability is
+    defined, and the school instance for stability."""
+    from cpv.cli import main
+
+    root = tmp_path_factory.mktemp("checked")
+    files = {}
+    for name, params in [
+        ("count_ascending_kplus1_price", '{"k": 1, "n": 2, "values": [1, 2]}'),
+        ("school_count_instance", "{}"),
+    ]:
+        files[name] = str(root / f"{name}.json")
+        assert main(["builtin", name, "--params", params, "--emit", files[name]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("prop", sorted(CHECK_MODULES))
+def test_check_loads_the_modules_of_its_property(prop, checked_files):
+    name = "school_count_instance" if prop == "stable" else "count_ascending_kplus1_price"
+    argv = ["check", "--property", prop, checked_files[name]]
+    loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")
+    assert loaded & COMMAND_MODULES == CHECK_MODULES[prop], loaded
+
+
 def test_instance_records_are_still_read_from_mechanisms():
     from cpv import core
     from cpv.mechanisms import DomainModel, Instance, ProtocolBundle
