@@ -23,6 +23,12 @@ The stderr line splits the elapsed time into load, compute and emit.
 Importing this module loads ``core`` and ``protocol`` only; each command
 imports the modules it runs when it runs.
 
+``check --property`` reads one table, ``_PROPERTIES``; its names, in order,
+are the choices.  Per property: whether it needs a protocol; the check, which
+imports its module, reads the loaded bundle and the report, may add to the
+report and returns a ``core.Verdict``; the report key of a failure; and the
+failure's JSON, from the type space and the violation.
+
 The environment variable ``CPV_THREADS`` is reserved: nothing runs in
 parallel yet, so its value changes nothing, but a value that is not a
 positive integer exits 2.
@@ -50,6 +56,7 @@ from cpv.core import (
     ProtocolBundle,
     ResourceError,
     TypeSpace,
+    Verdict,
     Witness,
     mask_flags,
     product_factorization,
@@ -136,7 +143,7 @@ CPV1 = {
 }
 _LEAVES = {  # name: (the JSON types it admits, the message for any other)
     "str": ({str}, "expected a string"),
-    "int": ({int, bool}, "expected an integer"),
+    "int": ({int}, "expected an integer"),
     "label": ({str, int, float, bool, type(None)}, "expected a label, not an array or object"),
     "any": ({str, int, float, bool, type(None), list, dict}, ""),
 }
@@ -588,22 +595,6 @@ def witness_to_json(space: TypeSpace, witness: Witness) -> dict:
     return {"factors": [list(f) for f in witness.labels(space)]}
 
 
-def _violation_to_json(space: TypeSpace, violation) -> dict:
-    return {
-        "agent": violation.agent + 1,
-        "types": [
-            space.alphabets[violation.agent][violation.type_a],
-            space.alphabets[violation.agent][violation.type_b],
-        ],
-        "profiles": [
-            list(space.labels(violation.profile_a)),
-            list(space.labels(violation.profile_b)),
-        ],
-        "leaves": [violation.leaf_a, violation.leaf_b],
-        "shared": violation.detail,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -650,102 +641,106 @@ def _cmd_validate(args) -> tuple[int, dict]:
     return 0, doc
 
 
+def _cpv(module: str):
+    """The module ``cpv.<module>``, imported when a command first runs it."""
+    return __import__(f"cpv.{module}", fromlist=["*"])
+
+
+def _tatonnement(b: ProtocolBundle, doc: dict) -> Verdict:
+    """Tatonnement on the file's phase, or else on a discovered one."""
+    tatonnement, rule, phase = _cpv("tatonnement"), b.instance.rule, b.phase
+    if phase is None:
+        phase = tatonnement.phase_discovery(b.protocol, rule)
+        doc["discovered_phase"] = list(phase) if phase else None
+        if phase is None:
+            return Verdict(False, ("no initial phase with disjoint outcome reach", None))
+    return tatonnement.check_tatonnement(b.protocol, rule, phase)
+
+
+def _labels(space: TypeSpace, profiles) -> list:
+    return [list(space.labels(p)) for p in profiles]
+
+
+def _cp_to_json(space: TypeSpace, v) -> dict:
+    types = space.alphabets[v.agent]
+    return {
+        "agent": v.agent + 1, "types": [types[v.type_a], types[v.type_b]],
+        "profiles": _labels(space, (v.profile_a, v.profile_b)), "leaves": [v.leaf_a, v.leaf_b],
+        "shared": v.detail,
+    }
+
+
+def _corners_to_json(space: TypeSpace, v) -> dict:
+    i, j = space.alphabets[v.agent_i], space.alphabets[v.agent_j]
+    return {
+        "agents": [v.agent_i + 1, v.agent_j + 1], "types_i": [i[t] for t in v.types_i],
+        "types_j": [j[t] for t in v.types_j], "at": list(space.labels(v.rest)),
+        "shared": v.shared_outcome, "fourth": v.fourth_outcome,
+    }
+
+
+def _nonbossy_to_json(space: TypeSpace, violation) -> dict:
+    i, t, t2, profile, j = violation
+    return {
+        "agent": i + 1, "types": [space.alphabets[i][t], space.alphabets[i][t2]],
+        "profile": list(space.labels(profile)), "affected": j + 1,
+    }
+
+
+def _osp_to_json(space: TypeSpace, violation) -> dict:
+    node, agent, true_type, _ = violation
+    return {"node": node, "agent": agent + 1, "true_type": space.alphabets[agent][true_type]}
+
+
+_PROPERTIES = {  # the module docstring states its shape
+    "cp": (
+        True, lambda b, doc: _cpv("privacy").check_protocol_cp(b.protocol, b.instance.rule),
+        "violation", _cp_to_json,
+    ),
+    "gcp": (
+        True, lambda b, doc: _cpv("privacy").check_protocol_gcp(b.protocol, b.instance.rule),
+        "violation", lambda space, v: {"node": v[0], "profiles": _labels(space, v[1])},
+    ),
+    "icp": (
+        True, lambda b, doc: _cpv("privacy").check_protocol_icp(b.protocol, b.instance.rule),
+        "violation", _cp_to_json,
+    ),
+    "tatonnement": (True, _tatonnement, "failure", lambda space, v: v[0]),
+    "corners": (
+        False, lambda b, doc: _cpv("privacy").corners_scan(b.instance.rule, b.instance.universe),
+        "violation", _corners_to_json,
+    ),
+    "nonbossy": (
+        False, lambda b, doc: _cpv("privacy").check_nonbossy(b.instance.rule),
+        "violation", _nonbossy_to_json,
+    ),
+    **dict.fromkeys(("efficient", "ir", "stable", "sp"), (
+        False, lambda b, doc: _cpv("mechanisms").check_rule_property(
+            b.instance.rule, b.instance.model, doc["property"], b.instance.universe
+        ),
+        "counterexample", lambda space, example: example,
+    )),
+    "osp": (
+        True, lambda b, doc: _cpv("mechanisms").check_protocol_osp(
+            b.protocol, b.instance.rule, b.instance.model
+        ),
+        "violation", _osp_to_json,
+    ),
+}
+
+
 def _cmd_check(args) -> tuple[int, dict]:
     loaded = load(args.instance, args.protocol)
-    instance, protocol = loaded.instance, loaded.protocol
-    space, rule = instance.space, instance.rule
     prop = args.property
-    if protocol is None and prop in ("cp", "icp", "gcp", "tatonnement", "osp"):
+    needs_protocol, check, key, to_json = _PROPERTIES[prop]
+    if needs_protocol and loaded.protocol is None:
         raise InputError(f"property {prop!r} needs a protocol file")
     doc: dict = {"command": "check", "property": prop}
-
-    if prop in ("cp", "icp"):
-        from cpv.privacy import check_protocol_cp, check_protocol_icp
-
-        verdict = (check_protocol_cp if prop == "cp" else check_protocol_icp)(protocol, rule)
-        doc["holds"] = verdict.holds
-        if not verdict.holds:
-            doc["violation"] = _violation_to_json(space, verdict.violation)
-        return (0 if verdict.holds else 1), doc
-    if prop == "gcp":
-        from cpv.privacy import check_protocol_gcp
-
-        verdict = check_protocol_gcp(protocol, rule)
-        doc["holds"] = verdict.holds
-        if not verdict.holds:
-            doc["violation"] = {
-                "node": verdict.node,
-                "profiles": [list(space.labels(p)) for p in verdict.profiles],
-            }
-        return (0 if verdict.holds else 1), doc
-    if prop == "tatonnement":
-        from cpv.tatonnement import check_tatonnement, phase_discovery
-
-        phase = loaded.phase
-        if phase is None:
-            phase = phase_discovery(protocol, rule)
-            doc["discovered_phase"] = list(phase) if phase else None
-            if phase is None:
-                doc["holds"] = False
-                doc["failure"] = "no initial phase with disjoint outcome reach"
-                return 1, doc
-        verdict = check_tatonnement(protocol, rule, phase)
-        doc["holds"] = verdict.holds
-        if not verdict.holds:
-            doc["failure"] = verdict.failure
-        return (0 if verdict.holds else 1), doc
-    if prop == "osp":
-        from cpv.mechanisms import check_protocol_osp
-
-        res = check_protocol_osp(protocol, rule, instance.model)
-        doc["holds"] = res.ok
-        if not res.ok:
-            doc["violation"] = {
-                "node": res.node,
-                "agent": res.agent + 1,
-                "true_type": space.alphabets[res.agent][res.true_type],
-            }
-        return (0 if res.ok else 1), doc
-    if prop == "corners":
-        from cpv.privacy import corners_scan
-
-        region = instance.universe
-        result = corners_scan(rule, region)
-        doc["holds"] = result.ok
-        if not result.ok:
-            v = result.violation
-            doc["violation"] = {
-                "agents": [v.agent_i + 1, v.agent_j + 1],
-                "types_i": [space.alphabets[v.agent_i][t] for t in v.types_i],
-                "types_j": [space.alphabets[v.agent_j][t] for t in v.types_j],
-                "at": list(space.labels(v.rest)),
-                "shared": v.shared_outcome,
-                "fourth": v.fourth_outcome,
-            }
-        return (0 if result.ok else 1), doc
-    if prop == "nonbossy":
-        from cpv.privacy import check_nonbossy
-
-        result = check_nonbossy(rule)
-        doc["holds"] = result.ok
-        if not result.ok:
-            i, t, t2, profile, j = result.violation
-            doc["violation"] = {
-                "agent": i + 1,
-                "types": [space.alphabets[i][t], space.alphabets[i][t2]],
-                "profile": list(space.labels(profile)),
-                "affected": j + 1,
-            }
-        return (0 if result.ok else 1), doc
-    if prop in ("efficient", "ir", "stable", "sp"):
-        from cpv.mechanisms import check_rule_property
-
-        result = check_rule_property(rule, instance.model, prop, instance.universe)
-        doc["holds"] = result.ok
-        if not result.ok:
-            doc["counterexample"] = result.counterexample
-        return (0 if result.ok else 1), doc
-    raise InputError(f"unknown property {prop!r}")
+    verdict = check(loaded, doc)
+    doc["holds"] = verdict.ok
+    if not verdict.ok:
+        doc[key] = to_json(loaded.instance.space, verdict.violation)
+    return (0 if verdict.ok else 1), doc
 
 
 def _cmd_synth(args) -> tuple[int, dict]:
@@ -795,9 +790,7 @@ def _cmd_run(args) -> tuple[int, dict]:
             for s in transcript.steps
         ],
         "leaf": transcript.leaf,
-        "leaf_profiles": [
-            list(space.labels(p)) for p in transcript.leaf_label.profiles()
-        ],
+        "leaf_profiles": _labels(space, transcript.leaf_label.profiles()),
         "outcome": transcript.outcome,
     }
     return 0, doc
@@ -893,23 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("check", help="check a property of a rule or protocol")
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=[
-            "cp",
-            "gcp",
-            "icp",
-            "tatonnement",
-            "corners",
-            "nonbossy",
-            "efficient",
-            "ir",
-            "stable",
-            "sp",
-            "osp",
-        ],
-    )
+    p.add_argument("--property", required=True, choices=list(_PROPERTIES))
     p.add_argument("instance")
     p.add_argument("protocol", nargs="?")
     p.set_defaults(func=_cmd_check)

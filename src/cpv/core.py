@@ -5,6 +5,10 @@ Profiles are tuples of per-agent type indices.  A profile set is a dense
 bitmask over the mixed-radix index space of a :class:`TypeSpace`; agent 0
 is the most significant digit.  All values are immutable and every
 operation is a pure function.
+
+Every property check returns a :class:`Verdict`: ``ok``, and if that is
+false, the first counterexample in the check's scan order as ``violation``,
+in the shape that the check's docstring gives.
 """
 
 from __future__ import annotations
@@ -490,6 +494,17 @@ def outcome_ids(rule: ChoiceRule, mask: int) -> set[int]:
     """The outcome ids the rule takes on the profile-set mask, read in one
     pass at C level."""
     return set(map(rule.table.__getitem__, mask_indices(mask)))
+
+
+@record
+class Verdict:
+    """Whether a property holds; if not, its first counterexample."""
+
+    ok: bool
+    violation: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @record

@@ -22,11 +22,11 @@ from cpv.core import (
     ProfileSet,
     ProtocolBundle,
     TypeSpace,
+    Verdict,
     constant_on,
     mask_flags,
     mask_of_flags,
     outcome_ids,
-    record,
 )
 from cpv.protocol import (
     CountQuery,
@@ -203,6 +203,13 @@ def _permutation_labels(objects) -> tuple[str, ...]:
 
 
 def assignment_space(n: int, objects) -> TypeSpace:
+    """Types are the strict orders of ``objects``, each labelled by its
+    objects joined with ``>``; so no object may repeat or hold ``>``."""
+    for i, obj in enumerate(objects):
+        if ">" in obj:
+            raise InputError(f"object {obj!r} holds '>', which joins the objects of a type label")
+        if obj in objects[:i]:
+            raise InputError(f"object {obj!r} is listed twice")
     return TypeSpace.shared(n, _permutation_labels(objects))
 
 
@@ -683,15 +690,6 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
 # rule properties
 
 
-@record
-class PropertyResult:
-    ok: bool
-    counterexample: Optional[dict] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # The model fields that the checks of each kind read.
 _READS = {
     "auction": ("values",), "double_auction": ("values",), "assignment": ("objects", "type_prefs"),
@@ -713,11 +711,11 @@ def _readable(rule: ChoiceRule, model: DomainModel) -> None:
 
 def check_rule_property(
     rule: ChoiceRule, model: DomainModel, prop: str, universe: ProfileSet | None = None
-) -> PropertyResult:
+) -> Verdict:
     """Decides ``prop`` on the profiles of ``universe`` (the whole space by
     default): only those profiles are scanned, a misreport counts only if
     its profile lies there too, and only the outcomes the rule takes there
-    are ranked."""
+    are ranked.  A violation is the counterexample as a report gives it."""
     _readable(rule, model)
     checks = {
         "efficient": _check_efficient,
@@ -736,7 +734,7 @@ def _scan(space: TypeSpace, mask: int):
     return itertools.compress(enumerate(space.iter_profiles()), mask_flags(mask, space.total))
 
 
-def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
+def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     space = rule.space
     if model.kind == "auction":
         # Winners per outcome id, read once.  The winners are efficient iff
@@ -752,25 +750,23 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> Propert
             v = [ranks[i][t] for i, t in enumerate(profile)]
             won = winners[rule.table[k]]
             if sorted(v[i] for i in won) != sorted(v)[len(v) - len(won):]:
-                return PropertyResult(
-                    False, {"profile": space.labels(profile), "winners": won}
-                )
-        return PropertyResult(True)
+                return Verdict(False, {"profile": space.labels(profile), "winners": won})
+        return Verdict(True)
     if model.kind in ("assignment", "house"):
         feasible = list(itertools.permutations(model.objects, space.n))
         for k, profile in _scan(space, mask):
             current = rule.components[rule.table[k]]
             b = _pareto_dominator(current, feasible, profile, model.pref_rank)
             if b is not None:
-                return PropertyResult(
+                return Verdict(
                     False,
                     {"profile": space.labels(profile), "dominating": _assignment_outcome(b)},
                 )
-        return PropertyResult(True)
+        return Verdict(True)
     raise InputError(f"efficiency is not defined for kind {model.kind!r}")
 
 
-def _check_ir(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
+def _check_ir(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     """Every agent weakly prefers her outcome to her outside option: her
     endowment in a house model, utility 0 in an auction."""
     if model.kind not in ("house", "auction"):
@@ -787,11 +783,11 @@ def _check_ir(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult
     for k, profile in _scan(space, mask):
         for i, t in enumerate(profile):
             if rule.table[k] not in rational[i][t]:
-                return PropertyResult(False, {"profile": space.labels(profile), "agent": i + 1})
-    return PropertyResult(True)
+                return Verdict(False, {"profile": space.labels(profile), "agent": i + 1})
+    return Verdict(True)
 
 
-def _check_stable(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
+def _check_stable(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     if model.kind != "school":
         raise InputError(f"stability is not defined for kind {model.kind!r}")
     space = rule.space
@@ -812,17 +808,17 @@ def _check_stable(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyRe
                 seats = capacities.get(c, 0)
                 at_c = placed.get(c, [])
                 if len(at_c) < seats:
-                    return PropertyResult(
+                    return Verdict(
                         False,
                         {"profile": space.labels(profile), "student": i + 1, "school": c},
                     )
                 my_score = model.score(i, profile[i], c)
                 if any(model.score(j, profile[j], c) < my_score for j in at_c):
-                    return PropertyResult(
+                    return Verdict(
                         False,
                         {"profile": space.labels(profile), "student": i + 1, "school": c},
                     )
-    return PropertyResult(True)
+    return Verdict(True)
 
 
 def _parse_auction_component(comp: str) -> tuple[int, Fraction]:
@@ -833,7 +829,7 @@ def _parse_auction_component(comp: str) -> tuple[int, Fraction]:
         raise InputError(f"malformed auction component {comp!r}") from None
 
 
-def _check_sp(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult:
+def _check_sp(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     space = rule.space
     ranks = outcome_ranks(rule, model, outcome_ids(rule, mask))
     # a profile outside the mask gets the extra outcome id ``last``, ranked last
@@ -850,8 +846,8 @@ def _check_sp(rule: ChoiceRule, model: DomainModel, mask: int) -> PropertyResult
                 lie = next(s for s, r in enumerate(reports) if r < reports[t])
                 report = space.alphabets[i][lie]
                 example = {"profile": space.labels(profile), "agent": i + 1, "report": report}
-                return PropertyResult(False, example)
-    return PropertyResult(True)
+                return Verdict(False, example)
+    return Verdict(True)
 
 
 def _utility(model: DomainModel, agent: int, type_index: int, component: str):
@@ -902,22 +898,11 @@ def outcome_ranks(rule: ChoiceRule, model: DomainModel, ids) -> list[list[list]]
 # obvious dominance
 
 
-@record
-class OspResult:
-    ok: bool
-    node: Optional[int] = None
-    agent: Optional[int] = None
-    true_type: Optional[int] = None
-    deviation_child: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> OspResult:
+def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> Verdict:
     """At every query the truthful cell's worst continuation must weakly
     beat every other cell's best continuation, under the mover's
-    true-type ranking.  Elicitation protocols only."""
+    true-type ranking.  Elicitation protocols only.  A violation reads
+    ``(node, agent, true type, deviating child)``."""
     space = protocol.space
     ranks = outcome_ranks(rule, model, outcome_ids(rule, protocol.universe))
     for v in protocol.nodes:
@@ -932,8 +917,8 @@ def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel)
         failure = _osp_node_failure(space, rule, ranks, agent, masks)
         if failure is not None:
             true_t, pos = failure
-            return OspResult(False, v.id, agent, true_t, v.children[pos])
-    return OspResult(True)
+            return Verdict(False, (v.id, agent, true_t, v.children[pos]))
+    return Verdict(True)
 
 
 def _osp_node_failure(space: TypeSpace, rule: ChoiceRule, ranks, agent: int, masks):

@@ -31,6 +31,7 @@ from cpv.core import (
     ProfileSet,
     ResourceError,
     TypeSpace,
+    Verdict,
     Witness,
     check_factors,
     constant_on,
@@ -143,15 +144,6 @@ class CpViolation:
     detail: str  # the shared outcome (or component) that should have differed
 
 
-@record
-class CpVerdict:
-    holds: bool
-    violation: Optional[CpViolation] = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
 def _leaf_list(protocol: Protocol) -> list[int]:
     """Leaf node id per profile index; -1 outside the universe."""
     leaf = [-1] * protocol.space.total
@@ -227,20 +219,22 @@ def _outcome_values(rule: ChoiceRule) -> list[list[str]]:
     return [labels] * rule.space.n
 
 
-def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
-    """Separated unilateral pairs must change the outcome."""
+def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
+    """Separated unilateral pairs must change the outcome; a violation is a
+    :class:`CpViolation`."""
     require_implements(protocol, rule)
     violation = _unilateral_scan(protocol, _outcome_values(rule))
-    return CpVerdict(violation is None, violation)
+    return Verdict(violation is None, violation)
 
 
-def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> CpVerdict:
-    """Separated unilateral pairs must change the deviator's own component."""
+def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
+    """Separated unilateral pairs must change the deviator's own component;
+    a violation is a :class:`CpViolation`."""
     if not rule.has_components:
         raise InputError("individual check needs per-agent outcome components")
     require_implements(protocol, rule)
     violation = _unilateral_scan(protocol, _own_components(rule))
-    return CpVerdict(violation is None, violation)
+    return Verdict(violation is None, violation)
 
 
 def _own_components(rule: ChoiceRule) -> list[list[str]]:
@@ -249,22 +243,15 @@ def _own_components(rule: ChoiceRule) -> list[list[str]]:
     ]
 
 
-@record
-class GcpVerdict:
-    holds: bool
-    node: Optional[int] = None  # query whose children reach overlapping outcomes
-    profiles: Optional[tuple[Profile, Profile]] = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> GcpVerdict:
+def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
     """Separated profiles must change the outcome.
 
     Evaluated both ways: directly over terminal pairs, and through the
     characterization that every query's children reach pairwise-disjoint
     outcome sets.  The two must agree; disagreement is an internal bug.
+    A violation reads ``(node, (profile, profile))``: the first query whose
+    children reach overlapping outcomes, and two profiles at distinct
+    leaves with one outcome.
     """
     require_implements(protocol, rule)
     space = protocol.space
@@ -295,7 +282,9 @@ def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> GcpVerdict:
         raise AssertionError(
             "group-privacy definition and characterization disagree (bug)"
         )
-    return GcpVerdict(by_definition is None, by_characterization, by_definition)
+    if by_definition is None:
+        return Verdict(True)
+    return Verdict(False, (by_characterization, by_definition))
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +302,19 @@ class CornersViolation:
     fourth_outcome: str
 
 
-@record
-class CornersResult:
-    ok: bool
-    violation: Optional[CornersViolation] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersResult:
+def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
     """Two-agent square test: three equal corners force the fourth.
 
     A fast necessary condition for contextual privacy; the first failing
-    square in scan order is reported.  A square on the unilateral pair
-    ``(k, ki)`` and agent ``j`` lies in the pair's two rows along ``j``;
-    the squares of a row pair are tried only if :func:`_rows_may_fail`
-    says the rows can hold a failing square, which is decided once per
-    row pair, when the scan first reaches it.
+    square in scan order is reported as a :class:`CornersViolation`.  A
+    square on the unilateral pair ``(k, ki)`` and agent ``j`` lies in the
+    pair's two rows along ``j``; the squares of a row pair are tried only
+    if :func:`_rows_may_fail` says the rows can hold a failing square,
+    which is decided once per row pair, when the scan first reaches it.
     """
     space = rule.space
     if space.n < 2:
-        return CornersResult(True)
+        return Verdict(True)
     universe = region.mask if region is not None else (1 << space.total) - 1
     member = mask_flags(universe, space.total)
     table = rule.table
@@ -363,19 +343,11 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersR
                 if bad is not None:
                     x, y = bad
                     profile = space.profile(k)
-                    return CornersResult(
-                        False,
-                        CornersViolation(
-                            i,
-                            j,
-                            (profile[i], ti2),
-                            (tj, tj2),
-                            profile,
-                            rule.outcomes[x],
-                            rule.outcomes[y],
-                        ),
-                    )
-    return CornersResult(True)
+                    return Verdict(False, CornersViolation(
+                        i, j, (profile[i], ti2), (tj, tj2), profile,
+                        rule.outcomes[x], rule.outcomes[y],
+                    ))
+    return Verdict(True)
 
 
 def _rows_may_fail(table, member, a: int, shift: int, stride: int, size: int) -> bool:
@@ -481,7 +453,7 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
         raise AssertionError("synthesized protocol fails validation (bug)")
     if not implements(protocol, rule):
         raise AssertionError("synthesized protocol does not implement the rule (bug)")
-    if not check_protocol_cp(protocol, rule).holds:
+    if not check_protocol_cp(protocol, rule).ok:
         raise AssertionError("synthesized protocol is not contextually private (bug)")
     return SynthesisResult(protocol=protocol)
 
@@ -550,18 +522,9 @@ def witness_oracle(rule: ChoiceRule, cap: int = 1 << 20) -> Optional[Witness]:
 # non-bossiness
 
 
-@record
-class NonbossyResult:
-    ok: bool
-    violation: Optional[tuple[int, int, int, Profile, int]] = None
-    # (agent i, type, alternative type, base profile, affected agent j)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_nonbossy(rule: ChoiceRule) -> NonbossyResult:
-    """No agent changes another's component while keeping her own."""
+def check_nonbossy(rule: ChoiceRule) -> Verdict:
+    """No agent changes another's component while keeping her own.  A
+    violation reads ``(agent, type, other type, profile, affected agent)``."""
     if not rule.has_components:
         raise InputError("non-bossiness needs per-agent outcome components")
     space = rule.space
@@ -572,5 +535,5 @@ def check_nonbossy(rule: ChoiceRule) -> NonbossyResult:
         for j in range(space.n):
             if j != i and ca[j] != cb[j]:
                 profile = space.profile(k)
-                return NonbossyResult(False, (i, profile[i], t2, profile, j))
-    return NonbossyResult(True)
+                return Verdict(False, (i, profile[i], t2, profile, j))
+    return Verdict(True)

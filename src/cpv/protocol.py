@@ -23,6 +23,7 @@ from cpv.core import (
     Profile,
     ProfileSet,
     TypeSpace,
+    Verdict,
     constant_on,
     mask_indices,
     outcome_ids,
@@ -431,20 +432,11 @@ def run_protocol(
 # --- semantic relations -------------------------------------------------------
 
 
-@record
-class ImplementsResult:
-    ok: bool
-    leaf: Optional[int] = None
-    profiles: Optional[tuple[Profile, Profile]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
-    """True iff the rule is constant on every terminal label; otherwise the
-    first leaf where it is not, with the leaf's lowest profile and its
-    lowest profile mapped to another outcome.
+def implements(protocol: Protocol, rule: ChoiceRule) -> Verdict:
+    """Whether the rule is constant on every terminal label.  A violation
+    reads ``(leaf, (profile, profile))``: the first leaf where it is not,
+    the leaf's lowest profile, and its lowest profile mapped to another
+    outcome.
 
     Each leaf is tested in one pass at C level: its :func:`outcome_ids`
     hold a single element.
@@ -456,8 +448,8 @@ def implements(protocol: Protocol, rule: ChoiceRule) -> ImplementsResult:
             first, *rest = mask_indices(v.label)
             other = next(k for k in rest if rule.table[k] != rule.table[first])
             space = protocol.space
-            return ImplementsResult(False, v.id, (space.profile(first), space.profile(other)))
-    return ImplementsResult(True)
+            return Verdict(False, (v.id, (space.profile(first), space.profile(other))))
+    return Verdict(True)
 
 
 def require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
@@ -466,7 +458,7 @@ def require_implements(protocol: Protocol, rule: ChoiceRule) -> None:
     protocol implements the rule."""
     res = implements(protocol, rule)
     if not res:
-        raise _not_implemented(res.leaf)
+        raise _not_implemented(res.violation[0])
 
 
 def _not_implemented(leaf: int) -> PreconditionError:

@@ -255,7 +255,7 @@ def exhaustive_cp_search(
                 yield cand
 
     result = _solve(rule, root, candidates, budget)
-    if result.found and not check_protocol_cp(result.protocol, rule).holds:
+    if result.found and not check_protocol_cp(result.protocol, rule).ok:
         raise AssertionError("search found a protocol that is not contextually private (bug)")
     return result
 

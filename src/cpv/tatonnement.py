@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from cpv.core import ChoiceRule, InputError, record
+from cpv.core import ChoiceRule, InputError, Verdict, record
 from cpv.privacy import _outcome_values, _unilateral_scan
 from cpv.protocol import Protocol, outcome_reach, require_implements
 
@@ -64,17 +64,7 @@ def _overlapping(reach: dict[int, frozenset[int]], nodes):
             yield a, b
 
 
-@record
-class TatonnementVerdict:
-    holds: bool
-    failure: Optional[str] = None  # disjointness | coverage | subtree
-    detail: object = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> TatonnementVerdict:
+def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Verdict:
     """Verify the two-phase privacy conditions for an initial phase.
 
     (a) end nodes reach pairwise-disjoint outcome sets; (b) the subtree
@@ -83,7 +73,8 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
     phase cannot certify anything about the uncovered paths; that
     coverage requirement is reported as its own failure kind.  On
     success the full contextual-privacy check is asserted as an internal
-    cross-check.
+    cross-check.  A violation reads ``(failure, detail)``, the failure being
+    "disjointness", "coverage" or "subtree".
     """
     require_implements(protocol, rule)
     report = validate_phase(protocol, node_ids)
@@ -98,9 +89,7 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
     pair = next(_overlapping(reach, end), None)
     if pair is not None:
         a, b = pair
-        return TatonnementVerdict(
-            False, "disjointness", (a, b, rule.outcomes[min(reach[a] & reach[b])])
-        )
+        return Verdict(False, ("disjointness", (a, b, rule.outcomes[min(reach[a] & reach[b])])))
 
     # a leaf lies below an end node iff its label lies inside the end node's
     covered = 0
@@ -108,21 +97,21 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Tatonne
         covered |= protocol.nodes[v].label
     if covered != protocol.universe:
         uncovered = next(v for v in protocol.nodes if v.is_leaf and v.label & ~covered)
-        return TatonnementVerdict(False, "coverage", uncovered.id)
+        return Verdict(False, ("coverage", uncovered.id))
 
     # each end node's subtree must be private for the rule on its label
     value = _outcome_values(rule)
     for v in end:
         violation = _unilateral_scan(protocol, value, protocol.nodes[v].label)
         if violation is not None:
-            return TatonnementVerdict(False, "subtree", (v, violation))
+            return Verdict(False, ("subtree", (v, violation)))
 
     if _unilateral_scan(protocol, value) is not None:
         raise AssertionError(
             "tatonnement conditions hold but the protocol is not contextually "
             "private (bug)"
         )
-    return TatonnementVerdict(True)
+    return Verdict(True)
 
 
 def phase_discovery(protocol: Protocol, rule: ChoiceRule):

@@ -101,7 +101,7 @@ def test_c01_fair_rule_is_not_contextually_private():
         assert not synth.is_protocol
         assert synth.witness.factors == ((0, 1), (0, 1))
         assert search.status == "nonexistent"
-        assert not verdict.holds
+        assert not verdict.ok
         assert verdict.violation.agent == 1  # agent 2, 1-based
         assert elapsed < 0.001
 
@@ -139,9 +139,9 @@ def test_c03_serial_dictatorships_have_every_property():
                 inst = serial_dictatorship(n, objects, order)
                 bundle = serial_dictatorship_protocol(inst, order)
                 assert implements(bundle.protocol, inst.rule).ok
-                assert check_protocol_cp(bundle.protocol, inst.rule).holds
-                assert check_protocol_gcp(bundle.protocol, inst.rule).holds
-                assert check_protocol_icp(bundle.protocol, inst.rule).holds
+                assert check_protocol_cp(bundle.protocol, inst.rule).ok
+                assert check_protocol_gcp(bundle.protocol, inst.rule).ok
+                assert check_protocol_icp(bundle.protocol, inst.rule).ok
                 assert check_rule_property(inst.rule, inst.model, "efficient").ok
                 assert check_rule_property(inst.rule, inst.model, "sp").ok
                 assert check_nonbossy(inst.rule).ok
@@ -155,8 +155,8 @@ def test_c04_descending_protocol_implements_first_price_privately():
             reference = first_price(n, values)
             assert bundle.instance.rule.table == reference.rule.table
             assert implements(bundle.protocol, bundle.instance.rule).ok
-            assert check_protocol_cp(bundle.protocol, bundle.instance.rule).holds
-            assert check_protocol_icp(bundle.protocol, bundle.instance.rule).holds
+            assert check_protocol_cp(bundle.protocol, bundle.instance.rule).ok
+            assert check_protocol_icp(bundle.protocol, bundle.instance.rule).ok
 
 
 def test_c05_second_price_impossibility_and_no_ties_certificate():
@@ -226,11 +226,11 @@ def test_c10_count_queries_enable_private_auctions():
         bundles.append(double_auction_count(4, [1, 2, 3]))
         for bundle in bundles:
             rule = bundle.instance.rule
-            assert check_tatonnement(bundle.protocol, rule, bundle.phase).holds
-            assert check_protocol_cp(bundle.protocol, rule).holds
+            assert check_tatonnement(bundle.protocol, rule, bundle.phase).ok
+            assert check_protocol_cp(bundle.protocol, rule).ok
             discovered = phase_discovery(bundle.protocol, rule)
             assert discovered is not None
-            assert check_tatonnement(bundle.protocol, rule, discovered).holds
+            assert check_tatonnement(bundle.protocol, rule, discovered).ok
             count_nodes = {
                 v.id
                 for v in bundle.protocol.nodes
@@ -278,8 +278,8 @@ def test_c12_multicount_queries_stabilize_matching():
         assert any(
             isinstance(v.query, MultiCountQuery) for v in bundle.protocol.nodes
         )
-        assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).holds
-        assert check_protocol_cp(bundle.protocol, inst.rule).holds
+        assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).ok
+        assert check_protocol_cp(bundle.protocol, inst.rule).ok
         assert check_rule_property(inst.rule, inst.model, "stable").ok
 
 
@@ -298,7 +298,7 @@ def test_c13_group_privacy_without_obvious_dominance():
             )
             protocol = build_from_spec(inst.space, spec)
             assert implements(protocol, inst.rule).ok
-            assert check_protocol_gcp(protocol, inst.rule).holds
+            assert check_protocol_gcp(protocol, inst.rule).ok
             assert not check_protocol_osp(protocol, inst.rule, inst.model).ok
         search = exhaustive_osp_search(inst.rule, inst.model)
         assert search.status == "nonexistent"
@@ -348,21 +348,21 @@ def _builtin_protocol_rule_pairs():
 def test_c15_implication_chains():
     with criterion(15, "GCP=>CP, ICP=>CP, CP+nonbossy<=>ICP, tatonnement=>CP everywhere"):
         for protocol, rule, phase in _builtin_protocol_rule_pairs():
-            cp = check_protocol_cp(protocol, rule).holds
-            if check_protocol_gcp(protocol, rule).holds:
+            cp = check_protocol_cp(protocol, rule).ok
+            if check_protocol_gcp(protocol, rule).ok:
                 assert cp
-            if rule.has_components and check_protocol_icp(protocol, rule).holds:
+            if rule.has_components and check_protocol_icp(protocol, rule).ok:
                 assert cp
-            if phase is not None and check_tatonnement(protocol, rule, phase).holds:
+            if phase is not None and check_tatonnement(protocol, rule, phase).ok:
                 assert cp
         import random
 
         for seed in corpus_seeds(120, offset=15):
             rule = random_component_rule(seed)
             protocol = random_implementing_protocol(rule, seed + 1)
-            cp = check_protocol_cp(protocol, rule).holds
-            gcp = check_protocol_gcp(protocol, rule).holds
-            icp = check_protocol_icp(protocol, rule).holds
+            cp = check_protocol_cp(protocol, rule).ok
+            gcp = check_protocol_gcp(protocol, rule).ok
+            icp = check_protocol_icp(protocol, rule).ok
             nonbossy = check_nonbossy(rule).ok
             if gcp:
                 assert cp
@@ -377,7 +377,7 @@ def test_c15_implication_chains():
                 v = frontier.pop(rng.randrange(len(frontier)))
                 members.add(v)
                 frontier.extend(protocol.nodes[v].children)
-            if check_tatonnement(protocol, rule, members).holds:
+            if check_tatonnement(protocol, rule, members).ok:
                 assert cp
 
 

@@ -440,6 +440,20 @@ class TestUntakenBuiltinParameters:
         )
 
 
+@pytest.mark.parametrize(
+    "objects, error",
+    [
+        (["a>b", "c"], "object 'a>b' holds '>', which joins the objects of a type label (at /)"),
+        (["a", "a"], "object 'a' is listed twice (at /)"),
+    ],
+    ids=["holds >", "listed twice"],
+)
+def test_serial_dictatorship_refuses_an_object_no_type_label_can_hold(objects, error, capsys):
+    params = json.dumps({"n": 2, "objects": objects})
+    code, doc = run_cli(["builtin", "serial_dictatorship", "--params", params], capsys)
+    assert (code, doc) == (2, {"error": error})
+
+
 class TestPretty:
     """``--pretty`` prints the compact report indented: the bytes of
     ``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
@@ -613,6 +627,11 @@ MALFORMED = {
         json.dumps({k: v for k, v in {**FAIR_INSTANCE, "agents": 0}.items() if k != "alphabet"}),
         ["validate"], 1000, "/alphabets",
     ),
+    "agents is a boolean": (_fair_with(agents=True), ["validate"], 1000, "/agents"),
+    "params k is a boolean": (
+        None, ["builtin", "kth_price", "--params", '{"n":2,"values":[1,2],"k":true}', "--emit"],
+        1000, "/k",
+    ),
     "rule params is a number": (
         json.dumps({"schema": "cpv-1", "rule": {"builtin": "first_price", "params": 5}}),
         ["validate"], 1000, "/rule/params",
@@ -784,7 +803,7 @@ class TestBundleReload:
         assert code == 0, doc
         assert doc["protocol"] == "ok"
         bundle = BUILTIN_PROTOCOLS[name](params)
-        expected = check_protocol_cp(bundle.protocol, bundle.instance.rule).holds
+        expected = check_protocol_cp(bundle.protocol, bundle.instance.rule).ok
         code, doc = run_cli(["check", "--property", "cp", path], capsys)
         assert doc["holds"] is expected
         assert code == (0 if expected else 1)

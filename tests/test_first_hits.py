@@ -40,14 +40,14 @@ ASCENDING_CP = CpViolation(
 def test_cp_first_violation():
     bundle = ascending_elicitation_sp(3, [1, 2, 3])
     verdict = check_protocol_cp(bundle.protocol, bundle.instance.rule)
-    assert not verdict.holds
+    assert not verdict.ok
     assert verdict.violation == ASCENDING_CP
 
 
 def test_icp_first_violation():
     bundle = double_auction_count(4, [1, 2, 3])
     rule = bundle.instance.rule
-    assert check_protocol_cp(bundle.protocol, rule).holds
+    assert check_protocol_cp(bundle.protocol, rule).ok
     verdict = check_protocol_icp(bundle.protocol, rule)
     assert verdict.violation == CpViolation(
         agent=0,
@@ -64,9 +64,10 @@ def test_icp_first_violation():
 def test_tatonnement_subtree_failure():
     bundle = ascending_elicitation_sp(3, [1, 2, 3])
     verdict = check_tatonnement(bundle.protocol, bundle.instance.rule, (0,))
-    assert not verdict.holds
-    assert verdict.failure == "subtree"
-    assert verdict.detail == (0, ASCENDING_CP)
+    assert not verdict.ok
+    failure, detail = verdict.violation
+    assert failure == "subtree"
+    assert detail == (0, ASCENDING_CP)
 
 
 def test_corners_first_violation():

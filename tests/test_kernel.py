@@ -363,7 +363,7 @@ class TestProtocolLoops:
             if failing is None:
                 assert res.ok
             else:
-                assert not res.ok and (res.leaf, res.profiles) == failing
+                assert not res.ok and res.violation == failing
 
 
 # --- the protocol-level privacy decision on leaf masks ----------------------------------
@@ -459,8 +459,8 @@ class TestUnilateralDecision:
             for tree in (protocol, early):
                 failing = oracle_implements(space, tree, rule)
                 res = implements(tree, rule)
-                expected = (True, None, None) if failing is None else (False, *failing)
-                assert (res.ok, res.leaf, res.profiles) == expected, seed
+                expected = (True, None) if failing is None else (False, failing)
+                assert (res.ok, res.violation) == expected, seed
 
 
 class TestPairScanOnlyNamesAViolation:
@@ -476,10 +476,10 @@ class TestPairScanOnlyNamesAViolation:
     def test_descending_first_price(self):
         bundle = descending_first_price(3, range(1, 7))
         protocol, rule = bundle.protocol, bundle.instance.rule
-        assert check_protocol_cp(protocol, rule).holds
-        assert check_protocol_icp(protocol, rule).holds
-        assert check_tatonnement(protocol, rule, phase_discovery(protocol, rule)).holds
+        assert check_protocol_cp(protocol, rule).ok
+        assert check_protocol_icp(protocol, rule).ok
+        assert check_tatonnement(protocol, rule, phase_discovery(protocol, rule)).ok
 
     def test_count_clock(self):
         bundle = count_ascending_price(2, 4, range(1, 6))
-        assert check_protocol_cp(bundle.protocol, bundle.instance.rule).holds
+        assert check_protocol_cp(bundle.protocol, bundle.instance.rule).ok

@@ -133,8 +133,8 @@ class TestDescendingProtocol:
             rule = bundle.instance.rule
             assert validate_protocol(bundle.protocol).ok
             assert implements(bundle.protocol, rule).ok
-            assert check_protocol_cp(bundle.protocol, rule).holds
-            assert check_protocol_icp(bundle.protocol, rule).holds
+            assert check_protocol_cp(bundle.protocol, rule).ok
+            assert check_protocol_icp(bundle.protocol, rule).ok
 
 
 class TestSerialDictatorship:
@@ -145,9 +145,9 @@ class TestSerialDictatorship:
                 inst = serial_dictatorship(n, objects, order)
                 bundle = serial_dictatorship_protocol(inst, order)
                 assert implements(bundle.protocol, inst.rule).ok
-                assert check_protocol_cp(bundle.protocol, inst.rule).holds
-                assert check_protocol_gcp(bundle.protocol, inst.rule).holds
-                assert check_protocol_icp(bundle.protocol, inst.rule).holds
+                assert check_protocol_cp(bundle.protocol, inst.rule).ok
+                assert check_protocol_gcp(bundle.protocol, inst.rule).ok
+                assert check_protocol_icp(bundle.protocol, inst.rule).ok
                 assert check_rule_property(inst.rule, inst.model, "efficient").ok
                 assert check_rule_property(inst.rule, inst.model, "sp").ok
                 assert check_nonbossy(inst.rule).ok
@@ -195,7 +195,7 @@ class TestCountAscending:
             bundle = count_ascending_price(k, n, [1, 2, 3])
             assert check_tatonnement(
                 bundle.protocol, bundle.instance.rule, bundle.phase
-            ).holds
+            ).ok
 
 
 class TestDoubleAuction:
@@ -224,7 +224,7 @@ class TestDoubleAuction:
 
     def test_count_protocol(self):
         bundle = double_auction_count(4, [1, 2, 3])
-        assert check_tatonnement(bundle.protocol, bundle.instance.rule, bundle.phase).holds
+        assert check_tatonnement(bundle.protocol, bundle.instance.rule, bundle.phase).ok
 
     def test_odd_n_rejected(self):
         with pytest.raises(InputError):
@@ -244,7 +244,7 @@ class TestHouseAssignment:
         assert check_rule_property(inst.rule, inst.model, "ir").ok
         res = check_rule_property(inst.rule, inst.model, "efficient")
         assert not res.ok
-        assert res.counterexample["profile"] == ("h2>h1", "h1>h2")
+        assert res.violation["profile"] == ("h2>h1", "h1>h2")
 
 
 class TestSchool:
@@ -274,7 +274,7 @@ class TestMulticountMatching:
         inst = bundle.instance
         assert validate_protocol(bundle.protocol).ok
         assert implements(bundle.protocol, inst.rule).ok
-        assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).holds
+        assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).ok
         assert check_rule_property(inst.rule, inst.model, "stable").ok
 
     def test_cutoffs_inside_outcomes(self):
@@ -315,7 +315,7 @@ class TestNonClinching:
                 ),
             )
             protocol = build_from_spec(inst.space, spec)
-            assert check_protocol_gcp(protocol, inst.rule).holds
+            assert check_protocol_gcp(protocol, inst.rule).ok
 
 
 class TestOsp:
@@ -333,12 +333,12 @@ class TestOsp:
     def test_agent1_first_fails_at_root(self):
         inst, protocol = self.app_b_protocol(0)
         res = check_protocol_osp(protocol, inst.rule, inst.model)
-        assert not res.ok and res.node == 0 and res.agent == 0
+        assert not res.ok and res.violation[:2] == (0, 0)
 
     def test_agent2_first_fails_at_root(self):
         inst, protocol = self.app_b_protocol(1)
         res = check_protocol_osp(protocol, inst.rule, inst.model)
-        assert not res.ok and res.node == 0 and res.agent == 1
+        assert not res.ok and res.violation[:2] == (0, 1)
 
     def test_serial_dictatorship_obviously_dominant(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
@@ -379,8 +379,8 @@ class TestAscendingElicitation:
         bundle = ascending_elicitation_sp(3, [1, 2, 3])
         rule = bundle.instance.rule
         assert implements(bundle.protocol, rule).ok
-        assert not check_protocol_gcp(bundle.protocol, rule).holds
-        assert not check_protocol_cp(bundle.protocol, rule).holds
+        assert not check_protocol_gcp(bundle.protocol, rule).ok
+        assert not check_protocol_cp(bundle.protocol, rule).ok
 
 
 class TestAppC:

@@ -17,11 +17,9 @@ from fractions import Fraction
 import pytest
 
 import cpv.mechanisms as mechanisms
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict
 from cpv.mechanisms import (
     DomainModel,
-    OspResult,
-    PropertyResult,
     UnsupportedProtocolError,
     _parse_auction_component,
     _readable,
@@ -86,7 +84,7 @@ def slow_outcome_rank_fn(rule: ChoiceRule, model: DomainModel):
     raise InputError(f"no outcome ranking available for kind {model.kind!r}")
 
 
-def slow_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+def slow_sp(rule: ChoiceRule, model: DomainModel) -> Verdict:
     space = rule.space
     rank = slow_outcome_rank_fn(rule, model)
     for k in range(space.total):
@@ -99,7 +97,7 @@ def slow_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
                     continue
                 k2 = k + (t2 - profile[i]) * stride
                 if rank(i, profile[i], rule.table[k2]) < truth:
-                    return PropertyResult(
+                    return Verdict(
                         False,
                         {
                             "profile": space.labels(profile),
@@ -107,10 +105,10 @@ def slow_sp(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
                             "report": space.alphabets[i][t2],
                         },
                     )
-    return PropertyResult(True)
+    return Verdict(True)
 
 
-def slow_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
+def slow_ir(rule: ChoiceRule, model: DomainModel) -> Verdict:
     space = rule.space
     for k in range(space.total):
         profile = space.profile(k)
@@ -124,8 +122,8 @@ def slow_ir(rule: ChoiceRule, model: DomainModel) -> PropertyResult:
                 q, t = _parse_auction_component(rule.components[rule.table[k]][i])
                 worse = q * model.values[i][profile[i]] - t < 0
             if worse:
-                return PropertyResult(False, {"profile": space.labels(profile), "agent": i + 1})
-    return PropertyResult(True)
+                return Verdict(False, {"profile": space.labels(profile), "agent": i + 1})
+    return Verdict(True)
 
 
 def slow_osp_node_failure(space: TypeSpace, rule: ChoiceRule, rank, agent: int, masks):
@@ -150,7 +148,7 @@ def slow_osp_node_failure(space: TypeSpace, rule: ChoiceRule, rank, agent: int, 
     return None
 
 
-def slow_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> OspResult:
+def slow_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> Verdict:
     space = protocol.space
     rank = slow_outcome_rank_fn(rule, model)
     for v in protocol.nodes:
@@ -165,8 +163,8 @@ def slow_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> OspRes
         failure = slow_osp_node_failure(space, rule, rank, agent, masks)
         if failure is not None:
             true_t, pos = failure
-            return OspResult(False, v.id, agent, true_t, v.children[pos])
-    return OspResult(True)
+            return Verdict(False, (v.id, agent, true_t, v.children[pos]))
+    return Verdict(True)
 
 
 def slow_osp_search(rule: ChoiceRule, model: DomainModel, budget: SearchBudget):

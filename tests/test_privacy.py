@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Witness, mask_flags
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict, Witness, mask_flags
 from cpv.mechanisms import (
     fair_tiebreak_2x2,
     fair_two_query_protocol,
@@ -18,7 +18,6 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
 )
 from cpv.privacy import (
-    CornersResult,
     CornersViolation,
     _rows_may_fail,
     check_nonbossy,
@@ -141,7 +140,7 @@ class TestProtocolCp:
         inst = fair_tiebreak_2x2()
         protocol = fair_two_query_protocol(inst).protocol
         verdict = check_protocol_cp(protocol, inst.rule)
-        assert not verdict.holds
+        assert not verdict.ok
         v = verdict.violation
         assert v.agent == 1  # agent 2, 1-based
         assert (v.type_a, v.type_b) == (0, 1)
@@ -151,13 +150,13 @@ class TestProtocolCp:
     def test_serial_dictatorship_cp(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         bundle = serial_dictatorship_protocol(inst, (0, 1))
-        assert check_protocol_cp(bundle.protocol, inst.rule).holds
+        assert check_protocol_cp(bundle.protocol, inst.rule).ok
 
     def test_root_only_constant_rule(self):
         space = TypeSpace.shared(2, ("A", "B"))
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
         protocol = build_from_spec(space, NodeSpec())
-        assert check_protocol_cp(protocol, rule).holds
+        assert check_protocol_cp(protocol, rule).ok
 
     def test_precondition_requires_implements(self):
         inst = fair_tiebreak_2x2()
@@ -171,7 +170,7 @@ class TestProtocolGcp:
     def test_serial_dictatorship_gcp(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         bundle = serial_dictatorship_protocol(inst, (0, 1))
-        assert check_protocol_gcp(bundle.protocol, inst.rule).holds
+        assert check_protocol_gcp(bundle.protocol, inst.rule).ok
 
     def test_injective_rule_any_protocol_gcp(self):
         inst = non_clinching()
@@ -185,22 +184,22 @@ class TestProtocolGcp:
             )
             protocol = build_from_spec(inst.space, spec)
             assert implements(protocol, inst.rule).ok
-            assert check_protocol_gcp(protocol, inst.rule).holds
+            assert check_protocol_gcp(protocol, inst.rule).ok
 
     @given(st.sampled_from(corpus_seeds(40, offset=2)))
     @settings(deadline=None)
     def test_gcp_implies_cp(self, seed):
         rule = random_rule(seed)
         protocol = random_implementing_protocol(rule, seed + 7)
-        if check_protocol_gcp(protocol, rule).holds:
-            assert check_protocol_cp(protocol, rule).holds
+        if check_protocol_gcp(protocol, rule).ok:
+            assert check_protocol_cp(protocol, rule).ok
 
 
 class TestProtocolIcp:
     def test_serial_dictatorship_icp(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         bundle = serial_dictatorship_protocol(inst, (0, 1))
-        assert check_protocol_icp(bundle.protocol, inst.rule).holds
+        assert check_protocol_icp(bundle.protocol, inst.rule).ok
 
     def test_missing_components_rejected(self):
         space = TypeSpace.shared(2, ("A", "B"))
@@ -219,9 +218,9 @@ class TestProtocolIcp:
         spec = NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), NodeSpec()))
         protocol = build_from_spec(space, spec)
         assert implements(protocol, rule).ok
-        assert check_protocol_cp(protocol, rule).holds
+        assert check_protocol_cp(protocol, rule).ok
         verdict = check_protocol_icp(protocol, rule)
-        assert not verdict.holds
+        assert not verdict.ok
         assert verdict.violation.agent == 0
 
     @given(st.sampled_from(corpus_seeds(40, offset=3)))
@@ -229,8 +228,8 @@ class TestProtocolIcp:
     def test_icp_implies_cp(self, seed):
         rule = random_component_rule(seed)
         protocol = random_implementing_protocol(rule, seed + 11)
-        if check_protocol_icp(protocol, rule).holds:
-            assert check_protocol_cp(protocol, rule).holds
+        if check_protocol_icp(protocol, rule).ok:
+            assert check_protocol_cp(protocol, rule).ok
 
 
 class TestCorners:
@@ -302,7 +301,7 @@ class TestSynthesis:
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         result = synthesize_or_witness(inst.rule)
         assert result.is_protocol
-        assert check_protocol_cp(result.protocol, inst.rule).holds
+        assert check_protocol_cp(result.protocol, inst.rule).ok
 
     def test_returned_witness_verifies(self):
         inst = second_price(3, [1, 2, 3])
@@ -384,8 +383,8 @@ class TestEquivalenceProperties:
     def test_cp_and_nonbossy_iff_icp(self, seed):
         rule = random_component_rule(seed)
         protocol = random_implementing_protocol(rule, seed + 13)
-        cp = check_protocol_cp(protocol, rule).holds
-        icp = check_protocol_icp(protocol, rule).holds
+        cp = check_protocol_cp(protocol, rule).ok
+        icp = check_protocol_icp(protocol, rule).ok
         nonbossy = check_nonbossy(rule).ok
         if cp and nonbossy:
             assert icp
@@ -434,10 +433,10 @@ def slow_inseparability(rule: ChoiceRule, factors, agent: int):
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def slow_corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> CornersResult:
+def slow_corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
     space, table = rule.space, rule.table
     if space.n < 2:
-        return CornersResult(True)
+        return Verdict(True)
     inside = set(region.indices()) if region is not None else set(range(space.total))
 
     def moved(profile, agent, t):
@@ -467,14 +466,14 @@ def slow_corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Cor
                             ((o10, o01, o11), o00),
                         ):
                             if three[0] == three[1] == three[2] != fourth:
-                                return CornersResult(
+                                return Verdict(
                                     False,
                                     CornersViolation(
                                         i, j, (p00[i], ti2), (p00[j], tj2), p00,
                                         rule.outcomes[three[0]], rule.outcomes[fourth],
                                     ),
                                 )
-    return CornersResult(True)
+    return Verdict(True)
 
 
 def any_space(rng: random.Random) -> TypeSpace:
@@ -599,7 +598,7 @@ class TestProductSetKernel:
         member = mask_flags((1 << space.total) - 1, space.total)
         for a, shift, stride, size in row_pairs(space):
             assert not _rows_may_fail(rule.table, member, a, shift, stride, size)
-        assert corners_scan(rule) == slow_corners_scan(rule) == CornersResult(True)
+        assert corners_scan(rule) == slow_corners_scan(rule) == Verdict(True)
 
     def test_only_defect_late_in_scan_order(self):
         # all outcomes distinct except three corners of the last square that
@@ -616,7 +615,7 @@ class TestProductSetKernel:
             1, 2, (1, 2), (1, 2), (2, 1, 1), f"x{shared}", f"x{space.index((2, 2, 2))}"
         )
         region = ProfileSet.from_indices(space, set(range(space.total)) - {shared})
-        assert corners_scan(rule, region) == slow_corners_scan(rule, region) == CornersResult(True)
+        assert corners_scan(rule, region) == slow_corners_scan(rule, region) == Verdict(True)
 
     def test_flags_are_per_row_pair(self):
         # rows 0 and 2 of agent 1 hold the only failing square; rows 0 and 1
@@ -629,7 +628,7 @@ class TestProductSetKernel:
 
     def test_one_agent_has_no_squares(self):
         rule = ChoiceRule(TypeSpace.shared(1, ("a", "b", "c")), ("x", "y"), (0, 0, 1))
-        assert corners_scan(rule) == slow_corners_scan(rule) == CornersResult(True)
+        assert corners_scan(rule) == slow_corners_scan(rule) == Verdict(True)
 
 
 class TestFactorCheck:

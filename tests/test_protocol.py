@@ -219,7 +219,7 @@ class TestImplements:
         res = implements(one_query(), inst.rule)
         assert not res.ok
         leaf_profiles = set((1, 0) for _ in [0])
-        assert set(res.profiles) == {(1, 0), (1, 1)}
+        assert set(res.violation[1]) == {(1, 0), (1, 1)}
 
     def test_root_only_constant_rule(self):
         space = TypeSpace.shared(2, ("A", "B"))

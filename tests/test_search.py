@@ -38,7 +38,7 @@ class TestCpSearch:
         result = exhaustive_cp_search(inst.rule, ELICIT)
         assert result.status == "found"
         assert implements(result.protocol, inst.rule).ok
-        assert check_protocol_cp(result.protocol, inst.rule).holds
+        assert check_protocol_cp(result.protocol, inst.rule).ok
 
     def test_school_instance_nonexistent_with_counts(self):
         inst = school_count_instance()

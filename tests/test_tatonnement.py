@@ -114,23 +114,23 @@ class TestOutcomeReach:
 class TestCheckTatonnement:
     def test_count_protocol_passes(self):
         b = count_bundle()
-        assert check_tatonnement(b.protocol, b.instance.rule, b.phase).holds
+        assert check_tatonnement(b.protocol, b.instance.rule, b.phase).ok
 
     def test_count_protocol_is_cp(self):
         b = count_bundle()
-        assert check_protocol_cp(b.protocol, b.instance.rule).holds
+        assert check_protocol_cp(b.protocol, b.instance.rule).ok
 
     def test_serial_dictatorship_root_phase(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         bundle = serial_dictatorship_protocol(inst, (0, 1))
-        assert check_tatonnement(bundle.protocol, inst.rule, (0,)).holds
+        assert check_tatonnement(bundle.protocol, inst.rule, (0,)).ok
 
     def test_fair_protocol_disjointness_fails(self):
         inst = fair_tiebreak_2x2()
         protocol = fair_two_query_protocol(inst).protocol
         phase = (0,) + tuple(protocol.root.children)
         verdict = check_tatonnement(protocol, inst.rule, phase)
-        assert not verdict.holds and verdict.failure == "disjointness"
+        assert not verdict.ok and verdict.violation[0] == "disjointness"
 
     def test_invalid_phase_rejected(self):
         b = count_bundle()
@@ -155,8 +155,8 @@ class TestCheckTatonnement:
             members.add(v)
             frontier.extend(protocol.nodes[v].children)
         verdict = check_tatonnement(protocol, rule, members)
-        if verdict.holds:  # internal assertion re-checks CP; make it explicit
-            assert check_protocol_cp(protocol, rule).holds
+        if verdict.ok:  # internal assertion re-checks CP; make it explicit
+            assert check_protocol_cp(protocol, rule).ok
 
 
 class TestPhaseDiscovery:
@@ -164,7 +164,7 @@ class TestPhaseDiscovery:
         b = count_bundle()
         phase = phase_discovery(b.protocol, b.instance.rule)
         assert phase is not None
-        assert check_tatonnement(b.protocol, b.instance.rule, phase).holds
+        assert check_tatonnement(b.protocol, b.instance.rule, phase).ok
         count_nodes = {
             v.id for v in b.protocol.nodes if v.query is not None and v.id in b.phase
         }

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from cpv.core import ChoiceRule, ProfileSet, product_factorization
-from cpv.mechanisms import DomainModel, PropertyResult, check_rule_property
+from cpv.core import ChoiceRule, ProfileSet, Verdict, product_factorization
+from cpv.mechanisms import DomainModel, check_rule_property
 
 from corpus import corpus_seeds, random_rule
 
@@ -59,7 +59,7 @@ def utility(model: DomainModel, agent: int, t: int, component: str):
     return -model.type_prefs[agent][t].index(component)
 
 
-def brute_sp(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> PropertyResult:
+def brute_sp(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> Verdict:
     space = rule.space
     for k in universe.indices():
         profile = space.profile(k)
@@ -75,19 +75,19 @@ def brute_sp(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> Prop
                         "agent": i + 1,
                         "report": space.alphabets[i][s],
                     }
-                    return PropertyResult(False, example)
-    return PropertyResult(True)
+                    return Verdict(False, example)
+    return Verdict(True)
 
 
-def brute_ir(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> PropertyResult:
+def brute_ir(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> Verdict:
     space = rule.space
     for k in universe.indices():
         profile = space.profile(k)
         for i, t in enumerate(profile):
             outside = 0 if model.kind == "auction" else utility(model, i, t, model.endowments[i])
             if utility(model, i, t, rule.components[rule.table[k]][i]) < outside:
-                return PropertyResult(False, {"profile": space.labels(profile), "agent": i + 1})
-    return PropertyResult(True)
+                return Verdict(False, {"profile": space.labels(profile), "agent": i + 1})
+    return Verdict(True)
 
 
 CASES = {"auction": auction_case, "house": house_case}
