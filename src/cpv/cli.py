@@ -79,7 +79,6 @@ SCHEMA = "cpv-1"
 
 class LoadError(InputError):
     def __init__(self, path: str, message: str) -> None:
-        self.pointer = path
         super().__init__(f"{message} (at {path})")
 
 
@@ -633,11 +632,10 @@ def _cmd_validate(args) -> tuple[int, dict]:
     loaded = load(args.instance, args.protocol)
     doc = {"command": "validate", "instance": "ok"}
     if loaded.protocol is not None:
-        report = validate_protocol(loaded.protocol)
-        doc["protocol"] = "ok" if report.ok else list(report.defects)
-        doc["notes"] = list(report.notes)
-        if not report.ok:
-            raise InputError("; ".join(report.defects))
+        if defects := validate_protocol(loaded.protocol):
+            raise InputError("; ".join(defects))
+        doc["protocol"] = "ok"
+        doc["notes"] = list(loaded.protocol.notes)
     return 0, doc
 
 
@@ -754,22 +752,22 @@ def _cmd_synth(args) -> tuple[int, dict]:
         if factors is None:
             raise InputError("synthesis needs a product universe")
     result = synthesize_or_witness(instance.rule, factors)
-    if result.is_protocol:
+    if isinstance(result, Protocol):
         doc = {
             "command": "synth",
             "result": "protocol",
-            "nodes": len(result.protocol.nodes),
-            "leaves": len(result.protocol.leaves()),
+            "nodes": len(result.nodes),
+            "leaves": len(result.leaves()),
         }
         if args.emit:
-            _emit(protocol_to_json(result.protocol), args.emit)
+            _emit(protocol_to_json(result), args.emit)
             doc["emitted"] = args.emit
         return 0, doc
-    minimized = witness_minimize(instance.rule, result.witness)
+    minimized = witness_minimize(instance.rule, result)
     doc = {
         "command": "synth",
         "result": "witness",
-        "witness": witness_to_json(instance.space, result.witness),
+        "witness": witness_to_json(instance.space, result),
         "minimized": witness_to_json(instance.space, minimized),
     }
     return 1, doc
@@ -797,13 +795,12 @@ def _cmd_run(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
-    from cpv.search import QueryFamily, SearchBudget, exhaustive_cp_search
+    from cpv.search import QueryFamily, exhaustive_cp_search
 
     loaded = load(args.instance)
     family = QueryFamily.parse(args.queries)
-    budget = SearchBudget(max_states=args.max_states)
     result = exhaustive_cp_search(
-        loaded.instance.rule, family, budget, loaded.instance.universe
+        loaded.instance.rule, family, args.max_states, loaded.instance.universe
     )
     doc = {
         "command": "enumerate",

@@ -8,7 +8,8 @@ operation is a pure function.
 
 Every property check returns a :class:`Verdict`: ``ok``, and if that is
 false, the first counterexample in the check's scan order as ``violation``,
-in the shape that the check's docstring gives.
+in the shape that the check's docstring gives.  Validators return their
+findings or raise.
 """
 
 from __future__ import annotations

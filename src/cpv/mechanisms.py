@@ -750,7 +750,9 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict
             v = [ranks[i][t] for i, t in enumerate(profile)]
             won = winners[rule.table[k]]
             if sorted(v[i] for i in won) != sorted(v)[len(v) - len(won):]:
-                return Verdict(False, {"profile": space.labels(profile), "winners": won})
+                return Verdict(
+                    False, {"profile": space.labels(profile), "winners": [i + 1 for i in won]}
+                )
         return Verdict(True)
     if model.kind in ("assignment", "house"):
         feasible = list(itertools.permutations(model.objects, space.n))

@@ -83,19 +83,9 @@ def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
     return check_factors(rule.space, region)
 
 
-@record
-class InseparabilityPartition:
-    classes: tuple[tuple[int, ...], ...]
-
-    def class_of(self, type_index: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if type_index in cls:
-                return cls
-        raise InputError(f"type index {type_index} not in the base set")
-
-
-def inseparability_classes(rule: ChoiceRule, region, agent: int) -> InseparabilityPartition:
-    """Equivalence classes of agent's types on a product set.
+def inseparability_classes(rule: ChoiceRule, region, agent: int) -> tuple[tuple[int, ...], ...]:
+    """Equivalence classes of agent's types on a product set, each sorted,
+    in the order of their smallest types.
 
     Direct edges come from the outcome fibers of each opponent row: the
     outcomes of the agent's types against one fixed opponent profile.
@@ -124,8 +114,7 @@ def inseparability_classes(rule: ChoiceRule, region, agent: int) -> Inseparabili
     groups: dict[int, list[int]] = {}
     for p, t in enumerate(types):
         groups.setdefault(uf.find(p), []).append(t)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    return InseparabilityPartition(classes)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +379,12 @@ def _corner_defect(o00, o10, o01, o11):
 # synthesis and witnesses
 
 
-@record
-class SynthesisResult:
-    protocol: Optional[Protocol] = None
-    witness: Optional[Witness] = None
-
-    @property
-    def is_protocol(self) -> bool:
-        return self.protocol is not None
-
-
 class _WitnessFound(Exception):
     def __init__(self, factors) -> None:
         self.factors = factors
 
 
-def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResult:
+def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> Protocol | Witness:
     """Greedy construction of a contextually private protocol, or a witness.
 
     At each node (a product set), either the rule is constant (terminal),
@@ -425,10 +404,10 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
         if constant_on(rule, label):
             return None
         for agent in range(space.n):
-            part = inseparability_classes(rule, factors, agent)
-            if len(part.classes) < 2:
+            classes = inseparability_classes(rule, factors, agent)
+            if len(classes) < 2:
                 continue
-            cls = part.class_of(min(factors[agent]))
+            cls = classes[0]  # the class of the smallest type
             rest_all = tuple(
                 t for t in range(space.sizes[agent]) if t not in cls
             )
@@ -448,14 +427,14 @@ def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> SynthesisResul
     try:
         protocol = build_protocol(space, step, root_factors, universe)
     except _WitnessFound as found:
-        return SynthesisResult(witness=Witness(tuple(found.factors)))
-    if not validate_protocol(protocol).ok:
+        return Witness(tuple(found.factors))
+    if validate_protocol(protocol):
         raise AssertionError("synthesized protocol fails validation (bug)")
     if not implements(protocol, rule):
         raise AssertionError("synthesized protocol does not implement the rule (bug)")
     if not check_protocol_cp(protocol, rule).ok:
         raise AssertionError("synthesized protocol is not contextually private (bug)")
-    return SynthesisResult(protocol=protocol)
+    return protocol
 
 
 def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
@@ -465,8 +444,7 @@ def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
     if constant_on(rule, ProfileSet.from_factors(rule.space, factors).mask):
         return False
     for agent in range(rule.space.n):
-        part = inseparability_classes(rule, factors, agent)
-        if len(part.classes) != 1:
+        if len(inseparability_classes(rule, factors, agent)) != 1:
             return False
     return True
 

@@ -344,17 +344,10 @@ def build_from_spec(
 # --- validation -------------------------------------------------------------
 
 
-@record
-class ValidationReport:
-    ok: bool
-    defects: tuple[str, ...]
-    notes: tuple[str, ...]
-
-
-def validate_protocol(protocol: Protocol) -> ValidationReport:
-    """Re-check the derived invariants: root label, partitions, nonempty
-    labels, branching.  Construction enforces these, so defects indicate a
-    hand-assembled or corrupted value."""
+def validate_protocol(protocol: Protocol) -> tuple[str, ...]:
+    """The defects among the derived invariants: root label, partitions,
+    nonempty labels, branching; none for a sound protocol.  Construction
+    enforces these, so defects indicate a hand-assembled or corrupted value."""
     defects: list[str] = []
     if protocol.nodes[0].label != protocol.universe:
         defects.append("root label differs from the universe")
@@ -373,7 +366,7 @@ def validate_protocol(protocol: Protocol) -> ValidationReport:
             union |= child.label
         if union != v.label:
             defects.append(f"non-exhaustive at node {v.id}")
-    return ValidationReport(not defects, tuple(defects), protocol.notes)
+    return tuple(defects)
 
 
 # --- execution ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 Both searches run on one engine, :func:`_solve`, a memoized AND-OR search
 that decides implementability exactly: a state (reachable profile set) is
 won iff the rule is constant on it or some candidate query splits it into
-won states.  The searches differ only in their candidates.
+won states.  The searches differ only in their candidates.  Their one
+budget is ``max_states``: past that many states a search stops with the
+status ``budget_exhausted``; a bound below 1 is refused.
 
 Contextual privacy is enforced incrementally: a query is a candidate only
 if it separates no equal-outcome unilateral pair inside the state, which
@@ -78,15 +80,6 @@ class QueryFamily:
 
 
 @record
-class SearchBudget:
-    max_states: int = 100_000
-
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise InputError("budget bounds must be positive")
-
-
-@record
 class SearchResult:
     status: str  # found | nonexistent | budget_exhausted
     protocol: Optional[Protocol] = None
@@ -157,7 +150,7 @@ def _solve(
     rule: ChoiceRule,
     root: int,
     candidates: Callable[[int], Iterable[_Candidate]],
-    budget: SearchBudget,
+    max_states: int,
 ) -> SearchResult:
     """Memoized AND-OR search from the root state; three-valued, never
     silently wrong.
@@ -168,6 +161,8 @@ def _solve(
     from it.  Every split strictly shrinks the state, so the recursion is
     no deeper than the root is large.
     """
+    if max_states < 1:
+        raise InputError("budget bounds must be positive")
     if not root:
         raise InputError("universe is empty")
     won: dict[int, Optional[_Candidate]] = {}  # None where the rule is constant
@@ -179,7 +174,7 @@ def _solve(
         if state in won or state in lost:
             return state in won
         states_seen += 1
-        if states_seen > budget.max_states:
+        if states_seen > max_states:
             raise _BudgetExhausted
         if constant_on(rule, state):
             won[state] = None
@@ -238,7 +233,7 @@ def _separates_protected_pair(cand: _Candidate, pairs: list[tuple[int, int]], st
 def exhaustive_cp_search(
     rule: ChoiceRule,
     family: QueryFamily,
-    budget: SearchBudget = SearchBudget(),
+    max_states: int = 100_000,
     universe: ProfileSet | None = None,
 ) -> SearchResult:
     """Decide whether a contextually private protocol exists for the rule
@@ -254,7 +249,7 @@ def exhaustive_cp_search(
             if _separates_protected_pair(cand, pairs, state) is None:
                 yield cand
 
-    result = _solve(rule, root, candidates, budget)
+    result = _solve(rule, root, candidates, max_states)
     if result.found and not check_protocol_cp(result.protocol, rule).ok:
         raise AssertionError("search found a protocol that is not contextually private (bug)")
     return result
@@ -281,7 +276,7 @@ def _all_partitions(items: tuple[int, ...]):
 def exhaustive_osp_search(
     rule: ChoiceRule,
     model: DomainModel,
-    budget: SearchBudget = SearchBudget(),
+    max_states: int = 100_000,
     universe: ProfileSet | None = None,
 ) -> SearchResult:
     """Decide whether an obviously strategyproof elicitation protocol
@@ -309,7 +304,7 @@ def exhaustive_osp_search(
             if _osp_node_failure(space, rule, ranks, agent, masks) is None:
                 yield cand
 
-    result = _solve(rule, root, candidates, budget)
+    result = _solve(rule, root, candidates, max_states)
     if result.found and not check_protocol_osp(result.protocol, rule, model).ok:
         raise AssertionError("search found a protocol that is not obviously strategyproof (bug)")
     return result

@@ -12,28 +12,16 @@ conditions and cross-checks the implication.  Both it and
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
-from cpv.core import ChoiceRule, InputError, Verdict, record
+from cpv.core import ChoiceRule, InputError, Verdict
 from cpv.privacy import _outcome_values, _unilateral_scan
 from cpv.protocol import Protocol, outcome_reach, require_implements
 
 
-@record
-class Phase:
-    initial: bool
-    end: tuple[int, ...]  # precedence-maximal members
-
-
-@record
-class PhaseReport:
-    ok: bool
-    defect: Optional[str] = None
-    phase: Optional[Phase] = None
-
-
-def validate_phase(protocol: Protocol, node_ids) -> PhaseReport:
-    """Convexity check plus the initial flag and end set."""
+def validate_phase(protocol: Protocol, node_ids) -> tuple[int, ...]:
+    """The end nodes (precedence-maximal members) of a phase; raises an
+    :class:`InputError` on an unknown id, then on an empty set, then on a
+    set that is not precedence-convex."""
     members = set(node_ids)
     for v in members:
         if not 0 <= v < len(protocol.nodes):
@@ -41,20 +29,16 @@ def validate_phase(protocol: Protocol, node_ids) -> PhaseReport:
     if not members:
         raise InputError("phase must be nonempty")
     for w in members:
-        gap: Optional[int] = None
+        gap: int | None = None
         v = protocol.nodes[w].parent
         while v != -1:
             if v not in members:
                 gap = v
             elif gap is not None:
-                return PhaseReport(
-                    False,
-                    f"convexity broken: node {gap} between members {v} and {w}",
-                )
+                raise InputError(f"convexity broken: node {gap} between members {v} and {w}")
             v = protocol.nodes[v].parent
     # in a convex set, a member with a member below it has a member child
-    end = tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
-    return PhaseReport(True, None, Phase(0 in members, end))
+    return tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
 
 
 def _overlapping(reach: dict[int, frozenset[int]], nodes):
@@ -77,15 +61,12 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Verdict
     "disjointness", "coverage" or "subtree".
     """
     require_implements(protocol, rule)
-    report = validate_phase(protocol, node_ids)
-    if not report.ok:
-        raise InputError(report.defect)
-    phase = report.phase
-    if not phase.initial:
+    phase = set(node_ids)
+    end = validate_phase(protocol, phase)
+    if 0 not in phase:
         raise InputError("phase must contain the root")
 
     reach = outcome_reach(protocol, rule)
-    end = phase.end
     pair = next(_overlapping(reach, end), None)
     if pair is not None:
         a, b = pair

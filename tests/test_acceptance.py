@@ -49,6 +49,7 @@ from cpv.protocol import (
     ElicitQuery,
     MultiCountQuery,
     NodeSpec,
+    Protocol,
     build_from_spec,
     implements,
 )
@@ -98,8 +99,8 @@ def test_c01_fair_rule_is_not_contextually_private():
         synth, search, verdict = body()
         elapsed = time.perf_counter() - start
 
-        assert not synth.is_protocol
-        assert synth.witness.factors == ((0, 1), (0, 1))
+        assert isinstance(synth, Witness)
+        assert synth.factors == ((0, 1), (0, 1))
         assert search.status == "nonexistent"
         assert not verdict.ok
         assert verdict.violation.agent == 1  # agent 2, 1-based
@@ -121,10 +122,10 @@ def test_c02_efficient_completions_split_into_dictatorships_and_leaks():
             table = tuple(inst.rule.outcomes[x] for x in inst.rule.table)
             ok = corners_scan(inst.rule).ok
             synth = synthesize_or_witness(inst.rule)
-            assert ok == synth.is_protocol
+            assert ok == isinstance(synth, Protocol)
             (private if ok else leaky).append(table)
             if not ok:
-                assert witness_verify(inst.rule, synth.witness)
+                assert witness_verify(inst.rule, synth)
         assert set(private) == sd_tables
         assert len(leaky) == 2
 
@@ -165,15 +166,15 @@ def test_c05_second_price_impossibility_and_no_ties_certificate():
         spa = second_price(3, [1, 2, 3])
         assert not corners_scan(spa.rule).ok
         synth = synthesize_or_witness(spa.rule)
-        assert not synth.is_protocol
-        assert witness_verify(spa.rule, synth.witness)
+        assert isinstance(synth, Witness)
+        assert witness_verify(spa.rule, synth)
 
         big, factors = appC_sp_restriction()
         assert factors == ((0, 2, 5), (3, 7, 8), (1, 4, 6))
         assert witness_verify(big.rule, Witness(factors))
         restricted = synthesize_or_witness(big.rule, factors)
-        assert not restricted.is_protocol
-        assert restricted.witness.factors == factors
+        assert isinstance(restricted, Witness)
+        assert restricted.factors == factors
         assert time.perf_counter() - start < 5.0
 
 
@@ -182,8 +183,8 @@ def test_c06_uniform_price_impossibility():
         for k in (1, 2, 3):
             inst = uniform_price(k + 2, [1, 2, 3], k)
             synth = synthesize_or_witness(inst.rule)
-            assert not synth.is_protocol
-            assert witness_verify(inst.rule, synth.witness)
+            assert isinstance(synth, Witness)
+            assert witness_verify(inst.rule, synth)
 
 
 def test_c07_house_assignment_impossibility():
@@ -314,11 +315,11 @@ def test_c14_characterization_equivalence_on_random_rules():
             oracle = witness_oracle(rule)
             search = exhaustive_cp_search(rule, ELICIT)
             assert search.status in ("found", "nonexistent")
-            assert synth.is_protocol == (oracle is None) == (search.status == "found"), (
+            assert isinstance(synth, Protocol) == (oracle is None) == (search.status == "found"), (
                 f"disagreement at seed {seed}"
             )
-            if not synth.is_protocol:
-                assert witness_verify(rule, synth.witness)
+            if isinstance(synth, Witness):
+                assert witness_verify(rule, synth)
                 assert witness_verify(rule, oracle)
 
 
@@ -387,6 +388,6 @@ def test_c16_rank_payment_uniqueness():
         for k in (1, 2, 3):
             inst = kth_price(3, [1, 2, 3], k)
             efficient = check_rule_property(inst.rule, inst.model, "efficient").ok
-            private = synthesize_or_witness(inst.rule).is_protocol
+            private = isinstance(synthesize_or_witness(inst.rule), Protocol)
             verdicts[k] = (efficient, private)
         assert verdicts == {1: (True, True), 2: (True, False), 3: (True, False)}

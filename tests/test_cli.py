@@ -237,6 +237,12 @@ REPORT_FILES = {
     # the item goes to agent 2 where agent 1 bids higher
     "misallocated": ("first_price", {"n": 2, "values": [1, 2]},
                      ("components/winner=1,price=2", ["q=0,t=0", "q=1,t=2"])),
+    # below the first leaf, a count query whose answer the leaf already
+    # knows: its empty cells are pruned, then the query is contracted
+    "noted": ("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]},
+              ("protocol/tree/children/0/children/0", {
+                  "query": {"kind": "count", "subset": ["2", "3"], "cells": [[0], [1], [2, 3]]},
+                  "children": [None, {}, None]})),
 }
 
 def _checked(body: str) -> str:
@@ -259,7 +265,7 @@ CHECK_REPORTS = {
         '"failure":"subtree","holds":false,"property":"tatonnement","schema":"cpv-1"}'
     )),
     "efficient fails": ("efficient", ["misallocated"], 1, _checked(
-        '"counterexample":{"profile":["2","1"],"winners":[1]},"holds":false,'
+        '"counterexample":{"profile":["2","1"],"winners":[2]},"holds":false,'
         '"property":"efficient","schema":"cpv-1"}'
     )),
     "ir fails": ("ir", ["overpaid"], 1, _checked(
@@ -299,11 +305,44 @@ CHECK_REPORTS = {
 }
 
 
+# The whole stdout and exit code of other commands: case -> (argv, with file
+# names for paths, exit code, stdout).  "fig<phase>" is FIG_PROTOCOL with a
+# phase that `check` refuses before it checks anything.
+COMMAND_REPORTS = {
+    "validate, notes": (["validate", "noted"], 0, '{"command":"validate","instance":"ok",'
+        '"notes":["pruned empty cell 0 at /tree/0/0","pruned empty cell 2 at /tree/0/0",'
+        '"contracted degenerate query at /tree/0/0"],"protocol":"ok","schema":"cpv-1"}\n'),
+    "validate, instance and protocol": (["validate", "fair", "fig"], 0, '{"command":"validate",'
+        '"instance":"ok","notes":[],"protocol":"ok","schema":"cpv-1"}\n'),
+    **{
+        f"enumerate, max states {n}": (
+            ["enumerate", "--max-states", n, "fair"], 2,
+            '{"error":"budget bounds must be positive"}\n',
+        )
+        for n in ("0", "-1")
+    },
+    **{
+        f"tatonnement, phase {phase}": (
+            ["check", "--property", "tatonnement", "fair", f"fig{phase}"], 2,
+            f'{{"error":"{error}"}}\n',
+        )
+        for phase, error in [
+            ([], "phase must be nonempty"),
+            ([99], "unknown node id 99"),
+            ([1], "phase must contain the root"),
+            ([0, 2], "convexity broken: node 1 between members 0 and 2"),
+        ]
+    },
+}
+
+
 class TestWholeCheckReports:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory) -> dict[str, str]:
         root = tmp_path_factory.mktemp("reports")
         docs = {"fair": FAIR_INSTANCE, "fig": FIG_PROTOCOL, "fig0": {**FIG_PROTOCOL, "phase": [0]}}
+        for phase in ([], [99], [1], [0, 2]):
+            docs[f"fig{phase}"] = {**FIG_PROTOCOL, "phase": phase}
         for name, (builtin, params, *edits) in REPORT_FILES.items():
             path = str(root / f"{name}.json")
             assert main(["builtin", builtin, "--params", json.dumps(params), "--emit", path]) == 0
@@ -319,6 +358,13 @@ class TestWholeCheckReports:
         prop, names, code, stdout = CHECK_REPORTS[case]
         capsys.readouterr()
         got = main(["check", "--property", prop, *(files[name] for name in names)])
+        assert (got, capsys.readouterr().out) == (code, stdout)
+
+    @pytest.mark.parametrize("case", sorted(COMMAND_REPORTS))
+    def test_command_report(self, case, files, capsys):
+        argv, code, stdout = COMMAND_REPORTS[case]
+        capsys.readouterr()
+        got = main([files.get(arg, arg) for arg in argv])
         assert (got, capsys.readouterr().out) == (code, stdout)
 
 

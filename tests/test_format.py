@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cpv.cli import _check, instance_to_json, main, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.privacy import synthesize_or_witness
+from cpv.protocol import Protocol
 from test_cli import BUNDLE_PARAMS
 
 # Small parameters for every built-in rule.
@@ -69,9 +70,9 @@ class TestWriterAgreesWithTable:
 
     def test_synthesized_protocol(self):
         instance = BUILTIN_RULES["serial_dictatorship"]({"n": 2, "objects": ["A", "B"]})
-        result = synthesize_or_witness(instance.rule)
-        assert result.is_protocol
-        _check("protocol file", protocol_to_json(result.protocol))
+        protocol = synthesize_or_witness(instance.rule)
+        assert isinstance(protocol, Protocol)
+        _check("protocol file", protocol_to_json(protocol))
 
 
 # --- mutants -----------------------------------------------------------------

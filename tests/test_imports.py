@@ -1,7 +1,8 @@
 """Import hygiene: every name a ``cpv`` module imports is used where it is
 imported, every private helper is read somewhere in ``cpv``, no module
 holds an ``assert`` statement, importing ``cpv.cli`` loads no code
-generator, and a command loads only the ``cpv`` modules it runs.
+generator, a command loads only the ``cpv`` modules it runs, and no record
+but ``core.Verdict`` has an ``ok`` field.
 
 A name imported at module level counts as used when it is read anywhere in
 the module (annotations included, also those written as strings) or listed
@@ -249,3 +250,26 @@ def test_every_private_helper_is_read():
         )
     )
     assert not unread, f"private names read nowhere in cpv: {unread}"
+
+
+def record_fields(tree: ast.Module):
+    """``(class, field)`` for each field of each ``@record`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_only_the_verdict_records_ok():
+    # A property check returns a core.Verdict; everything else returns what it
+    # found, or raises, so no second ok-plus-payload record wraps a result.
+    holders = sorted(
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name, field in record_fields(ast.parse(path.read_text(), filename=str(path)))
+        if field == "ok" and (path.name, name) != ("core.py", "Verdict")
+    )
+    assert not holders, f"records other than core.Verdict with an ok field: {holders}"

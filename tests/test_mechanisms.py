@@ -131,7 +131,7 @@ class TestDescendingProtocol:
         for n, values in ((2, [1, 2, 3]), (3, [1, 2, 3, 4, 5])):
             bundle = descending_first_price(n, values)
             rule = bundle.instance.rule
-            assert validate_protocol(bundle.protocol).ok
+            assert validate_protocol(bundle.protocol) == ()
             assert implements(bundle.protocol, rule).ok
             assert check_protocol_cp(bundle.protocol, rule).ok
             assert check_protocol_icp(bundle.protocol, rule).ok
@@ -272,7 +272,7 @@ class TestMulticountMatching:
     def test_protocol_and_rule(self):
         bundle = multicount_stable_matching()
         inst = bundle.instance
-        assert validate_protocol(bundle.protocol).ok
+        assert validate_protocol(bundle.protocol) == ()
         assert implements(bundle.protocol, inst.rule).ok
         assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).ok
         assert check_rule_property(inst.rule, inst.model, "stable").ok

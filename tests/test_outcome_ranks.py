@@ -31,7 +31,6 @@ from cpv.mechanisms import (
 )
 from cpv.protocol import ElicitQuery, Protocol
 from cpv.search import (
-    SearchBudget,
     _all_partitions,
     _Candidate,
     _nonempty_cells,
@@ -167,7 +166,7 @@ def slow_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> Verdic
     return Verdict(True)
 
 
-def slow_osp_search(rule: ChoiceRule, model: DomainModel, budget: SearchBudget):
+def slow_osp_search(rule: ChoiceRule, model: DomainModel, max_states: int):
     space = rule.space
     rank = slow_outcome_rank_fn(rule, model)
 
@@ -189,7 +188,7 @@ def slow_osp_search(rule: ChoiceRule, model: DomainModel, budget: SearchBudget):
                 if slow_osp_node_failure(space, rule, rank, agent, masks) is None:
                     yield _Candidate(query, masks)
 
-    return _solve(rule, _root(space, None), candidates, budget)
+    return _solve(rule, _root(space, None), candidates, max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +276,11 @@ class TestAgainstPerProfileRanks:
 
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_osp_search(self, kind):
-        budget = SearchBudget(max_states=300)
         statuses = set()
         for seed in SEEDS:
             rule, model = CASES[kind](seed)
-            fast = exhaustive_osp_search(rule, model, budget)
-            slow = slow_osp_search(rule, model, budget)
+            fast = exhaustive_osp_search(rule, model, max_states=300)
+            slow = slow_osp_search(rule, model, max_states=300)
             assert (fast.status, fast.states) == (slow.status, slow.states), seed
             statuses.add(fast.status)
         assert {"found", "nonexistent"} <= statuses

@@ -31,7 +31,7 @@ from cpv.privacy import (
     witness_oracle,
     witness_verify,
 )
-from cpv.protocol import NodeSpec, ElicitQuery, build_from_spec, implements
+from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
 
 from corpus import (
     corpus_seeds,
@@ -82,22 +82,22 @@ class TestInseparability:
     def test_shaded_grid_agent2_single_class(self):
         inst = fig_shaded_3x3()
         factors = ((0, 1, 2), (0, 1, 2))
-        part = inseparability_classes(inst.rule, factors, 1)
-        assert part.classes == ((0, 1, 2),)
+        classes = inseparability_classes(inst.rule, factors, 1)
+        assert classes == ((0, 1, 2),)
 
     def test_shaded_grid_agent1_partition(self):
         inst = fig_shaded_3x3()
         factors = ((0, 1, 2), (0, 1, 2))
-        part = inseparability_classes(inst.rule, factors, 0)
-        assert part.classes == naive_inseparability(inst.rule, factors, 0)
-        assert part.classes == ((0, 2), (1,))  # t1 with t3; t2 alone
+        classes = inseparability_classes(inst.rule, factors, 0)
+        assert classes == naive_inseparability(inst.rule, factors, 0)
+        assert classes == ((0, 2), (1,))  # t1 with t3; t2 alone
 
     def test_injective_rule_singletons(self):
         inst = non_clinching()
         factors = ((0, 1), (0, 1))
         for agent in range(2):
-            part = inseparability_classes(inst.rule, factors, agent)
-            assert part.classes == ((0,), (1,))
+            classes = inseparability_classes(inst.rule, factors, agent)
+            assert classes == ((0,), (1,))
 
     def test_nonproduct_input_rejected(self):
         inst = fair_tiebreak_2x2()
@@ -111,8 +111,8 @@ class TestInseparability:
         rule = random_rule(seed)
         factors = tuple(tuple(range(s)) for s in rule.space.sizes)
         for agent in range(rule.space.n):
-            part = inseparability_classes(rule, factors, agent)
-            assert part.classes == naive_inseparability(rule, factors, agent)
+            classes = inseparability_classes(rule, factors, agent)
+            assert classes == naive_inseparability(rule, factors, agent)
 
     @given(st.sampled_from(corpus_seeds(25, offset=1)))
     @settings(deadline=None)
@@ -130,8 +130,8 @@ class TestInseparability:
         for agent in range(space.n):
             small = inseparability_classes(rule, sub, agent)
             big = inseparability_classes(rule, full, agent)
-            for cls in small.classes:
-                anchor = big.class_of(cls[0])
+            for cls in small:
+                anchor = next(c for c in big if cls[0] in c)
                 assert all(t in anchor for t in cls)
 
 
@@ -287,27 +287,27 @@ class TestCorners:
     def test_corners_violation_forces_witness(self, seed):
         rule = random_rule(seed)
         if not corners_scan(rule).ok:
-            assert not synthesize_or_witness(rule).is_protocol
+            assert isinstance(synthesize_or_witness(rule), Witness)
 
 
 class TestSynthesis:
     def test_fair_witness_is_full_space(self):
         inst = fair_tiebreak_2x2()
         result = synthesize_or_witness(inst.rule)
-        assert not result.is_protocol
-        assert result.witness.factors == ((0, 1), (0, 1))
+        assert isinstance(result, Witness)
+        assert result.factors == ((0, 1), (0, 1))
 
     def test_serial_dictatorship_synthesizes(self):
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         result = synthesize_or_witness(inst.rule)
-        assert result.is_protocol
-        assert check_protocol_cp(result.protocol, inst.rule).ok
+        assert isinstance(result, Protocol)
+        assert check_protocol_cp(result, inst.rule).ok
 
     def test_returned_witness_verifies(self):
         inst = second_price(3, [1, 2, 3])
         result = synthesize_or_witness(inst.rule)
-        assert not result.is_protocol
-        assert witness_verify(inst.rule, result.witness)
+        assert isinstance(result, Witness)
+        assert witness_verify(inst.rule, result)
 
 
 class TestWitnessOracle:
@@ -349,7 +349,7 @@ class TestWitnessVerify:
 
     def test_minimize_keeps_verifying(self):
         inst = second_price(3, [1, 2, 3])
-        w = synthesize_or_witness(inst.rule).witness
+        w = synthesize_or_witness(inst.rule)
         small = witness_minimize(inst.rule, w)
         assert witness_verify(inst.rule, small)
         assert all(
@@ -540,8 +540,8 @@ class TestProductSetKernel:
             full = tuple(tuple(range(s)) for s in rule.space.sizes)
             for factors in (full, sub_factors(rng, rule.space), sub_factors(rng, rule.space)):
                 for agent in range(rule.space.n):
-                    part = inseparability_classes(rule, factors, agent)
-                    assert part.classes == slow_inseparability(rule, factors, agent), (
+                    classes = inseparability_classes(rule, factors, agent)
+                    assert classes == slow_inseparability(rule, factors, agent), (
                         seed, factors, agent,
                     )
 
@@ -551,8 +551,8 @@ class TestProductSetKernel:
             factors = sub_factors(random.Random(seed), rule.space)
             region = ProfileSet.from_factors(rule.space, factors)
             for agent in range(rule.space.n):
-                part = inseparability_classes(rule, region, agent)
-                assert part.classes == slow_inseparability(rule, factors, agent)
+                classes = inseparability_classes(rule, region, agent)
+                assert classes == slow_inseparability(rule, factors, agent)
 
     def test_corners_matches_ordered_scan(self):
         for seed in KERNEL_SEEDS:

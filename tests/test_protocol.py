@@ -49,8 +49,7 @@ def one_query():
 
 class TestValidation:
     def test_two_query_protocol_ok(self):
-        report = validate_protocol(two_query())
-        assert report.ok
+        assert validate_protocol(two_query()) == ()
 
     def test_overlapping_extensional_cells(self):
         inst = fair()
@@ -259,7 +258,7 @@ class TestDeepBuild:
         # interpreter's recursion limit
         protocol = descending_first_price(1, list(range(3000))).protocol
         assert len(protocol.nodes) == 5999
-        assert validate_protocol(protocol).ok
+        assert validate_protocol(protocol) == ()
         for v in protocol.nodes:
             if not v.is_leaf:
                 assert v.children[0] == v.id + 1

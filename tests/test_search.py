@@ -11,11 +11,10 @@ from cpv.mechanisms import (
     serial_dictatorship,
 )
 from cpv.privacy import check_protocol_cp, synthesize_or_witness, witness_oracle
-from cpv.protocol import implements
+from cpv.protocol import Protocol, implements
 from cpv.search import (
     ObstructionReport,
     QueryFamily,
-    SearchBudget,
     exhaustive_cp_search,
     exhaustive_osp_search,
     obstruction_scan,
@@ -47,7 +46,7 @@ class TestCpSearch:
 
     def test_budget_exhaustion_is_explicit(self):
         inst = serial_dictatorship(3, ("a", "b", "c"), (0, 1, 2))
-        result = exhaustive_cp_search(inst.rule, ELICIT, SearchBudget(max_states=3))
+        result = exhaustive_cp_search(inst.rule, ELICIT, max_states=3)
         assert result.status == "budget_exhausted"
 
     @given(st.sampled_from(corpus_seeds(30, offset=9)))
@@ -71,7 +70,7 @@ class TestOracleAgreement:
         oracle = witness_oracle(rule)
         search = exhaustive_cp_search(rule, ELICIT)
         assert search.status in ("found", "nonexistent")
-        assert synth.is_protocol == (oracle is None) == (search.status == "found")
+        assert isinstance(synth, Protocol) == (oracle is None) == (search.status == "found")
 
 
 class TestOspSearch:

@@ -18,7 +18,6 @@ from cpv.mechanisms import (
 )
 from cpv.search import (
     QueryFamily,
-    SearchBudget,
     exhaustive_cp_search,
     exhaustive_osp_search,
 )
@@ -68,7 +67,7 @@ def osp_sd3():
 
 def osp_sd3_budget():
     inst = sd3()
-    return exhaustive_osp_search(inst.rule, inst.model, SearchBudget(max_states=5))
+    return exhaustive_osp_search(inst.rule, inst.model, max_states=5)
 
 
 def osp_non_clinching():

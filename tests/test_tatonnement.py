@@ -52,13 +52,18 @@ def naive_convex(protocol, members: set[int]) -> bool:
 class TestValidatePhase:
     def test_root_only(self):
         b = count_bundle()
-        report = validate_phase(b.protocol, [0])
-        assert report.ok and report.phase.initial and report.phase.end == (0,)
+        assert validate_phase(b.protocol, [0]) == (0,)
+
+    def test_initial_phase_holds_the_root(self):
+        b = count_bundle()
+        assert validate_phase(b.protocol, [1]) == (1,)
+        with pytest.raises(InputError, match="phase must contain the root"):
+            check_tatonnement(b.protocol, b.instance.rule, [1])
 
     def test_all_nodes(self):
         b = count_bundle()
-        report = validate_phase(b.protocol, range(len(b.protocol.nodes)))
-        assert report.ok
+        end = validate_phase(b.protocol, range(len(b.protocol.nodes)))
+        assert end == tuple(v.id for v in b.protocol.leaves())
 
     def test_gap_is_a_defect(self):
         b = count_bundle()
@@ -68,9 +73,8 @@ class TestValidatePhase:
             for v in protocol.nodes
             if v.parent != -1 and protocol.nodes[v.parent].parent != -1
         ]
-        report = validate_phase(protocol, [0, grandchildren[0]])
-        assert not report.ok
-        assert "convexity" in report.defect
+        with pytest.raises(InputError, match="convexity"):
+            validate_phase(protocol, [0, grandchildren[0]])
 
     def test_unknown_node(self):
         b = count_bundle()
@@ -90,8 +94,11 @@ class TestValidatePhase:
         ids = list(range(len(protocol.nodes)))
         for _ in range(12):
             members = set(rng.sample(ids, rng.randint(1, len(ids))))
-            report = validate_phase(protocol, members)
-            assert report.ok == naive_convex(protocol, members)
+            if naive_convex(protocol, members):
+                validate_phase(protocol, members)
+            else:
+                with pytest.raises(InputError, match="convexity"):
+                    validate_phase(protocol, members)
 
 
 class TestOutcomeReach:
