@@ -52,6 +52,7 @@ from cpv.core import (
     DomainModel,
     InputError,
     Instance,
+    LoadError,
     ProfileSet,
     ProtocolBundle,
     ResourceError,
@@ -71,15 +72,11 @@ from cpv.protocol import (
     Protocol,
     build_from_spec,
     run_protocol,
+    validate_phase,
     validate_protocol,
 )
 
 SCHEMA = "cpv-1"
-
-
-class LoadError(InputError):
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{message} (at {path})")
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +471,11 @@ def _protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, 
     if universe is not None and universe.is_empty:
         raise LoadError(f"{pointer}/universe", "universe is empty")
     spec = _spec_from_json(space, doc["tree"], f"{pointer}/tree")
+    protocol = build_from_spec(space, spec, universe)
     phase = tuple(doc["phase"]) if "phase" in doc else None
-    return build_from_spec(space, spec, universe), phase
+    if phase is not None:
+        validate_phase(protocol, phase, f"{pointer}/phase")
+    return protocol, phase
 
 
 @_timed("load")
@@ -795,7 +795,7 @@ def _cmd_run(args) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
-    from cpv.search import QueryFamily, exhaustive_cp_search
+    from cpv.search import QueryFamily, _drawn_kinds, exhaustive_cp_search
 
     loaded = load(args.instance)
     family = QueryFamily.parse(args.queries)
@@ -804,6 +804,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     )
     doc = {
         "command": "enumerate",
+        "family": _drawn_kinds(loaded.instance.space, family),
         "queries": args.queries,
         "status": result.status,
         "states": result.states,

@@ -24,6 +24,13 @@ class InputError(ValueError):
     """Malformed or out-of-contract input."""
 
 
+class LoadError(InputError):
+    """An input error at ``path``, a JSON pointer (RFC 6901) into the document read."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{message} (at {path})")
+
+
 class PreconditionError(InputError):
     """A documented operation precondition does not hold."""
 

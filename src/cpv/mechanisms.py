@@ -5,6 +5,15 @@ Auction payments are type values written as normalized fractions
 payments and all scores are exact integers.  Nothing is a float, so
 outcome equality is plain label identity.  Ties are broken
 lexicographically by agent index throughout.
+
+Individual rationality, stability and Pareto efficiency are each decided
+by one per-profile test, ``_irrational``, ``_blocking``, ``_inefficient``:
+given ``(model, profile, assignment)``, an outcome's per-agent components,
+it returns the fields of its fault's counterexample, or ``None``.  The
+checks scan profiles with them, and a rule family completes the
+assignments that its tests admit at each profile (``_admissible``).
+``sp`` has no such test, since a misreport moves along a line of
+unilateral neighbours; auction efficiency keeps its own winner scan.
 """
 
 from __future__ import annotations
@@ -311,76 +320,48 @@ def fair_two_query_protocol(instance: Instance) -> ProtocolBundle:
 
 
 def efficient_completions_2x2() -> list[Instance]:
-    """All efficient rules on the 2-agent/2-object space: the off-diagonal
-    profiles are forced, the two tie profiles are free."""
+    """All efficient rules on the 2-agent/2-object space: each agent gets her
+    favorite where they differ, either assignment where they agree."""
     base = fair_tiebreak_2x2()
-    space, rule = base.space, base.rule
-    return [  # profiles AA, AB, BA, BB
-        Instance(ChoiceRule(space, rule.outcomes, (aa, 0, 1, bb), rule.components),
-                 base.model)
-        for aa, bb in itertools.product((0, 1), repeat=2)
-    ]
+    space, model = base.space, base.model
+    return _completions(space, model, _admissible(space, model, (_inefficient,)))
 
 
 # --- house assignment --------------------------------------------------------
 
 
-def house_ir_efficient_family() -> list[Instance]:
-    """Every individually rational and efficient rule on the two-agent
-    endowment instance (each profile's admissible outcomes enumerated,
-    then completed in all compatible ways)."""
+def _two_houses() -> tuple[TypeSpace, DomainModel]:
+    """The two-agent house space, agent ``i`` endowed with house ``h<i>``."""
     objects = ("h1", "h2")
     space = assignment_space(2, objects)
-    prefs = _prefs_from_labels(space)
-    endowments = ("h1", "h2")
     model = DomainModel(
-        kind="house", objects=objects, type_prefs=prefs, endowments=endowments
+        kind="house", objects=objects, type_prefs=_prefs_from_labels(space), endowments=objects
     )
-    feasible = list(itertools.permutations(objects, 2))
-    admissible_per_profile = []
-    for profile in space.iter_profiles():
-        efficient = [
-            a
-            for a in feasible
-            if _pareto_dominator(a, feasible, profile, model.pref_rank) is None
-        ]
-        admissible_per_profile.append([
-            a
-            for a in efficient
-            if all(
-                prefs[i][profile[i]].index(a[i])
-                <= prefs[i][profile[i]].index(endowments[i])
-                for i in range(2)
-            )
-        ])
-    return _completions(space, model, admissible_per_profile)
+    return space, model
+
+
+def house_ir_efficient_family() -> list[Instance]:
+    """Every individually rational and efficient rule on the two-agent
+    endowment instance."""
+    space, model = _two_houses()
+    return _completions(space, model, _admissible(space, model, (_inefficient, _irrational)))
 
 
 def keep_endowments_rule() -> Instance:
     """Everyone keeps her endowment regardless of reports."""
-    objects = ("h1", "h2")
-    space = assignment_space(2, objects)
-    prefs = _prefs_from_labels(space)
-    model = DomainModel(
-        kind="house", objects=objects, type_prefs=prefs, endowments=("h1", "h2")
-    )
+    space, model = _two_houses()
     rule = ChoiceRule(space, ("1:h1,2:h2",), (0,) * space.total, (("h1", "h2"),))
     return Instance(rule, model)
 
 
-def _pareto_dominator(a, feasible, profile, rank):
-    """The first assignment in ``feasible`` that Pareto-dominates ``a`` at
-    the profile, or ``None``; ``rank(i, t, obj)`` is agent ``i``'s rank of
-    ``obj`` at type ``t``, 0 being best."""
-    n = len(profile)
-    ranks = [rank(i, profile[i], a[i]) for i in range(n)]
-    for b in feasible:
-        alt = [rank(i, profile[i], b[i]) for i in range(n)]
-        if all(x <= r for x, r in zip(alt, ranks)) and any(
-            x < r for x, r in zip(alt, ranks)
-        ):
-            return b
-    return None
+def _admissible(space: TypeSpace, model: DomainModel, tests) -> list[list[tuple[str, ...]]]:
+    """Per profile: the assignments of the model's objects, in
+    ``itertools.permutations`` order, that no test in ``tests`` faults."""
+    feasible = list(itertools.permutations(model.objects, space.n))
+    return [
+        [a for a in feasible if all(test(model, profile, a) is None for test in tests)]
+        for profile in space.iter_profiles()
+    ]
 
 
 def _completions(space: TypeSpace, model: DomainModel, admissible) -> list[Instance]:
@@ -414,23 +395,13 @@ def _scored_at_a(label: str):
     return ("a", "b"), (("a", _SCHOOL_SCORES[label]), ("b", 0))
 
 
-def _stable_assignments(scores: tuple[int, int]) -> list[tuple[str, str]]:
-    """Stable complete assignments when both students rank school a first
-    and have the given distinct scores at a; schools have one seat each, so
-    the student placed at b envies justifiably iff she outscores the one at a."""
-    return [a for a in (("a", "b"), ("b", "a")) if scores[a.index("b")] <= scores[a.index("a")]]
-
-
 def school_stable_family() -> list[Instance]:
     """Every stable rule on the two-student/two-school instance with score
     order s1 > s2' > s1' > s2 (types are the students' scores at school a,
     both students rank a first)."""
     space = TypeSpace((("s1", "s1'"), ("s2", "s2'")))
-    admissible = [
-        _stable_assignments(tuple(_SCHOOL_SCORES[lab] for lab in space.labels(profile)))
-        for profile in space.iter_profiles()
-    ]
-    return _completions(space, _school_model(space, _scored_at_a), admissible)
+    model = _school_model(space, _scored_at_a)
+    return _completions(space, model, _admissible(space, model, (_blocking,)))
 
 
 def school_count_instance() -> Instance:
@@ -734,6 +705,16 @@ def _scan(space: TypeSpace, mask: int):
     return itertools.compress(enumerate(space.iter_profiles()), mask_flags(mask, space.total))
 
 
+def _first_fault(rule: ChoiceRule, mask: int, test) -> Verdict:
+    """A per-profile ``test``'s verdict: the first fault in the mask, if any."""
+    space = rule.space
+    for k, profile in _scan(space, mask):
+        fault = test(profile, rule.components[rule.table[k]])
+        if fault is not None:
+            return Verdict(False, {"profile": space.labels(profile), **fault})
+    return Verdict(True)
+
+
 def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     space = rule.space
     if model.kind == "auction":
@@ -755,72 +736,83 @@ def _check_efficient(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict
                 )
         return Verdict(True)
     if model.kind in ("assignment", "house"):
-        feasible = list(itertools.permutations(model.objects, space.n))
-        for k, profile in _scan(space, mask):
-            current = rule.components[rule.table[k]]
-            b = _pareto_dominator(current, feasible, profile, model.pref_rank)
-            if b is not None:
-                return Verdict(
-                    False,
-                    {"profile": space.labels(profile), "dominating": _assignment_outcome(b)},
-                )
-        return Verdict(True)
+        return _first_fault(rule, mask, partial(_inefficient, model))
     raise InputError(f"efficiency is not defined for kind {model.kind!r}")
 
 
+def _inefficient(model: DomainModel, profile, assignment) -> Optional[dict]:
+    """``{"dominating": label}`` of the first assignment of the model's
+    objects that Pareto-dominates ``assignment`` at the profile, or ``None``."""
+    n = len(profile)
+    ranks = [model.pref_rank(i, profile[i], assignment[i]) for i in range(n)]
+    for b in itertools.permutations(model.objects, n):
+        alt = [model.pref_rank(i, profile[i], b[i]) for i in range(n)]
+        if all(x <= r for x, r in zip(alt, ranks)) and any(x < r for x, r in zip(alt, ranks)):
+            return {"dominating": _assignment_outcome(b)}
+    return None
+
+
 def _check_ir(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
-    """Every agent weakly prefers her outcome to her outside option: her
-    endowment in a house model, utility 0 in an auction."""
     if model.kind not in ("house", "auction"):
         raise InputError(f"individual rationality is not defined for kind {model.kind!r}")
-    space = rule.space
+    # every part of every outcome the mask reaches is judged once, in the
+    # order (agent, type, outcome id), so a malformed one is refused first
     ids = sorted(outcome_ids(rule, mask))
-    rational = []  # [agent][type]: the outcome ids at least as good as the outside option
-    for i, size in enumerate(space.sizes):
-        rows = []
-        for t in range(size):
-            outside = _utility(model, i, t, model.endowments[i]) if model.kind == "house" else 0
-            rows.append({o for o in ids if _utility(model, i, t, rule.components[o][i]) >= outside})
-        rational.append(rows)
-    for k, profile in _scan(space, mask):
-        for i, t in enumerate(profile):
-            if rule.table[k] not in rational[i][t]:
-                return Verdict(False, {"profile": space.labels(profile), "agent": i + 1})
-    return Verdict(True)
+    judged = {
+        (i, t, c): _rational(model, i, t, c)
+        for i, size in enumerate(rule.space.sizes) for t in range(size)
+        for c in (rule.components[o][i] for o in ids)
+    }
+    test = partial(_irrational, model, rational=lambda _, *key: judged[key])
+    return _first_fault(rule, mask, test)
+
+
+def _rational(model: DomainModel, agent: int, t: int, component: str) -> bool:
+    """Whether the agent of true type ``t`` weakly prefers ``component`` to
+    her outside option: her endowment in a house model, utility 0 in an
+    auction."""
+    floor = _utility(model, agent, t, model.endowments[agent]) if model.kind == "house" else 0
+    return _utility(model, agent, t, component) >= floor
+
+
+def _irrational(model: DomainModel, profile, assignment, rational=_rational) -> Optional[dict]:
+    """``{"agent": i}`` of the first agent ``i`` (from 1) whose part is not
+    ``rational`` for her, :func:`_rational` or a table of it, or ``None``."""
+    for i, (t, component) in enumerate(zip(profile, assignment)):
+        if not rational(model, i, t, component):
+            return {"agent": i + 1}
+    return None
 
 
 def _check_stable(rule: ChoiceRule, model: DomainModel, mask: int) -> Verdict:
     if model.kind != "school":
         raise InputError(f"stability is not defined for kind {model.kind!r}")
-    space = rule.space
+    return _first_fault(rule, mask, partial(_blocking, model))
+
+
+def _blocking(model: DomainModel, profile, assignment) -> Optional[dict]:
+    """``{"student": i, "school": c}`` of the first blocking pair, or ``None``:
+    student ``i`` (from 1) prefers ``c`` to her school, and ``c`` has a free
+    seat or a student it scores below her.  A student placed outside the
+    schools (a profile outside the modeled region) blocks nothing."""
     capacities = dict(model.capacities)
-    for k, profile in _scan(space, mask):
-        comps = rule.components[rule.table[k]]
-        placed: dict[str, list[int]] = {}
-        for i in range(space.n):
-            placed.setdefault(comps[i], []).append(i)
-        for i in range(space.n):
-            own = comps[i]
-            if own not in model.objects:
-                continue  # profile outside the modeled region
-            own_rank = model.pref_rank(i, profile[i], own)
-            for c in model.objects:
-                if model.pref_rank(i, profile[i], c) >= own_rank:
-                    continue
-                seats = capacities.get(c, 0)
-                at_c = placed.get(c, [])
-                if len(at_c) < seats:
-                    return Verdict(
-                        False,
-                        {"profile": space.labels(profile), "student": i + 1, "school": c},
-                    )
-                my_score = model.score(i, profile[i], c)
-                if any(model.score(j, profile[j], c) < my_score for j in at_c):
-                    return Verdict(
-                        False,
-                        {"profile": space.labels(profile), "student": i + 1, "school": c},
-                    )
-    return Verdict(True)
+    placed: dict[str, list[int]] = {}
+    for i, own in enumerate(assignment):
+        placed.setdefault(own, []).append(i)
+    for i, own in enumerate(assignment):
+        if own not in model.objects:
+            continue
+        own_rank = model.pref_rank(i, profile[i], own)
+        for c in model.objects:
+            if model.pref_rank(i, profile[i], c) >= own_rank:
+                continue
+            at_c = placed.get(c, [])
+            if len(at_c) < capacities.get(c, 0):
+                return {"student": i + 1, "school": c}
+            my_score = model.score(i, profile[i], c)
+            if any(model.score(j, profile[j], c) < my_score for j in at_c):
+                return {"student": i + 1, "school": c}
+    return None
 
 
 def _parse_auction_component(comp: str) -> tuple[int, Fraction]:

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 from cpv.core import (
     ChoiceRule,
     InputError,
+    LoadError,
     PreconditionError,
     Profile,
     ProfileSet,
@@ -367,6 +368,34 @@ def validate_protocol(protocol: Protocol) -> tuple[str, ...]:
         if union != v.label:
             defects.append(f"non-exhaustive at node {v.id}")
     return tuple(defects)
+
+
+def validate_phase(protocol: Protocol, node_ids, pointer: str = "/phase") -> tuple[int, ...]:
+    """The end nodes (precedence-maximal members) of an initial phase, a
+    precedence-convex node set holding the root.  Raises a :class:`LoadError`
+    at ``pointer``, or at its first entry at fault, on an unknown id, then
+    on an empty set, then on a set that is not convex, then on no root."""
+    ids = tuple(node_ids)
+    for pos, v in enumerate(ids):
+        if not 0 <= v < len(protocol.nodes):
+            raise LoadError(f"{pointer}/{pos}", f"unknown node id {v}")
+    if not ids:
+        raise LoadError(pointer, "phase must be nonempty")
+    members = set(ids)
+    for pos, w in enumerate(ids):
+        gap: int | None = None
+        v = protocol.nodes[w].parent
+        while v != -1:
+            if v not in members:
+                gap = v
+            elif gap is not None:
+                message = f"convexity broken: node {gap} between members {v} and {w}"
+                raise LoadError(f"{pointer}/{pos}", message)
+            v = protocol.nodes[v].parent
+    if 0 not in members:
+        raise LoadError(pointer, "phase must contain the root")
+    # in a convex set, a member with a member below it has a member child
+    return tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
 
 
 # --- execution ---------------------------------------------------------------

@@ -19,8 +19,8 @@ Every search draws its candidates from one stream: :func:`_family_queries`
 keeps one query per induced partition.  Count queries here answer with the
 exact count: a query for a type subset splits a state into its count
 fibers.  Coarser groupings of counts are expressible at the protocol level
-but are not enumerated (ROADMAP item 1); the ``enumerate`` report echoes
-``--queries``, so its ``count`` means exact counts.
+but are not enumerated (ROADMAP item 1).  The ``enumerate`` report names
+the family it decided: the :func:`_drawn_kinds` of its instance.
 
 The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
 defines the scan order once; a leaking query reports the first pair it
@@ -108,21 +108,31 @@ def _nonempty_cells(space: TypeSpace, query: Query, state: int) -> tuple[int, ..
     return tuple(m for m in query_cell_masks(space, query, state) if m)
 
 
+def _drawn_kinds(space: TypeSpace, family: QueryFamily) -> dict[str, str]:
+    """The kinds of query a search draws from the family on ``space``, each
+    with how it splits a state: elicitation in two, counts into their exact
+    fibres.  Count kinds need a common alphabet."""
+    counts = space.common_alphabet
+    drawn = (family.allow_elicit, counts and family.allow_count, counts and family.allow_multicount)
+    grains = {"elicit": "binary", "count": "exact", "multicount": "exact"}
+    return {kind: grain for (kind, grain), on in zip(grains.items(), drawn) if on}
+
+
 def _family_queries(space: TypeSpace, state: int, family: QueryFamily):
-    """``(kind, queries)`` for each enabled kind of the family, in the order
-    elicit, count, multicount.  The count subsets are built only when a
-    count kind is enabled."""
-    if family.allow_elicit:
+    """``(kind, queries)`` for each of the :func:`_drawn_kinds`.  The count
+    subsets are built only when a count kind is drawn."""
+    kinds = _drawn_kinds(space, family)
+    if "elicit" in kinds:
         yield "elicit", (
             ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
             for agent, size in enumerate(space.sizes)
             for subset in _canonical_subsets(ProfileSet(space, state).projection(agent))
         )
-    if space.common_alphabet and (family.allow_count or family.allow_multicount):
+    if kinds.keys() & {"count", "multicount"}:
         subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-        if family.allow_count:
+        if "count" in kinds:
             yield "count", (exact_count_query(space, (s,)) for s in subsets)
-        if family.allow_multicount:
+        if "multicount" in kinds:
             pairs = itertools.combinations(subsets, 2)
             yield "multicount", (exact_count_query(space, pair) for pair in pairs)
 

@@ -13,32 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from cpv.core import ChoiceRule, InputError, Verdict
+from cpv.core import ChoiceRule, Verdict
 from cpv.privacy import _outcome_values, _unilateral_scan
-from cpv.protocol import Protocol, outcome_reach, require_implements
-
-
-def validate_phase(protocol: Protocol, node_ids) -> tuple[int, ...]:
-    """The end nodes (precedence-maximal members) of a phase; raises an
-    :class:`InputError` on an unknown id, then on an empty set, then on a
-    set that is not precedence-convex."""
-    members = set(node_ids)
-    for v in members:
-        if not 0 <= v < len(protocol.nodes):
-            raise InputError(f"unknown node id {v}")
-    if not members:
-        raise InputError("phase must be nonempty")
-    for w in members:
-        gap: int | None = None
-        v = protocol.nodes[w].parent
-        while v != -1:
-            if v not in members:
-                gap = v
-            elif gap is not None:
-                raise InputError(f"convexity broken: node {gap} between members {v} and {w}")
-            v = protocol.nodes[v].parent
-    # in a convex set, a member with a member below it has a member child
-    return tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
+from cpv.protocol import Protocol, outcome_reach, require_implements, validate_phase
 
 
 def _overlapping(reach: dict[int, frozenset[int]], nodes):
@@ -61,10 +38,7 @@ def check_tatonnement(protocol: Protocol, rule: ChoiceRule, node_ids) -> Verdict
     "disjointness", "coverage" or "subtree".
     """
     require_implements(protocol, rule)
-    phase = set(node_ids)
-    end = validate_phase(protocol, phase)
-    if 0 not in phase:
-        raise InputError("phase must contain the root")
+    end = validate_phase(protocol, node_ids)
 
     reach = outcome_reach(protocol, rule)
     pair = next(_overlapping(reach, end), None)

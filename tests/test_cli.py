@@ -307,13 +307,29 @@ CHECK_REPORTS = {
 
 # The whole stdout and exit code of other commands: case -> (argv, with file
 # names for paths, exit code, stdout).  "fig<phase>" is FIG_PROTOCOL with a
-# phase that `check` refuses before it checks anything.
+# phase that the loader refuses, so `validate` and `check` refuse it alike.
+# "fair_ba" is FAIR_INSTANCE with agent 2's types listed as B, A: no common
+# alphabet, so no count query can be drawn, and `enumerate` names only the
+# kinds it drew.
 COMMAND_REPORTS = {
     "validate, notes": (["validate", "noted"], 0, '{"command":"validate","instance":"ok",'
         '"notes":["pruned empty cell 0 at /tree/0/0","pruned empty cell 2 at /tree/0/0",'
         '"contracted degenerate query at /tree/0/0"],"protocol":"ok","schema":"cpv-1"}\n'),
     "validate, instance and protocol": (["validate", "fair", "fig"], 0, '{"command":"validate",'
         '"instance":"ok","notes":[],"protocol":"ok","schema":"cpv-1"}\n'),
+    "enumerate, nonexistent": (["enumerate", "--queries", "elicit,count", "fair"], 1,
+        '{"command":"enumerate","family":{"count":"exact","elicit":"binary"},'
+        '"queries":"elicit,count","result":"proven-nonexistent","schema":"cpv-1","states":1,'
+        '"status":"nonexistent"}\n'),
+    "enumerate, no common alphabet": (["enumerate", "--queries", "elicit,count", "fair_ba"], 1,
+        '{"command":"enumerate","family":{"elicit":"binary"},"queries":"elicit,count",'
+        '"result":"proven-nonexistent","schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
+    "enumerate, no kind drawn": (["enumerate", "--queries", "count", "fair_ba"], 1,
+        '{"command":"enumerate","family":{},"queries":"count","result":"proven-nonexistent",'
+        '"schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
+    "enumerate, found": (["enumerate", "sd"], 0, '{"command":"enumerate","family":'
+        '{"elicit":"binary"},"nodes":3,"queries":"elicit","schema":"cpv-1","states":3,'
+        '"status":"found"}\n'),
     **{
         f"enumerate, max states {n}": (
             ["enumerate", "--max-states", n, "fair"], 2,
@@ -322,15 +338,19 @@ COMMAND_REPORTS = {
         for n in ("0", "-1")
     },
     **{
-        f"tatonnement, phase {phase}": (
-            ["check", "--property", "tatonnement", "fair", f"fig{phase}"], 2,
-            f'{{"error":"{error}"}}\n',
+        f"{command}, phase {phase}": (
+            [*argv, "fair", f"fig{phase}"], 2, f'{{"error":"{error}"}}\n',
         )
+        for command, argv in [
+            ("tatonnement", ["check", "--property", "tatonnement"]), ("validate", ["validate"]),
+        ]
         for phase, error in [
-            ([], "phase must be nonempty"),
-            ([99], "unknown node id 99"),
-            ([1], "phase must contain the root"),
-            ([0, 2], "convexity broken: node 1 between members 0 and 2"),
+            ([], "phase must be nonempty (at /phase)"),
+            ([99], "unknown node id 99 (at /phase/0)"),
+            ([99, 98], "unknown node id 99 (at /phase/0)"),
+            ([0, 98], "unknown node id 98 (at /phase/1)"),
+            ([1], "phase must contain the root (at /phase)"),
+            ([0, 2], "convexity broken: node 1 between members 0 and 2 (at /phase/1)"),
         ]
     },
 }
@@ -341,7 +361,11 @@ class TestWholeCheckReports:
     def files(self, tmp_path_factory) -> dict[str, str]:
         root = tmp_path_factory.mktemp("reports")
         docs = {"fair": FAIR_INSTANCE, "fig": FIG_PROTOCOL, "fig0": {**FIG_PROTOCOL, "phase": [0]}}
-        for phase in ([], [99], [1], [0, 2]):
+        docs["fair_ba"] = {
+            **{k: v for k, v in FAIR_INSTANCE.items() if k != "alphabet"},
+            "alphabets": [["A", "B"], ["B", "A"]],
+        }
+        for phase in ([], [99], [99, 98], [0, 98], [1], [0, 2]):
             docs[f"fig{phase}"] = {**FIG_PROTOCOL, "phase": phase}
         for name, (builtin, params, *edits) in REPORT_FILES.items():
             path = str(root / f"{name}.json")
@@ -631,6 +655,14 @@ MALFORMED = {
     "phase entry is not a node id": (
         _count_bundle_with(_set("protocol/phase/0", "root")), ["validate"], 1000,
         "/protocol/phase/0",
+    ),
+    "phase entry is an unknown node id": (
+        _count_bundle_with(_set("protocol/phase/1", 999)), ["validate"], 1000,
+        "/protocol/phase/1",
+    ),
+    "phase without the root": (
+        _count_bundle_with(_set("protocol/phase", [1])), ["check", "--property", "cp"], 1000,
+        "/protocol/phase",
     ),
     "children is a number": (
         _count_bundle_with(_set("protocol/tree/children", 5)), ["validate"], 1000,

@@ -166,6 +166,14 @@ def test_validate_on_a_table_instance_loads_no_command_module(tmp_path):
     assert "cpv.cli" in loaded and not loaded & COMMAND_MODULES, loaded
 
 
+def test_validate_on_a_bundle_with_a_phase_loads_no_command_module(checked_files):
+    # The loader checks the phase against the tree, which needs no command module.
+    path = checked_files["count_ascending_kplus1_price"]
+    assert "phase" in json.loads(Path(path).read_text())["protocol"]
+    loaded = modules_loaded_by(f"from cpv.cli import main; main(['validate', {path!r}])")
+    assert "cpv.cli" in loaded and not loaded & COMMAND_MODULES, loaded
+
+
 def test_builtin_loads_mechanisms_alone():
     argv = ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}']
     loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")

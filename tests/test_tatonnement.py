@@ -56,7 +56,8 @@ class TestValidatePhase:
 
     def test_initial_phase_holds_the_root(self):
         b = count_bundle()
-        assert validate_phase(b.protocol, [1]) == (1,)
+        with pytest.raises(InputError, match="phase must contain the root"):
+            validate_phase(b.protocol, [1])
         with pytest.raises(InputError, match="phase must contain the root"):
             check_tatonnement(b.protocol, b.instance.rule, [1])
 
@@ -94,11 +95,14 @@ class TestValidatePhase:
         ids = list(range(len(protocol.nodes)))
         for _ in range(12):
             members = set(rng.sample(ids, rng.randint(1, len(ids))))
-            if naive_convex(protocol, members):
-                validate_phase(protocol, members)
-            else:
+            if not naive_convex(protocol, members):
                 with pytest.raises(InputError, match="convexity"):
                     validate_phase(protocol, members)
+            elif 0 not in members:
+                with pytest.raises(InputError, match="phase must contain the root"):
+                    validate_phase(protocol, members)
+            else:
+                validate_phase(protocol, members)
 
 
 class TestOutcomeReach:
