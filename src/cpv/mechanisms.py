@@ -347,13 +347,6 @@ def house_ir_efficient_family() -> list[Instance]:
     return _completions(space, model, _admissible(space, model, (_inefficient, _irrational)))
 
 
-def keep_endowments_rule() -> Instance:
-    """Everyone keeps her endowment regardless of reports."""
-    space, model = _two_houses()
-    rule = ChoiceRule(space, ("1:h1,2:h2",), (0,) * space.total, (("h1", "h2"),))
-    return Instance(rule, model)
-
-
 def _admissible(space: TypeSpace, model: DomainModel, tests) -> list[list[tuple[str, ...]]]:
     """Per profile: the assignments of the model's objects, in
     ``itertools.permutations`` order, that no test in ``tests`` faults."""
@@ -969,6 +962,7 @@ _BUILTINS = (
     ("fig2_instance", False, fig_shaded_3x3, ""),
     ("appC_sp_restriction", False, lambda: appC_sp_restriction()[0], ""),
     ("non_clinching", False, non_clinching, ""),
+    ("efficient_completions_2x2", False, efficient_completions_2x2, ""),
     ("house_ir_efficient_family", False, house_ir_efficient_family, ""),
     ("school_stable_family", False, school_stable_family, ""),
     ("school_count_instance", False, school_count_instance, ""),

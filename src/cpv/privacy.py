@@ -20,8 +20,6 @@ violation reported, is defined once.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Optional
 
 from cpv.core import (
@@ -29,7 +27,6 @@ from cpv.core import (
     InputError,
     Profile,
     ProfileSet,
-    ResourceError,
     TypeSpace,
     Verdict,
     Witness,
@@ -468,32 +465,6 @@ def witness_minimize(rule: ChoiceRule, witness: Witness) -> Witness:
                     factors[agent] = [x for x in factors[agent] if x != t]
                     changed = True
     return Witness(tuple(tuple(f) for f in factors))
-
-
-def witness_oracle(rule: ChoiceRule, cap: int = 1 << 20) -> Optional[Witness]:
-    """Brute-force witness search over all product sets.
-
-    Independent of the synthesis path: enumerates nonempty per-agent
-    factors in ascending bitmask order and returns the first product set
-    that verifies.  More than ``cap`` product sets is a resource error.
-    """
-    space = rule.space
-    total = math.prod((1 << s) - 1 for s in space.sizes)
-    if total > cap:
-        raise ResourceError(f"{total} product sets exceed the cap {cap}")
-
-    def bits_to_types(bits: int, size: int) -> tuple[int, ...]:
-        return tuple(t for t in range(size) if bits >> t & 1)
-
-    ranges = [range(1, 1 << s) for s in space.sizes]
-    for combo in itertools.product(*ranges):
-        factors = tuple(
-            bits_to_types(b, s) for b, s in zip(combo, space.sizes)
-        )
-        w = Witness(factors)
-        if witness_verify(rule, w):
-            return w
-    return None
 
 
 # ---------------------------------------------------------------------------

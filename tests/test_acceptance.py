@@ -41,7 +41,6 @@ from cpv.privacy import (
     check_protocol_icp,
     corners_scan,
     synthesize_or_witness,
-    witness_oracle,
     witness_verify,
 )
 from cpv.protocol import (
@@ -53,12 +52,7 @@ from cpv.protocol import (
     build_from_spec,
     implements,
 )
-from cpv.search import (
-    QueryFamily,
-    exhaustive_cp_search,
-    exhaustive_osp_search,
-    obstruction_scan,
-)
+from cpv.search import QueryFamily, exhaustive_cp_search
 from cpv.tatonnement import check_tatonnement, phase_discovery
 
 from corpus import (
@@ -67,6 +61,7 @@ from corpus import (
     random_implementing_protocol,
     random_rule,
 )
+from oracles import exhaustive_osp_search, obstruction_scan, witness_oracle
 
 ELICIT = QueryFamily(allow_elicit=True)
 

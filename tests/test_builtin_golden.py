@@ -59,6 +59,10 @@ CASES = {
         {},
         "a5b81690049600e9601bd22f0ef401b327881a6ccf2dadd6cb877b46bd7f75ee",
     ),
+    "efficient_completions_2x2": (
+        {},
+        "5cb29aab1504d50259c5c197f367f3ac6a870267ed22f17996da72877b249ba3",
+    ),
     "house_ir_efficient_family": (
         {},
         "9657ddfee001ed5f840b881e48b153bc8e2f1af089efc10a817e8e1eb2590cbf",

@@ -309,8 +309,8 @@ CHECK_REPORTS = {
 # names for paths, exit code, stdout).  "fig<phase>" is FIG_PROTOCOL with a
 # phase that the loader refuses, so `validate` and `check` refuse it alike.
 # "fair_ba" is FAIR_INSTANCE with agent 2's types listed as B, A: no common
-# alphabet, so no count query can be drawn, and `enumerate` names only the
-# kinds it drew.
+# alphabet, so no count query can be drawn: `enumerate` names only the kinds
+# it drew, and refuses a family that draws none.
 COMMAND_REPORTS = {
     "validate, notes": (["validate", "noted"], 0, '{"command":"validate","instance":"ok",'
         '"notes":["pruned empty cell 0 at /tree/0/0","pruned empty cell 2 at /tree/0/0",'
@@ -324,12 +324,15 @@ COMMAND_REPORTS = {
     "enumerate, no common alphabet": (["enumerate", "--queries", "elicit,count", "fair_ba"], 1,
         '{"command":"enumerate","family":{"elicit":"binary"},"queries":"elicit,count",'
         '"result":"proven-nonexistent","schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
-    "enumerate, no kind drawn": (["enumerate", "--queries", "count", "fair_ba"], 1,
-        '{"command":"enumerate","family":{},"queries":"count","result":"proven-nonexistent",'
-        '"schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
+    "enumerate, no kind drawn": (["enumerate", "--queries", "count", "fair_ba"], 2,
+        '{"error":"the query family draws no query on this instance: '
+        'count kinds need a common alphabet"}\n'),
     "enumerate, found": (["enumerate", "sd"], 0, '{"command":"enumerate","family":'
         '{"elicit":"binary"},"nodes":3,"queries":"elicit","schema":"cpv-1","states":3,'
         '"status":"found"}\n'),
+    "builtin, efficient completions": (["builtin", "efficient_completions_2x2"], 0,
+        '{"command":"builtin","kind":"family","members":4,"name":"efficient_completions_2x2",'
+        '"schema":"cpv-1"}\n'),
     **{
         f"enumerate, max states {n}": (
             ["enumerate", "--max-states", n, "fair"], 2,

@@ -22,8 +22,10 @@ from cpv.privacy import (
     check_protocol_icp,
     corners_scan,
 )
-from cpv.search import ObstructionEntry, QueryFamily, obstruction_scan
+from cpv.search import QueryFamily
 from cpv.tatonnement import check_tatonnement
+
+from oracles import ObstructionEntry, obstruction_scan
 
 ASCENDING_CP = CpViolation(
     agent=0,

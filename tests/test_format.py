@@ -34,6 +34,7 @@ RULE_PARAMS = {
     "fig2_instance": {},
     "appC_sp_restriction": {},
     "non_clinching": {},
+    "efficient_completions_2x2": {},
     "house_ir_efficient_family": {},
     "school_stable_family": {},
     "school_count_instance": {},

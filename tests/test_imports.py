@@ -1,8 +1,10 @@
 """Import hygiene: every name a ``cpv`` module imports is used where it is
-imported, every private helper is read somewhere in ``cpv``, no module
-holds an ``assert`` statement, importing ``cpv.cli`` loads no code
-generator, a command loads only the ``cpv`` modules it runs, and no record
-but ``core.Verdict`` has an ``ok`` field.
+imported, every private helper is read somewhere in ``cpv``, every public
+function and class is reached from ``cpv``, the benchmark or the package
+exports (not from tests alone), no module holds an ``assert`` statement,
+importing ``cpv.cli`` loads no code generator, a command loads only the
+``cpv`` modules it runs, and no record but ``core.Verdict`` has an ``ok``
+field.
 
 A name imported at module level counts as used when it is read anywhere in
 the module (annotations included, also those written as strings) or listed
@@ -23,6 +25,7 @@ import pytest
 import cpv
 
 MODULES = sorted(Path(cpv.__file__).parent.glob("*.py"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -239,25 +242,97 @@ def private_definitions(tree: ast.Module):
                 yield name, node.lineno, node.end_lineno
 
 
+def loaded_names(tree: ast.AST):
+    """``(name, line)`` for each name and attribute that ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def unread(trees: dict[str, ast.Module], definitions, outside: frozenset = frozenset()):
+    """``module: name (line n)`` for each of ``definitions(tree)`` that no
+    module of ``trees`` reads outside its own definition and that
+    ``outside`` does not name."""
+    reads = [(n, path, line) for path, tree in trees.items() for n, line in loaded_names(tree)]
+    return sorted(
+        f"{path}: {name} (line {first})"
+        for path, tree in trees.items()
+        for name, first, last in definitions(tree)
+        if name not in outside
+        and not any(n == name and not (p == path and first <= line <= last) for n, p, line in reads)
+    )
+
+
+def cpv_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
 def test_every_private_helper_is_read():
     # A helper left behind by a refactor is read nowhere but in its own body.
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
-    reads = []  # (name, path, line)
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.append((node.attr, path, node.lineno))
-    unread = sorted(
-        f"{path.name}: {name} (line {first})"
-        for path, tree in trees.items()
-        for name, first, last in private_definitions(tree)
-        if not any(
-            n == name and not (p == path and first <= line <= last) for n, p, line in reads
-        )
-    )
-    assert not unread, f"private names read nowhere in cpv: {unread}"
+    unread_names = unread(cpv_trees(), private_definitions)
+    assert not unread_names, f"private names read nowhere in cpv: {unread_names}"
+
+
+def public_definitions(tree: ast.Module):
+    """``(name, first line, last line)`` of each public module-level function
+    and class; methods are not counted."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def bench_reads() -> set[str]:
+    """The names the benchmark reads: the names and attributes its code
+    loads, and each part of the ``attribute or Class.method`` strings of
+    ``bench/spans.py`` ``TARGETS``, which it wraps by name."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names.update(name for name, _ in loaded_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+            ):
+                for _, attr, _ in ast.literal_eval(node.value):
+                    names.update(attr.split("."))
+    return names
+
+
+def test_every_public_name_is_reached():
+    # What only tests read belongs in the tests (``tests/oracles.py``), not in
+    # the program.
+    outside = frozenset(bench_reads() | set(cpv.__all__))
+    unreached = unread(cpv_trees(), public_definitions, outside)
+    assert not unreached, f"public names that only tests reach: {unreached}"
+
+
+# (modules, names the bench or the exports read, the names the guard reports)
+REACH_CASES = {
+    "read only by tests": ({"m.py": "def helper():\n    return 1\n"}, [], ["m.py: helper (line 1)"]),
+    "read only in its own body": (
+        {"m.py": "def f(n):\n    return f(n - 1) if n else 0\n"}, [], ["m.py: f (line 1)"]
+    ),
+    "read by another module": (
+        {"a.py": "def f():\n    return 1\n", "b.py": "from a import f\nx = f()\n"}, [], []
+    ),
+    "read as an attribute": (
+        {"a.py": "class C:\n    pass\n", "b.py": "import a\nx = a.C\n"}, [], []
+    ),
+    "read by the bench or exported": ({"m.py": "def f():\n    return 1\n"}, ["f"], []),
+    "methods exempt": (
+        {"m.py": "class C:\n    def unread(self):\n        pass\n\nx = C()\n"}, [], []
+    ),
+    "private names exempt": ({"m.py": "def _f():\n    return 1\n"}, [], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REACH_CASES))
+def test_public_name_guard(case):
+    sources, outside, expected = REACH_CASES[case]
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    assert unread(trees, public_definitions, frozenset(outside)) == expected
 
 
 def record_fields(tree: ast.Module):

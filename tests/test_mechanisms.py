@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Witness
+from cpv.core import ChoiceRule, InputError, Instance, ProfileSet, TypeSpace, Witness
 from cpv.mechanisms import (
     DomainModel,
     UnsupportedProtocolError,
+    _two_houses,
     appC_sp_restriction,
     ascending_elicitation_sp,
     check_protocol_osp,
@@ -22,7 +23,6 @@ from cpv.mechanisms import (
     fair_tiebreak_2x2,
     first_price,
     house_ir_efficient_family,
-    keep_endowments_rule,
     kth_price,
     multicount_stable_matching,
     non_clinching,
@@ -229,6 +229,13 @@ class TestDoubleAuction:
     def test_odd_n_rejected(self):
         with pytest.raises(InputError):
             double_auction_walrasian(5, [1, 2])
+
+
+def keep_endowments_rule() -> Instance:
+    """Everyone keeps her endowment regardless of reports."""
+    space, model = _two_houses()
+    rule = ChoiceRule(space, ("1:h1,2:h2",), (0,) * space.total, (("h1", "h2"),))
+    return Instance(rule, model)
 
 
 class TestHouseAssignment:

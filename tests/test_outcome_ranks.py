@@ -29,17 +29,11 @@ from cpv.mechanisms import (
     first_price,
     second_price,
 )
-from cpv.protocol import ElicitQuery, Protocol
-from cpv.search import (
-    _all_partitions,
-    _Candidate,
-    _nonempty_cells,
-    _root,
-    _solve,
-    exhaustive_osp_search,
-)
+from cpv.protocol import ElicitQuery, Protocol, query_cell_masks
+from cpv.search import _root, _solve
 
 from corpus import corpus_seeds, random_implementing_protocol, random_rule
+from oracles import _all_partitions, exhaustive_osp_search
 
 # ---------------------------------------------------------------------------
 # oracles: rank an outcome at every profile where it is compared
@@ -180,13 +174,13 @@ def slow_osp_search(rule: ChoiceRule, model: DomainModel, max_states: int):
                     continue
                 cells = (blocks[0] + absent,) + blocks[1:]
                 query = ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
-                masks = _nonempty_cells(space, query, state)
+                masks = tuple(m for m in query_cell_masks(space, query, state) if m)
                 signature = frozenset(masks)
                 if len(masks) < 2 or signature in seen:
                     continue
                 seen.add(signature)
                 if slow_osp_node_failure(space, rule, rank, agent, masks) is None:
-                    yield _Candidate(query, masks)
+                    yield query, masks
 
     return _solve(rule, _root(space, None), candidates, max_states)
 

@@ -28,7 +28,6 @@ from cpv.privacy import (
     inseparability_classes,
     synthesize_or_witness,
     witness_minimize,
-    witness_oracle,
     witness_verify,
 )
 from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
@@ -39,6 +38,7 @@ from corpus import (
     random_implementing_protocol,
     random_rule,
 )
+from oracles import witness_oracle
 
 
 def naive_inseparability(rule: ChoiceRule, factors, agent):

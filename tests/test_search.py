@@ -3,24 +3,24 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpv.core import ChoiceRule, ProfileSet, TypeSpace
+from cpv.core import ChoiceRule, ProfileSet, TypeSpace, Witness
 from cpv.mechanisms import (
     fair_tiebreak_2x2,
     non_clinching,
     school_count_instance,
     serial_dictatorship,
 )
-from cpv.privacy import check_protocol_cp, synthesize_or_witness, witness_oracle
-from cpv.protocol import Protocol, implements
-from cpv.search import (
-    ObstructionReport,
-    QueryFamily,
-    exhaustive_cp_search,
-    exhaustive_osp_search,
-    obstruction_scan,
+from cpv.privacy import (
+    check_protocol_cp,
+    corners_scan,
+    synthesize_or_witness,
+    witness_minimize,
 )
+from cpv.protocol import Protocol, implements
+from cpv.search import QueryFamily, exhaustive_cp_search
 
 from corpus import corpus_seeds, random_rule
+from oracles import ObstructionReport, exhaustive_osp_search, obstruction_scan, witness_oracle
 
 ELICIT = QueryFamily(allow_elicit=True)
 ELICIT_COUNT = QueryFamily(allow_elicit=True, allow_count=True)
@@ -71,6 +71,38 @@ class TestOracleAgreement:
         search = exhaustive_cp_search(rule, ELICIT)
         assert search.status in ("found", "nonexistent")
         assert isinstance(synth, Protocol) == (oracle is None) == (search.status == "found")
+
+
+class TestCornersGap:
+    """The corners test is necessary for contextual privacy, not sufficient.
+
+    Every outcome of this 3x3 rule appears at most twice, so no square has
+    three equal corners; yet every first query separates an equal-outcome
+    unilateral pair, so the whole space is a witness and no CP protocol
+    exists (the shape of Kushilevitz's non-decomposable example).
+    """
+
+    ROWS = ((0, 0, 1), (3, 4, 1), (3, 2, 2))  # agent 1's type picks the row
+
+    def rule(self) -> ChoiceRule:
+        space = TypeSpace.shared(2, ("a", "b", "c"))
+        table = tuple(x for row in self.ROWS for x in row)
+        return ChoiceRule(space, ("o0", "o1", "o2", "o3", "o4"), table)
+
+    def test_corners_holds(self):
+        assert corners_scan(self.rule()).ok
+
+    def test_whole_space_is_the_witness_and_stays_whole(self):
+        rule = self.rule()
+        whole = Witness(((0, 1, 2), (0, 1, 2)))
+        assert synthesize_or_witness(rule) == whole
+        assert witness_minimize(rule, whole) == whole
+        assert witness_oracle(rule) is not None
+
+    @pytest.mark.parametrize("spec", ["elicit", "elicit,count"])
+    def test_search_proves_nonexistence_at_the_root(self, spec):
+        result = exhaustive_cp_search(self.rule(), QueryFamily.parse(spec))
+        assert (result.status, result.states) == ("nonexistent", 1)
 
 
 class TestOspSearch:

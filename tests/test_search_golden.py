@@ -16,11 +16,9 @@ from cpv.mechanisms import (
     school_count_instance,
     serial_dictatorship,
 )
-from cpv.search import (
-    QueryFamily,
-    exhaustive_cp_search,
-    exhaustive_osp_search,
-)
+from cpv.search import QueryFamily, exhaustive_cp_search
+
+from oracles import exhaustive_osp_search
 
 
 def sd2():
