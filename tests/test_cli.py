@@ -226,6 +226,7 @@ class TestCheckReports:
 REPORT_FILES = {
     "sd": ("serial_dictatorship", {"n": 2, "objects": ["a", "b"]}),
     "cap": ("count_ascending_kplus1_price", {"k": 1, "n": 2, "values": [1, 2]}),
+    "cap3": ("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]}),
     "fp": ("first_price", {"n": 2, "values": [1, 2]}),
     "spa": ("second_price", {"n": 2, "values": [1, 2]}),
     "school": ("school_count_instance", {}),
@@ -330,6 +331,28 @@ COMMAND_REPORTS = {
     "enumerate, found": (["enumerate", "sd"], 0, '{"command":"enumerate","family":'
         '{"elicit":"binary"},"nodes":3,"queries":"elicit","schema":"cpv-1","states":3,'
         '"status":"found"}\n'),
+    "enumerate, unknown kind": (["enumerate", "--queries", "elicit,bogus", "fair"], 2,
+        '{"error":"unknown query family \'bogus\'"}\n'),
+    **{
+        f"enumerate, queries {queries!r}": (
+            ["enumerate", "--queries", queries, "fair"], 2,
+            '{"error":"at least one query family must be enabled"}\n',
+        )
+        for queries in ("", ",")
+    },
+    # the raw --queries string is echoed; the family names each kind once
+    "enumerate, spaced kinds": (["enumerate", "--queries", " count , elicit ", "fair"], 1,
+        '{"command":"enumerate","family":{"count":"exact","elicit":"binary"},'
+        '"queries":" count , elicit ","result":"proven-nonexistent","schema":"cpv-1",'
+        '"states":1,"status":"nonexistent"}\n'),
+    "enumerate, repeated kind": (["enumerate", "--queries", "elicit,elicit", "fair"], 1,
+        '{"command":"enumerate","family":{"elicit":"binary"},"queries":"elicit,elicit",'
+        '"result":"proven-nonexistent","schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
+    "run, count clock": (["run", "--profile", "3,1,2", "cap3"], 0, '{"command":"run","leaf":7,'
+        '"leaf_profiles":[["3","1","2"],["3","2","1"],["3","2","2"]],'
+        '"outcome":"winners=1,price=2","path":[{"answer":1,"node":0,'
+        '"query":"count(subset size 2)"},{"answer":0,"node":6,"query":"elicit(agent 1)"}],'
+        '"schema":"cpv-1"}\n'),
     "builtin, efficient completions": (["builtin", "efficient_completions_2x2"], 0,
         '{"command":"builtin","kind":"family","members":4,"name":"efficient_completions_2x2",'
         '"schema":"cpv-1"}\n'),
