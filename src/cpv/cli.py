@@ -28,10 +28,6 @@ are the choices.  Per property: whether it needs a protocol; the check, which
 imports its module, reads the loaded bundle and the report, may add to the
 report and returns a ``core.Verdict``; the report key of a failure; and the
 failure's JSON, from the type space and the violation.
-
-The environment variable ``CPV_THREADS`` is reserved: nothing runs in
-parallel yet, so its value changes nothing, but a value that is not a
-positive integer exits 2.
 """
 
 from __future__ import annotations
@@ -779,32 +775,33 @@ def _cmd_run(args) -> tuple[int, dict]:
         raise InputError("run needs a protocol")
     space = loaded.instance.space
     labels = [s.strip() for s in args.profile.split(",")]
+    if len(labels) == space.n:  # the string label equal to an entry, else the one it spells in JSON
+        labels = [
+            lab if lab in alphabet else next((t for t in alphabet if json.dumps(t) == lab), lab)
+            for alphabet, lab in zip(space.alphabets, labels)
+        ]
     profile = space.profile_of_labels(labels)
-    transcript = run_protocol(loaded.protocol, profile, loaded.instance.rule)
+    path, leaf, outcome = run_protocol(loaded.protocol, profile, loaded.instance.rule)
     doc = {
         "command": "run",
-        "path": [
-            {"node": s.node, "query": s.query, "answer": s.answer}
-            for s in transcript.steps
-        ],
-        "leaf": transcript.leaf,
-        "leaf_profiles": _labels(space, transcript.leaf_label.profiles()),
-        "outcome": transcript.outcome,
+        "path": [{"node": node, "query": query, "answer": pos} for node, query, pos in path],
+        "leaf": leaf,
+        "leaf_profiles": _profiles_to_json(space, loaded.protocol.nodes[leaf].label),
+        "outcome": outcome,
     }
     return 0, doc
 
 
 def _cmd_enumerate(args) -> tuple[int, dict]:
-    from cpv.search import QueryFamily, _drawn_kinds, exhaustive_cp_search
+    from cpv.search import drawn_kinds, exhaustive_cp_search
 
     loaded = load(args.instance)
-    family = QueryFamily.parse(args.queries)
     result = exhaustive_cp_search(
-        loaded.instance.rule, family, args.max_states, loaded.instance.universe
+        loaded.instance.rule, args.queries, args.max_states, loaded.instance.universe
     )
     doc = {
         "command": "enumerate",
-        "family": _drawn_kinds(loaded.instance.space, family),
+        "family": drawn_kinds(loaded.instance.space, args.queries),
         "queries": args.queries,
         "status": result.status,
         "states": result.states,
@@ -855,25 +852,10 @@ def _cmd_builtin(args) -> tuple[int, dict]:
 # entry point
 
 
-def _check_threads_env() -> None:
-    """Validate the reserved ``CPV_THREADS``; nothing runs in parallel yet."""
-    raw = os.environ.get("CPV_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"CPV_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError("CPV_THREADS must be positive")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpv",
-        description="verify, synthesize, and search contextually private "
-        "protocols.  The environment variable CPV_THREADS is reserved: nothing "
-        "runs in parallel yet, but a value that is not a positive integer exits 2.",
+        description="verify, synthesize, and search contextually private protocols.",
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -895,7 +877,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("run", help="walk a protocol on one profile")
-    p.add_argument("--profile", required=True, help="comma-separated type labels")
+    p.add_argument(
+        "--profile", required=True,
+        help="comma-separated type labels; a label that is not a string as JSON, e.g. 1 or null",
+    )
     p.add_argument("instance")
     p.add_argument("protocol", nargs="?")
     p.set_defaults(func=_cmd_run)
@@ -928,7 +913,6 @@ def main(argv=None) -> int:
     _SPENT.update(load=0.0, emit=0.0)
     start = time.perf_counter()
     try:
-        _check_threads_env()
         code, doc = args.func(args)
     except (ResourceError, RecursionError) as exc:
         _report({"error": str(exc), "kind": "resource"}, args.pretty)

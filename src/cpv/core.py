@@ -353,10 +353,6 @@ class ProfileSet:
         return cls(space, (1 << space.total) - 1)
 
     @classmethod
-    def empty(cls, space: TypeSpace) -> ProfileSet:
-        return cls(space, 0)
-
-    @classmethod
     def from_indices(cls, space: TypeSpace, indices) -> ProfileSet:
         flags = bytearray(space.total)
         for k in indices:
@@ -364,10 +360,6 @@ class ProfileSet:
                 raise InputError(f"profile index {k} out of range")
             flags[k] = 1
         return cls(space, mask_of_flags(flags))
-
-    @classmethod
-    def from_profiles(cls, space: TypeSpace, profiles) -> ProfileSet:
-        return cls.from_indices(space, (space.index(p) for p in profiles))
 
     @classmethod
     def from_factors(cls, space: TypeSpace, factors) -> ProfileSet:
@@ -391,10 +383,6 @@ class ProfileSet:
 
     def indices(self):
         return iter(mask_indices(self.mask))
-
-    def profiles(self):
-        """The member profiles, in index order."""
-        return itertools.compress(self.space.iter_profiles(), mask_flags(self.mask, self.space.total))
 
     def projection(self, agent: int) -> tuple[int, ...]:
         """Sorted type indices agent ``agent`` takes within this set."""
@@ -456,9 +444,6 @@ class ChoiceRule:
     @property
     def has_components(self) -> bool:
         return self.components is not None
-
-    def outcome_of(self, profile: Profile) -> int:
-        return self.table[self.space.index(profile)]
 
 
 def check_factors(space: TypeSpace, factors, what: str = "") -> tuple[tuple[int, ...], ...]:

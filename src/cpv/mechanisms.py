@@ -43,7 +43,6 @@ from cpv.protocol import (
     MultiCountQuery,
     Protocol,
     build_protocol,
-    count_equals_query,
 )
 
 
@@ -648,6 +647,12 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
 
     protocol = build_protocol(space, step, (0,), universe)
     return ProtocolBundle(inst, protocol, suggested_count_phase(protocol))
+
+
+def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:
+    """Binary count query: is |{i : type_i in subset}| equal to ``value``?"""
+    others = tuple(c for c in range(space.n + 1) if c != value)
+    return CountQuery(tuple(sorted(set(subset))), ((value,), others))
 
 
 # ---------------------------------------------------------------------------

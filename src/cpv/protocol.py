@@ -401,21 +401,6 @@ def validate_phase(protocol: Protocol, node_ids, pointer: str = "/phase") -> tup
 # --- execution ---------------------------------------------------------------
 
 
-@record
-class TranscriptStep:
-    node: int
-    query: str
-    answer: int  # position among the node's children
-
-
-@record
-class Transcript:
-    steps: tuple[TranscriptStep, ...]
-    leaf: int
-    leaf_label: ProfileSet
-    outcome: Optional[str] = None
-
-
 def describe_query(query: Query) -> str:
     if isinstance(query, ElicitQuery):
         return f"elicit(agent {query.agent + 1})"
@@ -427,28 +412,29 @@ def describe_query(query: Query) -> str:
 
 
 def run_protocol(
-    protocol: Protocol, profile: Profile, rule: ChoiceRule | None = None
-) -> Transcript:
-    space = protocol.space
-    index = space.index(profile)
+    protocol: Protocol, profile: Profile, rule: ChoiceRule
+) -> tuple[list[tuple[int, str, int]], int, str]:
+    """Walk the protocol on one profile: ``(path, leaf, outcome)``, where
+    ``path`` lists ``(node id, describe_query(query), child position)`` for
+    each query on the way, ``leaf`` is the id of the leaf reached and
+    ``outcome`` the rule's outcome there.  Raises the failed implementation
+    precondition when the rule is not constant on that leaf."""
+    index = protocol.space.index(profile)
     if not (protocol.universe >> index) & 1:
         raise InputError("profile lies outside the protocol's universe")
-    steps: list[TranscriptStep] = []
+    path = []
     v = protocol.nodes[0]
     while not v.is_leaf:
         for pos, c in enumerate(v.children):
             if (protocol.nodes[c].label >> index) & 1:
-                steps.append(TranscriptStep(v.id, describe_query(v.query), pos))
+                path.append((v.id, describe_query(v.query), pos))
                 v = protocol.nodes[c]
                 break
         else:
             raise AssertionError("children partition the label")
-    outcome = None
-    if rule is not None:
-        if not constant_on(rule, v.label):
-            raise _not_implemented(v.id)
-        outcome = rule.outcomes[rule.table[(v.label & -v.label).bit_length() - 1]]
-    return Transcript(tuple(steps), v.id, ProfileSet(space, v.label), outcome)
+    if not constant_on(rule, v.label):
+        raise _not_implemented(v.id)
+    return path, v.id, rule.outcomes[rule.table[(v.label & -v.label).bit_length() - 1]]
 
 
 # --- semantic relations -------------------------------------------------------
@@ -504,31 +490,3 @@ def outcome_reach(protocol: Protocol, rule: ChoiceRule) -> dict[int, frozenset[i
             reach[v.id] = frozenset().union(*(reach[c] for c in v.children))
     return reach
 
-
-# --- small constructors used across the package -------------------------------
-
-
-def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
-    """The query answering the exact count of agents per type subset: a
-    count query for one subset, a multi-count query for several, with one
-    cell per count value or count vector."""
-    if len(subsets) == 1:
-        return CountQuery(subsets[0], tuple((c,) for c in range(space.n + 1)))
-    domain = itertools.product(range(space.n + 1), repeat=len(subsets))
-    return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
-
-
-def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:
-    """Binary count query: is |{i : type_i in subset}| equal to ``value``?"""
-    others = tuple(c for c in range(space.n + 1) if c != value)
-    return CountQuery(tuple(sorted(set(subset))), ((value,), others))
-
-
-def _canonical_subsets(values: tuple[int, ...]):
-    """Nonempty proper subsets of ``values``, one per complement pair: the
-    one holding ``values[0]``, by size, then lexicographically.  Fewer than
-    two values have none."""
-    anchor, rest = values[:1], values[1:]
-    for r in range(len(rest)):
-        for combo in itertools.combinations(rest, r):
-            yield anchor + combo

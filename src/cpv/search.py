@@ -14,14 +14,18 @@ if it separates no equal-outcome unilateral pair inside the state, which
 is equivalent to privacy of the finished protocol (the earliest point of
 departure of any violating pair contains both profiles).
 
+The family is the comma-joined ``--queries`` string of ``cpv enumerate``.
+``_KINDS`` lists each kind a family may name with how it splits a state:
+elicitation in two, counts (``count``, and ``multicount`` for the joint
+counts of two type subsets) into their exact fibres.  Coarser groupings
+of counts are expressible at the protocol level but are not enumerated
+(ROADMAP item 1).  :func:`drawn_kinds` reads the string into the kinds
+drawn on a space, with their splits, and refuses an unknown kind, an
+empty family and a family that draws no kind there; the ``enumerate``
+report names the family it decided by it.
+
 The candidates come from one stream: :func:`_family_queries` fed through
-:func:`_splits`, which keeps one query per induced partition.  Count
-queries here answer with the exact count: a query for a type subset
-splits a state into its count fibers.  Coarser groupings of counts are
-expressible at the protocol level but are not enumerated (ROADMAP item
-1).  The ``enumerate`` report names the family it decided: the
-:func:`_drawn_kinds` of its instance; a family that draws no kind there
-is refused.
+:func:`_splits`, which keeps one query per induced partition.
 
 The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
 defines the scan order once; a leaking query reports the first pair it
@@ -44,39 +48,15 @@ from cpv.core import (
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
+    CountQuery,
     ElicitQuery,
+    MultiCountQuery,
     Protocol,
     Query,
-    _canonical_subsets,
     build_protocol,
-    exact_count_query,
     implements,
     query_cell_masks,
 )
-
-
-@record
-class QueryFamily:
-    allow_elicit: bool = True
-    allow_count: bool = False
-    allow_multicount: bool = False  # joint counts of two type subsets
-
-    def __post_init__(self) -> None:
-        if not (self.allow_elicit or self.allow_count or self.allow_multicount):
-            raise InputError("at least one query family must be enabled")
-
-    @classmethod
-    def parse(cls, spec: str) -> QueryFamily:
-        names = [s.strip() for s in spec.split(",") if s.strip()]
-        allowed = {"elicit", "count", "multicount"}
-        for name in names:
-            if name not in allowed:
-                raise InputError(f"unknown query family {name!r}")
-        return cls(
-            allow_elicit="elicit" in names,
-            allow_count="count" in names,
-            allow_multicount="multicount" in names,
-        )
 
 
 @record
@@ -98,20 +78,33 @@ class _BudgetExhausted(Exception):
 # candidate queries
 
 
-def _drawn_kinds(space: TypeSpace, family: QueryFamily) -> dict[str, str]:
-    """The kinds of query a search draws from the family on ``space``, each
-    with how it splits a state: elicitation in two, counts into their exact
-    fibres.  Count kinds need a common alphabet."""
+_KINDS = {"elicit": "binary", "count": "exact", "multicount": "exact"}
+
+
+def drawn_kinds(space: TypeSpace, queries: str) -> dict[str, str]:
+    """The kinds of query that the family ``queries``, comma-joined names
+    of ``_KINDS``, draws on ``space``, in ``_KINDS`` order, each with how
+    it splits a state.  Count kinds need a common alphabet.  Refuses an
+    unknown kind, then an empty family, then a family that draws no kind
+    on ``space``."""
+    names = [s.strip() for s in queries.split(",") if s.strip()]
+    for name in names:
+        if name not in _KINDS:
+            raise InputError(f"unknown query family {name!r}")
+    if not names:
+        raise InputError("at least one query family must be enabled")
     counts = space.common_alphabet
-    drawn = (family.allow_elicit, counts and family.allow_count, counts and family.allow_multicount)
-    grains = {"elicit": "binary", "count": "exact", "multicount": "exact"}
-    return {kind: grain for (kind, grain), on in zip(grains.items(), drawn) if on}
+    kinds = {k: split for k, split in _KINDS.items() if k in names and (k == "elicit" or counts)}
+    if not kinds:
+        raise InputError(
+            "the query family draws no query on this instance: count kinds need a common alphabet"
+        )
+    return kinds
 
 
-def _family_queries(space: TypeSpace, state: int, family: QueryFamily):
-    """``(kind, queries)`` for each of the :func:`_drawn_kinds`.  The count
-    subsets are built only when a count kind is drawn."""
-    kinds = _drawn_kinds(space, family)
+def _family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
+    """``(kind, queries)`` for each of the :func:`drawn_kinds` ``kinds``.
+    The count subsets are built only when a count kind is drawn."""
     if "elicit" in kinds:
         yield "elicit", (
             ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
@@ -125,6 +118,26 @@ def _family_queries(space: TypeSpace, state: int, family: QueryFamily):
         if "multicount" in kinds:
             pairs = itertools.combinations(subsets, 2)
             yield "multicount", (exact_count_query(space, pair) for pair in pairs)
+
+
+def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
+    """The query answering the exact count of agents per type subset: a
+    count query for one subset, a multi-count query for several, with one
+    cell per count value or count vector."""
+    if len(subsets) == 1:
+        return CountQuery(subsets[0], tuple((c,) for c in range(space.n + 1)))
+    domain = itertools.product(range(space.n + 1), repeat=len(subsets))
+    return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
+
+
+def _canonical_subsets(values: tuple[int, ...]):
+    """Nonempty proper subsets of ``values``, one per complement pair: the
+    one holding ``values[0]``, by size, then lexicographically.  Fewer than
+    two values have none."""
+    anchor, rest = values[:1], values[1:]
+    for r in range(len(rest)):
+        for combo in itertools.combinations(rest, r):
+            yield anchor + combo
 
 
 def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
@@ -234,25 +247,21 @@ def _separates_protected_pair(cells: tuple[int, ...], pairs: list[tuple[int, int
 
 def exhaustive_cp_search(
     rule: ChoiceRule,
-    family: QueryFamily,
+    queries: str = "elicit",
     max_states: int = 100_000,
     universe: ProfileSet | None = None,
 ) -> SearchResult:
     """Decide whether a contextually private protocol exists for the rule
-    over the given query family.  A family that draws no kind of query on
-    the rule's space is refused."""
+    over the query family ``queries``, the comma-joined kinds that
+    :func:`drawn_kinds` reads and refuses."""
     space = rule.space
-    if not _drawn_kinds(space, family):
-        raise InputError(
-            "the query family draws no query on this instance: count kinds need a common alphabet"
-        )
+    kinds = drawn_kinds(space, queries)
     root = _root(space, universe)
     pairs = _same_outcome_pairs(rule, root)
 
     def candidates(state: int):
-        kinds = _family_queries(space, state, family)
-        queries = itertools.chain.from_iterable(q for _, q in kinds)
-        for query, cells in _splits(space, state, queries):
+        drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, state, kinds))
+        for query, cells in _splits(space, state, drawn):
             if _separates_protected_pair(cells, pairs, state) is None:
                 yield query, cells
 

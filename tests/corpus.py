@@ -1,4 +1,5 @@
-"""Seeded generators for the randomized property suites.
+"""Seeded generators for the randomized property suites, and the readers
+of profile sets and rules that only the tests need.
 
 Every generated object is a pure function of the integer seed, so suite
 failures are reproducible by seed alone.
@@ -6,7 +7,6 @@ failures are reproducible by seed alone.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from cpv.core import ChoiceRule, ProfileSet, TypeSpace
@@ -109,3 +109,18 @@ def random_implementing_protocol(
 def corpus_seeds(count: int, offset: int = 0) -> list[int]:
     rng = random.Random(CORPUS_SEED + offset)
     return [rng.randrange(1 << 30) for _ in range(count)]
+
+
+def profile_set(space: TypeSpace, profiles) -> ProfileSet:
+    """The set of the given profiles."""
+    return ProfileSet.from_indices(space, (space.index(p) for p in profiles))
+
+
+def profiles_of(pset: ProfileSet) -> list:
+    """The member profiles of a set, in index order."""
+    return [pset.space.profile(k) for k in pset.indices()]
+
+
+def outcome(rule: ChoiceRule, profile) -> str:
+    """The rule's outcome label at a profile."""
+    return rule.outcomes[rule.table[rule.space.index(profile)]]

@@ -39,7 +39,6 @@ from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
 from cpv.privacy import witness_verify
 from cpv.protocol import ElicitQuery
 from cpv.search import (
-    QueryFamily,
     SearchResult,
     _family_queries,
     _root,
@@ -47,6 +46,7 @@ from cpv.search import (
     _separates_protected_pair,
     _solve,
     _splits,
+    drawn_kinds,
 )
 
 # ---------------------------------------------------------------------------
@@ -160,10 +160,9 @@ class ObstructionReport:
         return self.nonconstant and all(not e.safe for e in self.entries)
 
 
-def obstruction_scan(
-    rule: ChoiceRule, region: ProfileSet, family: QueryFamily
-) -> ObstructionReport:
-    """Enumerate every family query that separates members of ``region``
+def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> ObstructionReport:
+    """Enumerate every query of the family ``queries`` (as ``cpv enumerate
+    --queries`` takes it) that separates members of ``region``
     and return, per query, an equal-outcome unilateral pair it separates
     (or mark it safe).  Every kind is scanned on its own, so two kinds
     that induce one partition are each listed."""
@@ -171,8 +170,8 @@ def obstruction_scan(
     state = region.mask
     pairs = _same_outcome_pairs(rule, state)
     entries = []
-    for kind, queries in _family_queries(space, state, family):
-        for query, cells in _splits(space, state, queries):
+    for kind, drawn in _family_queries(space, state, drawn_kinds(space, queries)):
+        for query, cells in _splits(space, state, drawn):
             if kind == "elicit":
                 detail = f"agent {query.agent + 1}"
             elif kind == "count":

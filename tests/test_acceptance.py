@@ -8,9 +8,7 @@ import itertools
 import time
 from contextlib import contextmanager
 
-import pytest
-
-from cpv.core import ChoiceRule, ProfileSet, Witness
+from cpv.core import Witness
 from cpv.mechanisms import (
     appC_sp_restriction,
     check_protocol_osp,
@@ -52,7 +50,7 @@ from cpv.protocol import (
     build_from_spec,
     implements,
 )
-from cpv.search import QueryFamily, exhaustive_cp_search
+from cpv.search import exhaustive_cp_search
 from cpv.tatonnement import check_tatonnement, phase_discovery
 
 from corpus import (
@@ -63,7 +61,7 @@ from corpus import (
 )
 from oracles import exhaustive_osp_search, obstruction_scan, witness_oracle
 
-ELICIT = QueryFamily(allow_elicit=True)
+ELICIT = "elicit"
 
 
 @contextmanager
@@ -238,7 +236,7 @@ def test_c10_count_queries_enable_private_auctions():
 def test_c11_count_queries_cannot_stabilize_matching():
     with criterion(11, "school scores: every separating elicit/count query leaks; search agrees"):
         inst = school_count_instance()
-        family = QueryFamily(allow_elicit=True, allow_count=True)
+        family = "elicit,count"
         report = obstruction_scan(inst.rule, inst.universe, family)
         assert report.nonconstant
         assert report.holds

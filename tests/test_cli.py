@@ -49,21 +49,12 @@ FIG_PROTOCOL = {
 }
 
 
-def child_env(**extra: str) -> dict[str, str]:
+def child_env() -> dict[str, str]:
     """Environment for a CLI subprocess, built from scratch so that nothing
-    from the caller (an ambient ``CPV_THREADS``, say) leaks into it.  The
-    child writes no bytecode cache: one left in the source tree would make
-    every later start of ``cpv`` skip compiling, and time differently."""
-    return {
-        "PATH": "/usr/bin:/bin", "PYTHONPATH": CPV_ROOT, "PYTHONDONTWRITEBYTECODE": "1", **extra
-    }
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_threads(monkeypatch):
-    # ``main`` reads CPV_THREADS on every call; the in-process tests must not
-    # depend on the caller's shell.
-    monkeypatch.delenv("CPV_THREADS", raising=False)
+    from the caller leaks into it.  The child writes no bytecode cache: one
+    left in the source tree would make every later start of ``cpv`` skip
+    compiling, and time differently."""
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": CPV_ROOT, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def run_cli(args, capsys) -> tuple[int, dict]:
@@ -311,7 +302,10 @@ CHECK_REPORTS = {
 # phase that the loader refuses, so `validate` and `check` refuse it alike.
 # "fair_ba" is FAIR_INSTANCE with agent 2's types listed as B, A: no common
 # alphabet, so no count query can be drawn: `enumerate` names only the kinds
-# it drew, and refuses a family that draws none.
+# it drew, and refuses a family that draws none.  "numbers" has the type
+# labels 1 and 2, numbers, and "numbers_synth" is the protocol that `synth
+# --emit` writes for it; `run --profile` names a label by its JSON text.
+# "tie" has the labels "1" and 1, and the string label wins.
 COMMAND_REPORTS = {
     "validate, notes": (["validate", "noted"], 0, '{"command":"validate","instance":"ok",'
         '"notes":["pruned empty cell 0 at /tree/0/0","pruned empty cell 2 at /tree/0/0",'
@@ -348,6 +342,16 @@ COMMAND_REPORTS = {
     "enumerate, repeated kind": (["enumerate", "--queries", "elicit,elicit", "fair"], 1,
         '{"command":"enumerate","family":{"elicit":"binary"},"queries":"elicit,elicit",'
         '"result":"proven-nonexistent","schema":"cpv-1","states":1,"status":"nonexistent"}\n'),
+    "run, number labels": (["run", "--profile", "1,2", "numbers", "numbers_synth"], 0,
+        '{"command":"run","leaf":3,"leaf_profiles":[[1,2]],"outcome":"b","path":[{"answer":0,'
+        '"node":0,"query":"elicit(agent 1)"},{"answer":1,"node":1,"query":"elicit(agent 2)"}],'
+        '"schema":"cpv-1"}\n'),
+    "run, a string label wins a tie": (["run", "--profile", "1", "tie", "tie_elicit"], 0,
+        '{"command":"run","leaf":1,"leaf_profiles":[["1"]],"outcome":"s","path":[{"answer":0,'
+        '"node":0,"query":"elicit(agent 1)"}],"schema":"cpv-1"}\n'),
+    # the JSON text of the label 1 is 1, not true
+    "run, true is no number label": (["run", "--profile", "true,2", "numbers", "numbers_synth"],
+        2, '{"error":"agent 0: unknown type label \'true\'"}\n'),
     "run, count clock": (["run", "--profile", "3,1,2", "cap3"], 0, '{"command":"run","leaf":7,'
         '"leaf_profiles":[["3","1","2"],["3","2","1"],["3","2","2"]],'
         '"outcome":"winners=1,price=2","path":[{"answer":1,"node":0,'
@@ -391,6 +395,22 @@ class TestWholeCheckReports:
             **{k: v for k, v in FAIR_INSTANCE.items() if k != "alphabet"},
             "alphabets": [["A", "B"], ["B", "A"]],
         }
+        docs["numbers"] = {
+            "schema": "cpv-1", "agents": 2, "alphabet": [1, 2], "rule": {"table": [
+                {"profile": [t1, t2], "outcome": "a" if t1 == t2 == 1 else "b" if t1 == 1 else "c"}
+                for t1 in (1, 2) for t2 in (1, 2)
+            ]},
+        }
+        elicit = [{"kind": "elicit", "agent": agent, "cells": [[1], [2]]} for agent in (1, 2)]
+        docs["numbers_synth"] = {"schema": "cpv-1", "tree": {"query": elicit[0], "children": [
+            {"query": elicit[1], "children": [{}, {}]}, {}
+        ]}}
+        docs["tie"] = {"schema": "cpv-1", "agents": 1, "alphabet": ["1", 1], "rule": {"table": [
+            {"profile": ["1"], "outcome": "s"}, {"profile": [1], "outcome": "n"}
+        ]}}
+        docs["tie_elicit"] = {"schema": "cpv-1", "tree": {
+            "query": {"kind": "elicit", "agent": 1, "cells": [["1"], [1]]}, "children": [{}, {}]
+        }}
         for phase in ([], [99], [99, 98], [0, 98], [1], [0, 2]):
             docs[f"fig{phase}"] = {**FIG_PROTOCOL, "phase": phase}
         for name, (builtin, params, *edits) in REPORT_FILES.items():
@@ -596,10 +616,7 @@ class TestDeterminism:
             fair_files[0],
             fair_files[1],
         ]
-        runs = [
-            subprocess.run(cmd, capture_output=True, env=child_env(**extra))
-            for extra in ({"CPV_THREADS": "1"}, {"CPV_THREADS": "8"}, {})
-        ]
+        runs = [subprocess.run(cmd, capture_output=True, env=child_env()) for _ in range(3)]
         for res in runs:
             # FIG on FAIR violates CP, so each run reports holds=false, exit 1.
             assert res.returncode == 1, res.stderr
@@ -607,14 +624,6 @@ class TestDeterminism:
             doc = json.loads(res.stdout)
             assert doc["schema"] == "cpv-1" and doc["holds"] is False
         assert runs[0].stdout == runs[1].stdout == runs[2].stdout
-
-    def test_bad_thread_env(self, fair_files):
-        cmd = [sys.executable, "-m", "cpv.cli", "validate", fair_files[0]]
-        res = subprocess.run(cmd, capture_output=True, env=child_env(CPV_THREADS="x"))
-        assert res.returncode == 2, res.stderr
-        # Exit 2 alone would also come from argparse misuse; check the cause.
-        assert "CPV_THREADS" in json.loads(res.stdout)["error"]
-        assert b"Traceback" not in res.stderr
 
 
 def _fair_with(**fields) -> str:

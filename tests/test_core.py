@@ -14,6 +14,8 @@ from cpv.core import (
     product_factorization,
 )
 
+from corpus import profile_set, profiles_of
+
 
 def space_2x2() -> TypeSpace:
     return TypeSpace.shared(2, ("A", "B"))
@@ -66,7 +68,7 @@ class TestProfileSet:
 
     def test_projection(self):
         s = space_2x2()
-        ps = ProfileSet.from_profiles(s, [(0, 0), (1, 1)])
+        ps = profile_set(s, [(0, 0), (1, 1)])
         assert ps.projection(0) == (0, 1)
         assert ps.projection(1) == (0, 1)
 
@@ -77,7 +79,7 @@ class TestProfileSet:
         s = TypeSpace(tuple(tuple(f"t{i}" for i in range(k)) for k in sizes))
         ps = ProfileSet(s, data.draw(st.integers(0, (1 << s.total) - 1), label="mask"))
         members = [s.profile(k) for k in range(s.total) if ps.mask >> k & 1]
-        assert list(ps.profiles()) == members
+        assert profiles_of(ps) == members
         for agent in range(s.n):
             assert ps.projection(agent) == tuple(sorted({p[agent] for p in members}))
 
@@ -89,18 +91,18 @@ class TestProductFactorization:
 
     def test_diagonal_not_a_product(self):
         s = space_2x2()
-        diag = ProfileSet.from_profiles(s, [(0, 0), (1, 1)])
+        diag = profile_set(s, [(0, 0), (1, 1)])
         assert product_factorization(s, diag) is None
 
     def test_row_is_a_product(self):
         s = space_2x2()
-        row = ProfileSet.from_profiles(s, [(0, 0), (0, 1)])
+        row = profile_set(s, [(0, 0), (0, 1)])
         assert product_factorization(s, row) == ((0,), (0, 1))
 
     def test_empty_set_rejected(self):
         s = space_2x2()
         with pytest.raises(InputError):
-            product_factorization(s, ProfileSet.empty(s))
+            product_factorization(s, ProfileSet(s, 0))
 
     @given(st.integers(0, 10_000))
     def test_cardinality_law(self, seed):

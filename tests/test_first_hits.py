@@ -22,7 +22,6 @@ from cpv.privacy import (
     check_protocol_icp,
     corners_scan,
 )
-from cpv.search import QueryFamily
 from cpv.tatonnement import check_tatonnement
 
 from oracles import ObstructionEntry, obstruction_scan
@@ -93,7 +92,7 @@ def test_nonbossy_first_violation():
 
 def test_obstruction_scan_entries():
     inst = fig_shaded_3x3()
-    family = QueryFamily(allow_elicit=True, allow_count=True)
+    family = "elicit,count"
     report = obstruction_scan(inst.rule, ProfileSet.full(inst.space), family)
     assert report.nonconstant
     assert report.entries == (

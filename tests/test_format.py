@@ -147,8 +147,7 @@ def run(argv) -> tuple[int, dict]:
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(doc=mutants())
-def test_mutants_get_a_verdict_or_a_pointer(doc, tmp_path, monkeypatch):
-    monkeypatch.delenv("CPV_THREADS", raising=False)
+def test_mutants_get_a_verdict_or_a_pointer(doc, tmp_path):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(doc))
     for command in COMMANDS:

@@ -1,15 +1,16 @@
-"""Import hygiene: every name a ``cpv`` module imports is used where it is
-imported, every private helper is read somewhere in ``cpv``, every public
-function and class is reached from ``cpv``, the benchmark or the package
-exports (not from tests alone), no module holds an ``assert`` statement,
-importing ``cpv.cli`` loads no code generator, a command loads only the
-``cpv`` modules it runs, and no record but ``core.Verdict`` has an ``ok``
-field.
+"""Import hygiene: every name a ``cpv`` or test module imports is used where
+it is imported, every private helper is read somewhere in ``cpv``, every
+public function, class, method and property is reached from ``cpv``, the
+benchmark or the package exports (not from tests alone), no module holds an
+``assert`` statement, importing ``cpv.cli`` loads no code generator, a
+command loads only the ``cpv`` modules it runs, and no record but
+``core.Verdict`` has an ``ok`` field.
 
 A name imported at module level counts as used when it is read anywhere in
 the module (annotations included, also those written as strings) or listed
 in ``__all__``; a name imported inside a function must be read in that
-function.
+function.  A method or property counts as reached when its attribute name
+is read, so a name that the benchmark also uses for its own code hides it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 import cpv
 
 MODULES = sorted(Path(cpv.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -84,7 +86,9 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(unused)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_unused_imports(path):
     unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
@@ -277,8 +281,10 @@ def test_every_private_helper_is_read():
 
 def public_definitions(tree: ast.Module):
     """``(name, first line, last line)`` of each public module-level function
-    and class; methods are not counted."""
-    for node in tree.body:
+    and class, and of each public method or property of a module-level
+    class."""
+    members = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    for node in tree.body + members:
         if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.lineno, node.end_lineno
 
@@ -321,8 +327,13 @@ REACH_CASES = {
         {"a.py": "class C:\n    pass\n", "b.py": "import a\nx = a.C\n"}, [], []
     ),
     "read by the bench or exported": ({"m.py": "def f():\n    return 1\n"}, ["f"], []),
-    "methods exempt": (
-        {"m.py": "class C:\n    def unread(self):\n        pass\n\nx = C()\n"}, [], []
+    "method read only by tests": (
+        {"m.py": "class C:\n    def unread(self):\n        pass\n\nx = C()\n"}, [],
+        ["m.py: unread (line 2)"],
+    ),
+    "method read as an attribute": (
+        {"m.py": "class C:\n    @property\n    def p(self):\n        return 1\n\nx = C().p\n"},
+        [], [],
     ),
     "private names exempt": ({"m.py": "def _f():\n    return 1\n"}, [], []),
 }

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpv.core import ChoiceRule, InputError, Instance, ProfileSet, TypeSpace, Witness
+from cpv.core import ChoiceRule, InputError, Instance, TypeSpace, Witness
 from cpv.mechanisms import (
     DomainModel,
     UnsupportedProtocolError,
@@ -20,7 +20,6 @@ from cpv.mechanisms import (
     double_auction_count,
     double_auction_walrasian,
     efficient_completions_2x2,
-    fair_tiebreak_2x2,
     first_price,
     house_ir_efficient_family,
     kth_price,
@@ -40,7 +39,6 @@ from cpv.privacy import (
     corners_scan,
 )
 from cpv.protocol import (
-    CountQuery,
     NodeSpec,
     ElicitQuery,
     build_from_spec,
@@ -50,18 +48,20 @@ from cpv.protocol import (
 )
 from cpv.tatonnement import check_tatonnement
 
+from corpus import outcome, profiles_of
+
 
 class TestAuctionRules:
     def test_first_price_lexicographic_tie(self):
         inst = first_price(2, [1, 2])
         space = inst.space
         profile = space.profile_of_labels(["2", "2"])
-        assert inst.rule.outcomes[inst.rule.outcome_of(profile)] == "winner=1,price=2"
+        assert outcome(inst.rule, profile) == "winner=1,price=2"
 
     def test_second_price_definition(self):
         inst = second_price(3, [1, 2, 3])
         profile = inst.space.profile_of_labels(["1", "2", "3"])
-        assert inst.rule.outcomes[inst.rule.outcome_of(profile)] == "winner=3,price=2"
+        assert outcome(inst.rule, profile) == "winner=3,price=2"
 
     def test_kth_price_parameter_bounds(self):
         with pytest.raises(InputError):
@@ -72,7 +72,7 @@ class TestAuctionRules:
         profile = inst.space.profile_of_labels(["3", "1", "2", "3"])
         # two units: agents 1 and 4 at value 3 win, price is the third highest
         assert (
-            inst.rule.outcomes[inst.rule.outcome_of(profile)]
+            outcome(inst.rule, profile)
             == "winners=1+4,price=2"
         )
 
@@ -120,12 +120,12 @@ class TestAuctionEfficiency:
 class TestDescendingProtocol:
     def test_trace_2_3(self):
         bundle = descending_first_price(2, [1, 2, 3])
-        t = run_protocol(
+        _, _, reached = run_protocol(
             bundle.protocol,
             bundle.instance.space.profile_of_labels(["2", "3"]),
             bundle.instance.rule,
         )
-        assert t.outcome == "winner=2,price=3"
+        assert reached == "winner=2,price=3"
 
     def test_implements_first_price_and_is_private(self):
         for n, values in ((2, [1, 2, 3]), (3, [1, 2, 3, 4, 5])):
@@ -156,7 +156,7 @@ class TestSerialDictatorship:
         inst = serial_dictatorship(2, ("A", "B"), (0, 1))
         space = inst.space
         got = {
-            space.labels(p): inst.rule.outcomes[inst.rule.outcome_of(p)]
+            space.labels(p): outcome(inst.rule, p)
             for p in space.iter_profiles()
         }
         assert got[("A>B", "A>B")] == "1:A,2:B"
@@ -169,25 +169,25 @@ class TestCountAscending:
     def test_trace_1_2_3(self):
         bundle = count_ascending_price(1, 3, [1, 2, 3])
         space = bundle.instance.space
-        t = run_protocol(
+        path, _, reached = run_protocol(
             bundle.protocol, space.profile_of_labels(["1", "2", "3"]), bundle.instance.rule
         )
-        assert t.outcome == "winners=3,price=2"
-        kinds = [s.query for s in t.steps]
+        assert reached == "winners=3,price=2"
+        kinds = [query for _, query, _ in path]
         # the clearing count at level 1 fails; the level-2 count is then
         # forced on the restricted space and contracts away, leaving the
         # elicitation round that identifies agent 3 by elimination
         assert kinds[0].startswith("count")
         assert all(k.startswith("elicit") for k in kinds[1:])
-        assert [s.answer for s in t.steps] == [1, 1, 1]
+        assert [pos for _, _, pos in path] == [1, 1, 1]
 
     def test_price_matches_order_statistic(self):
         for k, n in ((1, 3), (1, 4), (2, 3), (2, 4)):
             bundle = count_ascending_price(k, n, [1, 2, 3])
             space, rule = bundle.instance.space, bundle.instance.rule
-            for p in bundle.instance.universe.profiles():
+            for p in profiles_of(bundle.instance.universe):
                 values = sorted((int(space.labels(p)[i]) for i in range(n)), reverse=True)
-                label = rule.outcomes[rule.outcome_of(p)]
+                label = outcome(rule, p)
                 assert label.endswith(f"price={values[k]}")
 
     def test_tatonnement_and_cp(self):
@@ -298,7 +298,7 @@ class TestMulticountMatching:
         space = bundle.instance.space
         rule = bundle.instance.rule
         p = space.profile_of_labels(["a>b,a2,b1", "b>a,a1,b2"])
-        assert rule.outcomes[rule.outcome_of(p)] == "1:a,2:b|cut:a1b1"
+        assert outcome(rule, p) == "1:a,2:b|cut:a1b1"
 
 
 class TestNonClinching:
@@ -373,7 +373,7 @@ class TestEfficientCompletions:
 
         def table_by_labels(inst):
             return tuple(
-                inst.rule.outcomes[inst.rule.outcome_of(p)]
+                outcome(inst.rule, p)
                 for p in inst.space.iter_profiles()
             )
 
@@ -395,15 +395,13 @@ class TestAppC:
         inst, factors = appC_sp_restriction()
         space, rule = inst.space, inst.rule
 
-        def outcome(p1, p2, p3):
-            return rule.outcomes[
-                rule.outcome_of(space.profile_of_labels([str(p1), str(p2), str(p3)]))
-            ]
+        def at(p1, p2, p3):
+            return outcome(rule, space.profile_of_labels([str(p1), str(p2), str(p3)]))
 
         # winner pays the second-highest value; a is agent 2 winning at 6
-        assert outcome(2, 8, 6) == "winner=2,price=6"
-        assert outcome(0, 3, 6) == outcome(0, 3, 4)  # agent 3's 6 and 4 inseparable
-        assert outcome(5, 8, 4) == outcome(5, 8, 1)  # agent 3's 4 and 1 inseparable
+        assert at(2, 8, 6) == "winner=2,price=6"
+        assert at(0, 3, 6) == at(0, 3, 4)  # agent 3's 6 and 4 inseparable
+        assert at(5, 8, 4) == at(5, 8, 1)  # agent 3's 4 and 1 inseparable
         from cpv.privacy import witness_verify
 
         assert witness_verify(rule, Witness(factors))

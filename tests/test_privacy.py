@@ -34,6 +34,8 @@ from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, imple
 
 from corpus import (
     corpus_seeds,
+    outcome,
+    profile_set,
     random_component_rule,
     random_implementing_protocol,
     random_rule,
@@ -55,7 +57,7 @@ def naive_inseparability(rule: ChoiceRule, factors, agent):
             for i, t in zip(other_agents, combo):
                 pa[i] = pb[i] = t
             pa[agent], pb[agent] = a, b
-            if rule.outcome_of(tuple(pa)) == rule.outcome_of(tuple(pb)):
+            if outcome(rule, tuple(pa)) == outcome(rule, tuple(pb)):
                 direct[(a, b)] = direct[(b, a)] = True
     related = dict(direct)
     for a in types:
@@ -101,7 +103,7 @@ class TestInseparability:
 
     def test_nonproduct_input_rejected(self):
         inst = fair_tiebreak_2x2()
-        diag = ProfileSet.from_profiles(inst.space, [(0, 0), (1, 1)])
+        diag = profile_set(inst.space, [(0, 0), (1, 1)])
         with pytest.raises(InputError):
             inseparability_classes(inst.rule, diag, 0)
 
@@ -247,7 +249,7 @@ class TestCorners:
                         cells = []
                         for a, b in ((ti, tj), (ti, tj2), (ti2, tj), (ti2, tj2)):
                             base[i], base[j] = a, b
-                            cells.append(rule.outcome_of(tuple(base)))
+                            cells.append(outcome(rule, tuple(base)))
                         o00, o01, o10, o11 = cells
                         for three, fourth in (
                             ((o00, o01, o10), o11),

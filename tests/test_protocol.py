@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import cpv.protocol as protocol_module
 from cpv import cli
-from cpv.core import InputError, ProfileSet, TypeSpace
+from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
 from cpv.mechanisms import (
     descending_first_price,
     fair_tiebreak_2x2,
@@ -20,13 +20,18 @@ from cpv.protocol import (
     NodeSpec,
     ProtocolDefect,
     build_from_spec,
-    build_protocol,
     implements,
     run_protocol,
     validate_protocol,
 )
 
-from corpus import corpus_seeds, random_implementing_protocol, random_rule
+from corpus import (
+    corpus_seeds,
+    profile_set,
+    profiles_of,
+    random_implementing_protocol,
+    random_rule,
+)
 
 
 def fair():
@@ -55,8 +60,8 @@ class TestValidation:
         inst = fair()
         aa = [["A", "A"]]
         cells = (
-            ProfileSet.from_profiles(inst.space, [(0, 0), (0, 1)]).mask,
-            ProfileSet.from_profiles(inst.space, [(0, 0), (1, 0), (1, 1)]).mask,
+            profile_set(inst.space, [(0, 0), (0, 1)]).mask,
+            profile_set(inst.space, [(0, 0), (1, 0), (1, 1)]).mask,
         )
         spec = NodeSpec(ExtensionalQuery(cells), (NodeSpec(), NodeSpec()))
         with pytest.raises(ProtocolDefect, match="overlap"):
@@ -65,8 +70,8 @@ class TestValidation:
     def test_nonexhaustive_extensional_cells(self):
         inst = fair()
         cells = (
-            ProfileSet.from_profiles(inst.space, [(0, 0), (0, 1)]).mask,
-            ProfileSet.from_profiles(inst.space, [(1, 0)]).mask,
+            profile_set(inst.space, [(0, 0), (0, 1)]).mask,
+            profile_set(inst.space, [(1, 0)]).mask,
         )
         spec = NodeSpec(ExtensionalQuery(cells), (NodeSpec(), NodeSpec()))
         with pytest.raises(ProtocolDefect, match="non-exhaustive"):
@@ -74,7 +79,7 @@ class TestValidation:
 
     def test_empty_cells_pruned_and_recorded(self):
         space = TypeSpace.shared(2, ("A", "B"))
-        universe = ProfileSet.from_profiles(space, [(0, 0), (0, 1)])
+        universe = profile_set(space, [(0, 0), (0, 1)])
         spec = NodeSpec(
             ElicitQuery(1, ((0,), (1,))),
             (NodeSpec(), NodeSpec()),
@@ -104,7 +109,7 @@ def _extensional(*cells):
     """Extensional cells over the 2x2 space, profiles given as index pairs."""
     space = TypeSpace.shared(2, ("A", "B"))
     return ExtensionalQuery(
-        tuple(ProfileSet.from_profiles(space, c).mask for c in cells)
+        tuple(profile_set(space, c).mask for c in cells)
     )
 
 
@@ -155,7 +160,7 @@ class TestSpecDefects:
     def test_defect_message_and_path(self, case):
         spec, profiles, path, message = SPEC_DEFECTS[case]
         space = TypeSpace.shared(2, ("A", "B"))
-        universe = None if profiles is None else ProfileSet.from_profiles(space, profiles)
+        universe = None if profiles is None else profile_set(space, profiles)
         with pytest.raises(ProtocolDefect) as info:
             build_from_spec(space, spec, universe)
         assert (info.value.path, info.value.message) == (path, message)
@@ -183,25 +188,26 @@ class TestSpecDefects:
 class TestRun:
     def test_fig_profile_walk(self):
         inst = fair()
-        t = run_protocol(two_query(), (1, 0), inst.rule)
-        assert [s.answer for s in t.steps] == [1, 0]
-        assert list(t.leaf_label.profiles()) == [(1, 0)]
-        assert t.outcome == "1:B,2:A"
+        protocol = two_query()
+        path, leaf, outcome = run_protocol(protocol, (1, 0), inst.rule)
+        assert [pos for _, _, pos in path] == [1, 0]
+        assert profiles_of(ProfileSet(protocol.space, protocol.nodes[leaf].label)) == [(1, 0)]
+        assert outcome == "1:B,2:A"
 
     def test_descending_trace(self):
         bundle = descending_first_price(2, [1, 2, 3])
         space = bundle.instance.space
-        t = run_protocol(bundle.protocol, space.profile_of_labels(["2", "3"]), bundle.instance.rule)
+        profile = space.profile_of_labels(["2", "3"])
+        path, _, outcome = run_protocol(bundle.protocol, profile, bundle.instance.rule)
         # agent 1 "is 3?" no, agent 2 "is 3?" yes
-        assert [s.answer for s in t.steps] == [1, 0]
-        assert t.outcome == "winner=2,price=3"
+        assert [pos for _, _, pos in path] == [1, 0]
+        assert outcome == "winner=2,price=3"
 
     def test_single_node_protocol(self):
         space = TypeSpace.shared(2, ("A", "B"))
         protocol = build_from_spec(space, NodeSpec())
-        t = run_protocol(protocol, (1, 1))
-        assert t.steps == ()
-        assert t.leaf == 0
+        rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
+        assert run_protocol(protocol, (1, 1), rule) == ([], 0, "x")
 
     def test_nonimplementing_rule_raises(self):
         inst = fair()

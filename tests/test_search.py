@@ -17,13 +17,13 @@ from cpv.privacy import (
     witness_minimize,
 )
 from cpv.protocol import Protocol, implements
-from cpv.search import QueryFamily, exhaustive_cp_search
+from cpv.search import exhaustive_cp_search
 
 from corpus import corpus_seeds, random_rule
 from oracles import ObstructionReport, exhaustive_osp_search, obstruction_scan, witness_oracle
 
-ELICIT = QueryFamily(allow_elicit=True)
-ELICIT_COUNT = QueryFamily(allow_elicit=True, allow_count=True)
+ELICIT = "elicit"
+ELICIT_COUNT = "elicit,count"
 
 
 class TestCpSearch:
@@ -101,7 +101,7 @@ class TestCornersGap:
 
     @pytest.mark.parametrize("spec", ["elicit", "elicit,count"])
     def test_search_proves_nonexistence_at_the_root(self, spec):
-        result = exhaustive_cp_search(self.rule(), QueryFamily.parse(spec))
+        result = exhaustive_cp_search(self.rule(), spec)
         assert (result.status, result.states) == ("nonexistent", 1)
 
 

@@ -16,7 +16,7 @@ from cpv.mechanisms import (
     school_count_instance,
     serial_dictatorship,
 )
-from cpv.search import QueryFamily, exhaustive_cp_search
+from cpv.search import exhaustive_cp_search
 
 from oracles import exhaustive_osp_search
 
@@ -30,27 +30,25 @@ def sd3():
 
 
 def cp_sd2():
-    return exhaustive_cp_search(sd2().rule, QueryFamily.parse("elicit"))
+    return exhaustive_cp_search(sd2().rule, "elicit")
 
 
 def cp_sd3():
-    return exhaustive_cp_search(sd3().rule, QueryFamily.parse("elicit"))
+    return exhaustive_cp_search(sd3().rule, "elicit")
 
 
 def cp_school():
     inst = school_count_instance()
-    family = QueryFamily.parse("elicit,count")
-    return exhaustive_cp_search(inst.rule, family, universe=inst.universe)
+    return exhaustive_cp_search(inst.rule, "elicit,count", universe=inst.universe)
 
 
 def cp_fig_shaded():
-    return exhaustive_cp_search(fig_shaded_3x3().rule, QueryFamily.parse("elicit"))
+    return exhaustive_cp_search(fig_shaded_3x3().rule, "elicit")
 
 
 def cp_multicount_matching():
     inst = multicount_stable_matching().instance
-    family = QueryFamily.parse("elicit,count,multicount")
-    return exhaustive_cp_search(inst.rule, family, universe=inst.universe)
+    return exhaustive_cp_search(inst.rule, "elicit,count,multicount", universe=inst.universe)
 
 
 def osp_sd2():
