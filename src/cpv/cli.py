@@ -648,7 +648,16 @@ def _tatonnement(b: ProtocolBundle, doc: dict) -> Verdict:
         doc["discovered_phase"] = list(phase) if phase else None
         if phase is None:
             return Verdict(False, ("no initial phase with disjoint outcome reach", None))
-    return tatonnement.check_tatonnement(b.protocol, rule, phase)
+    verdict = tatonnement.check_tatonnement(b.protocol, rule, phase)
+    if not verdict.ok:  # where it fails: two end nodes, an uncovered leaf or an end node
+        failure, at = verdict.violation
+        if failure == "disjointness":
+            doc["failure_at"] = {"nodes": list(at[:2]), "shared": at[2]}
+        elif failure == "coverage":
+            doc["failure_at"] = {"leaf": at}
+        else:
+            doc["failure_at"] = {"node": at[0], "violation": _cp_to_json(b.instance.space, at[1])}
+    return verdict
 
 
 def _labels(space: TypeSpace, profiles) -> list:
@@ -774,12 +783,24 @@ def _cmd_run(args) -> tuple[int, dict]:
     if loaded.protocol is None:
         raise InputError("run needs a protocol")
     space = loaded.instance.space
-    labels = [s.strip() for s in args.profile.split(",")]
-    if len(labels) == space.n:  # the string label equal to an entry, else the one it spells in JSON
-        labels = [
-            lab if lab in alphabet else next((t for t in alphabet if json.dumps(t) == lab), lab)
-            for alphabet, lab in zip(space.alphabets, labels)
-        ]
+    try:
+        entries = json.loads(args.profile)
+    except ValueError:
+        entries = None
+    if isinstance(entries, list) and len(entries) == space.n:  # the labels with these JSON texts
+        labels = []
+        for i, (alphabet, entry) in enumerate(zip(space.alphabets, entries)):
+            named = [t for t in alphabet if json.dumps(t) == json.dumps(entry)]
+            if not named:
+                raise InputError(f"agent {i}: unknown type label {entry!r}")
+            labels.append(named[0])
+    else:
+        labels = [s.strip() for s in args.profile.split(",")]
+        if len(labels) == space.n:  # the string label equal to an entry, else the one it spells in JSON
+            labels = [
+                lab if lab in alphabet else next((t for t in alphabet if json.dumps(t) == lab), lab)
+                for alphabet, lab in zip(space.alphabets, labels)
+            ]
     profile = space.profile_of_labels(labels)
     path, leaf, outcome = run_protocol(loaded.protocol, profile, loaded.instance.rule)
     doc = {
@@ -879,7 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="walk a protocol on one profile")
     p.add_argument(
         "--profile", required=True,
-        help="comma-separated type labels; a label that is not a string as JSON, e.g. 1 or null",
+        help="comma-separated type labels, a label that is not a string as JSON, e.g. 1 or "
+        "null; or a JSON array of the labels, e.g. '[\"a,b\", \" c\"]'",
     )
     p.add_argument("instance")
     p.add_argument("protocol", nargs="?")

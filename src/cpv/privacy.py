@@ -11,11 +11,11 @@ no contextually private sequential-elicitation protocol exists.
 
 The protocol-level unilateral checks (CP, ICP, and the subtree checks of
 tatonnement) decide on whole leaf masks whether a violating pair exists,
-by counting the lines of each agent that the leaves meet, and scan pairs
-only to name the first violation.  Every pair scan here (that one, the
-outer loop of the corners scan, non-bossiness) enumerates its pairs with
-:func:`cpv.core.unilateral_pairs`, so scan order, and with it the first
-violation reported, is defined once.
+by counting the lines of each agent that the leaves meet, and the corners
+scan decides one two-agent plane at a time; both scan pairs only to name
+the first violation.  Every pair scan here (those two, non-bossiness)
+enumerates its pairs with :func:`cpv.core.unilateral_pairs`, so scan
+order, and with it the first violation reported, is defined once.
 """
 
 from __future__ import annotations
@@ -292,11 +292,11 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
     """Two-agent square test: three equal corners force the fourth.
 
     A fast necessary condition for contextual privacy; the first failing
-    square in scan order is reported as a :class:`CornersViolation`.  A
-    square on the unilateral pair ``(k, ki)`` and agent ``j`` lies in the
-    pair's two rows along ``j``; the squares of a row pair are tried only
-    if :func:`_rows_may_fail` says the rows can hold a failing square,
-    which is decided once per row pair, when the scan first reaches it.
+    square in scan order is reported as a :class:`CornersViolation`.
+    :func:`_some_plane_fails` decides whether one exists; only then are
+    squares scanned.  A square on the unilateral pair ``(k, ki)`` and
+    agent ``j`` lies in the pair's two rows along ``j``, tried only if
+    :func:`_rows_may_fail` flags them, once per row pair.
     """
     space = rule.space
     if space.n < 2:
@@ -304,6 +304,8 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
     universe = region.mask if region is not None else (1 << space.total) - 1
     member = mask_flags(universe, space.total)
     table = rule.table
+    if not _some_plane_fails(space, table, member):
+        return Verdict(True)
     # per agent i, the later agents j with their strides, sizes and the
     # row-pair flags, keyed by the row of k and the type ti2
     later = [
@@ -334,6 +336,45 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
                         rule.outcomes[x], rule.outcomes[y],
                     ))
     return Verdict(True)
+
+
+def _some_plane_fails(space: TypeSpace, table, member) -> bool:
+    """Whether a square with exactly three equal corners lies in the
+    region, decided per plane of agents ``i < j`` (other types fixed).
+
+    A plane with a hole is decided on its row pairs.  In a whole plane,
+    let ``S(v, c)`` be the types of ``i`` where column ``c`` gives ``v``.
+    A failing square has ``v`` at rows ``r, s`` of column ``c`` and at
+    ``r`` alone in ``d``: ``S(v, c)`` and ``S(v, d)`` meet and differ.
+    Such sets, meeting at ``r`` with ``s`` in one only, give that square.
+    So a plane fails iff two distinct sets for one ``v`` meet.
+    """
+    holey = 0 in member
+    for i, (si, mi) in enumerate(zip(space.strides, space.sizes)):
+        rows = range(0, mi * si, si)
+        for j in range(i + 1, space.n):
+            sj, mj = space.strides[j], space.sizes[j]
+            factors = [(0,) if a in (i, j) else range(m) for a, m in enumerate(space.sizes)]
+            for base in product_indices(space, factors):
+                starts = range(base, base + mj * sj, sj)
+                if holey and any(0 in member[c:c + mi * si:si] for c in starts):
+                    if any(_rows_may_fail(table, member, base + r, s - r, sj, mj)
+                           for r in rows for s in rows if r < s):
+                        return True
+                    continue
+                sets = set()  # (v, S(v, c)) per distinct column
+                for column in {table[c:c + mi * si:si] for c in starts}:
+                    rows_of, bit = {}, 1
+                    for x in column:
+                        rows_of[x] = rows_of.get(x, 0) | bit
+                        bit <<= 1
+                    sets.update(rows_of.items())
+                union = {}
+                for x, m in sets:
+                    if union.get(x, 0) & m:
+                        return True
+                    union[x] = union.get(x, 0) | m
+    return False
 
 
 def _rows_may_fail(table, member, a: int, shift: int, stride: int, size: int) -> bool:

@@ -143,7 +143,7 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
     if isinstance(query, ExtensionalQuery):
         out = [label & mask for mask in query.cells]
         covered = 0
-        for i, m in enumerate(out):
+        for m in out:
             if covered & m:
                 k = (covered & m).bit_length() - 1
                 raise ProtocolDefect(path, f"overlap: profile {space.labels(space.profile(k))}")

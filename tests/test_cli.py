@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import subprocess
@@ -243,7 +244,7 @@ def _checked(body: str) -> str:
 
 # The whole stdout and exit code of `check`: case -> (property, files, exit
 # code, stdout).  "fair" and "fig" are FAIR_INSTANCE and FIG_PROTOCOL;
-# "fig0" is FIG_PROTOCOL with the phase [0].
+# "fig0" is FIG_PROTOCOL with the phase [0], and "fig[0, 1]" with [0, 1].
 CHECK_REPORTS = {
     "cp fails": ("cp", ["fair", "fig"], 1, _checked(
         '"holds":false,"property":"cp","schema":"cpv-1","violation":{"agent":2,'
@@ -254,8 +255,18 @@ CHECK_REPORTS = {
         '"at":["A","A"],"fourth":"x\'","shared":"x","types_i":["A","B"],"types_j":["A","B"]}}'
     )),
     "tatonnement fails, given phase": ("tatonnement", ["fair", "fig0"], 1, _checked(
-        '"failure":"subtree","holds":false,"property":"tatonnement","schema":"cpv-1"}'
+        '"failure":"subtree","failure_at":{"node":0,"violation":{"agent":2,"leaves":[2,3],'
+        '"profiles":[["A","A"],["A","B"]],"shared":"x","types":["A","B"]}},"holds":false,'
+        '"property":"tatonnement","schema":"cpv-1"}'
     )),
+    # phase [0, 1] covers only the leaves below node 1, the row of agent 1's A
+    "tatonnement fails, uncovered leaf": ("tatonnement", ["fair", "fig[0, 1]"], 1, _checked(
+        '"failure":"coverage","failure_at":{"leaf":5},"holds":false,"property":"tatonnement",'
+        '"schema":"cpv-1"}'
+    )),
+    "tatonnement fails, overlapping end nodes": ("tatonnement", ["fair", "fig[0, 1, 4]"], 1,
+        _checked('"failure":"disjointness","failure_at":{"nodes":[1,4],"shared":"x"},'
+                 '"holds":false,"property":"tatonnement","schema":"cpv-1"}')),
     "efficient fails": ("efficient", ["misallocated"], 1, _checked(
         '"counterexample":{"profile":["2","1"],"winners":[2]},"holds":false,'
         '"property":"efficient","schema":"cpv-1"}'
@@ -352,6 +363,16 @@ COMMAND_REPORTS = {
     # the JSON text of the label 1 is 1, not true
     "run, true is no number label": (["run", "--profile", "true,2", "numbers", "numbers_synth"],
         2, '{"error":"agent 0: unknown type label \'true\'"}\n'),
+    # "commas" has the labels "a,b" and " c": a JSON array names them, while
+    # the comma-separated form splits the first and strips the second
+    "run, labels as a JSON array": (["run", "--profile", '["a,b"," c"]', "commas", "commas_elicit"],
+        0, '{"command":"run","leaf":3,"leaf_profiles":[["a,b"," c"]],"outcome":"y","path":'
+        '[{"answer":0,"node":0,"query":"elicit(agent 1)"},{"answer":1,"node":1,'
+        '"query":"elicit(agent 2)"}],"schema":"cpv-1"}\n'),
+    "run, a label with a comma": (["run", "--profile", "a,b, c", "commas", "commas_elicit"], 2,
+        '{"error":"profile has 3 labels, expected 2"}\n'),
+    "run, a label with an edge space": (["run", "--profile", " c, c", "commas", "commas_elicit"],
+        2, '{"error":"agent 0: unknown type label \'c\'"}\n'),
     "run, count clock": (["run", "--profile", "3,1,2", "cap3"], 0, '{"command":"run","leaf":7,'
         '"leaf_profiles":[["3","1","2"],["3","2","1"],["3","2","2"]],'
         '"outcome":"winners=1,price=2","path":[{"answer":1,"node":0,'
@@ -411,7 +432,20 @@ class TestWholeCheckReports:
         docs["tie_elicit"] = {"schema": "cpv-1", "tree": {
             "query": {"kind": "elicit", "agent": 1, "cells": [["1"], [1]]}, "children": [{}, {}]
         }}
-        for phase in ([], [99], [99, 98], [0, 98], [1], [0, 2]):
+        docs["commas"] = {
+            "schema": "cpv-1", "agents": 2, "alphabet": ["a,b", " c"], "rule": {"table": [
+                {"profile": profile, "outcome": x} for profile, x in zip(
+                    itertools.product(["a,b", " c"], repeat=2), "xyzz"
+                )
+            ]},
+        }
+        elicit = [
+            {"kind": "elicit", "agent": agent, "cells": [["a,b"], [" c"]]} for agent in (1, 2)
+        ]
+        docs["commas_elicit"] = {"schema": "cpv-1", "tree": {"query": elicit[0], "children": [
+            {"query": elicit[1], "children": [{}, {}]}, {}
+        ]}}
+        for phase in ([], [99], [99, 98], [0, 98], [1], [0, 2], [0, 1], [0, 1, 4]):
             docs[f"fig{phase}"] = {**FIG_PROTOCOL, "phase": phase}
         for name, (builtin, params, *edits) in REPORT_FILES.items():
             path = str(root / f"{name}.json")

@@ -1,5 +1,6 @@
 """Import hygiene: every name a ``cpv`` or test module imports is used where
-it is imported, every private helper is read somewhere in ``cpv``, every
+it is imported, every name a ``cpv`` function binds is read (``_``-prefixed
+names aside), every private helper is read somewhere in ``cpv``, every
 public function, class, method and property is reached from ``cpv``, the
 benchmark or the package exports (not from tests alone), no module holds an
 ``assert`` statement, importing ``cpv.cli`` loads no code generator, a
@@ -113,6 +114,82 @@ GUARD_CASES = {
 def test_unused_import_guard(case):
     source, expected = GUARD_CASES[case]
     assert unused_imports(ast.parse(source)) == expected
+
+
+SCOPES = (*FUNCTIONS, ast.Lambda, ast.ClassDef)
+
+
+def own_nodes(function: ast.AST):
+    """The nodes of ``function``'s body outside the functions, lambdas and
+    classes nested in it."""
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(tree: ast.Module) -> list[str]:
+    """``function: name (line n)`` for each name a function binds (by
+    assignment, a loop, a comprehension, ``with`` or ``except``) that neither
+    it nor a function nested in it reads; ``_``-prefixed names, parameters,
+    imports and ``global`` or ``nonlocal`` names aside."""
+    unused = []
+    for function in (n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)):
+        read = {
+            n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        nodes = list(own_nodes(function))
+        shared = {
+            name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names
+        }
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                name = node.name
+            else:
+                continue
+            if not name.startswith("_") and name not in read | shared:
+                unused.append(f"{function.name}: {name} (line {node.lineno})")
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_locals(path):
+    unused = unused_locals(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name} binds names it never reads: {unused}"
+
+
+# (source, the names the guard reports)
+LOCALS_CASES = {
+    "loop index never read": (
+        "def f(xs):\n    for i, x in enumerate(xs):\n        print(x)\n", ["f: i (line 2)"]
+    ),
+    "assigned, never read": ("def f():\n    a = 1\n    return 2\n", ["f: a (line 2)"]),
+    "caught, never read": (
+        "def f():\n    try:\n        pass\n    except ValueError as exc:\n        pass\n",
+        ["f: exc (line 4)"],
+    ),
+    "comprehension target": ("def f(xs):\n    return [1 for x in xs]\n", ["f: x (line 2)"]),
+    "underscore exempt": ("def f(xs):\n    for _i, x in enumerate(xs):\n        print(x)\n", []),
+    "parameter exempt": ("def f(unused):\n    return 1\n", []),
+    "read by a nested function": (
+        "def f():\n    a = 1\n    def g():\n        return a\n    return g\n", []
+    ),
+    "nonlocal, read by the outer function": (
+        "def f():\n    a = 0\n    def g():\n        nonlocal a\n        a = 1\n"
+        "    g()\n    return a\n", [],
+    ),
+    "module level exempt": ("a = 1\nfor i in range(2):\n    pass\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCALS_CASES))
+def test_unused_local_guard(case):
+    source, expected = LOCALS_CASES[case]
+    assert unused_locals(ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

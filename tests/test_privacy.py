@@ -20,6 +20,7 @@ from cpv.mechanisms import (
 from cpv.privacy import (
     CornersViolation,
     _rows_may_fail,
+    _some_plane_fails,
     check_nonbossy,
     check_protocol_cp,
     check_protocol_gcp,
@@ -531,6 +532,23 @@ def row_pairs(space: TypeSpace):
                 yield a, (ti2 - ti) * si, sj, size_j
 
 
+def any_failing_square(rule: ChoiceRule, member) -> bool:
+    """Whether some square with all four corners in the region has exactly
+    three equal corners, by trying every square."""
+    space, table = rule.space, rule.table
+    for k in range(space.total):
+        for i, j in itertools.combinations(range(space.n), 2):
+            (si, sj), (mi, mj) = (space.strides[i], space.strides[j]), (space.sizes[i], space.sizes[j])
+            for di in range(si, (mi - k // si % mi) * si, si):
+                for dj in range(sj, (mj - k // sj % mj) * sj, sj):
+                    corners = (k, k + di, k + dj, k + di + dj)
+                    if all(member[c] for c in corners):
+                        xs = [table[c] for c in corners]
+                        if any(xs.count(x) == 3 for x in xs):
+                            return True
+    return False
+
+
 KERNEL_SEEDS = range(150)
 
 
@@ -592,6 +610,44 @@ class TestProductSetKernel:
                     for w in (x, y, u, v)
                 )
                 assert _rows_may_fail(table, member, a, shift, stride, size) is defect
+
+    def test_plane_decision_matches_every_square(self):
+        # full planes are decided by their row sets, planes with a hole by row pairs
+        verdicts = set()
+        for seed in KERNEL_SEEDS:
+            rule = any_rule(seed)
+            space = rule.space
+            rng = random.Random(seed ^ 0xC0DE)
+            for region in (
+                ProfileSet.full(space), holey_region(rng, space),
+                ProfileSet.from_factors(space, sub_factors(rng, space)),
+            ):
+                member = mask_flags(region.mask, space.total)
+                found = any_failing_square(rule, member)
+                assert _some_plane_fails(space, rule.table, member) is found, seed
+                verdicts.add(found)
+        assert verdicts == {False, True}
+
+    def test_no_plane_fails_on_first_price(self):
+        rule = first_price(3, [1, 2, 3, 4, 5]).rule
+        member = mask_flags((1 << rule.space.total) - 1, rule.space.total)
+        assert not _some_plane_fails(rule.space, rule.table, member)
+
+    def test_only_defect_in_a_plane_with_a_hole(self):
+        # the square of test_only_defect_late_in_scan_order, in the plane of
+        # agents 2 and 3 with agent 1 at c, which lacks the profile (c, a, a)
+        space = TypeSpace.shared(3, ("a", "b", "c"))
+        table = list(range(space.total))
+        shared = space.index((2, 1, 1))
+        for profile in ((2, 1, 2), (2, 2, 1)):
+            table[space.index(profile)] = shared
+        rule = ChoiceRule(space, tuple(f"x{k}" for k in range(space.total)), tuple(table))
+        region = ProfileSet.from_indices(space, set(range(space.total)) - {space.index((2, 0, 0))})
+        result = corners_scan(rule, region)
+        assert result == slow_corners_scan(rule, region)
+        assert result.violation == CornersViolation(
+            1, 2, (1, 2), (1, 2), (2, 1, 1), f"x{shared}", f"x{space.index((2, 2, 2))}"
+        )
 
     def test_no_row_pair_flagged(self):
         # first price is privately implementable: no failing square, no flagged row pair
