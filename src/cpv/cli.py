@@ -21,7 +21,16 @@ outside ASCII escaped, and a line break at the end, the bytes of
 The stderr line splits the elapsed time into load, compute and emit.
 
 Importing this module loads ``core`` and ``protocol`` only; each command
-imports the modules it runs when it runs.
+imports the modules it runs when it runs.  Without a bytecode cache every
+module loaded is compiled at every start, so what only some commands run
+lives elsewhere: the cpv-1 writer in ``cpv.jsonwriter`` (for ``--emit``,
+``run`` and ``--pretty``), the protocol checks in ``cpv.privacy`` and the
+rule-level checks and synthesis in ``cpv.synthesis`` (for ``check
+--property corners|nonbossy`` and ``synth``).  So ``validate`` and
+``check`` of CP, ICP, GCP or tatonnement compile neither ``cpv.synthesis``
+nor the writer, and ``fractions`` is imported only for a model that holds
+values.  Reports, failures included, are formatted here, so a ``check``
+or ``synth`` without ``--emit`` imports no writer.
 
 ``check --property`` reads one table, ``_PROPERTIES``; its names, in order,
 are the choices.  Per property: whether it needs a protocol; the check, which
@@ -33,17 +42,15 @@ failure's JSON, from the type space and the violation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
-import stat
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Optional
 
 from cpv.core import (
+    MODEL_SHAPES,
+    SCHEMA,
     ChoiceRule,
     DomainModel,
     InputError,
@@ -55,7 +62,7 @@ from cpv.core import (
     TypeSpace,
     Verdict,
     Witness,
-    mask_flags,
+    _entries,
     product_factorization,
 )
 from cpv.protocol import (
@@ -63,7 +70,6 @@ from cpv.protocol import (
     ElicitQuery,
     ExtensionalQuery,
     MultiCountQuery,
-    Node,
     NodeSpec,
     Protocol,
     build_from_spec,
@@ -71,9 +77,6 @@ from cpv.protocol import (
     validate_phase,
     validate_protocol,
 )
-
-SCHEMA = "cpv-1"
-
 
 # ---------------------------------------------------------------------------
 # the cpv-1 format
@@ -110,12 +113,7 @@ CPV1 = {
         **_SPACE, "outcomes?": ["str"], "universe*": "universe", "protocol?": "protocol",
     },
     "sized": {"components?": {"*": ("agents", "label")}, "model*": "model"},
-    "model": {  # values: numbers, or strings holding fractions
-        "kind": "str", "objects*": ["str"], "values*": ("types", "label"),
-        "endowments*": ("agents", "label"), "capacities*": {"*": "int"},
-        "type_prefs*": ("types", ["str"]), "type_scores*": ("types", {"*": "int"}),
-        "outcome_prefs*": ("types", [["str"]]),
-    },
+    "model": MODEL_SHAPES,
     "params": {
         "n?": "int", "k?": "int", "values?": ["label"], "objects?": ["str"], "order?": ["int"],
         "selection?": "str",
@@ -261,7 +259,7 @@ def _tree(query):
 _FORMS = {"case": _case, "tree": _tree, "agents": lambda item: _array(item, per_agent=True),
           "types": lambda item: _array(item, per_agent=True, per_type=True)}
 _CHECKS = {name: _compile(name) for name in CPV1}
-_MODEL = {key.rstrip("*"): shape for key, shape in CPV1["model"].items()}  # by DomainModel field
+_MODEL = {key.rstrip("*"): shape for key, shape in MODEL_SHAPES.items()}  # by DomainModel field
 
 
 def _check(name: str, doc, sizes: tuple = ()) -> None:
@@ -284,11 +282,6 @@ def _at(pointer):
         raise LoadError(pointer() if callable(pointer) else pointer, str(exc)) from None
 
 
-def _entries(shape):
-    """The shape of each entry of an array of ``shape``."""
-    return [shape[1]] if isinstance(shape, tuple) and shape[0] == "types" else shape[-1]
-
-
 def _freeze(shape, value):
     """A model field as the model holds it: arrays as tuples, objects as sorted pairs."""
     if isinstance(shape, str):
@@ -298,21 +291,10 @@ def _freeze(shape, value):
     return tuple(_freeze(_entries(shape), v) for v in value)
 
 
-def _thaw(shape, value):
-    """A model field in the JSON form of its ``shape``: the inverse of ``_freeze``."""
-    if isinstance(shape, dict):
-        return {k: _thaw(shape["*"], v) for k, v in value}
-    if not isinstance(shape, str):
-        return [_thaw(_entries(shape), v) for v in value]
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # loading
 
-# Seconds spent in ``load`` and ``_emit`` since ``main`` began, for the
+# Seconds spent in ``load`` and ``_write`` since ``main`` began, for the
 # timing line on stderr; the rest of a command is its compute.
 _SPENT = {"load": 0.0, "emit": 0.0}
 
@@ -380,6 +362,8 @@ def _model_from_json(spec) -> Optional[DomainModel]:
         return None
     model = {k: _freeze(s, spec[k]) for k, s in _MODEL.items() if spec.get(k) is not None}
     if "values" in model:
+        from fractions import Fraction
+
         with _at("/model/values"):
             model["values"] = tuple(tuple(map(Fraction, map(str, row))) for row in model["values"])
     return DomainModel(**model)
@@ -492,127 +476,24 @@ def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _query_to_json(space: TypeSpace, query) -> dict:
-    if isinstance(query, ElicitQuery):
-        return {
-            "kind": "elicit",
-            "agent": query.agent + 1,
-            "cells": [
-                [space.alphabets[query.agent][t] for t in cell] for cell in query.cells
-            ],
-        }
-    if isinstance(query, CountQuery):
-        return {
-            "kind": "count",
-            "subset": [space.alphabets[0][t] for t in query.subset],
-            "cells": [list(cell) for cell in query.cells],
-        }
-    if isinstance(query, MultiCountQuery):
-        return {
-            "kind": "multicount",
-            "subsets": [[space.alphabets[0][t] for t in sub] for sub in query.subsets],
-            "cells": [[list(v) for v in cell] for cell in query.cells],
-        }
-    return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
-
-
-def _profiles_to_json(space: TypeSpace, mask: int) -> list:
-    labels = itertools.product(*space.alphabets)  # every profile, in index order
-    return list(map(list, itertools.compress(labels, mask_flags(mask, space.total))))
-
-
-def _node_to_json(protocol: Protocol, node: Node) -> dict:
-    if node.is_leaf:
-        return {}
-    children: list = [None] * len(node.query.cells)
-    for child_id, cell in zip(node.children, node.cell_of_child):
-        children[cell] = _node_to_json(protocol, protocol.nodes[child_id])
-    return {
-        "query": _query_to_json(protocol.space, node.query),
-        "children": children,
-    }
-
-
-def protocol_to_json(protocol: Protocol, phase=None) -> dict:
-    space = protocol.space
-    doc = {
-        "schema": SCHEMA,
-        "space": {
-            "agents": space.n,
-            "alphabets": [list(a) for a in space.alphabets],
-        },
-        "tree": _node_to_json(protocol, protocol.root),
-    }
-    if protocol.universe != (1 << space.total) - 1:
-        doc["universe"] = _profiles_to_json(space, protocol.universe)
-    if phase is not None:
-        doc["phase"] = list(phase)
-    return doc
-
-
-def instance_to_json(instance: Instance) -> dict:
-    space, rule = instance.space, instance.rule
-    doc: dict = {
-        "schema": SCHEMA,
-        "agents": space.n,
-    }
-    if space.common_alphabet:
-        doc["alphabet"] = list(space.alphabets[0])
-    else:
-        doc["alphabets"] = [list(a) for a in space.alphabets]
-    outcomes = doc["outcomes"] = list(rule.outcomes)
-    doc["rule"] = {
-        "table": [  # itertools.product lists the profiles in index order
-            {"profile": list(labels), "outcome": outcomes[o]}
-            for labels, o in zip(itertools.product(*space.alphabets), rule.table)
-        ]
-    }
-    if rule.components is not None:
-        doc["components"] = {
-            lab: list(row) for lab, row in zip(rule.outcomes, rule.components)
-        }
-    if instance.model is not None:
-        doc["model"] = _model_to_json(instance.model)
-    if instance.universe is not None:
-        doc["universe"] = _profiles_to_json(space, instance.universe.mask)
-    return doc
-
-
-def _model_to_json(model: DomainModel) -> dict:
-    fields = {key: getattr(model, key) for key in _MODEL}
-    return {key: _thaw(_MODEL[key], v) for key, v in fields.items() if v is not None}
+# reports and writing
 
 
 def witness_to_json(space: TypeSpace, witness: Witness) -> dict:
     return {"factors": [list(f) for f in witness.labels(space)]}
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _write(doc: dict, path: str) -> str:
+    """Writes ``doc`` to ``path`` with ``cpv.jsonwriter._emit``, timed as
+    the emit part of the stderr line; returns ``path``."""
+    with _timed("emit"):
+        _cpv("jsonwriter")._emit(doc, path)
+    return path
 
 
-@_timed("emit")
-def _emit(doc: dict, path: str) -> None:
-    """Writes ``doc`` over ``path`` in place and cuts off any old tail.
-
-    Opening with truncation frees all of an old file's blocks, and where
-    the filesystem discards freed blocks (ext4 mounted with ``discard``)
-    the writer waits for that; a temporary file renamed over the target
-    waits as long.  Rewritten in place, an unchanged document frees nothing.
-    """
-    from cpv.jsonwriter import write_json
-
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as fh:
-            write_json(doc, fh)
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a terminal cannot seek
-                fh.truncate()
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+def _cpv(module: str):
+    """The module ``cpv.<module>``, imported when a command first runs it."""
+    return __import__(f"cpv.{module}", fromlist=["*"])
 
 
 def _report(doc: dict, pretty: bool) -> None:
@@ -624,6 +505,10 @@ def _report(doc: dict, pretty: bool) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
+# ---------------------------------------------------------------------------
+# commands
+
+
 def _cmd_validate(args) -> tuple[int, dict]:
     loaded = load(args.instance, args.protocol)
     doc = {"command": "validate", "instance": "ok"}
@@ -633,11 +518,6 @@ def _cmd_validate(args) -> tuple[int, dict]:
         doc["protocol"] = "ok"
         doc["notes"] = list(loaded.protocol.notes)
     return 0, doc
-
-
-def _cpv(module: str):
-    """The module ``cpv.<module>``, imported when a command first runs it."""
-    return __import__(f"cpv.{module}", fromlist=["*"])
 
 
 def _tatonnement(b: ProtocolBundle, doc: dict) -> Verdict:
@@ -710,11 +590,11 @@ _PROPERTIES = {  # the module docstring states its shape
     ),
     "tatonnement": (True, _tatonnement, "failure", lambda space, v: v[0]),
     "corners": (
-        False, lambda b, doc: _cpv("privacy").corners_scan(b.instance.rule, b.instance.universe),
+        False, lambda b, doc: _cpv("synthesis").corners_scan(b.instance.rule, b.instance.universe),
         "violation", _corners_to_json,
     ),
     "nonbossy": (
-        False, lambda b, doc: _cpv("privacy").check_nonbossy(b.instance.rule),
+        False, lambda b, doc: _cpv("synthesis").check_nonbossy(b.instance.rule),
         "violation", _nonbossy_to_json,
     ),
     **dict.fromkeys(("efficient", "ir", "stable", "sp"), (
@@ -747,8 +627,7 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_synth(args) -> tuple[int, dict]:
-    from cpv.privacy import synthesize_or_witness, witness_minimize
-
+    synthesis = _cpv("synthesis")
     loaded = load(args.instance)
     instance = loaded.instance
     factors = None
@@ -756,7 +635,7 @@ def _cmd_synth(args) -> tuple[int, dict]:
         factors = product_factorization(instance.space, instance.universe)
         if factors is None:
             raise InputError("synthesis needs a product universe")
-    result = synthesize_or_witness(instance.rule, factors)
+    result = synthesis.synthesize_or_witness(instance.rule, factors)
     if isinstance(result, Protocol):
         doc = {
             "command": "synth",
@@ -765,10 +644,9 @@ def _cmd_synth(args) -> tuple[int, dict]:
             "leaves": len(result.leaves()),
         }
         if args.emit:
-            _emit(protocol_to_json(result), args.emit)
-            doc["emitted"] = args.emit
+            doc["emitted"] = _write(_cpv("jsonwriter").protocol_to_json(result), args.emit)
         return 0, doc
-    minimized = witness_minimize(instance.rule, result)
+    minimized = synthesis.witness_minimize(instance.rule, result)
     doc = {
         "command": "synth",
         "result": "witness",
@@ -807,7 +685,9 @@ def _cmd_run(args) -> tuple[int, dict]:
         "command": "run",
         "path": [{"node": node, "query": query, "answer": pos} for node, query, pos in path],
         "leaf": leaf,
-        "leaf_profiles": _profiles_to_json(space, loaded.protocol.nodes[leaf].label),
+        "leaf_profiles": _cpv("jsonwriter")._profiles_to_json(
+            space, loaded.protocol.nodes[leaf].label
+        ),
         "outcome": outcome,
     }
     return 0, doc
@@ -829,8 +709,8 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     }
     if result.status == "found":
         if args.emit:
-            _emit(protocol_to_json(result.protocol), args.emit)
-            doc["emitted"] = args.emit
+            pdoc = _cpv("jsonwriter").protocol_to_json(result.protocol)
+            doc["emitted"] = _write(pdoc, args.emit)
         doc["nodes"] = len(result.protocol.nodes)
         return 0, doc
     if result.status == "nonexistent":
@@ -852,25 +732,40 @@ def _cmd_builtin(args) -> tuple[int, dict]:
         built = table[name](params)
     doc: dict = {"command": "builtin", "name": name}
     if table is BUILTIN_PROTOCOLS:
-        out = instance_to_json(built.instance)
-        pdoc = protocol_to_json(built.protocol, built.phase)
-        out["protocol"] = {k: v for k, v in pdoc.items() if k not in ("schema", "space")}
         doc.update(kind="protocol", nodes=len(built.protocol.nodes))
         doc["profiles"] = built.instance.space.total
     elif isinstance(built, list):
-        out = {"schema": SCHEMA, "family": [instance_to_json(b) for b in built]}
         doc.update(kind="family", members=len(built))
     else:
-        out = instance_to_json(built)
         doc.update(kind="rule", profiles=built.space.total, rows=len(built.rule.table))
     if args.emit:
-        _emit(out, args.emit)
-        doc["emitted"] = args.emit
+        doc["emitted"] = _write(_builtin_to_json(built), args.emit)
     return 0, doc
+
+
+def _builtin_to_json(built) -> dict:
+    """The cpv-1 document of a built-in protocol bundle, family or rule."""
+    writer = _cpv("jsonwriter")
+    if isinstance(built, ProtocolBundle):
+        out = writer.instance_to_json(built.instance)
+        pdoc = writer.protocol_to_json(built.protocol, built.phase)
+        out["protocol"] = {k: v for k, v in pdoc.items() if k not in ("schema", "space")}
+        return out
+    if isinstance(built, list):
+        return {"schema": SCHEMA, "family": [writer.instance_to_json(b) for b in built]}
+    return writer.instance_to_json(built)
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def __getattr__(name: str):
+    """The writer functions that ``bench/spans.py`` ``TARGETS`` still names
+    as ``cpv.cli`` attributes, from ``cpv.jsonwriter``; no other name."""
+    if name in ("instance_to_json", "protocol_to_json", "_emit"):
+        return getattr(_cpv("jsonwriter"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 
 
@@ -523,6 +522,24 @@ class Witness:
 # ---------------------------------------------------------------------------
 # instances: what a file or a built-in gives the commands
 
+SCHEMA = "cpv-1"
+
+# The cpv-1 shape of each DomainModel field, in the shape language of
+# ``cpv.cli.CPV1``, whose "model" entry this is; "field*" may be absent or
+# null.  It lives here so that the reader in ``cpv.cli`` and the writer in
+# ``cpv.jsonwriter`` share it without importing each other.
+MODEL_SHAPES = {  # values: numbers, or strings holding fractions
+    "kind": "str", "objects*": ["str"], "values*": ("types", "label"),
+    "endowments*": ("agents", "label"), "capacities*": {"*": "int"},
+    "type_prefs*": ("types", ["str"]), "type_scores*": ("types", {"*": "int"}),
+    "outcome_prefs*": ("types", [["str"]]),
+}
+
+
+def _entries(shape):
+    """The shape of each entry of an array of ``shape``."""
+    return [shape[1]] if isinstance(shape, tuple) and shape[0] == "types" else shape[-1]
+
 
 @record
 class DomainModel:
@@ -530,7 +547,8 @@ class DomainModel:
 
     kind: str  # auction | assignment | house | school | double_auction | abstract
     objects: tuple[str, ...] | None = None
-    values: tuple[tuple[Fraction, ...], ...] | None = None  # [agent][type]
+    # [agent][type]; the annotation stays unevaluated, so fractions is not imported
+    values: tuple[tuple[Fraction, ...], ...] | None = None
     endowments: tuple | None = None  # house: object labels; double auction: 0/1
     capacities: tuple[tuple[str, int], ...] | None = None
     type_prefs: tuple[tuple[tuple[str, ...], ...], ...] | None = None  # [agent][type]

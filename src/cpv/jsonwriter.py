@@ -1,12 +1,32 @@
-"""Indented JSON, for ``--emit`` files and ``--pretty`` reports.
+"""The cpv-1 writer: instances and protocols as JSON documents, and
+indented JSON, for ``--emit`` files and ``--pretty`` reports.
 
-``cpv.cli`` imports this module only when it writes one, so a command that
-only reads and checks compiles none of it at start-up.
+``cpv.cli`` imports this module only when it writes one (``--emit`` of
+``builtin``, ``synth`` and ``enumerate``, ``run`` and ``--pretty``), so
+``check`` and ``validate``, which only read, never compile it.  It must not
+import ``cpv.cli``: under ``python -m cpv.cli`` the running module is
+``__main__``, and importing ``cpv.cli`` would compile and run it a second
+time.  The model shapes and the schema name come from ``cpv.core``.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import stat
 from json.encoder import INFINITY, encode_basestring_ascii
+
+from cpv.core import (
+    MODEL_SHAPES,
+    SCHEMA,
+    DomainModel,
+    InputError,
+    Instance,
+    TypeSpace,
+    _entries,
+    mask_flags,
+)
+from cpv.protocol import CountQuery, ElicitQuery, MultiCountQuery, Node, Protocol
 
 
 class _Strings(dict):
@@ -114,3 +134,132 @@ def write_json(doc, fh) -> None:
             parts.append(closing)
     parts.append("\n")
     fh.write("".join(parts))
+
+
+def _emit(doc: dict, path: str) -> None:
+    """Writes ``doc`` over ``path`` in place and cuts off any old tail.
+
+    Opening with truncation frees all of an old file's blocks, and where
+    the filesystem discards freed blocks (ext4 mounted with ``discard``)
+    the writer waits for that; a temporary file renamed over the target
+    waits as long.  Rewritten in place, an unchanged document frees nothing.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            write_json(doc, fh)
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a terminal cannot seek
+                fh.truncate()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# the cpv-1 documents
+
+
+def _query_to_json(space: TypeSpace, query) -> dict:
+    if isinstance(query, ElicitQuery):
+        return {
+            "kind": "elicit",
+            "agent": query.agent + 1,
+            "cells": [
+                [space.alphabets[query.agent][t] for t in cell] for cell in query.cells
+            ],
+        }
+    if isinstance(query, CountQuery):
+        return {
+            "kind": "count",
+            "subset": [space.alphabets[0][t] for t in query.subset],
+            "cells": [list(cell) for cell in query.cells],
+        }
+    if isinstance(query, MultiCountQuery):
+        return {
+            "kind": "multicount",
+            "subsets": [[space.alphabets[0][t] for t in sub] for sub in query.subsets],
+            "cells": [[list(v) for v in cell] for cell in query.cells],
+        }
+    return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
+
+
+def _profiles_to_json(space: TypeSpace, mask: int) -> list:
+    labels = itertools.product(*space.alphabets)  # every profile, in index order
+    return list(map(list, itertools.compress(labels, mask_flags(mask, space.total))))
+
+
+def _node_to_json(protocol: Protocol, node: Node) -> dict:
+    if node.is_leaf:
+        return {}
+    children: list = [None] * len(node.query.cells)
+    for child_id, cell in zip(node.children, node.cell_of_child):
+        children[cell] = _node_to_json(protocol, protocol.nodes[child_id])
+    return {
+        "query": _query_to_json(protocol.space, node.query),
+        "children": children,
+    }
+
+
+def protocol_to_json(protocol: Protocol, phase=None) -> dict:
+    space = protocol.space
+    doc = {
+        "schema": SCHEMA,
+        "space": {
+            "agents": space.n,
+            "alphabets": [list(a) for a in space.alphabets],
+        },
+        "tree": _node_to_json(protocol, protocol.root),
+    }
+    if protocol.universe != (1 << space.total) - 1:
+        doc["universe"] = _profiles_to_json(space, protocol.universe)
+    if phase is not None:
+        doc["phase"] = list(phase)
+    return doc
+
+
+def instance_to_json(instance: Instance) -> dict:
+    space, rule = instance.space, instance.rule
+    doc: dict = {
+        "schema": SCHEMA,
+        "agents": space.n,
+    }
+    if space.common_alphabet:
+        doc["alphabet"] = list(space.alphabets[0])
+    else:
+        doc["alphabets"] = [list(a) for a in space.alphabets]
+    outcomes = doc["outcomes"] = list(rule.outcomes)
+    doc["rule"] = {
+        "table": [  # itertools.product lists the profiles in index order
+            {"profile": list(labels), "outcome": outcomes[o]}
+            for labels, o in zip(itertools.product(*space.alphabets), rule.table)
+        ]
+    }
+    if rule.components is not None:
+        doc["components"] = {
+            lab: list(row) for lab, row in zip(rule.outcomes, rule.components)
+        }
+    if instance.model is not None:
+        doc["model"] = _model_to_json(instance.model)
+    if instance.universe is not None:
+        doc["universe"] = _profiles_to_json(space, instance.universe.mask)
+    return doc
+
+
+def _model_to_json(model: DomainModel) -> dict:
+    fields = ((key.rstrip("*"), shape) for key, shape in MODEL_SHAPES.items())
+    return {
+        key: _thaw(shape, v) for key, shape in fields if (v := getattr(model, key)) is not None
+    }
+
+
+def _thaw(shape, value):
+    """A model field in the JSON form of its ``shape``: the inverse of
+    ``cpv.cli._freeze``."""
+    from fractions import Fraction
+
+    if isinstance(shape, dict):
+        return {k: _thaw(shape["*"], v) for k, v in value}
+    if not isinstance(shape, str):
+        return [_thaw(_entries(shape), v) for v in value]
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else str(value)
+    return value

@@ -49,7 +49,7 @@ def random_component_rule(seed: int, max_agents: int = 3, max_types: int = 3) ->
     n = base.space.n
     rows: set[tuple[str, ...]] = set()
     components = []
-    for x in range(base.outcome_count):
+    for _ in range(base.outcome_count):
         while True:
             row = tuple(rng.choice(("p", "q", "r")) for _ in range(n))
             row = tuple(f"{c}{rng.randint(0, 1)}" for c in row)

@@ -36,7 +36,6 @@ from cpv.core import (
     record,
 )
 from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
-from cpv.privacy import witness_verify
 from cpv.protocol import ElicitQuery
 from cpv.search import (
     SearchResult,
@@ -48,6 +47,7 @@ from cpv.search import (
     _splits,
     drawn_kinds,
 )
+from cpv.synthesis import witness_verify
 
 # ---------------------------------------------------------------------------
 # witness brute force

@@ -32,15 +32,7 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
     uniform_price,
 )
-from cpv.privacy import (
-    check_nonbossy,
-    check_protocol_cp,
-    check_protocol_gcp,
-    check_protocol_icp,
-    corners_scan,
-    synthesize_or_witness,
-    witness_verify,
-)
+from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -51,6 +43,7 @@ from cpv.protocol import (
     implements,
 )
 from cpv.search import exhaustive_cp_search
+from cpv.synthesis import check_nonbossy, corners_scan, synthesize_or_witness, witness_verify
 from cpv.tatonnement import check_tatonnement, phase_discovery
 
 from corpus import (

@@ -1,8 +1,10 @@
-"""The benchmark's span targets name functions that exist.
+"""The benchmark's span targets name functions that exist, and the
+commands still call them through their wrappers.
 
 ``bench/spans.py`` wraps ``cpv`` functions by name; a renamed one would
-otherwise only fail a traced benchmark run.  It imports only the standard
-library, so it is loaded here straight from its file.
+otherwise only fail a traced benchmark run, and one that resolves but is
+called past its wrapper would only read 0 in it.  It imports only the
+standard library, so it is loaded here straight from its file.
 """
 
 from __future__ import annotations
@@ -43,3 +45,30 @@ def test_counters_hang_on_targets():
     mechanisms = importlib.import_module("cpv.mechanisms")
     for table in spans.BUILTIN_TABLES:
         assert isinstance(getattr(mechanisms, table), dict)
+
+
+def test_moved_targets_record_their_spans(tmp_path):
+    # As ``bench/run.py --trace 1`` does: a plain pass loads every module,
+    # then a traced pass runs the same commands.
+    from cpv.cli import main
+
+    fp, sp = str(tmp_path / "fp.json"), str(tmp_path / "sp.json")
+    commands = [
+        ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2, 3]}', "--emit", fp],
+        ["builtin", "second_price", "--params", '{"n": 3, "values": [1, 2, 3]}', "--emit", sp],
+        ["check", "--property", "corners", sp],  # fails
+        ["synth", fp, "--emit", str(tmp_path / "fp_protocol.json")],  # a protocol
+        ["synth", sp],  # a witness
+    ]
+    assert [main(argv) for argv in commands] == [0, 0, 1, 0, 1]
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        assert [main(argv) for argv in commands] == [0, 0, 1, 0, 1]
+    finally:
+        spans.uninstall(undo)
+    recorded = {key for _, _, _, key, _, _ in tracer.spans}
+    assert {
+        "privacy.corners", "privacy.inseparability", "privacy.synth", "privacy.minimize",
+        "privacy.witness_verify", "cli.emit",
+    } <= recorded, recorded

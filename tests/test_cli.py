@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import cpv
-from cpv.cli import instance_to_json, main, protocol_to_json
+from cpv.cli import main
+from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.privacy import check_protocol_cp
 
@@ -122,6 +123,7 @@ class TestLoad:
         p.write_text(json.dumps(inst))
         code, out = run_cli(["validate", str(p)], capsys)
         assert code == 0
+        assert out == {"command": "validate", "instance": "ok", "schema": "cpv-1"}
 
     def test_unsupported_schema(self, tmp_path, capsys):
         p = tmp_path / "old.json"
@@ -147,6 +149,7 @@ class TestCheck:
     def test_missing_protocol_is_input_error(self, fair_files, capsys):
         code, doc = run_cli(["check", "--property", "cp", fair_files[0]], capsys)
         assert code == 2
+        assert doc == {"error": "property 'cp' needs a protocol file"}
 
 
 # The whole stdout of `check` on the ascending clock for the second price,
@@ -559,6 +562,7 @@ class TestRunAndTatonnement:
     def test_unknown_builtin(self, capsys):
         code, doc = run_cli(["builtin", "nope"], capsys)
         assert code == 2
+        assert doc == {"error": "unknown builtin 'nope'"}
 
 
 # (built-in, parameters holding one key the built-in does not take, that key)

@@ -14,14 +14,8 @@ from cpv.mechanisms import (
     fig_shaded_3x3,
     second_price,
 )
-from cpv.privacy import (
-    CornersViolation,
-    CpViolation,
-    check_nonbossy,
-    check_protocol_cp,
-    check_protocol_icp,
-    corners_scan,
-)
+from cpv.privacy import CpViolation, check_protocol_cp, check_protocol_icp
+from cpv.synthesis import CornersViolation, check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement
 
 from oracles import ObstructionEntry, obstruction_scan

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpv.cli import _check, instance_to_json, main, protocol_to_json
+from cpv.cli import _check, main
+from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
-from cpv.privacy import synthesize_or_witness
 from cpv.protocol import Protocol
+from cpv.synthesis import synthesize_or_witness
 from test_cli import BUNDLE_PARAMS
 
 # Small parameters for every built-in rule.

@@ -1,11 +1,12 @@
 """Import hygiene: every name a ``cpv`` or test module imports is used where
-it is imported, every name a ``cpv`` function binds is read (``_``-prefixed
-names aside), every private helper is read somewhere in ``cpv``, every
-public function, class, method and property is reached from ``cpv``, the
-benchmark or the package exports (not from tests alone), no module holds an
-``assert`` statement, importing ``cpv.cli`` loads no code generator, a
-command loads only the ``cpv`` modules it runs, and no record but
-``core.Verdict`` has an ``ok`` field.
+it is imported, every name a ``cpv`` or test function binds is read
+(``_``-prefixed names aside), every private helper is read somewhere in
+``cpv``, every public function, class, method and property is reached from
+``cpv``, the benchmark or the package exports (not from tests alone), no
+module holds an ``assert`` statement, no ``cpv`` module imports ``cpv.cli``,
+importing ``cpv.cli`` loads no code generator, a command loads only the
+``cpv`` modules it runs, and no record but ``core.Verdict`` has an ``ok``
+field.
 
 A name imported at module level counts as used when it is read anywhere in
 the module (annotations included, also those written as strings) or listed
@@ -116,6 +117,50 @@ def test_unused_import_guard(case):
     assert unused_imports(ast.parse(source)) == expected
 
 
+def imports_of_cli(tree: ast.Module) -> list[str]:
+    """``line n`` for each statement of ``tree`` that imports ``cpv.cli``;
+    a relative import counts from the package ``cpv``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cpv" if node.level else "", node.module]))
+            names = {module, *(f"{module}.{a.name}" for a in node.names)}
+        else:
+            continue
+        if "cpv.cli" in names:
+            lines.append(f"line {node.lineno}")
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_the_cli(path):
+    # Under ``python -m cpv.cli`` the running module is ``__main__``, so an
+    # import of ``cpv.cli`` compiles and runs all of it a second time.
+    lines = imports_of_cli(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} imports cpv.cli at {lines}"
+
+
+# (source, the imports the guard reports)
+CLI_IMPORT_CASES = {
+    "import": ("import cpv.cli\n", ["line 1"]),
+    "import as": ("import cpv.cli as cli\n", ["line 1"]),
+    "from the module": ("def f():\n    from cpv.cli import main\n    return main\n", ["line 2"]),
+    "from the package": ("from cpv import cli, core\n", ["line 1"]),
+    "relative": ("from . import cli\nfrom .cli import main\nfrom .core import SCHEMA\n",
+                 ["line 1", "line 2"]),
+    "another module": ("import cpv.core\nfrom cpv import jsonwriter\n", []),
+    "a name like it": ("import cpv.clinic\nfrom cpv.cli_tools import x\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_IMPORT_CASES))
+def test_cli_import_guard(case):
+    source, expected = CLI_IMPORT_CASES[case]
+    assert imports_of_cli(ast.parse(source)) == expected
+
+
 SCOPES = (*FUNCTIONS, ast.Lambda, ast.ClassDef)
 
 
@@ -156,7 +201,9 @@ def unused_locals(tree: ast.Module) -> list[str]:
     return sorted(unused)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_no_unused_locals(path):
     unused = unused_locals(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} binds names it never reads: {unused}"
@@ -218,16 +265,18 @@ def test_cli_import_generates_no_code():
 
 
 COMMAND_MODULES = {
-    "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.tatonnement"
+    "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.synthesis",
+    "cpv.tatonnement",
 }
 
 
-def modules_loaded_by(statement: str) -> set[str]:
-    """The ``cpv`` modules a fresh interpreter holds after ``statement``."""
+def modules_loaded_by(statement: str, also: tuple = ()) -> set[str]:
+    """The ``cpv`` modules, and those of ``also``, that a fresh interpreter
+    holds after ``statement``."""
     src = str(Path(cpv.__file__).resolve().parent.parent)
     probe = (
         f"import json, sys; sys.path.insert(0, {src!r}); {statement}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cpv'))))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith('cpv') or m in {also!r})))"
     )
     res = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
@@ -266,8 +315,9 @@ def test_builtin_loads_mechanisms_alone():
 
 # The command modules that `check --property` loads, per property.
 CHECK_MODULES = {
-    **dict.fromkeys(["cp", "icp", "gcp", "corners", "nonbossy"], {"cpv.privacy"}),
+    **dict.fromkeys(["cp", "icp", "gcp"], {"cpv.privacy"}),
     "tatonnement": {"cpv.privacy", "cpv.tatonnement"},
+    **dict.fromkeys(["corners", "nonbossy"], {"cpv.privacy", "cpv.synthesis"}),
     **dict.fromkeys(["osp", "efficient", "ir", "stable", "sp"], {"cpv.mechanisms"}),
 }
 
@@ -295,6 +345,50 @@ def test_check_loads_the_modules_of_its_property(prop, checked_files):
     argv = ["check", "--property", prop, checked_files[name]]
     loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")
     assert loaded & COMMAND_MODULES == CHECK_MODULES[prop], loaded
+
+
+@pytest.fixture(scope="module")
+def first_price_file(tmp_path_factory) -> str:
+    """A first-price rule, which has a CP protocol."""
+    from cpv.cli import main
+
+    path = str(tmp_path_factory.mktemp("rule") / "fp.json")
+    assert main(["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2, 3]}',
+                 "--emit", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("emit", [False, True], ids=["plain", "emit"])
+def test_synth_loads_the_writer_only_to_emit(emit, first_price_file, tmp_path):
+    argv = ["synth", first_price_file, *(["--emit", str(tmp_path / "p.json")] if emit else [])]
+    # exit 0: a protocol, which is emitted only with --emit
+    loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.synthesis"} | (
+        {"cpv.jsonwriter"} if emit else set()
+    ), loaded
+
+
+def test_enumerate_without_emit_loads_no_writer(first_price_file):
+    argv = ["enumerate", first_price_file]
+    # exit 0: a protocol found, and not written
+    loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check", "--property", "cp"]], ids=" ".join)
+def test_a_table_instance_without_values_imports_no_fractions(argv, tmp_path):
+    # fractions, and decimal with it, serve only model values.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "schema": "cpv-1", "agents": 1, "alphabet": ["a", "b"],
+        "rule": {"table": [{"profile": ["a"], "outcome": "x"}, {"profile": ["b"], "outcome": "y"}]},
+        "protocol": {"tree": {
+            "query": {"kind": "elicit", "agent": 1, "cells": [["a"], ["b"]]}, "children": [{}, {}]
+        }},
+    }))
+    statement = f"from cpv.cli import main; main({[*argv, str(path)]!r})"
+    loaded = modules_loaded_by(statement, also=("fractions", "decimal"))
+    assert "cpv.cli" in loaded and not loaded & {"fractions", "decimal"}, loaded
 
 
 def test_instance_records_are_still_read_from_mechanisms():

@@ -31,13 +31,7 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
     uniform_price,
 )
-from cpv.privacy import (
-    check_nonbossy,
-    check_protocol_cp,
-    check_protocol_gcp,
-    check_protocol_icp,
-    corners_scan,
-)
+from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
 from cpv.protocol import (
     NodeSpec,
     ElicitQuery,
@@ -46,6 +40,7 @@ from cpv.protocol import (
     run_protocol,
     validate_protocol,
 )
+from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement
 
 from corpus import outcome, profiles_of
@@ -402,6 +397,6 @@ class TestAppC:
         assert at(2, 8, 6) == "winner=2,price=6"
         assert at(0, 3, 6) == at(0, 3, 4)  # agent 3's 6 and 4 inseparable
         assert at(5, 8, 4) == at(5, 8, 1)  # agent 3's 4 and 1 inseparable
-        from cpv.privacy import witness_verify
+        from cpv.synthesis import witness_verify
 
         assert witness_verify(rule, Witness(factors))

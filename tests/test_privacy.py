@@ -17,21 +17,19 @@ from cpv.mechanisms import (
     serial_dictatorship,
     serial_dictatorship_protocol,
 )
-from cpv.privacy import (
+from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
+from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
+from cpv.synthesis import (
     CornersViolation,
     _rows_may_fail,
     _some_plane_fails,
     check_nonbossy,
-    check_protocol_cp,
-    check_protocol_gcp,
-    check_protocol_icp,
     corners_scan,
     inseparability_classes,
     synthesize_or_witness,
     witness_minimize,
     witness_verify,
 )
-from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
 
 from corpus import (
     corpus_seeds,

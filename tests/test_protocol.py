@@ -58,7 +58,6 @@ class TestValidation:
 
     def test_overlapping_extensional_cells(self):
         inst = fair()
-        aa = [["A", "A"]]
         cells = (
             profile_set(inst.space, [(0, 0), (0, 1)]).mask,
             profile_set(inst.space, [(0, 0), (1, 0), (1, 1)]).mask,
@@ -223,7 +222,6 @@ class TestImplements:
         inst = fair()
         res = implements(one_query(), inst.rule)
         assert not res.ok
-        leaf_profiles = set((1, 0) for _ in [0])
         assert set(res.violation[1]) == {(1, 0), (1, 1)}
 
     def test_root_only_constant_rule(self):

@@ -10,14 +10,10 @@ from cpv.mechanisms import (
     school_count_instance,
     serial_dictatorship,
 )
-from cpv.privacy import (
-    check_protocol_cp,
-    corners_scan,
-    synthesize_or_witness,
-    witness_minimize,
-)
+from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements
 from cpv.search import exhaustive_cp_search
+from cpv.synthesis import corners_scan, synthesize_or_witness, witness_minimize
 
 from corpus import corpus_seeds, random_rule
 from oracles import ObstructionReport, exhaustive_osp_search, obstruction_scan, witness_oracle
