@@ -6,6 +6,14 @@ bitmask over the mixed-radix index space of a :class:`TypeSpace`; agent 0
 is the most significant digit.  All values are immutable and every
 operation is a pure function.
 
+Type labels read from files become profile indices in whole columns:
+:meth:`TypeSpace.indices_of_rows` indexes an array of label rows one agent
+column at a time, with C-level passes and no Python call per row, and
+:meth:`TypeSpace.index_of_labels` indexes one row and says what is wrong
+with it.  The range checks of :meth:`ProfileSet.from_indices` and
+:class:`ChoiceRule` likewise read ``min`` and ``max`` of the whole sequence,
+and scan for an offender only to name it.
+
 Every property check returns a :class:`Verdict`: ``ok``, and if that is
 false, the first counterexample in the check's scan order as ``violation``,
 in the shape that the check's docstring gives.  Validators return their
@@ -17,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
+from operator import add, itemgetter
 
 
 class InputError(ValueError):
@@ -250,6 +259,25 @@ class TypeSpace:
                 raise InputError(f"agent {i}: unknown type label {lab!r}") from None
         return k
 
+    def indices_of_rows(self, rows):
+        """Profile indices of ``rows``, arrays of one type label per agent,
+        as a lazy map that runs no Python code per row.
+
+        It reads one agent column at a time, ``map(itemgetter(i), rows)``,
+        looks each label up in a map from the agent's labels to type index
+        times stride, and adds that to the running indices; a first column,
+        of row lengths, adds 0.  ``rows`` is read once per column, so it
+        must be a sequence.  Consuming the map raises ``KeyError`` at a row
+        whose length is not the agent count or at a label that names no
+        type, and ``TypeError`` at an unhashable label; only
+        :meth:`index_of_labels`, a row at a time, says which.
+        """
+        keys = map({self.n: 0}.__getitem__, map(len, rows))
+        for i, (alphabet, stride) in enumerate(zip(self.alphabets, self.strides)):
+            offset = {label: t * stride for t, label in enumerate(alphabet)}
+            keys = map(add, keys, map(offset.__getitem__, map(itemgetter(i), rows)))
+        return keys
+
     def type_indices(self, agent: int, labels) -> tuple[int, ...]:
         """Type indices of ``labels`` in ``agent``'s alphabet, checked."""
         try:
@@ -353,11 +381,12 @@ class ProfileSet:
 
     @classmethod
     def from_indices(cls, space: TypeSpace, indices) -> ProfileSet:
-        flags = bytearray(space.total)
-        for k in indices:
-            if not 0 <= k < space.total:
-                raise InputError(f"profile index {k} out of range")
-            flags[k] = 1
+        keys, total = list(indices), space.total
+        if keys and not 0 <= min(keys) <= max(keys) < total:  # then name the first
+            raise InputError(f"profile index {next(k for k in keys if not 0 <= k < total)} "
+                             "out of range")
+        flags = bytearray(total)
+        any(map(flags.__setitem__, keys, itertools.repeat(1)))  # __setitem__ returns None
         return cls(space, mask_of_flags(flags))
 
     @classmethod
@@ -426,9 +455,10 @@ class ChoiceRule:
             raise InputError(
                 f"rule table has {len(self.table)} rows, expected {self.space.total}"
             )
-        for x in self.table:
-            if not 0 <= x < len(self.outcomes):
-                raise InputError(f"outcome id {x} out of range")
+        table, count = self.table, len(self.outcomes)
+        if not 0 <= min(table) <= max(table) < count:  # then name the first
+            raise InputError(f"outcome id {next(x for x in table if not 0 <= x < count)} "
+                             "out of range")
         if self.components is not None:
             if len(self.components) != len(self.outcomes):
                 raise InputError("components must be given per outcome id")
@@ -525,8 +555,8 @@ class Witness:
 SCHEMA = "cpv-1"
 
 # The cpv-1 shape of each DomainModel field, in the shape language of
-# ``cpv.cli.CPV1``, whose "model" entry this is; "field*" may be absent or
-# null.  It lives here so that the reader in ``cpv.cli`` and the writer in
+# ``cpv.reader.CPV1``, whose "model" entry this is; "field*" may be absent or
+# null.  It lives here so that the reader in ``cpv.reader`` and the writer in
 # ``cpv.jsonwriter`` share it without importing each other.
 MODEL_SHAPES = {  # values: numbers, or strings holding fractions
     "kind": "str", "objects*": ["str"], "values*": ("types", "label"),
@@ -547,8 +577,9 @@ class DomainModel:
 
     kind: str  # auction | assignment | house | school | double_auction | abstract
     objects: tuple[str, ...] | None = None
-    # [agent][type]; the annotation stays unevaluated, so fractions is not imported
-    values: tuple[tuple[Fraction, ...], ...] | None = None
+    # [agent][type]: JSON integers as int, other numbers as Fraction; the
+    # annotation stays unevaluated, so fractions is not imported
+    values: tuple[tuple[int | Fraction, ...], ...] | None = None
     endowments: tuple | None = None  # house: object labels; double auction: 0/1
     capacities: tuple[tuple[str, int], ...] | None = None
     type_prefs: tuple[tuple[tuple[str, ...], ...], ...] | None = None  # [agent][type]

@@ -253,7 +253,7 @@ def _model_to_json(model: DomainModel) -> dict:
 
 def _thaw(shape, value):
     """A model field in the JSON form of its ``shape``: the inverse of
-    ``cpv.cli._freeze``."""
+    ``cpv.reader._freeze``."""
     from fractions import Fraction
 
     if isinstance(shape, dict):

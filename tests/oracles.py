@@ -17,6 +17,9 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   with the protected pair it separates, read by c11,
   ``test_first_hits.py`` and ``test_search.py::TestObstructionScan``.
   ROADMAP item 4's per-candidate reasons are checked against it.
+- :func:`instance_by_rows`, the cpv-1 row walk: a table instance read a
+  row and a universe profile at a time, read by ``test_reader.py``.
+  ROADMAP item 6's whole-column loader is checked against it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ import itertools
 import math
 from typing import Optional
 
+from cpv import reader
 from cpv.core import (
     ChoiceRule,
     DomainModel,
+    Instance,
+    LoadError,
     ProfileSet,
     ResourceError,
     Witness,
@@ -182,3 +188,44 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
             partition = tuple(tuple(ProfileSet(space, m).indices()) for m in cells)
             entries.append(ObstructionEntry(kind, detail, partition, violation))
     return ObstructionReport(tuple(entries), not constant_on(rule, state))
+
+
+# ---------------------------------------------------------------------------
+# the cpv-1 row walk
+
+
+def instance_by_rows(doc) -> Instance:
+    """What ``cpv.reader.instance_from_json`` gives for ``doc``, a table
+    instance without components or model, read one table row and one
+    universe profile at a time through ``TypeSpace.index_of_labels``: the
+    first row at fault is named by the reader's message and JSON pointer."""
+    reader._check("instance", doc)
+    space = reader._space_from_json(doc, "")
+    reader._check("sized", doc, space.sizes)
+    if "components" in doc or "model" in doc or "protocol" in doc:
+        raise ValueError("the row walk reads table instances without components or model")
+    ids = {lab: i for i, lab in enumerate(doc.get("outcomes", []))}
+    if len(ids) < len(doc.get("outcomes", [])):
+        raise LoadError("/outcomes", "duplicate outcome labels")
+    table = [-1] * space.total
+    r = 0
+    with reader._at(lambda: f"/rule/table/{r}/profile"):
+        for r, row in enumerate(doc["rule"]["table"]):
+            k = space.index_of_labels(row["profile"])
+            if table[k] != -1:
+                raise LoadError(f"/rule/table/{r}", "duplicate profile row")
+            table[k] = ids.setdefault(row["outcome"], len(ids))
+    if -1 in table:
+        labels = space.labels(space.profile(table.index(-1)))
+        raise LoadError("/rule/table", f"rule table is not total: missing {list(labels)}")
+    rule = ChoiceRule(space, tuple(ids), tuple(table))
+    universe = doc.get("universe")
+    if isinstance(universe, list):
+        mask = 0
+        for i, labels in enumerate(universe):
+            with reader._at(f"/universe/{i}"):
+                mask |= 1 << space.index_of_labels(labels)
+        universe = ProfileSet(space, mask)
+    elif universe is not None:
+        universe = reader._universe_from_json(universe, space, "/universe")
+    return Instance(rule, None, universe)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,21 @@ def test_moved_targets_record_their_spans(tmp_path):
         "privacy.corners", "privacy.inseparability", "privacy.synth", "privacy.minimize",
         "privacy.witness_verify", "cli.emit",
     } <= recorded, recorded
+
+
+def test_a_traced_validate_records_the_load(tmp_path):
+    # ``load`` lives in ``cpv.reader``; ``cpv.cli`` imports it by name, and
+    # the span still wraps the one the commands call.
+    from cpv.cli import main
+
+    path = str(tmp_path / "dfp.json")
+    params = '{"n": 2, "values": [1, 2, 3]}'
+    assert main(["builtin", "descending_first_price", "--params", params, "--emit", path]) == 0
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        assert main(["validate", path]) == 0
+    finally:
+        spans.uninstall(undo)
+    summary = tracer.summary()
+    assert summary["cli.load_s"] > 0 and summary["cli.bytes_read"] == os.path.getsize(path)

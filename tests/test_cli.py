@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import cpv
-from cpv.cli import main
+from cpv.cli import load, main
+from cpv.core import LoadError
 from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.privacy import check_protocol_cp
@@ -692,8 +693,23 @@ def _set(path: str, value):
     return edit
 
 
+def _table_of(alphabet: list, rows: list, **fields) -> str:
+    """A two-agent table instance on ``alphabet`` with the ``(profile,
+    outcome)`` rows in the order given."""
+    table = [{"profile": p, "outcome": o} for p, o in rows]
+    return json.dumps({"schema": "cpv-1", "agents": 2, "alphabet": alphabet,
+                       "rule": {"table": table}, **fields})
+
+
+# The nine profiles over a, b, c in a shuffled order; row 5 repeats row 2's.
+_SHUFFLED = [["c", "a"], ["a", "b"], ["b", "c"], ["a", "a"], ["c", "c"], ["b", "a"],
+             ["a", "c"], ["c", "b"], ["b", "b"]]
+_REPEATED = [(p if r != 5 else _SHUFFLED[2], "xyz"[r % 3]) for r, p in enumerate(_SHUFFLED)]
+_AB = [(["a", "a"], "x"), (["a", "b"], "y"), (["b", "a"], "y"), (["b", "b"], "x")]
+
 # (file text or None, command, recursion limit, expected JSON pointer of the
-# error or "resource"); 1000 is the interpreter's default limit.
+# error, "resource", or the whole report line, which starts with "{");
+# 1000 is the interpreter's default limit.
 MALFORMED = {
     "alphabet not a list": (_fair_with(alphabet=5), ["validate"], 1000, "/alphabet"),
     "unknown factor label": (
@@ -787,6 +803,27 @@ MALFORMED = {
         json.dumps({"schema": "cpv-1", "rule": {"builtin": "first_price", "params": 5}}),
         ["validate"], 1000, "/rule/params",
     ),
+    # the first row at fault is named, whichever way the rows are read
+    "shuffled table whose row 5 repeats a profile": (
+        _table_of(["a", "b", "c"], _REPEATED), ["validate"], 1000,
+        '{"error":"duplicate profile row (at /rule/table/5)"}',
+    ),
+    "unknown label in the last row": (
+        _table_of(["a", "b"], [*_AB[:3], (["b", "z"], "x")]), ["validate"], 1000,
+        '{"error":"agent 1: unknown type label \'z\' (at /rule/table/3/profile)"}',
+    ),
+    "profile given as a string": (
+        _table_of(["a", "b"], [_AB[0], ("ab", "y"), *_AB[2:]]), ["validate"], 1000,
+        '{"error":"expected an array (at /rule/table/1/profile)"}',
+    ),
+    "outcome is not a string": (
+        _table_of(["a", "b"], [*_AB[:2], (["b", "a"], 7), _AB[3]]), ["validate"], 1000,
+        '{"error":"expected a string (at /rule/table/2/outcome)"}',
+    ),
+    "universe profile of the wrong length": (
+        _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
+        ["validate"], 1000, '{"error":"profile has 1 labels, expected 2 (at /universe/2)"}',
+    ),
 }
 
 RUN_WITH_LIMIT = (
@@ -811,6 +848,8 @@ class TestMalformedInput:
         doc = json.loads(res.stdout)
         if expected == "resource":
             assert doc["kind"] == "resource" and doc["error"]
+        elif expected.startswith("{"):
+            assert res.stdout.decode() == expected + "\n"
         else:
             assert doc["error"].endswith(f"(at {expected})"), doc
 
@@ -924,6 +963,64 @@ class TestAuctionValues:
         params = json.dumps({"n": 2, "values": [*values, 7]})
         code, doc = run_cli(["builtin", "first_price", "--params", params], capsys)
         assert code == 2 and "auction type values must be distinct" in doc["error"], doc
+
+
+class TestLabelIdentity:
+    """The loader looks a label up by equality, as a ``dict`` does, so JSON
+    ``true`` reads as the label ``1``, ``false`` as ``0`` and ``1.0`` as
+    ``1``, in rule tables, universes and extensional cells alike; an
+    alphabet that holds two such labels is refused."""
+
+    BINARY = {"schema": "cpv-1", "agents": 2, "alphabet": [0, 1]}
+
+    def _load(self, tmp_path, name: str, doc: dict, protocol: dict | None = None):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**self.BINARY, **doc}))
+        ppath = None
+        if protocol is not None:
+            ppath = tmp_path / f"{name}_protocol.json"
+            ppath.write_text(json.dumps({"schema": "cpv-1", **protocol}))
+        return load(str(path), ppath and str(ppath))
+
+    @staticmethod
+    def _table(labels) -> dict:
+        rows = [{"profile": [a, b], "outcome": f"o{a}{b}"} for a in (0, 1) for b in (0, 1)]
+        for row, spelled in zip(rows, labels):
+            row["profile"] = spelled
+        return {"rule": {"table": rows[::-1]}}
+
+    def test_booleans_and_floats_name_the_integer_labels(self, tmp_path):
+        plain = self._table([[0, 0], [0, 1], [1, 0], [1, 1]])
+        spelled = self._table([[False, 0], [0, True], [1.0, False], [True, 1.0]])
+        universe, spelled_universe = [[0, 1], [1, 1]], [[False, True], [1.0, True]]
+        cells = [[[0, 1]], [[1, 1]]]
+        spelled_cells = [[[0.0, True]], [[True, 1]]]
+        expected = self._load(tmp_path, "plain", {**plain, "universe": universe}, {
+            "universe": universe, "tree": {"query": {"kind": "extensional", "cells": cells},
+                                           "children": [{}, {}]},
+        })
+        got = self._load(tmp_path, "spelled", {**spelled, "universe": spelled_universe}, {
+            "universe": spelled_universe,
+            "tree": {"query": {"kind": "extensional", "cells": spelled_cells},
+                     "children": [{}, {}]},
+        })
+        assert got == expected
+        # outcomes keep their order of first appearance, and the labels their own spelling
+        assert got.instance.rule.outcomes == ("o11", "o10", "o01", "o00")
+        assert got.instance.space.alphabets == ((0, 1), (0, 1))
+
+    def test_a_boolean_row_repeats_its_integer_row(self, tmp_path):
+        doc = self._table([[0, 0], [0, 1], [1, 0], [True, 0]])
+        with pytest.raises(LoadError, match=r"^duplicate profile row \(at /rule/table/1\)$"):
+            self._load(tmp_path, "repeat", doc)
+
+    def test_an_alphabet_of_true_and_one_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({**self.BINARY, "alphabet": [True, 1], **self._table([])}))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            '{"error":"agent 0: duplicate type labels (at /alphabet)"}\n'
+        )
 
 
 # Small parameters for every built-in protocol bundle.

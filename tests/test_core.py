@@ -132,3 +132,8 @@ class TestChoiceRuleValidation:
         s = space_2x2()
         with pytest.raises(InputError):
             ChoiceRule(s, ("x",), (0, 0, 0, 0), (("only-one",),))
+
+    @pytest.mark.parametrize("table, bad", [((0, 2, -1, 0), 2), ((0, -1, 2, 0), -1)])
+    def test_the_first_outcome_id_out_of_range_is_named(self, table, bad):
+        with pytest.raises(InputError, match=f"^outcome id {bad} out of range$"):
+            ChoiceRule(space_2x2(), ("x", "y"), table)

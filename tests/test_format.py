@@ -1,4 +1,4 @@
-"""The ``cpv-1`` table in ``cpv.cli`` against the writer and against mutants.
+"""The ``cpv-1`` table in ``cpv.reader`` against the writer and against mutants.
 
 Every document the program writes must pass the table's checker, and no
 mutant of one (a field deleted, retyped or nested deep) may crash a command:
@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpv.cli import _check, main
+from cpv.cli import main
 from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.protocol import Protocol
+from cpv.reader import _check
 from cpv.synthesis import synthesize_or_witness
 from test_cli import BUNDLE_PARAMS
 

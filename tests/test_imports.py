@@ -289,6 +289,13 @@ def test_cli_import_loads_no_command_module():
     assert not modules_loaded_by("import cpv.cli") & COMMAND_MODULES
 
 
+def test_cli_import_loads_the_reader_and_nothing_more():
+    # Every command but builtin reads a file, so the cpv-1 reader starts with the cli.
+    assert modules_loaded_by("import cpv.cli") == {
+        "cpv", "cpv.cli", "cpv.core", "cpv.protocol", "cpv.reader"
+    }
+
+
 def test_validate_on_a_table_instance_loads_no_command_module(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps({
@@ -387,6 +394,29 @@ def test_a_table_instance_without_values_imports_no_fractions(argv, tmp_path):
         }},
     }))
     statement = f"from cpv.cli import main; main({[*argv, str(path)]!r})"
+    loaded = modules_loaded_by(statement, also=("fractions", "decimal"))
+    assert "cpv.cli" in loaded and not loaded & {"fractions", "decimal"}, loaded
+
+
+@pytest.fixture(scope="module")
+def auction_bundle(tmp_path_factory) -> str:
+    """The descending clock for first price, whose model holds integer values."""
+    from cpv.cli import main
+
+    path = str(tmp_path_factory.mktemp("auction") / "dfp.json")
+    assert main(["builtin", "descending_first_price", "--params",
+                 '{"n": 2, "values": [1, 2, 3]}', "--emit", path]) == 0
+    assert json.loads(Path(path).read_text())["model"]["values"] == [[1, 2, 3]] * 2
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "--property", "cp"], ["check", "--property", "corners"], ["synth"]],
+    ids=" ".join,
+)
+def test_integer_model_values_import_no_fractions(argv, auction_bundle):
+    # Integer values load as int; only a value that is not one needs fractions.
+    statement = f"from cpv.cli import main; main({[*argv, auction_bundle]!r})"
     loaded = modules_loaded_by(statement, also=("fractions", "decimal"))
     assert "cpv.cli" in loaded and not loaded & {"fractions", "decimal"}, loaded
 

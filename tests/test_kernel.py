@@ -258,6 +258,12 @@ class TestMaskPrimitives:
         with pytest.raises(InputError, match=f"profile index {bad} out of range"):
             ProfileSet.from_indices(space, [0, bad])
 
+    def test_from_indices_names_the_first_index_out_of_range(self):
+        space = TypeSpace.shared(3, ("A", "B"))
+        picks = iter([3, 9, 0, -2])  # read once, as any iterable
+        with pytest.raises(InputError, match="^profile index 9 out of range$"):
+            ProfileSet.from_indices(space, picks)
+
     def test_from_factors(self):
         for seed in SEEDS:
             rng = random.Random(seed)
