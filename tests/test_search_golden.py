@@ -7,7 +7,14 @@ contract.  These pin them on the paper's small instances.
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
+
+from cpv.cli import main
 
 from cpv.mechanisms import (
     fig_shaded_3x3,
@@ -96,3 +103,57 @@ def test_golden_search(search, status, states, nodes):
         assert result.protocol is None
     else:
         assert len(result.protocol.nodes) == nodes
+
+
+def load_gen():
+    """``bench/gen.py``, which imports only the standard library, loaded
+    straight from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report(family: str, states: int, nodes: int | None = None) -> str:
+    """The compact, key-sorted stdout of ``enumerate``: found with
+    ``nodes``, else proven nonexistent."""
+    kinds = {"elicit": "binary", **({"count": "exact"} if "count" in family else {})}
+    doc = {"command": "enumerate", "family": kinds, "queries": family, "schema": "cpv-1",
+           "states": states}
+    if nodes is None:
+        doc.update(result="proven-nonexistent", status="nonexistent")
+    else:
+        doc.update(nodes=nodes, status="found")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# The whole `enumerate` report on each rule of the benchmark's seed-1
+# `random_search` files, with the first 16 hex digits of the SHA-256 of the
+# emitted protocol where one is found.
+RANDOM_SEARCH_REPORTS = {
+    "r00_tree": (0, _report("elicit", 55, 55), "c0962063581eedea"),
+    "r01_tree": (0, _report("elicit", 39, 39), "ae3ed47225f9bf4a"),
+    "r02_tree": (0, _report("elicit", 79, 79), "08853bc123b8e816"),
+    "r03_tree": (0, _report("elicit", 63, 63), "320d145e1ad6d51f"),
+    "r04_planted": (1, _report("elicit", 126), None),
+    "r05_planted": (1, _report("elicit", 2), None),
+    "r06_planted": (1, _report("elicit", 8), None),
+    "r07_uniform": (1, _report("elicit", 187), None),
+    "c00_tree": (0, _report("elicit,count", 41, 41), "590cb826ea62388d"),
+    "c01_planted": (1, _report("elicit,count", 35), None),
+}
+
+
+def test_random_search_reports_are_pinned(tmp_path, capsys):
+    rules = load_gen().generate(1)
+    assert [name for name, _, _ in rules] == list(RANDOM_SEARCH_REPORTS)
+    for name, doc, meta in rules:
+        path, emitted = tmp_path / f"{name}.json", tmp_path / f"{name}_protocol.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["enumerate", "--queries", meta["family"], str(path)])
+        report = capsys.readouterr().out
+        main(["enumerate", "--queries", meta["family"], "--emit", str(emitted), str(path)])
+        digest = hashlib.sha256(emitted.read_bytes()).hexdigest()[:16] if emitted.exists() else None
+        assert (code, report, digest) == RANDOM_SEARCH_REPORTS[name], name
