@@ -27,8 +27,8 @@ namespace.  Without a bytecode cache every module loaded is compiled at
 every start, so what only some commands run lives elsewhere: the cpv-1
 writer in ``cpv.jsonwriter`` (for ``--emit``, ``run`` and ``--pretty``),
 the protocol checks in ``cpv.privacy`` and the rule-level checks and
-synthesis in ``cpv.synthesis`` (for ``check --property corners|nonbossy``
-and ``synth``).  So ``validate`` and ``check`` of CP, ICP, GCP or
+the decider in ``cpv.synthesis`` (for ``check --property corners|nonbossy``,
+``synth`` and ``enumerate``).  So ``validate`` and ``check`` of CP, ICP, GCP or
 tatonnement compile neither ``cpv.synthesis`` nor the writer, and
 ``fractions`` is imported only for a model that holds values other than
 integers.  Reports, failures included, are formatted here, so a ``check``
@@ -251,13 +251,8 @@ def _cmd_run(args) -> tuple[int, dict]:
         entries = json.loads(args.profile)
     except ValueError:
         entries = None
-    if isinstance(entries, list) and len(entries) == space.n:  # the labels with these JSON texts
-        labels = []
-        for i, (alphabet, entry) in enumerate(zip(space.alphabets, entries)):
-            named = [t for t in alphabet if json.dumps(t) == json.dumps(entry)]
-            if not named:
-                raise InputError(f"agent {i}: unknown type label {entry!r}")
-            labels.append(named[0])
+    if isinstance(entries, list) and len(entries) == space.n:  # equal labels, as the loader names them
+        profile = space.profile(space.index_of_labels(entries))
     else:
         labels = [s.strip() for s in args.profile.split(",")]
         if len(labels) == space.n:  # the string label equal to an entry, else the one it spells in JSON
@@ -265,7 +260,7 @@ def _cmd_run(args) -> tuple[int, dict]:
                 lab if lab in alphabet else next((t for t in alphabet if json.dumps(t) == lab), lab)
                 for alphabet, lab in zip(space.alphabets, labels)
             ]
-    profile = space.profile_of_labels(labels)
+        profile = space.profile_of_labels(labels)
     path, leaf, outcome = run_protocol(loaded.protocol, profile, loaded.instance.rule)
     doc = {
         "command": "run",
@@ -388,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol", nargs="?")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("enumerate", help="exhaustive implementability search")
+    p = sub.add_parser("enumerate", help="decide implementability over a query family")
     p.add_argument("--queries", default="elicit", help="elicit[,count][,multicount]")
     p.add_argument("--max-states", type=int, default=100_000)
     p.add_argument("--emit", help="write a found protocol here")

@@ -1,18 +1,29 @@
 """Exhaustive contextually private protocol search for tiny instances.
 
-The search, :func:`exhaustive_cp_search`, runs on :func:`_solve`, a
-memoized AND-OR search that decides implementability exactly: a state
-(reachable profile set) is won iff the rule is constant on it or some
-candidate query splits it into won states.  Its one budget is
-``max_states``: past that many states the search stops with the status
-``budget_exhausted``; a bound below 1 is refused.  The obviously
-strategyproof search over multiway elicitation splits is kept apart, as a
-reference on the same engine in ``tests/oracles.py`` (ROADMAP item 3).
+:func:`exhaustive_cp_search` decides implementability over a query family
+exactly, with :func:`cpv.synthesis.greedy_search`, the one decider, which
+``cpv synth`` runs over elicitation alone.  A query passes the node test
+of a state (a reachable profile set) when it separates no equal-outcome
+unilateral pair inside it, which is equivalent to privacy of the finished
+protocol: the earliest point of departure of any violating pair holds both
+profiles.
 
-Contextual privacy is enforced incrementally: a query is a candidate only
-if it separates no equal-outcome unilateral pair inside the state, which
-is equivalent to privacy of the finished protocol (the earliest point of
-departure of any violating pair contains both profiles).
+Restriction lemma: won states are closed downward.  A protocol on a state
+S gives one on every subset T of S (restrict each query to T and contract
+those left with one nonempty cell), since a query that separates no
+protected pair in a node separates none in a subset of it.  So a query
+that passes the node test splits a won state into won states, and the
+first candidate that passes is always a correct choice: nothing is undone.
+A non-constant state where no candidate passes is lost, and with it every
+set that holds it, the root included; that stuck state proves
+nonexistence.  The decision builds one tree whose leaves partition the
+root and whose inner nodes have two children or more, so it visits at most
+2·|root|−1 states, and a found protocol has one node per state visited.
+Past ``max_states`` states the search stops with the status
+``budget_exhausted``; a bound below 1 is refused.  The AND-OR search that
+backtracks over every candidate is kept as a reference in
+``tests/oracles.py``, where the obviously strategyproof search over
+multiway elicitation splits runs on it (ROADMAP item 3).
 
 The family is the comma-joined ``--queries`` string of ``cpv enumerate``.
 ``_KINDS`` lists each kind a family may name with how it splits a state:
@@ -24,9 +35,10 @@ drawn on a space, with their splits, and refuses an unknown kind, an
 empty family and a family that draws no kind there; the ``enumerate``
 report names the family it decided by it.
 
-The candidates come from one stream: :func:`_family_queries` fed through
-:func:`_splits`, which keeps one query per induced partition.
-
+Elicitation goes first: per agent, the class of its smallest present type,
+the first safe one of its binary splits.  The count candidates follow, from
+:func:`_family_queries` fed through :func:`_splits`, which keeps one query
+per induced partition, and filtered by :func:`_separates_protected_pair`.
 The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
 defines the scan order once; a leaking query reports the first pair it
 separates in that order.
@@ -35,43 +47,22 @@ separates in that order.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from cpv.core import (
     ChoiceRule,
     InputError,
     ProfileSet,
     TypeSpace,
-    constant_on,
-    record,
     unilateral_pairs,
 )
-from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     CountQuery,
-    ElicitQuery,
     MultiCountQuery,
-    Protocol,
     Query,
-    build_protocol,
-    implements,
     query_cell_masks,
 )
-
-
-@record
-class SearchResult:
-    status: str  # found | nonexistent | budget_exhausted
-    protocol: Optional[Protocol] = None
-    states: int = 0
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
-
-class _BudgetExhausted(Exception):
-    pass
+from cpv.synthesis import SearchResult, greedy_search
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +93,15 @@ def drawn_kinds(space: TypeSpace, queries: str) -> dict[str, str]:
     return kinds
 
 
-def _family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
-    """``(kind, queries)`` for each of the :func:`drawn_kinds` ``kinds``.
-    The count subsets are built only when a count kind is drawn."""
-    if "elicit" in kinds:
-        yield "elicit", (
-            ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
-            for agent, size in enumerate(space.sizes)
-            for subset in _canonical_subsets(ProfileSet(space, state).projection(agent))
-        )
-    if kinds.keys() & {"count", "multicount"}:
-        subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-        if "count" in kinds:
-            yield "count", (exact_count_query(space, (s,)) for s in subsets)
-        if "multicount" in kinds:
-            pairs = itertools.combinations(subsets, 2)
-            yield "multicount", (exact_count_query(space, pair) for pair in pairs)
+def _family_queries(space: TypeSpace, kinds: dict[str, str]):
+    """``(kind, queries)`` for each count kind of the :func:`drawn_kinds`
+    ``kinds``, in order."""
+    subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
+    if "count" in kinds:
+        yield "count", (exact_count_query(space, (s,)) for s in subsets)
+    if "multicount" in kinds:
+        pairs = itertools.combinations(subsets, 2)
+        yield "multicount", (exact_count_query(space, pair) for pair in pairs)
 
 
 def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
@@ -156,73 +140,6 @@ def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
 
 
 # ---------------------------------------------------------------------------
-# the search engine
-
-
-def _solve(
-    rule: ChoiceRule,
-    root: int,
-    candidates: Callable[[int], Iterable[tuple[Query, tuple[int, ...]]]],
-    max_states: int,
-) -> SearchResult:
-    """Memoized AND-OR search from the root state; three-valued, never
-    silently wrong.
-
-    A state is won when the rule is constant on it, or when some candidate
-    ``(query, cells)`` from ``candidates(state)`` splits it into won
-    states.  The memo keeps the winning query of each won state, and the
-    protocol is built from it.  Every split strictly shrinks the state, so
-    the recursion is no deeper than the root is large.  The CP search is
-    the one search here; the OSP search in ``tests/oracles.py`` is a
-    reference that runs on this engine too.
-    """
-    if max_states < 1:
-        raise InputError("budget bounds must be positive")
-    if not root:
-        raise InputError("universe is empty")
-    won: dict[int, Optional[Query]] = {}  # None where the rule is constant
-    lost: set[int] = set()
-    states_seen = 0
-
-    def winnable(state: int) -> bool:
-        nonlocal states_seen
-        if state in won or state in lost:
-            return state in won
-        states_seen += 1
-        if states_seen > max_states:
-            raise _BudgetExhausted
-        if constant_on(rule, state):
-            won[state] = None
-            return True
-        for query, cells in candidates(state):
-            if all(map(winnable, cells)):
-                won[state] = query
-                return True
-        lost.add(state)
-        return False
-
-    try:
-        ok = winnable(root)
-    except _BudgetExhausted:
-        return SearchResult("budget_exhausted", states=states_seen)
-    if not ok:
-        return SearchResult("nonexistent", states=states_seen)
-
-    def step(label: int, _state):
-        query = won[label]
-        return None if query is None else (query, lambda c, m: None)
-
-    protocol = build_protocol(rule.space, step, None, ProfileSet(rule.space, root))
-    if not implements(protocol, rule):
-        raise AssertionError("search result does not implement the rule (bug)")
-    return SearchResult("found", protocol, states_seen)
-
-
-def _root(space: TypeSpace, universe: ProfileSet | None) -> int:
-    return (1 << space.total) - 1 if universe is None else universe.mask
-
-
-# ---------------------------------------------------------------------------
 # contextually private implementation search
 
 
@@ -253,19 +170,22 @@ def exhaustive_cp_search(
 ) -> SearchResult:
     """Decide whether a contextually private protocol exists for the rule
     over the query family ``queries``, the comma-joined kinds that
-    :func:`drawn_kinds` reads and refuses."""
+    :func:`drawn_kinds` reads and refuses.  The protected pairs are listed
+    only when a state reaches the count kinds."""
     space = rule.space
     kinds = drawn_kinds(space, queries)
-    root = _root(space, universe)
-    pairs = _same_outcome_pairs(rule, root)
+    universe = ProfileSet.full(space) if universe is None else universe
+    pairs = None
 
-    def candidates(state: int):
-        drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, state, kinds))
+    def first_count_query(state: int) -> Query | None:
+        nonlocal pairs
+        if pairs is None:
+            pairs = _same_outcome_pairs(rule, universe.mask)
+        drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, kinds))
         for query, cells in _splits(space, state, drawn):
             if _separates_protected_pair(cells, pairs, state) is None:
-                yield query, cells
+                return query
+        return None
 
-    result = _solve(rule, root, candidates, max_states)
-    if result.found and not check_protocol_cp(result.protocol, rule).ok:
-        raise AssertionError("search found a protocol that is not contextually private (bug)")
-    return result
+    others = first_count_query if kinds.keys() - {"elicit"} else None
+    return greedy_search(rule, universe, "elicit" in kinds, others, max_states)

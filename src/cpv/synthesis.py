@@ -1,12 +1,15 @@
-"""Rule-level privacy: corners, inseparability classes, synthesis,
-witnesses and non-bossiness.
+"""Rule-level privacy: corners, inseparability classes, the greedy
+decider, witnesses and non-bossiness.
 
 Two types of an agent are directly inseparable on a product set when some
 fixed opponent profile gives them equal outcomes; the transitive closure
 partitions the agent's types into inseparability classes.  A product set
 on which the rule is non-constant while every agent's types fall in a
 single class is a machine-checkable witness that no contextually private
-sequential-elicitation protocol exists.
+sequential-elicitation protocol exists.  :func:`greedy_search` splits by
+these classes, as Kushilevitz's decomposability test for two-party
+privacy splits by classes of rows and columns; it decides both ``cpv
+synth`` and ``cpv enumerate``.
 
 The corners scan decides one two-agent plane at a time whether a failing
 square exists, and scans pairs only to name the first one; it and the
@@ -14,12 +17,14 @@ non-bossiness scan enumerate their pairs with
 :func:`cpv.core.unilateral_pairs`, as the protocol-level checks of
 :mod:`cpv.privacy` do.
 
-``cpv check --property corners|nonbossy`` and ``cpv synth`` import this
-module; ``check`` of CP, ICP, GCP or tatonnement, which read protocols
-only, never compile it.
+``cpv check --property corners|nonbossy``, ``cpv synth`` and ``cpv
+enumerate`` import this module; ``check`` of CP, ICP, GCP or tatonnement,
+which read protocols only, never compile it.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from cpv.core import (
     ChoiceRule,
@@ -32,6 +37,7 @@ from cpv.core import (
     check_factors,
     constant_on,
     mask_flags,
+    mask_indices,
     product_factorization,
     product_indices,
     record,
@@ -41,6 +47,7 @@ from cpv.privacy import _own_components, check_protocol_cp
 from cpv.protocol import (
     ElicitQuery,
     Protocol,
+    Query,
     build_protocol,
     implements,
     validate_protocol,
@@ -106,9 +113,35 @@ def inseparability_classes(rule: ChoiceRule, region, agent: int) -> tuple[tuple[
             q = fiber.setdefault(x, p)
             if q != p:
                 uf.union(q, p)
+    return _groups(map(uf.find, range(len(types))), types)
+
+
+def _classes_on(rule: ChoiceRule, state: int, agent: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`inseparability_classes` on any profile set, given as a mask:
+    the agent's types present in the state, two of them directly
+    inseparable when some opponent profile gives both, inside the state,
+    one outcome.  On a product state the two agree."""
+    space = rule.space
+    stride, size, table = space.strides[agent], space.sizes[agent], rule.table
+    uf = UnionFind(size)
+    present = [False] * size
+    fiber: dict[tuple[int, int], int] = {}  # (opponent profile, outcome) -> first type
+    for k in mask_indices(state):
+        t = k // stride % size
+        present[t] = True
+        q = fiber.setdefault((k - t * stride, table[k]), t)
+        if q != t:
+            uf.union(q, t)
+    types = [t for t in range(size) if present[t]]
+    return _groups(map(uf.find, types), types)
+
+
+def _groups(keys, types) -> tuple[tuple[int, ...], ...]:
+    """``types`` grouped by their ``keys``, each group sorted, in the order
+    of their smallest types."""
     groups: dict[int, list[int]] = {}
-    for p, t in enumerate(types):
-        groups.setdefault(uf.find(p), []).append(t)
+    for key, t in zip(keys, types):
+        groups.setdefault(key, []).append(t)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
@@ -253,65 +286,99 @@ def _corner_defect(o00, o10, o01, o11):
 
 
 # ---------------------------------------------------------------------------
-# synthesis and witnesses
+# the greedy decider and witnesses
 
 
-class _WitnessFound(Exception):
-    def __init__(self, factors) -> None:
-        self.factors = factors
+@record
+class SearchResult:
+    status: str  # found | nonexistent | budget_exhausted
+    protocol: Optional[Protocol] = None
+    states: int = 0
+    witness: Optional[Witness] = None  # the stuck state, when it is a product set
+
+
+class _Stop(Exception):
+    """Ends a run with the status it names."""
+
+
+def greedy_search(
+    rule: ChoiceRule,
+    universe: ProfileSet,
+    elicit: bool = True,
+    first_other: Callable[[int], Optional[Query]] | None = None,
+    max_states: int | None = None,
+) -> SearchResult:
+    """Decide whether a contextually private protocol implements the rule
+    on ``universe``, stepping each state once, in preorder.
+
+    A state where the rule is constant is a leaf.  Otherwise it takes the
+    first candidate that passes the node test: with ``elicit``, per agent
+    in order, the inseparability class of the agent's smallest present type
+    against the rest of its alphabet, if the agent has two classes; then
+    ``first_other(state)``, the first passing query of the family's other
+    kinds, or ``None``.  Where none passes, nonexistence is proven (see
+    :mod:`cpv.search`), and the witness is the state's factors when it is a
+    product set: product states carry their factors and are split by
+    :func:`inseparability_classes`, other states by :func:`_classes_on`.
+    A found protocol is validated and checked to implement the rule and to
+    be contextually private.
+    """
+    if max_states is not None and max_states < 1:
+        raise InputError("budget bounds must be positive")
+    if universe.is_empty:
+        raise InputError("universe is empty")
+    space = rule.space
+    states = 0
+    stuck = None
+
+    def step(label: int, factors):
+        nonlocal states, stuck
+        states += 1
+        if max_states is not None and states > max_states:
+            raise _Stop("budget_exhausted")
+        if constant_on(rule, label):
+            return None
+        for agent in range(space.n) if elicit else ():
+            classes = (_classes_on(rule, label, agent) if factors is None
+                       else inseparability_classes(rule, factors, agent))
+            if len(classes) > 1:
+                first = classes[0]
+                rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
+                kept = factors and (first, tuple(t for t in factors[agent] if t not in first))
+                return ElicitQuery(agent, (first, rest)), (
+                    lambda c, _m: kept and factors[:agent] + (kept[c],) + factors[agent + 1:]
+                )
+        query = first_other(label) if first_other is not None else None
+        if query is None:
+            stuck = factors
+            raise _Stop("nonexistent")
+        return query, lambda _c, _m: None
+
+    try:
+        root = product_factorization(space, universe)
+        protocol = build_protocol(space, step, root, universe)
+    except _Stop as stop:
+        return SearchResult(stop.args[0], None, states, stuck and Witness(stuck))
+    if validate_protocol(protocol):
+        raise AssertionError("decided protocol fails validation (bug)")
+    if not implements(protocol, rule):
+        raise AssertionError("decided protocol does not implement the rule (bug)")
+    if not check_protocol_cp(protocol, rule).ok:
+        raise AssertionError("decided protocol is not contextually private (bug)")
+    return SearchResult("found", protocol, states)
 
 
 def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> Protocol | Witness:
-    """Greedy construction of a contextually private protocol, or a witness.
-
-    At each node (a product set), either the rule is constant (terminal),
-    or some agent has separable types, in which case the class of the
-    smallest separable type is queried against its complement; if neither
-    holds, the node's factors certify impossibility.  Agent and class
-    choices are deterministic but correctness is order-independent.
-    """
+    """A contextually private sequential-elicitation protocol on the
+    product set ``root_factors`` (the whole space by default), or a witness
+    that none exists: :func:`greedy_search` over elicitation alone, whose
+    stuck state is a product set on which every agent's types form one
+    inseparability class."""
     space = rule.space
     if root_factors is None:
         root_factors = tuple(tuple(range(s)) for s in space.sizes)
-    else:
-        root_factors = tuple(tuple(sorted(set(f))) for f in root_factors)
-    universe = ProfileSet.from_factors(space, root_factors)
-
-    def step(label: int, factors):
-        if constant_on(rule, label):
-            return None
-        for agent in range(space.n):
-            classes = inseparability_classes(rule, factors, agent)
-            if len(classes) < 2:
-                continue
-            cls = classes[0]  # the class of the smallest type
-            rest_all = tuple(
-                t for t in range(space.sizes[agent]) if t not in cls
-            )
-            query = ElicitQuery(agent, (tuple(cls), rest_all))
-
-            def child_state(cell_index: int, _mask: int, agent=agent, cls=cls, factors=factors):
-                keep = cls if cell_index == 0 else tuple(
-                    t for t in factors[agent] if t not in cls
-                )
-                return tuple(
-                    keep if i == agent else f for i, f in enumerate(factors)
-                )
-
-            return query, child_state
-        raise _WitnessFound(factors)
-
-    try:
-        protocol = build_protocol(space, step, root_factors, universe)
-    except _WitnessFound as found:
-        return Witness(tuple(found.factors))
-    if validate_protocol(protocol):
-        raise AssertionError("synthesized protocol fails validation (bug)")
-    if not implements(protocol, rule):
-        raise AssertionError("synthesized protocol does not implement the rule (bug)")
-    if not check_protocol_cp(protocol, rule).ok:
-        raise AssertionError("synthesized protocol is not contextually private (bug)")
-    return protocol
+    result = greedy_search(rule, ProfileSet.from_factors(space, root_factors))
+    return result.protocol or result.witness
 
 
 def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:

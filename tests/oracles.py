@@ -7,11 +7,19 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   c14 in ``test_acceptance.py``, ``test_privacy.py::TestWitnessOracle``
   and the search and corners-gap tests in ``test_search.py``.  ROADMAP
   item 11's count of where the corners test decides checks against it.
+- :func:`solve`, the memoized AND-OR search that backtracks over every
+  candidate of a state, and :func:`reference_cp_search`, the CP search on
+  it over every query of a family, the binary elicitation splits of
+  :func:`elicit_queries` included.  ``test_search.py::TestGreedyReference``
+  checks ``cpv.search.exhaustive_cp_search``, the greedy decider, against
+  it; :func:`protected_pair_classes`, the components of the protected
+  pairs of a profile set, checks the decider's inseparability classes on
+  sets that are no products.
 - :func:`exhaustive_osp_search` with :func:`_all_partitions`, the
   obviously strategyproof search over every multiway elicitation split,
-  read by c13, ``test_search.py::TestOspSearch``, the OSP rows of
-  ``test_search_golden.py`` and ``test_outcome_ranks.py``.  ROADMAP item
-  3's OSP node test in the one search engine is checked against it.
+  on :func:`solve`, read by c13, ``test_search.py::TestOspSearch``, the
+  OSP rows of ``test_search_golden.py`` and ``test_outcome_ranks.py``.
+  ROADMAP item 3's OSP node test in the one decider is checked against it.
 - :func:`obstruction_scan` with :class:`ObstructionEntry` and
   :class:`ObstructionReport`, which lists every family query on a set
   with the protected pair it separates, read by c11,
@@ -26,34 +34,35 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from cpv import reader
 from cpv.core import (
     ChoiceRule,
     DomainModel,
+    InputError,
     Instance,
     LoadError,
     ProfileSet,
     ResourceError,
+    TypeSpace,
     Witness,
     constant_on,
     outcome_ids,
     record,
 )
 from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
-from cpv.protocol import ElicitQuery
+from cpv.privacy import check_protocol_cp
+from cpv.protocol import ElicitQuery, Query, build_protocol, implements
 from cpv.search import (
-    SearchResult,
+    _canonical_subsets,
     _family_queries,
-    _root,
     _same_outcome_pairs,
     _separates_protected_pair,
-    _solve,
     _splits,
     drawn_kinds,
 )
-from cpv.synthesis import witness_verify
+from cpv.synthesis import SearchResult, witness_verify
 
 # ---------------------------------------------------------------------------
 # witness brute force
@@ -86,6 +95,145 @@ def witness_oracle(rule: ChoiceRule, cap: int = 1 << 20) -> Optional[Witness]:
 
 
 # ---------------------------------------------------------------------------
+# the AND-OR reference search
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def solve(
+    rule: ChoiceRule,
+    root: int,
+    candidates: Callable[[int], Iterable[tuple[Query, tuple[int, ...]]]],
+    max_states: int,
+) -> SearchResult:
+    """Memoized AND-OR search from the root state; three-valued, never
+    silently wrong.
+
+    A state is won when the rule is constant on it, or when some candidate
+    ``(query, cells)`` from ``candidates(state)`` splits it into won
+    states.  The memo keeps the winning query of each won state, and the
+    protocol is built from it.  Every split strictly shrinks the state, so
+    the recursion is no deeper than the root is large.
+    """
+    if max_states < 1:
+        raise InputError("budget bounds must be positive")
+    if not root:
+        raise InputError("universe is empty")
+    won: dict[int, Optional[Query]] = {}  # None where the rule is constant
+    lost: set[int] = set()
+    states_seen = 0
+
+    def winnable(state: int) -> bool:
+        nonlocal states_seen
+        if state in won or state in lost:
+            return state in won
+        states_seen += 1
+        if states_seen > max_states:
+            raise _BudgetExhausted
+        if constant_on(rule, state):
+            won[state] = None
+            return True
+        for query, cells in candidates(state):
+            if all(map(winnable, cells)):
+                won[state] = query
+                return True
+        lost.add(state)
+        return False
+
+    try:
+        ok = winnable(root)
+    except _BudgetExhausted:
+        return SearchResult("budget_exhausted", states=states_seen)
+    if not ok:
+        return SearchResult("nonexistent", states=states_seen)
+
+    def step(label: int, _state):
+        query = won[label]
+        return None if query is None else (query, lambda c, m: None)
+
+    protocol = build_protocol(rule.space, step, None, ProfileSet(rule.space, root))
+    if not implements(protocol, rule):
+        raise AssertionError("search result does not implement the rule (bug)")
+    return SearchResult("found", protocol, states_seen)
+
+
+def root_mask(space: TypeSpace, universe: ProfileSet | None) -> int:
+    return (1 << space.total) - 1 if universe is None else universe.mask
+
+
+def elicit_queries(space: TypeSpace, state: int):
+    """The elicit-subset stream: per agent in order, one binary split of
+    its present types per complement pair (absent types join the cell
+    without the smallest present type)."""
+    for agent, size in enumerate(space.sizes):
+        for subset in _canonical_subsets(ProfileSet(space, state).projection(agent)):
+            yield ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
+
+
+def family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
+    """``(kind, queries)`` for each drawn kind: the elicit-subset stream,
+    then the count kinds of ``cpv.search``."""
+    if "elicit" in kinds:
+        yield "elicit", elicit_queries(space, state)
+    yield from _family_queries(space, kinds)
+
+
+def reference_cp_search(
+    rule: ChoiceRule,
+    queries: str = "elicit",
+    max_states: int = 100_000,
+    universe: ProfileSet | None = None,
+) -> SearchResult:
+    """The contextually private search over every query of the family
+    ``queries`` that passes the node test, on :func:`solve`."""
+    space = rule.space
+    kinds = drawn_kinds(space, queries)
+    root = root_mask(space, universe)
+    pairs = _same_outcome_pairs(rule, root)
+
+    def candidates(state: int):
+        drawn = itertools.chain.from_iterable(q for _, q in family_queries(space, state, kinds))
+        for query, cells in _splits(space, state, drawn):
+            if _separates_protected_pair(cells, pairs, state) is None:
+                yield query, cells
+
+    result = solve(rule, root, candidates, max_states)
+    if result.protocol and not check_protocol_cp(result.protocol, rule).ok:
+        raise AssertionError("search found a protocol that is not contextually private (bug)")
+    return result
+
+
+def protected_pair_classes(rule: ChoiceRule, state: int, agent: int):
+    """The agent's inseparability classes on any profile set, by brute
+    force: every two profiles of the set that differ in the agent's type
+    alone and share an outcome join their types, and the classes are the
+    connected components.  They hold the types present in the set, each
+    sorted, in the order of their smallest types."""
+    space = rule.space
+    members = [space.profile(k) for k in ProfileSet(space, state).indices()]
+    joined: dict[int, set[int]] = {p[agent]: set() for p in members}
+    for p, q in itertools.combinations(members, 2):
+        others_equal = all(x == y for i, (x, y) in enumerate(zip(p, q)) if i != agent)
+        if others_equal and rule.table[space.index(p)] == rule.table[space.index(q)]:
+            joined[p[agent]].add(q[agent])
+            joined[q[agent]].add(p[agent])
+    classes, seen = [], set()
+    for t in sorted(joined):
+        if t not in seen:
+            component, todo = set(), [t]
+            while todo:
+                u = todo.pop()
+                if u not in component:
+                    component.add(u)
+                    todo.extend(joined[u])
+            seen |= component
+            classes.append(tuple(sorted(component)))
+    return tuple(classes)
+
+
+# ---------------------------------------------------------------------------
 # obviously strategyproof implementation search
 
 
@@ -115,7 +263,7 @@ def exhaustive_osp_search(
     node test.  The node test reads the node's state alone, so the memo
     over states is exact for it."""
     space = rule.space
-    root = _root(space, universe)
+    root = root_mask(space, universe)
     ranks = outcome_ranks(rule, model, outcome_ids(rule, root))
 
     def queries(state: int):
@@ -132,8 +280,8 @@ def exhaustive_osp_search(
             if _osp_node_failure(space, rule, ranks, query.agent, masks) is None:
                 yield query, masks
 
-    result = _solve(rule, root, candidates, max_states)
-    if result.found and not check_protocol_osp(result.protocol, rule, model).ok:
+    result = solve(rule, root, candidates, max_states)
+    if result.protocol and not check_protocol_osp(result.protocol, rule, model).ok:
         raise AssertionError("search found a protocol that is not obviously strategyproof (bug)")
     return result
 
@@ -176,7 +324,7 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
     state = region.mask
     pairs = _same_outcome_pairs(rule, state)
     entries = []
-    for kind, drawn in _family_queries(space, state, drawn_kinds(space, queries)):
+    for kind, drawn in family_queries(space, state, drawn_kinds(space, queries)):
         for query, cells in _splits(space, state, drawn):
             if kind == "elicit":
                 detail = f"agent {query.agent + 1}"

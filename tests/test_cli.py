@@ -319,7 +319,8 @@ CHECK_REPORTS = {
 # alphabet, so no count query can be drawn: `enumerate` names only the kinds
 # it drew, and refuses a family that draws none.  "numbers" has the type
 # labels 1 and 2, numbers, and "numbers_synth" is the protocol that `synth
-# --emit` writes for it; `run --profile` names a label by its JSON text.
+# --emit` writes for it; `run --profile` names a label in a JSON array by
+# equality, as the loader does, and one in the comma form by its JSON text.
 # "tie" has the labels "1" and 1, and the string label wins.
 COMMAND_REPORTS = {
     "validate, notes": (["validate", "noted"], 0, '{"command":"validate","instance":"ok",'
@@ -367,6 +368,16 @@ COMMAND_REPORTS = {
     # the JSON text of the label 1 is 1, not true
     "run, true is no number label": (["run", "--profile", "true,2", "numbers", "numbers_synth"],
         2, '{"error":"agent 0: unknown type label \'true\'"}\n'),
+    # a JSON array names labels as the loader does, by equality: true and 1.0 name 1
+    **{
+        f"run, {entry} names 1 in a JSON array": (
+            ["run", "--profile", f"[{entry},2]", "numbers", "numbers_synth"], 0,
+            '{"command":"run","leaf":3,"leaf_profiles":[[1,2]],"outcome":"b","path":[{"answer":0,'
+            '"node":0,"query":"elicit(agent 1)"},{"answer":1,"node":1,"query":"elicit(agent 2)"}],'
+            '"schema":"cpv-1"}\n',
+        )
+        for entry in ("true", "1.0")
+    },
     # "commas" has the labels "a,b" and " c": a JSON array names them, while
     # the comma-separated form splits the first and strips the second
     "run, labels as a JSON array": (["run", "--profile", '["a,b"," c"]', "commas", "commas_elicit"],
@@ -530,6 +541,17 @@ class TestEnumerate:
         p.write_text(json.dumps(inst))
         code, doc = run_cli(["enumerate", "--max-states", "3", str(p)], capsys)
         assert code == 2 and doc["kind"] == "resource"
+
+    def test_enumerate_and_synth_emit_one_file(self, tmp_path, capsys):
+        # first price with 3 agents and 12 values: one decider serves both
+        rule = tmp_path / "fp12.json"
+        params = json.dumps({"n": 3, "values": list(range(1, 13))})
+        assert main(["builtin", "first_price", "--params", params, "--emit", str(rule)]) == 0
+        searched, synthesized = tmp_path / "searched.json", tmp_path / "synthesized.json"
+        assert main(["enumerate", "--emit", str(searched), str(rule)]) == 0
+        assert main(["synth", "--emit", str(synthesized), str(rule)]) == 0
+        capsys.readouterr()
+        assert searched.read_bytes() == synthesized.read_bytes()
 
 
 class TestRunAndTatonnement:

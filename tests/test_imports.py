@@ -379,7 +379,7 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
     argv = ["enumerate", first_price_file]
     # exit 0: a protocol found, and not written
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
-    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search", "cpv.synthesis"}, loaded
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["check", "--property", "cp"]], ids=" ".join)

@@ -30,10 +30,9 @@ from cpv.mechanisms import (
     second_price,
 )
 from cpv.protocol import ElicitQuery, Protocol, query_cell_masks
-from cpv.search import _root, _solve
 
 from corpus import corpus_seeds, random_implementing_protocol, random_rule
-from oracles import _all_partitions, exhaustive_osp_search
+from oracles import _all_partitions, exhaustive_osp_search, root_mask, solve
 
 # ---------------------------------------------------------------------------
 # oracles: rank an outcome at every profile where it is compared
@@ -182,7 +181,7 @@ def slow_osp_search(rule: ChoiceRule, model: DomainModel, max_states: int):
                 if slow_osp_node_failure(space, rule, rank, agent, masks) is None:
                     yield query, masks
 
-    return _solve(rule, _root(space, None), candidates, max_states)
+    return solve(rule, root_mask(space, None), candidates, max_states)
 
 
 # ---------------------------------------------------------------------------

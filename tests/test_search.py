@@ -1,25 +1,44 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpv.core import ChoiceRule, ProfileSet, TypeSpace, Witness
+from cpv.core import ChoiceRule, ProfileSet, TypeSpace, Witness, product_factorization
+from cpv.jsonwriter import protocol_to_json
 from cpv.mechanisms import (
     fair_tiebreak_2x2,
+    first_price,
     non_clinching,
+    order_statistic_restriction,
     school_count_instance,
     serial_dictatorship,
 )
 from cpv.privacy import check_protocol_cp
-from cpv.protocol import Protocol, implements
-from cpv.search import exhaustive_cp_search
-from cpv.synthesis import corners_scan, synthesize_or_witness, witness_minimize
+from cpv.protocol import Protocol, implements, query_cell_masks
+from cpv.search import _family_queries, exhaustive_cp_search
+from cpv.synthesis import (
+    _classes_on,
+    corners_scan,
+    inseparability_classes,
+    synthesize_or_witness,
+    witness_minimize,
+)
 
 from corpus import corpus_seeds, random_rule
-from oracles import ObstructionReport, exhaustive_osp_search, obstruction_scan, witness_oracle
+from oracles import (
+    ObstructionReport,
+    exhaustive_osp_search,
+    obstruction_scan,
+    protected_pair_classes,
+    reference_cp_search,
+    witness_oracle,
+)
 
 ELICIT = "elicit"
 ELICIT_COUNT = "elicit,count"
+ELICIT_COUNT_MULTICOUNT = "elicit,count,multicount"
 
 
 class TestCpSearch:
@@ -67,6 +86,82 @@ class TestOracleAgreement:
         search = exhaustive_cp_search(rule, ELICIT)
         assert search.status in ("found", "nonexistent")
         assert isinstance(synth, Protocol) == (oracle is None) == (search.status == "found")
+
+
+class TestGreedyReference:
+    """The greedy decider against the AND-OR search of ``tests/oracles.py``,
+    which backtracks over every candidate of every state."""
+
+    @pytest.mark.parametrize("queries", [ELICIT, ELICIT_COUNT, ELICIT_COUNT_MULTICOUNT])
+    def test_greedy_equals_the_reference(self, queries):
+        for seed in corpus_seeds(600, offset=28):
+            rule = random_rule(seed)
+            greedy = exhaustive_cp_search(rule, queries)
+            reference = reference_cp_search(rule, queries)
+            assert greedy.status == reference.status, seed
+            assert greedy.states <= 2 * rule.space.total - 1, seed
+            if greedy.protocol:
+                assert greedy.states == reference.states == len(greedy.protocol.nodes), seed
+                assert len(greedy.protocol.nodes) == len(reference.protocol.nodes), seed
+                assert protocol_to_json(greedy.protocol) == protocol_to_json(reference.protocol)
+            else:
+                assert greedy.states <= reference.states, seed
+
+    def test_top_ladder_rung_is_the_synthesized_protocol(self):
+        # first price with 3 agents and 32 values: 32768 profiles
+        rule = first_price(3, tuple(range(1, 33))).rule
+        result = exhaustive_cp_search(rule, ELICIT)
+        assert result.status == "found" and result.states == len(result.protocol.nodes)
+        assert result.protocol == synthesize_or_witness(rule)
+
+
+class TestClassesOnMasks:
+    """The decider's inseparability classes on any profile set against the
+    components of its protected pairs, found by brute force."""
+
+    @staticmethod
+    def count_cells(rule: ChoiceRule, state: int):
+        """The nonempty cells of every exact count and multi-count query on
+        the state."""
+        kinds = {"count": "exact", "multicount": "exact"}
+        for _, queries in _family_queries(rule.space, kinds):
+            for query in queries:
+                yield from filter(None, query_cell_masks(rule.space, query, state))
+
+    def assert_agree(self, rule: ChoiceRule, state: int):
+        for agent in range(rule.space.n):
+            assert _classes_on(rule, state, agent) == protected_pair_classes(rule, state, agent)
+
+    def test_count_split_states(self):
+        nonproduct = 0
+        for seed in corpus_seeds(60, offset=29):
+            rule = random_rule(seed)
+            if not rule.space.common_alphabet:
+                continue
+            for cell in self.count_cells(rule, (1 << rule.space.total) - 1):
+                nonproduct += product_factorization(rule.space, ProfileSet(rule.space, cell)) is None
+                self.assert_agree(rule, cell)
+        assert nonproduct > 100
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_order_statistic_universes(self, k):
+        rule = first_price(3, (1, 2, 3, 4)).rule
+        universe = order_statistic_restriction(rule.space, k)
+        assert product_factorization(rule.space, universe) is None
+        self.assert_agree(rule, universe.mask)
+        for cell in self.count_cells(rule, universe.mask):
+            self.assert_agree(rule, cell)
+
+    def test_product_states_give_the_inseparability_classes(self):
+        for seed in corpus_seeds(60, offset=30):
+            rule, rng = random_rule(seed), random.Random(seed)
+            factors = tuple(
+                tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for m in rule.space.sizes
+            )
+            state = ProfileSet.from_factors(rule.space, factors).mask
+            self.assert_agree(rule, state)
+            for agent in range(rule.space.n):
+                assert _classes_on(rule, state, agent) == inseparability_classes(rule, factors, agent)
 
 
 class TestCornersGap:
