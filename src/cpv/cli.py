@@ -26,10 +26,12 @@ reader's, imported by name: the commands call it through this module's
 namespace.  Without a bytecode cache every module loaded is compiled at
 every start, so what only some commands run lives elsewhere: the cpv-1
 writer in ``cpv.jsonwriter`` (for ``--emit``, ``run`` and ``--pretty``),
-the protocol checks in ``cpv.privacy`` and the rule-level checks and
-the decider in ``cpv.synthesis`` (for ``check --property corners|nonbossy``,
-``synth`` and ``enumerate``).  So ``validate`` and ``check`` of CP, ICP, GCP or
-tatonnement compile neither ``cpv.synthesis`` nor the writer, and
+the protocol checks in ``cpv.privacy``, the decider with its witnesses in
+``cpv.search`` (for ``synth`` and ``enumerate``) and the corners and
+non-bossiness scans in ``cpv.synthesis`` (for ``check --property
+corners|nonbossy``).  So ``validate`` and ``check`` of CP, ICP, GCP or
+tatonnement compile none of ``cpv.search``, ``cpv.synthesis`` and the
+writer, ``synth`` and ``enumerate`` do not compile ``cpv.synthesis``, and
 ``fractions`` is imported only for a model that holds values other than
 integers.  Reports, failures included, are formatted here, so a ``check``
 or ``synth`` without ``--emit`` imports no writer.
@@ -213,7 +215,7 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_synth(args) -> tuple[int, dict]:
-    synthesis = _cpv("synthesis")
+    search = _cpv("search")
     loaded = load(args.instance)
     instance = loaded.instance
     factors = None
@@ -221,7 +223,7 @@ def _cmd_synth(args) -> tuple[int, dict]:
         factors = product_factorization(instance.space, instance.universe)
         if factors is None:
             raise InputError("synthesis needs a product universe")
-    result = synthesis.synthesize_or_witness(instance.rule, factors)
+    result = search.synthesize_or_witness(instance.rule, factors)
     if isinstance(result, Protocol):
         doc = {
             "command": "synth",
@@ -232,7 +234,7 @@ def _cmd_synth(args) -> tuple[int, dict]:
         if args.emit:
             doc["emitted"] = _write(_cpv("jsonwriter").protocol_to_json(result), args.emit)
         return 0, doc
-    minimized = synthesis.witness_minimize(instance.rule, result)
+    minimized = search.witness_minimize(instance.rule, result)
     doc = {
         "command": "synth",
         "result": "witness",
@@ -341,10 +343,14 @@ def _builtin_to_json(built) -> dict:
 # entry point
 
 
+# ``bench/spans.py`` ``TARGETS`` still names these writer functions as
+# ``cpv.cli`` attributes; they are forwarded from ``cpv.jsonwriter`` for it alone.
+_MOVED = ("instance_to_json", "protocol_to_json", "_emit")
+
+
 def __getattr__(name: str):
-    """The writer functions that ``bench/spans.py`` ``TARGETS`` still names
-    as ``cpv.cli`` attributes, from ``cpv.jsonwriter``; no other name."""
-    if name in ("instance_to_json", "protocol_to_json", "_emit"):
+    """The functions of ``_MOVED`` from ``cpv.jsonwriter``; no other name."""
+    if name in _MOVED:
         return getattr(_cpv("jsonwriter"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -9,10 +9,12 @@ only to name the first violation.  The pairs come from
 :func:`cpv.core.unilateral_pairs`, so scan order, and with it the first
 violation reported, is defined once.
 
-``cpv check`` of CP, ICP, GCP and tatonnement, ``cpv enumerate`` and
-:mod:`cpv.synthesis` import this module.  The rule-level checks (corners,
-inseparability, synthesis, witnesses, non-bossiness) live in
-:mod:`cpv.synthesis`, so a protocol check never compiles them.
+``cpv check`` of CP, ICP, GCP and tatonnement imports this module, and so
+do :mod:`cpv.search`, whose decider checks every protocol it finds with
+:func:`check_protocol_cp`, and :mod:`cpv.synthesis`.  The decider with its
+inseparability classes and witnesses (``synth`` and ``enumerate``) lives in
+:mod:`cpv.search`, the corners and non-bossiness scans in
+:mod:`cpv.synthesis`, so a protocol check compiles neither.
 """
 
 from __future__ import annotations
@@ -190,15 +192,18 @@ def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
 
 
 # ``bench/spans.py`` ``TARGETS`` still names these by their old home in this
-# module; they are forwarded for it alone.
-_MOVED = ("corners_scan", "inseparability_classes", "synthesize_or_witness",
-          "witness_minimize", "witness_verify")
+# module; they are forwarded for it alone, each from the module that holds it.
+_MOVED = {
+    "corners_scan": "synthesis",
+    "inseparability_classes": "search",
+    "synthesize_or_witness": "search",
+    "witness_minimize": "search",
+    "witness_verify": "search",
+}
 
 
 def __getattr__(name: str):
-    """The functions of ``_MOVED`` from :mod:`cpv.synthesis`; no other name."""
+    """The functions of ``_MOVED`` from their modules; no other name."""
     if name in _MOVED:
-        from cpv import synthesis
-
-        return getattr(synthesis, name)
+        return getattr(__import__(f"cpv.{_MOVED[name]}", fromlist=["*"]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

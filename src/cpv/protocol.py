@@ -94,7 +94,7 @@ class MultiCountQuery:
             for t in sub:
                 if not 0 <= t < space.sizes[0]:
                     raise ProtocolDefect(path, f"count subset type index {t} out of range")
-        domain = itertools.product(range(space.n + 1), repeat=len(self.subsets))
+        domain = list(itertools.product(range(space.n + 1), repeat=len(self.subsets)))
         _check_partition(self.cells, domain, path, "count vector")
 
 
@@ -114,6 +114,8 @@ Query = ElicitQuery | CountQuery | MultiCountQuery | ExtensionalQuery
 
 
 def _check_partition(cells, domain, path: str, what: str) -> None:
+    """Refuses ``cells`` unless they partition ``domain``, a range or a
+    list, naming the first defect."""
     if len(cells) < 2:
         raise ProtocolDefect(path, f"query needs at least 2 cells")
     seen: set = set()
@@ -127,6 +129,9 @@ def _check_partition(cells, domain, path: str, what: str) -> None:
     missing = [v for v in domain if v not in seen]
     if missing:
         raise ProtocolDefect(path, f"non-exhaustive: {what} {missing[0]} in no cell")
+    if len(seen) > len(domain):  # every value of the domain is seen, and more
+        v = next(v for cell in cells for v in cell if v not in domain)
+        raise ProtocolDefect(path, f"{what} {v} out of range")
 
 
 def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?") -> list[int]:

@@ -1,12 +1,13 @@
-"""Exhaustive contextually private protocol search for tiny instances.
+"""The one decider of contextually private implementation: the greedy
+engine, its candidate queries, inseparability classes and witnesses.
 
 :func:`exhaustive_cp_search` decides implementability over a query family
-exactly, with :func:`cpv.synthesis.greedy_search`, the one decider, which
-``cpv synth`` runs over elicitation alone.  A query passes the node test
-of a state (a reachable profile set) when it separates no equal-outcome
-unilateral pair inside it, which is equivalent to privacy of the finished
-protocol: the earliest point of departure of any violating pair holds both
-profiles.
+exactly; ``cpv enumerate`` runs it over the family it is given and ``cpv
+synth``, through :func:`synthesize_or_witness`, over elicitation alone.  A
+query passes the node test of a state (a reachable profile set) when it
+separates no equal-outcome unilateral pair inside it, which is equivalent
+to privacy of the finished protocol: the earliest point of departure of
+any violating pair holds both profiles.
 
 Restriction lemma: won states are closed downward.  A protocol on a state
 S gives one on every subset T of S (restrict each query to T and contract
@@ -24,6 +25,19 @@ Past ``max_states`` states the search stops with the status
 backtracks over every candidate is kept as a reference in
 ``tests/oracles.py``, where the obviously strategyproof search over
 multiway elicitation splits runs on it (ROADMAP item 3).
+
+Two types of an agent are directly inseparable on a state when some fixed
+opponent profile gives both, inside the state, one outcome; the transitive
+closure partitions the agent's present types into inseparability classes.
+A split of the agent passes the node test iff it is a union of classes, so
+the engine splits by them, as Kushilevitz's decomposability test for
+two-party privacy (*Privacy and Communication Complexity*, SIAM J.
+Discrete Math. 1992) splits by classes of rows and columns.  A product set
+on which the rule is non-constant while every agent's types fall in a
+single class is a machine-checkable witness that no contextually private
+sequential-elicitation protocol exists; the engine gives the stuck state's
+factors as one when elicitation is in the family and that state is a
+product set.
 
 The family is the comma-joined ``--queries`` string of ``cpv enumerate``.
 ``_KINDS`` lists each kind a family may name with how it splits a state:
@@ -47,22 +61,102 @@ separates in that order.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Optional
 
 from cpv.core import (
     ChoiceRule,
     InputError,
     ProfileSet,
     TypeSpace,
+    Witness,
+    check_factors,
+    constant_on,
+    mask_flags,
+    mask_indices,
+    product_factorization,
+    record,
     unilateral_pairs,
 )
+from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     CountQuery,
+    ElicitQuery,
     MultiCountQuery,
+    Protocol,
     Query,
+    build_protocol,
+    implements,
     query_cell_masks,
+    validate_protocol,
 )
-from cpv.synthesis import SearchResult, greedy_search
+
+# ---------------------------------------------------------------------------
+# inseparability classes
+
+
+class UnionFind:
+    """Array union-find with path compression and a count of its classes."""
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+        self.classes = size
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+            self.classes -= 1
+
+
+def inseparability_classes(rule: ChoiceRule, state: int, agent: int) -> tuple[tuple[int, ...], ...]:
+    """Equivalence classes of the agent's types present in the profile-set
+    mask ``state``, each sorted, in the order of their smallest types.
+
+    Each of the agent's lines (the profiles that differ from one another
+    in its type alone) that meets the state is read as a row of outcomes,
+    one per present type.  An entry whose profile lies outside the state
+    reads ``~position``, a value of its own, so it joins nothing.  Types
+    sharing an outcome in some row are joined, and the union-find closure
+    yields the partition.  Where every line is whole (on a product set)
+    no entry is tested.  Equal rows give equal edges, so each distinct row
+    is scanned once, and the scan stops once all types are joined.
+    """
+    space = rule.space
+    if not 0 <= agent < space.n:
+        raise InputError(f"unknown agent {agent}")
+    stride, fill, table = space.strides[agent], space.digit_fills[agent], rule.table
+    # per present type, the lines it meets, as their type-0 profiles
+    met = [(t, m) for t in range(space.sizes[agent]) if (m := (state >> t * stride) & fill)]
+    lines = 0
+    for _, m in met:
+        lines |= m
+    bases = mask_indices(lines)
+    columns = [[table[b + t * stride] for b in bases] for t, _ in met]
+    for p, (_, m) in enumerate(met):
+        if m != lines:
+            flags = mask_flags(m, space.total)
+            columns[p] = [x if flags[b] else ~p for b, x in zip(bases, columns[p])]
+    uf = UnionFind(len(met))
+    for row in set(zip(*columns)):
+        if uf.classes <= 1:
+            break
+        fiber: dict[int, int] = {}
+        for p, x in enumerate(row):
+            q = fiber.setdefault(x, p)
+            if q != p:
+                uf.union(q, p)
+    classes: dict[int, list[int]] = {}  # by root, the smallest position of its class
+    for p, (t, _) in enumerate(met):
+        classes.setdefault(uf.find(p), []).append(t)
+    return tuple(map(tuple, classes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +233,6 @@ def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
             yield query, cells
 
 
-# ---------------------------------------------------------------------------
-# contextually private implementation search
-
-
 def _same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
     space = rule.space
     pairs = unilateral_pairs(space, universe, value=[rule.table] * space.n)
@@ -162,30 +252,136 @@ def _separates_protected_pair(cells: tuple[int, ...], pairs: list[tuple[int, int
     return None
 
 
+# ---------------------------------------------------------------------------
+# the engine
+
+
+@record
+class SearchResult:
+    status: str  # found | nonexistent | budget_exhausted
+    protocol: Optional[Protocol] = None
+    states: int = 0
+    witness: Optional[Witness] = None  # the stuck state, when elicit is drawn and it is a product
+
+
+class _Stop(Exception):
+    """Ends a run with the status it names."""
+
+
 def exhaustive_cp_search(
     rule: ChoiceRule,
     queries: str = "elicit",
-    max_states: int = 100_000,
+    max_states: int | None = 100_000,
     universe: ProfileSet | None = None,
 ) -> SearchResult:
-    """Decide whether a contextually private protocol exists for the rule
-    over the query family ``queries``, the comma-joined kinds that
-    :func:`drawn_kinds` reads and refuses.  The protected pairs are listed
-    only when a state reaches the count kinds."""
+    """Decide whether a contextually private protocol implements the rule
+    on ``universe`` (the whole space by default) over the query family
+    ``queries``, the comma-joined kinds that :func:`drawn_kinds` reads and
+    refuses, stepping each state once, in preorder; ``max_states=None``
+    sets no bound.
+
+    A state where the rule is constant is a leaf.  Otherwise it takes the
+    first candidate that passes the node test: with elicitation, per agent
+    in order, the inseparability class of the agent's smallest present type
+    against the rest of its alphabet, if the agent has two classes; then
+    the first count split that separates no protected pair, the pairs
+    listed only once a state reaches the count kinds.  Where none passes,
+    nonexistence is proven, and with elicitation drawn the witness is
+    :func:`cpv.core.product_factorization` of the stuck state.  A found
+    protocol is validated and checked to implement the rule and to be
+    contextually private.
+    """
     space = rule.space
     kinds = drawn_kinds(space, queries)
+    if max_states is not None and max_states < 1:
+        raise InputError("budget bounds must be positive")
     universe = ProfileSet.full(space) if universe is None else universe
-    pairs = None
+    if universe.is_empty:
+        raise InputError("universe is empty")
+    elicit, counts = "elicit" in kinds, kinds.keys() - {"elicit"}
+    states, stuck, pairs = 0, None, None
 
-    def first_count_query(state: int) -> Query | None:
-        nonlocal pairs
-        if pairs is None:
-            pairs = _same_outcome_pairs(rule, universe.mask)
-        drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, kinds))
-        for query, cells in _splits(space, state, drawn):
-            if _separates_protected_pair(cells, pairs, state) is None:
-                return query
-        return None
+    def step(label: int, _state):
+        nonlocal states, stuck, pairs
+        states += 1
+        if max_states is not None and states > max_states:
+            raise _Stop("budget_exhausted")
+        if constant_on(rule, label):
+            return None
+        for agent in range(space.n) if elicit else ():
+            classes = inseparability_classes(rule, label, agent)
+            if len(classes) > 1:
+                first = classes[0]
+                rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
+                return ElicitQuery(agent, (first, rest)), lambda _c, _m: None
+        if counts:
+            if pairs is None:
+                pairs = _same_outcome_pairs(rule, universe.mask)
+            drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, kinds))
+            for query, cells in _splits(space, label, drawn):
+                if _separates_protected_pair(cells, pairs, label) is None:
+                    return query, lambda _c, _m: None
+        stuck = label
+        raise _Stop("nonexistent")
 
-    others = first_count_query if kinds.keys() - {"elicit"} else None
-    return greedy_search(rule, universe, "elicit" in kinds, others, max_states)
+    try:
+        protocol = build_protocol(space, step, None, universe)
+    except _Stop as stop:
+        factors = None
+        if stuck is not None and elicit:
+            factors = product_factorization(space, ProfileSet(space, stuck))
+        return SearchResult(stop.args[0], None, states, factors and Witness(factors))
+    if validate_protocol(protocol):
+        raise AssertionError("decided protocol fails validation (bug)")
+    if not implements(protocol, rule):
+        raise AssertionError("decided protocol does not implement the rule (bug)")
+    if not check_protocol_cp(protocol, rule).ok:
+        raise AssertionError("decided protocol is not contextually private (bug)")
+    return SearchResult("found", protocol, states)
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> Protocol | Witness:
+    """A contextually private sequential-elicitation protocol on the
+    product set ``root_factors`` (the whole space by default), or a witness
+    that none exists: :func:`exhaustive_cp_search` over elicitation alone
+    with no state bound, whose stuck state is a product set on which every
+    agent's types form one inseparability class."""
+    space = rule.space
+    universe = None if root_factors is None else ProfileSet.from_factors(space, root_factors)
+    result = exhaustive_cp_search(rule, "elicit", None, universe)
+    return result.protocol or result.witness
+
+
+def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
+    """Re-derivation of the certificate: non-constant on the product set,
+    and every agent's factor lies inside one inseparability class."""
+    space = rule.space
+    state = ProfileSet.from_factors(space, check_factors(space, witness.factors, "witness ")).mask
+    if constant_on(rule, state):
+        return False
+    return all(len(inseparability_classes(rule, state, agent)) == 1 for agent in range(space.n))
+
+
+def witness_minimize(rule: ChoiceRule, witness: Witness) -> Witness:
+    """Greedy shrink of each factor while the certificate keeps verifying;
+    the result is locally minimal and human-checkable."""
+    if not witness_verify(rule, witness):
+        raise InputError("cannot minimize: not a valid witness")
+    factors = [list(f) for f in witness.factors]
+    changed = True
+    while changed:
+        changed = False
+        for agent in range(len(factors)):
+            for t in list(factors[agent]):
+                if len(factors[agent]) == 1:
+                    break
+                trial = [tuple(f) for f in factors]
+                trial[agent] = tuple(x for x in factors[agent] if x != t)
+                if witness_verify(rule, Witness(tuple(trial))):
+                    factors[agent] = [x for x in factors[agent] if x != t]
+                    changed = True
+    return Witness(tuple(tuple(f) for f in factors))

@@ -1,30 +1,19 @@
-"""Rule-level privacy: corners, inseparability classes, the greedy
-decider, witnesses and non-bossiness.
-
-Two types of an agent are directly inseparable on a product set when some
-fixed opponent profile gives them equal outcomes; the transitive closure
-partitions the agent's types into inseparability classes.  A product set
-on which the rule is non-constant while every agent's types fall in a
-single class is a machine-checkable witness that no contextually private
-sequential-elicitation protocol exists.  :func:`greedy_search` splits by
-these classes, as Kushilevitz's decomposability test for two-party
-privacy splits by classes of rows and columns; it decides both ``cpv
-synth`` and ``cpv enumerate``.
+"""Rule-level privacy scans: corners and non-bossiness.
 
 The corners scan decides one two-agent plane at a time whether a failing
-square exists, and scans pairs only to name the first one; it and the
-non-bossiness scan enumerate their pairs with
-:func:`cpv.core.unilateral_pairs`, as the protocol-level checks of
-:mod:`cpv.privacy` do.
+square (three equal corners and a fourth that differs) exists, and scans
+pairs only to name the first one; it is a fast necessary condition for
+contextual privacy, not a sufficient one.  It and the non-bossiness scan
+enumerate their pairs with :func:`cpv.core.unilateral_pairs`, as the
+protocol-level checks of :mod:`cpv.privacy` do.  Inseparability classes,
+the decider and its witnesses live in :mod:`cpv.search`.
 
-``cpv check --property corners|nonbossy``, ``cpv synth`` and ``cpv
-enumerate`` import this module; ``check`` of CP, ICP, GCP or tatonnement,
-which read protocols only, never compile it.
+``cpv check --property corners|nonbossy`` imports this module; ``synth``,
+``enumerate`` and ``check`` of CP, ICP, GCP or tatonnement never compile
+it.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from cpv.core import (
     ChoiceRule,
@@ -33,117 +22,12 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     Verdict,
-    Witness,
-    check_factors,
-    constant_on,
     mask_flags,
-    mask_indices,
-    product_factorization,
     product_indices,
     record,
     unilateral_pairs,
 )
-from cpv.privacy import _own_components, check_protocol_cp
-from cpv.protocol import (
-    ElicitQuery,
-    Protocol,
-    Query,
-    build_protocol,
-    implements,
-    validate_protocol,
-)
-
-
-class UnionFind:
-    """Array union-find with path compression and a count of its classes."""
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.classes = size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-            self.classes -= 1
-
-
-def _as_factors(rule: ChoiceRule, region) -> tuple[tuple[int, ...], ...]:
-    if isinstance(region, ProfileSet):
-        factors = product_factorization(rule.space, region)
-        if factors is None:
-            raise InputError("inseparability needs a product profile set")
-        return factors
-    return check_factors(rule.space, region)
-
-
-def inseparability_classes(rule: ChoiceRule, region, agent: int) -> tuple[tuple[int, ...], ...]:
-    """Equivalence classes of agent's types on a product set, each sorted,
-    in the order of their smallest types.
-
-    Direct edges come from the outcome fibers of each opponent row: the
-    outcomes of the agent's types against one fixed opponent profile.
-    Types sharing an outcome in some row are joined, and the union-find
-    closure yields the partition.  Opponent profiles with equal rows give
-    equal edges, so each distinct row is scanned once, and the scan stops
-    once all types are joined.
-    """
-    factors = _as_factors(rule, region)
-    space = rule.space
-    if not 0 <= agent < space.n:
-        raise InputError(f"unknown agent {agent}")
-    types = factors[agent]
-    table, stride = rule.table, space.strides[agent]
-    bases = product_indices(space, factors[:agent] + ((0,),) + factors[agent + 1:])
-    columns = [[table[b + t * stride] for b in bases] for t in types]
-    uf = UnionFind(len(types))
-    for row in set(zip(*columns)):
-        if uf.classes <= 1:
-            break
-        fiber: dict[int, int] = {}
-        for p, x in enumerate(row):
-            q = fiber.setdefault(x, p)
-            if q != p:
-                uf.union(q, p)
-    return _groups(map(uf.find, range(len(types))), types)
-
-
-def _classes_on(rule: ChoiceRule, state: int, agent: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`inseparability_classes` on any profile set, given as a mask:
-    the agent's types present in the state, two of them directly
-    inseparable when some opponent profile gives both, inside the state,
-    one outcome.  On a product state the two agree."""
-    space = rule.space
-    stride, size, table = space.strides[agent], space.sizes[agent], rule.table
-    uf = UnionFind(size)
-    present = [False] * size
-    fiber: dict[tuple[int, int], int] = {}  # (opponent profile, outcome) -> first type
-    for k in mask_indices(state):
-        t = k // stride % size
-        present[t] = True
-        q = fiber.setdefault((k - t * stride, table[k]), t)
-        if q != t:
-            uf.union(q, t)
-    types = [t for t in range(size) if present[t]]
-    return _groups(map(uf.find, types), types)
-
-
-def _groups(keys, types) -> tuple[tuple[int, ...], ...]:
-    """``types`` grouped by their ``keys``, each group sorted, in the order
-    of their smallest types."""
-    groups: dict[int, list[int]] = {}
-    for key, t in zip(keys, types):
-        groups.setdefault(key, []).append(t)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-
+from cpv.privacy import _own_components
 
 # ---------------------------------------------------------------------------
 # corners scan
@@ -283,135 +167,6 @@ def _corner_defect(o00, o10, o01, o11):
         if three[0] == three[1] == three[2] != fourth:
             return three[0], fourth
     return None
-
-
-# ---------------------------------------------------------------------------
-# the greedy decider and witnesses
-
-
-@record
-class SearchResult:
-    status: str  # found | nonexistent | budget_exhausted
-    protocol: Optional[Protocol] = None
-    states: int = 0
-    witness: Optional[Witness] = None  # the stuck state, when it is a product set
-
-
-class _Stop(Exception):
-    """Ends a run with the status it names."""
-
-
-def greedy_search(
-    rule: ChoiceRule,
-    universe: ProfileSet,
-    elicit: bool = True,
-    first_other: Callable[[int], Optional[Query]] | None = None,
-    max_states: int | None = None,
-) -> SearchResult:
-    """Decide whether a contextually private protocol implements the rule
-    on ``universe``, stepping each state once, in preorder.
-
-    A state where the rule is constant is a leaf.  Otherwise it takes the
-    first candidate that passes the node test: with ``elicit``, per agent
-    in order, the inseparability class of the agent's smallest present type
-    against the rest of its alphabet, if the agent has two classes; then
-    ``first_other(state)``, the first passing query of the family's other
-    kinds, or ``None``.  Where none passes, nonexistence is proven (see
-    :mod:`cpv.search`), and the witness is the state's factors when it is a
-    product set: product states carry their factors and are split by
-    :func:`inseparability_classes`, other states by :func:`_classes_on`.
-    A found protocol is validated and checked to implement the rule and to
-    be contextually private.
-    """
-    if max_states is not None and max_states < 1:
-        raise InputError("budget bounds must be positive")
-    if universe.is_empty:
-        raise InputError("universe is empty")
-    space = rule.space
-    states = 0
-    stuck = None
-
-    def step(label: int, factors):
-        nonlocal states, stuck
-        states += 1
-        if max_states is not None and states > max_states:
-            raise _Stop("budget_exhausted")
-        if constant_on(rule, label):
-            return None
-        for agent in range(space.n) if elicit else ():
-            classes = (_classes_on(rule, label, agent) if factors is None
-                       else inseparability_classes(rule, factors, agent))
-            if len(classes) > 1:
-                first = classes[0]
-                rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
-                kept = factors and (first, tuple(t for t in factors[agent] if t not in first))
-                return ElicitQuery(agent, (first, rest)), (
-                    lambda c, _m: kept and factors[:agent] + (kept[c],) + factors[agent + 1:]
-                )
-        query = first_other(label) if first_other is not None else None
-        if query is None:
-            stuck = factors
-            raise _Stop("nonexistent")
-        return query, lambda _c, _m: None
-
-    try:
-        root = product_factorization(space, universe)
-        protocol = build_protocol(space, step, root, universe)
-    except _Stop as stop:
-        return SearchResult(stop.args[0], None, states, stuck and Witness(stuck))
-    if validate_protocol(protocol):
-        raise AssertionError("decided protocol fails validation (bug)")
-    if not implements(protocol, rule):
-        raise AssertionError("decided protocol does not implement the rule (bug)")
-    if not check_protocol_cp(protocol, rule).ok:
-        raise AssertionError("decided protocol is not contextually private (bug)")
-    return SearchResult("found", protocol, states)
-
-
-def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> Protocol | Witness:
-    """A contextually private sequential-elicitation protocol on the
-    product set ``root_factors`` (the whole space by default), or a witness
-    that none exists: :func:`greedy_search` over elicitation alone, whose
-    stuck state is a product set on which every agent's types form one
-    inseparability class."""
-    space = rule.space
-    if root_factors is None:
-        root_factors = tuple(tuple(range(s)) for s in space.sizes)
-    result = greedy_search(rule, ProfileSet.from_factors(space, root_factors))
-    return result.protocol or result.witness
-
-
-def witness_verify(rule: ChoiceRule, witness: Witness) -> bool:
-    """Re-derivation of the certificate: non-constant on the product set,
-    and every agent's factor lies inside one inseparability class."""
-    factors = check_factors(rule.space, witness.factors, "witness ")
-    if constant_on(rule, ProfileSet.from_factors(rule.space, factors).mask):
-        return False
-    for agent in range(rule.space.n):
-        if len(inseparability_classes(rule, factors, agent)) != 1:
-            return False
-    return True
-
-
-def witness_minimize(rule: ChoiceRule, witness: Witness) -> Witness:
-    """Greedy shrink of each factor while the certificate keeps verifying;
-    the result is locally minimal and human-checkable."""
-    if not witness_verify(rule, witness):
-        raise InputError("cannot minimize: not a valid witness")
-    factors = [list(f) for f in witness.factors]
-    changed = True
-    while changed:
-        changed = False
-        for agent in range(len(factors)):
-            for t in list(factors[agent]):
-                if len(factors[agent]) == 1:
-                    break
-                trial = [tuple(f) for f in factors]
-                trial[agent] = tuple(x for x in factors[agent] if x != t)
-                if witness_verify(rule, Witness(tuple(trial))):
-                    factors[agent] = [x for x in factors[agent] if x != t]
-                    changed = True
-    return Witness(tuple(tuple(f) for f in factors))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   candidate of a state, and :func:`reference_cp_search`, the CP search on
   it over every query of a family, the binary elicitation splits of
   :func:`elicit_queries` included.  ``test_search.py::TestGreedyReference``
-  checks ``cpv.search.exhaustive_cp_search``, the greedy decider, against
-  it; :func:`protected_pair_classes`, the components of the protected
-  pairs of a profile set, checks the decider's inseparability classes on
-  sets that are no products.
+  checks ``cpv.search.exhaustive_cp_search``, the one greedy decider of
+  ``synth`` and ``enumerate``, against it; :func:`protected_pair_classes`,
+  the components of the protected pairs of a profile set, checks
+  ``cpv.search.inseparability_classes``, the one class function, on
+  product sets and on sets that are no products.
 - :func:`exhaustive_osp_search` with :func:`_all_partitions`, the
   obviously strategyproof search over every multiway elicitation split,
   on :func:`solve`, read by c13, ``test_search.py::TestOspSearch``, the
@@ -55,14 +56,15 @@ from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import ElicitQuery, Query, build_protocol, implements
 from cpv.search import (
+    SearchResult,
     _canonical_subsets,
     _family_queries,
     _same_outcome_pairs,
     _separates_protected_pair,
     _splits,
     drawn_kinds,
+    witness_verify,
 )
-from cpv.synthesis import SearchResult, witness_verify
 
 # ---------------------------------------------------------------------------
 # witness brute force

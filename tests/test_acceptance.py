@@ -42,8 +42,8 @@ from cpv.protocol import (
     build_from_spec,
     implements,
 )
-from cpv.search import exhaustive_cp_search
-from cpv.synthesis import check_nonbossy, corners_scan, synthesize_or_witness, witness_verify
+from cpv.search import exhaustive_cp_search, synthesize_or_witness, witness_verify
+from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement, phase_discovery
 
 from corpus import (

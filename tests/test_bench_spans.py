@@ -48,6 +48,21 @@ def test_counters_hang_on_targets():
         assert isinstance(getattr(mechanisms, table), dict)
 
 
+@pytest.mark.parametrize("module_name", ["cpv.cli", "cpv.privacy"])
+def test_forwards_are_exactly_the_targets_moved_away(module_name):
+    # A module forwards through ``__getattr__`` the names in its ``_MOVED``:
+    # each must be a target it no longer defines, and every such target
+    # must be forwarded, so a forward neither goes stale nor outlives it.
+    module = importlib.import_module(module_name)
+    moved_away = {
+        attr for owner, attr, _ in spans.TARGETS
+        if owner == module_name and "." not in attr and attr not in vars(module)
+    }
+    assert set(module._MOVED) == moved_away
+    for name in moved_away:
+        assert callable(getattr(module, name))
+
+
 def test_moved_targets_record_their_spans(tmp_path):
     # As ``bench/run.py --trace 1`` does: a plain pass loads every module,
     # then a traced pass runs the same commands.

@@ -693,14 +693,28 @@ def _fair_with(**fields) -> str:
 
 def _count_bundle_with(edit) -> str:
     """The count clock bundle as ``builtin --emit`` writes it, after ``edit``."""
-    bundle = BUILTIN_PROTOCOLS["count_ascending_kplus1_price"](
-        {"k": 1, "n": 3, "values": [1, 2, 3]}
-    )
+    return _bundle_with("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]}, edit)
+
+
+def _bundle_with(name: str, params: dict, edit) -> str:
+    """The built-in bundle ``name`` as ``builtin --emit`` writes it, after ``edit``."""
+    bundle = BUILTIN_PROTOCOLS[name](params)
     doc = instance_to_json(bundle.instance)
     protocol = protocol_to_json(bundle.protocol, bundle.phase)
     doc["protocol"] = {k: v for k, v in protocol.items() if k not in ("schema", "space")}
     edit(doc)
     return json.dumps(doc)
+
+
+def _append(path: str, value):
+    """An edit that appends ``value`` to the array at the slash-separated ``path``."""
+
+    def edit(doc):
+        for key in path.split("/"):
+            doc = doc[int(key) if isinstance(doc, list) else key]
+        doc.append(value)
+
+    return edit
 
 
 def _set(path: str, value):
@@ -786,6 +800,22 @@ MALFORMED = {
     "query cell is a number": (
         _count_bundle_with(_set("protocol/tree/query/cells/0", 5)), ["validate"], 1000,
         "/protocol/tree/query/cells/0",
+    ),
+    # a partition of the counts {0..3} (of {0..3}^2 for a vector) holds neither
+    "count cell value above n": (
+        _count_bundle_with(_append("protocol/tree/query/cells/1", 99)), ["validate"], 1000,
+        '{"error":"count 99 out of range at node /tree"}',
+    ),
+    "negative count cell value": (
+        _count_bundle_with(_append("protocol/tree/query/cells/1", -3)),
+        ["check", "--property", "cp"], 1000,
+        '{"error":"count -3 out of range at node /tree"}',
+    ),
+    "count vector above n": (
+        _bundle_with("multicount_stable_matching", {}, _append("protocol/tree/query/cells/0",
+                                                               [7, 7])),
+        ["check", "--property", "cp"], 1000,
+        '{"error":"count vector (7, 7) out of range at node /tree"}',
     ),
     "components row is a number": (
         _count_bundle_with(_set("components/winners=1,price=1", 5)), ["validate"], 1000,

@@ -21,7 +21,7 @@ from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
 from cpv.protocol import Protocol
 from cpv.reader import _check
-from cpv.synthesis import synthesize_or_witness
+from cpv.search import synthesize_or_witness
 from test_cli import BUNDLE_PARAMS
 
 # Small parameters for every built-in rule.

@@ -370,16 +370,28 @@ def test_synth_loads_the_writer_only_to_emit(emit, first_price_file, tmp_path):
     argv = ["synth", first_price_file, *(["--emit", str(tmp_path / "p.json")] if emit else [])]
     # exit 0: a protocol, which is emitted only with --emit
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
-    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.synthesis"} | (
+    # the decider lives in cpv.search; the corners scan in cpv.synthesis is not compiled
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"} | (
         {"cpv.jsonwriter"} if emit else set()
     ), loaded
+
+
+def test_synth_witness_loads_the_decider_alone(tmp_path):
+    from cpv.cli import main
+
+    path = str(tmp_path / "sp.json")
+    assert main(["builtin", "second_price", "--params", '{"n": 3, "values": [1, 2, 3]}',
+                 "--emit", path]) == 0
+    # exit 1: a witness, minimized
+    loaded = modules_loaded_by(f"from cpv.cli import main; assert main(['synth', {path!r}]) == 1")
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
 
 
 def test_enumerate_without_emit_loads_no_writer(first_price_file):
     argv = ["enumerate", first_price_file]
     # exit 0: a protocol found, and not written
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
-    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search", "cpv.synthesis"}, loaded
+    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["check", "--property", "cp"]], ids=" ".join)

@@ -397,6 +397,6 @@ class TestAppC:
         assert at(2, 8, 6) == "winner=2,price=6"
         assert at(0, 3, 6) == at(0, 3, 4)  # agent 3's 6 and 4 inseparable
         assert at(5, 8, 4) == at(5, 8, 1)  # agent 3's 4 and 1 inseparable
-        from cpv.synthesis import witness_verify
+        from cpv.search import witness_verify
 
         assert witness_verify(rule, Witness(factors))

@@ -19,16 +19,18 @@ from cpv.mechanisms import (
 )
 from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
 from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
+from cpv.search import (
+    inseparability_classes,
+    synthesize_or_witness,
+    witness_minimize,
+    witness_verify,
+)
 from cpv.synthesis import (
     CornersViolation,
     _rows_may_fail,
     _some_plane_fails,
     check_nonbossy,
     corners_scan,
-    inseparability_classes,
-    synthesize_or_witness,
-    witness_minimize,
-    witness_verify,
 )
 
 from corpus import (
@@ -39,7 +41,12 @@ from corpus import (
     random_implementing_protocol,
     random_rule,
 )
-from oracles import witness_oracle
+from oracles import protected_pair_classes, witness_oracle
+
+
+def product_classes(rule: ChoiceRule, factors, agent):
+    """:func:`inseparability_classes` on the product set ``factors``."""
+    return inseparability_classes(rule, ProfileSet.from_factors(rule.space, factors).mask, agent)
 
 
 def naive_inseparability(rule: ChoiceRule, factors, agent):
@@ -83,13 +90,13 @@ class TestInseparability:
     def test_shaded_grid_agent2_single_class(self):
         inst = fig_shaded_3x3()
         factors = ((0, 1, 2), (0, 1, 2))
-        classes = inseparability_classes(inst.rule, factors, 1)
+        classes = product_classes(inst.rule, factors, 1)
         assert classes == ((0, 1, 2),)
 
     def test_shaded_grid_agent1_partition(self):
         inst = fig_shaded_3x3()
         factors = ((0, 1, 2), (0, 1, 2))
-        classes = inseparability_classes(inst.rule, factors, 0)
+        classes = product_classes(inst.rule, factors, 0)
         assert classes == naive_inseparability(inst.rule, factors, 0)
         assert classes == ((0, 2), (1,))  # t1 with t3; t2 alone
 
@@ -97,14 +104,17 @@ class TestInseparability:
         inst = non_clinching()
         factors = ((0, 1), (0, 1))
         for agent in range(2):
-            classes = inseparability_classes(inst.rule, factors, agent)
+            classes = product_classes(inst.rule, factors, agent)
             assert classes == ((0,), (1,))
 
-    def test_nonproduct_input_rejected(self):
+    def test_diagonal_set_gives_the_protected_pair_classes(self):
+        # classes are defined on every profile set: on the diagonal no
+        # unilateral pair lies inside, so every present type is alone
         inst = fair_tiebreak_2x2()
-        diag = profile_set(inst.space, [(0, 0), (1, 1)])
-        with pytest.raises(InputError):
-            inseparability_classes(inst.rule, diag, 0)
+        diag = profile_set(inst.space, [(0, 0), (1, 1)]).mask
+        for agent in range(2):
+            classes = inseparability_classes(inst.rule, diag, agent)
+            assert classes == protected_pair_classes(inst.rule, diag, agent) == ((0,), (1,))
 
     @given(st.sampled_from(corpus_seeds(40)))
     @settings(deadline=None)
@@ -112,7 +122,7 @@ class TestInseparability:
         rule = random_rule(seed)
         factors = tuple(tuple(range(s)) for s in rule.space.sizes)
         for agent in range(rule.space.n):
-            classes = inseparability_classes(rule, factors, agent)
+            classes = product_classes(rule, factors, agent)
             assert classes == naive_inseparability(rule, factors, agent)
 
     @given(st.sampled_from(corpus_seeds(25, offset=1)))
@@ -129,8 +139,8 @@ class TestInseparability:
         )
         full = tuple(tuple(range(s)) for s in space.sizes)
         for agent in range(space.n):
-            small = inseparability_classes(rule, sub, agent)
-            big = inseparability_classes(rule, full, agent)
+            small = product_classes(rule, sub, agent)
+            big = product_classes(rule, full, agent)
             for cls in small:
                 anchor = next(c for c in big if cls[0] in c)
                 assert all(t in anchor for t in cls)
@@ -558,7 +568,7 @@ class TestProductSetKernel:
             full = tuple(tuple(range(s)) for s in rule.space.sizes)
             for factors in (full, sub_factors(rng, rule.space), sub_factors(rng, rule.space)):
                 for agent in range(rule.space.n):
-                    classes = inseparability_classes(rule, factors, agent)
+                    classes = product_classes(rule, factors, agent)
                     assert classes == slow_inseparability(rule, factors, agent), (
                         seed, factors, agent,
                     )
@@ -569,7 +579,7 @@ class TestProductSetKernel:
             factors = sub_factors(random.Random(seed), rule.space)
             region = ProfileSet.from_factors(rule.space, factors)
             for agent in range(rule.space.n):
-                classes = inseparability_classes(rule, region, agent)
+                classes = inseparability_classes(rule, region.mask, agent)
                 assert classes == slow_inseparability(rule, factors, agent)
 
     def test_corners_matches_ordered_scan(self):
@@ -704,7 +714,7 @@ class TestFactorCheck:
         rule = fair_tiebreak_2x2().rule
         for agent in range(2):
             with pytest.raises(InputError, match=message.format("")):
-                inseparability_classes(rule, factors, agent)
+                product_classes(rule, factors, agent)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_witness_verify_refuses(self, case):
@@ -716,6 +726,6 @@ class TestFactorCheck:
     def test_empty_factor_refused(self):
         rule = fair_tiebreak_2x2().rule
         with pytest.raises(InputError, match="agent 1: empty factor"):
-            inseparability_classes(rule, ((0, 1), ()), 0)
+            product_classes(rule, ((0, 1), ()), 0)
         with pytest.raises(InputError, match="agent 1: empty witness factor"):
             witness_verify(rule, Witness(((0, 1), ())))

@@ -17,6 +17,7 @@ from cpv.protocol import (
     CountQuery,
     ElicitQuery,
     ExtensionalQuery,
+    MultiCountQuery,
     NodeSpec,
     ProtocolDefect,
     build_from_spec,
@@ -248,6 +249,34 @@ class TestQueryValidation:
         q = CountQuery((0,), ((0,), (1, 2)))
         with pytest.raises(ProtocolDefect, match="common alphabet"):
             q.validate(space)
+
+    # (query, message): a count or count vector that no profile can have
+    OUTSIDE_THE_DOMAIN = {
+        "count above n": (CountQuery((0,), ((1,), (0, 2, 99))), "count 99 out of range"),
+        "negative count": (CountQuery((0,), ((1, -3), (0, 2))), "count -3 out of range"),
+        "count vector above n": (
+            MultiCountQuery(((0,), (1,)), (
+                tuple((a, b) for a in range(3) for b in range(3) if a + b < 2),
+                tuple((a, b) for a in range(3) for b in range(3) if a + b >= 2) + ((7, 7),),
+            )),
+            "count vector (7, 7) out of range",
+        ),
+        "count vector of the wrong length": (
+            MultiCountQuery(((0,), (1,)), (
+                ((0, 0), (7,)),
+                tuple((a, b) for a in range(3) for b in range(3) if a + b),
+            )),
+            "count vector (7,) out of range",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OUTSIDE_THE_DOMAIN))
+    def test_count_cell_outside_the_domain(self, case):
+        query, message = self.OUTSIDE_THE_DOMAIN[case]
+        space = TypeSpace.shared(2, ("a", "b", "c"))
+        with pytest.raises(ProtocolDefect) as info:
+            query.validate(space, "/tree")
+        assert (info.value.path, info.value.message) == ("/tree", message)
 
     def test_degenerate_spec_contracted(self):
         space = TypeSpace.shared(1, ("A", "B"))

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cpv.search as search_module
 from cpv.core import ChoiceRule, ProfileSet, TypeSpace, Witness, product_factorization
 from cpv.jsonwriter import protocol_to_json
 from cpv.mechanisms import (
@@ -13,18 +14,20 @@ from cpv.mechanisms import (
     non_clinching,
     order_statistic_restriction,
     school_count_instance,
+    second_price,
     serial_dictatorship,
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements, query_cell_masks
-from cpv.search import _family_queries, exhaustive_cp_search
-from cpv.synthesis import (
-    _classes_on,
-    corners_scan,
+from cpv.search import (
+    _family_queries,
+    exhaustive_cp_search,
     inseparability_classes,
     synthesize_or_witness,
     witness_minimize,
+    witness_verify,
 )
+from cpv.synthesis import corners_scan
 
 from corpus import corpus_seeds, random_rule
 from oracles import (
@@ -115,9 +118,68 @@ class TestGreedyReference:
         assert result.protocol == synthesize_or_witness(rule)
 
 
+class TestWitnesses:
+    """The engine's witness: the stuck state's factors, given only when
+    elicitation is in the family and that state is a product set."""
+
+    @staticmethod
+    def run_recording_states(monkeypatch, rule: ChoiceRule, queries: str):
+        """``exhaustive_cp_search`` with the states it steps, in order."""
+        build = search_module.build_protocol
+        stepped = []
+
+        def recording_build(space, step, state, universe):
+            def recording_step(label, s):
+                stepped.append(label)
+                return step(label, s)
+
+            return build(space, recording_step, state, universe)
+
+        monkeypatch.setattr(search_module, "build_protocol", recording_build)
+        return exhaustive_cp_search(rule, queries), stepped
+
+    def test_product_stuck_states_carry_a_verified_witness(self, monkeypatch):
+        witnesses = past_the_root = 0
+        for seed in corpus_seeds(300, offset=31):
+            rule = random_rule(seed)
+            if not rule.space.common_alphabet:
+                continue
+            result, stepped = self.run_recording_states(monkeypatch, rule, ELICIT_COUNT)
+            if result.status != "nonexistent":
+                assert result.witness is None
+                continue
+            factors = product_factorization(rule.space, ProfileSet(rule.space, stepped[-1]))
+            if factors is None:
+                assert result.witness is None, seed
+                continue
+            assert result.witness == Witness(factors) and witness_verify(rule, result.witness), seed
+            witnesses += 1
+            past_the_root += len(stepped) > 1
+        assert witnesses > 20 and past_the_root > 5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_witness_where_the_stuck_state_is_no_product(self, k):
+        rule = second_price(3, (1, 2, 3, 4)).rule
+        universe = order_statistic_restriction(rule.space, k)
+        assert product_factorization(rule.space, universe) is None
+        result = exhaustive_cp_search(rule, ELICIT_COUNT, universe=universe)
+        assert (result.status, result.states, result.witness) == ("nonexistent", 1, None)
+
+    def test_count_alone_gives_no_witness(self):
+        nonexistent = 0
+        for seed in corpus_seeds(300, offset=31):
+            rule = random_rule(seed)
+            if not rule.space.common_alphabet:
+                continue
+            result = exhaustive_cp_search(rule, "count")
+            nonexistent += result.status == "nonexistent"
+            assert result.witness is None, seed
+        assert nonexistent > 20
+
+
 class TestClassesOnMasks:
-    """The decider's inseparability classes on any profile set against the
-    components of its protected pairs, found by brute force."""
+    """Inseparability classes on any profile set against the components of
+    its protected pairs, found by brute force."""
 
     @staticmethod
     def count_cells(rule: ChoiceRule, state: int):
@@ -130,7 +192,9 @@ class TestClassesOnMasks:
 
     def assert_agree(self, rule: ChoiceRule, state: int):
         for agent in range(rule.space.n):
-            assert _classes_on(rule, state, agent) == protected_pair_classes(rule, state, agent)
+            assert inseparability_classes(rule, state, agent) == protected_pair_classes(
+                rule, state, agent
+            )
 
     def test_count_split_states(self):
         nonproduct = 0
@@ -158,10 +222,7 @@ class TestClassesOnMasks:
             factors = tuple(
                 tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for m in rule.space.sizes
             )
-            state = ProfileSet.from_factors(rule.space, factors).mask
-            self.assert_agree(rule, state)
-            for agent in range(rule.space.n):
-                assert _classes_on(rule, state, agent) == inseparability_classes(rule, factors, agent)
+            self.assert_agree(rule, ProfileSet.from_factors(rule.space, factors).mask)
 
 
 class TestCornersGap:

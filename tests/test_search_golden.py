@@ -4,10 +4,11 @@ Both visit states in a fixed order, so the status, the number of states
 visited and the size of the protocol they build are part of the contract.
 These pin them on the paper's small instances, and pin the whole
 ``enumerate`` report on the benchmark's seed-1 ``random_search`` rules.
-The CP rows run ``cpv.search.exhaustive_cp_search``, the greedy decider: a
-found protocol has as many nodes as it visited states, and a nonexistence
-proof counts the states up to the first one where no query passes the
-node test.  The OSP rows run the AND-OR search of ``tests/oracles.py``,
+The CP rows run ``cpv.search.exhaustive_cp_search``, the one greedy
+decider, which ``synth`` also runs (over elicitation, with no state bound):
+a found protocol has as many nodes as it visited states, and a
+nonexistence proof counts the states up to the first one where no query
+passes the node test.  The OSP rows run the AND-OR search of ``tests/oracles.py``,
 which backtracks; the AND-OR CP search there visits the same states where
 a protocol is found and, where none is, at least as many as the greedy
 decider (``REFERENCE_STATES``).
