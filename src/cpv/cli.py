@@ -182,7 +182,8 @@ _PROPERTIES = {  # the module docstring states its shape
         "violation", _corners_to_json,
     ),
     "nonbossy": (
-        False, lambda b, doc: _cpv("synthesis").check_nonbossy(b.instance.rule),
+        False,
+        lambda b, doc: _cpv("synthesis").check_nonbossy(b.instance.rule, b.instance.universe),
         "violation", _nonbossy_to_json,
     ),
     **dict.fromkeys(("efficient", "ir", "stable", "sp"), (
@@ -280,9 +281,7 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
     from cpv.search import drawn_kinds, exhaustive_cp_search
 
     loaded = load(args.instance)
-    result = exhaustive_cp_search(
-        loaded.instance.rule, args.queries, args.max_states, loaded.instance.universe
-    )
+    result = exhaustive_cp_search(loaded.instance.rule, args.queries, loaded.instance.universe)
     doc = {
         "command": "enumerate",
         "family": drawn_kinds(loaded.instance.space, args.queries),
@@ -290,16 +289,13 @@ def _cmd_enumerate(args) -> tuple[int, dict]:
         "status": result.status,
         "states": result.states,
     }
-    if result.status == "found":
-        if args.emit:
-            pdoc = _cpv("jsonwriter").protocol_to_json(result.protocol)
-            doc["emitted"] = _write(pdoc, args.emit)
-        doc["nodes"] = len(result.protocol.nodes)
-        return 0, doc
     if result.status == "nonexistent":
         doc["result"] = "proven-nonexistent"
         return 1, doc
-    raise ResourceError(f"search budget exhausted after {result.states} states")
+    if args.emit:
+        doc["emitted"] = _write(_cpv("jsonwriter").protocol_to_json(result.protocol), args.emit)
+    doc["nodes"] = len(result.protocol.nodes)
+    return 0, doc
 
 
 def _cmd_builtin(args) -> tuple[int, dict]:
@@ -391,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="decide implementability over a query family")
     p.add_argument("--queries", default="elicit", help="elicit[,count][,multicount]")
-    p.add_argument("--max-states", type=int, default=100_000)
     p.add_argument("--emit", help="write a found protocol here")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_enumerate)

@@ -84,9 +84,7 @@ def _ranks(space: TypeSpace) -> tuple[tuple[int, ...], tuple[str, ...]]:
     each as its types' ranks."""
     values = _numeric_values(space.alphabets[0])
     order = sorted(range(len(values)), key=values.__getitem__)
-    rank = [0] * len(order)
-    for r, t in enumerate(order):
-        rank[t] = r
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of ``order``
     return tuple(rank), tuple(str(values[t]) for t in order)
 
 
@@ -126,6 +124,8 @@ def first_price(n: int, values) -> Instance:
 
 
 def second_price(n: int, values) -> Instance:
+    if n < 2:
+        raise InputError("second price needs at least 2 agents")
     return kth_price(n, values, 2)
 
 

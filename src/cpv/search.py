@@ -19,9 +19,9 @@ A non-constant state where no candidate passes is lost, and with it every
 set that holds it, the root included; that stuck state proves
 nonexistence.  The decision builds one tree whose leaves partition the
 root and whose inner nodes have two children or more, so it visits at most
-2·|root|−1 states, and a found protocol has one node per state visited.
-Past ``max_states`` states the search stops with the status
-``budget_exhausted``; a bound below 1 is refused.  The AND-OR search that
+2·|root|−1 states, and a found protocol has one node per state visited;
+with the profile space capped at 2^20 profiles that is at most 2^21−1
+states, so the search takes no bound of its own.  The AND-OR search that
 backtracks over every candidate is kept as a reference in
 ``tests/oracles.py``, where the obviously strategyproof search over
 multiway elicitation splits runs on it (ROADMAP item 3).
@@ -52,10 +52,9 @@ report names the family it decided by it.
 Elicitation goes first: per agent, the class of its smallest present type,
 the first safe one of its binary splits.  The count candidates follow, from
 :func:`_family_queries` fed through :func:`_splits`, which keeps one query
-per induced partition, and filtered by :func:`_separates_protected_pair`.
-The protected pairs come from :func:`cpv.core.unilateral_pairs`, which
-defines the scan order once; a leaking query reports the first pair it
-separates in that order.
+per induced partition.  :func:`_leaks` judges each with the line kernel of
+the CP check, :func:`cpv.privacy._leaves_share_a_line`, on the split's
+cells cut by outcome.
 """
 
 from __future__ import annotations
@@ -75,9 +74,8 @@ from cpv.core import (
     mask_indices,
     product_factorization,
     record,
-    unilateral_pairs,
 )
-from cpv.privacy import check_protocol_cp
+from cpv.privacy import _leaves_share_a_line, check_protocol_cp
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -188,14 +186,14 @@ def drawn_kinds(space: TypeSpace, queries: str) -> dict[str, str]:
 
 
 def _family_queries(space: TypeSpace, kinds: dict[str, str]):
-    """``(kind, queries)`` for each count kind of the :func:`drawn_kinds`
-    ``kinds``, in order."""
+    """The queries of each count kind of the :func:`drawn_kinds` ``kinds``,
+    kind by kind in order."""
     subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
     if "count" in kinds:
-        yield "count", (exact_count_query(space, (s,)) for s in subsets)
+        yield from (exact_count_query(space, (s,)) for s in subsets)
     if "multicount" in kinds:
         pairs = itertools.combinations(subsets, 2)
-        yield "multicount", (exact_count_query(space, pair) for pair in pairs)
+        yield from (exact_count_query(space, pair) for pair in pairs)
 
 
 def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
@@ -233,23 +231,28 @@ def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
             yield query, cells
 
 
-def _same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
-    space = rule.space
-    pairs = unilateral_pairs(space, universe, value=[rule.table] * space.n)
-    return [(k, k2) for k, _, _, k2 in pairs]
+def _outcome_masks(rule: ChoiceRule, mask: int) -> list[int]:
+    """The profile-set mask cut by outcome: one nonempty mask per outcome
+    the rule takes on it."""
+    by_outcome: dict[int, list[int]] = {}
+    for k in mask_indices(mask):
+        by_outcome.setdefault(rule.table[k], []).append(k)
+    return [ProfileSet.from_indices(rule.space, ks).mask for ks in by_outcome.values()]
 
 
-def _separates_protected_pair(cells: tuple[int, ...], pairs: list[tuple[int, int]], state: int):
-    for a, b in pairs:
-        if not ((state >> a) & 1 and (state >> b) & 1):
-            continue
-        for m in cells:
-            in_a, in_b = (m >> a) & 1, (m >> b) & 1
-            if in_a != in_b:
-                return (a, b)
-            if in_a:
-                break
-    return None
+def _leaks(rule: ChoiceRule, cells: tuple[int, ...], outcomes: list[int]) -> bool:
+    """Whether the disjoint ``cells`` separate a protected pair: two
+    profiles in distinct cells that differ in one agent's type and share an
+    outcome.  ``outcomes`` holds, per outcome, a state's profiles that take
+    it; the cells are cut by each in turn and
+    :func:`cpv.privacy._leaves_share_a_line` asked whether two pieces meet a
+    common line, up to the first outcome where two do."""
+    value = [rule.table] * rule.space.n
+    for shared in outcomes:
+        pieces = [p for c in cells if (p := c & shared)]
+        if len(pieces) > 1 and _leaves_share_a_line(rule.space, pieces, value):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -258,54 +261,46 @@ def _separates_protected_pair(cells: tuple[int, ...], pairs: list[tuple[int, int
 
 @record
 class SearchResult:
-    status: str  # found | nonexistent | budget_exhausted
+    status: str  # found | nonexistent
     protocol: Optional[Protocol] = None
     states: int = 0
     witness: Optional[Witness] = None  # the stuck state, when elicit is drawn and it is a product
 
 
-class _Stop(Exception):
-    """Ends a run with the status it names."""
+class _Stuck(Exception):
+    """Ends a run at the state, its one argument, where no candidate passes."""
 
 
 def exhaustive_cp_search(
-    rule: ChoiceRule,
-    queries: str = "elicit",
-    max_states: int | None = 100_000,
-    universe: ProfileSet | None = None,
+    rule: ChoiceRule, queries: str = "elicit", universe: ProfileSet | None = None
 ) -> SearchResult:
     """Decide whether a contextually private protocol implements the rule
     on ``universe`` (the whole space by default) over the query family
     ``queries``, the comma-joined kinds that :func:`drawn_kinds` reads and
-    refuses, stepping each state once, in preorder; ``max_states=None``
-    sets no bound.
+    refuses, stepping each state once, in preorder.
 
     A state where the rule is constant is a leaf.  Otherwise it takes the
     first candidate that passes the node test: with elicitation, per agent
     in order, the inseparability class of the agent's smallest present type
     against the rest of its alphabet, if the agent has two classes; then
-    the first count split that separates no protected pair, the pairs
-    listed only once a state reaches the count kinds.  Where none passes,
-    nonexistence is proven, and with elicitation drawn the witness is
-    :func:`cpv.core.product_factorization` of the stuck state.  A found
+    the first count split on which :func:`_leaks` is false, the universe
+    cut by outcome only once a state reaches the count kinds.  Where none
+    passes, nonexistence is proven, and with elicitation drawn the witness
+    is :func:`cpv.core.product_factorization` of the stuck state.  A found
     protocol is validated and checked to implement the rule and to be
     contextually private.
     """
     space = rule.space
     kinds = drawn_kinds(space, queries)
-    if max_states is not None and max_states < 1:
-        raise InputError("budget bounds must be positive")
     universe = ProfileSet.full(space) if universe is None else universe
     if universe.is_empty:
         raise InputError("universe is empty")
     elicit, counts = "elicit" in kinds, kinds.keys() - {"elicit"}
-    states, stuck, pairs = 0, None, None
+    states, outcomes = 0, None
 
     def step(label: int, _state):
-        nonlocal states, stuck, pairs
+        nonlocal states, outcomes
         states += 1
-        if max_states is not None and states > max_states:
-            raise _Stop("budget_exhausted")
         if constant_on(rule, label):
             return None
         for agent in range(space.n) if elicit else ():
@@ -315,22 +310,19 @@ def exhaustive_cp_search(
                 rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
                 return ElicitQuery(agent, (first, rest)), lambda _c, _m: None
         if counts:
-            if pairs is None:
-                pairs = _same_outcome_pairs(rule, universe.mask)
-            drawn = itertools.chain.from_iterable(q for _, q in _family_queries(space, kinds))
-            for query, cells in _splits(space, label, drawn):
-                if _separates_protected_pair(cells, pairs, label) is None:
+            if outcomes is None:
+                outcomes = _outcome_masks(rule, universe.mask)
+            shared = [s for m in outcomes if (s := m & label).bit_count() > 1]
+            for query, cells in _splits(space, label, _family_queries(space, kinds)):
+                if not _leaks(rule, cells, shared):
                     return query, lambda _c, _m: None
-        stuck = label
-        raise _Stop("nonexistent")
+        raise _Stuck(label)
 
     try:
         protocol = build_protocol(space, step, None, universe)
-    except _Stop as stop:
-        factors = None
-        if stuck is not None and elicit:
-            factors = product_factorization(space, ProfileSet(space, stuck))
-        return SearchResult(stop.args[0], None, states, factors and Witness(factors))
+    except _Stuck as stuck:
+        factors = product_factorization(space, ProfileSet(space, stuck.args[0])) if elicit else None
+        return SearchResult("nonexistent", None, states, factors and Witness(factors))
     if validate_protocol(protocol):
         raise AssertionError("decided protocol fails validation (bug)")
     if not implements(protocol, rule):
@@ -347,12 +339,12 @@ def exhaustive_cp_search(
 def synthesize_or_witness(rule: ChoiceRule, root_factors=None) -> Protocol | Witness:
     """A contextually private sequential-elicitation protocol on the
     product set ``root_factors`` (the whole space by default), or a witness
-    that none exists: :func:`exhaustive_cp_search` over elicitation alone
-    with no state bound, whose stuck state is a product set on which every
+    that none exists: :func:`exhaustive_cp_search` over elicitation alone,
+    whose stuck state is a product set on which every
     agent's types form one inseparability class."""
     space = rule.space
     universe = None if root_factors is None else ProfileSet.from_factors(space, root_factors)
-    result = exhaustive_cp_search(rule, "elicit", None, universe)
+    result = exhaustive_cp_search(rule, "elicit", universe)
     return result.protocol or result.witness
 
 

@@ -173,15 +173,15 @@ def _corner_defect(o00, o10, o01, o11):
 # non-bossiness
 
 
-def check_nonbossy(rule: ChoiceRule) -> Verdict:
-    """No agent changes another's component while keeping her own.  A
-    violation reads ``(agent, type, other type, profile, affected agent)``."""
+def check_nonbossy(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
+    """No agent changes another's component while keeping her own, in
+    ``region`` or the whole space.  A violation reads ``(agent, type, other
+    type, profile, affected agent)``."""
     if not rule.has_components:
         raise InputError("non-bossiness needs per-agent outcome components")
-    space = rule.space
-    comps, table = rule.components, rule.table
-    pairs = unilateral_pairs(space, (1 << space.total) - 1, value=_own_components(rule))
-    for k, i, t2, k2 in pairs:
+    space, comps, table = rule.space, rule.components, rule.table
+    inside = region.mask if region is not None else (1 << space.total) - 1
+    for k, i, t2, k2 in unilateral_pairs(space, inside, value=_own_components(rule)):
         ca, cb = comps[table[k]], comps[table[k2]]
         for j in range(space.n):
             if j != i and ca[j] != cb[j]:

@@ -7,12 +7,19 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   c14 in ``test_acceptance.py``, ``test_privacy.py::TestWitnessOracle``
   and the search and corners-gap tests in ``test_search.py``.  ROADMAP
   item 11's count of where the corners test decides checks against it.
+- :func:`separates_protected_pair`, the reference node test of contextual
+  privacy: it walks the list of protected pairs, two profiles that differ
+  in one agent's type and share the outcome, that :func:`same_outcome_pairs`
+  builds, and returns the first pair a split separates.
+  ``test_search.py::TestCountNodeTest`` checks ``cpv.search._leaks``, the
+  line-kernel test that the decider judges count splits with, against it.
 - :func:`solve`, the memoized AND-OR search that backtracks over every
   candidate of a state, and :func:`reference_cp_search`, the CP search on
-  it over every query of a family, the binary elicitation splits of
-  :func:`elicit_queries` included.  ``test_search.py::TestGreedyReference``
-  checks ``cpv.search.exhaustive_cp_search``, the one greedy decider of
-  ``synth`` and ``enumerate``, against it; :func:`protected_pair_classes`,
+  it over every query of a family that passes the pair test, the binary
+  elicitation splits of :func:`elicit_queries` included.
+  ``test_search.py::TestGreedyReference`` checks
+  ``cpv.search.exhaustive_cp_search``, the one greedy decider of ``synth``
+  and ``enumerate``, against it; :func:`protected_pair_classes`,
   the components of the protected pairs of a profile set, checks
   ``cpv.search.inseparability_classes``, the one class function, on
   product sets and on sets that are no products.
@@ -51,6 +58,7 @@ from cpv.core import (
     constant_on,
     outcome_ids,
     record,
+    unilateral_pairs,
 )
 from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
 from cpv.privacy import check_protocol_cp
@@ -59,12 +67,37 @@ from cpv.search import (
     SearchResult,
     _canonical_subsets,
     _family_queries,
-    _same_outcome_pairs,
-    _separates_protected_pair,
     _splits,
     drawn_kinds,
     witness_verify,
 )
+
+# ---------------------------------------------------------------------------
+# the protected-pair node test
+
+
+def same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
+    """The protected pairs inside ``universe``, in
+    :func:`cpv.core.unilateral_pairs` order."""
+    space = rule.space
+    pairs = unilateral_pairs(space, universe, value=[rule.table] * space.n)
+    return [(k, k2) for k, _, _, k2 in pairs]
+
+
+def separates_protected_pair(cells: tuple[int, ...], pairs: list[tuple[int, int]], state: int):
+    """The first of the ``pairs`` inside ``state`` whose profiles the
+    disjoint ``cells`` put apart, or ``None``."""
+    for a, b in pairs:
+        if not ((state >> a) & 1 and (state >> b) & 1):
+            continue
+        for m in cells:
+            in_a, in_b = (m >> a) & 1, (m >> b) & 1
+            if in_a != in_b:
+                return (a, b)
+            if in_a:
+                break
+    return None
+
 
 # ---------------------------------------------------------------------------
 # witness brute force
@@ -176,10 +209,12 @@ def elicit_queries(space: TypeSpace, state: int):
 
 def family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
     """``(kind, queries)`` for each drawn kind: the elicit-subset stream,
-    then the count kinds of ``cpv.search``."""
+    then each count kind's queries from ``cpv.search``."""
     if "elicit" in kinds:
         yield "elicit", elicit_queries(space, state)
-    yield from _family_queries(space, kinds)
+    for kind in ("count", "multicount"):
+        if kind in kinds:
+            yield kind, _family_queries(space, {kind: kinds[kind]})
 
 
 def reference_cp_search(
@@ -193,12 +228,12 @@ def reference_cp_search(
     space = rule.space
     kinds = drawn_kinds(space, queries)
     root = root_mask(space, universe)
-    pairs = _same_outcome_pairs(rule, root)
+    pairs = same_outcome_pairs(rule, root)
 
     def candidates(state: int):
         drawn = itertools.chain.from_iterable(q for _, q in family_queries(space, state, kinds))
         for query, cells in _splits(space, state, drawn):
-            if _separates_protected_pair(cells, pairs, state) is None:
+            if separates_protected_pair(cells, pairs, state) is None:
                 yield query, cells
 
     result = solve(rule, root, candidates, max_states)
@@ -324,7 +359,7 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
     that induce one partition are each listed."""
     space = rule.space
     state = region.mask
-    pairs = _same_outcome_pairs(rule, state)
+    pairs = same_outcome_pairs(rule, state)
     entries = []
     for kind, drawn in family_queries(space, state, drawn_kinds(space, queries)):
         for query, cells in _splits(space, state, drawn):
@@ -334,7 +369,7 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
                 detail = "{" + ",".join(space.alphabets[0][t] for t in query.subset) + "}"
             else:
                 detail = f"l={len(query.subsets)}"
-            violation = _separates_protected_pair(cells, pairs, state)
+            violation = separates_protected_pair(cells, pairs, state)
             partition = tuple(tuple(ProfileSet(space, m).indices()) for m in cells)
             entries.append(ObstructionEntry(kind, detail, partition, violation))
     return ObstructionReport(tuple(entries), not constant_on(rule, state))

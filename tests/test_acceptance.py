@@ -377,3 +377,30 @@ def test_c16_rank_payment_uniqueness():
             private = isinstance(synthesize_or_witness(inst.rule), Protocol)
             verdicts[k] = (efficient, private)
         assert verdicts == {1: (True, True), 2: (True, False), 3: (True, False)}
+
+
+def test_c05_boundary_two_bidders():
+    with criterion(5, "second price: private with 2 bidders, a witness from 3 on"):
+        for m, nodes in ((3, 9), (4, 13), (6, 21)):
+            rule = second_price(2, list(range(1, m + 1))).rule
+            synth = synthesize_or_witness(rule)
+            assert isinstance(synth, Protocol) and len(synth.nodes) == nodes
+            assert check_protocol_cp(synth, rule).ok
+        rule = second_price(3, [1, 2, 3]).rule
+        assert witness_verify(rule, synthesize_or_witness(rule))
+
+
+def test_c17_uniform_price_with_one_loser():
+    # The repository's finding, not a result of the paper: with k = n-1
+    # units only one bidder loses, and an elicitation protocol is private.
+    with criterion(17, "uniform price: private with k = n-1 units, a witness for k <= n-2"):
+        nodes = {(3, 3): 13, (3, 4): 19, (4, 3): 17, (4, 4): 25}
+        for (n, m), count in nodes.items():
+            for k in range(1, n):
+                rule = uniform_price(n, list(range(1, m + 1)), k).rule
+                synth = synthesize_or_witness(rule)
+                if k == n - 1:
+                    assert isinstance(synth, Protocol) and len(synth.nodes) == count
+                    assert check_protocol_cp(synth, rule).ok
+                else:
+                    assert witness_verify(rule, synth)

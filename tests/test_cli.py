@@ -226,6 +226,7 @@ REPORT_FILES = {
     "fp": ("first_price", {"n": 2, "values": [1, 2]}),
     "spa": ("second_price", {"n": 2, "values": [1, 2]}),
     "school": ("school_count_instance", {}),
+    "dac": ("double_auction_count", {"n": 4, "values": [1, 2, 3]}),
     # a second seat at a: the student placed at b wants it
     "unstable": ("school_count_instance", {}, ("model/capacities/a", 2)),
     # agent 1 pays 9 for the item at the first profile
@@ -282,6 +283,20 @@ CHECK_REPORTS = {
     "stable fails": ("stable", ["unstable"], 1, _checked(
         '"counterexample":{"profile":["s1\'","s2"],"school":"a","student":2},"holds":false,'
         '"property":"stable","schema":"cpv-1"}'
+    )),
+    # the double auction's universe holds 42 of its 81 profiles: the first
+    # bossy pair inside it is named, not one that leaves it
+    "nonbossy fails in the universe": ("nonbossy", ["dac"], 1, _checked(
+        '"holds":false,"property":"nonbossy","schema":"cpv-1","violation":{"affected":2,'
+        '"agent":1,"profile":["1","3","1","3"],"types":["1","2"]}}'
+    )),
+    # "bossy" has one bossy pair, and "bossy_universe" leaves its second profile out
+    "nonbossy fails": ("nonbossy", ["bossy"], 1, _checked(
+        '"holds":false,"property":"nonbossy","schema":"cpv-1","violation":{"affected":2,'
+        '"agent":1,"profile":["a","a"],"types":["a","b"]}}'
+    )),
+    "nonbossy holds on the universe": ("nonbossy", ["bossy_universe"], 0, _checked(
+        '"holds":true,"property":"nonbossy","schema":"cpv-1"}'
     )),
     "sp fails": ("sp", ["fp"], 1, _checked(
         '"counterexample":{"agent":1,"profile":["2","1"],"report":"1"},"holds":false,'
@@ -397,13 +412,6 @@ COMMAND_REPORTS = {
         '{"command":"builtin","kind":"family","members":4,"name":"efficient_completions_2x2",'
         '"schema":"cpv-1"}\n'),
     **{
-        f"enumerate, max states {n}": (
-            ["enumerate", "--max-states", n, "fair"], 2,
-            '{"error":"budget bounds must be positive"}\n',
-        )
-        for n in ("0", "-1")
-    },
-    **{
         f"{command}, phase {phase}": (
             [*argv, "fair", f"fig{phase}"], 2, f'{{"error":"{error}"}}\n',
         )
@@ -460,6 +468,14 @@ class TestWholeCheckReports:
         docs["commas_elicit"] = {"schema": "cpv-1", "tree": {"query": elicit[0], "children": [
             {"query": elicit[1], "children": [{}, {}]}, {}
         ]}}
+        # agent 1 moving from a to b keeps its own component p and turns agent 2's p into q
+        outcomes = {("a", "a"): "x", ("a", "b"): "x", ("b", "a"): "y", ("b", "b"): "x"}
+        docs["bossy"] = {
+            "schema": "cpv-1", "agents": 2, "alphabet": ["a", "b"],
+            "rule": {"table": [{"profile": list(p), "outcome": x} for p, x in outcomes.items()]},
+            "components": {"x": ["p", "p"], "y": ["p", "q"]},
+        }
+        docs["bossy_universe"] = {**docs["bossy"], "universe": [["a", "a"], ["a", "b"], ["b", "b"]]}
         for phase in ([], [99], [99, 98], [0, 98], [1], [0, 2], [0, 1], [0, 1, 4]):
             docs[f"fig{phase}"] = {**FIG_PROTOCOL, "phase": phase}
         for name, (builtin, params, *edits) in REPORT_FILES.items():
@@ -528,19 +544,6 @@ class TestEnumerate:
         p.write_text(json.dumps(inst))
         code, doc = run_cli(["enumerate", "--queries", "elicit,count", str(p)], capsys)
         assert code == 1 and doc["result"] == "proven-nonexistent"
-
-    def test_budget_exit_2(self, tmp_path, capsys):
-        inst = {
-            "schema": "cpv-1",
-            "rule": {
-                "builtin": "serial_dictatorship",
-                "params": {"n": 3, "objects": ["a", "b", "c"]},
-            },
-        }
-        p = tmp_path / "sd3.json"
-        p.write_text(json.dumps(inst))
-        code, doc = run_cli(["enumerate", "--max-states", "3", str(p)], capsys)
-        assert code == 2 and doc["kind"] == "resource"
 
     def test_enumerate_and_synth_emit_one_file(self, tmp_path, capsys):
         # first price with 3 agents and 12 values: one decider serves both
@@ -847,6 +850,14 @@ MALFORMED = {
         ["validate"], 1000, "/alphabets",
     ),
     "agents is a boolean": (_fair_with(agents=True), ["validate"], 1000, "/agents"),
+    "second price with one agent": (
+        None, ["builtin", "second_price", "--params", '{"n":1,"values":[1,2]}', "--emit"], 1000,
+        '{"error":"second price needs at least 2 agents (at /)"}',
+    ),
+    "ascending clock with one agent": (
+        None, ["builtin", "ascending_elicitation_sp", "--params", '{"n":1,"values":[1,2]}',
+               "--emit"], 1000, '{"error":"second price needs at least 2 agents (at /)"}',
+    ),
     "params k is a boolean": (
         None, ["builtin", "kth_price", "--params", '{"n":2,"values":[1,2],"k":true}', "--emit"],
         1000, "/k",

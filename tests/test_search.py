@@ -21,6 +21,9 @@ from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements, query_cell_masks
 from cpv.search import (
     _family_queries,
+    _leaks,
+    _outcome_masks,
+    _splits,
     exhaustive_cp_search,
     inseparability_classes,
     synthesize_or_witness,
@@ -36,12 +39,15 @@ from oracles import (
     obstruction_scan,
     protected_pair_classes,
     reference_cp_search,
+    same_outcome_pairs,
+    separates_protected_pair,
     witness_oracle,
 )
 
 ELICIT = "elicit"
 ELICIT_COUNT = "elicit,count"
 ELICIT_COUNT_MULTICOUNT = "elicit,count,multicount"
+COUNT_KINDS = {"count": "exact", "multicount": "exact"}
 
 
 class TestCpSearch:
@@ -61,11 +67,6 @@ class TestCpSearch:
         inst = school_count_instance()
         result = exhaustive_cp_search(inst.rule, ELICIT_COUNT, universe=inst.universe)
         assert result.status == "nonexistent"
-
-    def test_budget_exhaustion_is_explicit(self):
-        inst = serial_dictatorship(3, ("a", "b", "c"), (0, 1, 2))
-        result = exhaustive_cp_search(inst.rule, ELICIT, max_states=3)
-        assert result.status == "budget_exhausted"
 
     @given(st.sampled_from(corpus_seeds(30, offset=9)))
     @settings(deadline=None)
@@ -177,6 +178,47 @@ class TestWitnesses:
         assert nonexistent > 20
 
 
+class TestCountNodeTest:
+    """The line-kernel test the engine judges count splits with against the
+    reference pair test of ``tests/oracles.py``, on every count and
+    multi-count split of a state."""
+
+    @staticmethod
+    def verdicts(rule: ChoiceRule, universe: int, state: int):
+        """Per split of the state, the engine's verdict and the oracle's."""
+        outcomes = [m & state for m in _outcome_masks(rule, universe)]
+        pairs = same_outcome_pairs(rule, universe)
+        for _, cells in _splits(rule.space, state, _family_queries(rule.space, COUNT_KINDS)):
+            yield _leaks(rule, cells, outcomes), separates_protected_pair(cells, pairs, state)
+
+    def assert_agree(self, rule: ChoiceRule, universe: int, state: int, seen: set):
+        for leaks, pair in self.verdicts(rule, universe, state):
+            assert leaks == (pair is not None)
+            seen.add(leaks)
+
+    def test_roots_and_states_below_a_count_split(self):
+        seen = set()
+        for seed in corpus_seeds(150, offset=32):
+            rule = random_rule(seed)
+            if not rule.space.common_alphabet:
+                continue
+            root = (1 << rule.space.total) - 1
+            self.assert_agree(rule, root, root, seen)
+            for cell in TestClassesOnMasks.count_cells(rule, root):
+                self.assert_agree(rule, root, cell, seen)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_order_statistic_universes(self, k):
+        seen = set()
+        for rule in (first_price(3, (1, 2, 3, 4)).rule, second_price(3, (1, 2, 3, 4)).rule):
+            universe = order_statistic_restriction(rule.space, k).mask
+            self.assert_agree(rule, universe, universe, seen)
+            for cell in TestClassesOnMasks.count_cells(rule, universe):
+                self.assert_agree(rule, universe, cell, seen)
+        assert seen == {False, True}
+
+
 class TestClassesOnMasks:
     """Inseparability classes on any profile set against the components of
     its protected pairs, found by brute force."""
@@ -185,10 +227,8 @@ class TestClassesOnMasks:
     def count_cells(rule: ChoiceRule, state: int):
         """The nonempty cells of every exact count and multi-count query on
         the state."""
-        kinds = {"count": "exact", "multicount": "exact"}
-        for _, queries in _family_queries(rule.space, kinds):
-            for query in queries:
-                yield from filter(None, query_cell_masks(rule.space, query, state))
+        for query in _family_queries(rule.space, COUNT_KINDS):
+            yield from filter(None, query_cell_masks(rule.space, query, state))
 
     def assert_agree(self, rule: ChoiceRule, state: int):
         for agent in range(rule.space.n):
