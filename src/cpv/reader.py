@@ -319,6 +319,8 @@ def _parse(text: str, where: str):
     except json.JSONDecodeError as exc:
         where = f"{where}: line {exc.lineno}, column {exc.colno}"
         raise LoadError("/", f"parse error in {where}") from None
+    except ValueError:  # an integer longer than the interpreter converts
+        raise LoadError("/", f"parse error in {where}: integer too long") from None
     except RecursionError:
         raise LoadError("/", f"nesting too deep in {where}") from None
 
@@ -326,9 +328,10 @@ def _parse(text: str, where: str):
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _parse(fh.read(), path)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError("/", f"cannot read {path}: {exc}") from None
+    return _parse(text, path)
 
 
 def _space_from_json(doc, pointer) -> TypeSpace:

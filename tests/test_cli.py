@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cpv
-from cpv.cli import load, main
+from cpv.cli import _PROPERTIES, load, main
 from cpv.core import LoadError
 from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
@@ -746,7 +746,7 @@ _SHUFFLED = [["c", "a"], ["a", "b"], ["b", "c"], ["a", "a"], ["c", "c"], ["b", "
 _REPEATED = [(p if r != 5 else _SHUFFLED[2], "xyz"[r % 3]) for r, p in enumerate(_SHUFFLED)]
 _AB = [(["a", "a"], "x"), (["a", "b"], "y"), (["b", "a"], "y"), (["b", "b"], "x")]
 
-# (file text or None, command, recursion limit, expected JSON pointer of the
+# (file text, bytes or None, command, recursion limit, expected JSON pointer of the
 # error, "resource", or the whole report line, which starts with "{");
 # 1000 is the interpreter's default limit.
 MALFORMED = {
@@ -883,6 +883,14 @@ MALFORMED = {
         _table_of(["a", "b"], [*_AB[:2], (["b", "a"], 7), _AB[3]]), ["validate"], 1000,
         '{"error":"expected a string (at /rule/table/2/outcome)"}',
     ),
+    "file not UTF-8": (b"\xff\xfe{}", ["validate"], 1000, "/"),
+    "integer past the conversion limit": (
+        _fair_with().replace('"agents": 2', '"agents": ' + "1" * 5000), ["validate"], 1000, "/"
+    ),
+    "params integer past the conversion limit": (
+        None, ["builtin", "first_price", "--params", '{"n": ' + "1" * 5000 + "}", "--emit"], 1000,
+        '{"error":"parse error in --params: integer too long (at /)"}',
+    ),
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
         ["validate"], 1000, '{"error":"profile has 1 labels, expected 2 (at /universe/2)"}',
@@ -902,7 +910,9 @@ class TestMalformedInput:
     def test_exit_2_with_json_error_and_no_traceback(self, case, tmp_path):
         text, command, limit, expected = MALFORMED[case]
         target = tmp_path / "input.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            target.write_bytes(text)
+        elif text is not None:
             target.write_text(text)
         cmd = [sys.executable, "-c", RUN_WITH_LIMIT, str(limit), *command, str(target)]
         res = subprocess.run(cmd, capture_output=True, env=child_env())
@@ -946,6 +956,85 @@ class TestMalformedInput:
         p.write_text(json.dumps(doc))
         code, out = run_cli(["validate", str(p)], capsys)
         assert code == 2 and out["error"].endswith("(at /components/winner=1,price=1~12)"), out
+
+
+# (command line, the error it exits 2 with); "fair.json" is the fair instance
+_COMMAND_NAMES = "validate, check, synth, run, enumerate, builtin"
+MALFORMED_ARGV = {
+    "no command": ([], f"no command; expected one of {_COMMAND_NAMES}"),
+    "unknown command": (
+        ["verify", "fair.json"], f"unknown command 'verify'; expected one of {_COMMAND_NAMES}"
+    ),
+    "missing --property": (["check", "fair.json"], "check: missing --property"),
+    "--property bogus": (
+        ["check", "--property", "bogus", "fair.json"],
+        "check: --property must be one of cp, gcp, icp, tatonnement, corners, nonbossy, "
+        "efficient, ir, stable, sp, osp; not 'bogus'",
+    ),
+    "missing instance": (["validate"], "validate: missing instance"),
+    "extra positional": (
+        ["validate", "fair.json", "fair.json", "fair.json"],
+        "validate: unexpected argument 'fair.json'",
+    ),
+    "unknown option": (
+        ["validate", "--strict", "fair.json"], "validate: unknown option '--strict'"
+    ),
+    "abbreviated option": (
+        ["check", "--prop", "corners", "fair.json"], "check: unknown option '--prop'"
+    ),
+    "option without its value": (
+        ["synth", "fair.json", "--emit"], "synth: option --emit needs a value"
+    ),
+    "option followed by another": (
+        ["synth", "--emit", "--pretty", "fair.json"], "synth: option --emit needs a value"
+    ),
+    "--pretty after the command": (
+        ["validate", "fair.json", "--pretty"], "validate: unknown option '--pretty'"
+    ),
+}
+
+
+class TestMalformedCommandLine:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARGV))
+    def test_exit_2_with_json_error_and_no_traceback(self, case, tmp_path):
+        argv, error = MALFORMED_ARGV[case]
+        (tmp_path / "fair.json").write_text(json.dumps(FAIR_INSTANCE))
+        cmd = [sys.executable, "-m", "cpv.cli", *argv]
+        res = subprocess.run(cmd, capture_output=True, env=child_env(), cwd=tmp_path)
+        assert b"Traceback" not in res.stderr, res.stderr.decode()[-2000:]
+        assert res.returncode == 2
+        assert res.stdout.decode() == json.dumps({"error": error}, separators=(",", ":")) + "\n"
+        assert res.stderr.decode() == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--pretty", "--help"]], ids=" ".join)
+    def test_help_names_every_command(self, argv):
+        cmd = [sys.executable, "-m", "cpv.cli", *argv]
+        res = subprocess.run(cmd, capture_output=True, env=child_env())
+        assert res.returncode == 0 and not res.stderr, res.stderr.decode()
+        out = res.stdout.decode()
+        assert out.startswith("usage: cpv ")
+        for name in _COMMAND_NAMES.split(", "):
+            assert re.search(rf"^  cpv {name} ", out, re.M), name
+
+    @pytest.mark.parametrize("argv", [["check", "--help"], ["check", "fair.json", "-h"]],
+                             ids=" ".join)
+    def test_check_help_names_every_property(self, argv):
+        cmd = [sys.executable, "-m", "cpv.cli", *argv]
+        res = subprocess.run(cmd, capture_output=True, env=child_env())
+        assert res.returncode == 0 and not res.stderr, res.stderr.decode()
+        out = res.stdout.decode()
+        assert out.startswith("usage: cpv check --property {cp,gcp,")
+        for prop in _PROPERTIES:
+            assert re.search(rf"\b{prop}\b", out), prop
+
+    def test_emit_with_equals_and_a_file_after_double_dash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # a file whose name starts with "--" is read as one after "--"
+        assert main([*FIRST_PRICE, "--emit=--fp.json"]) == 0
+        capsys.readouterr()
+        code, doc = run_cli(["synth", "--emit=p.json", "--", "--fp.json"], capsys)
+        assert (code, doc["emitted"]) == (0, "p.json")
+        assert load("--fp.json", "p.json").protocol is not None
 
 
 def _first_price_with(edit) -> str:

@@ -264,6 +264,12 @@ def test_cli_import_generates_no_code():
     assert res.stdout.strip() == "[]", res.stdout
 
 
+# argparse: its import, with gettext (and locale at its first message),
+# and building the parsers cost about 5 ms at every start; cpv.cli reads its
+# command line from its own table.
+ARGV_PARSERS = ("argparse", "gettext", "locale")
+
+
 COMMAND_MODULES = {
     "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.synthesis",
     "cpv.tatonnement",
@@ -392,6 +398,21 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
     # exit 0: a protocol found, and not written
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
     assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
+
+
+def test_cli_import_loads_no_argument_parser():
+    assert not modules_loaded_by("import cpv.cli", also=ARGV_PARSERS) & set(ARGV_PARSERS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "bundle"], ["check", "--property", "cp", "bundle"], ["synth", "rule"],
+    ["enumerate", "rule"], ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}'],
+], ids=lambda argv: argv[0])
+def test_commands_load_no_argument_parser(argv, checked_files, first_price_file):
+    files = {"bundle": checked_files["count_ascending_kplus1_price"], "rule": first_price_file}
+    argv = [files.get(arg, arg) for arg in argv]
+    loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})", also=ARGV_PARSERS)
+    assert "cpv.cli" in loaded and not loaded & set(ARGV_PARSERS), loaded
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["check", "--property", "cp"]], ids=" ".join)
