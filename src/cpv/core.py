@@ -164,7 +164,10 @@ class TypeSpace:
 
     @classmethod
     def shared(cls, n: int, alphabet: tuple[str, ...] | list[str]) -> TypeSpace:
-        """All ``n`` agents draw types from one common alphabet."""
+        """All ``n`` agents draw types from one common alphabet; ``n`` above
+        the profile cap is refused before any alphabet is repeated."""
+        if n > PROFILE_CAP:
+            raise ResourceError(f"agent count exceeds cap {PROFILE_CAP}")
         return cls(tuple(tuple(alphabet) for _ in range(n)))
 
     @property

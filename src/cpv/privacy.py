@@ -10,11 +10,10 @@ only to name the first violation.  The pairs come from
 violation reported, is defined once.
 
 ``cpv check`` of CP, ICP, GCP and tatonnement imports this module, and so
-do :mod:`cpv.synthesis` and :mod:`cpv.search`, whose decider judges count
-splits with :func:`_leaves_share_a_line` and checks what it finds with
-:func:`check_protocol_cp`.  The decider (``synth``, ``enumerate``) lives
-in :mod:`cpv.search`, the corners and non-bossiness scans in
-:mod:`cpv.synthesis`, so a protocol check compiles neither.
+do :mod:`cpv.synthesis` and :mod:`cpv.search`, whose decider checks what
+it finds with :func:`check_protocol_cp`.  The decider (``synth``,
+``enumerate``) lives in :mod:`cpv.search`, the corners and non-bossiness
+scans in :mod:`cpv.synthesis`, so a protocol check compiles neither.
 """
 
 from __future__ import annotations

@@ -336,9 +336,11 @@ def _read_json(path: str):
 
 def _space_from_json(doc, pointer) -> TypeSpace:
     n, key = doc["agents"], "alphabet" if "alphabet" in doc else "alphabets"
-    alphabets = (tuple(doc[key]),) * n if key == "alphabet" else tuple(map(tuple, doc.get(key, ())))
-    with _at(f"{pointer}/{key}"):
-        space = TypeSpace(alphabets)
+    with _at(f"{pointer}/{key}"):  # shared() refuses a huge n before repeating the alphabet
+        if key == "alphabet":
+            space = TypeSpace.shared(n, doc[key])
+        else:
+            space = TypeSpace(tuple(map(tuple, doc.get(key, ()))))
         if space.n != n:
             raise InputError(f"expected {n} alphabets")
         return space

@@ -22,9 +22,10 @@ root and whose inner nodes have two children or more, so it visits at most
 2·|root|−1 states, and a found protocol has one node per state visited;
 with the profile space capped at 2^20 profiles that is at most 2^21−1
 states, so the search takes no bound of its own.  The AND-OR search that
-backtracks over every candidate is kept as a reference in
-``tests/oracles.py``, where the obviously strategyproof search over
-multiway elicitation splits runs on it (ROADMAP item 3).
+backtracks over every candidate, the whole stream of count queries
+included, is kept as a reference in ``tests/oracles.py``, where the
+obviously strategyproof search over multiway elicitation splits runs on it
+(ROADMAP item 3).
 
 Two types of an agent are directly inseparable on a state when some fixed
 opponent profile gives both, inside the state, one outcome; the transitive
@@ -50,17 +51,37 @@ empty family and a family that draws no kind there; the ``enumerate``
 report names the family it decided by it.
 
 Elicitation goes first: per agent, the class of its smallest present type,
-the first safe one of its binary splits.  The count candidates follow, from
-:func:`_family_queries` fed through :func:`_splits`, which keeps one query
-per induced partition.  :func:`_leaks` judges each with the line kernel of
-the CP check, :func:`cpv.privacy._leaves_share_a_line`, on the split's
-cells cut by outcome.
+the first safe one of its binary splits.  Exact counts are decided from the
+*blocks* of a state, the parts of the join of every agent's classes on the
+common alphabet (:func:`_blocks`).
+
+Lemma 1: the count(S) split of a state is safe iff S is a union of blocks
+(a multi-count split iff each of its subsets is).  Proof: a pair differing
+in agent i's type, t against t', moves count(S) by [t∈S]−[t'∈S], so the
+split is safe iff no agent's class straddles S.
+
+Lemma 2: where elicitation is stuck, no count split passes.  Proof: each
+agent's present types lie in one class, so in one block, and the count of
+a union of blocks is constant.  So with elicitation drawn the count kinds
+are never tried; the report still names them.
+
+Without it, :func:`_count_query` picks the first safe query in the order
+the kinds are read in: ``count`` over the proper subsets holding type 0,
+by size, then lexicographically, and ``multicount`` over the pairs of two
+of them.  By lemma 1 these are unions holding B0, the block of type 0, and
+one varies on the state only if one of its blocks does; so the pick is B0,
+or else B0 joined with the smallest block whose count varies, and for a
+pair, B0 with the first proper union after it that makes the pair vary.
+With two blocks no such union exists, so ``multicount`` alone misses
+``random_rule(677885673, 3, 4)``, which ``count`` finds; letting a query
+count a single subset would mend that but change verdicts, so it is left
+to a change of its own.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from typing import Optional
 
 from cpv.core import (
     ChoiceRule,
@@ -75,13 +96,12 @@ from cpv.core import (
     product_factorization,
     record,
 )
-from cpv.privacy import _leaves_share_a_line, check_protocol_cp
+from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
     MultiCountQuery,
     Protocol,
-    Query,
     build_protocol,
     implements,
     query_cell_masks,
@@ -185,17 +205,6 @@ def drawn_kinds(space: TypeSpace, queries: str) -> dict[str, str]:
     return kinds
 
 
-def _family_queries(space: TypeSpace, kinds: dict[str, str]):
-    """The queries of each count kind of the :func:`drawn_kinds` ``kinds``,
-    kind by kind in order."""
-    subsets = list(_canonical_subsets(tuple(range(space.sizes[0]))))
-    if "count" in kinds:
-        yield from (exact_count_query(space, (s,)) for s in subsets)
-    if "multicount" in kinds:
-        pairs = itertools.combinations(subsets, 2)
-        yield from (exact_count_query(space, pair) for pair in pairs)
-
-
 def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
     """The query answering the exact count of agents per type subset: a
     count query for one subset, a multi-count query for several, with one
@@ -206,53 +215,36 @@ def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery
     return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
 
 
-def _canonical_subsets(values: tuple[int, ...]):
-    """Nonempty proper subsets of ``values``, one per complement pair: the
-    one holding ``values[0]``, by size, then lexicographically.  Fewer than
-    two values have none."""
-    anchor, rest = values[:1], values[1:]
-    for r in range(len(rest)):
-        for combo in itertools.combinations(rest, r):
-            yield anchor + combo
+def _blocks(rule: ChoiceRule, state: int) -> list[tuple[int, ...]]:
+    """The parts of the join of every agent's inseparability classes on the
+    state, each sorted, in the order of their smallest types; a type no
+    agent holds there is a part of its own."""
+    uf = UnionFind(rule.space.sizes[0])
+    for agent in range(rule.space.n):
+        for first, *rest in inseparability_classes(rule, state, agent):
+            for t in rest:
+                uf.union(first, t)
+    blocks: dict[int, list[int]] = {}  # by root, the smallest type of its part
+    for t in range(len(uf.parent)):
+        blocks.setdefault(uf.find(t), []).append(t)
+    return [tuple(b) for b in blocks.values()]
 
 
-def _splits(space: TypeSpace, state: int, queries: Iterable[Query]):
-    """The candidate splits of a state, as ``(query, cells)``: each query
-    that leaves at least two nonempty cells on it, with those cells, once
-    per induced partition (the first query that induces it).  Identical
-    children give identical subtrees, so a search loses nothing by the
-    dedupe."""
-    seen: set[frozenset[int]] = set()
-    for query in queries:
-        cells = tuple(m for m in query_cell_masks(space, query, state) if m)
-        signature = frozenset(cells)
-        if len(cells) >= 2 and signature not in seen:
-            seen.add(signature)
-            yield query, cells
-
-
-def _outcome_masks(rule: ChoiceRule, mask: int) -> list[int]:
-    """The profile-set mask cut by outcome: one nonempty mask per outcome
-    the rule takes on it."""
-    by_outcome: dict[int, list[int]] = {}
-    for k in mask_indices(mask):
-        by_outcome.setdefault(rule.table[k], []).append(k)
-    return [ProfileSet.from_indices(rule.space, ks).mask for ks in by_outcome.values()]
-
-
-def _leaks(rule: ChoiceRule, cells: tuple[int, ...], outcomes: list[int]) -> bool:
-    """Whether the disjoint ``cells`` separate a protected pair: two
-    profiles in distinct cells that differ in one agent's type and share an
-    outcome.  ``outcomes`` holds, per outcome, a state's profiles that take
-    it; the cells are cut by each in turn and
-    :func:`cpv.privacy._leaves_share_a_line` asked whether two pieces meet a
-    common line, up to the first outcome where two do."""
-    value = [rule.table] * rule.space.n
-    for shared in outcomes:
-        pieces = [p for c in cells if (p := c & shared)]
-        if len(pieces) > 1 and _leaves_share_a_line(rule.space, pieces, value):
-            return True
-    return False
+def _count_query(rule: ChoiceRule, state: int, kinds: dict[str, str]):
+    """The first count query of ``kinds`` that splits the state and passes
+    the node test, or ``None``, drawn from the blocks of the state."""
+    space = rule.space
+    first, *others = _blocks(rule, state)
+    unions = [tuple(sorted(first + b)) for b in sorted(others, key=lambda b: (len(b), b))]
+    unions = [u for u in unions if len(u) < space.sizes[0]]
+    candidates = [(first,), *((u,) for u in unions)] if "count" in kinds else []
+    if "multicount" in kinds:
+        candidates += [(first, u) for u in unions]
+    for subsets in candidates:
+        query = exact_count_query(space, subsets)
+        if sum(map(bool, query_cell_masks(space, query, state))) > 1:
+            return query
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,40 +274,36 @@ def exhaustive_cp_search(
     A state where the rule is constant is a leaf.  Otherwise it takes the
     first candidate that passes the node test: with elicitation, per agent
     in order, the inseparability class of the agent's smallest present type
-    against the rest of its alphabet, if the agent has two classes; then
-    the first count split on which :func:`_leaks` is false, the universe
-    cut by outcome only once a state reaches the count kinds.  Where none
-    passes, nonexistence is proven, and with elicitation drawn the witness
-    is :func:`cpv.core.product_factorization` of the stuck state.  A found
-    protocol is validated and checked to implement the rule and to be
-    contextually private.
+    against the rest of its alphabet, if the agent has two classes, and no
+    count split after it (lemma 2); without it, the count split that
+    :func:`_count_query` picks from the blocks of the state (lemma 1).
+    Where none passes, nonexistence is proven, and with elicitation drawn
+    the witness is :func:`cpv.core.product_factorization` of the stuck
+    state.  A found protocol is validated and checked to implement the rule
+    and to be contextually private.
     """
     space = rule.space
     kinds = drawn_kinds(space, queries)
     universe = ProfileSet.full(space) if universe is None else universe
     if universe.is_empty:
         raise InputError("universe is empty")
-    elicit, counts = "elicit" in kinds, kinds.keys() - {"elicit"}
-    states, outcomes = 0, None
+    elicit = "elicit" in kinds
+    states = 0
 
     def step(label: int, _state):
-        nonlocal states, outcomes
+        nonlocal states
         states += 1
         if constant_on(rule, label):
             return None
-        for agent in range(space.n) if elicit else ():
-            classes = inseparability_classes(rule, label, agent)
-            if len(classes) > 1:
-                first = classes[0]
-                rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
-                return ElicitQuery(agent, (first, rest)), lambda _c, _m: None
-        if counts:
-            if outcomes is None:
-                outcomes = _outcome_masks(rule, universe.mask)
-            shared = [s for m in outcomes if (s := m & label).bit_count() > 1]
-            for query, cells in _splits(space, label, _family_queries(space, kinds)):
-                if not _leaks(rule, cells, shared):
-                    return query, lambda _c, _m: None
+        if elicit:
+            for agent in range(space.n):
+                classes = inseparability_classes(rule, label, agent)
+                if len(classes) > 1:
+                    first = classes[0]
+                    rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
+                    return ElicitQuery(agent, (first, rest)), lambda _c, _m: None
+        elif (query := _count_query(rule, label, kinds)) is not None:
+            return query, lambda _c, _m: None
         raise _Stuck(label)
 
     try:

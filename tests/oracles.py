@@ -11,12 +11,16 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   privacy: it walks the list of protected pairs, two profiles that differ
   in one agent's type and share the outcome, that :func:`same_outcome_pairs`
   builds, and returns the first pair a split separates.
-  ``test_search.py::TestCountNodeTest`` checks ``cpv.search._leaks``, the
-  line-kernel test that the decider judges count splits with, against it.
+  ``test_search.py::TestCountNodeTest`` checks lemma 1 of ``cpv.search``
+  against it: a count split is safe iff its subsets are unions of the
+  blocks that the decider's ``_blocks`` joins.
 - :func:`solve`, the memoized AND-OR search that backtracks over every
   candidate of a state, and :func:`reference_cp_search`, the CP search on
-  it over every query of a family that passes the pair test, the binary
-  elicitation splits of :func:`elicit_queries` included.
+  it over every query of a family that passes the pair test: the binary
+  elicitation splits of :func:`elicit_queries` and the exact count and
+  multi-count queries over every :func:`canonical_subsets` of the
+  alphabet, which :func:`family_queries` streams kind by kind and
+  :func:`distinct_splits` cuts into one split per induced partition.
   ``test_search.py::TestGreedyReference`` checks
   ``cpv.search.exhaustive_cp_search``, the one greedy decider of ``synth``
   and ``enumerate``, against it; :func:`protected_pair_classes`,
@@ -62,15 +66,8 @@ from cpv.core import (
 )
 from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
 from cpv.privacy import check_protocol_cp
-from cpv.protocol import ElicitQuery, Query, build_protocol, implements
-from cpv.search import (
-    SearchResult,
-    _canonical_subsets,
-    _family_queries,
-    _splits,
-    drawn_kinds,
-    witness_verify,
-)
+from cpv.protocol import ElicitQuery, Query, build_protocol, implements, query_cell_masks
+from cpv.search import SearchResult, drawn_kinds, exact_count_query, witness_verify
 
 # ---------------------------------------------------------------------------
 # the protected-pair node test
@@ -198,23 +195,52 @@ def root_mask(space: TypeSpace, universe: ProfileSet | None) -> int:
     return (1 << space.total) - 1 if universe is None else universe.mask
 
 
+def canonical_subsets(values: tuple[int, ...]):
+    """Nonempty proper subsets of ``values``, one per complement pair: the
+    one holding ``values[0]``, by size, then lexicographically.  Fewer than
+    two values have none."""
+    anchor, rest = values[:1], values[1:]
+    for r in range(len(rest)):
+        for combo in itertools.combinations(rest, r):
+            yield anchor + combo
+
+
+def distinct_splits(space: TypeSpace, state: int, queries: Iterable[Query]):
+    """The candidate splits of a state, as ``(query, cells)``: each query
+    that leaves at least two nonempty cells on it, with those cells, once
+    per induced partition (the first query that induces it).  Identical
+    children give identical subtrees, so a search loses nothing by the
+    dedupe."""
+    seen: set[frozenset[int]] = set()
+    for query in queries:
+        cells = tuple(m for m in query_cell_masks(space, query, state) if m)
+        signature = frozenset(cells)
+        if len(cells) >= 2 and signature not in seen:
+            seen.add(signature)
+            yield query, cells
+
+
 def elicit_queries(space: TypeSpace, state: int):
     """The elicit-subset stream: per agent in order, one binary split of
     its present types per complement pair (absent types join the cell
     without the smallest present type)."""
     for agent, size in enumerate(space.sizes):
-        for subset in _canonical_subsets(ProfileSet(space, state).projection(agent)):
+        for subset in canonical_subsets(ProfileSet(space, state).projection(agent)):
             yield ElicitQuery(agent, (subset, tuple(t for t in range(size) if t not in subset)))
 
 
 def family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
     """``(kind, queries)`` for each drawn kind: the elicit-subset stream,
-    then each count kind's queries from ``cpv.search``."""
+    then the exact count query of each canonical subset of the common
+    alphabet, then that of each pair of them."""
     if "elicit" in kinds:
         yield "elicit", elicit_queries(space, state)
-    for kind in ("count", "multicount"):
-        if kind in kinds:
-            yield kind, _family_queries(space, {kind: kinds[kind]})
+    subsets = list(canonical_subsets(tuple(range(space.sizes[0]))))
+    if "count" in kinds:
+        yield "count", (exact_count_query(space, (s,)) for s in subsets)
+    if "multicount" in kinds:
+        pairs = itertools.combinations(subsets, 2)
+        yield "multicount", (exact_count_query(space, pair) for pair in pairs)
 
 
 def reference_cp_search(
@@ -232,7 +258,7 @@ def reference_cp_search(
 
     def candidates(state: int):
         drawn = itertools.chain.from_iterable(q for _, q in family_queries(space, state, kinds))
-        for query, cells in _splits(space, state, drawn):
+        for query, cells in distinct_splits(space, state, drawn):
             if separates_protected_pair(cells, pairs, state) is None:
                 yield query, cells
 
@@ -313,7 +339,7 @@ def exhaustive_osp_search(
                     yield ElicitQuery(agent, tuple(tuple(sorted(c)) for c in cells))
 
     def candidates(state: int):
-        for query, masks in _splits(space, state, queries(state)):
+        for query, masks in distinct_splits(space, state, queries(state)):
             if _osp_node_failure(space, rule, ranks, query.agent, masks) is None:
                 yield query, masks
 
@@ -362,7 +388,7 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
     pairs = same_outcome_pairs(rule, state)
     entries = []
     for kind, drawn in family_queries(space, state, drawn_kinds(space, queries)):
-        for query, cells in _splits(space, state, drawn):
+        for query, cells in distinct_splits(space, state, drawn):
             if kind == "elicit":
                 detail = f"agent {query.agent + 1}"
             elif kind == "count":

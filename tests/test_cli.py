@@ -891,6 +891,15 @@ MALFORMED = {
         None, ["builtin", "first_price", "--params", '{"n": ' + "1" * 5000 + "}", "--emit"], 1000,
         '{"error":"parse error in --params: integer too long (at /)"}',
     ),
+    # the agent count is refused before the shared alphabet is repeated that often
+    "shared alphabet for 10^4000 agents": (
+        _table_of(["a", "b"], _AB).replace('"agents": 2', '"agents": 1' + "0" * 4000),
+        ["validate"], 1000, '{"error":"agent count exceeds cap 1048576","kind":"resource"}',
+    ),
+    "one-label alphabet for 10^4000 agents": (
+        _table_of(["a"], [(["a", "a"], "x")]).replace('"agents": 2', '"agents": 1' + "0" * 4000),
+        ["validate"], 1000, '{"error":"agent count exceeds cap 1048576","kind":"resource"}',
+    ),
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
         ["validate"], 1000, '{"error":"profile has 1 labels, expected 2 (at /universe/2)"}',

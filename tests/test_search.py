@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cpv.search as search_module
-from cpv.core import ChoiceRule, ProfileSet, TypeSpace, Witness, product_factorization
+from cpv.core import (
+    ChoiceRule,
+    ProfileSet,
+    TypeSpace,
+    Witness,
+    constant_on,
+    product_factorization,
+)
 from cpv.jsonwriter import protocol_to_json
 from cpv.mechanisms import (
     fair_tiebreak_2x2,
@@ -20,10 +28,7 @@ from cpv.mechanisms import (
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements, query_cell_masks
 from cpv.search import (
-    _family_queries,
-    _leaks,
-    _outcome_masks,
-    _splits,
+    _blocks,
     exhaustive_cp_search,
     inseparability_classes,
     synthesize_or_witness,
@@ -35,7 +40,9 @@ from cpv.synthesis import corners_scan
 from corpus import corpus_seeds, random_rule
 from oracles import (
     ObstructionReport,
+    distinct_splits,
     exhaustive_osp_search,
+    family_queries,
     obstruction_scan,
     protected_pair_classes,
     reference_cp_search,
@@ -48,6 +55,42 @@ ELICIT = "elicit"
 ELICIT_COUNT = "elicit,count"
 ELICIT_COUNT_MULTICOUNT = "elicit,count,multicount"
 COUNT_KINDS = {"count": "exact", "multicount": "exact"}
+COUNT_FAMILIES = ["count", "multicount", "count,multicount"]
+
+
+def count_queries(space: TypeSpace, state: int, kinds=COUNT_KINDS):
+    """The reference stream of the exact count queries of ``kinds``."""
+    return itertools.chain.from_iterable(q for _, q in family_queries(space, state, kinds))
+
+
+def first_safe_split(rule: ChoiceRule, queries: str, pairs, state: int):
+    """The first query of the reference stream of the count family
+    ``queries`` that splits the state and passes the pair test, or ``None``."""
+    drawn = count_queries(rule.space, state, dict.fromkeys(queries.split(","), "exact"))
+    for query, cells in distinct_splits(rule.space, state, drawn):
+        if separates_protected_pair(cells, pairs, state) is None:
+            return query
+    return None
+
+
+def run_recording_steps(monkeypatch, rule: ChoiceRule, queries: str, universe=None):
+    """``exhaustive_cp_search`` with the states it steps, in order, each
+    with the query it takes there: ``None`` at a leaf and at the stuck
+    state."""
+    build = search_module.build_protocol
+    steps = []
+
+    def recording_build(space, step, state, universe):
+        def recording_step(label, s):
+            steps.append((label, None))
+            taken = step(label, s)
+            steps[-1] = (label, taken and taken[0])
+            return taken
+
+        return build(space, recording_step, state, universe)
+
+    monkeypatch.setattr(search_module, "build_protocol", recording_build)
+    return exhaustive_cp_search(rule, queries, universe), steps
 
 
 class TestCpSearch:
@@ -96,10 +139,14 @@ class TestGreedyReference:
     """The greedy decider against the AND-OR search of ``tests/oracles.py``,
     which backtracks over every candidate of every state."""
 
-    @pytest.mark.parametrize("queries", [ELICIT, ELICIT_COUNT, ELICIT_COUNT_MULTICOUNT])
+    @pytest.mark.parametrize(
+        "queries", [ELICIT, ELICIT_COUNT, ELICIT_COUNT_MULTICOUNT, *COUNT_FAMILIES]
+    )
     def test_greedy_equals_the_reference(self, queries):
         for seed in corpus_seeds(600, offset=28):
             rule = random_rule(seed)
+            if "elicit" not in queries and not rule.space.common_alphabet:
+                continue  # count kinds alone draw no query there
             greedy = exhaustive_cp_search(rule, queries)
             reference = reference_cp_search(rule, queries)
             assert greedy.status == reference.status, seed
@@ -123,29 +170,14 @@ class TestWitnesses:
     """The engine's witness: the stuck state's factors, given only when
     elicitation is in the family and that state is a product set."""
 
-    @staticmethod
-    def run_recording_states(monkeypatch, rule: ChoiceRule, queries: str):
-        """``exhaustive_cp_search`` with the states it steps, in order."""
-        build = search_module.build_protocol
-        stepped = []
-
-        def recording_build(space, step, state, universe):
-            def recording_step(label, s):
-                stepped.append(label)
-                return step(label, s)
-
-            return build(space, recording_step, state, universe)
-
-        monkeypatch.setattr(search_module, "build_protocol", recording_build)
-        return exhaustive_cp_search(rule, queries), stepped
-
     def test_product_stuck_states_carry_a_verified_witness(self, monkeypatch):
         witnesses = past_the_root = 0
         for seed in corpus_seeds(300, offset=31):
             rule = random_rule(seed)
             if not rule.space.common_alphabet:
                 continue
-            result, stepped = self.run_recording_states(monkeypatch, rule, ELICIT_COUNT)
+            result, steps = run_recording_steps(monkeypatch, rule, ELICIT_COUNT)
+            stepped = [label for label, _ in steps]
             if result.status != "nonexistent":
                 assert result.witness is None
                 continue
@@ -179,22 +211,26 @@ class TestWitnesses:
 
 
 class TestCountNodeTest:
-    """The line-kernel test the engine judges count splits with against the
-    reference pair test of ``tests/oracles.py``, on every count and
-    multi-count split of a state."""
+    """Lemma 1 of ``cpv.search``: an exact count or multi-count query is
+    safe on a state iff each of its subsets is a union of the blocks that
+    ``_blocks`` joins, against the reference pair test of
+    ``tests/oracles.py``, on every such query of the state."""
 
     @staticmethod
     def verdicts(rule: ChoiceRule, universe: int, state: int):
-        """Per split of the state, the engine's verdict and the oracle's."""
-        outcomes = [m & state for m in _outcome_masks(rule, universe)]
+        """Per count query on the state, the join's verdict and the oracle's."""
+        blocks = [set(b) for b in _blocks(rule, state)]
         pairs = same_outcome_pairs(rule, universe)
-        for _, cells in _splits(rule.space, state, _family_queries(rule.space, COUNT_KINDS)):
-            yield _leaks(rule, cells, outcomes), separates_protected_pair(cells, pairs, state)
+        for query in count_queries(rule.space, state):
+            subsets = query.subsets if hasattr(query, "subsets") else (query.subset,)
+            unions = all(b <= set(s) or b.isdisjoint(s) for s in subsets for b in blocks)
+            cells = query_cell_masks(rule.space, query, state)
+            yield unions, separates_protected_pair(cells, pairs, state)
 
     def assert_agree(self, rule: ChoiceRule, universe: int, state: int, seen: set):
-        for leaks, pair in self.verdicts(rule, universe, state):
-            assert leaks == (pair is not None)
-            seen.add(leaks)
+        for unions, pair in self.verdicts(rule, universe, state):
+            assert unions == (pair is None)
+            seen.add(unions)
 
     def test_roots_and_states_below_a_count_split(self):
         seen = set()
@@ -219,6 +255,72 @@ class TestCountNodeTest:
         assert seen == {False, True}
 
 
+class TestCountsBesideElicitation:
+    """Lemma 2 of ``cpv.search`` and the count split the engine picks
+    without elicitation."""
+
+    @staticmethod
+    def cases():
+        """Corpus rules on a common alphabet, each over the whole space, a
+        random product set and a random profile set."""
+        for seed in corpus_seeds(400, offset=33):
+            rule, rng = random_rule(seed, 3, 4), random.Random(seed)
+            if not rule.space.common_alphabet:
+                continue
+            factors = tuple(
+                tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for m in rule.space.sizes
+            )
+            yield seed, rule, None
+            yield seed, rule, ProfileSet.from_factors(rule.space, factors)
+            yield seed, rule, ProfileSet(rule.space, rng.getrandbits(rule.space.total) or 1)
+
+    @staticmethod
+    def report(result):
+        protocol = result.protocol and protocol_to_json(result.protocol)
+        return result.status, result.states, result.witness, protocol
+
+    def test_elicitation_decides_alone(self, monkeypatch):
+        stuck = 0
+        for seed, rule, universe in self.cases():
+            elicit, steps = run_recording_steps(monkeypatch, rule, ELICIT, universe)
+            every = exhaustive_cp_search(rule, ELICIT_COUNT_MULTICOUNT, universe)
+            assert self.report(every) == self.report(elicit), seed
+            if elicit.status == "nonexistent":
+                root = (1 << rule.space.total) - 1 if universe is None else universe.mask
+                pairs = same_outcome_pairs(rule, root)
+                state = steps[-1][0]
+                assert first_safe_split(rule, "count,multicount", pairs, state) is None, seed
+                stuck += 1
+        assert stuck > 50
+
+    @pytest.mark.parametrize("queries", COUNT_FAMILIES)
+    def test_the_pick_is_the_first_safe_split_of_the_stream(self, queries, monkeypatch):
+        picked = stuck = 0
+        for seed, rule, universe in self.cases():
+            root = (1 << rule.space.total) - 1 if universe is None else universe.mask
+            pairs = same_outcome_pairs(rule, root)
+            _, steps = run_recording_steps(monkeypatch, rule, queries, universe)
+            for state, query in steps:
+                if not constant_on(rule, state):
+                    assert query == first_safe_split(rule, queries, pairs, state), seed
+                    picked += query is not None
+                    stuck += query is None
+        assert picked > 30 and stuck > 50
+
+    @pytest.mark.parametrize(
+        "queries, status, states",
+        [("count", "found", 4), ("multicount", "nonexistent", 1), ("count,multicount", "found", 4)],
+    )
+    def test_multicount_alone_finds_no_pair_of_two_blocks(self, queries, status, states):
+        # the count of a's splits the 2x2 space, but its two blocks {a}
+        # and {b} leave no two distinct proper unions to pair
+        rule = random_rule(677885673, 3, 4)
+        root = (1 << rule.space.total) - 1
+        assert rule.table == (1, 0, 0, 1) and _blocks(rule, root) == [(0,), (1,)]
+        result = exhaustive_cp_search(rule, queries)
+        assert (result.status, result.states) == (status, states)
+
+
 class TestClassesOnMasks:
     """Inseparability classes on any profile set against the components of
     its protected pairs, found by brute force."""
@@ -227,7 +329,7 @@ class TestClassesOnMasks:
     def count_cells(rule: ChoiceRule, state: int):
         """The nonempty cells of every exact count and multi-count query on
         the state."""
-        for query in _family_queries(rule.space, COUNT_KINDS):
+        for query in count_queries(rule.space, state):
             yield from filter(None, query_cell_masks(rule.space, query, state))
 
     def assert_agree(self, rule: ChoiceRule, state: int):

@@ -25,6 +25,7 @@ import pytest
 
 from cpv.cli import load, main
 from cpv.mechanisms import (
+    count_ascending_price,
     fig_shaded_3x3,
     multicount_stable_matching,
     non_clinching,
@@ -33,6 +34,7 @@ from cpv.mechanisms import (
 )
 from cpv.search import exhaustive_cp_search
 
+from corpus import random_rule
 from oracles import exhaustive_osp_search, reference_cp_search
 
 
@@ -66,6 +68,35 @@ def cp_multicount_matching():
     return exhaustive_cp_search(inst.rule, "elicit,count,multicount", universe=inst.universe)
 
 
+def cp_count_clock_every_kind():
+    inst = count_ascending_price(2, 4, range(1, 9)).instance
+    return exhaustive_cp_search(inst.rule, "elicit,count,multicount", universe=inst.universe)
+
+
+def cp_count_clock_count():
+    inst = count_ascending_price(2, 4, range(1, 9)).instance
+    return exhaustive_cp_search(inst.rule, "count", universe=inst.universe)
+
+
+def cp_count_clock_m12_count():
+    inst = count_ascending_price(1, 3, range(1, 13)).instance
+    return exhaustive_cp_search(inst.rule, "count", universe=inst.universe)
+
+
+def cp_multicount_matching_count():
+    inst = multicount_stable_matching().instance
+    return exhaustive_cp_search(inst.rule, "count", universe=inst.universe)
+
+
+def cp_multicount_matching_multicount():
+    inst = multicount_stable_matching().instance
+    return exhaustive_cp_search(inst.rule, "multicount", universe=inst.universe)
+
+
+def cp_random_rule_count():
+    return exhaustive_cp_search(random_rule(586426330, 3, 4), "count")
+
+
 def osp_sd2():
     inst = sd2()
     return exhaustive_osp_search(inst.rule, inst.model)
@@ -93,6 +124,14 @@ GOLDEN = [
     (cp_school, "nonexistent", 1, None),
     (cp_fig_shaded, "nonexistent", 2, None),
     (cp_multicount_matching, "found", 31, 31),
+    # count kinds: no count clock is found over exact counts, nor is any
+    # count-only built-in
+    (cp_count_clock_every_kind, "nonexistent", 1, None),
+    (cp_count_clock_count, "nonexistent", 1, None),
+    (cp_count_clock_m12_count, "nonexistent", 1, None),
+    (cp_multicount_matching_count, "nonexistent", 6, None),
+    (cp_multicount_matching_multicount, "nonexistent", 5, None),
+    (cp_random_rule_count, "found", 7, 7),
     (osp_sd2, "found", 3, 3),
     (osp_sd3, "found", 43, 43),
     (osp_sd3_budget, "budget_exhausted", 6, None),
