@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from operator import add, itemgetter
+from operator import itemgetter
 
 
 class InputError(ValueError):
@@ -159,8 +159,8 @@ class TypeSpace:
                 raise InputError(f"agent {i}: empty alphabet")
             if len(set(alpha)) != len(alpha):
                 raise InputError(f"agent {i}: duplicate type labels")
-        if self.total > PROFILE_CAP:
-            raise ResourceError(f"profile space size {self.total} exceeds cap {PROFILE_CAP}")
+        if self.total > PROFILE_CAP:  # the size itself may be too long to print
+            raise ResourceError(f"profile space size exceeds cap {PROFILE_CAP}")
 
     @classmethod
     def shared(cls, n: int, alphabet: tuple[str, ...] | list[str]) -> TypeSpace:
@@ -266,20 +266,22 @@ class TypeSpace:
         """Profile indices of ``rows``, arrays of one type label per agent,
         as a lazy map that runs no Python code per row.
 
-        It reads one agent column at a time, ``map(itemgetter(i), rows)``,
-        looks each label up in a map from the agent's labels to type index
-        times stride, and adds that to the running indices; a first column,
-        of row lengths, adds 0.  ``rows`` is read once per column, so it
-        must be a sequence.  Consuming the map raises ``KeyError`` at a row
-        whose length is not the agent count or at a label that names no
-        type, and ``TypeError`` at an unhashable label; only
-        :meth:`index_of_labels`, a row at a time, says which.
+        Each agent's column, ``map(itemgetter(i), rows)``, is looked up in a
+        map from the agent's labels to type index times stride; a first
+        column, of row lengths, gives 0.  The columns are zipped side by side
+        and each row's offsets summed, so no iterator nests in another per
+        agent and no agent count exhausts the C stack.  ``rows`` is read once
+        per column, so it must be a sequence.  Consuming the map raises
+        ``KeyError`` at a row whose length is not the agent count or at a
+        label that names no type, and ``TypeError`` at an unhashable label;
+        only :meth:`index_of_labels`, a row at a time, says which.
         """
-        keys = map({self.n: 0}.__getitem__, map(len, rows))
-        for i, (alphabet, stride) in enumerate(zip(self.alphabets, self.strides)):
-            offset = {label: t * stride for t, label in enumerate(alphabet)}
-            keys = map(add, keys, map(offset.__getitem__, map(itemgetter(i), rows)))
-        return keys
+        columns = [
+            map({label: t * stride for t, label in enumerate(alphabet)}.__getitem__,
+                map(itemgetter(i), rows))
+            for i, (alphabet, stride) in enumerate(zip(self.alphabets, self.strides))
+        ]
+        return map(sum, zip(map({self.n: 0}.__getitem__, map(len, rows)), *columns))
 
     def type_indices(self, agent: int, labels) -> tuple[int, ...]:
         """Type indices of ``labels`` in ``agent``'s alphabet, checked."""
@@ -332,39 +334,6 @@ def mask_indices(mask: int) -> list[int]:
     out = list(itertools.accumulate(steps, initial=-1))
     del out[0]
     return out
-
-
-def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
-    """Unilateral deviations ``(k, agent, t2, k2)`` inside the mask
-    ``inside``: profile ``k2`` is ``k`` with the agent's type raised to ``t2``.
-
-    This is the one scan order of every unilateral check: base index ``k``
-    ascending, then agent ascending, then ``t2`` ascending.  A pair is
-    yielded only if ``block[k2] != block[k]`` when a per-profile ``block``
-    list is given, and if ``value[agent][k2] == value[agent][k]`` when
-    per-agent, per-profile ``value`` lists are given.
-
-    The protocol-level CP and ICP checks decide on whole leaf masks and
-    call this only once a violation exists, so for them it fixes which
-    violation is named first, not the verdict.
-    """
-    member = mask_flags(inside, space.total)
-    axes = tuple(zip(range(space.n), space.strides, space.sizes))
-    for k in itertools.compress(range(space.total), member):
-        b = block[k] if block is not None else None
-        for agent, stride, size in axes:
-            vals = value[agent] if value is not None else None
-            v = vals[k] if vals is not None else None
-            k2 = k
-            for t2 in range(k // stride % size + 1, size):
-                k2 += stride
-                if not member[k2]:
-                    continue
-                if block is not None and block[k2] == b:
-                    continue
-                if vals is not None and vals[k2] != v:
-                    continue
-                yield k, agent, t2, k2
 
 
 @record
@@ -498,15 +467,6 @@ def check_factors(space: TypeSpace, factors, what: str = "") -> tuple[tuple[int,
     return factors
 
 
-def product_indices(space: TypeSpace, factors) -> list[int]:
-    """Profile indices of the product set ``factors``, in
-    ``itertools.product(*factors)`` order.  The factors are not checked."""
-    keys = [0]
-    for f, stride in zip(factors, space.strides):
-        keys = [k + t * stride for k in keys for t in f]
-    return keys
-
-
 def constant_on(rule: ChoiceRule, mask: int) -> bool:
     """True iff the rule takes at most one outcome on the profile-set mask."""
     table = rule.table
@@ -588,19 +548,6 @@ class DomainModel:
     type_prefs: tuple[tuple[tuple[str, ...], ...], ...] | None = None  # [agent][type]
     type_scores: tuple | None = None  # [agent][type] -> ((school, score), ...)
     outcome_prefs: tuple | None = None  # [agent][type] -> groups of outcome labels
-
-    def pref_rank(self, agent: int, type_index: int, obj: str) -> int:
-        order = self.type_prefs[agent][type_index]
-        try:
-            return order.index(obj)
-        except ValueError:
-            raise InputError(f"object {obj!r} missing from a preference order") from None
-
-    def score(self, agent: int, type_index: int, school: str) -> int:
-        for c, s in self.type_scores[agent][type_index]:
-            if c == school:
-                return s
-        raise InputError(f"no score for school {school!r}")
 
 
 @record

@@ -1,7 +1,7 @@
 """The cpv-1 writer: instances and protocols as JSON documents, and
 indented JSON, for ``--emit`` files and ``--pretty`` reports.
 
-``cpv.cli`` imports this module only when it writes one (``--emit`` of
+A command imports this module only when it writes one (``--emit`` of
 ``builtin``, ``synth`` and ``enumerate``, ``run`` and ``--pretty``), so
 ``check`` and ``validate``, which only read, never compile it.  It must not
 import ``cpv.cli``: under ``python -m cpv.cli`` the running module is
@@ -27,6 +27,7 @@ from cpv.core import (
     mask_flags,
 )
 from cpv.protocol import CountQuery, ElicitQuery, MultiCountQuery, Node, Protocol
+from cpv.reader import _timed
 
 
 class _Strings(dict):
@@ -134,6 +135,14 @@ def write_json(doc, fh) -> None:
             parts.append(closing)
     parts.append("\n")
     fh.write("".join(parts))
+
+
+def write(doc: dict, path: str) -> str:
+    """Writes ``doc`` to ``path`` with :func:`_emit`, timed as the emit part
+    of the stderr line; returns ``path``."""
+    with _timed("emit"):
+        _emit(doc, path)
+    return path
 
 
 def _emit(doc: dict, path: str) -> None:

@@ -1,4 +1,4 @@
-"""Protocol-level contextual-privacy checks: CP, ICP and GCP.
+"""Protocol-level contextual privacy: the CP check and its unilateral kernel.
 
 A protocol for a rule is contextually private when any two profiles that
 differ in one agent's type and reach *distinct* terminals map to distinct
@@ -6,30 +6,62 @@ outcomes.  The unilateral checks (CP, ICP, and the subtree checks of
 tatonnement) decide on whole leaf masks whether a violating pair exists,
 by counting the lines of each agent that the leaves meet, and scan pairs
 only to name the first violation.  The pairs come from
-:func:`cpv.core.unilateral_pairs`, so scan order, and with it the first
-violation reported, is defined once.
+:func:`unilateral_pairs`, so scan order, and with it the first violation
+reported, is defined once.
 
-``cpv check`` of CP, ICP, GCP and tatonnement imports this module, and so
-do :mod:`cpv.synthesis` and :mod:`cpv.search`, whose decider checks what
-it finds with :func:`check_protocol_cp`.  The decider (``synth``,
-``enumerate``) lives in :mod:`cpv.search`, the corners and non-bossiness
-scans in :mod:`cpv.synthesis`, so a protocol check compiles neither.
+``cpv check`` of CP and tatonnement imports this module, and so do
+:mod:`cpv.variants` (ICP and GCP), :mod:`cpv.synthesis` and
+:mod:`cpv.search`, whose decider checks a protocol it finds with
+:func:`check_protocol_cp`.  The decider (``synth``, ``enumerate``) lives in
+:mod:`cpv.search`, the corners and non-bossiness scans in
+:mod:`cpv.synthesis` and the ICP and GCP checks in :mod:`cpv.variants`, so
+a CP check compiles none of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
-from cpv.core import (
-    ChoiceRule,
-    InputError,
-    Profile,
-    TypeSpace,
-    Verdict,
-    record,
-    unilateral_pairs,
-)
-from cpv.protocol import Protocol, outcome_reach, require_implements
+from cpv.core import ChoiceRule, Profile, TypeSpace, Verdict, mask_flags, record
+from cpv.protocol import Protocol, require_implements
+
+# ---------------------------------------------------------------------------
+# unilateral pairs
+
+
+def unilateral_pairs(space: TypeSpace, inside: int, block=None, value=None):
+    """Unilateral deviations ``(k, agent, t2, k2)`` inside the mask
+    ``inside``: profile ``k2`` is ``k`` with the agent's type raised to ``t2``.
+
+    This is the one scan order of every unilateral check: base index ``k``
+    ascending, then agent ascending, then ``t2`` ascending.  A pair is
+    yielded only if ``block[k2] != block[k]`` when a per-profile ``block``
+    list is given, and if ``value[agent][k2] == value[agent][k]`` when
+    per-agent, per-profile ``value`` lists are given.
+
+    The protocol-level CP and ICP checks decide on whole leaf masks and
+    call this only once a violation exists, so for them it fixes which
+    violation is named first, not the verdict.
+    """
+    member = mask_flags(inside, space.total)
+    axes = tuple(zip(range(space.n), space.strides, space.sizes))
+    for k in itertools.compress(range(space.total), member):
+        b = block[k] if block is not None else None
+        for agent, stride, size in axes:
+            vals = value[agent] if value is not None else None
+            v = vals[k] if vals is not None else None
+            k2 = k
+            for t2 in range(k // stride % size + 1, size):
+                k2 += stride
+                if not member[k2]:
+                    continue
+                if block is not None and block[k2] == b:
+                    continue
+                if vals is not None and vals[k2] != v:
+                    continue
+                yield k, agent, t2, k2
+
 
 # ---------------------------------------------------------------------------
 # protocol-level checks
@@ -47,6 +79,16 @@ class CpViolation:
     detail: str  # the shared outcome (or component) that should have differed
 
 
+def cp_to_json(space: TypeSpace, v: CpViolation) -> dict:
+    """A CP or ICP violation as a report gives it."""
+    types = space.alphabets[v.agent]
+    return {
+        "agent": v.agent + 1, "types": [types[v.type_a], types[v.type_b]],
+        "profiles": [list(space.labels(p)) for p in (v.profile_a, v.profile_b)],
+        "leaves": [v.leaf_a, v.leaf_b], "shared": v.detail,
+    }
+
+
 def _leaf_list(protocol: Protocol) -> list[int]:
     """Leaf node id per profile index; -1 outside the universe."""
     leaf = [-1] * protocol.space.total
@@ -62,7 +104,7 @@ def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Opt
     ``value[agent]`` must be constant on every leaf, as it is once
     :func:`require_implements` holds.  :func:`_leaves_share_a_line` decides
     whether such a pair exists; only then is the first hit in
-    :func:`cpv.core.unilateral_pairs` order found and reported, which
+    :func:`unilateral_pairs` order found and reported, which
     makes reports deterministic.
     """
     space = protocol.space
@@ -130,69 +172,17 @@ def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
     return Verdict(violation is None, violation)
 
 
-def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
-    """Separated unilateral pairs must change the deviator's own component;
-    a violation is a :class:`CpViolation`."""
-    if not rule.has_components:
-        raise InputError("individual check needs per-agent outcome components")
-    require_implements(protocol, rule)
-    violation = _unilateral_scan(protocol, _own_components(rule))
-    return Verdict(violation is None, violation)
-
-
 def _own_components(rule: ChoiceRule) -> list[list[str]]:
     return [
         [rule.components[x][agent] for x in rule.table] for agent in range(rule.space.n)
     ]
 
 
-def check_protocol_gcp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
-    """Separated profiles must change the outcome.
-
-    Evaluated both ways: directly over terminal pairs, and through the
-    characterization that every query's children reach pairwise-disjoint
-    outcome sets.  The two must agree; disagreement is an internal bug.
-    A violation reads ``(node, (profile, profile))``: the first query whose
-    children reach overlapping outcomes, and two profiles at distinct
-    leaves with one outcome.
-    """
-    require_implements(protocol, rule)
-    space = protocol.space
-    reach = outcome_reach(protocol, rule)
-
-    by_definition = None  # first leaf pair sharing an outcome
-    seen: dict[int, int] = {}
-    for v in protocol.nodes:
-        if not v.is_leaf:
-            continue
-        (x,) = reach[v.id]
-        if x in seen:
-            by_definition = tuple(
-                space.profile((m & -m).bit_length() - 1) for m in (seen[x], v.label)
-            )
-            break
-        seen[x] = v.label
-
-    by_characterization = None
-    for v in protocol.nodes:
-        if v.is_leaf:
-            continue
-        if sum(len(reach[c]) for c in v.children) != len(reach[v.id]):
-            by_characterization = v.id
-            break
-
-    if (by_definition is None) != (by_characterization is None):
-        raise AssertionError(
-            "group-privacy definition and characterization disagree (bug)"
-        )
-    if by_definition is None:
-        return Verdict(True)
-    return Verdict(False, (by_characterization, by_definition))
-
-
 # ``bench/spans.py`` ``TARGETS`` still names these by their old home in this
 # module; they are forwarded for it alone, each from the module that holds it.
 _MOVED = {
+    "check_protocol_gcp": "variants",
+    "check_protocol_icp": "variants",
     "corners_scan": "synthesis",
     "inseparability_classes": "search",
     "synthesize_or_witness": "search",

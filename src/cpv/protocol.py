@@ -9,6 +9,10 @@ contracted away (they transmit nothing).
 Every protocol-level privacy check starts with :func:`require_implements`,
 which refuses a protocol that does not implement the rule and names a
 non-constant leaf.
+
+What only some commands run lives elsewhere: the fibres of count queries
+in :mod:`cpv.counts`, imported when a count query first splits a label,
+and the walk of ``cpv run`` in :mod:`cpv.run`.
 """
 
 from __future__ import annotations
@@ -19,13 +23,10 @@ from typing import Callable, Optional
 from cpv.core import (
     ChoiceRule,
     InputError,
-    LoadError,
     PreconditionError,
-    Profile,
     ProfileSet,
     TypeSpace,
     Verdict,
-    constant_on,
     mask_indices,
     outcome_ids,
     record,
@@ -162,12 +163,14 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
     if isinstance(query, ElicitQuery):
         def fibre_union(cell) -> int:
             return space.digit_mask(query.agent, cell)
-    else:
+    else:  # a count query: its fibres come from the module of count queries
+        from cpv.counts import count_fibres
+
         if isinstance(query, CountQuery):
-            fibres = _count_fibres(space, (query.subset,), label)
+            fibres = count_fibres(space, (query.subset,), label)
             fibres = {v[0]: m for v, m in fibres.items()}
         else:
-            fibres = _count_fibres(space, query.subsets, label)
+            fibres = count_fibres(space, query.subsets, label)
 
         def fibre_union(cell) -> int:
             mask = 0
@@ -183,29 +186,6 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
         rest &= ~m
     out[largest] = rest
     return out
-
-
-def _count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...], int]:
-    """Count vector -> mask of the profiles in ``label`` with that vector.
-
-    A dynamic programme over agents: each agent's types are grouped by the
-    subsets holding them, and every nonempty partial fibre is split by the
-    agent's groups, so the work is ``n`` times the number of vectors."""
-    fibres = {(0,) * len(subsets): label}
-    for agent in range(space.n):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t in range(space.sizes[agent]):
-            groups.setdefault(tuple(int(t in sub) for sub in subsets), []).append(t)
-        masks = [(step, space.digit_mask(agent, types)) for step, types in groups.items()]
-        grown: dict[tuple[int, ...], int] = {}
-        for vector, fibre in fibres.items():
-            for step, mask in masks:
-                part = fibre & mask
-                if part:
-                    key = tuple(map(sum, zip(vector, step)))
-                    grown[key] = grown.get(key, 0) | part
-        fibres = grown
-    return fibres
 
 
 # ---------------------------------------------------------------------------
@@ -373,73 +353,6 @@ def validate_protocol(protocol: Protocol) -> tuple[str, ...]:
         if union != v.label:
             defects.append(f"non-exhaustive at node {v.id}")
     return tuple(defects)
-
-
-def validate_phase(protocol: Protocol, node_ids, pointer: str = "/phase") -> tuple[int, ...]:
-    """The end nodes (precedence-maximal members) of an initial phase, a
-    precedence-convex node set holding the root.  Raises a :class:`LoadError`
-    at ``pointer``, or at its first entry at fault, on an unknown id, then
-    on an empty set, then on a set that is not convex, then on no root."""
-    ids = tuple(node_ids)
-    for pos, v in enumerate(ids):
-        if not 0 <= v < len(protocol.nodes):
-            raise LoadError(f"{pointer}/{pos}", f"unknown node id {v}")
-    if not ids:
-        raise LoadError(pointer, "phase must be nonempty")
-    members = set(ids)
-    for pos, w in enumerate(ids):
-        gap: int | None = None
-        v = protocol.nodes[w].parent
-        while v != -1:
-            if v not in members:
-                gap = v
-            elif gap is not None:
-                message = f"convexity broken: node {gap} between members {v} and {w}"
-                raise LoadError(f"{pointer}/{pos}", message)
-            v = protocol.nodes[v].parent
-    if 0 not in members:
-        raise LoadError(pointer, "phase must contain the root")
-    # in a convex set, a member with a member below it has a member child
-    return tuple(sorted(v for v in members if members.isdisjoint(protocol.nodes[v].children)))
-
-
-# --- execution ---------------------------------------------------------------
-
-
-def describe_query(query: Query) -> str:
-    if isinstance(query, ElicitQuery):
-        return f"elicit(agent {query.agent + 1})"
-    if isinstance(query, CountQuery):
-        return f"count(subset size {len(query.subset)})"
-    if isinstance(query, MultiCountQuery):
-        return f"multicount(l={len(query.subsets)})"
-    return "extensional"
-
-
-def run_protocol(
-    protocol: Protocol, profile: Profile, rule: ChoiceRule
-) -> tuple[list[tuple[int, str, int]], int, str]:
-    """Walk the protocol on one profile: ``(path, leaf, outcome)``, where
-    ``path`` lists ``(node id, describe_query(query), child position)`` for
-    each query on the way, ``leaf`` is the id of the leaf reached and
-    ``outcome`` the rule's outcome there.  Raises the failed implementation
-    precondition when the rule is not constant on that leaf."""
-    index = protocol.space.index(profile)
-    if not (protocol.universe >> index) & 1:
-        raise InputError("profile lies outside the protocol's universe")
-    path = []
-    v = protocol.nodes[0]
-    while not v.is_leaf:
-        for pos, c in enumerate(v.children):
-            if (protocol.nodes[c].label >> index) & 1:
-                path.append((v.id, describe_query(v.query), pos))
-                v = protocol.nodes[c]
-                break
-        else:
-            raise AssertionError("children partition the label")
-    if not constant_on(rule, v.label):
-        raise _not_implemented(v.id)
-    return path, v.id, rule.outcomes[rule.table[(v.label & -v.label).bit_length() - 1]]
 
 
 # --- semantic relations -------------------------------------------------------

@@ -1,11 +1,11 @@
 """The cpv-1 reader: the format table ``CPV1``, its checker, and the
-loaders that build instances, protocols and bundles from checked documents.
+loaders that build instances and bundles from checked documents.
 
 Every document is checked against ``CPV1`` before anything is built from
 it, so the loaders read fields known to be valid.  An input error is a
 ``LoadError`` naming the JSON pointer (RFC 6901) of the field at fault.
-``load`` is timed as the load part of the stderr line, ``cpv.cli._write``
-as its emit part.
+``load`` is timed as the load part of the stderr line, and
+``cpv.jsonwriter.write`` as its emit part.
 
 The long arrays of a file, the rows of ``rule.table`` and the profile lists
 of universes and extensional cells, are read in whole columns, with C-level
@@ -17,17 +17,17 @@ A pass that fails decides nothing: the per-entry walk that follows it is
 the only error path, and it names the first entry at fault in document
 order, by message and JSON pointer.
 
-This is a module of its own, the counterpart of ``cpv.jsonwriter``, though
-every command but ``builtin`` runs it and ``cpv.cli`` imports it at
-start-up.  Without a bytecode cache every module is compiled at every start,
-and a command's peak RSS follows the compiler's high-water mark for the
-largest module it compiles, which was ``cli.py``.  Measured through
-``bench/launch.py`` on a two-core x86-64 VM: 2.8 KB of dead code added to
-``cli.py`` raised ``cpv --help`` from 16.08 to 16.36 MB, while moving the
-reader out unchanged (``cli.py`` 17.9 KB beside a 16.9 KB reader) lowered
-``check --property corners`` on a second-price file from 20.41 to 20.09 MB
-and ``synth`` on it from 20.52 to 20.15 MB, at the same speed.  Like the
-writer, it must not import ``cpv.cli``.
+This is a module of its own, the counterpart of ``cpv.jsonwriter``, and
+``cpv.cli`` imports it at start-up, since every command but ``builtin``
+reads a file.  Without a bytecode cache every module a command loads is
+compiled at its start, so the reader keeps only what reading a rule table
+needs: the format table and its checker, the type space, the rule, its
+universe and its model.  A file that holds a protocol, a bundle's
+``protocol`` object or a protocol file, has its tree read by
+``cpv.treereader``, which ``load`` imports then, with ``cpv.protocol``; a
+rule named by ``rule.builtin`` loads ``cpv.mechanisms``.  So ``validate``
+of a rule table compiles neither ``cpv.protocol`` nor the tree reader.
+Like the writer, it must not import ``cpv.cli``.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ from cpv.core import (
     ProtocolBundle,
     TypeSpace,
     _entries,
-)
-from cpv.protocol import (
-    CountQuery,
-    ElicitQuery,
-    ExtensionalQuery,
-    MultiCountQuery,
-    NodeSpec,
-    Protocol,
-    build_from_spec,
-    validate_phase,
 )
 
 # ---------------------------------------------------------------------------
@@ -299,8 +289,8 @@ def _freeze(shape, value):
 # ---------------------------------------------------------------------------
 # loading
 
-# Seconds spent in ``load`` and ``_write`` since ``main`` began, for the
-# timing line on stderr; the rest of a command is its compute.
+# Seconds spent in ``load`` and ``cpv.jsonwriter.write`` since ``main``
+# began, for the timing line on stderr; the rest of a command is its compute.
 _SPENT = {"load": 0.0, "emit": 0.0}
 
 
@@ -450,61 +440,21 @@ def instance_from_json(doc) -> Instance:
     return Instance(rule, _model_from_json(doc.get("model")), universe)
 
 
-def _query_from_json(space: TypeSpace, spec, pointer):
-    kind, cells = spec["kind"], spec["cells"]
-    if kind == "elicit":
-        agent = spec["agent"] - 1
-        if not 0 <= agent < space.n:
-            raise LoadError(f"{pointer}/agent", "agent number out of range")
-        with _at(f"{pointer}/cells"):
-            return ElicitQuery(agent, tuple(space.type_indices(agent, c) for c in cells))
-    if kind == "count":
-        with _at(f"{pointer}/subset"):
-            return CountQuery(space.type_indices(0, spec["subset"]), tuple(map(tuple, cells)))
-    if kind == "multicount":
-        with _at(f"{pointer}/subsets"):
-            subsets = tuple(space.type_indices(0, sub) for sub in spec["subsets"])
-        return MultiCountQuery(subsets, tuple(tuple(map(tuple, c)) for c in cells))
-    sets = (_profiles_from_json(space, c, f"{pointer}/cells/{i}") for i, c in enumerate(cells))
-    return ExtensionalQuery(tuple(s.mask for s in sets))
-
-
-def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
-    if node is None or "query" not in node:
-        return None if node is None else NodeSpec()
-    children = tuple(
-        _spec_from_json(space, child, f"{pointer}/children/{i}")
-        for i, child in enumerate(node.get("children", []))
-    )
-    return NodeSpec(_query_from_json(space, node["query"], f"{pointer}/query"), children)
-
-
-def _protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, Optional[tuple]]:
-    """Protocol and phase of the checked protocol object of a file or bundle at ``pointer``."""
-    if "space" in doc and _space_from_json(doc["space"], f"{pointer}/space") != space:
-        raise LoadError(f"{pointer}/space", "protocol and instance type spaces differ")
-    universe = _universe_from_json(doc.get("universe"), space, f"{pointer}/universe")
-    if universe is not None and universe.is_empty:
-        raise LoadError(f"{pointer}/universe", "universe is empty")
-    spec = _spec_from_json(space, doc["tree"], f"{pointer}/tree")
-    protocol = build_from_spec(space, spec, universe)
-    phase = tuple(doc["phase"]) if "phase" in doc else None
-    if phase is not None:
-        validate_phase(protocol, phase, f"{pointer}/phase")
-    return protocol, phase
-
-
 @_timed("load")
 def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle:
     doc = _read_json(instance_path)
     instance = instance_from_json(doc)
     protocol, phase = None, None
     if "protocol" in doc:
-        protocol, phase = _protocol_from_json(doc["protocol"], instance.space, "/protocol")
+        from cpv.treereader import protocol_from_json
+
+        protocol, phase = protocol_from_json(doc["protocol"], instance.space, "/protocol")
     if protocol_path is not None:
+        from cpv.treereader import protocol_from_json
+
         pdoc = _read_json(protocol_path)
         _check("protocol file", pdoc)
-        protocol, phase = _protocol_from_json(pdoc, instance.space, "")
+        protocol, phase = protocol_from_json(pdoc, instance.space, "")
     universe = instance.universe
     if protocol is not None and universe is not None and protocol.universe != universe.mask:
         raise LoadError("/universe", "instance and protocol universes differ")

@@ -1,5 +1,6 @@
 """The one decider of contextually private implementation: the greedy
-engine, its candidate queries, inseparability classes and witnesses.
+engine, its candidate queries, inseparability classes and witnesses, and
+the ``synth`` and ``enumerate`` commands that run it.
 
 :func:`exhaustive_cp_search` decides implementability over a query family
 exactly; ``cpv enumerate`` runs it over the family it is given and ``cpv
@@ -53,34 +54,19 @@ report names the family it decided by it.
 Elicitation goes first: per agent, the class of its smallest present type,
 the first safe one of its binary splits.  Exact counts are decided from the
 *blocks* of a state, the parts of the join of every agent's classes on the
-common alphabet (:func:`_blocks`).
-
-Lemma 1: the count(S) split of a state is safe iff S is a union of blocks
-(a multi-count split iff each of its subsets is).  Proof: a pair differing
-in agent i's type, t against t', moves count(S) by [t∈S]−[t'∈S], so the
-split is safe iff no agent's class straddles S.
+common alphabet, by :func:`cpv.counts.count_query`; its docstring proves
+lemma 1 (which count splits are safe) and gives the order of its picks.
 
 Lemma 2: where elicitation is stuck, no count split passes.  Proof: each
 agent's present types lie in one class, so in one block, and the count of
 a union of blocks is constant.  So with elicitation drawn the count kinds
-are never tried; the report still names them.
-
-Without it, :func:`_count_query` picks the first safe query in the order
-the kinds are read in: ``count`` over the proper subsets holding type 0,
-by size, then lexicographically, and ``multicount`` over the pairs of two
-of them.  By lemma 1 these are unions holding B0, the block of type 0, and
-one varies on the state only if one of its blocks does; so the pick is B0,
-or else B0 joined with the smallest block whose count varies, and for a
-pair, B0 with the first proper union after it that makes the pair vary.
-With two blocks no such union exists, so ``multicount`` alone misses
-``random_rule(677885673, 3, 4)``, which ``count`` finds; letting a query
-count a single subset would mend that but change verdicts, so it is left
-to a change of its own.
+are never tried, and :mod:`cpv.counts` is never imported; the report still
+names them.  The CP check of a found protocol imports :mod:`cpv.privacy`,
+so a run that ends in a witness compiles neither.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from cpv.core import (
@@ -96,17 +82,8 @@ from cpv.core import (
     product_factorization,
     record,
 )
-from cpv.privacy import check_protocol_cp
-from cpv.protocol import (
-    CountQuery,
-    ElicitQuery,
-    MultiCountQuery,
-    Protocol,
-    build_protocol,
-    implements,
-    query_cell_masks,
-    validate_protocol,
-)
+from cpv.protocol import ElicitQuery, Protocol, build_protocol, implements, validate_protocol
+from cpv.reader import load
 
 # ---------------------------------------------------------------------------
 # inseparability classes
@@ -205,48 +182,6 @@ def drawn_kinds(space: TypeSpace, queries: str) -> dict[str, str]:
     return kinds
 
 
-def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
-    """The query answering the exact count of agents per type subset: a
-    count query for one subset, a multi-count query for several, with one
-    cell per count value or count vector."""
-    if len(subsets) == 1:
-        return CountQuery(subsets[0], tuple((c,) for c in range(space.n + 1)))
-    domain = itertools.product(range(space.n + 1), repeat=len(subsets))
-    return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
-
-
-def _blocks(rule: ChoiceRule, state: int) -> list[tuple[int, ...]]:
-    """The parts of the join of every agent's inseparability classes on the
-    state, each sorted, in the order of their smallest types; a type no
-    agent holds there is a part of its own."""
-    uf = UnionFind(rule.space.sizes[0])
-    for agent in range(rule.space.n):
-        for first, *rest in inseparability_classes(rule, state, agent):
-            for t in rest:
-                uf.union(first, t)
-    blocks: dict[int, list[int]] = {}  # by root, the smallest type of its part
-    for t in range(len(uf.parent)):
-        blocks.setdefault(uf.find(t), []).append(t)
-    return [tuple(b) for b in blocks.values()]
-
-
-def _count_query(rule: ChoiceRule, state: int, kinds: dict[str, str]):
-    """The first count query of ``kinds`` that splits the state and passes
-    the node test, or ``None``, drawn from the blocks of the state."""
-    space = rule.space
-    first, *others = _blocks(rule, state)
-    unions = [tuple(sorted(first + b)) for b in sorted(others, key=lambda b: (len(b), b))]
-    unions = [u for u in unions if len(u) < space.sizes[0]]
-    candidates = [(first,), *((u,) for u in unions)] if "count" in kinds else []
-    if "multicount" in kinds:
-        candidates += [(first, u) for u in unions]
-    for subsets in candidates:
-        query = exact_count_query(space, subsets)
-        if sum(map(bool, query_cell_masks(space, query, state))) > 1:
-            return query
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -276,7 +211,7 @@ def exhaustive_cp_search(
     in order, the inseparability class of the agent's smallest present type
     against the rest of its alphabet, if the agent has two classes, and no
     count split after it (lemma 2); without it, the count split that
-    :func:`_count_query` picks from the blocks of the state (lemma 1).
+    :func:`cpv.counts.count_query` picks from the blocks of the state.
     Where none passes, nonexistence is proven, and with elicitation drawn
     the witness is :func:`cpv.core.product_factorization` of the stuck
     state.  A found protocol is validated and checked to implement the rule
@@ -288,6 +223,8 @@ def exhaustive_cp_search(
     if universe.is_empty:
         raise InputError("universe is empty")
     elicit = "elicit" in kinds
+    if not elicit:  # with elicitation drawn no count split is tried (lemma 2)
+        from cpv.counts import count_query
     states = 0
 
     def step(label: int, _state):
@@ -302,7 +239,7 @@ def exhaustive_cp_search(
                     first = classes[0]
                     rest = tuple(t for t in range(space.sizes[agent]) if t not in first)
                     return ElicitQuery(agent, (first, rest)), lambda _c, _m: None
-        elif (query := _count_query(rule, label, kinds)) is not None:
+        elif (query := count_query(rule, label, kinds)) is not None:
             return query, lambda _c, _m: None
         raise _Stuck(label)
 
@@ -311,6 +248,8 @@ def exhaustive_cp_search(
     except _Stuck as stuck:
         factors = product_factorization(space, ProfileSet(space, stuck.args[0])) if elicit else None
         return SearchResult("nonexistent", None, states, factors and Witness(factors))
+    from cpv.privacy import check_protocol_cp
+
     if validate_protocol(protocol):
         raise AssertionError("decided protocol fails validation (bug)")
     if not implements(protocol, rule):
@@ -365,3 +304,70 @@ def witness_minimize(rule: ChoiceRule, witness: Witness) -> Witness:
                     factors[agent] = [x for x in factors[agent] if x != t]
                     changed = True
     return Witness(tuple(tuple(f) for f in factors))
+
+
+# ---------------------------------------------------------------------------
+# the synth and enumerate commands
+
+
+def synth_command(args) -> tuple[int, dict]:
+    """The report of ``cpv synth`` and its exit code; ``--emit`` writes a
+    protocol found."""
+    loaded = load(args.instance)
+    instance = loaded.instance
+    factors = None
+    if instance.universe is not None:
+        factors = product_factorization(instance.space, instance.universe)
+        if factors is None:
+            raise InputError("synthesis needs a product universe")
+    result = synthesize_or_witness(instance.rule, factors)
+    if isinstance(result, Protocol):
+        doc = {
+            "command": "synth",
+            "result": "protocol",
+            "nodes": len(result.nodes),
+            "leaves": len(result.leaves()),
+        }
+        if args.emit:
+            doc["emitted"] = _write_protocol(result, args.emit)
+        return 0, doc
+    minimized = witness_minimize(instance.rule, result)
+    doc = {
+        "command": "synth",
+        "result": "witness",
+        "witness": _witness_to_json(instance.space, result),
+        "minimized": _witness_to_json(instance.space, minimized),
+    }
+    return 1, doc
+
+
+def enumerate_command(args) -> tuple[int, dict]:
+    """The report of ``cpv enumerate`` and its exit code; ``--emit`` writes
+    a protocol found."""
+    loaded = load(args.instance)
+    result = exhaustive_cp_search(loaded.instance.rule, args.queries, loaded.instance.universe)
+    doc = {
+        "command": "enumerate",
+        "family": drawn_kinds(loaded.instance.space, args.queries),
+        "queries": args.queries,
+        "status": result.status,
+        "states": result.states,
+    }
+    if result.status == "nonexistent":
+        doc["result"] = "proven-nonexistent"
+        return 1, doc
+    if args.emit:
+        doc["emitted"] = _write_protocol(result.protocol, args.emit)
+    doc["nodes"] = len(result.protocol.nodes)
+    return 0, doc
+
+
+def _witness_to_json(space: TypeSpace, witness: Witness) -> dict:
+    return {"factors": [list(f) for f in witness.labels(space)]}
+
+
+def _write_protocol(protocol: Protocol, path: str) -> str:
+    """Writes the cpv-1 document of ``protocol`` to ``path``; returns ``path``."""
+    from cpv import jsonwriter
+
+    return jsonwriter.write(jsonwriter.protocol_to_json(protocol), path)

@@ -4,7 +4,7 @@ The corners scan decides one two-agent plane at a time whether a failing
 square (three equal corners and a fourth that differs) exists, and scans
 pairs only to name the first one; it is a fast necessary condition for
 contextual privacy, not a sufficient one.  It and the non-bossiness scan
-enumerate their pairs with :func:`cpv.core.unilateral_pairs`, as the
+enumerate their pairs with :func:`cpv.privacy.unilateral_pairs`, as the
 protocol-level checks of :mod:`cpv.privacy` do.  Inseparability classes,
 the decider and its witnesses live in :mod:`cpv.search`.
 
@@ -23,11 +23,9 @@ from cpv.core import (
     TypeSpace,
     Verdict,
     mask_flags,
-    product_indices,
     record,
-    unilateral_pairs,
 )
-from cpv.privacy import _own_components
+from cpv.privacy import _own_components, unilateral_pairs
 
 # ---------------------------------------------------------------------------
 # corners scan
@@ -42,6 +40,16 @@ class CornersViolation:
     rest: Profile  # full profile; positions i and j give the (type_i, type_j) corner
     shared_outcome: str
     fourth_outcome: str
+
+
+def corners_to_json(space: TypeSpace, v: CornersViolation) -> dict:
+    """A corners violation as a report gives it."""
+    i, j = space.alphabets[v.agent_i], space.alphabets[v.agent_j]
+    return {
+        "agents": [v.agent_i + 1, v.agent_j + 1], "types_i": [i[t] for t in v.types_i],
+        "types_j": [j[t] for t in v.types_j], "at": list(space.labels(v.rest)),
+        "shared": v.shared_outcome, "fourth": v.fourth_outcome,
+    }
 
 
 def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
@@ -133,6 +141,15 @@ def _some_plane_fails(space: TypeSpace, table, member) -> bool:
     return False
 
 
+def product_indices(space: TypeSpace, factors) -> list[int]:
+    """Profile indices of the product set ``factors``, in
+    ``itertools.product(*factors)`` order.  The factors are not checked."""
+    keys = [0]
+    for f, stride in zip(factors, space.strides):
+        keys = [k + t * stride for k in keys for t in f]
+    return keys
+
+
 def _rows_may_fail(table, member, a: int, shift: int, stride: int, size: int) -> bool:
     """Whether rows ``a`` and ``a + shift`` (profile ``a + c * stride`` for
     each type ``c`` of one agent, and that profile shifted), on the columns
@@ -188,3 +205,12 @@ def check_nonbossy(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdic
                 profile = space.profile(k)
                 return Verdict(False, (i, profile[i], t2, profile, j))
     return Verdict(True)
+
+
+def nonbossy_to_json(space: TypeSpace, violation) -> dict:
+    """A non-bossiness violation as a report gives it."""
+    i, t, t2, profile, j = violation
+    return {
+        "agent": i + 1, "types": [space.alphabets[i][t], space.alphabets[i][t2]],
+        "profile": list(space.labels(profile)), "affected": j + 1,
+    }

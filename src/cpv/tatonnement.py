@@ -7,15 +7,19 @@ contextually private overall; `check_tatonnement` verifies the two
 conditions and cross-checks the implication.  Both it and
 `phase_discovery` need the protocol to implement the rule, and raise a
 `PreconditionError` naming a non-constant leaf otherwise.
+
+Only ``cpv check --property tatonnement`` imports this module; it runs
+`check_bundle`, which also writes where a check fails into the report.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from cpv.core import ChoiceRule, Verdict
-from cpv.privacy import _outcome_values, _unilateral_scan
-from cpv.protocol import Protocol, outcome_reach, require_implements, validate_phase
+from cpv.core import ChoiceRule, ProtocolBundle, Verdict
+from cpv.privacy import _outcome_values, _unilateral_scan, cp_to_json
+from cpv.protocol import Protocol, outcome_reach, require_implements
+from cpv.treereader import validate_phase
 
 
 def _overlapping(reach: dict[int, frozenset[int]], nodes):
@@ -89,3 +93,27 @@ def phase_discovery(protocol: Protocol, rule: ChoiceRule):
         phase |= overlapping
         frontier = [c for v in frontier for c in (nodes[v].children if v in overlapping else (v,))]
     return tuple(sorted(phase.union(frontier)))
+
+
+def check_bundle(b: ProtocolBundle, doc: dict) -> Verdict:
+    """Tatonnement on the bundle's phase, or else on a discovered one.  The
+    report ``doc`` gains the discovered phase and where the check fails,
+    and a violation is the failure's name alone."""
+    rule, phase = b.instance.rule, b.phase
+    if phase is None:
+        phase = phase_discovery(b.protocol, rule)
+        doc["discovered_phase"] = list(phase) if phase else None
+        if phase is None:
+            return Verdict(False, "no initial phase with disjoint outcome reach")
+    verdict = check_tatonnement(b.protocol, rule, phase)
+    if verdict.ok:
+        return verdict
+    # where it fails: two end nodes, an uncovered leaf or an end node
+    failure, at = verdict.violation
+    if failure == "disjointness":
+        doc["failure_at"] = {"nodes": list(at[:2]), "shared": at[2]}
+    elif failure == "coverage":
+        doc["failure_at"] = {"leaf": at}
+    else:
+        doc["failure_at"] = {"node": at[0], "violation": cp_to_json(b.instance.space, at[1])}
+    return Verdict(False, failure)

@@ -13,7 +13,7 @@ Each is a slow or exhaustive procedure kept apart from the program, as
   builds, and returns the first pair a split separates.
   ``test_search.py::TestCountNodeTest`` checks lemma 1 of ``cpv.search``
   against it: a count split is safe iff its subsets are unions of the
-  blocks that the decider's ``_blocks`` joins.
+  blocks that the decider's ``cpv.counts._blocks`` joins.
 - :func:`solve`, the memoized AND-OR search that backtracks over every
   candidate of a state, and :func:`reference_cp_search`, the CP search on
   it over every query of a family that passes the pair test: the binary
@@ -62,12 +62,12 @@ from cpv.core import (
     constant_on,
     outcome_ids,
     record,
-    unilateral_pairs,
 )
-from cpv.mechanisms import _osp_node_failure, check_protocol_osp, outcome_ranks
-from cpv.privacy import check_protocol_cp
+from cpv.counts import exact_count_query
+from cpv.privacy import check_protocol_cp, unilateral_pairs
+from cpv.properties import _osp_node_failure, check_protocol_osp, outcome_ranks
 from cpv.protocol import ElicitQuery, Query, build_protocol, implements, query_cell_masks
-from cpv.search import SearchResult, drawn_kinds, exact_count_query, witness_verify
+from cpv.search import SearchResult, drawn_kinds, witness_verify
 
 # ---------------------------------------------------------------------------
 # the protected-pair node test
@@ -75,7 +75,7 @@ from cpv.search import SearchResult, drawn_kinds, exact_count_query, witness_ver
 
 def same_outcome_pairs(rule: ChoiceRule, universe: int) -> list[tuple[int, int]]:
     """The protected pairs inside ``universe``, in
-    :func:`cpv.core.unilateral_pairs` order."""
+    :func:`cpv.privacy.unilateral_pairs` order."""
     space = rule.space
     pairs = unilateral_pairs(space, universe, value=[rule.table] * space.n)
     return [(k, k2) for k, _, _, k2 in pairs]

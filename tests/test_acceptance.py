@@ -11,8 +11,6 @@ from contextlib import contextmanager
 from cpv.core import Witness
 from cpv.mechanisms import (
     appC_sp_restriction,
-    check_protocol_osp,
-    check_rule_property,
     count_ascending_price,
     descending_first_price,
     double_auction_count,
@@ -32,7 +30,8 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
     uniform_price,
 )
-from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
+from cpv.privacy import check_protocol_cp
+from cpv.properties import check_protocol_osp, check_rule_property
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
@@ -45,6 +44,7 @@ from cpv.protocol import (
 from cpv.search import exhaustive_cp_search, synthesize_or_witness, witness_verify
 from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement, phase_discovery
+from cpv.variants import check_protocol_gcp, check_protocol_icp
 
 from corpus import (
     corpus_seeds,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,7 +50,7 @@ def test_counters_hang_on_targets():
         assert isinstance(getattr(mechanisms, table), dict)
 
 
-@pytest.mark.parametrize("module_name", ["cpv.cli", "cpv.privacy"])
+@pytest.mark.parametrize("module_name", ["cpv.cli", "cpv.mechanisms", "cpv.privacy"])
 def test_forwards_are_exactly_the_targets_moved_away(module_name):
     # A module forwards through ``__getattr__`` the names in its ``_MOVED``:
     # each must be a target it no longer defines, and every such target
@@ -106,3 +108,68 @@ def test_a_traced_validate_records_the_load(tmp_path):
         spans.uninstall(undo)
     summary = tracer.summary()
     assert summary["cli.load_s"] > 0 and summary["cli.bytes_read"] == os.path.getsize(path)
+
+
+# The spans, by key, that one command of each kind the three workloads run
+# records, traced after a plain pass as ``bench/run.py --trace 1`` does;
+# the key set is every layer key that the benchmark times.  A function moved
+# to another module must still record each of its calls.
+WORKLOAD_SPANS = {
+    "cli.emit": 19, "cli.load": 15, "core.factor": 17, "core.rule_init": 20,
+    "mechanisms.builtin": 5, "mechanisms.property": 1, "privacy.corners": 1,
+    "privacy.cp_scan": 7, "privacy.gcp": 1, "privacy.inseparability": 48,
+    "privacy.minimize": 1, "privacy.synth": 3, "privacy.witness_verify": 13,
+    "protocol.build": 25, "protocol.cell_masks": 114, "protocol.implements": 14,
+    "protocol.leaf_map": 1, "protocol.validate": 4, "search.cp_search": 4,
+    "tatonnement.check": 2, "tatonnement.phase_discovery": 1, "tatonnement.reach": 4,
+}
+
+
+def test_every_workload_command_kind_records_its_spans(tmp_path):
+    from cpv.cli import main
+
+    files = {name: str(tmp_path / f"{name}.json") for name in (
+        "fp", "sp", "dfp", "cap", "aes", "table", "table_protocol", "table_synth", "fp_protocol",
+    )}
+    labels = ["t0", "t1", "t2"]
+    outcomes = [["x", "x", "y"], ["z", "z", "y"], ["w", "w", "w"]]  # a tree rule: agent 1, then 2
+    Path(files["table"]).write_text(json.dumps({
+        "schema": "cpv-1", "agents": 2, "alphabet": labels,
+        "rule": {"table": [{"profile": [labels[a], labels[b]], "outcome": outcomes[a][b]}
+                           for a in range(3) for b in range(3)]},
+    }))
+    values = '{"n": 3, "values": [1, 2, 3]}'
+    commands = [
+        (["builtin", "first_price", "--params", values, "--emit", files["fp"]], 0),
+        (["builtin", "second_price", "--params", values, "--emit", files["sp"]], 0),
+        (["builtin", "descending_first_price", "--params", values, "--emit", files["dfp"]], 0),
+        (["builtin", "count_ascending_kplus1_price", "--params",
+          '{"k": 1, "n": 3, "values": [1, 2, 3]}', "--emit", files["cap"]], 0),
+        (["builtin", "ascending_elicitation_sp", "--params", values, "--emit", files["aes"]], 0),
+        (["validate", files["table"]], 0),
+        (["validate", files["dfp"]], 0),
+        (["check", "--property", "cp", files["dfp"]], 0),
+        (["check", "--property", "cp", files["aes"]], 1),
+        (["check", "--property", "icp", files["dfp"]], 0),
+        (["check", "--property", "gcp", files["dfp"]], 0),
+        (["check", "--property", "tatonnement", files["dfp"]], 0),  # a discovered phase
+        (["check", "--property", "tatonnement", files["cap"]], 0),
+        (["check", "--property", "efficient", files["cap"]], 0),
+        (["check", "--property", "corners", files["sp"]], 1),
+        (["enumerate", "--queries", "elicit,count", "--emit", files["table_protocol"],
+          files["table"]], 0),
+        (["check", "--property", "cp", files["table"], files["table_protocol"]], 0),
+        (["synth", "--emit", files["table_synth"], files["table"]], 0),
+        (["synth", "--emit", files["fp_protocol"], files["fp"]], 0),
+        (["synth", files["sp"]], 1),
+    ]
+    assert [main(argv) for argv, _ in commands] == [code for _, code in commands]
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        assert [main(argv) for argv, _ in commands] == [code for _, code in commands]
+    finally:
+        spans.uninstall(undo)
+    recorded = Counter(key for _, _, _, key, _, _ in tracer.spans)
+    assert set(spans.TIMED_KEYS) <= set(recorded)
+    assert recorded == WORKLOAD_SPANS, sorted(recorded.items())

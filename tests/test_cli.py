@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import cpv
-from cpv.cli import _PROPERTIES, load, main
+from cpv.check import _PROPERTIES
+from cpv.cli import _PROPERTY_NAMES, load, main
 from cpv.core import LoadError
 from cpv.jsonwriter import instance_to_json, protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
@@ -900,6 +901,34 @@ MALFORMED = {
         _table_of(["a"], [(["a", "a"], "x")]).replace('"agents": 2', '"agents": 1' + "0" * 4000),
         ["validate"], 1000, '{"error":"agent count exceeds cap 1048576","kind":"resource"}',
     ),
+    # one column iterator per agent, zipped: no agent count nests them deep enough to crash
+    "table for 65536 agents": (
+        json.dumps({"schema": "cpv-1", "agents": 65536, "alphabet": ["a"], "rule": {"table": []}}),
+        ["validate"], 1000,
+        '{"error":"rule table is not total: missing [' + ", ".join(["'a'"] * 65536)
+        + '] (at /rule/table)"}',
+    ),
+    # the profile count over the cap is not printed: 2^100000 has too many digits
+    "64 agents of two labels": (
+        json.dumps({
+            "schema": "cpv-1", "agents": 64, "alphabet": ["a", "b"], "rule": {"table": []}
+        }),
+        ["validate"], 1000, '{"error":"profile space size exceeds cap 1048576","kind":"resource"}',
+    ),
+    "100000 agents of two labels": (
+        json.dumps({
+            "schema": "cpv-1", "agents": 100_000, "alphabet": ["a", "b"], "rule": {"table": []}
+        }),
+        ["validate"], 1000, '{"error":"profile space size exceeds cap 1048576","kind":"resource"}',
+    ),
+    # an agent count below 1 is refused before any k is checked against it
+    **{
+        f"{name} with {n} agents": (
+            None, ["builtin", name, "--params", f'{{"n":{n},"values":[1,2]}}', "--emit"], 1000,
+            '{"error":"first price needs at least 1 agent (at /)"}',
+        )
+        for name in ("first_price", "descending_first_price") for n in (0, -1)
+    },
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
         ["validate"], 1000, '{"error":"profile has 1 labels, expected 2 (at /universe/2)"}',
@@ -1035,6 +1064,10 @@ class TestMalformedCommandLine:
         assert out.startswith("usage: cpv check --property {cp,gcp,")
         for prop in _PROPERTIES:
             assert re.search(rf"\b{prop}\b", out), prop
+
+    def test_the_property_choices_are_the_checks(self):
+        # the command line lists them without importing cpv.check
+        assert _PROPERTY_NAMES == tuple(_PROPERTIES)
 
     def test_emit_with_equals_and_a_file_after_double_dash(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -26,19 +26,16 @@ from cpv.core import ChoiceRule, DomainModel, Instance, TypeSpace
 from cpv.mechanisms import (
     _SCHOOL_SCORES,
     _admissible,
-    _blocking,
-    _inefficient,
-    _irrational,
     _school_model,
     _scored_at_a,
     _two_houses,
     assignment_space,
-    check_rule_property,
     efficient_completions_2x2,
     fair_tiebreak_2x2,
     house_ir_efficient_family,
     school_stable_family,
 )
+from cpv.properties import _blocking, _inefficient, _irrational, check_rule_property
 
 # ---------------------------------------------------------------------------
 # oracles: the filters the family builders held
@@ -60,11 +57,15 @@ def old_ir_efficient(space: TypeSpace, model: DomainModel):
     object she ranks no lower than her endowment."""
     feasible = list(itertools.permutations(model.objects, space.n))
     prefs, endowments = model.type_prefs, model.endowments
+
+    def rank(i: int, t: int, obj: str) -> int:
+        return prefs[i][t].index(obj)
+
     admissible = []
     for profile in space.iter_profiles():
         efficient = [
             a for a in feasible
-            if old_pareto_dominator(a, feasible, profile, model.pref_rank) is None
+            if old_pareto_dominator(a, feasible, profile, rank) is None
         ]
         admissible.append([
             a for a in efficient

@@ -14,9 +14,10 @@ from cpv.mechanisms import (
     fig_shaded_3x3,
     second_price,
 )
-from cpv.privacy import CpViolation, check_protocol_cp, check_protocol_icp
+from cpv.privacy import CpViolation, check_protocol_cp
 from cpv.synthesis import CornersViolation, check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement
+from cpv.variants import check_protocol_icp
 
 from oracles import ObstructionEntry, obstruction_scan
 

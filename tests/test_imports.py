@@ -5,8 +5,8 @@ it is imported, every name a ``cpv`` or test function binds is read
 ``cpv``, the benchmark or the package exports (not from tests alone), no
 module holds an ``assert`` statement, no ``cpv`` module imports ``cpv.cli``,
 importing ``cpv.cli`` loads no code generator, a command loads only the
-``cpv`` modules it runs, and no record but ``core.Verdict`` has an ``ok``
-field.
+``cpv`` modules it runs and compiles no more of their AST nodes than its
+budget, and no record but ``core.Verdict`` has an ``ok`` field.
 
 A name imported at module level counts as used when it is read anywhere in
 the module (annotations included, also those written as strings) or listed
@@ -271,9 +271,17 @@ ARGV_PARSERS = ("argparse", "gettext", "locale")
 
 
 COMMAND_MODULES = {
-    "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.search", "cpv.synthesis",
-    "cpv.tatonnement",
+    "cpv.check", "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.properties", "cpv.run",
+    "cpv.search", "cpv.synthesis", "cpv.tatonnement", "cpv.variants",
 }
+# The modules that build, read and split protocols: loaded where a command
+# builds a protocol or reads one, and the count fibres only for count queries.
+PROTOCOL_MODULES = {"cpv.counts", "cpv.protocol", "cpv.treereader"}
+
+
+def test_every_module_but_the_start_up_set_is_a_command_or_protocol_module():
+    names = {f"cpv.{path.stem}" for path in MODULES if path.stem != "__init__"}
+    assert names - {"cpv.cli", "cpv.core", "cpv.reader"} == COMMAND_MODULES | PROTOCOL_MODULES
 
 
 def modules_loaded_by(statement: str, also: tuple = ()) -> set[str]:
@@ -296,10 +304,9 @@ def test_cli_import_loads_no_command_module():
 
 
 def test_cli_import_loads_the_reader_and_nothing_more():
-    # Every command but builtin reads a file, so the cpv-1 reader starts with the cli.
-    assert modules_loaded_by("import cpv.cli") == {
-        "cpv", "cpv.cli", "cpv.core", "cpv.protocol", "cpv.reader"
-    }
+    # Every command but builtin reads a file, so the cpv-1 reader starts with
+    # the cli; cpv.protocol is imported only where a protocol is built or read.
+    assert modules_loaded_by("import cpv.cli") == {"cpv", "cpv.cli", "cpv.core", "cpv.reader"}
 
 
 def test_validate_on_a_table_instance_loads_no_command_module(tmp_path):
@@ -309,7 +316,7 @@ def test_validate_on_a_table_instance_loads_no_command_module(tmp_path):
         "rule": {"table": [{"profile": ["a"], "outcome": "x"}, {"profile": ["b"], "outcome": "y"}]},
     }))
     loaded = modules_loaded_by(f"from cpv.cli import main; main(['validate', {str(path)!r}])")
-    assert "cpv.cli" in loaded and not loaded & COMMAND_MODULES, loaded
+    assert "cpv.cli" in loaded and not loaded & (COMMAND_MODULES | PROTOCOL_MODULES), loaded
 
 
 def test_validate_on_a_bundle_with_a_phase_loads_no_command_module(checked_files):
@@ -326,12 +333,14 @@ def test_builtin_loads_mechanisms_alone():
     assert loaded & COMMAND_MODULES == {"cpv.mechanisms"}, loaded
 
 
-# The command modules that `check --property` loads, per property.
+# The command modules that `check --property` loads, per property, beside
+# cpv.check itself.
 CHECK_MODULES = {
-    **dict.fromkeys(["cp", "icp", "gcp"], {"cpv.privacy"}),
+    "cp": {"cpv.privacy"},
+    **dict.fromkeys(["icp", "gcp"], {"cpv.privacy", "cpv.variants"}),
     "tatonnement": {"cpv.privacy", "cpv.tatonnement"},
     **dict.fromkeys(["corners", "nonbossy"], {"cpv.privacy", "cpv.synthesis"}),
-    **dict.fromkeys(["osp", "efficient", "ir", "stable", "sp"], {"cpv.mechanisms"}),
+    **dict.fromkeys(["osp", "efficient", "ir", "stable", "sp"], {"cpv.properties"}),
 }
 
 
@@ -357,7 +366,7 @@ def test_check_loads_the_modules_of_its_property(prop, checked_files):
     name = "school_count_instance" if prop == "stable" else "count_ascending_kplus1_price"
     argv = ["check", "--property", prop, checked_files[name]]
     loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")
-    assert loaded & COMMAND_MODULES == CHECK_MODULES[prop], loaded
+    assert loaded & COMMAND_MODULES == {"cpv.check", *CHECK_MODULES[prop]}, loaded
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +399,8 @@ def test_synth_witness_loads_the_decider_alone(tmp_path):
                  "--emit", path]) == 0
     # exit 1: a witness, minimized
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main(['synth', {path!r}]) == 1")
-    assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
+    # cpv.privacy checks a protocol found; a witness needs none
+    assert loaded & COMMAND_MODULES == {"cpv.search"}, loaded
 
 
 def test_enumerate_without_emit_loads_no_writer(first_price_file):
@@ -398,6 +408,84 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
     # exit 0: a protocol found, and not written
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == 0")
     assert loaded & COMMAND_MODULES == {"cpv.privacy", "cpv.search"}, loaded
+
+
+# Compile budgets: the AST nodes of the ``cpv`` source that one command of
+# each kind the three benchmark workloads run compiles, pinned where they
+# stand.  Without a bytecode cache every module a command loads is compiled
+# at its start, at about 1.5 us a node (two-core x86-64 VM), so code that a
+# command does not run belongs in a module it does not load.  The files are
+# those of ``workload_files``; an entry is (command line, exit code, budget).
+COMPILE_BUDGETS = {
+    "validate table": (["validate", "table"], 0, 7937),
+    "validate bundle": (["validate", "dfp"], 0, 11342),
+    "builtin rule --emit": (
+        ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}', "--emit", "out"], 0,
+        17902,
+    ),
+    "builtin clock --emit": (
+        ["builtin", "descending_first_price", "--params", '{"n": 2, "values": [1, 2]}',
+         "--emit", "out"], 0, 17902,
+    ),
+    "builtin count clock --emit": (
+        ["builtin", "count_ascending_kplus1_price", "--params",
+         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 18617,
+    ),
+    "enumerate --emit": (
+        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15225,
+    ),
+    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12424),
+    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15225),
+    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12424),
+    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12866),
+    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13581),
+    "check icp": (["check", "--property", "icp", "dfp"], 0, 13222),
+    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13222),
+    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13539),
+    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 14254),
+    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15304),
+    "check corners": (["check", "--property", "corners", "sp"], 1, 13699),
+}
+
+
+def compiled_nodes(modules: set[str]) -> int:
+    """The AST nodes of the source files of the ``cpv`` modules named."""
+    root = Path(cpv.__file__).parent
+    files = [root / f"{'__init__' if m == 'cpv' else m.split('.')[1]}.py" for m in modules]
+    return sum(sum(1 for _ in ast.walk(ast.parse(f.read_text()))) for f in files)
+
+
+@pytest.fixture(scope="module")
+def workload_files(tmp_path_factory, auction_bundle) -> dict[str, str]:
+    """A random rule table as ``random_search`` writes it, with the protocol
+    found for it; second price, with no protocol; and two clock bundles, the
+    second asking count queries."""
+    from cpv.cli import main
+
+    root = tmp_path_factory.mktemp("workload")
+    labels = ["t0", "t1", "t2"]
+    outcomes = [["x", "x", "y"], ["z", "z", "y"], ["w", "w", "w"]]
+    files = {name: str(root / f"{name}.json") for name in ("table", "protocol", "sp", "cap", "out")}
+    Path(files["table"]).write_text(json.dumps({
+        "schema": "cpv-1", "agents": 2, "alphabet": labels,
+        "rule": {"table": [{"profile": [labels[a], labels[b]], "outcome": outcomes[a][b]}
+                           for a in range(3) for b in range(3)]},
+    }))
+    assert main(["enumerate", "--emit", files["protocol"], files["table"]]) == 0
+    assert main(["builtin", "second_price", "--params", '{"n": 3, "values": [1, 2, 3]}',
+                 "--emit", files["sp"]]) == 0
+    assert main(["builtin", "count_ascending_kplus1_price", "--params",
+                 '{"k": 2, "n": 4, "values": [1, 2, 3]}', "--emit", files["cap"]]) == 0
+    return {**files, "dfp": auction_bundle}
+
+
+@pytest.mark.parametrize("command", sorted(COMPILE_BUDGETS))
+def test_compile_budget(command, workload_files):
+    argv, code, budget = COMPILE_BUDGETS[command]
+    argv = [workload_files.get(arg, arg) for arg in argv]
+    loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == {code}")
+    nodes = compiled_nodes({m for m in loaded if m.split(".")[0] == "cpv"})
+    assert nodes <= budget, f"{command} compiles {nodes} AST nodes of cpv, over {budget}: {loaded}"
 
 
 def test_cli_import_loads_no_argument_parser():

@@ -26,8 +26,6 @@ from cpv.core import (
     mask_flags,
     mask_indices,
     mask_of_flags,
-    product_indices,
-    unilateral_pairs,
 )
 from cpv.mechanisms import count_ascending_price, descending_first_price
 from cpv.privacy import (
@@ -37,7 +35,7 @@ from cpv.privacy import (
     _own_components,
     _unilateral_scan,
     check_protocol_cp,
-    check_protocol_icp,
+    unilateral_pairs,
 )
 from cpv.protocol import (
     CountQuery,
@@ -49,7 +47,9 @@ from cpv.protocol import (
     implements,
     query_cell_masks,
 )
+from cpv.synthesis import product_indices
 from cpv.tatonnement import check_tatonnement, phase_discovery
+from cpv.variants import check_protocol_icp
 
 from corpus import (
     corpus_seeds,

@@ -9,12 +9,9 @@ import pytest
 from cpv.core import ChoiceRule, InputError, Instance, TypeSpace, Witness
 from cpv.mechanisms import (
     DomainModel,
-    UnsupportedProtocolError,
     _two_houses,
     appC_sp_restriction,
     ascending_elicitation_sp,
-    check_protocol_osp,
-    check_rule_property,
     count_ascending_price,
     descending_first_price,
     double_auction_count,
@@ -31,17 +28,19 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
     uniform_price,
 )
-from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
+from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
     NodeSpec,
     ElicitQuery,
     build_from_spec,
     implements,
-    run_protocol,
     validate_protocol,
 )
+from cpv.properties import UnsupportedProtocolError, check_protocol_osp, check_rule_property
+from cpv.run import run_protocol
 from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement
+from cpv.variants import check_protocol_gcp, check_protocol_icp
 
 from corpus import outcome, profiles_of
 

@@ -16,18 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-import cpv.mechanisms as mechanisms
+import cpv.properties as properties
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict
-from cpv.mechanisms import (
-    DomainModel,
+from cpv.mechanisms import DomainModel, descending_first_price, first_price, second_price
+from cpv.properties import (
     UnsupportedProtocolError,
     _parse_auction_component,
     _readable,
     check_protocol_osp,
     check_rule_property,
-    descending_first_price,
-    first_price,
-    second_price,
 )
 from cpv.protocol import ElicitQuery, Protocol, query_cell_masks
 
@@ -64,7 +61,7 @@ def slow_outcome_rank_fn(rule: ChoiceRule, model: DomainModel):
         return rank
     if model.kind in ("assignment", "house", "school"):
         def rank(agent: int, type_index: int, outcome_id: int):
-            return model.pref_rank(agent, type_index, rule.components[outcome_id][agent])
+            return model.type_prefs[agent][type_index].index(rule.components[outcome_id][agent])
 
         return rank
     if model.kind in ("auction", "double_auction"):
@@ -107,9 +104,8 @@ def slow_ir(rule: ChoiceRule, model: DomainModel) -> Verdict:
         for i in range(space.n):
             if model.kind == "house":
                 got = rule.components[rule.table[k]][i]
-                worse = model.pref_rank(i, profile[i], got) > model.pref_rank(
-                    i, profile[i], model.endowments[i]
-                )
+                order = model.type_prefs[i][profile[i]]
+                worse = order.index(got) > order.index(model.endowments[i])
             else:
                 q, t = _parse_auction_component(rule.components[rule.table[k]][i])
                 worse = q * model.values[i][profile[i]] - t < 0
@@ -310,7 +306,7 @@ class TestComponentsParsedOncePerRank:
             seen.append(comp)
             return _parse_auction_component(comp)
 
-        monkeypatch.setattr(mechanisms, "_parse_auction_component", counting)
+        monkeypatch.setattr(properties, "_parse_auction_component", counting)
         return seen
 
     @staticmethod

@@ -17,7 +17,7 @@ from cpv.mechanisms import (
     serial_dictatorship,
     serial_dictatorship_protocol,
 )
-from cpv.privacy import check_protocol_cp, check_protocol_gcp, check_protocol_icp
+from cpv.privacy import check_protocol_cp
 from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
 from cpv.search import (
     inseparability_classes,
@@ -32,6 +32,7 @@ from cpv.synthesis import (
     check_nonbossy,
     corners_scan,
 )
+from cpv.variants import check_protocol_gcp, check_protocol_icp
 
 from corpus import (
     corpus_seeds,

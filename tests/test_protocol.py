@@ -22,9 +22,9 @@ from cpv.protocol import (
     ProtocolDefect,
     build_from_spec,
     implements,
-    run_protocol,
     validate_protocol,
 )
+from cpv.run import run_protocol
 
 from corpus import (
     corpus_seeds,

@@ -25,10 +25,10 @@ from cpv.mechanisms import (
     second_price,
     serial_dictatorship,
 )
+from cpv.counts import _blocks
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements, query_cell_masks
 from cpv.search import (
-    _blocks,
     exhaustive_cp_search,
     inseparability_classes,
     synthesize_or_witness,

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from cpv.core import ChoiceRule, ProfileSet, Verdict, product_factorization
-from cpv.mechanisms import DomainModel, check_rule_property
+from cpv.mechanisms import DomainModel
+from cpv.properties import check_rule_property
 
 from corpus import corpus_seeds, random_rule
 
