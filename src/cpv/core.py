@@ -44,7 +44,8 @@ class PreconditionError(InputError):
 
 
 class ResourceError(RuntimeError):
-    """A configured cap (profiles, states, enumeration size) was exceeded."""
+    """The cap ``PROFILE_CAP`` was exceeded, by the profile count of a type
+    space or by its agent count."""
 
 
 class FrozenRecordError(AttributeError):
@@ -377,9 +378,6 @@ class ProfileSet:
     @property
     def is_empty(self) -> bool:
         return self.mask == 0
-
-    def contains(self, profile: Profile) -> bool:
-        return bool(self.mask >> self.space.index(profile) & 1)
 
     def indices(self):
         return iter(mask_indices(self.mask))

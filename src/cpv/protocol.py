@@ -6,6 +6,9 @@ cannot arise.  Cells that are empty on a node's label are pruned during
 construction and recorded; queries left with a single nonempty cell are
 contracted away (they transmit nothing).
 
+A protocol read from a file is built by :func:`build_from_spec` straight
+from its checked cpv-1 tree, in the one walk of :func:`build_protocol`.
+
 Every protocol-level privacy check starts with :func:`require_implements`,
 which refuses a protocol that does not implement the rule and names a
 non-constant leaf.
@@ -289,42 +292,35 @@ def build_protocol(
     return Protocol(space, root, nodes, tuple(notes))
 
 
-@record
-class NodeSpec:
-    """Explicit nested description of a protocol (what files deserialize to).
-
-    ``children`` aligns with the query's cells; positions whose cell is
-    empty on the node's label must be ``None``.
-    """
-
-    query: Optional[Query] = None
-    children: tuple[Optional["NodeSpec"], ...] = ()
-
-
 def build_from_spec(
-    space: TypeSpace, spec: NodeSpec, universe: ProfileSet | None = None
+    space: TypeSpace, tree: dict, universe: ProfileSet | None = None, pointer: str = "/tree"
 ) -> Protocol:
+    """The protocol of ``tree``, a cpv-1 tree at ``pointer`` checked against
+    ``cpv.reader.CPV1``.  The walk decodes each node's query at its JSON
+    pointer as it reaches the node, and refuses a subtree under a cell that
+    is empty on the node's label without reading it."""
+    from cpv.treereader import _query_from_json
+
     def step(label: int, state: object):
-        node, path = state
-        if node.query is None:
-            if node.children:
-                raise ProtocolDefect(path, "children without a query")
+        node, at, path = state
+        if "query" not in node:
             return None
+        query = _query_from_json(space, node["query"], f"{at}/query")
+        children = node.get("children", [])
 
         def child_state(cell: int, mask: int):
-            cells = len(node.query.cells)
-            if len(node.children) != cells:
-                raise ProtocolDefect(path, f"{len(node.children)} children for {cells} cells")
-            child = node.children[cell]
+            if len(children) != len(query.cells):
+                raise ProtocolDefect(path, f"{len(children)} children for {len(query.cells)} cells")
+            child = children[cell]
             if mask and child is None:
                 raise ProtocolDefect(f"{path}/{cell}", "missing subtree for nonempty cell")
             if not mask and child is not None:
                 raise ProtocolDefect(f"{path}/{cell}", "subtree attached to an empty cell")
-            return child, f"{path}/{cell}"
+            return child, f"{at}/children/{cell}", f"{path}/{cell}"
 
-        return node.query, child_state
+        return query, child_state
 
-    return build_protocol(space, step, (spec, "/tree"), universe)
+    return build_protocol(space, step, (tree, pointer, "/tree"), universe)
 
 
 # --- validation -------------------------------------------------------------

@@ -23,8 +23,9 @@ reads a file.  Without a bytecode cache every module a command loads is
 compiled at its start, so the reader keeps only what reading a rule table
 needs: the format table and its checker, the type space, the rule, its
 universe and its model.  A file that holds a protocol, a bundle's
-``protocol`` object or a protocol file, has its tree read by
-``cpv.treereader``, which ``load`` imports then, with ``cpv.protocol``; a
+``protocol`` object or a protocol file, has its tree checked here with the
+rest of the document, then built in one walk by ``cpv.protocol``, which
+decodes each query with ``cpv.treereader``; ``load`` imports both then.  A
 rule named by ``rule.builtin`` loads ``cpv.mechanisms``.  So ``validate``
 of a rule table compiles neither ``cpv.protocol`` nor the tree reader.
 Like the writer, it must not import ``cpv.cli``.
@@ -349,6 +350,8 @@ def _profiles_from_json(space: TypeSpace, profiles, pointer) -> ProfileSet:
 def _universe_from_json(spec, space, pointer) -> Optional[ProfileSet]:
     if spec is None:
         return None
+    if not spec:  # an empty profile list: a product of nonempty factors is never empty
+        raise LoadError(pointer, "universe is empty")
     if isinstance(spec, list):
         return _profiles_from_json(space, spec, pointer)
     if len(spec["factors"]) != space.n:
@@ -427,8 +430,9 @@ def instance_from_json(doc) -> Instance:
         raise LoadError("/outcomes", "duplicate outcome labels")
     table = _table_from_json(space, rule_spec["table"], ids)
     if -1 in table:
-        labels = space.labels(space.profile(table.index(-1)))
-        raise LoadError("/rule/table", f"rule table is not total: missing {list(labels)}")
+        labels = space.labels(space.profile(table.index(-1)))  # bounded: its first 64 labels
+        raise LoadError("/rule/table", f"rule table is not total: missing {list(labels[:64])}"
+                        f"{'...' * (len(labels) > 64)}")
     components = doc.get("components")
     if components is not None:
         for lab in ids:

@@ -2,10 +2,13 @@
 
 ``cpv.reader.load`` imports this module only when a file holds a protocol,
 a bundle's ``protocol`` object or a protocol file, so a command on a rule
-table alone compiles neither this module nor :mod:`cpv.protocol`.  The
-document is checked against ``cpv.reader.CPV1`` before it gets here, so the
-loaders read fields known to be valid; an input error is a ``LoadError``
-naming the JSON pointer of the field at fault.  A phase read with a
+table alone compiles neither this module nor :mod:`cpv.protocol`.  A tree
+is checked, then built in one walk: ``cpv.reader.CPV1`` checks the
+document before it gets here, and :func:`cpv.protocol.build_from_spec`
+builds from the checked tree, calling :func:`_query_from_json` on each
+query as its walk reaches the node.  An input error is a ``LoadError``
+naming the JSON pointer of the field at fault; a defect of the tree as
+built is a ``ProtocolDefect`` naming its node.  A phase read with a
 protocol is checked here by :func:`validate_phase`, which the tatonnement
 check runs too.
 """
@@ -20,7 +23,6 @@ from cpv.protocol import (
     ElicitQuery,
     ExtensionalQuery,
     MultiCountQuery,
-    NodeSpec,
     Protocol,
     build_from_spec,
 )
@@ -46,25 +48,12 @@ def _query_from_json(space: TypeSpace, spec, pointer):
     return ExtensionalQuery(tuple(s.mask for s in sets))
 
 
-def _spec_from_json(space: TypeSpace, node, pointer) -> Optional[NodeSpec]:
-    if node is None or "query" not in node:
-        return None if node is None else NodeSpec()
-    children = tuple(
-        _spec_from_json(space, child, f"{pointer}/children/{i}")
-        for i, child in enumerate(node.get("children", []))
-    )
-    return NodeSpec(_query_from_json(space, node["query"], f"{pointer}/query"), children)
-
-
 def protocol_from_json(doc, space: TypeSpace, pointer: str) -> tuple[Protocol, Optional[tuple]]:
     """Protocol and phase of the checked protocol object of a file or bundle at ``pointer``."""
     if "space" in doc and _space_from_json(doc["space"], f"{pointer}/space") != space:
         raise LoadError(f"{pointer}/space", "protocol and instance type spaces differ")
     universe = _universe_from_json(doc.get("universe"), space, f"{pointer}/universe")
-    if universe is not None and universe.is_empty:
-        raise LoadError(f"{pointer}/universe", "universe is empty")
-    spec = _spec_from_json(space, doc["tree"], f"{pointer}/tree")
-    protocol = build_from_spec(space, spec, universe)
+    protocol = build_from_spec(space, doc["tree"], universe, f"{pointer}/tree")
     phase = tuple(doc["phase"]) if "phase" in doc else None
     if phase is not None:
         validate_phase(protocol, phase, f"{pointer}/phase")

@@ -106,6 +106,22 @@ def random_implementing_protocol(
     return build_protocol(space, step, None, universe)
 
 
+def elicit_node(agent: int, cells: list, *children) -> dict:
+    """A cpv-1 tree node asking agent ``agent`` (numbered from 1) for the
+    cell of ``cells`` that holds its type, a cell being a list of labels or
+    one label; ``children`` holds a subtree (``{}``, a leaf) or ``None``
+    per cell."""
+    cells = [c if isinstance(c, list) else [c] for c in cells]
+    return {"query": {"kind": "elicit", "agent": agent, "cells": cells}, "children": list(children)}
+
+
+def both_agents_tree(first: int, labels) -> dict:
+    """The cpv-1 tree of two agents of two types ``labels`` that asks agent
+    ``first`` (numbered from 1) its type, then the other agent its type."""
+    second = elicit_node(3 - first, labels, {}, {})
+    return elicit_node(first, labels, second, second)
+
+
 def corpus_seeds(count: int, offset: int = 0) -> list[int]:
     rng = random.Random(CORPUS_SEED + offset)
     return [rng.randrange(1 << 30) for _ in range(count)]

@@ -427,10 +427,13 @@ def instance_by_rows(doc) -> Instance:
                 raise LoadError(f"/rule/table/{r}", "duplicate profile row")
             table[k] = ids.setdefault(row["outcome"], len(ids))
     if -1 in table:
-        labels = space.labels(space.profile(table.index(-1)))
-        raise LoadError("/rule/table", f"rule table is not total: missing {list(labels)}")
+        labels = list(space.labels(space.profile(table.index(-1))))
+        missing = repr(labels) if len(labels) <= 64 else repr(labels[:64]) + "..."
+        raise LoadError("/rule/table", f"rule table is not total: missing {missing}")
     rule = ChoiceRule(space, tuple(ids), tuple(table))
     universe = doc.get("universe")
+    if universe == []:
+        raise LoadError("/universe", "universe is empty")
     if isinstance(universe, list):
         mask = 0
         for i, labels in enumerate(universe):

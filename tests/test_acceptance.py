@@ -34,9 +34,7 @@ from cpv.privacy import check_protocol_cp
 from cpv.properties import check_protocol_osp, check_rule_property
 from cpv.protocol import (
     CountQuery,
-    ElicitQuery,
     MultiCountQuery,
-    NodeSpec,
     Protocol,
     build_from_spec,
     implements,
@@ -47,6 +45,7 @@ from cpv.tatonnement import check_tatonnement, phase_discovery
 from cpv.variants import check_protocol_gcp, check_protocol_icp
 
 from corpus import (
+    both_agents_tree,
     corpus_seeds,
     random_component_rule,
     random_implementing_protocol,
@@ -275,15 +274,8 @@ def test_c13_group_privacy_without_obvious_dominance():
         start = time.perf_counter()
         inst = non_clinching()
         assert check_rule_property(inst.rule, inst.model, "sp").ok
-        for first in (0, 1):
-            spec = NodeSpec(
-                ElicitQuery(first, ((0,), (1,))),
-                (
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                ),
-            )
-            protocol = build_from_spec(inst.space, spec)
+        for first in (1, 2):
+            protocol = build_from_spec(inst.space, both_agents_tree(first, ["lo", "hi"]))
             assert implements(protocol, inst.rule).ok
             assert check_protocol_gcp(protocol, inst.rule).ok
             assert not check_protocol_osp(protocol, inst.rule, inst.model).ok

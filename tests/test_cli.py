@@ -901,11 +901,18 @@ MALFORMED = {
         _table_of(["a"], [(["a", "a"], "x")]).replace('"agents": 2', '"agents": 1' + "0" * 4000),
         ["validate"], 1000, '{"error":"agent count exceeds cap 1048576","kind":"resource"}',
     ),
-    # one column iterator per agent, zipped: no agent count nests them deep enough to crash
+    # one column iterator per agent, zipped: no agent count nests them deep enough to crash;
+    # a missing profile is named by its first 64 labels, and "..." where it has more
     "table for 65536 agents": (
         json.dumps({"schema": "cpv-1", "agents": 65536, "alphabet": ["a"], "rule": {"table": []}}),
         ["validate"], 1000,
-        '{"error":"rule table is not total: missing [' + ", ".join(["'a'"] * 65536)
+        '{"error":"rule table is not total: missing [' + ", ".join(["'a'"] * 64)
+        + ']... (at /rule/table)"}',
+    ),
+    "table for 64 agents": (
+        json.dumps({"schema": "cpv-1", "agents": 64, "alphabet": ["a"], "rule": {"table": []}}),
+        ["validate"], 1000,
+        '{"error":"rule table is not total: missing [' + ", ".join(["'a'"] * 64)
         + '] (at /rule/table)"}',
     ),
     # the profile count over the cap is not printed: 2^100000 has too many digits
@@ -928,6 +935,36 @@ MALFORMED = {
             '{"error":"first price needs at least 1 agent (at /)"}',
         )
         for name in ("first_price", "descending_first_price") for n in (0, -1)
+    },
+    # a universe is refused where it is read, the instance's before the protocol's
+    **{
+        f"empty universe, {' '.join(command)}": (
+            _table_of(["a", "b"], _AB, universe=[]), command, 1000,
+            '{"error":"universe is empty (at /universe)"}',
+        )
+        for command in (["validate"], ["check", "--property", "corners"], ["synth"])
+    },
+    "bundle with an empty instance universe": (
+        _count_bundle_with(_set("universe", [])), ["validate"], 1000,
+        '{"error":"universe is empty (at /universe)"}',
+    ),
+    "bundle with an empty protocol universe": (
+        _count_bundle_with(_set("protocol/universe", [])), ["validate"], 1000,
+        '{"error":"universe is empty (at /protocol/universe)"}',
+    ),
+    # refused by the cpv-1 check and by the query reader; no tree builder sees them
+    "children without a query": (
+        _count_bundle_with(_set("protocol/tree/children/0/children/0", {"children": [{}, {}]})),
+        ["validate"], 1000,
+        '{"error":"children without a query (at /protocol/tree/children/0/children/0)"}',
+    ),
+    **{
+        f"elicit agent number {agent}": (
+            _count_bundle_with(_set("protocol/tree/children/0/query/agent", agent)),
+            ["validate"], 1000,
+            '{"error":"agent number out of range (at /protocol/tree/children/0/query/agent)"}',
+        )
+        for agent in (0, 4)
     },
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),

@@ -63,8 +63,8 @@ class TestProfileSet:
         s = TypeSpace((("a", "b", "c"), ("x", "y")))
         ps = ProfileSet.from_factors(s, ((0, 2), (1,)))
         assert ps.size == 2
-        assert ps.contains((0, 1)) and ps.contains((2, 1))
-        assert not ps.contains((1, 1))
+        assert ps.mask >> s.index((0, 1)) & 1 and ps.mask >> s.index((2, 1)) & 1
+        assert not ps.mask >> s.index((1, 1)) & 1
 
     def test_projection(self):
         s = space_2x2()

@@ -30,8 +30,6 @@ from cpv.mechanisms import (
 )
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import (
-    NodeSpec,
-    ElicitQuery,
     build_from_spec,
     implements,
     validate_protocol,
@@ -42,7 +40,7 @@ from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement
 from cpv.variants import check_protocol_gcp, check_protocol_icp
 
-from corpus import outcome, profiles_of
+from corpus import both_agents_tree, outcome, profiles_of
 
 
 class TestAuctionRules:
@@ -307,37 +305,23 @@ class TestNonClinching:
 
     def test_group_private_for_any_implementing_protocol(self):
         inst = non_clinching()
-        for first in (0, 1):
-            spec = NodeSpec(
-                ElicitQuery(first, ((0,), (1,))),
-                (
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                ),
-            )
-            protocol = build_from_spec(inst.space, spec)
+        for first in (1, 2):
+            protocol = build_from_spec(inst.space, both_agents_tree(first, ["lo", "hi"]))
             assert check_protocol_gcp(protocol, inst.rule).ok
 
 
 class TestOsp:
     def app_b_protocol(self, first: int):
         inst = non_clinching()
-        spec = NodeSpec(
-            ElicitQuery(first, ((0,), (1,))),
-            (
-                NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-            ),
-        )
-        return inst, build_from_spec(inst.space, spec)
+        return inst, build_from_spec(inst.space, both_agents_tree(first, ["lo", "hi"]))
 
     def test_agent1_first_fails_at_root(self):
-        inst, protocol = self.app_b_protocol(0)
+        inst, protocol = self.app_b_protocol(1)
         res = check_protocol_osp(protocol, inst.rule, inst.model)
         assert not res.ok and res.violation[:2] == (0, 0)
 
     def test_agent2_first_fails_at_root(self):
-        inst, protocol = self.app_b_protocol(1)
+        inst, protocol = self.app_b_protocol(2)
         res = check_protocol_osp(protocol, inst.rule, inst.model)
         assert not res.ok and res.violation[:2] == (0, 1)
 

@@ -18,7 +18,7 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
 )
 from cpv.privacy import check_protocol_cp
-from cpv.protocol import NodeSpec, ElicitQuery, Protocol, build_from_spec, implements
+from cpv.protocol import Protocol, build_from_spec, implements
 from cpv.search import (
     inseparability_classes,
     synthesize_or_witness,
@@ -35,7 +35,9 @@ from cpv.synthesis import (
 from cpv.variants import check_protocol_gcp, check_protocol_icp
 
 from corpus import (
+    both_agents_tree,
     corpus_seeds,
+    elicit_node,
     outcome,
     profile_set,
     random_component_rule,
@@ -167,13 +169,12 @@ class TestProtocolCp:
     def test_root_only_constant_rule(self):
         space = TypeSpace.shared(2, ("A", "B"))
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
-        protocol = build_from_spec(space, NodeSpec())
+        protocol = build_from_spec(space, {})
         assert check_protocol_cp(protocol, rule).ok
 
     def test_precondition_requires_implements(self):
         inst = fair_tiebreak_2x2()
-        spec = NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), NodeSpec()))
-        truncated = build_from_spec(inst.space, spec)
+        truncated = build_from_spec(inst.space, elicit_node(1, ["A", "B"], {}, {}))
         with pytest.raises(InputError):
             check_protocol_cp(truncated, inst.rule)
 
@@ -186,15 +187,8 @@ class TestProtocolGcp:
 
     def test_injective_rule_any_protocol_gcp(self):
         inst = non_clinching()
-        for first in (0, 1):
-            spec = NodeSpec(
-                ElicitQuery(first, ((0,), (1,))),
-                (
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                    NodeSpec(ElicitQuery(1 - first, ((0,), (1,))), (NodeSpec(), NodeSpec())),
-                ),
-            )
-            protocol = build_from_spec(inst.space, spec)
+        for first in (1, 2):
+            protocol = build_from_spec(inst.space, both_agents_tree(first, ["lo", "hi"]))
             assert implements(protocol, inst.rule).ok
             assert check_protocol_gcp(protocol, inst.rule).ok
 
@@ -216,7 +210,7 @@ class TestProtocolIcp:
     def test_missing_components_rejected(self):
         space = TypeSpace.shared(2, ("A", "B"))
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
-        protocol = build_from_spec(space, NodeSpec())
+        protocol = build_from_spec(space, {})
         with pytest.raises(InputError):
             check_protocol_icp(protocol, rule)
 
@@ -227,8 +221,7 @@ class TestProtocolIcp:
         components = (("p", "u"), ("p", "v"))
         rule = ChoiceRule(space, outcomes, (0, 0, 1, 1), components)
         assert not check_nonbossy(rule).ok
-        spec = NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), NodeSpec()))
-        protocol = build_from_spec(space, spec)
+        protocol = build_from_spec(space, elicit_node(1, ["A", "B"], {}, {}))
         assert implements(protocol, rule).ok
         assert check_protocol_cp(protocol, rule).ok
         verdict = check_protocol_icp(protocol, rule)

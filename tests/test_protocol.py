@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cpv.protocol as protocol_module
+import cpv.treereader as treereader_module
 from cpv import cli
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
 from cpv.mechanisms import (
@@ -16,9 +17,7 @@ from cpv.mechanisms import (
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
-    ExtensionalQuery,
     MultiCountQuery,
-    NodeSpec,
     ProtocolDefect,
     build_from_spec,
     implements,
@@ -28,6 +27,7 @@ from cpv.run import run_protocol
 
 from corpus import (
     corpus_seeds,
+    elicit_node,
     profile_set,
     profiles_of,
     random_implementing_protocol,
@@ -45,12 +45,7 @@ def two_query():
 
 def one_query():
     """The first query alone: is agent 1's type A?"""
-    inst = fair()
-    spec = NodeSpec(
-        ElicitQuery(0, ((0,), (1,))),
-        (NodeSpec(), NodeSpec()),
-    )
-    return build_from_spec(inst.space, spec)
+    return build_from_spec(fair().space, elicit_node(1, ["A", "B"], {}, {}))
 
 
 class TestValidation:
@@ -58,36 +53,20 @@ class TestValidation:
         assert validate_protocol(two_query()) == ()
 
     def test_overlapping_extensional_cells(self):
-        inst = fair()
-        cells = (
-            profile_set(inst.space, [(0, 0), (0, 1)]).mask,
-            profile_set(inst.space, [(0, 0), (1, 0), (1, 1)]).mask,
-        )
-        spec = NodeSpec(ExtensionalQuery(cells), (NodeSpec(), NodeSpec()))
+        cells = [("A", "A"), ("A", "B")], [("A", "A"), ("B", "A"), ("B", "B")]
+        tree = {"query": _extensional(*cells), "children": [{}, {}]}
         with pytest.raises(ProtocolDefect, match="overlap"):
-            build_from_spec(inst.space, spec)
+            build_from_spec(fair().space, tree)
 
     def test_nonexhaustive_extensional_cells(self):
-        inst = fair()
-        cells = (
-            profile_set(inst.space, [(0, 0), (0, 1)]).mask,
-            profile_set(inst.space, [(1, 0)]).mask,
-        )
-        spec = NodeSpec(ExtensionalQuery(cells), (NodeSpec(), NodeSpec()))
+        tree = {"query": _extensional([("A", "A"), ("A", "B")], [("B", "A")]), "children": [{}, {}]}
         with pytest.raises(ProtocolDefect, match="non-exhaustive"):
-            build_from_spec(inst.space, spec)
+            build_from_spec(fair().space, tree)
 
     def test_empty_cells_pruned_and_recorded(self):
         space = TypeSpace.shared(2, ("A", "B"))
         universe = profile_set(space, [(0, 0), (0, 1)])
-        spec = NodeSpec(
-            ElicitQuery(1, ((0,), (1,))),
-            (NodeSpec(), NodeSpec()),
-        )
-        outer = NodeSpec(
-            ElicitQuery(0, ((0,), (1,))),
-            (spec, None),
-        )
+        outer = elicit_node(1, ["A", "B"], elicit_node(2, ["A", "B"], {}, {}), None)
         protocol = build_from_spec(space, outer, universe)
         assert any("pruned" in note or "contracted" in note for note in protocol.notes)
 
@@ -102,55 +81,42 @@ class TestValidation:
 
 def _split_on_agent_1(second):
     """A root asking agent 1 "A or B?", with ``second`` under answer B."""
-    return NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), second))
+    return elicit_node(1, ["A", "B"], {}, second)
 
 
 def _extensional(*cells):
-    """Extensional cells over the 2x2 space, profiles given as index pairs."""
-    space = TypeSpace.shared(2, ("A", "B"))
-    return ExtensionalQuery(
-        tuple(profile_set(space, c).mask for c in cells)
-    )
+    """An extensional query over the 2x2 space, its cells given as label pairs."""
+    return {"kind": "extensional", "cells": [[list(p) for p in c] for c in cells]}
 
 
-# (spec, universe profiles or None, path, message): each defect's first report.
+# (tree, universe profiles or None, path, message): each defect's first report.
+# A defect that the cpv-1 check or the query reader refuses first is tested there.
 SPEC_DEFECTS = {
-    "children without a query": (
-        NodeSpec(None, (NodeSpec(), NodeSpec())), None, "/tree", "children without a query"
-    ),
     "child count": (
-        NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(),)),
-        None, "/tree", "1 children for 2 cells",
+        elicit_node(1, ["A", "B"], {}), None, "/tree", "1 children for 2 cells",
     ),
     "missing subtree": (
         _split_on_agent_1(None), None, "/tree/1", "missing subtree for nonempty cell"
     ),
     "subtree on empty cell": (  # the universe is row A
-        _split_on_agent_1(NodeSpec()), [(0, 0), (0, 1)],
+        _split_on_agent_1({}), [(0, 0), (0, 1)],
         "/tree/1", "subtree attached to an empty cell",
     ),
     "extensional overlap": (
         _split_on_agent_1(
-            NodeSpec(_extensional([(1, 0), (1, 1)], [(1, 1)]), (NodeSpec(), NodeSpec()))
+            {"query": _extensional([("B", "A"), ("B", "B")], [("B", "B")]), "children": [{}, {}]}
         ),
         None, "/tree/1", "overlap: profile ('B', 'B')",
     ),
     "extensional non-exhaustive": (
         _split_on_agent_1(
-            NodeSpec(_extensional([(1, 0)], [(0, 1)]), (NodeSpec(), NodeSpec()))
+            {"query": _extensional([("B", "A")], [("A", "B")]), "children": [{}, {}]}
         ),
         None, "/tree/1", "non-exhaustive: profile ('B', 'B') in no cell",
     ),
-    "unknown agent": (
-        _split_on_agent_1(
-            NodeSpec(ElicitQuery(5, ((0,), (1,))), (NodeSpec(), NodeSpec()))
-        ),
-        None, "/tree/1", "unknown agent 5",
-    ),
     # the query is checked before its children are counted
     "one-cell query with two children": (
-        NodeSpec(ElicitQuery(0, ((0, 1),)), (NodeSpec(), NodeSpec())),
-        None, "/tree", "query needs at least 2 cells",
+        elicit_node(1, [["A", "B"]], {}, {}), None, "/tree", "query needs at least 2 cells",
     ),
 }
 
@@ -158,11 +124,11 @@ SPEC_DEFECTS = {
 class TestSpecDefects:
     @pytest.mark.parametrize("case", sorted(SPEC_DEFECTS))
     def test_defect_message_and_path(self, case):
-        spec, profiles, path, message = SPEC_DEFECTS[case]
+        tree, profiles, path, message = SPEC_DEFECTS[case]
         space = TypeSpace.shared(2, ("A", "B"))
         universe = None if profiles is None else profile_set(space, profiles)
         with pytest.raises(ProtocolDefect) as info:
-            build_from_spec(space, spec, universe)
+            build_from_spec(space, tree, universe)
         assert (info.value.path, info.value.message) == (path, message)
 
     def test_loading_splits_each_interior_node_once(self, tmp_path, monkeypatch, capsys):
@@ -183,6 +149,33 @@ class TestSpecDefects:
         interior = [v for v in protocol.nodes if not v.is_leaf]
         assert len(interior) == 4
         assert len(calls) == len(interior)
+
+    def test_loading_decodes_each_query_once(self, tmp_path, monkeypatch, capsys):
+        # a count query at the root, elicit queries below it
+        path = str(tmp_path / "cap.json")
+        params = json.dumps({"k": 1, "n": 3, "values": [1, 2, 3]})
+        assert cli.main(["builtin", "count_ascending_kplus1_price", "--params", params,
+                         "--emit", path]) == 0
+        capsys.readouterr()
+        queries = []
+        with open(path) as fh:
+            stack = [json.load(fh)["protocol"]["tree"]]
+        while stack:
+            node = stack.pop()
+            if "query" in node:
+                queries.append(node["query"])
+                stack.extend(c for c in node["children"] if c is not None)
+        pointers = []
+        real = treereader_module._query_from_json
+
+        def counting(space, spec, pointer):
+            pointers.append(pointer)
+            return real(space, spec, pointer)
+
+        monkeypatch.setattr(treereader_module, "_query_from_json", counting)
+        protocol = cli.load(path).protocol
+        assert len(pointers) == len(set(pointers)) == len(queries)
+        assert len(queries) == sum(1 for v in protocol.nodes if not v.is_leaf)
 
 
 class TestRun:
@@ -205,7 +198,7 @@ class TestRun:
 
     def test_single_node_protocol(self):
         space = TypeSpace.shared(2, ("A", "B"))
-        protocol = build_from_spec(space, NodeSpec())
+        protocol = build_from_spec(space, {})
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
         assert run_protocol(protocol, (1, 1), rule) == ([], 0, "x")
 
@@ -230,7 +223,7 @@ class TestImplements:
         from cpv.core import ChoiceRule
 
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
-        protocol = build_from_spec(space, NodeSpec())
+        protocol = build_from_spec(space, {})
         assert implements(protocol, rule).ok
 
     @given(st.sampled_from(corpus_seeds(25)))
@@ -278,10 +271,16 @@ class TestQueryValidation:
             query.validate(space, "/tree")
         assert (info.value.path, info.value.message) == ("/tree", message)
 
+    def test_unknown_agent(self):
+        # the query reader refuses an agent number out of range before this
+        space = TypeSpace.shared(2, ("A", "B"))
+        with pytest.raises(ProtocolDefect) as info:
+            ElicitQuery(5, ((0,), (1,))).validate(space, "/tree/1")
+        assert (info.value.path, info.value.message) == ("/tree/1", "unknown agent 5")
+
     def test_degenerate_spec_contracted(self):
         space = TypeSpace.shared(1, ("A", "B"))
-        spec = NodeSpec(ElicitQuery(0, ((0,), (1,))), (NodeSpec(), NodeSpec()))
-        protocol = build_from_spec(space, spec)
+        protocol = build_from_spec(space, elicit_node(1, ["A", "B"], {}, {}))
         assert len(protocol.leaves()) == 2
 
 

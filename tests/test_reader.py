@@ -144,6 +144,12 @@ def test_every_corruption_is_drawn_and_refused():
     assert len(seen) == 12 and all(kinds == {"error"} for kinds in seen.values()), seen
 
 
+def test_an_empty_universe_is_refused_by_both_readers():
+    doc = {**random_instance(random.Random(0)), "universe": []}
+    expected = ("error", "universe is empty (at /universe)")
+    assert result(reader.instance_from_json, doc) == by_rows(doc) == expected
+
+
 class TestIndicesOfRows:
     def test_agrees_with_index_of_labels(self):
         for seed in range(50):

@@ -12,7 +12,7 @@ from cpv.mechanisms import (
     serial_dictatorship_protocol,
 )
 from cpv.privacy import check_protocol_cp
-from cpv.protocol import NodeSpec, build_from_spec
+from cpv.protocol import build_from_spec
 from cpv.tatonnement import (
     check_tatonnement,
     outcome_reach,
@@ -189,5 +189,5 @@ class TestPhaseDiscovery:
 
         space = TypeSpace.shared(2, ("A", "B"))
         rule = ChoiceRule(space, ("x",), (0, 0, 0, 0))
-        protocol = build_from_spec(space, NodeSpec())
+        protocol = build_from_spec(space, {})
         assert phase_discovery(protocol, rule) == (0,)

@@ -68,7 +68,7 @@ def brute_sp(rule: ChoiceRule, model: DomainModel, universe: ProfileSet) -> Verd
             truth = utility(model, i, t, rule.components[rule.table[k]][i])
             for s in range(space.sizes[i]):
                 lie = profile[:i] + (s,) + profile[i + 1:]
-                if not universe.contains(lie):
+                if not universe.mask >> space.index(lie) & 1:
                     continue
                 if utility(model, i, t, rule.components[rule.table[space.index(lie)]][i]) > truth:
                     example = {
