@@ -36,7 +36,11 @@ it, and each handler lives in a module on its own path:
   ir, stable, sp, osp).
 - ``synth`` and ``enumerate``: ``cpv.search``, with ``cpv.privacy`` to
   check a protocol found and ``cpv.counts`` for a family without elicit.
-- ``builtin``: ``cpv.mechanisms``; ``run``: ``cpv.run``.
+- ``builtin``: the registry ``cpv.mechanisms``, and the module of the
+  family of the built-in it builds: ``cpv.auctions`` for an auction rule,
+  ``cpv.clocks`` (with ``cpv.auctions`` and ``cpv.protocol``) for an
+  auction clock, ``cpv.matching`` for the rest, which loads
+  ``cpv.protocol`` only to build a protocol.  ``run``: ``cpv.run``.
 - ``--emit``, ``run`` and ``--pretty``: the writer, ``cpv.jsonwriter``.
 
 Reports, failures included, are formatted in those modules, so a ``check``
@@ -113,14 +117,14 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 # ``bench/spans.py`` ``TARGETS`` still names these writer functions as
-# ``cpv.cli`` attributes; they are forwarded from ``cpv.jsonwriter`` for it alone.
-_MOVED = ("instance_to_json", "protocol_to_json", "_emit")
+# ``cpv.cli`` attributes; they are forwarded from their modules for it alone.
+_MOVED = {"instance_to_json": "mechanisms", "protocol_to_json": "jsonwriter", "_emit": "jsonwriter"}
 
 
 def __getattr__(name: str):
-    """The functions of ``_MOVED`` from ``cpv.jsonwriter``; no other name."""
+    """The functions of ``_MOVED``, each from its module; no other name."""
     if name in _MOVED:
-        return getattr(_cpv("jsonwriter"), name)
+        return getattr(_cpv(_MOVED[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -248,12 +252,11 @@ def main(argv=None) -> int:
         _SPENT.update(load=0.0, emit=0.0)
         start = time.perf_counter()
         code, doc = func(args)
-    except (ResourceError, RecursionError) as exc:
-        _report({"error": str(exc), "kind": "resource"}, args.pretty)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        _report({"error": str(exc)}, args.pretty)
+    except (InputError, ResourceError, RecursionError) as exc:
+        error = {"error": str(exc)}
+        if not isinstance(exc, InputError):
+            error["kind"] = "resource"
+        _report(error, args.pretty)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc["schema"] = SCHEMA

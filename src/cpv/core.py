@@ -517,8 +517,8 @@ SCHEMA = "cpv-1"
 
 # The cpv-1 shape of each DomainModel field, in the shape language of
 # ``cpv.reader.CPV1``, whose "model" entry this is; "field*" may be absent or
-# null.  It lives here so that the reader in ``cpv.reader`` and the writer in
-# ``cpv.jsonwriter`` share it without importing each other.
+# null.  It lives here so that the reader in ``cpv.reader`` and the instance
+# writer in ``cpv.mechanisms`` share it without importing each other.
 MODEL_SHAPES = {  # values: numbers, or strings holding fractions
     "kind": "str", "objects*": ["str"], "values*": ("types", "label"),
     "endowments*": ("agents", "label"), "capacities*": {"*": "int"},

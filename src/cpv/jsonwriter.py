@@ -1,12 +1,18 @@
-"""The cpv-1 writer: instances and protocols as JSON documents, and
-indented JSON, for ``--emit`` files and ``--pretty`` reports.
+"""The cpv-1 writer: indented JSON for ``--emit`` files and ``--pretty``
+reports, and protocols as cpv-1 documents.
 
 A command imports this module only when it writes one (``--emit`` of
 ``builtin``, ``synth`` and ``enumerate``, ``run`` and ``--pretty``), so
 ``check`` and ``validate``, which only read, never compile it.  It must not
 import ``cpv.cli``: under ``python -m cpv.cli`` the running module is
 ``__main__``, and importing ``cpv.cli`` would compile and run it a second
-time.  The model shapes and the schema name come from ``cpv.core``.
+time.  The schema name comes from ``cpv.core``.
+
+Writing a rule or a report compiles no protocol module:
+:func:`protocol_to_json` imports the query classes where it runs.  An
+instance's document is built by ``cpv.mechanisms.instance_to_json``, since
+only ``builtin`` writes one, so ``synth --emit`` and ``enumerate --emit``,
+which write protocols alone, compile none of it.
 """
 
 from __future__ import annotations
@@ -14,19 +20,12 @@ from __future__ import annotations
 import itertools
 import os
 import stat
-from json.encoder import INFINITY, encode_basestring_ascii
+from itertools import chain
+from json import dumps
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
-from cpv.core import (
-    MODEL_SHAPES,
-    SCHEMA,
-    DomainModel,
-    InputError,
-    Instance,
-    TypeSpace,
-    _entries,
-    mask_flags,
-)
-from cpv.protocol import CountQuery, ElicitQuery, MultiCountQuery, Node, Protocol
+from cpv.core import SCHEMA, InputError, TypeSpace, mask_flags
 from cpv.reader import _timed
 
 
@@ -44,10 +43,13 @@ def write_json(doc, fh) -> None:
 
     With ``indent`` set, ``json`` always runs its pure-Python encoder.  Here
     each distinct string is escaped once by the C encoder, an array of
-    scalars or an object of those is written in one join, and only deeper
-    containers are walked entry by entry, on an explicit stack.  Object keys
-    must be strings.  The output goes to ``fh`` in chunks, so no copy of the
-    whole document is held.
+    scalars or an object of those is written in one join, and a table (an
+    array of objects with one key set, each value a string, or an array of
+    strings of one length per key, such as ``rule.table``) is written from
+    one ``%`` template per array, its rows filled and joined at C level.
+    Only other containers are walked entry by entry, on an explicit stack.
+    Object keys must be strings.  The output goes to ``fh`` in chunks, a
+    table's at most 1024 rows each, so no copy of the whole document is held.
     """
     strings = _Strings()  # str keys alone, for True == 1 == 1.0 with equal hashes
     parts: list = []
@@ -55,19 +57,9 @@ def write_json(doc, fh) -> None:
     containers = (dict, list, tuple)
 
     def scalar(v) -> str:
-        if isinstance(v, str):
-            return strings[v]
-        if v is None or v is True or v is False:
-            return "null" if v is None else "true" if v else "false"
-        if isinstance(v, int):
-            return int.__repr__(v)
-        if isinstance(v, float):
-            if v != v:
-                return "NaN"
-            if v in (INFINITY, -INFINITY):
-                return "Infinity" if v > 0 else "-Infinity"
-            return float.__repr__(v)
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        """The text of a value that is no container; ``json`` writes one
+        that is no string as ``indent`` would, and refuses what it cannot."""
+        return strings[v] if isinstance(v, str) else dumps(v)
 
     def text(v, depth: int):
         """The text of a scalar, of an array of scalars, or of an object whose
@@ -113,20 +105,54 @@ def write_json(doc, fh) -> None:
         heads[0] = bracket + heads[0][1:]
         stack.append((zip(heads, v), depth + 1, pads[depth] + ("}" if bracket == "{" else "]")))
 
-    t = text(doc, 0)
-    if t is None:
-        open_(doc, 0)
-    else:
-        parts.append(t)
+    def table(v, depth: int) -> bool:
+        """Writes ``v``, at ``depth``, if it is a table; False, having
+        written nothing, for any other container.  The row template is the
+        text of a sample row whose strings are NUL, each then made ``%s``."""
+        # the keys of an object are no objects, so only an array passes
+        if {*map(type, v)} != {dict} or {*map(len, v)} != {len(v[0])} or not v[0]:
+            return False
+        columns, sample = [], {}  # per key: its getter and array length, 0 for a string
+        for key in sorted(v[0]):
+            get = itemgetter(key)
+            try:
+                kinds = {*map(type, map(get, v))}
+            except KeyError:  # a row with another key set of the same size
+                return False
+            width = len(v[0][key]) if kinds <= {list, tuple} else 0
+            if "\0" in key or kinds != {str} and (
+                not width or {*map(len, map(get, v))} != {width}
+                or {*map(type, chain.from_iterable(map(get, v)))} != {str}
+            ):
+                return False
+            columns.append((get, width))
+            sample[key] = ["\0"] * width if width else "\0"
+        row = text(sample, depth + 1).replace("%", "%%").replace('"\\u0000"', "%s")
+        sep = "," + pads[depth + 1]
+        parts.append("[" + sep[1:])
+        for start in range(0, len(v), 1024):  # the strings of each column of 1024 rows
+            rows = v[start:start + 1024]
+            cells: list = []
+            for get, width in columns:
+                cells += zip(*map(get, rows)) if width else [map(get, rows)]
+            texts = zip(*[map(strings.__getitem__, column) for column in cells])
+            parts.append(sep * (start > 0) + sep.join(map(row.__mod__, texts)))
+            fh.write("".join(parts))
+            parts.clear()
+        parts.append(pads[depth] + "]")
+        return True
+
+    stack.append((iter([("", doc)]), 0, ""))  # the document, as one entry at depth 0
     while stack:  # an explicit stack, so that no depth exhausts Python's
         entries, depth, closing = stack[-1]
         for head, x in entries:
             parts.append(head)
             t = text(x, depth)
-            if t is None:
+            if t is not None:
+                parts.append(t)
+            elif not table(x, depth):
                 open_(x, depth)
                 break
-            parts.append(t)
             if len(parts) > 1024:
                 fh.write("".join(parts))
                 parts.clear()
@@ -167,108 +193,60 @@ def _emit(doc: dict, path: str) -> None:
 # the cpv-1 documents
 
 
-def _query_to_json(space: TypeSpace, query) -> dict:
-    if isinstance(query, ElicitQuery):
-        return {
-            "kind": "elicit",
-            "agent": query.agent + 1,
-            "cells": [
-                [space.alphabets[query.agent][t] for t in cell] for cell in query.cells
-            ],
-        }
-    if isinstance(query, CountQuery):
-        return {
-            "kind": "count",
-            "subset": [space.alphabets[0][t] for t in query.subset],
-            "cells": [list(cell) for cell in query.cells],
-        }
-    if isinstance(query, MultiCountQuery):
-        return {
-            "kind": "multicount",
-            "subsets": [[space.alphabets[0][t] for t in sub] for sub in query.subsets],
-            "cells": [[list(v) for v in cell] for cell in query.cells],
-        }
-    return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
-
-
 def _profiles_to_json(space: TypeSpace, mask: int) -> list:
     labels = itertools.product(*space.alphabets)  # every profile, in index order
     return list(map(list, itertools.compress(labels, mask_flags(mask, space.total))))
 
 
-def _node_to_json(protocol: Protocol, node: Node) -> dict:
-    if node.is_leaf:
-        return {}
-    children: list = [None] * len(node.query.cells)
-    for child_id, cell in zip(node.children, node.cell_of_child):
-        children[cell] = _node_to_json(protocol, protocol.nodes[child_id])
-    return {
-        "query": _query_to_json(protocol.space, node.query),
-        "children": children,
-    }
+def protocol_to_json(protocol, phase=None) -> dict:
+    """The cpv-1 document of a protocol.  The query classes are imported
+    here, so that writing an instance compiles no protocol module."""
+    from cpv.protocol import CountQuery, ElicitQuery, MultiCountQuery
 
-
-def protocol_to_json(protocol: Protocol, phase=None) -> dict:
     space = protocol.space
+
+    def labels(agent: int, types) -> list:
+        return list(map(space.alphabets[agent].__getitem__, types))
+
+    def query_json(query) -> dict:
+        if isinstance(query, ElicitQuery):
+            return {
+                "kind": "elicit",
+                "agent": query.agent + 1,
+                "cells": [labels(query.agent, cell) for cell in query.cells],
+            }
+        if isinstance(query, CountQuery):
+            return {
+                "kind": "count",
+                "subset": labels(0, query.subset),
+                "cells": [list(cell) for cell in query.cells],
+            }
+        if isinstance(query, MultiCountQuery):
+            return {
+                "kind": "multicount",
+                "subsets": [labels(0, sub) for sub in query.subsets],
+                "cells": [[list(v) for v in cell] for cell in query.cells],
+            }
+        return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
+
+    def node_json(node) -> dict:
+        if node.is_leaf:
+            return {}
+        children: list = [None] * len(node.query.cells)
+        for child_id, cell in zip(node.children, node.cell_of_child):
+            children[cell] = node_json(protocol.nodes[child_id])
+        return {"query": query_json(node.query), "children": children}
+
     doc = {
         "schema": SCHEMA,
         "space": {
             "agents": space.n,
             "alphabets": [list(a) for a in space.alphabets],
         },
-        "tree": _node_to_json(protocol, protocol.root),
+        "tree": node_json(protocol.root),
     }
     if protocol.universe != (1 << space.total) - 1:
         doc["universe"] = _profiles_to_json(space, protocol.universe)
     if phase is not None:
         doc["phase"] = list(phase)
     return doc
-
-
-def instance_to_json(instance: Instance) -> dict:
-    space, rule = instance.space, instance.rule
-    doc: dict = {
-        "schema": SCHEMA,
-        "agents": space.n,
-    }
-    if space.common_alphabet:
-        doc["alphabet"] = list(space.alphabets[0])
-    else:
-        doc["alphabets"] = [list(a) for a in space.alphabets]
-    outcomes = doc["outcomes"] = list(rule.outcomes)
-    doc["rule"] = {
-        "table": [  # itertools.product lists the profiles in index order
-            {"profile": list(labels), "outcome": outcomes[o]}
-            for labels, o in zip(itertools.product(*space.alphabets), rule.table)
-        ]
-    }
-    if rule.components is not None:
-        doc["components"] = {
-            lab: list(row) for lab, row in zip(rule.outcomes, rule.components)
-        }
-    if instance.model is not None:
-        doc["model"] = _model_to_json(instance.model)
-    if instance.universe is not None:
-        doc["universe"] = _profiles_to_json(space, instance.universe.mask)
-    return doc
-
-
-def _model_to_json(model: DomainModel) -> dict:
-    fields = ((key.rstrip("*"), shape) for key, shape in MODEL_SHAPES.items())
-    return {
-        key: _thaw(shape, v) for key, shape in fields if (v := getattr(model, key)) is not None
-    }
-
-
-def _thaw(shape, value):
-    """A model field in the JSON form of its ``shape``: the inverse of
-    ``cpv.reader._freeze``."""
-    from fractions import Fraction
-
-    if isinstance(shape, dict):
-        return {k: _thaw(shape["*"], v) for k, v in value}
-    if not isinstance(shape, str):
-        return [_thaw(_entries(shape), v) for v in value]
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else str(value)
-    return value

@@ -3,20 +3,21 @@ stability and strategyproofness of a rule, and obvious dominance of an
 elicitation protocol.
 
 Auction outcomes are read from their components, ``q=<0|1>,t=<price>``
-with the price a normalized fraction, as :mod:`cpv.mechanisms` writes
+with the price a normalized fraction, as :mod:`cpv.auctions` writes
 them.  Individual rationality, stability and Pareto efficiency are each
 decided by one per-profile test, ``_irrational``, ``_blocking``,
 ``_inefficient``: given ``(model, profile, assignment)``, an outcome's
 per-agent components, it returns the fields of its fault's counterexample,
 or ``None``.  The checks scan profiles with them, and the rule families of
-:mod:`cpv.mechanisms` complete the assignments that the tests admit at
+:mod:`cpv.matching` complete the assignments that the tests admit at
 each profile.  ``sp`` has no such test, since a misreport moves along a
 line of unilateral neighbours; auction efficiency keeps its own winner
 scan.
 
 Only ``cpv check`` of these properties imports this module; ``builtin``,
-which builds rules and protocols in :mod:`cpv.mechanisms`, compiles none of
-it but for the families that complete the tests' admissible assignments.
+which builds rules and protocols in the families of :mod:`cpv.mechanisms`,
+compiles none of it but for the families of :mod:`cpv.matching` that
+complete the tests' admissible assignments.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from cpv.core import (
     mask_flags,
     outcome_ids,
 )
-from cpv.protocol import ElicitQuery, Protocol
 
 
 class UnsupportedProtocolError(InputError):
@@ -147,7 +147,7 @@ def _inefficient(model: DomainModel, profile, assignment) -> Optional[dict]:
     for b in itertools.permutations(model.objects, n):
         alt = [_pref_rank(model, i, profile[i], b[i]) for i in range(n)]
         if all(x <= r for x, r in zip(alt, ranks)) and any(x < r for x, r in zip(alt, ranks)):
-            from cpv.mechanisms import _assignment_outcome
+            from cpv.matching import _assignment_outcome
 
             return {"dominating": _assignment_outcome(b)}
     return None
@@ -293,11 +293,15 @@ def outcome_ranks(rule: ChoiceRule, model: DomainModel, ids) -> list[list[list]]
 # obvious dominance
 
 
-def check_protocol_osp(protocol: Protocol, rule: ChoiceRule, model: DomainModel) -> Verdict:
+def check_protocol_osp(protocol, rule: ChoiceRule, model: DomainModel) -> Verdict:
     """At every query the truthful cell's worst continuation must weakly
     beat every other cell's best continuation, under the mover's
     true-type ranking.  Elicitation protocols only.  A violation reads
-    ``(node, agent, true type, deviating child)``."""
+    ``(node, agent, true type, deviating child)``.  The protocol's classes
+    are imported here: the rule families of :mod:`cpv.matching` read this
+    module's per-profile tests and build no protocol."""
+    from cpv.protocol import ElicitQuery
+
     space = protocol.space
     ranks = outcome_ranks(rule, model, outcome_ids(rule, protocol.universe))
     for v in protocol.nodes:

@@ -251,7 +251,13 @@ def build_protocol(
     universe: ProfileSet | None = None,
 ) -> Protocol:
     """Build the tree depth-first on an explicit stack; node ids come out
-    in preorder."""
+    in preorder.
+
+    A note or defect names the path of the step that asked its query: the
+    cell indices from the root, the kept cell's index included where a
+    query is contracted.  For a tree read by :func:`build_from_spec` that is
+    the path of the node in the file that holds the query.
+    """
     root = ProfileSet.full(space).mask if universe is None else universe.mask
     if not root:
         raise InputError("universe is empty")
@@ -277,7 +283,8 @@ def build_protocol(
             if len(kept) > 1:
                 break
             notes.append(f"contracted degenerate query at {path}")
-            state = kept[0][2]
+            c, _, state = kept[0]
+            path = f"{path}/{c}"
         rows.append([parent, label, query, [], []])
         node_id = len(rows) - 1
         if parent >= 0:
@@ -312,10 +319,9 @@ def build_from_spec(
             if len(children) != len(query.cells):
                 raise ProtocolDefect(path, f"{len(children)} children for {len(query.cells)} cells")
             child = children[cell]
-            if mask and child is None:
-                raise ProtocolDefect(f"{path}/{cell}", "missing subtree for nonempty cell")
-            if not mask and child is not None:
-                raise ProtocolDefect(f"{path}/{cell}", "subtree attached to an empty cell")
+            if (child is None) == bool(mask):
+                raise ProtocolDefect(f"{path}/{cell}", "missing subtree for nonempty cell"
+                                     if mask else "subtree attached to an empty cell")
             return child, f"{at}/children/{cell}", f"{path}/{cell}"
 
         return query, child_state

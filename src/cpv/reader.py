@@ -26,7 +26,8 @@ universe and its model.  A file that holds a protocol, a bundle's
 ``protocol`` object or a protocol file, has its tree checked here with the
 rest of the document, then built in one walk by ``cpv.protocol``, which
 decodes each query with ``cpv.treereader``; ``load`` imports both then.  A
-rule named by ``rule.builtin`` loads ``cpv.mechanisms``.  So ``validate``
+rule named by ``rule.builtin`` loads the registry ``cpv.mechanisms`` and the
+module of the built-in's family.  So ``validate``
 of a rule table compiles neither ``cpv.protocol`` nor the tree reader.
 Like the writer, it must not import ``cpv.cli``.
 """

@@ -8,27 +8,27 @@ import itertools
 import time
 from contextlib import contextmanager
 
-from cpv.core import Witness
-from cpv.mechanisms import (
+from cpv.auctions import (
     appC_sp_restriction,
-    count_ascending_price,
-    descending_first_price,
-    double_auction_count,
     double_auction_walrasian,
+    first_price,
+    kth_price,
+    second_price,
+    uniform_price,
+)
+from cpv.clocks import count_ascending_price, descending_first_price, double_auction_count
+from cpv.core import Witness
+from cpv.matching import (
     efficient_completions_2x2,
     fair_tiebreak_2x2,
     fair_two_query_protocol,
-    first_price,
     house_ir_efficient_family,
-    kth_price,
     multicount_stable_matching,
     non_clinching,
     school_count_instance,
     school_stable_family,
-    second_price,
     serial_dictatorship,
     serial_dictatorship_protocol,
-    uniform_price,
 )
 from cpv.privacy import check_protocol_cp
 from cpv.properties import check_protocol_osp, check_rule_property
@@ -317,7 +317,7 @@ def _builtin_protocol_rule_pairs():
     pairs.append((b.protocol, b.instance.rule, b.phase))
     fair = fair_tiebreak_2x2()
     pairs.append((fair_two_query_protocol(fair).protocol, fair.rule, None))
-    from cpv.mechanisms import ascending_elicitation_sp
+    from cpv.clocks import ascending_elicitation_sp
 
     b = ascending_elicitation_sp(3, [1, 2, 3])
     pairs.append((b.protocol, b.instance.rule, None))

@@ -13,8 +13,8 @@ import cpv
 from cpv.check import _PROPERTIES
 from cpv.cli import _PROPERTY_NAMES, load, main
 from cpv.core import LoadError
-from cpv.jsonwriter import instance_to_json, protocol_to_json
-from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
+from cpv.jsonwriter import protocol_to_json
+from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, instance_to_json
 from cpv.privacy import check_protocol_cp
 
 # The directory holding the imported ``cpv`` package, so that a
@@ -741,6 +741,16 @@ def _table_of(alphabet: list, rows: list, **fields) -> str:
                        "rule": {"table": table}, **fields})
 
 
+def _contracted_root(kept: dict) -> dict:
+    """A protocol on the universe {BA, BB} whose root asks agent 1 A or B,
+    a query contracted away, and whose kept child for B is ``kept``."""
+    return {
+        "universe": [["B", "A"], ["B", "B"]],
+        "tree": {"query": {"kind": "elicit", "agent": 1, "cells": [["A"], ["B"]]},
+                 "children": [None, kept]},
+    }
+
+
 # The nine profiles over a, b, c in a shuffled order; row 5 repeats row 2's.
 _SHUFFLED = [["c", "a"], ["a", "b"], ["b", "c"], ["a", "a"], ["c", "c"], ["b", "a"],
              ["a", "c"], ["c", "b"], ["b", "b"]]
@@ -966,6 +976,21 @@ MALFORMED = {
         )
         for agent in (0, 4)
     },
+    # the root's query is contracted (only B is present for agent 1); a
+    # defect of the node it keeps is named by that node's path in the file
+    "overlap under a contracted query": (
+        _fair_with(protocol=_contracted_root({
+            "query": {"kind": "elicit", "agent": 2, "cells": [["A"], ["A", "B"]]},
+            "children": [{}, {}],
+        })),
+        ["validate"], 1000, '{"error":"overlap: type 0 in two cells at node /tree/1"}',
+    ),
+    "one child for two cells under a contracted query": (
+        _fair_with(protocol=_contracted_root({
+            "query": {"kind": "elicit", "agent": 2, "cells": [["A"], ["B"]]}, "children": [{}],
+        })),
+        ["validate"], 1000, '{"error":"1 children for 2 cells at node /tree/1"}',
+    ),
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
         ["validate"], 1000, '{"error":"profile has 1 labels, expected 2 (at /universe/2)"}',

@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 
 from cpv.core import ChoiceRule, DomainModel, Instance, TypeSpace
-from cpv.mechanisms import (
+from cpv.matching import (
     _SCHOOL_SCORES,
     _admissible,
     _school_model,

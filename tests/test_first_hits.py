@@ -7,13 +7,10 @@ is part of the contract.  These pin it for each check built on that scan.
 
 from __future__ import annotations
 
+from cpv.auctions import second_price
+from cpv.clocks import ascending_elicitation_sp, double_auction_count
 from cpv.core import ChoiceRule, ProfileSet, TypeSpace
-from cpv.mechanisms import (
-    ascending_elicitation_sp,
-    double_auction_count,
-    fig_shaded_3x3,
-    second_price,
-)
+from cpv.matching import fig_shaded_3x3
 from cpv.privacy import CpViolation, check_protocol_cp
 from cpv.synthesis import CornersViolation, check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement

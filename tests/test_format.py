@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cpv.cli import main
-from cpv.jsonwriter import instance_to_json, protocol_to_json
-from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES
+from cpv.jsonwriter import protocol_to_json
+from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, instance_to_json
 from cpv.protocol import Protocol
 from cpv.reader import _check
 from cpv.search import synthesize_or_witness

@@ -26,8 +26,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_builtin_golden import CASES
 
 import cpv
+from cpv.mechanisms import _BUILTINS
 
 MODULES = sorted(Path(cpv.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -272,9 +274,12 @@ def test_cli_import_generates_no_code():
 ARGV_PARSERS = ("argparse", "gettext", "locale")
 
 
+# The families of built-ins, which the registry cpv.mechanisms imports when
+# a built-in of the family is built; command modules like the others.
+BUILDER_MODULES = {"cpv.auctions", "cpv.clocks", "cpv.matching"}
 COMMAND_MODULES = {
     "cpv.check", "cpv.jsonwriter", "cpv.mechanisms", "cpv.privacy", "cpv.properties", "cpv.run",
-    "cpv.search", "cpv.synthesis", "cpv.tatonnement", "cpv.variants",
+    "cpv.search", "cpv.synthesis", "cpv.tatonnement", "cpv.variants", *BUILDER_MODULES,
 }
 # The modules that build, read and split protocols: loaded where a command
 # builds a protocol or reads one, and the count fibres only for count queries.
@@ -330,9 +335,49 @@ def test_validate_on_a_bundle_with_a_phase_loads_no_command_module(checked_files
 
 
 def test_builtin_loads_mechanisms_alone():
+    # of the command modules: the registry, with the family of the rule built
     argv = ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}']
     loaded = modules_loaded_by(f"from cpv.cli import main; main({argv!r})")
-    assert loaded & COMMAND_MODULES == {"cpv.mechanisms"}, loaded
+    assert loaded & (COMMAND_MODULES - BUILDER_MODULES) == {"cpv.mechanisms"}, loaded
+    assert loaded & BUILDER_MODULES == {"cpv.auctions"}, loaded
+    assert not loaded & PROTOCOL_MODULES, loaded
+
+
+# The modules that building each ``_BUILTINS`` row loads beside cpv, cpv.core
+# and the registry cpv.mechanisms: its family and what the family builds
+# on.  A rule loads no protocol module; a protocol loads cpv.protocol, and
+# cpv.counts where it asks count queries; the families of matching rules
+# load the per-profile tests of cpv.properties.
+FAMILY_MODULES = {
+    "auctions": {"cpv.auctions"},
+    "clocks": {"cpv.auctions", "cpv.clocks", "cpv.protocol"},
+    "matching": {"cpv.matching"},
+}
+BUILTIN_EXTRA_MODULES = {
+    **dict.fromkeys(
+        ["efficient_completions_2x2", "house_ir_efficient_family", "school_stable_family"],
+        {"cpv.properties"},
+    ),
+    **dict.fromkeys(["serial_dictatorship protocol", "fair_two_query"], {"cpv.protocol"}),
+    **dict.fromkeys(["count_ascending_kplus1_price", "double_auction_count"], {"cpv.counts"}),
+    "multicount_stable_matching": {"cpv.counts", "cpv.protocol"},
+}
+
+
+# (case, row of _BUILTINS); serial_dictatorship is both a rule and a protocol
+BUILTIN_ROWS = [(f"{name}{' protocol' * (name == 'serial_dictatorship' and bundle)}", row)
+                for row, (name, bundle, *_) in enumerate(_BUILTINS)]
+
+
+@pytest.mark.parametrize("case,row", BUILTIN_ROWS, ids=[case for case, _ in BUILTIN_ROWS])
+def test_each_builtin_loads_its_family_alone(case, row):
+    name, bundle, family, _, _ = _BUILTINS[row]
+    statement = (f"from cpv.mechanisms import _BUILTINS, _entry; "
+                 f"_entry(*_BUILTINS[{row}][2:])({CASES[name][0]!r})")
+    loaded = modules_loaded_by(statement)
+    assert loaded == {"cpv", "cpv.core", "cpv.mechanisms", *FAMILY_MODULES[family],
+                      *BUILTIN_EXTRA_MODULES.get(case, ())}, loaded
+    assert bundle or not loaded & PROTOCOL_MODULES, loaded
 
 
 # The command modules that `check --property` loads, per property, beside
@@ -419,34 +464,34 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
 # command does not run belongs in a module it does not load.  The files are
 # those of ``workload_files``; an entry is (command line, exit code, budget).
 COMPILE_BUDGETS = {
-    "validate table": (["validate", "table"], 0, 7935),
-    "validate bundle": (["validate", "dfp"], 0, 11202),
+    "validate table": (["validate", "table"], 0, 7930),
+    "validate bundle": (["validate", "dfp"], 0, 11193),
     "builtin rule --emit": (
         ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}', "--emit", "out"], 0,
-        17893,
+        12468,
     ),
     "builtin clock --emit": (
         ["builtin", "descending_first_price", "--params", '{"n": 2, "values": [1, 2]}',
-         "--emit", "out"], 0, 17893,
+         "--emit", "out"], 0, 15861,
     ),
     "builtin count clock --emit": (
         ["builtin", "count_ascending_kplus1_price", "--params",
-         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 18608,
+         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16576,
     ),
     "enumerate --emit": (
-        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15216,
+        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15144,
     ),
-    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12415),
-    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15216),
-    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12415),
-    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12726),
-    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13441),
-    "check icp": (["check", "--property", "icp", "dfp"], 0, 13082),
-    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13082),
-    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13399),
-    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 14114),
-    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15164),
-    "check corners": (["check", "--property", "corners", "sp"], 1, 13690),
+    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12406),
+    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15144),
+    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12406),
+    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12717),
+    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13432),
+    "check icp": (["check", "--property", "icp", "dfp"], 0, 13073),
+    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13073),
+    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13390),
+    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 14105),
+    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15152),
+    "check corners": (["check", "--property", "corners", "sp"], 1, 13681),
 }
 
 
@@ -487,7 +532,8 @@ def test_compile_budget(command, workload_files):
     argv = [workload_files.get(arg, arg) for arg in argv]
     loaded = modules_loaded_by(f"from cpv.cli import main; assert main({argv!r}) == {code}")
     nodes = compiled_nodes({m for m in loaded if m.split(".")[0] == "cpv"})
-    assert nodes <= budget, f"{command} compiles {nodes} AST nodes of cpv, over {budget}: {loaded}"
+    assert nodes <= budget, f"{command} compiles {nodes} AST nodes of cpv, over {budget}: " + \
+        ", ".join(f"{m} {compiled_nodes({m})}" for m in sorted(loaded) if m.split(".")[0] == "cpv")
 
 
 def test_cli_import_loads_no_argument_parser():

@@ -119,3 +119,62 @@ def test_written_in_chunks():
     write_json(doc, chunks)
     assert "".join(chunks) == expected(doc)
     assert len(chunks) > 4 and max(map(len, chunks)) < len(expected(doc)) // 4
+
+
+# Tables: arrays of objects with one key set, each value a string or an
+# array of strings of one length per key, which the writer fills from one
+# row template; and near misses, one row edited, which it walks instead.
+# Keys holding "%" or NUL test the template's own escapes.
+KEYS = STRINGS | st.sampled_from(["\x00", "%", "%s", "%%d", "profile"])
+LABELS = st.integers() | st.floats(allow_nan=True) | st.booleans() | st.none()
+NEAR_MISSES = (None, "missing key", "extra key", "label", "element label", "longer array",
+               "empty array", "nested object")
+
+
+@st.composite
+def tables(draw):
+    keys = draw(st.lists(KEYS, min_size=1, max_size=3, unique=True))
+    widths = {key: draw(st.sampled_from([0, 1, 2, 3])) for key in keys}  # 0: a string
+    value = {key: STRINGS if not w else st.lists(STRINGS, min_size=w, max_size=w)
+             for key, w in widths.items()}
+    rows = draw(st.lists(st.fixed_dictionaries(value), min_size=1, max_size=5))
+    miss = draw(st.sampled_from(NEAR_MISSES))
+    row, key = draw(st.sampled_from(rows)), draw(st.sampled_from(keys))
+    if miss == "missing key":
+        del row[key]
+    elif miss == "extra key":
+        row[draw(KEYS.filter(lambda k: k not in keys))] = draw(STRINGS)
+    elif miss == "label":
+        row[key] = draw(LABELS)
+    elif miss == "element label" and widths[key]:
+        row[key][draw(st.integers(0, widths[key] - 1))] = draw(LABELS)
+    elif miss == "longer array" and widths[key]:
+        row[key].append(draw(STRINGS))
+    elif miss == "empty array":
+        row[key] = []
+    elif miss == "nested object":
+        row[key] = {draw(STRINGS): draw(STRINGS)}
+    place = draw(st.sampled_from(["document", "member", "element"]))
+    return rows if place == "document" else {"rule": {"table": rows}} if place == "member" \
+        else [rows, "x", rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_tables_equal_json_dumps(doc):
+    assert written(doc) == expected(doc)
+
+
+def test_a_table_at_scale_is_written_in_chunks_of_rows():
+    # 2^16 rows: the table goes out in several writes, none of more than
+    # 1024 rows, and no write holds the whole table.
+    doc = {"table": [{"outcome": f"o{i % 7}", "profile": [str(i), "é", "a\"b"]}
+                     for i in range(1 << 16)]}
+
+    class Writes(list):
+        write = list.append
+
+    writes = Writes()
+    write_json(doc, writes)
+    assert "".join(writes) == expected(doc)
+    assert len(writes) > 1 and max(w.count('"outcome"') for w in writes) <= 1024

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from cpv.clocks import count_ascending_price, descending_first_price
 from cpv.core import (
     ChoiceRule,
     InputError,
@@ -27,7 +28,6 @@ from cpv.core import (
     mask_indices,
     mask_of_flags,
 )
-from cpv.mechanisms import count_ascending_price, descending_first_price
 from cpv.privacy import (
     _leaf_list,
     _leaves_share_a_line,

@@ -6,35 +6,39 @@ from fractions import Fraction
 
 import pytest
 
-from cpv.core import ChoiceRule, InputError, Instance, TypeSpace, Witness
-from cpv.mechanisms import (
-    DomainModel,
-    _two_houses,
+from cpv.auctions import (
     appC_sp_restriction,
+    double_auction_walrasian,
+    first_price,
+    kth_price,
+    second_price,
+    uniform_price,
+)
+from cpv.clocks import (
     ascending_elicitation_sp,
     count_ascending_price,
     descending_first_price,
     double_auction_count,
-    double_auction_walrasian,
+)
+from cpv.core import ChoiceRule, InputError, Instance, TypeSpace, Witness
+from cpv.matching import (
+    _two_houses,
     efficient_completions_2x2,
-    first_price,
     house_ir_efficient_family,
-    kth_price,
     multicount_stable_matching,
     non_clinching,
     school_stable_family,
-    second_price,
     serial_dictatorship,
     serial_dictatorship_protocol,
-    uniform_price,
 )
+from cpv.mechanisms import DomainModel
 from cpv.privacy import check_protocol_cp
+from cpv.properties import UnsupportedProtocolError, check_protocol_osp, check_rule_property
 from cpv.protocol import (
     build_from_spec,
     implements,
     validate_protocol,
 )
-from cpv.properties import UnsupportedProtocolError, check_protocol_osp, check_rule_property
 from cpv.run import run_protocol
 from cpv.synthesis import check_nonbossy, corners_scan
 from cpv.tatonnement import check_tatonnement

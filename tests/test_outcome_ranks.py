@@ -17,8 +17,10 @@ from fractions import Fraction
 import pytest
 
 import cpv.properties as properties
+from cpv.auctions import first_price, second_price
+from cpv.clocks import descending_first_price
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict
-from cpv.mechanisms import DomainModel, descending_first_price, first_price, second_price
+from cpv.mechanisms import DomainModel
 from cpv.properties import (
     UnsupportedProtocolError,
     _parse_auction_component,

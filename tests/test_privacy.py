@@ -6,14 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpv.auctions import first_price, second_price
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict, Witness, mask_flags
-from cpv.mechanisms import (
+from cpv.matching import (
     fair_tiebreak_2x2,
     fair_two_query_protocol,
     fig_shaded_3x3,
-    first_price,
     non_clinching,
-    second_price,
     serial_dictatorship,
     serial_dictatorship_protocol,
 )

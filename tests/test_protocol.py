@@ -8,12 +8,9 @@ from hypothesis import given, strategies as st
 import cpv.protocol as protocol_module
 import cpv.treereader as treereader_module
 from cpv import cli
+from cpv.clocks import descending_first_price
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace
-from cpv.mechanisms import (
-    descending_first_price,
-    fair_tiebreak_2x2,
-    fair_two_query_protocol,
-)
+from cpv.matching import fair_tiebreak_2x2, fair_two_query_protocol
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,

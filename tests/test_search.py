@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cpv.search as search_module
+from cpv.auctions import first_price, order_statistic_restriction, second_price
 from cpv.core import (
     ChoiceRule,
     ProfileSet,
@@ -15,17 +16,14 @@ from cpv.core import (
     constant_on,
     product_factorization,
 )
+from cpv.counts import _blocks
 from cpv.jsonwriter import protocol_to_json
-from cpv.mechanisms import (
+from cpv.matching import (
     fair_tiebreak_2x2,
-    first_price,
     non_clinching,
-    order_statistic_restriction,
     school_count_instance,
-    second_price,
     serial_dictatorship,
 )
-from cpv.counts import _blocks
 from cpv.privacy import check_protocol_cp
 from cpv.protocol import Protocol, implements, query_cell_masks
 from cpv.search import (

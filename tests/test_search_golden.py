@@ -24,8 +24,8 @@ from pathlib import Path
 import pytest
 
 from cpv.cli import load, main
-from cpv.mechanisms import (
-    count_ascending_price,
+from cpv.clocks import count_ascending_price
+from cpv.matching import (
     fig_shaded_3x3,
     multicount_stable_matching,
     non_clinching,

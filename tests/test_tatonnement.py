@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpv.clocks import count_ascending_price
 from cpv.core import InputError
-from cpv.mechanisms import (
-    count_ascending_price,
+from cpv.matching import (
     fair_tiebreak_2x2,
     fair_two_query_protocol,
     serial_dictatorship,
