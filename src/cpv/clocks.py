@@ -117,5 +117,5 @@ def _count_clock(inst0: Instance, k: int) -> ProtocolBundle:
 
 def count_equals_query(space: TypeSpace, subset, value: int) -> CountQuery:
     """Binary count query: is |{i : type_i in subset}| equal to ``value``?"""
-    others = tuple(c for c in range(space.n + 1) if c != value)
-    return CountQuery(tuple(sorted(set(subset))), ((value,), others))
+    others = tuple((c,) for c in range(space.n + 1) if c != value)
+    return CountQuery((tuple(sorted(set(subset))),), (((value,),), others))

@@ -1,8 +1,10 @@
 """Exact count queries: their fibres, and the count candidates of the decider.
 
-:func:`count_fibres` splits a label by the count vector of type subsets;
-``cpv.protocol.query_cell_masks`` imports this module when a count or
-multi-count query first splits a label.  :func:`count_query` picks the
+One class, ``cpv.protocol.CountQuery``, asks for the count vector of l ≥ 1
+type subsets; it is the cpv-1 kind ``count`` over one subset and
+``multicount`` over any other number.  :func:`count_fibres` splits a label
+by that vector; ``cpv.protocol.query_cell_masks`` imports this module when
+a count query first splits a label.  :func:`count_query` picks the
 decider's count split from the *blocks* of a state, the parts of the join
 of every agent's inseparability classes on the common alphabet
 (:func:`_blocks`).  By lemma 2 of :mod:`cpv.search` no count split passes
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from cpv.core import ChoiceRule, TypeSpace
-from cpv.protocol import CountQuery, MultiCountQuery, query_cell_masks
+from cpv.protocol import CountQuery, query_cell_masks
 
 
 def count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...], int]:
@@ -43,14 +45,11 @@ def count_fibres(space: TypeSpace, subsets, label: int) -> dict[tuple[int, ...],
     return fibres
 
 
-def exact_count_query(space: TypeSpace, subsets) -> CountQuery | MultiCountQuery:
-    """The query answering the exact count of agents per type subset: a
-    count query for one subset, a multi-count query for several, with one
-    cell per count value or count vector."""
-    if len(subsets) == 1:
-        return CountQuery(subsets[0], tuple((c,) for c in range(space.n + 1)))
+def exact_count_query(space: TypeSpace, subsets) -> CountQuery:
+    """The count query answering the exact count of agents per type subset,
+    one or more, with one cell per count vector in lexicographic order."""
     domain = itertools.product(range(space.n + 1), repeat=len(subsets))
-    return MultiCountQuery(tuple(subsets), tuple((v,) for v in domain))
+    return CountQuery(tuple(subsets), tuple((v,) for v in domain))
 
 
 def _blocks(rule: ChoiceRule, state: int) -> list[tuple[int, ...]]:
@@ -75,9 +74,9 @@ def count_query(rule: ChoiceRule, state: int, kinds: dict[str, str]):
     the node test, or ``None``, drawn from the blocks of the state.
 
     Lemma 1: the count(S) split of a state is safe iff S is a union of
-    blocks (a multi-count split iff each of its subsets is).  Proof: a pair
-    differing in agent i's type, t against t', moves count(S) by
-    [t∈S]−[t'∈S], so the split is safe iff no agent's class straddles S.
+    blocks, and a split by the counts of several subsets iff each is.
+    Proof: a pair differing in agent i's type, t against t', moves count(S)
+    by [t∈S]−[t'∈S], so the split is safe iff no agent's class straddles S.
 
     The pick is the first safe query in the order the kinds are read in:
     ``count`` over the proper subsets holding type 0, by size, then
@@ -87,9 +86,9 @@ def count_query(rule: ChoiceRule, state: int, kinds: dict[str, str]):
     B0 joined with the smallest block whose count varies, and for a pair, B0
     with the first proper union after it that makes the pair vary.  With two
     blocks no such union exists, so ``multicount`` alone misses
-    ``random_rule(677885673, 3, 4)``, which ``count`` finds; letting a query
-    count a single subset would mend that but change verdicts, so it is left
-    to a change of its own.
+    ``random_rule(677885673, 3, 4)``, which ``count`` finds; letting the
+    ``multicount`` family draw single subsets too would mend that but change
+    verdicts, so it is left to a change of its own.
     """
     space = rule.space
     first, *others = _blocks(rule, state)

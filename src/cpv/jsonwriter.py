@@ -17,10 +17,9 @@ which write protocols alone, compile none of it.
 
 from __future__ import annotations
 
-import itertools
 import os
 import stat
-from itertools import chain
+from itertools import chain, compress, product
 from json import dumps
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -194,14 +193,14 @@ def _emit(doc: dict, path: str) -> None:
 
 
 def _profiles_to_json(space: TypeSpace, mask: int) -> list:
-    labels = itertools.product(*space.alphabets)  # every profile, in index order
-    return list(map(list, itertools.compress(labels, mask_flags(mask, space.total))))
+    labels = product(*space.alphabets)  # every profile, in index order
+    return list(map(list, compress(labels, mask_flags(mask, space.total))))
 
 
 def protocol_to_json(protocol, phase=None) -> dict:
     """The cpv-1 document of a protocol.  The query classes are imported
     here, so that writing an instance compiles no protocol module."""
-    from cpv.protocol import CountQuery, ElicitQuery, MultiCountQuery
+    from cpv.protocol import CountQuery, ElicitQuery
 
     space = protocol.space
 
@@ -216,12 +215,12 @@ def protocol_to_json(protocol, phase=None) -> dict:
                 "cells": [labels(query.agent, cell) for cell in query.cells],
             }
         if isinstance(query, CountQuery):
-            return {
-                "kind": "count",
-                "subset": labels(0, query.subset),
-                "cells": [list(cell) for cell in query.cells],
-            }
-        if isinstance(query, MultiCountQuery):
+            if len(query.subsets) == 1:  # its counts as numbers
+                return {
+                    "kind": "count",
+                    "subset": labels(0, query.subsets[0]),
+                    "cells": [[c for (c,) in cell] for cell in query.cells],
+                }
             return {
                 "kind": "multicount",
                 "subsets": [labels(0, sub) for sub in query.subsets],

@@ -290,7 +290,7 @@ def multicount_stable_matching() -> ProtocolBundle:
     sequential choice among admitted schools; cutoffs are part of the
     outcome.  Two students, two single-seat schools, scores in {1, 2},
     restricted so that scores differ at each school."""
-    from cpv.protocol import ElicitQuery, MultiCountQuery, build_protocol
+    from cpv.protocol import CountQuery, ElicitQuery, build_protocol
 
     labels = _school_type_labels()
     space = TypeSpace.shared(2, labels)
@@ -321,7 +321,7 @@ def multicount_stable_matching() -> ProtocolBundle:
     domain = list(itertools.product(range(3), repeat=2))
     clear = tuple(v for v in domain if v[0] <= 1 and v[1] <= 1)
     rest = tuple(v for v in domain if v not in clear)
-    clearing = [MultiCountQuery(cells(demand, "ab"), (clear, rest)) for demand in demands]
+    clearing = [CountQuery(cells(demand, "ab"), (clear, rest)) for demand in demands]
     picking = [
         [ElicitQuery(agent, tuple(filter(None, cells(demand, ("a", "b", None)))))
          for agent in range(2)]

@@ -52,20 +52,18 @@ def _tabulate(space: TypeSpace, outcomes, model=None, universe=None) -> Instance
 
 
 def suggested_count_phase(protocol) -> tuple[int, ...]:
-    """Count/multi-count nodes plus their children: the price-finding
-    prefix together with the roots it hands over to.  Falls back to the
-    root-only phase when every counting query contracted away (a single
-    clearing level on the restricted space)."""
-    from cpv.protocol import CountQuery, MultiCountQuery
+    """Count nodes, over one subset or several, plus their children: the
+    price-finding prefix together with the roots it hands over to.  Falls
+    back to the root-only phase when every count query contracted away (a
+    single clearing level on the restricted space)."""
+    from cpv.protocol import CountQuery
 
     phase = set()
     for v in protocol.nodes:
-        if isinstance(v.query, (CountQuery, MultiCountQuery)):
+        if isinstance(v.query, CountQuery):
             phase.add(v.id)
             phase.update(v.children)
-    if not phase:
-        return (0,)
-    return tuple(sorted(phase))
+    return tuple(sorted(phase)) or (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -69,37 +69,30 @@ class ElicitQuery:
 
 @record
 class CountQuery:
-    """Cells partition {0..n}; a profile falls in the cell holding the
-    number of agents whose type lies in ``subset``."""
-
-    subset: tuple[int, ...]
-    cells: tuple[tuple[int, ...], ...]
-
-    def validate(self, space: TypeSpace, path: str = "?") -> None:
-        if not space.common_alphabet:
-            raise ProtocolDefect(path, "count query requires a common alphabet")
-        for t in self.subset:
-            if not 0 <= t < space.sizes[0]:
-                raise ProtocolDefect(path, f"count subset type index {t} out of range")
-        _check_partition(self.cells, range(space.n + 1), path, "count")
-
-
-@record
-class MultiCountQuery:
-    """Cells partition {0..n}^l over the joint counts of ``subsets``."""
+    """Cells partition {0..n}^l over the joint counts of l ``subsets`` of
+    the common alphabet: a profile falls in the cell holding the number of
+    agents whose type lies in each subset.  The cpv-1 kind ``count`` is the
+    query over one subset, its counts named as numbers, and ``multicount``
+    the query over any other number of subsets."""
 
     subsets: tuple[tuple[int, ...], ...]
     cells: tuple[tuple[tuple[int, ...], ...], ...]
 
     def validate(self, space: TypeSpace, path: str = "?") -> None:
+        one = len(self.subsets) == 1
         if not space.common_alphabet:
-            raise ProtocolDefect(path, "multi-count query requires a common alphabet")
+            kind = "count" if one else "multi-count"
+            raise ProtocolDefect(path, f"{kind} query requires a common alphabet")
         for sub in self.subsets:
             for t in sub:
                 if not 0 <= t < space.sizes[0]:
                     raise ProtocolDefect(path, f"count subset type index {t} out of range")
-        domain = list(itertools.product(range(space.n + 1), repeat=len(self.subsets)))
-        _check_partition(self.cells, domain, path, "count vector")
+        if one:  # each count as a number; a vector of another length in full
+            cells = [[v[0] if len(v) == 1 else v for v in cell] for cell in self.cells]
+            _check_partition(cells, range(space.n + 1), path, "count")
+        else:
+            domain = list(itertools.product(range(space.n + 1), repeat=len(self.subsets)))
+            _check_partition(self.cells, domain, path, "count vector")
 
 
 @record
@@ -114,7 +107,7 @@ class ExtensionalQuery:
                 raise ProtocolDefect(path, "extensional cell outside profile space")
 
 
-Query = ElicitQuery | CountQuery | MultiCountQuery | ExtensionalQuery
+Query = ElicitQuery | CountQuery | ExtensionalQuery
 
 
 def _check_partition(cells, domain, path: str, what: str) -> None:
@@ -146,8 +139,8 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
     giving that answer), except the largest cell, which takes what the
     other cells leave of ``label``.  This relies on the query's
     ``validate``: every possible answer lies in exactly one cell, and an
-    elicit cell holds only types of the agent's alphabet (a count value
-    outside ``0..n`` has no fibre and adds nothing).
+    elicit cell holds only types of the agent's alphabet (a count vector
+    outside ``{0..n}^l`` has no fibre and adds nothing).
     """
     if isinstance(query, ExtensionalQuery):
         out = [label & mask for mask in query.cells]
@@ -169,11 +162,7 @@ def query_cell_masks(space: TypeSpace, query: Query, label: int, path: str = "?"
     else:  # a count query: its fibres come from the module of count queries
         from cpv.counts import count_fibres
 
-        if isinstance(query, CountQuery):
-            fibres = count_fibres(space, (query.subset,), label)
-            fibres = {v[0]: m for v, m in fibres.items()}
-        else:
-            fibres = count_fibres(space, query.subsets, label)
+        fibres = count_fibres(space, query.subsets, label)
 
         def fibre_union(cell) -> int:
             mask = 0

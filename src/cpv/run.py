@@ -14,7 +14,6 @@ from cpv.jsonwriter import _profiles_to_json
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
-    MultiCountQuery,
     Protocol,
     Query,
     _not_implemented,
@@ -26,8 +25,8 @@ def describe_query(query: Query) -> str:
     if isinstance(query, ElicitQuery):
         return f"elicit(agent {query.agent + 1})"
     if isinstance(query, CountQuery):
-        return f"count(subset size {len(query.subset)})"
-    if isinstance(query, MultiCountQuery):
+        if len(query.subsets) == 1:
+            return f"count(subset size {len(query.subsets[0])})"
         return f"multicount(l={len(query.subsets)})"
     return "extensional"
 

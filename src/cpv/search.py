@@ -43,13 +43,13 @@ product set.
 
 The family is the comma-joined ``--queries`` string of ``cpv enumerate``.
 ``_KINDS`` lists each kind a family may name with how it splits a state:
-elicitation in two, counts (``count``, and ``multicount`` for the joint
-counts of two type subsets) into their exact fibres.  Coarser groupings
-of counts are expressible at the protocol level but are not enumerated
-(ROADMAP item 1).  :func:`drawn_kinds` reads the string into the kinds
-drawn on a space, with their splits, and refuses an unknown kind, an
-empty family and a family that draws no kind there; the ``enumerate``
-report names the family it decided by it.
+elicitation in two, counts (one count query class, over one type subset
+for ``count`` and over two for ``multicount``) into their exact fibres.
+Coarser groupings of counts are expressible at the protocol level but are
+not enumerated (ROADMAP item 1).  :func:`drawn_kinds` reads the string
+into the kinds drawn on a space, with their splits, and refuses an
+unknown kind, an empty family and a family that draws no kind there; the
+``enumerate`` report names the family it decided by it.
 
 Elicitation goes first: per agent, the class of its smallest present type,
 the first safe one of its binary splits.  Exact counts are decided from the
@@ -219,9 +219,6 @@ def exhaustive_cp_search(
     """
     space = rule.space
     kinds = drawn_kinds(space, queries)
-    universe = ProfileSet.full(space) if universe is None else universe
-    if universe.is_empty:
-        raise InputError("universe is empty")
     elicit = "elicit" in kinds
     if not elicit:  # with elicitation drawn no count split is tried (lemma 2)
         from cpv.counts import count_query

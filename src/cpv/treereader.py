@@ -22,7 +22,6 @@ from cpv.protocol import (
     CountQuery,
     ElicitQuery,
     ExtensionalQuery,
-    MultiCountQuery,
     Protocol,
     build_from_spec,
 )
@@ -37,13 +36,14 @@ def _query_from_json(space: TypeSpace, spec, pointer):
             raise LoadError(f"{pointer}/agent", "agent number out of range")
         with _at(f"{pointer}/cells"):
             return ElicitQuery(agent, tuple(space.type_indices(agent, c) for c in cells))
-    if kind == "count":
+    if kind == "count":  # one subset, its counts as numbers
         with _at(f"{pointer}/subset"):
-            return CountQuery(space.type_indices(0, spec["subset"]), tuple(map(tuple, cells)))
+            subset = space.type_indices(0, spec["subset"])
+        return CountQuery((subset,), tuple(tuple((c,) for c in cell) for cell in cells))
     if kind == "multicount":
         with _at(f"{pointer}/subsets"):
             subsets = tuple(space.type_indices(0, sub) for sub in spec["subsets"])
-        return MultiCountQuery(subsets, tuple(tuple(map(tuple, c)) for c in cells))
+        return CountQuery(subsets, tuple(tuple(map(tuple, c)) for c in cells))
     sets = (_profiles_from_json(space, c, f"{pointer}/cells/{i}") for i, c in enumerate(cells))
     return ExtensionalQuery(tuple(s.mask for s in sets))
 

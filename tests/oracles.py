@@ -392,7 +392,7 @@ def obstruction_scan(rule: ChoiceRule, region: ProfileSet, queries: str) -> Obst
             if kind == "elicit":
                 detail = f"agent {query.agent + 1}"
             elif kind == "count":
-                detail = "{" + ",".join(space.alphabets[0][t] for t in query.subset) + "}"
+                detail = "{" + ",".join(space.alphabets[0][t] for t in query.subsets[0]) + "}"
             else:
                 detail = f"l={len(query.subsets)}"
             violation = separates_protected_pair(cells, pairs, state)

@@ -34,7 +34,6 @@ from cpv.privacy import check_protocol_cp
 from cpv.properties import check_protocol_osp, check_rule_property
 from cpv.protocol import (
     CountQuery,
-    MultiCountQuery,
     Protocol,
     build_from_spec,
     implements,
@@ -262,7 +261,8 @@ def test_c12_multicount_queries_stabilize_matching():
         bundle = multicount_stable_matching()
         inst = bundle.instance
         assert any(
-            isinstance(v.query, MultiCountQuery) for v in bundle.protocol.nodes
+            isinstance(v.query, CountQuery) and len(v.query.subsets) == 2
+            for v in bundle.protocol.nodes
         )
         assert check_tatonnement(bundle.protocol, inst.rule, bundle.phase).ok
         assert check_protocol_cp(bundle.protocol, inst.rule).ok

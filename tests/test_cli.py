@@ -224,6 +224,8 @@ REPORT_FILES = {
     "sd": ("serial_dictatorship", {"n": 2, "objects": ["a", "b"]}),
     "cap": ("count_ascending_kplus1_price", {"k": 1, "n": 2, "values": [1, 2]}),
     "cap3": ("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]}),
+    "cap0": ("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [0, 1, 2, 3]}),
+    "msm": ("multicount_stable_matching", {}),
     "fp": ("first_price", {"n": 2, "values": [1, 2]}),
     "spa": ("second_price", {"n": 2, "values": [1, 2]}),
     "school": ("school_count_instance", {}),
@@ -309,6 +311,11 @@ CHECK_REPORTS = {
     "tatonnement holds, given phase": ("tatonnement", ["cap"], 0, _checked(
         '"holds":true,"property":"tatonnement","schema":"cpv-1"}'
     )),
+    **{
+        f"tatonnement holds on the count clock from 0 in {name}": ("tatonnement", [name], 0,
+            _checked('"holds":true,"property":"tatonnement","schema":"cpv-1"}'))
+        for name in ("cap0", "cap0_multicount")
+    },
     **{
         f"{prop} holds": (
             prop, [file], 0, _checked(f'"holds":true,"property":"{prop}","schema":"cpv-1"}}')
@@ -409,6 +416,27 @@ COMMAND_REPORTS = {
         '"outcome":"winners=1,price=2","path":[{"answer":1,"node":0,'
         '"query":"count(subset size 2)"},{"answer":0,"node":6,"query":"elicit(agent 1)"}],'
         '"schema":"cpv-1"}\n'),
+    # a count query written as a multi-count query over its one subset
+    **{
+        f"run, count clock from 0 in {name}": (["run", "--profile", '["0","1","2"]', name], 0,
+            '{"command":"run","leaf":11,"leaf_profiles":[["0","1","2"],["0","1","3"],'
+            '["1","0","2"],["1","0","3"],["1","1","2"],["1","1","3"]],"outcome":"winners=3,price=1",'
+            '"path":[{"answer":1,"node":0,"query":"count(subset size 3)"},{"answer":0,"node":6,'
+            '"query":"count(subset size 2)"},{"answer":1,"node":7,"query":"elicit(agent 1)"},'
+            '{"answer":1,"node":9,"query":"elicit(agent 2)"}],"schema":"cpv-1"}\n')
+        for name in ("cap0", "cap0_multicount")
+    },
+    **{
+        f"validate, count clock from 0 in {name}": (["validate", name], 0,
+            '{"command":"validate","instance":"ok","notes":[],"protocol":"ok","schema":"cpv-1"}\n')
+        for name in ("cap0", "cap0_multicount")
+    },
+    "run, multicount cutoff search": (
+        ["run", "--profile", '["a>b,a2,b1","a>b,a1,b2"]', "msm"], 0,
+        '{"command":"run","leaf":9,"leaf_profiles":[["a>b,a2,b1","a>b,a1,b2"],'
+        '["a>b,a2,b2","a>b,a1,b1"]],"outcome":"1:a,2:b|cut:a2b1","path":[{"answer":1,"node":0,'
+        '"query":"multicount(l=2)"},{"answer":1,"node":4,"query":"multicount(l=2)"},'
+        '{"answer":0,"node":8,"query":"elicit(agent 1)"}],"schema":"cpv-1"}\n'),
     "builtin, efficient completions": (["builtin", "efficient_completions_2x2"], 0,
         '{"command":"builtin","kind":"family","members":4,"name":"efficient_completions_2x2",'
         '"schema":"cpv-1"}\n'),
@@ -485,6 +513,8 @@ class TestWholeCheckReports:
             docs[name] = json.loads(Path(path).read_text())
             for field, value in edits:
                 _set(field, value)(docs[name])
+        docs["cap0_multicount"] = json.loads(json.dumps(docs["cap0"]))
+        _one_subset_multicounts(docs["cap0_multicount"])
         for name, doc in docs.items():
             (root / f"{name}.json").write_text(json.dumps(doc))
         return {name: str(root / f"{name}.json") for name in docs}
@@ -695,19 +725,34 @@ def _fair_with(**fields) -> str:
     return json.dumps({**FAIR_INSTANCE, **fields})
 
 
-def _count_bundle_with(edit) -> str:
-    """The count clock bundle as ``builtin --emit`` writes it, after ``edit``."""
-    return _bundle_with("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]}, edit)
+def _count_bundle_with(*edits) -> str:
+    """The count clock bundle as ``builtin --emit`` writes it, after ``edits``."""
+    return _bundle_with("count_ascending_kplus1_price", {"k": 1, "n": 3, "values": [1, 2, 3]},
+                        *edits)
 
 
-def _bundle_with(name: str, params: dict, edit) -> str:
-    """The built-in bundle ``name`` as ``builtin --emit`` writes it, after ``edit``."""
+def _bundle_with(name: str, params: dict, *edits) -> str:
+    """The built-in bundle ``name`` as ``builtin --emit`` writes it, after ``edits``."""
     bundle = BUILTIN_PROTOCOLS[name](params)
     doc = instance_to_json(bundle.instance)
     protocol = protocol_to_json(bundle.protocol, bundle.phase)
     doc["protocol"] = {k: v for k, v in protocol.items() if k not in ("schema", "space")}
-    edit(doc)
+    for edit in edits:
+        edit(doc)
     return json.dumps(doc)
+
+
+def _one_subset_multicounts(doc) -> None:
+    """An edit that writes every count query of a bundle's protocol as a
+    multi-count query over its one subset, each count as a 1-vector."""
+    nodes = [doc["protocol"]["tree"]]
+    while nodes:
+        node = nodes.pop()
+        query = node.get("query", {})
+        if query.get("kind") == "count":
+            node["query"] = {"kind": "multicount", "subsets": [query["subset"]],
+                             "cells": [[[v] for v in cell] for cell in query["cells"]]}
+        nodes.extend(child for child in node.get("children", ()) if child is not None)
 
 
 def _append(path: str, value):
@@ -830,6 +875,27 @@ MALFORMED = {
                                                                [7, 7])),
         ["check", "--property", "cp"], 1000,
         '{"error":"count vector (7, 7) out of range at node /tree"}',
+    ),
+    "count cell value 9": (
+        _count_bundle_with(_append("protocol/tree/query/cells/1", 9)), ["validate"], 1000,
+        '{"error":"count 9 out of range at node /tree"}',
+    ),
+    "multicount over no subsets": (
+        _bundle_with("multicount_stable_matching", {},
+                     _set("protocol/tree/query", {"kind": "multicount", "subsets": [],
+                                                  "cells": [[[]], [[]]]})),
+        ["validate"], 1000, '{"error":"overlap: count vector () in two cells at node /tree"}',
+    ),
+    # a one-subset multi-count query reads as a count query, and a vector
+    # of the wrong length is named in full
+    "one-subset multicount cell value [9]": (
+        _count_bundle_with(_one_subset_multicounts, _append("protocol/tree/query/cells/1", [9])),
+        ["validate"], 1000, '{"error":"count 9 out of range at node /tree"}',
+    ),
+    "one-subset multicount cell value [7, 7]": (
+        _count_bundle_with(_one_subset_multicounts,
+                           _append("protocol/tree/query/cells/1", [7, 7])),
+        ["validate"], 1000, '{"error":"count (7, 7) out of range at node /tree"}',
     ),
     "components row is a number": (
         _count_bundle_with(_set("components/winners=1,price=1", 5)), ["validate"], 1000,

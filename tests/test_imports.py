@@ -465,33 +465,33 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
 # those of ``workload_files``; an entry is (command line, exit code, budget).
 COMPILE_BUDGETS = {
     "validate table": (["validate", "table"], 0, 7930),
-    "validate bundle": (["validate", "dfp"], 0, 11193),
+    "validate bundle": (["validate", "dfp"], 0, 11123),
     "builtin rule --emit": (
         ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}', "--emit", "out"], 0,
-        12468,
+        12465,
     ),
     "builtin clock --emit": (
         ["builtin", "descending_first_price", "--params", '{"n": 2, "values": [1, 2]}',
-         "--emit", "out"], 0, 15861,
+         "--emit", "out"], 0, 15776,
     ),
     "builtin count clock --emit": (
         ["builtin", "count_ascending_kplus1_price", "--params",
-         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16576,
+         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16447,
     ),
     "enumerate --emit": (
-        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15144,
+        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15034,
     ),
-    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12406),
-    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15144),
-    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12406),
-    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12717),
-    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13432),
-    "check icp": (["check", "--property", "icp", "dfp"], 0, 13073),
-    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13073),
-    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13390),
-    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 14105),
-    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15152),
-    "check corners": (["check", "--property", "corners", "sp"], 1, 13681),
+    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12290),
+    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15034),
+    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12290),
+    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12647),
+    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13318),
+    "check icp": (["check", "--property", "icp", "dfp"], 0, 13003),
+    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13003),
+    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13320),
+    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 13991),
+    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15038),
+    "check corners": (["check", "--property", "corners", "sp"], 1, 13593),
 }
 
 

@@ -41,7 +41,6 @@ from cpv.protocol import (
     CountQuery,
     ElicitQuery,
     ExtensionalQuery,
-    MultiCountQuery,
     ProtocolDefect,
     build_protocol,
     implements,
@@ -79,8 +78,6 @@ def answer(space: TypeSpace, query, k: int):
     types = types_of(space, k)
     if isinstance(query, ElicitQuery):
         return types[query.agent]
-    if isinstance(query, CountQuery):
-        return sum(1 for t in types if t in query.subset)
     return tuple(sum(1 for t in types if t in sub) for sub in query.subsets)
 
 
@@ -137,13 +134,11 @@ def random_query(rng: random.Random, space: TypeSpace, kind: str):
     if kind == "elicit":
         agent = rng.randrange(space.n)
         return ElicitQuery(agent, random_partition(rng, list(range(space.sizes[agent]))))
-    if kind == "count":
-        counts = list(range(space.n + 1))
-        return CountQuery(random_subset(rng, space.sizes[0]), random_partition(rng, counts))
-    if kind == "multicount":
-        subsets = tuple(random_subset(rng, space.sizes[0]) for _ in range(rng.randint(1, 3)))
-        vectors = list(itertools.product(range(space.n + 1), repeat=len(subsets)))
-        return MultiCountQuery(subsets, random_partition(rng, vectors))
+    if kind in ("count", "multicount"):  # over one subset, or over one to three
+        width = 1 if kind == "count" else rng.randint(1, 3)
+        subsets = tuple(random_subset(rng, space.sizes[0]) for _ in range(width))
+        vectors = list(itertools.product(range(space.n + 1), repeat=width))
+        return CountQuery(subsets, random_partition(rng, vectors))
     cells = random_partition(rng, list(range(space.total)))
     return ExtensionalQuery(tuple(sum(1 << k for k in cell) for cell in cells))
 
@@ -181,9 +176,9 @@ class TestQueryCellMasks:
         full = (1 << space.total) - 1
         for query in (
             ElicitQuery(0, ((0,),)),
-            CountQuery((0,), ((1,), (0,))),
-            CountQuery((), ((0, 1),)),
-            MultiCountQuery(((0,), ()), (((1, 0),), ((0, 0), (0, 1), (1, 1)))),
+            CountQuery(((0,),), (((1,),), ((0,),))),
+            CountQuery(((),), (((0,), (1,)),)),
+            CountQuery(((0,), ()), (((1, 0),), ((0, 0), (0, 1), (1, 1)))),
         ):
             assert query_cell_masks(space, query, full) == oracle_cell_masks(space, query, full)
 

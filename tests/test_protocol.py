@@ -14,7 +14,6 @@ from cpv.matching import fair_tiebreak_2x2, fair_two_query_protocol
 from cpv.protocol import (
     CountQuery,
     ElicitQuery,
-    MultiCountQuery,
     ProtocolDefect,
     build_from_spec,
     implements,
@@ -233,26 +232,42 @@ class TestImplements:
         assert sorted(leaf_of) == list(range(rule.space.total))
 
 
+def _one_subset(*cells) -> CountQuery:
+    """The count query over the subset {0} whose cells hold the counts given."""
+    return CountQuery(((0,),), tuple(tuple((c,) for c in cell) for cell in cells))
+
+
 class TestQueryValidation:
     def test_count_needs_common_alphabet(self):
         space = TypeSpace((("a", "b"), ("x", "y")))
-        q = CountQuery((0,), ((0,), (1, 2)))
+        q = _one_subset((0,), (1, 2))
         with pytest.raises(ProtocolDefect, match="common alphabet"):
             q.validate(space)
 
-    # (query, message): a count or count vector that no profile can have
+    def test_multicount_wording_on_a_space_without_common_alphabet(self):
+        space = TypeSpace((("a", "b"), ("x", "y")))
+        q = CountQuery(((0,), (1,)), (((0, 0),), ((1, 1),)))
+        with pytest.raises(ProtocolDefect) as info:
+            q.validate(space)
+        assert info.value.message == "multi-count query requires a common alphabet"
+
+    # (query, message): a count or count vector that no profile can have;
+    # over one subset a count is named as a number, a longer vector in full
     OUTSIDE_THE_DOMAIN = {
-        "count above n": (CountQuery((0,), ((1,), (0, 2, 99))), "count 99 out of range"),
-        "negative count": (CountQuery((0,), ((1, -3), (0, 2))), "count -3 out of range"),
+        "count above n": (_one_subset((1,), (0, 2, 99)), "count 99 out of range"),
+        "negative count": (_one_subset((1, -3), (0, 2)), "count -3 out of range"),
+        "one subset, a vector of the wrong length": (
+            CountQuery(((0,),), (((0,), (1,)), ((2,), (7, 7)))), "count (7, 7) out of range",
+        ),
         "count vector above n": (
-            MultiCountQuery(((0,), (1,)), (
+            CountQuery(((0,), (1,)), (
                 tuple((a, b) for a in range(3) for b in range(3) if a + b < 2),
                 tuple((a, b) for a in range(3) for b in range(3) if a + b >= 2) + ((7, 7),),
             )),
             "count vector (7, 7) out of range",
         ),
         "count vector of the wrong length": (
-            MultiCountQuery(((0,), (1,)), (
+            CountQuery(((0,), (1,)), (
                 ((0, 0), (7,)),
                 tuple((a, b) for a in range(3) for b in range(3) if a + b),
             )),

@@ -10,6 +10,7 @@ import cpv.search as search_module
 from cpv.auctions import first_price, order_statistic_restriction, second_price
 from cpv.core import (
     ChoiceRule,
+    InputError,
     ProfileSet,
     TypeSpace,
     Witness,
@@ -103,6 +104,11 @@ class TestCpSearch:
         assert result.status == "found"
         assert implements(result.protocol, inst.rule).ok
         assert check_protocol_cp(result.protocol, inst.rule).ok
+
+    def test_empty_universe_refused(self):
+        rule = fair_tiebreak_2x2().rule
+        with pytest.raises(InputError, match="^universe is empty$"):
+            exhaustive_cp_search(rule, ELICIT, ProfileSet(rule.space, 0))
 
     def test_school_instance_nonexistent_with_counts(self):
         inst = school_count_instance()
@@ -220,8 +226,7 @@ class TestCountNodeTest:
         blocks = [set(b) for b in _blocks(rule, state)]
         pairs = same_outcome_pairs(rule, universe)
         for query in count_queries(rule.space, state):
-            subsets = query.subsets if hasattr(query, "subsets") else (query.subset,)
-            unions = all(b <= set(s) or b.isdisjoint(s) for s in subsets for b in blocks)
+            unions = all(b <= set(s) or b.isdisjoint(s) for s in query.subsets for b in blocks)
             cells = query_cell_masks(rule.space, query, state)
             yield unions, separates_protected_pair(cells, pairs, state)
 
