@@ -161,7 +161,7 @@ def builtin_command(args) -> tuple[int, dict]:
     from cpv.reader import _at, _check, _parse
 
     params = _parse(args.params, "--params") if args.params else {}
-    _check("params", params)
+    _check("params", params, "")
     name = args.name
     table = BUILTIN_PROTOCOLS if name in BUILTIN_PROTOCOLS else BUILTIN_RULES
     if name not in table:

@@ -89,14 +89,6 @@ def cp_to_json(space: TypeSpace, v: CpViolation) -> dict:
     }
 
 
-def _leaf_list(protocol: Protocol) -> list[int]:
-    """Leaf node id per profile index; -1 outside the universe."""
-    leaf = [-1] * protocol.space.total
-    for k, v in protocol.leaf_map().items():
-        leaf[k] = v
-    return leaf
-
-
 def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Optional[CpViolation]:
     """First unilateral pair inside ``label`` (the universe by default) that
     reaches distinct leaves with equal ``value[agent]``.
@@ -113,7 +105,7 @@ def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Opt
     pieces = [m for v in protocol.nodes if v.is_leaf and (m := v.label & label)]
     if not _leaves_share_a_line(space, pieces, value):
         return None
-    leaf = _leaf_list(protocol)
+    leaf = protocol.leaf_map()
     for k, agent, t2, k2 in unilateral_pairs(space, label, leaf, value):
         profile = space.profile(k)
         other = list(profile)

@@ -7,7 +7,8 @@ construction and recorded; queries left with a single nonempty cell are
 contracted away (they transmit nothing).
 
 A protocol read from a file is built by :func:`build_from_spec` straight
-from its checked cpv-1 tree, in the one walk of :func:`build_protocol`.
+from its cpv-1 tree, in the one walk of :func:`build_protocol`, which checks
+each node as it reaches it.
 
 Every protocol-level privacy check starts with :func:`require_implements`,
 which refuses a protocol that does not implement the rule and names a
@@ -212,13 +213,13 @@ class Protocol:
     def leaves(self) -> list[Node]:
         return [v for v in self.nodes if v.is_leaf]
 
-    def leaf_map(self) -> dict[int, int]:
-        """profile index -> leaf node id, for every profile in the universe."""
-        out: dict[int, int] = {}
-        for v in self.nodes:
-            if v.is_leaf:
-                out.update(dict.fromkeys(mask_indices(v.label), v.id))
-        return out
+    def leaf_map(self) -> list[int]:
+        """Leaf node id per profile index; -1 outside the universe."""
+        leaf = [-1] * self.space.total
+        for v in self.leaves():
+            for k in mask_indices(v.label):
+                leaf[k] = v.id
+        return leaf
 
 
 # --- construction ----------------------------------------------------------
@@ -289,19 +290,19 @@ def build_protocol(
 
 
 def build_from_spec(
-    space: TypeSpace, tree: dict, universe: ProfileSet | None = None, pointer: str = "/tree"
+    space: TypeSpace, tree: object, universe: ProfileSet | None = None, pointer: str = "/tree"
 ) -> Protocol:
-    """The protocol of ``tree``, a cpv-1 tree at ``pointer`` checked against
-    ``cpv.reader.CPV1``.  The walk decodes each node's query at its JSON
-    pointer as it reaches the node, and refuses a subtree under a cell that
-    is empty on the node's label without reading it."""
-    from cpv.treereader import _query_from_json
+    """The protocol of ``tree``, a cpv-1 tree at ``pointer``.  The walk
+    checks each node and decodes its query at its JSON pointer as it reaches
+    the node, and refuses a subtree under a cell that is empty on the node's
+    label without reading it."""
+    from cpv.treereader import _node_query
 
     def step(label: int, state: object):
         node, at, path = state
-        if "query" not in node:
+        query = _node_query(space, node, at)
+        if query is None:
             return None
-        query = _query_from_json(space, node["query"], f"{at}/query")
         children = node.get("children", [])
 
         def child_state(cell: int, mask: int):

@@ -2,10 +2,11 @@
 loaders that build instances and bundles from checked documents.
 
 Every document is checked against ``CPV1`` before anything is built from
-it, so the loaders read fields known to be valid.  An input error is a
-``LoadError`` naming the JSON pointer (RFC 6901) of the field at fault.
-``load`` is timed as the load part of the stderr line, and
-``cpv.jsonwriter.write`` as its emit part.
+it, so the loaders read fields known to be valid.  The exception is a
+protocol tree: each of its nodes is checked against ``CPV1["node"]`` where
+the build walk reaches it.  An input error is a ``LoadError`` naming the
+JSON pointer (RFC 6901) of the field at fault.  ``load`` is timed as the
+load part of the stderr line, and ``cpv.jsonwriter.write`` as its emit part.
 
 The long arrays of a file, the rows of ``rule.table`` and the profile lists
 of universes and extensional cells, are read in whole columns, with C-level
@@ -23,12 +24,12 @@ reads a file.  Without a bytecode cache every module a command loads is
 compiled at its start, so the reader keeps only what reading a rule table
 needs: the format table and its checker, the type space, the rule, its
 universe and its model.  A file that holds a protocol, a bundle's
-``protocol`` object or a protocol file, has its tree checked here with the
-rest of the document, then built in one walk by ``cpv.protocol``, which
-decodes each query with ``cpv.treereader``; ``load`` imports both then.  A
-rule named by ``rule.builtin`` loads the registry ``cpv.mechanisms`` and the
-module of the built-in's family.  So ``validate``
-of a rule table compiles neither ``cpv.protocol`` nor the tree reader.
+``protocol`` object or a protocol file, has its tree built in one walk by
+``cpv.protocol``, which checks and decodes each node with ``cpv.treereader``
+as it reaches it; ``load`` imports both then.  A rule named by
+``rule.builtin`` loads the registry ``cpv.mechanisms`` and the module of the
+built-in's family.  So ``validate`` of a rule table compiles neither
+``cpv.protocol`` nor the tree reader.
 Like the writer, it must not import ``cpv.cli``.
 """
 
@@ -60,7 +61,8 @@ from cpv.core import (
 
 # The cpv-1 format, whole.  A document is checked against this table before
 # anything is built from it, so the loaders below read fields known to be
-# valid.  A shape is one of:
+# valid; a protocol tree is the exception, read as "any" and checked node by
+# node as it is built.  A shape is one of:
 #   "str", "int", "label" (a type label or a component: any JSON value but an
 #   array or an object), "any", or "schema" (the string "cpv-1");
 #   [shape]: an array;
@@ -69,17 +71,15 @@ from cpv.core import (
 #   ("agents", shape): an array with one entry per agent;
 #   ("types", shape): per agent, an array with one entry per type;
 #   ("case", select, message): the entry that ``select(value)`` names;
-#   ("tree", shape): a protocol tree.  A node is an object without "query" (a
-#   leaf) or with a query of the shape and "children", a node or null per cell;
 #   the name of another entry.
+# A tree node is an object without "query" (a leaf), or else a "node": a query
+# and "children", a node or null per cell, each checked when it is reached.
 # "agents" and "types" count in the document's own type space, so the entry
 # "sized" is checked once that space is built.
 # A space names "alphabet", shared by every agent, or else "alphabets", one per
 # agent; _space_from_json counts the latter against "agents".
 _SPACE = {"agents": "int", "alphabet?": ["label"], "alphabets?": [["label"]]}
-_PROTOCOL = {
-    "space?": _SPACE, "universe*": "universe", "tree": ("tree", "query"), "phase?": ["int"]
-}
+_PROTOCOL = {"space?": _SPACE, "universe*": "universe", "tree": "any", "phase?": ["int"]}
 CPV1 = {
     "instance": ("case", lambda v: _rule_form(v) + " instance", None),
     "builtin instance": {
@@ -101,6 +101,7 @@ CPV1 = {
     "factors": {"factors": [["label"]]},
     "protocol": _PROTOCOL,
     "protocol file": {"schema": "schema", **_PROTOCOL},
+    "node": {"query": "query", "children?": ["any"]},
     "query": ("case", lambda v: type(v) is dict and f"{v.get('kind')} query",
               "expected a query of kind elicit, count, multicount or extensional"),
     "elicit query": {"agent": "int", "cells": [["label"]]},
@@ -227,45 +228,20 @@ def _case(select, message: str):
     return check
 
 
-def _tree(query):
-    queried = _object({"query": query, "children?": ["any"]})
-
-    def check(v, sizes):
-        stack = [(v, ())]  # an explicit stack, so that no depth exhausts Python's
-        while stack:
-            node, path = stack.pop()
-            try:
-                if type(node) is not dict:
-                    raise _Bad("expected a node object")
-                if "query" not in node:
-                    if node.get("children"):
-                        raise _Bad("children without a query")
-                    continue
-                queried(node, sizes)
-                children = node.get("children", [])
-                for i in reversed(range(len(children))):  # the first cell's subtree first
-                    if children[i] is not None:
-                        stack.append((children[i], (*path, "children", i)))
-            except _Bad as bad:
-                bad.args += tuple(reversed(path))
-                raise
-
-    return check
-
-
-_FORMS = {"case": _case, "tree": _tree, "agents": lambda item: _array(item, per_agent=True),
+_FORMS = {"case": _case, "agents": lambda item: _array(item, per_agent=True),
           "types": lambda item: _array(item, per_agent=True, per_type=True)}
 _CHECKS = {name: _compile(name) for name in CPV1}
 _MODEL = {key.rstrip("*"): shape for key, shape in MODEL_SHAPES.items()}  # by DomainModel field
 
 
-def _check(name: str, doc, sizes: tuple = ()) -> None:
-    """Raises a LoadError at the first place where ``doc`` is off ``CPV1[name]``."""
+def _check(name: str, doc, pointer: str, sizes: tuple = ()) -> None:
+    """Raises a LoadError at the first place where ``doc``, the value at
+    ``pointer`` (empty for a whole document), is off ``CPV1[name]``."""
     try:
         _CHECKS[name](doc, sizes)
     except _Bad as bad:
         at = "".join("/" + str(s).replace("~", "~0").replace("/", "~1") for s in bad.args[:0:-1])
-        raise LoadError(at or "/", bad.args[0]) from None
+        raise LoadError(pointer + at or "/", bad.args[0]) from None
 
 
 @contextmanager
@@ -411,7 +387,7 @@ def instance_from_json(doc) -> Instance:
         n = len(doc["family"])
         raise LoadError("/family", f"a family with {n} member{'s' * (n != 1)}, not an instance; "
                         "check each member on its own")
-    _check("instance", doc)
+    _check("instance", doc, "")
     rule_spec = doc["rule"]
     if "builtin" in rule_spec:
         from cpv.mechanisms import BUILTIN_RULES
@@ -425,7 +401,7 @@ def instance_from_json(doc) -> Instance:
             raise LoadError("/rule/builtin", f"builtin {name!r} is a family; materialize it first")
         return built
     space = _space_from_json(doc, "")
-    _check("sized", doc, space.sizes)
+    _check("sized", doc, "", space.sizes)
     ids = {lab: i for i, lab in enumerate(doc.get("outcomes", []))}
     if len(ids) < len(doc.get("outcomes", [])):
         raise LoadError("/outcomes", "duplicate outcome labels")
@@ -458,7 +434,7 @@ def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle
         from cpv.treereader import protocol_from_json
 
         pdoc = _read_json(protocol_path)
-        _check("protocol file", pdoc)
+        _check("protocol file", pdoc, "")
         protocol, phase = protocol_from_json(pdoc, instance.space, "")
     universe = instance.universe
     if protocol is not None and universe is not None and protocol.universe != universe.mask:

@@ -3,14 +3,13 @@
 ``cpv.reader.load`` imports this module only when a file holds a protocol,
 a bundle's ``protocol`` object or a protocol file, so a command on a rule
 table alone compiles neither this module nor :mod:`cpv.protocol`.  A tree
-is checked, then built in one walk: ``cpv.reader.CPV1`` checks the
-document before it gets here, and :func:`cpv.protocol.build_from_spec`
-builds from the checked tree, calling :func:`_query_from_json` on each
-query as its walk reaches the node.  An input error is a ``LoadError``
-naming the JSON pointer of the field at fault; a defect of the tree as
-built is a ``ProtocolDefect`` naming its node.  A phase read with a
-protocol is checked here by :func:`validate_phase`, which the tatonnement
-check runs too.
+is checked and built in one walk: ``cpv.reader.CPV1`` checks the document
+around it, and :func:`cpv.protocol.build_from_spec` calls :func:`_node_query`
+on each node as its walk reaches it, which checks the node against
+``CPV1["node"]`` and decodes its query.  An input error is a ``LoadError``
+naming the JSON pointer of the field at fault; a defect of the tree as built
+is a ``ProtocolDefect`` naming its node.  A phase read with a protocol is
+checked here by :func:`validate_phase`, which the tatonnement check runs too.
 """
 
 from __future__ import annotations
@@ -25,7 +24,20 @@ from cpv.protocol import (
     Protocol,
     build_from_spec,
 )
-from cpv.reader import _at, _profiles_from_json, _space_from_json, _universe_from_json
+from cpv.reader import _at, _check, _profiles_from_json, _space_from_json, _universe_from_json
+
+
+def _node_query(space: TypeSpace, node, pointer: str):
+    """The query of the tree node at ``pointer``, None for a leaf; raises a
+    LoadError where the node is off its cpv-1 shape."""
+    if type(node) is not dict:
+        raise LoadError(pointer, "expected a node object")
+    if "query" not in node:
+        if node.get("children"):
+            raise LoadError(pointer, "children without a query")
+        return None
+    _check("node", node, pointer)
+    return _query_from_json(space, node["query"], f"{pointer}/query")
 
 
 def _query_from_json(space: TypeSpace, spec, pointer):

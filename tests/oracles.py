@@ -410,9 +410,9 @@ def instance_by_rows(doc) -> Instance:
     instance without components or model, read one table row and one
     universe profile at a time through ``TypeSpace.index_of_labels``: the
     first row at fault is named by the reader's message and JSON pointer."""
-    reader._check("instance", doc)
+    reader._check("instance", doc, "")
     space = reader._space_from_json(doc, "")
-    reader._check("sized", doc, space.sizes)
+    reader._check("sized", doc, "", space.sizes)
     if "components" in doc or "model" in doc or "protocol" in doc:
         raise ValueError("the row walk reads table instances without components or model")
     ids = {lab: i for i, lab in enumerate(doc.get("outcomes", []))}

@@ -742,6 +742,11 @@ def _bundle_with(name: str, params: dict, *edits) -> str:
     return json.dumps(doc)
 
 
+def _fair_two_with(*edits) -> str:
+    """The ``fair_two_query`` bundle as ``builtin --emit`` writes it, after ``edits``."""
+    return _bundle_with("fair_two_query", {}, *edits)
+
+
 def _one_subset_multicounts(doc) -> None:
     """An edit that writes every count query of a bundle's protocol as a
     multi-count query over its one subset, each count as a 1-vector."""
@@ -1028,7 +1033,7 @@ MALFORMED = {
         _count_bundle_with(_set("protocol/universe", [])), ["validate"], 1000,
         '{"error":"universe is empty (at /protocol/universe)"}',
     ),
-    # refused by the cpv-1 check and by the query reader; no tree builder sees them
+    # refused by the tree reader where the build walk reaches the node
     "children without a query": (
         _count_bundle_with(_set("protocol/tree/children/0/children/0", {"children": [{}, {}]})),
         ["validate"], 1000,
@@ -1056,6 +1061,53 @@ MALFORMED = {
             "query": {"kind": "elicit", "agent": 2, "cells": [["A"], ["B"]]}, "children": [{}],
         })),
         ["validate"], 1000, '{"error":"1 children for 2 cells at node /tree/1"}',
+    ),
+    # a tree node is checked where the build walk reaches it
+    "tree is a number": (
+        _fair_two_with(_set("protocol/tree", 5)), ["validate"], 1000,
+        '{"error":"expected a node object (at /protocol/tree)"}',
+    ),
+    "child node is a number": (
+        _fair_two_with(_set("protocol/tree/children/0", 5)), ["validate"], 1000,
+        '{"error":"expected a node object (at /protocol/tree/children/0)"}',
+    ),
+    "child query of an unknown kind": (
+        _fair_two_with(_set("protocol/tree/children/0/query/kind", "bogus")), ["validate"], 1000,
+        '{"error":"expected a query of kind elicit, count, multicount or extensional'
+        ' (at /protocol/tree/children/0/query)"}',
+    ),
+    "children is an object": (
+        _fair_two_with(_set("protocol/tree/children/1/children", {"a": 1})), ["validate"], 1000,
+        '{"error":"expected an array (at /protocol/tree/children/1/children)"}',
+    ),
+    "elicit agent is a string": (
+        _fair_two_with(_set("protocol/tree/query/agent", "1")), ["validate"], 1000,
+        '{"error":"expected an integer (at /protocol/tree/query/agent)"}',
+    ),
+    "elicit cell label is an array": (
+        _fair_two_with(_set("protocol/tree/children/1/query/cells/0/0", ["A"])), ["validate"],
+        1000, '{"error":"expected a label, not an array or object'
+        ' (at /protocol/tree/children/1/query/cells/0/0)"}',
+    ),
+    # the walk counts a node's children before it reads any of them, and
+    # reports the defects of a tree in preorder
+    "three children for two cells, the third a number": (
+        _fair_two_with(_set("protocol/tree/children", [{}, {}, 5])), ["validate"], 1000,
+        '{"error":"3 children for 2 cells at node /tree"}',
+    ),
+    "overlap above a child query of an unknown kind": (
+        _fair_two_with(_set("protocol/tree/query/cells", [["A"], ["A", "B"]]),
+                       _set("protocol/tree/children/0/query/kind", "bogus")),
+        ["validate"], 1000, '{"error":"overlap: type 0 in two cells at node /tree"}',
+    ),
+    # a subtree under a cell that is empty on the node's label is refused unread
+    "number under a cell that is empty on the universe": (
+        _fair_with(protocol={
+            "universe": [["B", "A"], ["B", "B"]],
+            "tree": {"query": {"kind": "elicit", "agent": 1, "cells": [["A"], ["B"]]},
+                     "children": [5, {}]},
+        }),
+        ["validate"], 1000, '{"error":"subtree attached to an empty cell at node /tree/0"}',
     ),
     "universe profile of the wrong length": (
         _table_of(["a", "b"], _AB, universe=[["a", "a"], ["a", "b"], ["b"], ["b", "b"]]),
@@ -1098,8 +1150,9 @@ class TestMalformedInput:
             (_set("phase", 5), "/phase"),
             (_set("tree/children/0", 5), "/tree/children/0"),
             (_set("space", 5), "/space"),
+            (_set("tree/children/0/query/kind", "bogus"), "/tree/children/0/query"),
         ],
-        ids=["phase", "tree node", "space"],
+        ids=["phase", "tree node", "space", "query kind"],
     )
     def test_protocol_file_pointers_start_at_its_root(
         self, edit, expected, tmp_path, fair_files, capsys

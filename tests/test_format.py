@@ -1,6 +1,7 @@
 """The ``cpv-1`` table in ``cpv.reader`` against the writer and against mutants.
 
-Every document the program writes must pass the table's checker, and no
+Every document the program writes must pass the table's checker, its
+protocol tree node by node as the reader builds it, and no
 mutant of one (a field deleted, retyped or nested deep) may crash a command:
 it loads and gets a verdict, or it exits 2 with an error that says where.
 """
@@ -20,8 +21,9 @@ from cpv.cli import main
 from cpv.jsonwriter import protocol_to_json
 from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, instance_to_json
 from cpv.protocol import Protocol
-from cpv.reader import _check
+from cpv.reader import _check, instance_from_json
 from cpv.search import synthesize_or_witness
+from cpv.treereader import protocol_from_json
 from test_cli import BUNDLE_PARAMS
 
 # Small parameters for every built-in rule.
@@ -64,18 +66,22 @@ class TestWriterAgreesWithTable:
 
     @pytest.mark.parametrize("name", sorted(BUNDLE_PARAMS))
     def test_emitted_bundle(self, name):
-        _check("instance", bundle_doc(name))
+        doc = bundle_doc(name)
+        _check("instance", doc, "")
+        protocol_from_json(doc["protocol"], instance_from_json(doc).space, "/protocol")
 
     @pytest.mark.parametrize("name", sorted(RULE_PARAMS))
     def test_emitted_rule_and_family_members(self, name):
         for doc in rule_docs(name):
-            _check("instance", doc)
+            _check("instance", doc, "")
 
     def test_synthesized_protocol(self):
         instance = BUILTIN_RULES["serial_dictatorship"]({"n": 2, "objects": ["A", "B"]})
         protocol = synthesize_or_witness(instance.rule)
         assert isinstance(protocol, Protocol)
-        _check("protocol file", protocol_to_json(protocol))
+        doc = protocol_to_json(protocol)
+        _check("protocol file", doc, "")
+        protocol_from_json(doc, instance.space, "")
 
 
 # --- mutants -----------------------------------------------------------------

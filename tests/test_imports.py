@@ -464,34 +464,34 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
 # command does not run belongs in a module it does not load.  The files are
 # those of ``workload_files``; an entry is (command line, exit code, budget).
 COMPILE_BUDGETS = {
-    "validate table": (["validate", "table"], 0, 7930),
-    "validate bundle": (["validate", "dfp"], 0, 11123),
+    "validate table": (["validate", "table"], 0, 7773),
+    "validate bundle": (["validate", "dfp"], 0, 11029),
     "builtin rule --emit": (
         ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}', "--emit", "out"], 0,
-        12465,
+        12309,
     ),
     "builtin clock --emit": (
         ["builtin", "descending_first_price", "--params", '{"n": 2, "values": [1, 2]}',
-         "--emit", "out"], 0, 15776,
+         "--emit", "out"], 0, 15607,
     ),
     "builtin count clock --emit": (
         ["builtin", "count_ascending_kplus1_price", "--params",
-         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16447,
+         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16278,
     ),
     "enumerate --emit": (
-        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 15034,
+        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 14808,
     ),
-    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12290),
-    "synth --emit": (["synth", "--emit", "out", "table"], 0, 15034),
-    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12290),
-    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12647),
-    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13318),
-    "check icp": (["check", "--property", "icp", "dfp"], 0, 13003),
-    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 13003),
-    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13320),
-    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 13991),
-    "check efficient": (["check", "--property", "efficient", "cap"], 0, 15038),
-    "check corners": (["check", "--property", "corners", "sp"], 1, 13593),
+    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12120),
+    "synth --emit": (["synth", "--emit", "out", "table"], 0, 14808),
+    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12120),
+    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12497),
+    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13168),
+    "check icp": (["check", "--property", "icp", "dfp"], 0, 12853),
+    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 12853),
+    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13170),
+    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 13841),
+    "check efficient": (["check", "--property", "efficient", "cap"], 0, 14944),
+    "check corners": (["check", "--property", "corners", "sp"], 1, 13367),
 }
 
 

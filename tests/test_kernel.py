@@ -29,7 +29,6 @@ from cpv.core import (
     mask_of_flags,
 )
 from cpv.privacy import (
-    _leaf_list,
     _leaves_share_a_line,
     _outcome_values,
     _own_components,
@@ -352,13 +351,12 @@ class TestProtocolLoops:
             space = random_space(rng, False)
             rule = random_rule(rng, space)
             protocol = random_protocol(rng, space, rule)
-            naive_map = {}
+            naive_map = [-1] * space.total
             for v in protocol.nodes:
                 if v.is_leaf:
                     for k in members(space, v.label):
                         naive_map[k] = v.id
-            got = protocol.leaf_map()
-            assert got == naive_map and list(got) == list(naive_map)
+            assert protocol.leaf_map() == naive_map
             failing = oracle_implements(space, protocol, rule)
             res = implements(protocol, rule)
             if failing is None:
@@ -431,7 +429,7 @@ class TestUnilateralDecision:
             values = [_outcome_values(rule)]
             if rule.has_components:
                 values.append(_own_components(rule))
-            leaf = _leaf_list(protocol)
+            leaf = protocol.leaf_map()
             for value in values:
                 for label in labels:
                     pieces = [m for v in protocol.leaves() if (m := v.label & label)]

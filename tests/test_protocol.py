@@ -229,7 +229,7 @@ class TestImplements:
         assert implements(protocol, rule).ok
         # every profile lands in a leaf where the rule is constant
         leaf_of = protocol.leaf_map()
-        assert sorted(leaf_of) == list(range(rule.space.total))
+        assert len(leaf_of) == rule.space.total and -1 not in leaf_of
 
 
 def _one_subset(*cells) -> CountQuery:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from cpv import reader
 from cpv.cli import main
 from cpv.core import InputError, TypeSpace
+from cpv.treereader import protocol_from_json
 from oracles import instance_by_rows
 
 SEEDS = range(300)
@@ -148,6 +150,22 @@ def test_an_empty_universe_is_refused_by_both_readers():
     doc = {**random_instance(random.Random(0)), "universe": []}
     expected = ("error", "universe is empty (at /universe)")
     assert result(reader.instance_from_json, doc) == by_rows(doc) == expected
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_read():
+    # the descending clock of one agent over 1200 prices, one level per price
+    assert sys.getrecursionlimit() == 1000
+    labels = [str(v) for v in range(1200)]
+    tree: dict = {}
+    for t in range(1, 1200):
+        query = {"kind": "elicit", "agent": 1, "cells": [[labels[t]], labels[:t] + labels[t + 1:]]}
+        tree = {"query": query, "children": [{}, tree]}
+    doc = {"schema": "cpv-1", "rule": {"builtin": "first_price",
+                                       "params": {"n": 1, "values": list(range(1200))}},
+           "protocol": {"tree": tree}}
+    instance = reader.instance_from_json(doc)
+    protocol, phase = protocol_from_json(doc["protocol"], instance.space, "/protocol")
+    assert len(protocol.nodes) == 2399 and phase is None
 
 
 class TestIndicesOfRows:
