@@ -28,7 +28,7 @@ _PROPERTIES = {  # the module docstring states its shape
     ),
     "icp": (
         True, "variants", lambda m, b, doc: m.check_protocol_icp(b.protocol, b.instance.rule),
-        "violation", lambda m, space, v: import_module("cpv.privacy").cp_to_json(space, v),
+        "violation", lambda m, space, v: m.cp_to_json(space, v),
     ),
     "tatonnement": (True, "tatonnement", lambda m, b, doc: m.check_bundle(b, doc), "failure", None),
     "corners": (

@@ -79,22 +79,20 @@ def count_query(rule: ChoiceRule, state: int, kinds: dict[str, str]):
     by [t∈S]−[t'∈S], so the split is safe iff no agent's class straddles S.
 
     The pick is the first safe query in the order the kinds are read in:
-    ``count`` over the proper subsets holding type 0, by size, then
-    lexicographically, and ``multicount`` over the pairs of two of them.  By
-    lemma 1 these are unions holding B0, the block of type 0, and one varies
-    on the state only if one of its blocks does; so the pick is B0, or else
-    B0 joined with the smallest block whose count varies, and for a pair, B0
-    with the first proper union after it that makes the pair vary.  With two
-    blocks no such union exists, so ``multicount`` alone misses
-    ``random_rule(677885673, 3, 4)``, which ``count`` finds; letting the
-    ``multicount`` family draw single subsets too would mend that but change
-    verdicts, so it is left to a change of its own.
+    either kind draws the proper subsets holding type 0, by size, then
+    lexicographically, and ``multicount`` then draws the pairs of two of
+    them.  By lemma 1 these are unions holding B0, the block of type 0, and
+    one varies on the state only if one of its blocks does; so the pick is
+    B0, or else B0 joined with the smallest block whose count varies, and
+    for a pair, B0 with the first proper union after it that makes the pair
+    vary.  So ``multicount`` alone finds whatever ``count`` alone finds,
+    and by lemma 1 no pair passes where every single subset failed.
     """
     space = rule.space
     first, *others = _blocks(rule, state)
     unions = [tuple(sorted(first + b)) for b in sorted(others, key=lambda b: (len(b), b))]
     unions = [u for u in unions if len(u) < space.sizes[0]]
-    candidates = [(first,), *((u,) for u in unions)] if "count" in kinds else []
+    candidates = [(first,), *((u,) for u in unions)]
     if "multicount" in kinds:
         candidates += [(first, u) for u in unions]
     for subsets in candidates:

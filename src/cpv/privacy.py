@@ -4,10 +4,11 @@ A protocol for a rule is contextually private when any two profiles that
 differ in one agent's type and reach *distinct* terminals map to distinct
 outcomes.  The unilateral checks (CP, ICP, and the subtree checks of
 tatonnement) decide on whole leaf masks whether a violating pair exists,
-by counting the lines of each agent that the leaves meet, and scan pairs
-only to name the first violation.  The pairs come from
-:func:`unilateral_pairs`, so scan order, and with it the first violation
-reported, is defined once.
+by counting the lines of each agent that the leaves meet.  A fast pass
+decides and a walk only names: pairs are scanned only to name the first
+violation the kernel found, and a scan that finds none is a bug.  The
+pairs come from :func:`unilateral_pairs`, so scan order, and with it the
+first violation reported, is defined once.
 
 ``cpv check`` of CP and tatonnement imports this module, and so do
 :mod:`cpv.variants` (ICP and GCP), :mod:`cpv.synthesis` and
@@ -15,7 +16,8 @@ reported, is defined once.
 :func:`check_protocol_cp`.  The decider (``synth``, ``enumerate``) lives in
 :mod:`cpv.search`, the corners and non-bossiness scans in
 :mod:`cpv.synthesis` and the ICP and GCP checks in :mod:`cpv.variants`, so
-a CP check compiles none of them.
+a CP check compiles none of them.  Only :func:`check_protocol_cp` imports
+:mod:`cpv.protocol`, so the corners scans compile no protocol module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 from typing import Optional
 
 from cpv.core import ChoiceRule, Profile, TypeSpace, Verdict, mask_flags, record
-from cpv.protocol import Protocol, require_implements
 
 # ---------------------------------------------------------------------------
 # unilateral pairs
@@ -89,7 +90,7 @@ def cp_to_json(space: TypeSpace, v: CpViolation) -> dict:
     }
 
 
-def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Optional[CpViolation]:
+def _unilateral_scan(protocol, value, label: int | None = None) -> Optional[CpViolation]:
     """First unilateral pair inside ``label`` (the universe by default) that
     reaches distinct leaves with equal ``value[agent]``.
 
@@ -114,7 +115,7 @@ def _unilateral_scan(protocol: Protocol, value, label: int | None = None) -> Opt
             agent, profile[agent], t2, profile, tuple(other), leaf[k], leaf[k2],
             value[agent][k],
         )
-    return None
+    raise AssertionError("leaves share a line but no unilateral pair joins them (bug)")
 
 
 def _leaves_share_a_line(space: TypeSpace, pieces: list[int], value) -> bool:
@@ -156,9 +157,11 @@ def _outcome_values(rule: ChoiceRule) -> list[list[str]]:
     return [labels] * rule.space.n
 
 
-def check_protocol_cp(protocol: Protocol, rule: ChoiceRule) -> Verdict:
+def check_protocol_cp(protocol, rule: ChoiceRule) -> Verdict:
     """Separated unilateral pairs must change the outcome; a violation is a
     :class:`CpViolation`."""
+    from cpv.protocol import require_implements
+
     require_implements(protocol, rule)
     violation = _unilateral_scan(protocol, _outcome_values(rule))
     return Verdict(violation is None, violation)

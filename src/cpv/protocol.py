@@ -31,8 +31,8 @@ from cpv.core import (
     ProfileSet,
     TypeSpace,
     Verdict,
+    constant_on,
     mask_indices,
-    outcome_ids,
     record,
 )
 
@@ -356,13 +356,13 @@ def implements(protocol: Protocol, rule: ChoiceRule) -> Verdict:
     the leaf's lowest profile, and its lowest profile mapped to another
     outcome.
 
-    Each leaf is tested in one pass at C level: its :func:`outcome_ids`
-    hold a single element.
+    Each leaf is tested by :func:`cpv.core.constant_on`, as the search,
+    ``cpv run`` and the clock builders test theirs.
     """
     if rule.space != protocol.space:
         raise InputError("protocol and rule live on different type spaces")
     for v in protocol.nodes:
-        if v.is_leaf and len(outcome_ids(rule, v.label)) > 1:
+        if v.is_leaf and not constant_on(rule, v.label):
             first, *rest = mask_indices(v.label)
             other = next(k for k in rest if rule.table[k] != rule.table[first])
             space = protocol.space

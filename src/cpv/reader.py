@@ -10,13 +10,15 @@ load part of the stderr line, and ``cpv.jsonwriter.write`` as its emit part.
 
 The long arrays of a file, the rows of ``rule.table`` and the profile lists
 of universes and extensional cells, are read in whole columns, with C-level
-passes and no Python call per entry.  ``_whole`` checks an array of arrays
-of labels, or of flat objects such as table rows, one type pass per field;
-``TypeSpace.indices_of_rows`` maps label rows to profile indices one agent
-column at a time, and the table scatters its outcome ids by those indices.
-A pass that fails decides nothing: the per-entry walk that follows it is
-the only error path, and it names the first entry at fault in document
-order, by message and JSON pointer.
+passes and no Python call per entry.  ``_whole`` accepts an array of arrays
+of labels, or of flat objects such as table rows, one type pass per field,
+and leaves any other array to the per-entry shape walk.  ``_row_indices``
+maps label rows to profile indices with ``TypeSpace.indices_of_rows``, one
+agent column at a time, and the table scatters its outcome ids by those
+indices.  A fast pass decides and a walk only names: where the column pass
+refuses a row, the row walk names the first row at fault in document order,
+by message and JSON pointer, and builds nothing; a walk that finds no fault
+there is a bug.  A repeated profile is named from the indices themselves.
 
 This is a module of its own, the counterpart of ``cpv.jsonwriter``, and
 ``cpv.cli`` imports it at start-up, since every command but ``builtin``
@@ -314,14 +316,22 @@ def _space_from_json(doc, pointer) -> TypeSpace:
         return space
 
 
-def _profiles_from_json(space: TypeSpace, profiles, pointer) -> ProfileSet:
+def _row_indices(space: TypeSpace, rows: list, at: str) -> list[int]:
+    """Profile indices of ``rows``, checked arrays of labels, from the column
+    pass :meth:`TypeSpace.indices_of_rows`, which decides.  Where it refuses
+    a row, the row walk names the first row at fault, at ``at.format(row)``,
+    and builds nothing."""
     try:
-        return ProfileSet.from_indices(space, space.indices_of_rows(profiles))
-    except (LookupError, TypeError):  # the row walk names the first profile at fault
-        indices: list[int] = []  # on an error, those of the profiles before it
-        with _at(lambda: f"{pointer}/{len(indices)}"):
-            indices.extend(map(space.index_of_labels, profiles))
-        return ProfileSet.from_indices(space, indices)
+        return list(space.indices_of_rows(rows))
+    except (LookupError, TypeError):
+        with _at(lambda: at.format(r)):
+            for r, row in enumerate(rows):
+                space.index_of_labels(row)
+    raise AssertionError("the column pass refused rows that the row walk reads (bug)")
+
+
+def _profiles_from_json(space: TypeSpace, profiles, pointer) -> ProfileSet:
+    return ProfileSet.from_indices(space, _row_indices(space, profiles, pointer + "/{}"))
 
 
 def _universe_from_json(spec, space, pointer) -> Optional[ProfileSet]:
@@ -362,24 +372,15 @@ def _table_from_json(space: TypeSpace, rows: list, ids: dict) -> list[int]:
     outcome = itemgetter("outcome")
     for label in dict.fromkeys(map(outcome, rows)):
         ids.setdefault(label, len(ids))
+    keys = _row_indices(space, list(map(itemgetter("profile"), rows)), "/rule/table/{}/profile")
     table = [-1] * space.total
-    try:  # any() drains the map: __setitem__ returns None
-        profiles = list(map(itemgetter("profile"), rows))
-        any(map(table.__setitem__, space.indices_of_rows(profiles),
-                map(ids.__getitem__, map(outcome, rows))))
-        if table.count(-1) == space.total - len(rows):  # no profile written twice
-            return table
-    except (LookupError, TypeError):
-        pass
-    table = [-1] * space.total  # the row walk, which names the first row at fault
-    r = 0
-    with _at(lambda: f"/rule/table/{r}/profile"):
-        for r, row in enumerate(rows):
-            k = space.index_of_labels(row["profile"])
-            if table[k] != -1:
-                raise LoadError(f"/rule/table/{r}", "duplicate profile row")
-            table[k] = ids[row["outcome"]]
-    return table
+    # any() drains the map: __setitem__ returns None
+    any(map(table.__setitem__, keys, map(ids.__getitem__, map(outcome, rows))))
+    if table.count(-1) == space.total - len(rows):  # no profile written twice
+        return table
+    first: dict[int, int] = {}  # the row of each key's first writing
+    r = next(r for r, k in enumerate(keys) if first.setdefault(k, r) != r)
+    raise LoadError(f"/rule/table/{r}", "duplicate profile row")
 
 
 def instance_from_json(doc) -> Instance:
@@ -426,13 +427,11 @@ def load(instance_path: str, protocol_path: str | None = None) -> ProtocolBundle
     doc = _read_json(instance_path)
     instance = instance_from_json(doc)
     protocol, phase = None, None
-    if "protocol" in doc:
+    if "protocol" in doc or protocol_path is not None:
         from cpv.treereader import protocol_from_json
-
+    if "protocol" in doc:
         protocol, phase = protocol_from_json(doc["protocol"], instance.space, "/protocol")
     if protocol_path is not None:
-        from cpv.treereader import protocol_from_json
-
         pdoc = _read_json(protocol_path)
         _check("protocol file", pdoc, "")
         protocol, phase = protocol_from_json(pdoc, instance.space, "")

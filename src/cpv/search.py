@@ -43,8 +43,8 @@ product set.
 
 The family is the comma-joined ``--queries`` string of ``cpv enumerate``.
 ``_KINDS`` lists each kind a family may name with how it splits a state:
-elicitation in two, counts (one count query class, over one type subset
-for ``count`` and over two for ``multicount``) into their exact fibres.
+elicitation in two, counts (one count query class: ``count`` over one type
+subset, ``multicount`` over one or two) into their exact fibres.
 Coarser groupings of counts are expressible at the protocol level but are
 not enumerated (ROADMAP item 1).  :func:`drawn_kinds` reads the string
 into the kinds drawn on a space, with their splits, and refuses an

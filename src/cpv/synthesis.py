@@ -1,16 +1,16 @@
 """Rule-level privacy scans: corners and non-bossiness.
 
 The corners scan decides one two-agent plane at a time whether a failing
-square (three equal corners and a fourth that differs) exists, and scans
-pairs only to name the first one; it is a fast necessary condition for
-contextual privacy, not a sufficient one.  It and the non-bossiness scan
-enumerate their pairs with :func:`cpv.privacy.unilateral_pairs`, as the
-protocol-level checks of :mod:`cpv.privacy` do.  Inseparability classes,
-the decider and its witnesses live in :mod:`cpv.search`.
+square (three equal corners and a fourth that differs) exists, a fast
+necessary condition for contextual privacy, not a sufficient one.  A fast
+pass decides and a walk only names: squares are scanned only to name the
+first, and a scan that finds none is a bug.  It and the non-bossiness scan
+enumerate their pairs with :func:`cpv.privacy.unilateral_pairs`; the
+decider, its classes and witnesses live in :mod:`cpv.search`.
 
-``cpv check --property corners|nonbossy`` imports this module; ``synth``,
-``enumerate`` and ``check`` of CP, ICP, GCP or tatonnement never compile
-it.
+``cpv check --property corners|nonbossy`` imports this module and no
+protocol module; ``synth``, ``enumerate`` and ``check`` of CP, ICP, GCP or
+tatonnement never compile it.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def corners_scan(rule: ChoiceRule, region: ProfileSet | None = None) -> Verdict:
                         i, j, (profile[i], ti2), (tj, tj2), profile,
                         rule.outcomes[x], rule.outcomes[y],
                     ))
-    return Verdict(True)
+    raise AssertionError("a plane fails but no square of it does (bug)")
 
 
 def _some_plane_fails(space: TypeSpace, table, member) -> bool:

@@ -10,8 +10,12 @@ decider compile neither.
 from __future__ import annotations
 
 from cpv.core import ChoiceRule, InputError, TypeSpace, Verdict
-from cpv.privacy import _own_components, _unilateral_scan
+from cpv.privacy import _own_components, _unilateral_scan, cp_to_json
 from cpv.protocol import Protocol, outcome_reach, require_implements
+
+# An ICP violation is a CP violation, so ``cpv.check`` reads its JSON from
+# here, as it reads each property's from the module that decides it.
+__all__ = ["check_protocol_gcp", "check_protocol_icp", "cp_to_json", "gcp_to_json"]
 
 
 def check_protocol_icp(protocol: Protocol, rule: ChoiceRule) -> Verdict:

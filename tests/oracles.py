@@ -231,16 +231,18 @@ def elicit_queries(space: TypeSpace, state: int):
 
 def family_queries(space: TypeSpace, state: int, kinds: dict[str, str]):
     """``(kind, queries)`` for each drawn kind: the elicit-subset stream,
-    then the exact count query of each canonical subset of the common
-    alphabet, then that of each pair of them."""
+    then for ``count`` the exact count query of each canonical subset of
+    the common alphabet, and for ``multicount`` those of each subset and
+    then of each pair of them."""
     if "elicit" in kinds:
         yield "elicit", elicit_queries(space, state)
     subsets = list(canonical_subsets(tuple(range(space.sizes[0]))))
+    singles = [(s,) for s in subsets]
     if "count" in kinds:
-        yield "count", (exact_count_query(space, (s,)) for s in subsets)
+        yield "count", (exact_count_query(space, one) for one in singles)
     if "multicount" in kinds:
-        pairs = itertools.combinations(subsets, 2)
-        yield "multicount", (exact_count_query(space, pair) for pair in pairs)
+        groups = itertools.chain(singles, itertools.combinations(subsets, 2))
+        yield "multicount", (exact_count_query(space, group) for group in groups)
 
 
 def reference_cp_search(

@@ -953,6 +953,17 @@ MALFORMED = {
         _table_of(["a", "b", "c"], _REPEATED), ["validate"], 1000,
         '{"error":"duplicate profile row (at /rule/table/5)"}',
     ),
+    # two defects: the column pass decides, so an unknown label anywhere is named
+    # before a repeated profile, whichever comes first
+    "repeated profile before an unknown label": (
+        _table_of(["a", "b"], [*_AB[:2], (["a", "b"], "y"), (["b", "z"], "x")]), ["validate"],
+        1000, '{"error":"agent 1: unknown type label \'z\' (at /rule/table/3/profile)"}',
+    ),
+    "unknown label before a repeated profile": (
+        _table_of(["a", "b"], [_AB[0], (["z", "b"], "y"), *_AB[2:], (["a", "a"], "x")]),
+        ["validate"], 1000,
+        '{"error":"agent 0: unknown type label \'z\' (at /rule/table/1/profile)"}',
+    ),
     "unknown label in the last row": (
         _table_of(["a", "b"], [*_AB[:3], (["b", "z"], "x")]), ["validate"], 1000,
         '{"error":"agent 1: unknown type label \'z\' (at /rule/table/3/profile)"}',

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpv import privacy, synthesis
 from cpv.auctions import first_price, second_price
 from cpv.core import ChoiceRule, InputError, ProfileSet, TypeSpace, Verdict, Witness, mask_flags
 from cpv.matching import (
@@ -177,6 +178,15 @@ class TestProtocolCp:
         with pytest.raises(InputError):
             check_protocol_cp(truncated, inst.rule)
 
+    def test_the_pair_scan_names_and_never_decides(self, monkeypatch):
+        # the leaf-mask kernel decides; a scan that finds no pair after it
+        # said one exists is a bug, not a protocol that holds
+        inst = serial_dictatorship(2, ("A", "B"), (0, 1))
+        protocol = serial_dictatorship_protocol(inst, (0, 1)).protocol
+        monkeypatch.setattr(privacy, "_leaves_share_a_line", lambda space, pieces, value: True)
+        with pytest.raises(AssertionError, match=r"\(bug\)$"):
+            check_protocol_cp(protocol, inst.rule)
+
 
 class TestProtocolGcp:
     def test_serial_dictatorship_gcp(self):
@@ -274,6 +284,15 @@ class TestCorners:
         for order in ((0, 1), (1, 0)):
             inst = serial_dictatorship(2, ("A", "B"), order)
             assert corners_scan(inst.rule).ok
+
+    def test_the_square_scan_names_and_never_decides(self, monkeypatch):
+        # the plane test decides; first price has no failing square, so a
+        # scan after a plane test that says otherwise must raise
+        rule = first_price(2, [1, 2, 3]).rule
+        assert corners_scan(rule).ok
+        monkeypatch.setattr(synthesis, "_some_plane_fails", lambda space, table, member: True)
+        with pytest.raises(AssertionError, match=r"\(bug\)$"):
+            corners_scan(rule)
 
     def test_second_price_violation(self):
         inst = second_price(3, [1, 2, 3])

@@ -152,6 +152,26 @@ def test_an_empty_universe_is_refused_by_both_readers():
     assert result(reader.instance_from_json, doc) == by_rows(doc) == expected
 
 
+@pytest.mark.parametrize("where", ["table", "universe"])
+def test_the_row_walk_names_and_never_decides(where, monkeypatch):
+    # the column pass decides; a walk that finds every row valid after the
+    # pass refused one is a bug, not rows to build from
+    doc = random_instance(random.Random(1))
+    doc["universe"] = [row["profile"] for row in doc["rule"]["table"][:2]]
+    assert result(reader.instance_from_json, doc)[0] == "ok"
+    calls = []
+
+    def refuse(space, rows):
+        calls.append(rows)
+        if len(calls) == {"table": 1, "universe": 2}[where]:
+            raise KeyError("refused")
+        return map(space.index_of_labels, rows)
+
+    monkeypatch.setattr(TypeSpace, "indices_of_rows", refuse)
+    with pytest.raises(AssertionError, match=r"\(bug\)$"):
+        reader.instance_from_json(doc)
+
+
 def test_a_tree_deeper_than_the_recursion_limit_is_read():
     # the descending clock of one agent over 1200 prices, one level per price
     assert sys.getrecursionlimit() == 1000

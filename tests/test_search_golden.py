@@ -130,7 +130,7 @@ GOLDEN = [
     (cp_count_clock_count, "nonexistent", 1, None),
     (cp_count_clock_m12_count, "nonexistent", 1, None),
     (cp_multicount_matching_count, "nonexistent", 6, None),
-    (cp_multicount_matching_multicount, "nonexistent", 5, None),
+    (cp_multicount_matching_multicount, "nonexistent", 6, None),
     (cp_random_rule_count, "found", 7, 7),
     (osp_sd2, "found", 3, 3),
     (osp_sd3, "found", 43, 43),
