@@ -162,16 +162,10 @@ def write_json(doc, fh) -> None:
     fh.write("".join(parts))
 
 
-def write(doc: dict, path: str) -> str:
-    """Writes ``doc`` to ``path`` with :func:`_emit`, timed as the emit part
-    of the stderr line; returns ``path``."""
-    with _timed("emit"):
-        _emit(doc, path)
-    return path
-
-
-def _emit(doc: dict, path: str) -> None:
-    """Writes ``doc`` over ``path`` in place and cuts off any old tail.
+@_timed("emit")
+def _emit(doc: dict, path: str) -> str:
+    """Writes ``doc`` over ``path`` in place, cuts off any old tail and
+    returns ``path``; timed as the emit part of the stderr line.
 
     Opening with truncation frees all of an old file's blocks, and where
     the filesystem discards freed blocks (ext4 mounted with ``discard``)
@@ -186,6 +180,7 @@ def _emit(doc: dict, path: str) -> None:
                 fh.truncate()
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +223,20 @@ def protocol_to_json(protocol, phase=None) -> dict:
             }
         return {"kind": "extensional", "cells": [_profiles_to_json(space, m) for m in query.cells]}
 
-    def node_json(node) -> dict:
-        if node.is_leaf:
-            return {}
-        children: list = [None] * len(node.query.cells)
-        for child_id, cell in zip(node.children, node.cell_of_child):
-            children[cell] = node_json(protocol.nodes[child_id])
-        return {"query": query_json(node.query), "children": children}
-
+    trees: list = [{} for _ in protocol.nodes]  # per node id, filled in place
+    for node in protocol.nodes:
+        if node.children:
+            children: list = [None] * len(node.query.cells)
+            for child_id, cell in zip(node.children, node.cell_of_child):
+                children[cell] = trees[child_id]
+            trees[node.id].update(query=query_json(node.query), children=children)
     doc = {
         "schema": SCHEMA,
         "space": {
             "agents": space.n,
             "alphabets": [list(a) for a in space.alphabets],
         },
-        "tree": node_json(protocol.root),
+        "tree": trees[0],
     }
     if protocol.universe != (1 << space.total) - 1:
         doc["universe"] = _profiles_to_json(space, protocol.universe)

@@ -99,17 +99,11 @@ def serial_dictatorship_protocol(instance: Instance, order) -> ProtocolBundle:
         if len(remaining) < 2:
             return None
         agent = order[pos]
-        cells = []
-        for obj in remaining:
-            cell = tuple(
-                t
-                for t in range(space.sizes[agent])
-                if min(remaining, key=model.type_prefs[agent][t].index) == obj
-            )
-            cells.append(cell)
-        nonempty = tuple(c for c in cells if c)
-        kept_objects = [obj for obj, c in zip(remaining, cells) if c]
-        query = ElicitQuery(agent, nonempty)
+        cells: dict = {obj: [] for obj in remaining}  # favourite -> its types
+        for t, prefs in enumerate(model.type_prefs[agent]):
+            cells[min(remaining, key=prefs.index)].append(t)
+        kept_objects = [obj for obj in remaining if cells[obj]]
+        query = ElicitQuery(agent, tuple(tuple(cells[obj]) for obj in kept_objects))
 
         def child_state(cell_index: int, _mask: int):
             return pos + 1, taken + (kept_objects[cell_index],)

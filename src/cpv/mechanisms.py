@@ -177,9 +177,9 @@ def builtin_command(args) -> tuple[int, dict]:
     else:
         doc.update(kind="rule", profiles=built.space.total, rows=len(built.rule.table))
     if args.emit:
-        from cpv.jsonwriter import write
+        from cpv.jsonwriter import _emit
 
-        doc["emitted"] = write(_builtin_to_json(built), args.emit)
+        doc["emitted"] = _emit(_builtin_to_json(built), args.emit)
     return 0, doc
 
 

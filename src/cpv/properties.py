@@ -331,19 +331,19 @@ def _osp_node_failure(space: TypeSpace, rule: ChoiceRule, ranks, agent: int, mas
     of ``agent`` whose children carry ``masks``, or ``None``; ``ranks`` is
     an :func:`outcome_ranks` table holding every outcome under the masks.
 
-    True types are tried in ascending order; for each, the worst outcome of
-    its own child must weakly beat the best outcome of every other child.
+    True types are tried in ascending order; for each, its own child is the
+    first mask that meets the type's digit mask, and the worst outcome of
+    that child within the digit mask must weakly beat the best outcome of
+    every other child.
     """
-    stride, size, table = space.strides[agent], space.sizes[agent], rule.table
-    members = [list(ProfileSet(space, m).indices()) for m in masks]
-    outcomes = [set(map(table.__getitem__, ks)) for ks in members]
-    home: dict[int, int] = {}  # true type -> position of the child holding it
-    for pos, ks in enumerate(members):
-        for k in ks:
-            home.setdefault(k // stride % size, pos)
-    for true_t in sorted(home):
-        row, own = ranks[agent][true_t], home[true_t]
-        worst = max(row[table[k]] for k in members[own] if k // stride % size == true_t)
+    outcomes = [outcome_ids(rule, m) for m in masks]
+    for true_t in range(space.sizes[agent]):
+        digit = space.digit_mask(agent, (true_t,))
+        own = next((pos for pos, m in enumerate(masks) if m & digit), None)
+        if own is None:
+            continue
+        row = ranks[agent][true_t]
+        worst = max(map(row.__getitem__, outcome_ids(rule, masks[own] & digit)))
         for pos, outs in enumerate(outcomes):
             if pos != own and min(map(row.__getitem__, outs)) < worst:
                 return true_t, pos

@@ -202,13 +202,17 @@ class Node:
 @record
 class Protocol:
     space: TypeSpace
-    universe: int  # root label mask; full space unless restricted
     nodes: tuple[Node, ...]
     notes: tuple[str, ...] = ()
 
     @property
     def root(self) -> Node:
         return self.nodes[0]
+
+    @property
+    def universe(self) -> int:
+        """The root label mask: the full space unless restricted."""
+        return self.root.label
 
     def leaves(self) -> list[Node]:
         return [v for v in self.nodes if v.is_leaf]
@@ -286,7 +290,7 @@ def build_protocol(
         Node(i, r[0], r[1], r[2], tuple(r[3]), tuple(r[4]))
         for i, r in enumerate(rows)
     )
-    return Protocol(space, root, nodes, tuple(notes))
+    return Protocol(space, nodes, tuple(notes))
 
 
 def build_from_spec(
@@ -323,12 +327,11 @@ def build_from_spec(
 
 
 def validate_protocol(protocol: Protocol) -> tuple[str, ...]:
-    """The defects among the derived invariants: root label, partitions,
-    nonempty labels, branching; none for a sound protocol.  Construction
-    enforces these, so defects indicate a hand-assembled or corrupted value."""
+    """The defects among the derived invariants: partitions, nonempty
+    labels, branching; none for a sound protocol.  Construction enforces
+    these, so defects indicate a hand-assembled or corrupted value.  The
+    universe is read from the root label, so it cannot differ from it."""
     defects: list[str] = []
-    if protocol.nodes[0].label != protocol.universe:
-        defects.append("root label differs from the universe")
     for v in protocol.nodes:
         if not v.label:
             defects.append(f"empty label at node {v.id}")

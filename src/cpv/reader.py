@@ -6,7 +6,7 @@ it, so the loaders read fields known to be valid.  The exception is a
 protocol tree: each of its nodes is checked against ``CPV1["node"]`` where
 the build walk reaches it.  An input error is a ``LoadError`` naming the
 JSON pointer (RFC 6901) of the field at fault.  ``load`` is timed as the
-load part of the stderr line, and ``cpv.jsonwriter.write`` as its emit part.
+load part of the stderr line, and ``cpv.jsonwriter._emit`` as its emit part.
 
 The long arrays of a file, the rows of ``rule.table`` and the profile lists
 of universes and extensional cells, are read in whole columns, with C-level
@@ -269,7 +269,7 @@ def _freeze(shape, value):
 # ---------------------------------------------------------------------------
 # loading
 
-# Seconds spent in ``load`` and ``cpv.jsonwriter.write`` since ``main``
+# Seconds spent in ``load`` and ``cpv.jsonwriter._emit`` since ``main``
 # began, for the timing line on stderr; the rest of a command is its compute.
 _SPENT = {"load": 0.0, "emit": 0.0}
 

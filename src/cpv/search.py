@@ -367,4 +367,4 @@ def _write_protocol(protocol: Protocol, path: str) -> str:
     """Writes the cpv-1 document of ``protocol`` to ``path``; returns ``path``."""
     from cpv import jsonwriter
 
-    return jsonwriter.write(jsonwriter.protocol_to_json(protocol), path)
+    return jsonwriter._emit(jsonwriter.protocol_to_json(protocol), path)

@@ -13,8 +13,7 @@ import cpv
 from cpv.check import _PROPERTIES
 from cpv.cli import _PROPERTY_NAMES, load, main
 from cpv.core import LoadError
-from cpv.jsonwriter import protocol_to_json
-from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, instance_to_json
+from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, _builtin_to_json, instance_to_json
 from cpv.privacy import check_protocol_cp
 
 # The directory holding the imported ``cpv`` package, so that a
@@ -733,10 +732,7 @@ def _count_bundle_with(*edits) -> str:
 
 def _bundle_with(name: str, params: dict, *edits) -> str:
     """The built-in bundle ``name`` as ``builtin --emit`` writes it, after ``edits``."""
-    bundle = BUILTIN_PROTOCOLS[name](params)
-    doc = instance_to_json(bundle.instance)
-    protocol = protocol_to_json(bundle.protocol, bundle.phase)
-    doc["protocol"] = {k: v for k, v in protocol.items() if k not in ("schema", "space")}
+    doc = _builtin_to_json(BUILTIN_PROTOCOLS[name](params))
     for edit in edits:
         edit(doc)
     return json.dumps(doc)
@@ -909,12 +905,6 @@ MALFORMED = {
     "type_scores is a number": (
         _count_bundle_with(_set("model/type_scores", 5)), ["validate"], 1000,
         "/model/type_scores",
-    ),
-    "deep tree emitted under a low recursion limit": (
-        None,
-        ["builtin", "descending_first_price", "--params",
-         json.dumps({"n": 1, "values": list(range(300))}), "--emit"],
-        250, "resource",
     ),
     # --params is its own document: its pointers start at its root
     "params not JSON": (
@@ -1132,6 +1122,23 @@ RUN_WITH_LIMIT = (
     "from cpv.cli import main\n"
     "sys.exit(main(sys.argv[2:]))\n"
 )
+
+
+def test_a_tree_deeper_than_the_recursion_limit_is_emitted(tmp_path, capsys):
+    # The writer builds a protocol's document without recursion, so a clock
+    # of 60 levels is written under a recursion limit of 60, byte for byte
+    # as under the default limit, and the file reloads.
+    params = json.dumps({"n": 1, "values": list(range(60))})
+    argv = ["builtin", "descending_first_price", "--params", params, "--emit"]
+    low, default = tmp_path / "low.json", tmp_path / "default.json"
+    res = subprocess.run([sys.executable, "-c", RUN_WITH_LIMIT, "60", *argv, str(low)],
+                         capture_output=True, env=child_env())
+    assert res.returncode == 0, res.stdout.decode() + res.stderr.decode()[-2000:]
+    assert main([*argv, str(default)]) == 0
+    assert low.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+    code, doc = run_cli(["validate", str(low)], capsys)
+    assert (code, doc["protocol"]) == (0, "ok")
 
 
 class TestMalformedInput:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cpv.cli import main
 from cpv.jsonwriter import protocol_to_json
-from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, instance_to_json
+from cpv.mechanisms import BUILTIN_PROTOCOLS, BUILTIN_RULES, _builtin_to_json, instance_to_json
 from cpv.protocol import Protocol
 from cpv.reader import _check, instance_from_json
 from cpv.search import synthesize_or_witness
@@ -47,11 +47,7 @@ RULE_PARAMS = {
 
 def bundle_doc(name: str) -> dict:
     """The bundle ``builtin NAME --emit`` writes at the ``BUNDLE_PARAMS`` size."""
-    bundle = BUILTIN_PROTOCOLS[name](BUNDLE_PARAMS[name])
-    doc = instance_to_json(bundle.instance)
-    protocol = protocol_to_json(bundle.protocol, bundle.phase)
-    doc["protocol"] = {k: v for k, v in protocol.items() if k not in ("schema", "space")}
-    return doc
+    return _builtin_to_json(BUILTIN_PROTOCOLS[name](BUNDLE_PARAMS[name]))
 
 
 def rule_docs(name: str) -> list[dict]:

@@ -4,7 +4,8 @@ it is imported, every name a ``cpv`` or test function binds is read
 ``cpv``, every public function, class, method and property is reached from
 ``cpv``, the functions the benchmark wraps or the package exports (not from
 tests alone), no
-module holds an ``assert`` statement, no ``cpv`` module imports ``cpv.cli``,
+module holds an ``assert`` statement, no ``cpv`` function calls itself but
+those bounded by a cpv-1 shape, no ``cpv`` module imports ``cpv.cli``,
 importing ``cpv.cli`` loads no code generator, a command loads only the
 ``cpv`` modules it runs and compiles no more of their AST nodes than its
 budget, and no record but ``core.Verdict`` has an ``ok`` field.
@@ -251,6 +252,57 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+# Functions whose recursion depth is bounded by the fixed depth of a cpv-1
+# shape, not by the input.
+SHAPE_BOUNDED = frozenset({
+    "reader.py: _compile", "reader.py: _whole", "reader.py: _freeze", "mechanisms.py: _thaw",
+    "jsonwriter.py: write_json.text",
+})
+
+
+def self_calls(tree: ast.Module, module: str) -> list[str]:
+    """``module: name`` for each function, its name qualified by those of
+    the classes and functions around it, that calls itself by name."""
+    found, todo = [], [(tree, "")]
+    while todo:
+        node, prefix = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                todo.append((child, prefix))
+                continue
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == child.name
+                for n in ast.walk(child)
+            ):
+                found.append(f"{module}: {name}")
+            todo.append((child, name + "."))
+    return sorted(found)
+
+
+def test_no_function_recurses_on_its_input():
+    # Nothing below the profile cap may die of recursion depth, so a walk of
+    # a tree or a file keeps its own stack.
+    found = [f for path in MODULES for f in self_calls(ast.parse(path.read_text()), path.name)]
+    unbounded = [f for f in found if f not in SHAPE_BOUNDED]
+    assert not unbounded, f"functions that call themselves: {unbounded}"
+
+
+SELF_CALL_CASES = {
+    "direct": ("def f(n):\n    return f(n - 1) if n else 0\n", ["m.py: f"]),
+    "nested": ("def f(tree):\n    def walk(v):\n        return [walk(c) for c in v]\n"
+               "    return walk(tree)\n", ["m.py: f.walk"]),
+    "method": ("class C:\n    def g(self, n):\n        return g(n)\n", ["m.py: C.g"]),
+    "another function": ("def f():\n    return g()\n\ndef g():\n    return 1\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELF_CALL_CASES))
+def test_self_call_guard(case):
+    source, expected = SELF_CALL_CASES[case]
+    assert self_calls(ast.parse(source), "m.py") == expected
+
+
 def test_cli_import_generates_no_code():
     # Every command starts a fresh interpreter.  ``dataclasses`` generates and
     # compiles methods per class at import and pulls in ``inspect``; neither
@@ -475,32 +527,32 @@ def test_enumerate_without_emit_loads_no_writer(first_price_file):
 # those of ``workload_files``; an entry is (command line, exit code, budget).
 COMPILE_BUDGETS = {
     "validate table": (["validate", "table"], 0, 7757),
-    "validate bundle": (["validate", "dfp"], 0, 11009),
+    "validate bundle": (["validate", "dfp"], 0, 10995),
     "builtin rule --emit": (
         ["builtin", "first_price", "--params", '{"n": 2, "values": [1, 2]}', "--emit", "out"], 0,
-        12293,
+        12289,
     ),
     "builtin clock --emit": (
         ["builtin", "descending_first_price", "--params", '{"n": 2, "values": [1, 2]}',
-         "--emit", "out"], 0, 15587,
+         "--emit", "out"], 0, 15569,
     ),
     "builtin count clock --emit": (
         ["builtin", "count_ascending_kplus1_price", "--params",
-         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16250,
+         '{"k": 1, "n": 2, "values": [1, 2]}', "--emit", "out"], 0, 16232,
     ),
     "enumerate --emit": (
-        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 14786,
+        ["enumerate", "--queries", "elicit,count", "--emit", "out", "table"], 0, 14768,
     ),
-    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12100),
-    "synth --emit": (["synth", "--emit", "out", "table"], 0, 14786),
-    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12100),
-    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12473),
-    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13136),
-    "check icp": (["check", "--property", "icp", "dfp"], 0, 12839),
-    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 12839),
-    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13146),
-    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 13809),
-    "check efficient": (["check", "--property", "efficient", "cap"], 0, 14914),
+    "enumerate nonexistent": (["enumerate", "--emit", "out", "sp"], 1, 12086),
+    "synth --emit": (["synth", "--emit", "out", "table"], 0, 14768),
+    "synth witness": (["synth", "--emit", "out", "sp"], 1, 12086),
+    "check cp rule and protocol": (["check", "--property", "cp", "table", "protocol"], 0, 12459),
+    "check cp count bundle": (["check", "--property", "cp", "cap"], 0, 13122),
+    "check icp": (["check", "--property", "icp", "dfp"], 0, 12825),
+    "check gcp": (["check", "--property", "gcp", "dfp"], 0, 12825),
+    "check tatonnement": (["check", "--property", "tatonnement", "dfp"], 0, 13132),
+    "check tatonnement count bundle": (["check", "--property", "tatonnement", "cap"], 0, 13795),
+    "check efficient": (["check", "--property", "efficient", "cap"], 0, 14824),
     "check corners": (["check", "--property", "corners", "sp"], 1, 10843),
 }
 

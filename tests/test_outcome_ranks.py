@@ -260,10 +260,19 @@ class TestAgainstPerProfileRanks:
 
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_osp(self, kind):
+        # each rule on its whole space and on a random restricted universe,
+        # whose labels leave some types of an agent out of every child
+        verdicts = set()
         for seed in SEEDS:
             rule, model = CASES[kind](seed)
-            protocol = random_implementing_protocol(rule, seed)
-            assert check_protocol_osp(protocol, rule, model) == slow_osp(protocol, rule, model), seed
+            rng, space = random.Random(seed ^ 0x05B), rule.space
+            keys = rng.sample(range(space.total), rng.randint(1, space.total))
+            for universe in (None, ProfileSet(space, sum(1 << k for k in keys))):
+                protocol = random_implementing_protocol(rule, seed, universe)
+                verdict = check_protocol_osp(protocol, rule, model)
+                assert verdict == slow_osp(protocol, rule, model), (seed, universe)
+                verdicts.add((universe is None, verdict.ok))
+        assert len(verdicts) == 4, verdicts
 
     @pytest.mark.parametrize("kind", sorted(CASES))
     def test_osp_search(self, kind):
